@@ -7,10 +7,14 @@ scalar type.  No floating point anywhere.
 
 from fractions import Fraction
 from dataclasses import dataclass
+from math import gcd, lcm
 
-from .errors import DimensionMismatch, NotRationalSplit, ParseError
+from .errors import (DimensionMismatch, InternalCheckFailure, NotRationalSplit,
+                     ParseError)
 
 Rational = Fraction
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 class NoSolutionType:
@@ -69,6 +73,17 @@ class QMatrix:
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "_hash", None)
+
+    @classmethod
+    def _trusted(cls, rows, cols, entries):
+        """Internal constructor for entries that are already Fractions of the
+        right count: no re-coercion, no shape check."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "entries", tuple(entries))
+        object.__setattr__(self, "_hash", None)
+        return self
 
     def __setattr__(self, *a):
         raise AttributeError("QMatrix is immutable")
@@ -130,20 +145,20 @@ class QMatrix:
 
     def __add__(self, other):
         self._check_same_shape(other)
-        return QMatrix(self.rows, self.cols,
-                       [a + b for a, b in zip(self.entries, other.entries)])
+        return QMatrix._trusted(self.rows, self.cols,
+                                [a + b for a, b in zip(self.entries, other.entries)])
 
     def __sub__(self, other):
         self._check_same_shape(other)
-        return QMatrix(self.rows, self.cols,
-                       [a - b for a, b in zip(self.entries, other.entries)])
+        return QMatrix._trusted(self.rows, self.cols,
+                                [a - b for a, b in zip(self.entries, other.entries)])
 
     def __neg__(self):
-        return QMatrix(self.rows, self.cols, [-a for a in self.entries])
+        return QMatrix._trusted(self.rows, self.cols, [-a for a in self.entries])
 
     def scale(self, c):
         c = Fraction(c)
-        return QMatrix(self.rows, self.cols, [c * a for a in self.entries])
+        return QMatrix._trusted(self.rows, self.cols, [c * a for a in self.entries])
 
     def __mul__(self, other):
         if isinstance(other, QMatrix):
@@ -151,7 +166,7 @@ class QMatrix:
                 raise DimensionMismatch("matmul shape mismatch")
             n, k, m = self.rows, self.cols, other.cols
             A, B = self.entries, other.entries
-            out = [Fraction(0)] * (n * m)
+            out = [_ZERO] * (n * m)
             for i in range(n):
                 base = i * k
                 for t in range(k):
@@ -163,7 +178,7 @@ class QMatrix:
                             b = B[brow + j]
                             if b:
                                 out[orow + j] += a * b
-            return QMatrix(n, m, out)
+            return QMatrix._trusted(n, m, out)
         return self.scale(other)
 
     __rmul__ = scale
@@ -172,9 +187,9 @@ class QMatrix:
         return self * other - other * self
 
     def transpose(self):
-        return QMatrix(self.cols, self.rows,
-                       [self.entries[j * self.cols + i]
-                        for i in range(self.cols) for j in range(self.rows)])
+        return QMatrix._trusted(self.cols, self.rows,
+                                [self.entries[j * self.cols + i]
+                                 for i in range(self.cols) for j in range(self.rows)])
 
     def trace(self):
         if self.rows != self.cols:
@@ -269,10 +284,29 @@ class QMatrix:
 # row reduction
 
 
+def _integer_row(row):
+    """The row scaled by the lcm of its denominators to a primitive list of
+    ints (same span; the sign is left as it falls)."""
+    den = lcm(*{x.denominator for x in row})
+    if den == 1:
+        out = [x.numerator for x in row]
+    else:
+        out = [x.numerator * (den // x.denominator) for x in row]
+    g = gcd(*out)
+    return [x // g for x in out] if g > 1 else out
+
+
 def _rref_rows(rows):
-    """In-place-style reduced row echelon form of a list of row lists.
-    Returns (reduced rows, pivot column list); zero rows are kept at the end."""
-    A = [list(r) for r in rows]
+    """Reduced row echelon form of a list of row lists (int or Fraction
+    entries; the input is not mutated).  Returns (reduced rows, pivot column
+    list); zero rows are kept at the end and every entry is a Fraction.
+
+    Elimination is fraction-free, in the style of Bareiss (1968): rows are
+    primitive integer lists, a row R is cleared at pivot column c of P by
+    R := (a/g) R - (b/g) P with a = P[c], b = R[c], g = gcd(a, b), touching
+    only P's nonzero columns, and then divided by its content.  The RREF is
+    unique, so the result equals plain Gauss-Jordan over Q."""
+    A = [_integer_row(r) for r in rows]
     if not A:
         return [], []
     m, n = len(A), len(A[0])
@@ -283,33 +317,54 @@ def _rref_rows(rows):
         if piv is None:
             continue
         A[r], A[piv] = A[piv], A[r]
-        inv = 1 / A[r][c]
-        A[r] = [x * inv for x in A[r]]
+        P = A[r]
+        a = P[c]
+        nz = [j for j in range(c, n) if P[j]]
         for i in range(m):
-            if i != r and A[i][c]:
-                f = A[i][c]
-                Ar = A[r]
-                A[i] = [x - f * y for x, y in zip(A[i], Ar)]
+            R = A[i]
+            b = R[c]
+            if not b or i == r:
+                continue
+            g = gcd(a, b)
+            ag, bg = a // g, b // g
+            if ag != 1:
+                R = [ag * x for x in R]
+            for j in nz:
+                R[j] -= bg * P[j]
+            g = gcd(*R)
+            A[i] = [x // g for x in R] if g > 1 else R
         pivots.append(c)
         r += 1
         if r == m:
             break
+    for k, c in enumerate(pivots):
+        p = A[k][c]
+        A[k] = [Fraction(x, p) if x else _ZERO for x in A[k]]
+    for k in range(r, m):
+        A[k] = [_ZERO] * n
     return A, pivots
+
+
+def _kernel_of_rref(red, piv, n_cols):
+    """Echelonized basis of the right kernel, read off an RREF (`red`, `piv`)
+    restricted to its first n_cols columns."""
+    pivset = set(piv)
+    out = []
+    for fc in range(n_cols):
+        if fc in pivset:
+            continue
+        v = [_ZERO] * n_cols
+        v[fc] = _ONE
+        for r, pc in enumerate(piv):
+            v[pc] = -red[r][fc]
+        out.append(v)
+    return out
 
 
 def _kernel_rows(rows, n_cols):
     """Basis of the right kernel of the matrix given by `rows` (echelonized)."""
     red, piv = _rref_rows(rows)
-    pivset = set(piv)
-    free = [c for c in range(n_cols) if c not in pivset]
-    out = []
-    for fc in free:
-        v = [Fraction(0)] * n_cols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(piv):
-            v[pc] = -red[r][fc]
-        out.append(v)
-    return out
+    return _kernel_of_rref(red, piv, n_cols)
 
 
 @dataclass(frozen=True)
@@ -323,32 +378,31 @@ class RrefResult:
 
 def rref_solve(A, b=None):
     """Exact reduced row echelon form of A; when b is given, also a particular
-    solution of A x = b (free variables set to 0) or NO_SOLUTION."""
+    solution of A x = b (free variables set to 0) or NO_SOLUTION.  One
+    reduction serves both: the first n columns of the augmented RREF are the
+    RREF of A."""
     rows = A.row_lists()
     m, n = A.rows, A.cols
+    solution = None
     if b is not None:
         b = [Fraction(x) for x in b]
         if len(b) != m:
             raise DimensionMismatch("b length != rows(A)")
-        aug = [row + [bx] for row, bx in zip(rows, b)]
-        red, piv = _rref_rows(aug)
-        if n in piv:
+        rows = [row + [bx] for row, bx in zip(rows, b)]
+    red, piv = _rref_rows(rows)
+    if b is not None:
+        if piv and piv[-1] == n:
             solution = NO_SOLUTION
-            piv_a = [c for c in piv if c < n]
+            piv = piv[:-1]
         else:
-            piv_a = piv
-            sol = [Fraction(0)] * n
-            for r, pc in enumerate(piv_a):
+            sol = [_ZERO] * n
+            for r, pc in enumerate(piv):
                 sol[pc] = red[r][n]
             solution = tuple(sol)
-        ech_rows, ech_piv = _rref_rows([row[:n] for row in red])
-        ech = QMatrix.from_rows(ech_rows) if ech_rows else QMatrix.zeros(m, n)
-        kernel = tuple(tuple(v) for v in _kernel_rows([row[:n] for row in red], n))
-        return RrefResult(ech, tuple(ech_piv), len(ech_piv), solution, kernel)
-    red, piv = _rref_rows(rows)
-    ech = QMatrix.from_rows(red) if red else QMatrix.zeros(m, n)
-    kernel = tuple(tuple(v) for v in _kernel_rows(red, n))
-    return RrefResult(ech, tuple(piv), len(piv), None, kernel)
+        red = [row[:n] for row in red]
+    ech = QMatrix._trusted(m, n, [x for row in red for x in row])
+    kernel = tuple(tuple(v) for v in _kernel_of_rref(red, piv, n))
+    return RrefResult(ech, tuple(piv), len(piv), solution, kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -539,25 +593,36 @@ def rational_eigenvalues(M):
 # the anti-symmetric trace form omega_f(X, Y) = trace(f [X, Y]) and friends
 
 
-def _unflatten(vec, n):
-    return QMatrix(n, n, vec)
-
-
 def omega_eval(f, X, Y):
     return (f * X.bracket(Y)).trace()
 
 
-def _omega_gram_vectors(f, vectors):
-    """Gram matrix of omega_f on flattened gl_n vectors (precomputes [f, X_i])."""
+def _trace_pairing(B, n):
+    """The functional Y -> trace(B Y) on flattened gl_n, for B given as a
+    flattened n x n sequence: sum of B[a,b] Y[b,a] over B's nonzero entries."""
+    terms = [((k % n) * n + k // n, x) for k, x in enumerate(B) if x]
+
+    def pair(Y):
+        return sum([x * Y[k] for k, x in terms], _ZERO)
+    return pair
+
+
+def _omega_with(f, X):
+    """The functional Y -> omega_f(X, Y) = trace([f, X] Y), for X a flattened
+    gl_n vector of Fractions."""
     n = f.rows
-    mats = [_unflatten(list(v), n) for v in vectors]
-    brackets = [f.bracket(X) for X in mats]     # omega(X,Y) = trace([f,X] Y)
-    k = len(mats)
-    gram = [[Fraction(0)] * k for _ in range(k)]
+    return _trace_pairing(f.bracket(QMatrix._trusted(n, n, X)).entries, n)
+
+
+def _omega_gram_vectors(f, vectors):
+    """Gram matrix of omega_f on flattened gl_n vectors."""
+    pairs = [_omega_with(f, v) for v in vectors]
+    k = len(vectors)
+    gram = [[_ZERO] * k for _ in range(k)]
     for i in range(k):
-        Bi = brackets[i]
+        pair = pairs[i]
         for j in range(i + 1, k):
-            val = (Bi * mats[j]).trace()
+            val = pair(vectors[j])
             gram[i][j] = val
             gram[j][i] = -val
     return gram
@@ -596,23 +661,20 @@ def skew_tools(f, W, task):
 
 
 def _lagrangian(f, W, radical):
-    n = f.rows
     target = W.dim + radical.dim
-    assert target % 2 == 0, "dim W + dim radical must be even"
+    if target % 2:
+        raise InternalCheckFailure(
+            "lagrangian: dim W + dim radical must be even")
     target //= 2
     cur = list(radical.basis)
-    cur_mats = [_unflatten(list(v), n) for v in cur]
-    cur_brackets = [f.bracket(X) for X in cur_mats]
+    cur_pairs = [_omega_with(f, v) for v in cur]
 
     def pairs_zero(vec):
-        X = _unflatten(list(vec), n)
-        return all((B * X).trace() == 0 for B in cur_brackets)
+        return all(pair(vec) == 0 for pair in cur_pairs)
 
     def add(vec):
         cur.append(tuple(vec))
-        X = _unflatten(list(vec), n)
-        cur_mats.append(X)
-        cur_brackets.append(f.bracket(X))
+        cur_pairs.append(_omega_with(f, vec))
 
     span = Subspace(W.ambient_dim, cur)
     # greedy pass over W's echelon basis in order
@@ -625,14 +687,11 @@ def _lagrangian(f, W, radical):
     # completion: repeatedly adjoin the first echelon vector of the
     # omega-perp of the current span inside W (always isotropic)
     while span.dim < target:
-        gram_rows = []
-        for w in W.basis:
-            Xw = _unflatten(list(w), n)
-            gram_rows.append([(B * Xw).trace() for B in cur_brackets])
         # coefficients c (over W basis) with omega(sum c w, cur) = 0
-        perp_coeffs = _kernel_rows([list(r) for r in zip(*gram_rows)], len(W.basis)) \
-            if cur_brackets else [[Fraction(int(i == j)) for j in range(len(W.basis))]
-                                  for i in range(len(W.basis))]
+        perp_coeffs = _kernel_rows([[pair(w) for w in W.basis] for pair in cur_pairs],
+                                   len(W.basis)) \
+            if cur_pairs else [[Fraction(int(i == j)) for j in range(len(W.basis))]
+                               for i in range(len(W.basis))]
         added = False
         for cv in perp_coeffs:
             v = [Fraction(0)] * W.ambient_dim
@@ -645,6 +704,10 @@ def _lagrangian(f, W, radical):
                 span = Subspace(W.ambient_dim, cur)
                 added = True
                 break
-        assert added, "lagrangian completion stalled"
-    assert 2 * span.dim == W.dim + radical.dim
+        if not added:
+            raise InternalCheckFailure(
+                f"lagrangian completion stalled at dim {span.dim} < {target}")
+    if 2 * span.dim != W.dim + radical.dim:
+        raise InternalCheckFailure(
+            "lagrangian: 2 dim L != dim W + dim radical")
     return span

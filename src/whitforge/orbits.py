@@ -328,10 +328,15 @@ def integer_nth_root(m, d):
         raise ValueError("m must be >= 0")
     if m in (0, 1):
         return m
-    x = int(round(m ** (1.0 / d))) + 1
-    while x ** d > m:
-        x -= 1
-    return x
+    if d == 2:
+        return math.isqrt(m)
+    # integer Newton from above: 2^ceil(bits/d) exceeds the root
+    x = 1 << -(-m.bit_length() // d)
+    while True:
+        y = ((d - 1) * x + m // x ** (d - 1)) // d
+        if y >= x:
+            return x
+        x = y
 
 
 def is_dth_power(r, d):

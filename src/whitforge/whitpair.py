@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (DimensionMismatch, NotCommuting, NotRationalSemisimple,
-                     ShapeViolation, VerificationError)
-from .exactq import (QMatrix, Subspace, _kernel_rows, _rref_rows, rat_str,
-                     rational_eigenvalues, rref_solve, skew_tools)
+                     NotRationalSplit, ShapeViolation, VerificationError)
+from .exactq import (QMatrix, Subspace, _kernel_rows, _rref_rows, _trace_pairing,
+                     rat_str, rational_eigenvalues, rref_solve, skew_tools)
 from .orbits import is_neutral_pair, jordan_partition, sl2_complete
 
 __all__ = [
@@ -90,7 +90,7 @@ def _member_reducer(space):
 def _eigen_data(S):
     try:
         return rational_eigenvalues(S)
-    except Exception as exc:
+    except NotRationalSplit as exc:
         raise NotRationalSemisimple(str(exc)) from None
 
 
@@ -339,7 +339,11 @@ def critical_numbers(h, Z, f):
     The set depends on (h, Z) only; f enters through the caller's contract."""
     if h.bracket(f) != f.scale(-2):
         raise VerificationError("[h, f] != -2 f")
-    bg = bigrading(h, Z)
+    return _critical_values(bigrading(h, Z))
+
+
+def _critical_values(bg):
+    """critical_numbers read off an already built bigrading."""
     crits = {Fraction(0)}
     for (a, b) in bg.components:
         if b != 0:
@@ -449,7 +453,7 @@ def chain(pair):
     bg = bigrading(h, Z)
     g_f = _centralizer(f)
     ker_ad_e = Subspace(n * n, _kernel_rows(ad_matrix(e).row_lists(), n * n))
-    crits = [t for t in critical_numbers(h, Z, f) if t <= 1]
+    crits = [t for t in _critical_values(bg) if t <= 1]
     nodes = list(crits)
     if nodes[-1] != 1:
         nodes.append(Fraction(1))
@@ -480,8 +484,8 @@ def chain(pair):
             raise VerificationError(
                 f"obstruction dual dimension mismatch at t={rat_str(T)}")
         if obstruction.dim:
-            gram = [[(QMatrix(n, n, d) * QMatrix(n, n, o)).trace()
-                     for o in obstruction.basis] for d in dual.basis]
+            gram = [[pair(o) for o in obstruction.basis]
+                    for pair in (_trace_pairing(d, n) for d in dual.basis)]
             if len(_rref_rows(gram)[1]) != obstruction.dim:
                 raise VerificationError(
                     f"obstruction pairing degenerate at t={rat_str(T)}")
@@ -496,7 +500,8 @@ def _functional_kernel(space, f, n):
     """{X in space : trace(f X) = 0}."""
     if space.dim == 0:
         return space
-    vals = [(f * QMatrix(n, n, v)).trace() for v in space.basis]
+    pair = _trace_pairing(f.entries, n)
+    vals = [pair(v) for v in space.basis]
     coeffs = _kernel_rows([vals], len(vals))
     vecs = []
     for cv in coeffs:
@@ -535,13 +540,14 @@ def quasi_model_data(triple):
     member_z = _member_reducer(z) if z.dim else (lambda vv: not any(vv))
     member_k = _member_reducer(k) if k.dim else (lambda vv: not any(vv))
     sparse_z = [_sparse(list(vec), n) for vec in z.basis]
+    pair_fp = _trace_pairing(fp.entries, n)
     for i in range(len(sparse_u)):
         for j in range(i + 1, len(sparse_u)):
             br = _sparse_bracket(sparse_u[i], sparse_u[j], n)
             if any(br):
                 if not member_z(br):
                     raise ShapeViolation("[u, u] <= z violated")
-                if (fp * QMatrix(n, n, br)).trace() != 0:
+                if pair_fp(br) != 0:
                     raise ShapeViolation("phi' does not vanish on [u, u]")
     for su in sparse_u:
         for sz in sparse_z:

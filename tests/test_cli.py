@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -84,6 +86,18 @@ def test_deform_sl_cli_condition_not_met(capsys):
                            "--a", "2", "--b", "1")
     assert code == 2
     assert json.loads(out) == {"class": "2", "condition_not_met": True, "d": 2}
+
+
+def test_deform_sl_cli_huge_ratio_is_json_not_traceback():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-m", "whitforge.cli", "deform-sl", "--mu", "2,2",
+         "--lambda", "4", "--a", "1" + "0" * 400, "--b", "1"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode in (0, 2)
+    assert "Traceback" not in proc.stdout + proc.stderr
+    json.loads(proc.stdout or proc.stderr)
 
 
 def test_malformed_input_is_exit_1(capsys):

@@ -3,10 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from whitforge.errors import DimensionMismatch, NotRationalSplit
-from whitforge.exactq import (NO_SOLUTION, QMatrix, Subspace, rat_parse,
-                              rat_str, rational_eigenvalues, rref_solve,
-                              skew_tools, subspace_algebra)
+from whitforge import exactq
+from whitforge.errors import (DimensionMismatch, InternalCheckFailure,
+                              NotRationalSplit)
+from whitforge.exactq import (NO_SOLUTION, QMatrix, Subspace, _lagrangian,
+                              _rref_rows, rat_parse, rat_str,
+                              rational_eigenvalues, rref_solve, skew_tools,
+                              subspace_algebra)
 
 from conftest import E
 
@@ -61,6 +64,107 @@ def test_rref_solves_exactly_500_random_instances():
         assert A.matvec(list(res.solution)) == b
         for k in res.kernel:
             assert A.matvec(list(k)) == [0] * m
+
+
+# -- the fraction-free kernel: properties, and sympy as an outside oracle ------
+
+def _entry(rng, bits):
+    num = rng.getrandbits(bits) * rng.choice([-1, 1])
+    if rng.random() < 0.4:
+        return num                      # plain int entries mixed in
+    return Fraction(num, rng.randint(1, 2 ** min(bits, 24)))
+
+
+def _random_rows(rng, m, n, bits):
+    rows = [[_entry(rng, bits) if rng.random() < 0.7 else 0 for _ in range(n)]
+            for _ in range(m)]
+    kind = rng.choice(["plain", "deficient", "zero_rows"])
+    if kind == "deficient" and m > 1:
+        # every row a combination of two fixed rows
+        a, b = rows[0], rows[-1]
+        rows = [[rng.randint(-3, 3) * x + Fraction(rng.randint(-3, 3), 2) * y
+                 for x, y in zip(a, b)] for _ in range(m)]
+    elif kind == "zero_rows":
+        for i in rng.sample(range(m), rng.randint(1, m)):
+            rows[i] = [0] * n
+    return rows
+
+
+def _kernel_cases():
+    rng = random.Random(7)
+    for shape in ("wide", "tall", "square"):
+        for bits in (3, 12, 210):
+            for _ in range(5):
+                a, b = rng.randint(1, 4), rng.randint(4, 7)
+                m, n = {"wide": (a, b), "tall": (b, a), "square": (b, b)}[shape]
+                yield _random_rows(rng, m, n, bits)
+
+
+def _to_sympy(rows, n):
+    sympy = pytest.importorskip("sympy")
+    return sympy.Matrix(len(rows), n, [sympy.Rational(Fraction(x).numerator,
+                                                      Fraction(x).denominator)
+                                       for r in rows for x in r])
+
+
+def _from_sympy(M):
+    return [[Fraction(int(x.p), int(x.q)) for x in M.row(i)] for i in range(M.rows)]
+
+
+def test_kernel_output_is_fraction_and_input_untouched():
+    for rows in _kernel_cases():
+        before = [list(r) for r in rows]
+        red, piv = _rref_rows(rows)
+        assert rows == before and [type(x) for r in rows for x in r] == \
+            [type(x) for r in before for x in r]
+        assert len(red) == len(rows)
+        assert all(type(x) is Fraction for r in red for x in r)
+        assert all(any(r) for r in red[:len(piv)])
+        assert not any(x for r in red[len(piv):] for x in r)
+        for r, c in enumerate(piv):
+            assert [row[c] for row in red] == [int(i == r) for i in range(len(red))]
+
+
+def test_kernel_matches_sympy_rref_and_nullspace():
+    pytest.importorskip("sympy")
+    for rows in _kernel_cases():
+        n = len(rows[0])
+        M = _to_sympy(rows, n)
+        ref, ref_piv = M.rref()
+        red, piv = _rref_rows(rows)
+        assert red == _from_sympy(ref)
+        assert tuple(piv) == ref_piv
+        kernel = rref_solve(QMatrix.from_rows(rows)).kernel
+        ref_null = M.nullspace()
+        assert len(kernel) == len(ref_null)
+        if kernel:
+            ours = _to_sympy(kernel, n)
+            theirs = _to_sympy([list(_from_sympy(v.T)[0]) for v in ref_null], n)
+            assert ours.rref()[0] == theirs.rref()[0]
+            assert M * ours.T == _to_sympy([[0] * len(kernel)] * len(rows), len(kernel))
+
+
+def test_rref_solve_echelon_is_that_of_a_for_any_rhs():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(8)
+    for rows in _kernel_cases():
+        m, n = len(rows), len(rows[0])
+        A = QMatrix.from_rows(rows)
+        plain = rref_solve(A)
+        x = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)]
+        consistent = rref_solve(A, A.matvec(x))
+        assert isinstance(consistent.solution, tuple)
+        assert A.matvec(list(consistent.solution)) == A.matvec(x)
+        # a right-hand side outside the column space, when there is one
+        cols = _to_sympy(rows, n)
+        outside = next((e for e in range(m)
+                        if cols.row_join(sympy.eye(m)[:, e]).rank() > cols.rank()), None)
+        rhs = [[int(i == outside) for i in range(m)]] if outside is not None else []
+        for res in [consistent] + [rref_solve(A, b) for b in rhs]:
+            assert (res.echelon, res.pivots, res.rank, res.kernel) == \
+                (plain.echelon, plain.pivots, plain.rank, plain.kernel)
+        if rhs:
+            assert rref_solve(A, rhs[0]).solution is NO_SOLUTION
 
 
 # -- subspaces ----------------------------------------------------------------
@@ -194,3 +298,21 @@ def test_lagrangian_is_maximal_isotropic_random():
         assert rad.dim <= L.dim and L.contains(rad) and W.contains(L)
         assert 2 * L.dim == W.dim + rad.dim
         assert skew_tools(f, L, "gram").is_zero()
+
+
+def test_lagrangian_stalled_completion_is_typed(monkeypatch):
+    # the greedy pass stops at dim 1 here, so the completion step must run
+    f = QMatrix.from_rows([[-1, -1, 0], [1, 0, 0], [0, -1, 1]])
+    W = Subspace(9, [[1, 0, 0, 0, -6, -1, -6, 4, 0], [0, 1, 0, 0, -3, -1, -3, 3, 1],
+                     [0, 0, 1, 0, 2, 0, 2, 0, 0], [0, 0, 0, 1, 4, 1, 4, -2, 0]])
+    rad = skew_tools(f, W, "radical")
+    assert rad.dim == 0 and _lagrangian(f, W, rad).dim == 2
+    monkeypatch.setattr(exactq, "_kernel_rows", lambda rows, n_cols: [])
+    with pytest.raises(InternalCheckFailure, match="completion stalled"):
+        _lagrangian(f, W, rad)
+
+
+def test_lagrangian_parity_check_is_typed():
+    W = Subspace(4, [[1, 0, 0, 0]])
+    with pytest.raises(InternalCheckFailure, match="must be even"):
+        _lagrangian(QMatrix.zeros(2), W, Subspace(4))

@@ -5,8 +5,8 @@ import pytest
 
 from whitforge.errors import NoSolutionError, NotNilpotent, WrongPartition
 from whitforge.exactq import QMatrix
-from whitforge.orbits import (J_eta, J_eta_a, SlOrbitClass, h_eta, is_dth_power,
-                              is_neutral_pair, jordan_conjugator,
+from whitforge.orbits import (J_eta, J_eta_a, SlOrbitClass, h_eta,
+                              integer_nth_root, is_dth_power, is_neutral_pair, jordan_conjugator,
                               jordan_partition, neutral_for, power_class,
                               sl2_complete, sl_class, standard_rep)
 
@@ -147,6 +147,21 @@ def test_is_dth_power_examples():
     assert is_dth_power(Fraction(-8), 3) is True
     assert is_dth_power(Fraction(4, 9), 2) is True
     assert is_dth_power(Fraction(2, 9), 2) is False
+
+
+def test_dth_powers_beyond_float_range():
+    assert is_dth_power(10 ** 400, 2) is True
+    assert is_dth_power(10 ** 401, 2) is False
+    assert is_dth_power(Fraction(3 ** 700, 10 ** 350), 7) is True
+    assert is_dth_power(3 ** 700 + 1, 7) is False
+
+
+def test_integer_nth_root_is_exact_floor(rng):
+    for _ in range(300):
+        d = rng.randint(1, 9)
+        m = rng.getrandbits(rng.randint(1, 1500))
+        r = integer_nth_root(m, d)
+        assert r ** d <= m < (r + 1) ** d
 
 
 def test_power_class_is_class_invariant(rng):

@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from whitforge.errors import NotCommuting, ShapeViolation, VerificationError
+from whitforge import whitpair
+from whitforge.errors import (NotCommuting, NotRationalSemisimple, ShapeViolation,
+                              VerificationError)
 from whitforge.exactq import QMatrix, Subspace, rat_str, rref_solve
 from whitforge.orbits import is_neutral_pair, neutral_for, sl2_complete
 from whitforge.whitpair import (WhittakerPair, WhittakerTriple, ad_matrix,
@@ -55,6 +57,21 @@ def test_weight_components_sum_reconstructs(rng):
             assert S.bracket(C) == C.scale(r)
             total = total + C
         assert total == M
+
+
+def test_non_semisimple_s_is_rejected():
+    with pytest.raises(NotRationalSemisimple):
+        WhittakerPair(2, E(2, 1, 2), QMatrix.zeros(2))
+    with pytest.raises(NotRationalSemisimple):
+        weight_components(QMatrix.from_rows([[0, 1], [2, 0]]), E(2, 1, 2))
+
+
+def test_eigen_bug_is_not_reported_as_math_error(monkeypatch):
+    def broken(M):
+        raise TypeError("bug inside the eigenvalue code")
+    monkeypatch.setattr(whitpair, "rational_eigenvalues", broken)
+    with pytest.raises(TypeError, match="bug inside"):
+        weight_components(QMatrix.diag([1, -1]), E(2, 2, 1))
 
 
 # -- find_Z ----------------------------------------------------------------------
@@ -233,6 +250,18 @@ def test_chain_glsame_obstructions():
     assert obs[0]["dual"] == Subspace(16, [flat(E(4, 3, 1) + E(4, 4, 2))])
     assert obs[1]["space"] == Subspace(16, [flat(E(4, 2, 3))])
     assert obs[1]["dual"] == Subspace(16, [flat(E(4, 3, 2))])
+
+
+def test_chain_builds_the_bigrading_once(monkeypatch):
+    calls = []
+    real = whitpair.bigrading
+
+    def counted(h, Z):
+        calls.append(1)
+        return real(h, Z)
+    monkeypatch.setattr(whitpair, "bigrading", counted)
+    chain(glsame_pair())
+    assert len(calls) == 1
 
 
 def test_chain_neutral_pair_trivial():
