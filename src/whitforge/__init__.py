@@ -4,13 +4,11 @@ pairs and orbit-raising deformations in gl_n / sl_n."""
 from .errors import (DimensionMismatch, InternalCheckFailure,
                      InvalidPartitionForType, MathError, NoSolutionError,
                      NotCommuting, NotDominated, NotNilpotent,
-                     NotRationalSemisimple, NotRationalSplit, ParseError,
-                     PreconditionViolation, ShapeViolation, SizeMismatch,
-                     UnsupportedQuery, VerificationError, WhitforgeError,
-                     WrongPartition)
-from .exactq import (NO_SOLUTION, QMatrix, Rational, Subspace, rat_parse,
-                     rat_str, rational_eigenvalues, rref_solve, skew_tools,
-                     subspace_algebra)
+                     NotRationalSplit, ParseError, PreconditionViolation,
+                     ShapeViolation, SizeMismatch, UnsupportedQuery,
+                     VerificationError, WhitforgeError, WrongPartition)
+from .exactq import (NO_SOLUTION, QMatrix, Subspace, rat_parse, rat_str,
+                     rational_eigenvalues, rref_solve, skew_tools)
 from .partitions import (GroupType, OrbitClassification, classify, closure_leq,
                          dominance_leq, distinguished_gl, enumerate_orbits,
                          is_type_valid, lemma_part_index, oht_admissible,

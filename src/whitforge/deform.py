@@ -117,14 +117,13 @@ def _build(mu, lam):
     return n, h, Z, f, psi, tops
 
 
-def _build_stripped(mu, lam, preferred=None):
+def _build_stripped(mu, lam):
     """mu strictly dominated by lam, no common parts."""
     n = sum(mu)
     if len(mu) == 2:
         p1, p2 = mu
         l1 = lam[0]
         l2 = lam[1] if len(lam) > 1 else 0
-        Zb, Yb, Xb, Sb = two_blocks(p1, l1 - p1, l2)
         h = _h_std(p1) + _h_std(p2)
         Z = [Fraction(l1 - l2)] * p1 + [Fraction(0)] * p2
         f = _zeros(n)
@@ -142,40 +141,19 @@ def _build_stripped(mu, lam, preferred=None):
             tshort[p1 - l2] -= Fraction(1)
             tops.append((l2, tshort))
         return h, Z, f, psi, tops
-
-    indices = _strict_indices(lam, mu)
-    if preferred in indices:
-        indices = [preferred] + [i for i in indices if i != preferred]
-    last = None
-    for i in indices:
-        try:
-            return _merge(mu, lam, i)
-        except InternalCheckFailure as exc:
-            last = exc
-    raise InternalCheckFailure(f"no merge index works for {mu} -> {lam}: {last}")
-
-
-def _strict_indices(lam, mu):
-    out = []
-    for i in range(1, len(lam) + 1):
-        li = lam[i - 1]
-        mi = mu[i - 1] if i <= len(mu) else 0
-        ln = lam[i] if i < len(lam) else 0
-        if li > mi > ln:
-            out.append(i)
-    # the smallest valid index first, per the tie-breaking rule
-    smallest = lemma_part_index(lam, mu)
-    if smallest in out and out[0] != smallest:
-        out.remove(smallest)
-        out = [smallest] + out
-    return out
+    return _merge(mu, lam, lemma_part_index(lam, mu))
 
 
 def _merge(mu, lam, i):
+    """Split off the block mu_i, raise the rest to lam with lam_i, lam_{i+1}
+    merged into p = lam_i + lam_{i+1} - mu_i, and attach mu_i to the first
+    chain top of size p."""
     n = sum(mu)
-    li = lam[i - 1]
+    li, mi = lam[i - 1], mu[i - 1]
     ln = lam[i] if i < len(lam) else 0
-    mi = mu[i - 1]
+    if not li > mi > ln:
+        raise InternalCheckFailure(
+            f"lemma index {i} for {mu} -> {lam}: lam_i > mu_i > lam_(i+1) fails")
     p = li + ln - mi
     z1 = Fraction(li - ln)
     mu_c = tuple(sorted((x for j, x in enumerate(mu) if j != i - 1), reverse=True))
@@ -183,24 +161,13 @@ def _merge(mu, lam, i):
                           if j not in (i - 1, i)] + [p], reverse=True))
     if not dominance_leq(mu_c, lam_c):
         raise InternalCheckFailure("reduced pair lost dominance")
-    n_c = n - mi
     _, h_c, Z_c, f_c, psi_c, tops_c = _build(mu_c, lam_c)
     X_c = [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(f_c, psi_c)]
     S_c = [a + b for a, b in zip(h_c, Z_c)]
-    last = None
-    for _, u in [tv for tv in tops_c if tv[0] == p]:
-        try:
-            return _attach(mu, lam, i, p, z1, mi,
-                           h_c, Z_c, f_c, psi_c, tops_c, X_c, S_c, u, n, n_c)
-        except InternalCheckFailure as exc:
-            last = exc
-    raise InternalCheckFailure(f"no usable chain top of size {p}: {last}")
-
-
-def _attach(mu, lam, i, p, z1, mi, h_c, Z_c, f_c, psi_c, tops_c, X_c, S_c,
-            u, n, n_c):
-    li = lam[i - 1]
-    ln = lam[i] if i < len(lam) else 0
+    top = next((k for k, (size, _) in enumerate(tops_c) if size == p), None)
+    if top is None:
+        raise InternalCheckFailure(f"no chain top of size {p} for {mu} -> {lam}")
+    u = tops_c.pop(top)[1]
     w = u[:]
     for _ in range(ln):
         w = _matvec(X_c, w)
@@ -234,11 +201,7 @@ def _attach(mu, lam, i, p, z1, mi, h_c, Z_c, f_c, psi_c, tops_c, X_c, S_c,
                 tshort[mi + k] = x
         tshort[mi - ln] -= Fraction(1)
         tops.append((ln, tshort))
-    used = False
     for k, v in tops_c:
-        if not used and k == p and v is u:
-            used = True
-            continue
         tops.append((k, [Fraction(0)] * mi + v))
     return h, Z, f, psi, tops
 
@@ -392,13 +355,16 @@ def deform_sl(mu, lam, a, b):
     base = deform_gl(mu, lam)
     # normalize a, b to a common c (Bezout exponents on d = x dl + y dm)
     u = rational_dth_root(a / b, d)
-    g, x, y = _ext_gcd(dl, dm)
-    assert g == d
+    g, x, _ = _ext_gcd(dl, dm)
+    if g != d:
+        raise InternalCheckFailure("Bezout: gcd(d(lambda), d(mu)) != d")
     c = a * u ** (-x * dl)
-    assert is_dth_power(c / a, dl) and is_dth_power(c / b, dm)
+    if not (is_dth_power(c / a, dl) and is_dth_power(c / b, dm)):
+        raise InternalCheckFailure(
+            "normalized class c is not a d(lambda)-th power over a "
+            "and a d(mu)-th power over b")
     s_lam = sl_class(base.f + base.psi)
     s_mu = sl_class(base.f)
-    ratio = power_class((s_mu.a_class / s_lam.a_class), d)
     rho = rational_dth_root(s_mu.a_class / s_lam.a_class, d)
     if rho is None:
         raise InternalCheckFailure(

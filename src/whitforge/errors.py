@@ -31,10 +31,6 @@ class NotRationalSplit(MathError):
     full eigenspaces)."""
 
 
-# alias used by the Whittaker-pair layer
-NotRationalSemisimple = NotRationalSplit
-
-
 class NotCommuting(MathError):
     pass
 

@@ -12,7 +12,6 @@ from math import gcd, lcm
 from .errors import (DimensionMismatch, InternalCheckFailure, NotRationalSplit,
                      ParseError)
 
-Rational = Fraction
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
@@ -280,6 +279,22 @@ class QMatrix:
         return cls.from_rows([[rat_parse(x) for x in row] for row in obj])
 
 
+def ad_matrix(M):
+    """Matrix of X -> [M, X] on row-major flattened gl_n."""
+    n = M.rows
+    N = n * n
+    out = [_ZERO] * (N * N)
+    for k, x in enumerate(M.entries):
+        if not x:
+            continue
+        p, q = divmod(k, n)
+        # [M, E_qb] gains x E_pb and [M, E_ap] gains -x E_aq, for all a, b
+        for t in range(n):
+            out[(p * n + t) * N + q * n + t] += x
+            out[(t * n + q) * N + t * n + p] -= x
+    return QMatrix._trusted(N, N, out)
+
+
 # ---------------------------------------------------------------------------
 # row reduction
 
@@ -464,7 +479,7 @@ class Subspace:
             raise DimensionMismatch("vector length != ambient_dim")
         if not any(vector):
             return True
-        red, piv = _rref_rows([list(b) for b in self.basis] + [vector])
+        _, piv = _rref_rows([list(b) for b in self.basis] + [vector])
         return len(piv) == self.dim
 
     def contains(self, other):
@@ -487,21 +502,6 @@ class Subspace:
     @classmethod
     def from_json(cls, ambient_dim, obj):
         return cls(ambient_dim, [[rat_parse(x) for x in v] for v in obj])
-
-
-def subspace_algebra(U, V, op, vector=None):
-    """Dispatcher form: op in {intersect, sum, contains, equals, member}."""
-    if op == "member":
-        return U.member(vector)
-    if op == "equals":
-        return U == V
-    if op == "contains":
-        return U.contains(V)
-    if op == "sum":
-        return U.sum(V)
-    if op == "intersect":
-        return U.intersect(V)
-    raise ValueError(f"unknown op {op!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -549,7 +549,6 @@ def _rational_roots(coeffs):
         cs = cs[1:]
     if not cs or len(cs) == 1:
         return sorted(set(roots), reverse=True)
-    from math import lcm
     den = lcm(*[c.denominator for c in cs])
     ints = [int(c * den) for c in cs]
     a0, an = ints[0], ints[-1]
@@ -591,10 +590,6 @@ def rational_eigenvalues(M):
 
 # ---------------------------------------------------------------------------
 # the anti-symmetric trace form omega_f(X, Y) = trace(f [X, Y]) and friends
-
-
-def omega_eval(f, X, Y):
-    return (f * X.bracket(Y)).trace()
 
 
 def _trace_pairing(B, n):

@@ -8,11 +8,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (DimensionMismatch, NoSolutionError, NotNilpotent,
-                     WrongPartition)
+from .errors import (DimensionMismatch, InternalCheckFailure, NoSolutionError,
+                     NotNilpotent, WrongPartition)
 from .exactq import (NO_SOLUTION, QMatrix, Subspace, _kernel_rows, _rref_rows,
-                     rat_str, rref_solve)
-from .partitions import as_partition
+                     ad_matrix, rat_str, rref_solve)
 
 
 # ---------------------------------------------------------------------------
@@ -64,7 +63,8 @@ class StandardRep:
 def standard_rep(eta):
     eta = tuple(int(k) for k in eta)
     rep = StandardRep(eta, J_eta(eta), h_eta(eta))
-    assert rep.h.bracket(rep.J) == rep.J.scale(-2)
+    if rep.h.bracket(rep.J) != rep.J.scale(-2):
+        raise InternalCheckFailure("standard rep: [h_eta, J_eta] = -2 J_eta fails")
     return rep
 
 
@@ -148,7 +148,8 @@ def jordan_chain_basis(N, order="forward"):
                 chains.append(chain)
                 built.extend(tuple(c) for c in chain)
                 span = Subspace(n, list(span.basis) + [tuple(c) for c in chain])
-    assert sum(len(c) for c in chains) == n
+    if sum(len(c) for c in chains) != n:
+        raise InternalCheckFailure("jordan chain basis: chain lengths do not sum to n")
     return chains
 
 
@@ -169,7 +170,8 @@ def jordan_conjugator(N, eta, order="forward"):
     n = N.rows
     B = QMatrix.from_rows([[cols[j][i] for j in range(n)] for i in range(n)])
     g = B.inverse()
-    assert g * N * B == J_eta(eta), "conjugator self-check failed"
+    if g * N * B != J_eta(eta):
+        raise InternalCheckFailure("jordan conjugator: g N g^-1 = J_eta fails")
     return g
 
 
@@ -183,35 +185,18 @@ def sl2_complete(f, h):
     n = f.rows
     if (n, n) != (h.rows, h.cols) or f.cols != n:
         raise DimensionMismatch("f, h must be square of equal size")
-    # unknown e as n^2 vector; equations: [h,e] - 2e = 0 and [e,f] - h = 0
-    rows = []
-    rhs = []
-    hl = h.row_lists()
-    fl = f.row_lists()
-    for a in range(n):
-        for b in range(n):
-            # ([h,e] - 2e)_{ab} = sum_k h_ak e_kb - e_ak h_kb - 2 e_ab
-            row = [Fraction(0)] * (n * n)
-            for k in range(n):
-                row[k * n + b] += hl[a][k]
-                row[a * n + k] -= hl[k][b]
-            row[a * n + b] -= 2
-            rows.append(row)
-            rhs.append(Fraction(0))
-    for a in range(n):
-        for b in range(n):
-            # ([e,f])_{ab} = sum_k e_ak f_kb - f_ak e_kb
-            row = [Fraction(0)] * (n * n)
-            for k in range(n):
-                row[a * n + k] += fl[k][b]
-                row[k * n + b] -= fl[a][k]
-            rows.append(row)
-            rhs.append(h[a, b])
-    res = rref_solve(QMatrix.from_rows(rows), rhs)
+    # unknown e as an n^2 vector: (ad h - 2) e = 0 and (ad f) e = -h
+    N = n * n
+    top = list(ad_matrix(h).entries)
+    for k in range(0, N * N, N + 1):
+        top[k] -= 2
+    system = QMatrix._trusted(2 * N, N, top + list(ad_matrix(f).entries))
+    res = rref_solve(system, [Fraction(0)] * N + [-x for x in h.flat()])
     if res.solution is NO_SOLUTION:
         raise NoSolutionError("no sl2 completion; (h, f) is not a neutral pair")
     e = QMatrix(n, n, res.solution)
-    assert h.bracket(e) == e.scale(2) and e.bracket(f) == h
+    if h.bracket(e) != e.scale(2) or e.bracket(f) != h:
+        raise InternalCheckFailure("sl2 completion: [h,e] = 2e, [e,f] = h fails")
     return e
 
 
@@ -226,96 +211,16 @@ def neutral_for(f, order="forward"):
     return h
 
 
-def image_ad_contains(f, h):
-    """Decide h in image(ad f) by an exact rank test."""
-    n = f.rows
-    cols = []
-    for a in range(n):
-        for b in range(n):
-            E = QMatrix.elementary(n, a + 1, b + 1)
-            cols.append(list(f.bracket(E).flat()))
-    r1 = len(_rref_rows(cols)[1])
-    r2 = len(_rref_rows(cols + [list(h.flat())])[1])
-    return r1 == r2
-
-
-def _h_has_nilpositive(h):
-    """h is the semisimple member of some sl2-triple in gl_n iff its action on
-    Q^n is diagonalizable with integer eigenvalues whose multiset splits into
-    symmetric chains {m, m-2, ..., -m}."""
-    from .exactq import rational_eigenvalues
-    from .errors import NotRationalSplit
-    try:
-        eig = rational_eigenvalues(h)
-    except NotRationalSplit:
-        return False
-    vals = []
-    for lam, space in eig:
-        if lam.denominator != 1:
-            return False
-        vals.extend([int(lam)] * space.dim)
-    from collections import Counter
-    count = Counter(vals)
-    while count:
-        m = max(count)
-        if m < 0:
-            return False
-        k = m
-        while k >= -m:
-            if count[k] <= 0:
-                return False
-            count[k] -= 1
-            if count[k] == 0:
-                del count[k]
-            k -= 2
-    return True
-
-
-def _weight_space_dim(h, r):
-    """dim of the ad(h)-weight-r space of gl_n, for h with rational spectrum."""
-    from .exactq import rational_eigenvalues
-    eig = rational_eigenvalues(h)
-    dim = 0
-    for a, va in eig:
-        for b, vb in eig:
-            if a - b == r:
-                dim += va.dim * vb.dim
-    return dim
-
-
 def is_neutral_pair(h, f):
-    """Two equivalent characterizations, both evaluated (and asserted equal):
-    (a) [h,f] = -2f and h in image(ad f);
-    (b) [h,f] = -2f, h has a nil-positive element, and ad(.)f maps the
-        h-weight-0 space onto the full weight-(-2) space.
-    """
+    """[h,f] = -2f and h in image(ad f).  By the Jacobson-Morozov/Kostant
+    lemma this is exactly the condition that h completes f to an sl2-triple
+    (h, e, f)."""
     n = f.rows
     if (h.rows, h.cols, f.cols) != (n, n, n):
         raise DimensionMismatch("h, f must be square of equal size")
     if h.bracket(f) != f.scale(-2):
         return False
-    via_image = image_ad_contains(f, h)
-    via_surjectivity = False
-    if _h_has_nilpositive(h):
-        from .exactq import rational_eigenvalues
-        eig = rational_eigenvalues(h)
-        # basis of the weight-0 space from joint eigenvectors v_i w_j^T
-        P = QMatrix.from_rows(
-            [list(v) for _, sp in eig for v in sp.basis]).transpose()
-        Pinv = P.inverse()
-        labels = [lam for lam, sp in eig for _ in sp.basis]
-        zero_wt = []
-        for i, a in enumerate(labels):
-            for j, b in enumerate(labels):
-                if a == b:
-                    E = QMatrix.elementary(n, i + 1, j + 1)
-                    zero_wt.append(P * E * Pinv)
-        image = [list(X.bracket(f).flat()) for X in zero_wt]
-        rank = len(_rref_rows(image)[1])
-        via_surjectivity = rank == _weight_space_dim(h, -2)
-    assert via_image == via_surjectivity, \
-        "the two neutrality characterizations disagree"
-    return via_image
+    return rref_solve(ad_matrix(f), h.flat()).solution is not NO_SOLUTION
 
 
 # ---------------------------------------------------------------------------

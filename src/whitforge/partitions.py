@@ -5,8 +5,8 @@ distinguished) for the classical groups.
 
 from dataclasses import dataclass
 
-from .errors import (InvalidPartitionForType, NotDominated, SizeMismatch,
-                     UnsupportedQuery)
+from .errors import (InternalCheckFailure, InvalidPartitionForType,
+                     NotDominated, SizeMismatch, UnsupportedQuery)
 
 GROUP_TAGS = ("GL", "SL", "Sp", "O", "SO", "U", "SU")
 FIELD_FLAVORS = ("real", "padic")
@@ -156,7 +156,8 @@ def lemma_part_index(lam, mu):
         ln = lam[i] if i < len(lam) else 0
         if li >= mi >= ln:
             return i
-    raise AssertionError("no index found; dominance should guarantee one")
+    raise InternalCheckFailure(
+        f"lemma part index: no i with lam_i >= mu_i >= lam_(i+1) for {mu} <= {lam}")
 
 
 def partitions_of(n, max_part=None):

@@ -12,10 +12,11 @@ f, so every weight condition is a bracket condition on matrices.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (DimensionMismatch, NotCommuting, NotRationalSemisimple,
-                     NotRationalSplit, ShapeViolation, VerificationError)
-from .exactq import (QMatrix, Subspace, _kernel_rows, _rref_rows, _trace_pairing,
-                     rat_str, rational_eigenvalues, rref_solve, skew_tools)
+from .errors import (DimensionMismatch, InternalCheckFailure, NotCommuting,
+                     ShapeViolation, VerificationError)
+from .exactq import (NO_SOLUTION, QMatrix, Subspace, _kernel_rows, _rref_rows,
+                     _trace_pairing, ad_matrix, rat_str, rational_eigenvalues,
+                     rref_solve, skew_tools)
 from .orbits import is_neutral_pair, jordan_partition, sl2_complete
 
 __all__ = [
@@ -27,25 +28,7 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# ad matrices and sparse brackets
-
-
-def ad_matrix(M):
-    """Matrix of X -> [M, X] on row-major flattened gl_n."""
-    n = M.rows
-    out = [[Fraction(0)] * (n * n) for _ in range(n * n)]
-    Ml = M.row_lists()
-    for a in range(n):
-        for b in range(n):
-            col = a * n + b
-            # [M, E_ab] = sum_i M_ia E_ib - sum_j M_bj E_aj
-            for i in range(n):
-                if Ml[i][a]:
-                    out[i * n + b][col] += Ml[i][a]
-            for j in range(n):
-                if Ml[b][j]:
-                    out[a * n + j][col] -= Ml[b][j]
-    return QMatrix.from_rows(out)
+# sparse brackets
 
 
 def _sparse(vec, n):
@@ -87,11 +70,13 @@ def _member_reducer(space):
 # weight decompositions
 
 
-def _eigen_data(S):
-    try:
-        return rational_eigenvalues(S)
-    except NotRationalSplit as exc:
-        raise NotRationalSemisimple(str(exc)) from None
+def _eigenbasis(S):
+    """Columns P of an eigenbasis of the rational semisimple S, P^{-1}, and
+    the eigenvalue labelling each column."""
+    eig = rational_eigenvalues(S)
+    P = QMatrix.from_rows([list(v) for _, sp in eig for v in sp.basis]).transpose()
+    labels = [lam for lam, sp in eig for _ in sp.basis]
+    return P, P.inverse(), labels
 
 
 def weight_components(S, M):
@@ -99,10 +84,7 @@ def weight_components(S, M):
     n = S.rows
     if M.rows != n or M.cols != n or S.cols != n:
         raise DimensionMismatch("S, M must be square of equal size")
-    eig = _eigen_data(S)
-    P = QMatrix.from_rows([list(v) for _, sp in eig for v in sp.basis]).transpose()
-    Pinv = P.inverse()
-    labels = [lam for lam, sp in eig for _ in sp.basis]
+    P, Pinv, labels = _eigenbasis(S)
     Mt = Pinv * M * P
     comps = {}
     for i, a in enumerate(labels):
@@ -118,18 +100,11 @@ def weight_components(S, M):
     return out
 
 
-def weight_filtration_space(S, lower):
-    """Subspace of flattened gl_n of all ad(S)-weights >= lower (or any
-    comparison via a predicate)."""
-    return graded_space(S, lambda r: r >= lower)
-
-
 def graded_space(S, predicate):
+    """Subspace of flattened gl_n spanned by the ad(S)-weight spaces whose
+    weight satisfies the predicate."""
     n = S.rows
-    eig = _eigen_data(S)
-    P = QMatrix.from_rows([list(v) for _, sp in eig for v in sp.basis]).transpose()
-    Pinv = P.inverse()
-    labels = [lam for lam, sp in eig for _ in sp.basis]
+    P, Pinv, labels = _eigenbasis(S)
     Pl = P.row_lists()
     Pil = Pinv.row_lists()
     vecs = []
@@ -156,7 +131,7 @@ class WhittakerPair:
         if (self.S.rows, self.S.cols) != (self.n, self.n) or \
            (self.f.rows, self.f.cols) != (self.n, self.n):
             raise DimensionMismatch("S, f must be n x n")
-        _eigen_data(self.S)
+        rational_eigenvalues(self.S)
         if self.S.bracket(self.f) != self.f.scale(-2):
             raise VerificationError("[S, f] != -2 f; not a Whittaker pair")
         jordan_partition(self.f)   # raises NotNilpotent if f is not
@@ -260,9 +235,9 @@ def find_Z(pair):
     AS = ad_matrix(S)
     top = AS * Af                  # [S, [f, y]] = 0
     bot = Af * Af                  # [[f, y], f] = -2f  <=>  [f,[f,y]] = 2f
-    rows = top.row_lists() + bot.row_lists()
+    system = QMatrix._trusted(2 * n * n, n * n, top.entries + bot.entries)
     rhs = [Fraction(0)] * (n * n) + [2 * x for x in f.flat()]
-    res = rref_solve(QMatrix.from_rows(rows), rhs)
+    res = rref_solve(system, rhs)
     if not isinstance(res.solution, tuple):
         raise VerificationError("Z-decomposition system inconsistent; invalid pair")
     y = QMatrix(n, n, res.solution)
@@ -283,7 +258,7 @@ def _joint_eigenbasis(h, Z):
         raise NotCommuting("[h, Z] != 0")
     cols = []
     labels = []
-    for a, sp in _eigen_data(h):
+    for a, sp in rational_eigenvalues(h):
         basis = [list(v) for v in sp.basis]
         k = len(basis)
         # restrict Z to this eigenspace
@@ -292,11 +267,13 @@ def _joint_eigenbasis(h, Z):
         for v in basis:
             target = Z.matvec(v)
             res = rref_solve(Bt, target)
-            assert isinstance(res.solution, tuple), "Z does not preserve eigenspace"
+            if res.solution is NO_SOLUTION:
+                raise InternalCheckFailure(
+                    "joint eigenbasis: Z does not preserve an h-eigenspace")
             small_cols.append(list(res.solution))
         Zsmall = QMatrix.from_rows([[small_cols[j][i] for j in range(k)]
                                     for i in range(k)])
-        for b, spz in _eigen_data(Zsmall):
+        for b, spz in rational_eigenvalues(Zsmall):
             for coeff in spz.basis:
                 vec = [Fraction(0)] * n
                 for ci, c in enumerate(coeff):
@@ -385,7 +362,6 @@ def _centralizer(f):
 def _lagrangian_m(bg, f):
     """The Lagrangian m inside g^Z_0 \\cap g^S_1 (components beta = 0,
     alpha = 1), computed once; constant in t."""
-    n2 = bg.h.rows ** 2
     space = bg.space(lambda a, b: b == 0 and a + b == 1)
     if space.dim == 0:
         return space
@@ -393,7 +369,6 @@ def _lagrangian_m(bg, f):
 
 
 def _snapshot(bg, f, g_f, m, t, check=True):
-    n2 = bg.h.rows ** 2
     u = bg.space(lambda a, b: a + t * b >= 1)
     v = bg.space(lambda a, b: a + t * b > 1)
     w = bg.space(lambda a, b: a + t * b == 1)
@@ -447,7 +422,7 @@ def chain(pair):
     numbers in [0,1], snapshots, verified inclusions r_{t_i} <= l_{t_{i+1}},
     the direct-sum and ideal/commutativity clauses, and obstruction spaces
     with dual spanning sets among the highest-weight vectors."""
-    S, f, n = pair.S, pair.f, pair.n
+    f, n = pair.f, pair.n
     h, Z = find_Z(pair)
     e = sl2_complete(f, h)
     bg = bigrading(h, Z)

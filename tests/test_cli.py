@@ -105,6 +105,30 @@ def test_malformed_input_is_exit_1(capsys):
     assert code == 1 and "ParseError" in err
 
 
+def test_pair_check_cli_neutral(capsys):
+    code, out, _ = run_cli(capsys, "pair-check", "--S", "diag(1,-1)", "--f", "E21")
+    assert code == 0
+    assert '"S_is_neutral":true' in out
+    assert json.loads(out)["valid"] is True
+
+
+def test_pair_check_cli_not_neutral(capsys):
+    code, out, _ = run_cli(capsys, "pair-check", "--S", "diag(3,1,-1,-3)",
+                           "--f", "E21+E43")
+    assert code == 0
+    assert '"S_is_neutral":false' in out
+    doc = json.loads(out)
+    assert doc["h"] == QMatrix.diag([1, -1, 1, -1]).to_json()
+    assert doc["Z"] == QMatrix.diag([2, 2, -2, -2]).to_json()
+
+
+def test_pair_check_cli_rejects_non_pair(capsys):
+    code, out, err = run_cli(capsys, "pair-check", "--S", "diag(1,1)", "--f", "E21")
+    assert code == 2 and out == ""
+    assert "Traceback" not in err
+    assert json.loads(err)["error"] == "VerificationError"
+
+
 def test_pair_chain_cli(tmp_path, capsys):
     doc = {"n": 4, "S": "diag(3,1,-1,-3)", "f": "E21+E43"}
     path = tmp_path / "pair.json"

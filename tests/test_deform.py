@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from whitforge import deform
 from whitforge.deform import (ConditionNotMet, compar_certificate, deform_gl,
                               deform_sl, two_blocks)
-from whitforge.errors import NotDominated, PreconditionViolation
+from whitforge.errors import (InternalCheckFailure, NotDominated,
+                              PreconditionViolation)
 from whitforge.exactq import QMatrix
 from whitforge.orbits import (is_dth_power, jordan_partition, power_class,
                               sl_class)
@@ -99,6 +101,14 @@ def test_deform_gl_certificate_weights_independent(rng):
         if not cert.psi.is_zero():
             assert all(r < 0 for r in weight_components(cert.Z, cert.psi))
             assert set(weight_components(cert.h + cert.Z, cert.psi)) == {-2}
+
+
+def test_deform_gl_non_strict_lemma_index_is_typed(monkeypatch):
+    # (1,1,1,1) -> (2,2) merges at i = 2; i = 1 has lam_1 = 2 > mu_1 = 1 but
+    # not mu_1 = 1 > lam_2 = 2
+    monkeypatch.setattr(deform, "lemma_part_index", lambda lam, mu: 1)
+    with pytest.raises(InternalCheckFailure, match=r"lam_i > mu_i > lam_\(i\+1\)"):
+        deform_gl((1, 1, 1, 1), (2, 2))
 
 
 # -- deform_sl -------------------------------------------------------------------

@@ -8,8 +8,7 @@ from whitforge.errors import (DimensionMismatch, InternalCheckFailure,
                               NotRationalSplit)
 from whitforge.exactq import (NO_SOLUTION, QMatrix, Subspace, _lagrangian,
                               _rref_rows, rat_parse, rat_str,
-                              rational_eigenvalues, rref_solve, skew_tools,
-                              subspace_algebra)
+                              rational_eigenvalues, rref_solve, skew_tools)
 
 from conftest import E
 
@@ -172,19 +171,18 @@ def test_rref_solve_echelon_is_that_of_a_for_any_rhs():
 def test_subspace_equals():
     U = Subspace(3, [[1, 1, 0], [0, 1, 0]])
     V = Subspace(3, [[1, 0, 0], [0, 1, 0]])
-    assert subspace_algebra(U, V, "equals") is True
     assert U == V
 
 
 def test_subspace_intersect_zero():
     U = Subspace(2, [[1, 0]])
     V = Subspace(2, [[0, 1]])
-    assert subspace_algebra(U, V, "intersect").dim == 0
+    assert U.intersect(V).dim == 0
 
 
 def test_subspace_member():
     U = Subspace(2, [[1, 1], [0, 1]])
-    assert subspace_algebra(U, None, "member", vector=[1, 0]) is True
+    assert U.member([1, 0]) is True
 
 
 def test_subspace_dimension_mismatch():

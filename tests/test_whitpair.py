@@ -1,12 +1,14 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from whitforge import whitpair
-from whitforge.errors import (NotCommuting, NotRationalSemisimple, ShapeViolation,
+from whitforge.errors import (NotCommuting, NotRationalSplit, ShapeViolation,
                               VerificationError)
-from whitforge.exactq import QMatrix, Subspace, rat_str, rref_solve
+from whitforge.exactq import (QMatrix, Subspace, _rref_rows, rat_str,
+                              rational_eigenvalues, rref_solve)
 from whitforge.orbits import is_neutral_pair, neutral_for, sl2_complete
 from whitforge.whitpair import (WhittakerPair, WhittakerTriple, ad_matrix,
                                 bigrading, chain, critical_numbers, find_Z,
@@ -60,9 +62,9 @@ def test_weight_components_sum_reconstructs(rng):
 
 
 def test_non_semisimple_s_is_rejected():
-    with pytest.raises(NotRationalSemisimple):
+    with pytest.raises(NotRationalSplit):
         WhittakerPair(2, E(2, 1, 2), QMatrix.zeros(2))
-    with pytest.raises(NotRationalSemisimple):
+    with pytest.raises(NotRationalSplit):
         weight_components(QMatrix.from_rows([[0, 1], [2, 0]]), E(2, 1, 2))
 
 
@@ -111,8 +113,50 @@ def test_neutral_pair_paper_examples():
     assert is_neutral_pair(QMatrix.zeros(2), QMatrix.zeros(2))
 
 
+def _symmetric_chains(values):
+    """The integers split into chains {m, m-2, ..., -m}."""
+    count = Counter(values)
+    while count:
+        m = max(count)
+        if m < 0:
+            return False
+        for k in range(m, -m - 1, -2):
+            if count[k] <= 0:
+                return False
+            count[k] -= 1
+            if count[k] == 0:
+                del count[k]
+    return True
+
+
+def neutral_by_weight_spaces(h, f):
+    """Characterization (b) of a neutral pair, as an oracle for
+    is_neutral_pair: [h,f] = -2f, h diagonalizable over Q with integer
+    eigenvalues in symmetric chains, and [., f] maps the ad(h)-weight-0
+    space of gl_n onto the weight-(-2) space."""
+    n = f.rows
+    if h.bracket(f) != f.scale(-2):
+        return False
+    try:
+        eig = rational_eigenvalues(h)
+    except NotRationalSplit:
+        return False
+    if any(lam.denominator != 1 for lam, _ in eig):
+        return False
+    if not _symmetric_chains([int(lam) for lam, sp in eig for _ in sp.basis]):
+        return False
+    P = QMatrix.from_rows([list(v) for _, sp in eig for v in sp.basis]).transpose()
+    Pinv = P.inverse()
+    labels = [lam for lam, sp in eig for _ in sp.basis]
+    image = [flat((P * E(n, i + 1, j + 1) * Pinv).bracket(f))
+             for i, a in enumerate(labels) for j, b in enumerate(labels) if a == b]
+    target = sum(1 for a in labels for b in labels if a - b == -2)
+    return len(_rref_rows(image)[1]) == target
+
+
 def test_neutral_characterizations_agree_on_500_randoms():
     rng = random.Random(99)
+    outcomes = Counter()
     for _ in range(500):
         n = rng.randint(2, 6)
         f = random_nilpotent(n, rng)
@@ -126,8 +170,10 @@ def test_neutral_characterizations_agree_on_500_randoms():
                                               for _ in range(n)])])
         else:
             h = QMatrix.diag([rng.randint(-3, 3) for _ in range(n)])
-        # the call itself asserts that both characterizations agree
-        is_neutral_pair(h, f)
+        expected = neutral_by_weight_spaces(h, f)
+        assert is_neutral_pair(h, f) == expected
+        outcomes[expected] += 1
+    assert outcomes[True] >= 50 and outcomes[False] >= 50
 
 
 # -- bigrading -------------------------------------------------------------------
