@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -93,14 +94,105 @@ def test_deform_gl_checks_record():
     assert cert.checks["neutral_pair"] is True
 
 
-def test_deform_gl_certificate_weights_independent(rng):
-    # spot re-derivation of the weight claims by eigen decomposition
-    for mu, lam in [((2, 2), (4,)), ((1, 1, 1), (3,)), ((3, 1, 1), (4, 1)),
-                    ((2, 2, 2), (5, 1))]:
-        cert = deform_gl(mu, lam)
-        if not cert.psi.is_zero():
-            assert all(r < 0 for r in weight_components(cert.Z, cert.psi))
-            assert set(weight_components(cert.h + cert.Z, cert.psi)) == {-2}
+def _dominated_pairs(max_n):
+    return [(mu, lam) for n in range(1, max_n + 1) for lam in partitions_of(n)
+            for mu in partitions_of(n) if dominance_leq(mu, lam)]
+
+
+def _weights(S, M):
+    """The ad(S)-weights of M by eigen decomposition, independent of the
+    diagonal read-off in the raising checker."""
+    return set(weight_components(S, M))
+
+
+def _assert_raising_weights(cert):
+    h, f, Z, psi = cert.h, cert.f, cert.Z, cert.psi
+    assert cert.checks["f_h_weight_minus_two"] is (_weights(h, f) <= {-2})
+    assert cert.checks["Z_commutes_f"] is (_weights(Z, f) <= {0})
+    assert cert.checks["Z_commutes_h"] is (_weights(h, Z) <= {0})
+    assert cert.checks["psi_Z_negative"] is all(r < 0 for r in _weights(Z, psi))
+    assert cert.checks["psi_S_weight_minus_two"] is (_weights(h + Z, psi) <= {-2})
+    assert cert.checks["jordan_source"] == list(jordan_partition(f))
+    assert cert.checks["jordan_target"] == list(jordan_partition(f + psi))
+
+
+def test_deform_gl_certificate_weights_independent():
+    # every weight clause deform_gl and compar record, re-derived by eigen
+    # decomposition on every dominated pair with n <= 6
+    pairs = _dominated_pairs(6)
+    assert len(pairs) == 117
+    for mu, lam in pairs:
+        _assert_raising_weights(deform_gl(mu, lam))
+        cc = compar_certificate(mu, lam)
+        S, F, h, f = cc.S, cc.F, cc.h, cc.f
+        assert cc.conditions["F_in_target_orbit"] is (jordan_partition(F) == lam)
+        assert cc.conditions["f_S_weight_minus_two"] is (_weights(S, f) <= {-2})
+        assert cc.conditions["h_commutes_S"] is (_weights(h, S) <= {0})
+        assert cc.conditions["difference_Z_negative"] is \
+            all(r < 0 for r in _weights(S - h, F - f))
+
+
+def test_deform_sl_certificate_weights_independent():
+    rng = random.Random(31)
+    pairs = [p for p in _dominated_pairs(6) if p[0] != p[1]]
+    for mu, lam in rng.sample(pairs, 10):
+        d = math.gcd(math.gcd(*lam), math.gcd(*mu))
+        b = Fraction(rng.randint(1, 5), rng.randint(1, 3))
+        a = b * Fraction(rng.randint(1, 4), rng.randint(1, 3)) ** d
+        cert = deform_sl(mu, lam, a, b)
+        _assert_raising_weights(cert)
+
+
+def _faulty_psi(build_stripped):
+    # psi gains E_11, of ad(Z)-weight 0
+    def wrapped(mu, lam):
+        h, Z, f, psi, tops = build_stripped(mu, lam)
+        psi[0][0] = Fraction(1)
+        return h, Z, f, psi, tops
+    return wrapped
+
+
+def _faulty_h(matrices):
+    # h gains E_12
+    def wrapped(h, Z, f, psi):
+        h, f, Z, psi = matrices(h, Z, f, psi)
+        return h + E(h.rows, 1, 2), f, Z, psi
+    return wrapped
+
+
+RAISING_PATHS = [
+    lambda: deform_gl((2, 2), (3, 1)),
+    lambda: deform_sl((2, 2), (4,), 4, 1),
+    lambda: compar_certificate((2, 2), (3, 1)),
+    lambda: two_blocks(2, 1, 1),
+]
+
+
+@pytest.mark.parametrize("path", RAISING_PATHS)
+@pytest.mark.parametrize("target, fault, clause", [
+    ("_build_stripped", _faulty_psi, "psi_Z_negative"),
+    ("_matrices", _faulty_h, "Z_commutes_h: h is not diagonal"),
+])
+def test_raising_paths_run_the_checker(monkeypatch, path, target, fault, clause):
+    monkeypatch.setattr(deform, target, fault(getattr(deform, target)))
+    with pytest.raises(InternalCheckFailure, match=clause):
+        path()
+
+
+@pytest.mark.parametrize("index, entry, clause", [
+    (0, (1, 2), "Z_commutes_h: h is not diagonal"),     # h gains E_12
+    (3, (1, 1), "psi_Z_negative")])                     # psi gains E_11
+def test_deform_sl_checks_the_conjugated_certificate(monkeypatch, index, entry,
+                                                     clause):
+    conjugate = deform._conjugate_cert
+
+    def wrapped(cert, T):
+        mats = list(conjugate(cert, T))      # (h, f, Z, psi)
+        mats[index] = mats[index] + E(cert.n, *entry)
+        return tuple(mats)
+    monkeypatch.setattr(deform, "_conjugate_cert", wrapped)
+    with pytest.raises(InternalCheckFailure, match=clause):
+        deform_sl((2, 2), (4,), 4, 1)
 
 
 def test_deform_gl_non_strict_lemma_index_is_typed(monkeypatch):
@@ -140,7 +232,6 @@ def test_deform_sl_roundtrip_random(rng):
                 if mu != lam and dominance_leq(mu, lam):
                     pairs.append((mu, lam))
     rng.shuffle(pairs)
-    import math
     for mu, lam in pairs[:12]:
         d = math.gcd(math.gcd(*lam), math.gcd(*mu))
         b = Fraction(rng.randint(1, 5), rng.randint(1, 3))
@@ -154,7 +245,6 @@ def test_deform_sl_roundtrip_random(rng):
 
 
 def test_deform_sl_gate_soundness(rng):
-    import math
     for mu, lam in [((2, 2), (4,)), ((3, 3), (6,)), ((2, 2, 2), (4, 2))]:
         d = math.gcd(math.gcd(*lam), math.gcd(*mu))
         if d == 1:

@@ -14,3 +14,20 @@ def test_no_assert_statements_in_library():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert not found, f"assert statements in src/whitforge: {found}"
+
+
+def test_raising_paths_do_not_decompose_by_eigenvalues():
+    # deform reads every ad-weight off the diagonal h and Z; the eigen-based
+    # weight_components in whitpair is the tests' oracle for it
+    tree = ast.parse((SRC / "deform.py").read_text())
+    imports_whitpair = [node.lineno for node in ast.walk(tree)
+                        if isinstance(node, ast.ImportFrom)
+                        and (node.module or "").split(".")[-1] == "whitpair"
+                        or isinstance(node, ast.Import)
+                        and any(a.name.split(".")[-1] == "whitpair"
+                                for a in node.names)]
+    assert not imports_whitpair, f"deform.py imports whitpair: {imports_whitpair}"
+    eigen = {"rational_eigenvalues", "char_poly", "weight_components"}
+    used = {getattr(node, "id", None) or getattr(node, "attr", None)
+            or getattr(node, "name", None) for node in ast.walk(tree)}
+    assert not used & eigen, f"deform.py references {sorted(used & eigen)}"

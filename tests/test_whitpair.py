@@ -331,6 +331,8 @@ def test_chain_lemma_43_checks(rng):
         pair = random_whittaker_pair(rng.randint(2, 5), rng)
         cert = chain(pair)
         n, f, Z = pair.n, pair.f, cert.Z
+        # find_Z's h is neutral by construction; characterization (b) agrees
+        assert neutral_by_weight_spaces(cert.h, f)
         # (i) omega is ad(Z)-invariant on random basis pairs
         for _ in range(40):
             X = QMatrix.from_rows(
@@ -362,6 +364,7 @@ def test_chain_lemma_44_direct_sum(rng):
     for _ in range(4):
         pair = random_whittaker_pair(rng.randint(2, 5), rng)
         cert = chain(pair)
+        assert neutral_by_weight_spaces(cert.h, pair.f)
         for prev, cur, obs in zip(cert.snapshots, cert.snapshots[1:],
                                   cert.obstructions):
             assert cur.l.contains(prev.r)
