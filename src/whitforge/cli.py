@@ -134,9 +134,8 @@ def _build_pair(args, doc):
 def cmd_orbit_classify(args):
     doc = _read_input(args)
     N = _matrix_arg(args, doc, "matrix", n=getattr(args, "n", None) or doc.get("n"))
-    lam = orbits.jordan_partition(N)
     cls = orbits.sl_class(N)
-    return {"partition": list(lam), "sl_class": cls.to_json()}
+    return {"partition": list(cls.lam), "sl_class": cls.to_json()}
 
 
 def cmd_orbit_closure(args):

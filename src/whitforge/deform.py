@@ -63,9 +63,10 @@ def _jrows(k):
 
 def _matrices(h, Z, f, psi):
     """The builder's diagonal lists h, Z and row lists f, psi as the
-    matrices (h, f, Z, psi)."""
-    return (QMatrix.diag(h), QMatrix.from_rows(f), QMatrix.diag(Z),
-            QMatrix.from_rows(psi))
+    matrices (h, f, Z, psi); every entry is a Fraction already."""
+    n = len(h)
+    return (QMatrix.diag(h), QMatrix._trusted(n, n, [x for r in f for x in r]),
+            QMatrix.diag(Z), QMatrix._trusted(n, n, [x for r in psi for x in r]))
 
 def _matvec(M, v):
     return [sum((a * x for a, x in zip(row, v) if a and x), Fraction(0))

@@ -111,8 +111,8 @@ class QMatrix:
     def diag(cls, values):
         values = [Fraction(v) for v in values]
         n = len(values)
-        return cls(n, n, [values[i] if i == j else Fraction(0)
-                          for i in range(n) for j in range(n)])
+        return cls._trusted(n, n, [values[i] if i == j else _ZERO
+                                   for i in range(n) for j in range(n)])
 
     @classmethod
     def elementary(cls, n, i, j, coeff=1):
@@ -427,7 +427,7 @@ def rref_solve(A, b=None):
 class Subspace:
     """Subspace of Q^ambient_dim with canonical RREF basis."""
 
-    __slots__ = ("ambient_dim", "basis")
+    __slots__ = ("ambient_dim", "basis", "pivots")
 
     def __init__(self, ambient_dim, vectors=()):
         red, piv = _rref_rows([list(v) for v in vectors])
@@ -437,6 +437,7 @@ class Subspace:
                 raise DimensionMismatch("vector length != ambient_dim")
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "pivots", tuple(piv))
 
     def __setattr__(self, *a):
         raise AttributeError("Subspace is immutable")
@@ -474,13 +475,17 @@ class Subspace:
         return Subspace(self.ambient_dim, vecs)
 
     def member(self, vector):
-        vector = [Fraction(x) for x in vector]
-        if len(vector) != self.ambient_dim:
+        """Reduce the vector against the echelon basis; a member leaves 0."""
+        v = list(vector)
+        if len(v) != self.ambient_dim:
             raise DimensionMismatch("vector length != ambient_dim")
-        if not any(vector):
-            return True
-        _, piv = _rref_rows([list(b) for b in self.basis] + [vector])
-        return len(piv) == self.dim
+        for row, p in zip(self.basis, self.pivots):
+            c = v[p]
+            if c:
+                for i in range(p, self.ambient_dim):
+                    if row[i]:
+                        v[i] -= c * row[i]
+        return not any(v)
 
     def contains(self, other):
         self._check(other)

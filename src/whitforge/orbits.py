@@ -10,8 +10,8 @@ from fractions import Fraction
 
 from .errors import (DimensionMismatch, InternalCheckFailure, NoSolutionError,
                      NotNilpotent, WrongPartition)
-from .exactq import (NO_SOLUTION, QMatrix, Subspace, _kernel_rows, _rref_rows,
-                     ad_matrix, rat_str, rref_solve)
+from .exactq import (NO_SOLUTION, QMatrix, Subspace, _kernel_of_rref,
+                     _rref_rows, ad_matrix, rat_str, rref_solve)
 
 
 # ---------------------------------------------------------------------------
@@ -82,37 +82,37 @@ def J_eta_a(eta, a):
 # jordan classification
 
 
-def _nilpotency_check(N):
+def _power_kernels(N):
+    """Kernel filtration [ker N^0, ker N^1, ..., ker N^L] of a nilpotent N,
+    with N^L = 0 first reached at L: one RREF per power.  The row space of
+    N^(k+1) is the row space of N^k times N, so each RREF runs on the
+    previous echelon rows times N rather than on the power itself.  The ranks
+    of the powers never rise, and once two consecutive ranks are equal they
+    stay equal, so the first power whose kernel fails to grow shows that N
+    is not nilpotent."""
     n = N.rows
     if n != N.cols:
         raise DimensionMismatch("matrix not square")
-    P = N
-    for _ in range(n.bit_length()):
-        P = P * P
-    if not P.is_zero():
-        raise NotNilpotent("matrix is not nilpotent")
-
-
-def _rank(M):
-    _, piv = _rref_rows(M.row_lists())
-    return len(piv)
+    Nt = N.transpose()
+    kernels = [Subspace(n)]
+    rows = N.row_lists()
+    while kernels[-1].dim < n:
+        red, piv = _rref_rows(rows)
+        K = Subspace(n, _kernel_of_rref(red, piv, n))
+        if K.dim == kernels[-1].dim:
+            raise NotNilpotent("matrix is not nilpotent")
+        kernels.append(K)
+        rows = [Nt.matvec(r) for r in red[:len(piv)]]
+    return kernels
 
 
 def jordan_partition(N):
-    """Partition of the nilpotent orbit of N, via ranks of powers:
-    lambda^t_k = rank(N^{k-1}) - rank(N^k)."""
-    _nilpotency_check(N)
-    n = N.rows
-    ranks = [n]
-    P = N
-    while ranks[-1] > 0:
-        ranks.append(_rank(P))
-        P = P * N
-    lam_t = [ranks[i] - ranks[i + 1] for i in range(len(ranks) - 1)]
-    lam_t = [c for c in lam_t if c > 0]
-    lam = tuple(sum(1 for c in lam_t if c >= j)
-                for j in range(1, max(lam_t) + 1)) if lam_t else ()
-    return tuple(sorted(lam, reverse=True))
+    """Partition of the nilpotent orbit of N, read off the kernel filtration:
+    N has dim ker N^k - dim ker N^(k-1) Jordan blocks of size >= k."""
+    dims = [K.dim for K in _power_kernels(N)]
+    lam_t = [b - a for a, b in zip(dims, dims[1:])]
+    return tuple(sum(1 for c in lam_t if c >= j)
+                 for j in range(1, lam_t[0] + 1)) if lam_t else ()
 
 
 def jordan_chain_basis(N, order="forward"):
@@ -121,33 +121,25 @@ def jordan_chain_basis(N, order="forward"):
     coordinate order.  order="reverse" works in the reversed coordinate frame
     (a genuinely different deterministic chain-top choice), used to exercise
     uniqueness-up-to-conjugacy properties."""
-    _nilpotency_check(N)
     n = N.rows
     if order == "reverse":
         R = QMatrix.from_rows([[Fraction(int(j == n - 1 - i)) for j in range(n)]
                                for i in range(n)])
         chains = jordan_chain_basis(R * N * R, order="forward")
         return [[R.matvec(v) for v in ch] for ch in chains]
-    powers = [QMatrix.identity(n)]
-    while not powers[-1].is_zero():
-        powers.append(powers[-1] * N)
-    L = len(powers) - 1
-    kernels = [Subspace(n, _kernel_rows(powers[k].row_lists(), n))
-               for k in range(L + 1)]
+    kernels = _power_kernels(N)
     chains = []
-    built = []
-    for ell in range(L, 0, -1):
-        avoid = list(kernels[ell - 1].basis)
-        avoid += [tuple(N.matvec(list(v))) for v in built]
-        span = Subspace(n, avoid)
+    for ell in range(len(kernels) - 1, 0, -1):
+        # N maps each chain built so far onto its own tail
+        span = Subspace(n, list(kernels[ell - 1].basis)
+                        + [c for ch in chains for c in ch[1:]])
         for v in kernels[ell].basis:
             if not span.member(v):
                 chain = [list(v)]
                 for _ in range(ell - 1):
                     chain.append(N.matvec(chain[-1]))
                 chains.append(chain)
-                built.extend(tuple(c) for c in chain)
-                span = Subspace(n, list(span.basis) + [tuple(c) for c in chain])
+                span = Subspace(n, list(span.basis) + chain)
     if sum(len(c) for c in chains) != n:
         raise InternalCheckFailure("jordan chain basis: chain lengths do not sum to n")
     return chains
@@ -157,10 +149,10 @@ def jordan_conjugator(N, eta, order="forward"):
     """Invertible g over Q with g N g^{-1} = J_eta exactly.  eta must be a
     composition whose sorted form is the Jordan type of N."""
     eta = tuple(int(k) for k in eta)
-    lam = jordan_partition(N)
+    chains = jordan_chain_basis(N, order=order)
+    lam = tuple(sorted((len(ch) for ch in chains), reverse=True))
     if tuple(sorted(eta, reverse=True)) != lam:
         raise WrongPartition(f"jordan type is {lam}, not {tuple(sorted(eta, reverse=True))}")
-    chains = jordan_chain_basis(N, order=order)
     pool = {}
     for ch in chains:
         pool.setdefault(len(ch), []).append(ch)

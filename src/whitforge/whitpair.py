@@ -9,7 +9,7 @@ matrix f with phi(X) = trace(f X); then ad*-weights of phi equal ad-weights of
 f, so every weight condition is a bracket condition on matrices.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (DimensionMismatch, InternalCheckFailure, NotCommuting,
@@ -47,36 +47,29 @@ def _sparse_bracket(X, Y, n):
     return out
 
 
-def _member_reducer(space):
-    """Fast repeated membership tests against a fixed echelon basis."""
-    basis = space.basis
-    pivots = []
-    for row in basis:
-        pivots.append(next(i for i, x in enumerate(row) if x))
-
-    def member(vec):
-        v = list(vec)
-        for row, p in zip(basis, pivots):
-            if v[p]:
-                c = v[p]
-                for i, x in enumerate(row):
-                    if x:
-                        v[i] -= c * x
-        return not any(v)
-    return member
-
-
 # ---------------------------------------------------------------------------
 # weight decompositions
 
 
-def _eigenbasis(S):
-    """Columns P of an eigenbasis of the rational semisimple S, P^{-1}, and
-    the eigenvalue labelling each column."""
-    eig = rational_eigenvalues(S)
+def _eigenbasis(eig):
+    """Columns P of the eigenbasis listed by rational_eigenvalues output
+    `eig`, P^{-1}, and the eigenvalue labelling each column."""
     P = QMatrix.from_rows([list(v) for _, sp in eig for v in sp.basis]).transpose()
     labels = [lam for lam, sp in eig for _ in sp.basis]
     return P, P.inverse(), labels
+
+
+def _weight_terms(eigenbasis, M):
+    """{r: [(i, j, c)]}: the nonzero entries c of M in the eigenbasis,
+    grouped by their ad(S)-weight r."""
+    P, Pinv, labels = eigenbasis
+    Mt = Pinv * M * P
+    comps = {}
+    for i, a in enumerate(labels):
+        for j, b in enumerate(labels):
+            if Mt[i, j]:
+                comps.setdefault(a - b, []).append((i, j, Mt[i, j]))
+    return comps
 
 
 def weight_components(S, M):
@@ -84,15 +77,9 @@ def weight_components(S, M):
     n = S.rows
     if M.rows != n or M.cols != n or S.cols != n:
         raise DimensionMismatch("S, M must be square of equal size")
-    P, Pinv, labels = _eigenbasis(S)
-    Mt = Pinv * M * P
-    comps = {}
-    for i, a in enumerate(labels):
-        for j, b in enumerate(labels):
-            if Mt[i, j]:
-                comps.setdefault(a - b, []).append((i, j, Mt[i, j]))
+    P, Pinv, _ = eb = _eigenbasis(rational_eigenvalues(S))
     out = {}
-    for r, terms in sorted(comps.items()):
+    for r, terms in sorted(_weight_terms(eb, M).items()):
         ent = [Fraction(0)] * (n * n)
         for (i, j, c) in terms:
             ent[i * n + j] = c
@@ -103,8 +90,13 @@ def weight_components(S, M):
 def graded_space(S, predicate):
     """Subspace of flattened gl_n spanned by the ad(S)-weight spaces whose
     weight satisfies the predicate."""
-    n = S.rows
-    P, Pinv, labels = _eigenbasis(S)
+    return _graded(_eigenbasis(rational_eigenvalues(S)), predicate)
+
+
+def _graded(eigenbasis, predicate):
+    """graded_space for the S whose _eigenbasis is given."""
+    P, Pinv, labels = eigenbasis
+    n = P.rows
     Pl = P.row_lists()
     Pil = Pinv.row_lists()
     vecs = []
@@ -126,12 +118,14 @@ class WhittakerPair:
     n: int
     S: QMatrix
     f: QMatrix
+    # rational_eigenvalues(S), computed once by the validation
+    eigen: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if (self.S.rows, self.S.cols) != (self.n, self.n) or \
            (self.f.rows, self.f.cols) != (self.n, self.n):
             raise DimensionMismatch("S, f must be n x n")
-        rational_eigenvalues(self.S)
+        object.__setattr__(self, "eigen", tuple(rational_eigenvalues(self.S)))
         if self.S.bracket(self.f) != self.f.scale(-2):
             raise VerificationError("[S, f] != -2 f; not a Whittaker pair")
         jordan_partition(self.f)   # raises NotNilpotent if f is not
@@ -149,7 +143,7 @@ class WhittakerTriple:
         n = self.pair.n
         if (self.f_prime.rows, self.f_prime.cols) != (n, n):
             raise DimensionMismatch("f_prime must be n x n")
-        for r in weight_components(self.pair.S, self.f_prime):
+        for r in sorted(_weight_terms(_eigenbasis(self.pair.eigen), self.f_prime)):
             if r <= -2:
                 raise VerificationError(
                     f"f_prime has an ad(S)-weight component at {rat_str(r)} <= -2")
@@ -404,14 +398,10 @@ def snapshot(h, Z, f, t):
 
 def _bracket_contained(A, B, n, clause):
     """Verify [A, A] subseteq B for subspaces of flattened gl_n."""
-    if A.dim == 0:
-        return
-    member = _member_reducer(B) if B.dim else (lambda v: not any(v))
     sparse = [_sparse(list(vec), n) for vec in A.basis]
     for i in range(len(sparse)):
         for j in range(i + 1, len(sparse)):
-            br = _sparse_bracket(sparse[i], sparse[j], n)
-            if any(br) and not member(br):
+            if not B.member(_sparse_bracket(sparse[i], sparse[j], n)):
                 raise VerificationError(clause)
 
 
@@ -490,8 +480,8 @@ def _functional_kernel(space, f, n):
 def model_data(pair):
     """Degenerate-model nilpotent data at S itself: u = g^S_{>=1}, the radical
     n of omega_phi on u, and n' = n cap Ker(phi)."""
-    S, f, n = pair.S, pair.f, pair.n
-    u = graded_space(S, lambda r: r >= 1)
+    f, n = pair.f, pair.n
+    u = _graded(_eigenbasis(pair.eigen), lambda r: r >= 1)
     n_rad = skew_tools(f, u, "radical")
     n_prime = _functional_kernel(n_rad, f, n)
     return {"u": u, "n_rad": n_rad, "n_prime": n_prime}
@@ -503,29 +493,26 @@ def quasi_model_data(triple):
     [u,z] <= k, omega_{phi+phi'} nondegenerate on u/z, and phi' vanishing
     on [u,u]."""
     pair, fp = triple.pair, triple.f_prime
-    S, f, n = pair.S, pair.f, pair.n
-    u = graded_space(S, lambda r: r >= 1)
-    v = graded_space(S, lambda r: r > 1)
-    w = graded_space(S, lambda r: r == 1)
+    f, n = pair.f, pair.n
+    eb = _eigenbasis(pair.eigen)
+    u = _graded(eb, lambda r: r >= 1)
+    v = _graded(eb, lambda r: r > 1)
+    w = _graded(eb, lambda r: r == 1)
     z = v.sum(w.intersect(_centralizer(f)))
     k = _functional_kernel(z, f + fp, n)
     sparse_u = [_sparse(list(vec), n) for vec in u.basis]
-    member_z = _member_reducer(z) if z.dim else (lambda vv: not any(vv))
-    member_k = _member_reducer(k) if k.dim else (lambda vv: not any(vv))
     sparse_z = [_sparse(list(vec), n) for vec in z.basis]
     pair_fp = _trace_pairing(fp.entries, n)
     for i in range(len(sparse_u)):
         for j in range(i + 1, len(sparse_u)):
             br = _sparse_bracket(sparse_u[i], sparse_u[j], n)
-            if any(br):
-                if not member_z(br):
-                    raise ShapeViolation("[u, u] <= z violated")
-                if pair_fp(br) != 0:
-                    raise ShapeViolation("phi' does not vanish on [u, u]")
+            if not z.member(br):
+                raise ShapeViolation("[u, u] <= z violated")
+            if pair_fp(br) != 0:
+                raise ShapeViolation("phi' does not vanish on [u, u]")
     for su in sparse_u:
         for sz in sparse_z:
-            br = _sparse_bracket(su, sz, n)
-            if any(br) and not member_k(br):
+            if not k.member(_sparse_bracket(su, sz, n)):
                 raise ShapeViolation("[u, z] <= k violated")
     if skew_tools(f + fp, u, "radical") != z:
         raise ShapeViolation("omega_{phi+phi'} degenerate on u/z")

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from whitforge import orbits
 from whitforge.cli import main, parse_matrix_spec, verify_fixtures
 from whitforge.errors import ParseError
 from whitforge.exactq import QMatrix
@@ -67,6 +68,27 @@ def test_orbit_classify_cli(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["partition"] == [3, 1]
+
+
+def test_orbit_classify_runs_one_jordan_partition(capsys, monkeypatch):
+    calls = []
+    real = orbits.jordan_partition
+
+    def counting(N):
+        calls.append(N)
+        return real(N)
+    monkeypatch.setattr(orbits, "jordan_partition", counting)
+    code, out, _ = run_cli(capsys, "orbit-classify", "--matrix", "E21+E43+E42")
+    assert code == 0 and json.loads(out)["partition"] == [3, 1]
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("spec", ["diag(1,2,3)", "E11", "E21+E12", "E21+E33"])
+def test_orbit_classify_rejects_non_nilpotent(capsys, spec):
+    code, out, err = run_cli(capsys, "orbit-classify", "--matrix", spec)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "NotNilpotent",
+                               "message": "matrix is not nilpotent"}
 
 
 def test_deform_gl_cli(capsys):

@@ -188,6 +188,25 @@ def test_subspace_member():
 def test_subspace_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         Subspace(2, [[1, 0]]).sum(Subspace(3, [[1, 0, 0]]))
+    with pytest.raises(DimensionMismatch):
+        Subspace(2, [[1, 0]]).member([1, 0, 0])
+
+
+def test_subspace_member_agrees_with_rank_test():
+    rng = random.Random(14)
+    for _ in range(200):
+        amb = rng.randint(1, 7)
+        U = Subspace(amb, [[Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+                            for _ in range(amb)] for _ in range(rng.randint(0, amb))])
+        assert U.pivots == tuple(_rref_rows([list(b) for b in U.basis])[1])
+        inside = [Fraction(0)] * amb
+        for b in U.basis:
+            c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            inside = [x + c * y for x, y in zip(inside, b)]
+        other = [Fraction(rng.randint(-2, 2)) for _ in range(amb)]
+        for vec in (inside, other, [x + y for x, y in zip(inside, other)]):
+            rank = len(_rref_rows([list(b) for b in U.basis] + [vec])[1])
+            assert U.member(vec) is (rank == U.dim)
 
 
 def test_dimension_formula_random():
@@ -240,6 +259,27 @@ def test_eigen_reassembly_reproduces_matrix():
             D = QMatrix.diag([1 if l2 == lam else 0 for l2 in labels])
             total = total + (P * D * Pinv).scale(lam)
         assert total == M
+
+
+def test_rational_eigenvalues_match_sympy_eigenvects():
+    pytest.importorskip("sympy")
+    rng = random.Random(13)
+    for _ in range(20):
+        n = rng.randint(1, 6)
+        vals = [Fraction(rng.randint(-4, 4), rng.choice([1, 2, 3])) for _ in range(n)]
+        g = QMatrix.identity(n)
+        while g.det() == 0:
+            g = QMatrix.from_rows([[Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                                    for _ in range(n)] for _ in range(n)])
+        M = g * QMatrix.diag(vals) * g.inverse()
+        theirs = sorted(_to_sympy(M.row_lists(), n).eigenvects(),
+                        key=lambda t: t[0], reverse=True)
+        ours = rational_eigenvalues(M)
+        assert [lam for lam, _ in ours] == [Fraction(int(v.p), int(v.q))
+                                            for v, _, _ in theirs]
+        for (_, space), (_, mult, vecs) in zip(ours, theirs):
+            assert space.dim == mult == len(vecs)
+            assert space == Subspace(n, [_from_sympy(v.T)[0] for v in vecs])
 
 
 # -- skew tools ---------------------------------------------------------------

@@ -6,9 +6,11 @@ import pytest
 from whitforge.errors import NoSolutionError, NotNilpotent, WrongPartition
 from whitforge.exactq import QMatrix
 from whitforge.orbits import (J_eta, J_eta_a, SlOrbitClass, h_eta,
-                              integer_nth_root, is_dth_power, is_neutral_pair, jordan_conjugator,
+                              integer_nth_root, is_dth_power, is_neutral_pair,
+                              jordan_chain_basis, jordan_conjugator,
                               jordan_partition, neutral_for, power_class,
                               sl2_complete, sl_class, standard_rep)
+from whitforge.partitions import partitions_of
 
 from conftest import E, random_invertible, random_nilpotent, random_unimodular
 
@@ -39,6 +41,76 @@ def test_jordan_partition_zero():
 def test_jordan_partition_rejects_non_nilpotent():
     with pytest.raises(NotNilpotent):
         jordan_partition(QMatrix.identity(2))
+
+
+# rank sequences of the powers that stall above 0
+STALLED = {
+    "invertible": QMatrix.identity(3),
+    "E11": E(2, 1, 1),
+    "E21+E12": E(2, 2, 1) + E(2, 1, 2),
+    "J2+[1]": E(3, 2, 1) + E(3, 3, 3),      # ranks 3, 2, 1, 1, ...
+}
+
+JORDAN_ANALYSES = {
+    "jordan_partition": jordan_partition,
+    "jordan_chain_basis": jordan_chain_basis,
+    "jordan_chain_basis_reverse": lambda N: jordan_chain_basis(N, order="reverse"),
+    "jordan_conjugator": lambda N: jordan_conjugator(N, (N.rows,)),
+    "sl_class": sl_class,
+}
+
+
+@pytest.mark.parametrize("name", sorted(STALLED))
+@pytest.mark.parametrize("analysis", sorted(JORDAN_ANALYSES))
+def test_stalled_kernel_filtration_is_not_nilpotent(name, analysis):
+    with pytest.raises(NotNilpotent):
+        JORDAN_ANALYSES[analysis](STALLED[name])
+
+
+def test_jordan_partition_multiplies_no_matrices(rng, monkeypatch):
+    # each power's rows are the previous echelon rows times N
+    cases = [random_nilpotent(rng.randint(1, 7), rng) for _ in range(10)]
+    expected = [jordan_partition(N) for N in cases]
+
+    def no_matmul(self, other):
+        raise AssertionError("matrix product in the Jordan analysis")
+    monkeypatch.setattr(QMatrix, "__mul__", no_matmul)
+    assert [jordan_partition(N) for N in cases] == expected
+
+
+def _rational_invertible(n, rng):
+    while True:
+        g = QMatrix.from_rows([[Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                                for _ in range(n)] for _ in range(n)])
+        if g.det():
+            return g
+
+
+def _sympy_block_sizes(N):
+    sympy = pytest.importorskip("sympy")
+    M = sympy.Matrix(N.rows, N.cols, [sympy.Rational(x.numerator, x.denominator)
+                                      for x in N.entries])
+    J = M.jordan_form(calc_transform=False)
+    sizes, run = [], 1
+    for i in range(N.rows - 1):
+        if J[i, i + 1] == 1:
+            run += 1
+        else:
+            sizes.append(run)
+            run = 1
+    sizes.append(run)
+    return tuple(sorted(sizes, reverse=True))
+
+
+def test_jordan_partition_matches_sympy_jordan_form():
+    pytest.importorskip("sympy")
+    rng = random.Random(12)
+    for _ in range(30):
+        n = rng.randint(1, 8)
+        mu = rng.choice(list(partitions_of(n)))
+        g = _rational_invertible(n, rng)
+        N = g * J_eta(mu) * g.inverse()
+        assert jordan_partition(N) == _sympy_block_sizes(N) == mu
 
 
 # -- jordan_conjugator ----------------------------------------------------------

@@ -427,6 +427,38 @@ def test_quasi_model_remark_smallest_eigenvalue():
     assert scaled == qm["v"]
 
 
+def _count_eigen(monkeypatch):
+    calls = []
+    real = whitpair.rational_eigenvalues
+
+    def counting(M):
+        calls.append(M)
+        return real(M)
+    monkeypatch.setattr(whitpair, "rational_eigenvalues", counting)
+    return calls
+
+
+def test_pair_and_model_data_decompose_s_once(monkeypatch):
+    calls = _count_eigen(monkeypatch)
+    S, f = QMatrix.diag([3, 1, -1, -3]), E(4, 2, 1) + E(4, 4, 3)
+    pair = WhittakerPair(4, S, f)
+    md = model_data(pair)
+    assert len(calls) == 1
+    assert md["u"] == graded_space(S, lambda r: r >= 1)
+    # the kept eigen-decomposition is neither compared nor printed
+    assert pair == WhittakerPair(4, S, f) and "eigen" not in repr(pair)
+
+
+def test_triple_and_quasi_model_data_reuse_the_pairs_decomposition(monkeypatch):
+    calls = _count_eigen(monkeypatch)
+    S3 = QMatrix.diag([1, -1, 4, 2])
+    qm = quasi_model_data(WhittakerTriple(
+        WhittakerPair(4, S3, E(4, 2, 1) + E(4, 4, 3)), E(4, 1, 4)))
+    assert len(calls) == 1
+    for name, pred in (("u", lambda r: r >= 1), ("v", lambda r: r > 1)):
+        assert qm[name] == graded_space(S3, pred)
+
+
 def test_triple_rejects_low_weights():
     pair = glsame_pair()
     with pytest.raises(VerificationError):
