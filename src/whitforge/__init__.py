@@ -17,10 +17,11 @@ from .orbits import (SlOrbitClass, StandardRep, J_eta, J_eta_a, h_eta,
                      is_dth_power, is_neutral_pair, jordan_conjugator,
                      jordan_partition, neutral_for, power_class, sl2_complete,
                      sl_class, standard_rep)
-from .whitpair import (BiGrading, ChainCertificate, DeformationSnapshot,
+from .whitpair import (ChainCertificate, DeformationSnapshot, Grading,
                        WhittakerPair, WhittakerTriple, bigrading, chain,
-                       critical_numbers, find_Z, model_data, quasi_criticals,
-                       quasi_model_data, snapshot, weight_components)
+                       critical_numbers, find_Z, grading, model_data,
+                       quasi_criticals, quasi_model_data, snapshot,
+                       weight_components)
 from .deform import (ComparCertificate, ConditionNotMet,
                      DeformationCertificate, compar_certificate, deform_gl,
                      deform_sl, two_blocks)

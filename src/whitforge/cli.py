@@ -243,9 +243,7 @@ def _run_fixture(fx):
         weight_pairs = {}
         for i in range(1, n + 1):
             for j in range(1, n + 1):
-                E = QMatrix.elementary(n, i, j)
-                key = next((a, b) for (a, b), sp in bg.components.items()
-                           if sp.member(E.flat()))
+                (key,) = bg.terms(QMatrix.elementary(n, i, j))
                 weight_pairs[f"E{i}{j}"] = [rat_str(key[0]), rat_str(key[1])]
         return {
             "criticals": [rat_str(t) for t in cert.criticals],

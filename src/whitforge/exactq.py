@@ -382,6 +382,18 @@ def _kernel_rows(rows, n_cols):
     return _kernel_of_rref(red, piv, n_cols)
 
 
+def _combine(coeffs, basis):
+    """The linear combination sum c_i basis[i] of a nonempty basis, touching
+    only nonzero coefficients and nonzero entries."""
+    out = [_ZERO] * len(basis[0])
+    for c, v in zip(coeffs, basis):
+        if c:
+            for t, x in enumerate(v):
+                if x:
+                    out[t] += c * x
+    return out
+
+
 @dataclass(frozen=True)
 class RrefResult:
     echelon: QMatrix
@@ -464,15 +476,8 @@ class Subspace:
         for c in range(self.ambient_dim):
             rows.append([self.basis[i][c] for i in range(k)]
                         + [-other.basis[j][c] for j in range(m)])
-        vecs = []
-        for kv in _kernel_rows(rows, k + m):
-            v = [Fraction(0)] * self.ambient_dim
-            for i in range(k):
-                if kv[i]:
-                    for c in range(self.ambient_dim):
-                        v[c] += kv[i] * self.basis[i][c]
-            vecs.append(v)
-        return Subspace(self.ambient_dim, vecs)
+        return Subspace(self.ambient_dim, [_combine(kv[:k], self.basis)
+                                           for kv in _kernel_rows(rows, k + m)])
 
     def member(self, vector):
         """Reduce the vector against the echelon basis; a member leaves 0."""
@@ -644,15 +649,7 @@ def skew_tools(f, W, task):
     if task == "gram":
         return QMatrix.from_rows(gram) if gram else QMatrix.zeros(0, 0)
     kern = _kernel_rows(gram, len(gram)) if gram else []
-    rad_vecs = []
-    for kv in kern:
-        v = [Fraction(0)] * W.ambient_dim
-        for i, c in enumerate(kv):
-            if c:
-                for t in range(W.ambient_dim):
-                    v[t] += c * W.basis[i][t]
-        rad_vecs.append(v)
-    radical = Subspace(W.ambient_dim, rad_vecs)
+    radical = Subspace(W.ambient_dim, [_combine(kv, W.basis) for kv in kern])
     if task == "radical":
         return radical
     if task != "lagrangian":
@@ -694,11 +691,7 @@ def _lagrangian(f, W, radical):
                                for i in range(len(W.basis))]
         added = False
         for cv in perp_coeffs:
-            v = [Fraction(0)] * W.ambient_dim
-            for i, c in enumerate(cv):
-                if c:
-                    for t in range(W.ambient_dim):
-                        v[t] += c * W.basis[i][t]
+            v = _combine(cv, W.basis)
             if any(v) and not span.member(v):
                 add(v)
                 span = Subspace(W.ambient_dim, cur)

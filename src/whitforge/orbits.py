@@ -148,9 +148,17 @@ def jordan_chain_basis(N, order="forward"):
 def jordan_conjugator(N, eta, order="forward"):
     """Invertible g over Q with g N g^{-1} = J_eta exactly.  eta must be a
     composition whose sorted form is the Jordan type of N."""
-    eta = tuple(int(k) for k in eta)
+    return _conjugator(N, tuple(int(k) for k in eta), order)[1]
+
+
+def _conjugator(N, eta=None, order="forward"):
+    """(lam, g): the Jordan type lam of N, read off the chain lengths of one
+    jordan_chain_basis, and g with g N g^{-1} = J_eta, whose inverse has the
+    chains as columns in the order eta lists their lengths (eta = lam when
+    not given)."""
     chains = jordan_chain_basis(N, order=order)
     lam = tuple(sorted((len(ch) for ch in chains), reverse=True))
+    eta = lam if eta is None else eta
     if tuple(sorted(eta, reverse=True)) != lam:
         raise WrongPartition(f"jordan type is {lam}, not {tuple(sorted(eta, reverse=True))}")
     pool = {}
@@ -164,7 +172,7 @@ def jordan_conjugator(N, eta, order="forward"):
     g = B.inverse()
     if g * N * B != J_eta(eta):
         raise InternalCheckFailure("jordan conjugator: g N g^-1 = J_eta fails")
-    return g
+    return lam, g
 
 
 # ---------------------------------------------------------------------------
@@ -195,12 +203,10 @@ def sl2_complete(f, h):
 def neutral_for(f, order="forward"):
     """A neutral element h for the nilpotent f, built by transporting the
     standard h_eta through a Jordan conjugator."""
-    eta = jordan_partition(f)
+    eta, g = _conjugator(f, order=order)
     if not eta:
         raise DimensionMismatch("empty matrix")
-    g = jordan_conjugator(f, eta, order=order)
-    h = g.inverse() * h_eta(eta) * g
-    return h
+    return g.inverse() * h_eta(eta) * g
 
 
 def is_neutral_pair(h, f):
@@ -322,9 +328,8 @@ class SlOrbitClass:
 def sl_class(N):
     """SL_n orbit invariant of a nilpotent N: the partition plus the class of
     det(g)^{-1} modulo d-th powers, where g N g^{-1} = J_lambda."""
-    lam = jordan_partition(N)
+    lam, g = _conjugator(N)
     if not lam:
         raise DimensionMismatch("empty matrix")
-    g = jordan_conjugator(N, lam)
     d = math.gcd(*lam)
     return SlOrbitClass(lam, d, power_class(1 / g.det(), d))

@@ -1,8 +1,15 @@
-"""Whittaker pairs, triples and the deformation machinery: bi-gradings,
+"""Whittaker pairs, triples and the deformation machinery: gradings,
 critical and quasi-critical numbers, filtration snapshots u_t/v_t/w_t with
 radicals and the two canonical maximal isotropic subalgebras l_t/r_t, chain
 certificates with obstruction spaces, and the degenerate / quasi model
 subgroup data.
+
+Every weight condition goes through one `Grading`: gl_n graded by commuting
+rational semisimple matrices, from a joint eigenbasis P of Q^n.  A Whittaker
+pair is graded by S alone (weights r, predicates `lambda r: ...`); the chain
+is bigraded by (h, Z) with S_t = h + tZ (weights (alpha, beta), predicates
+`lambda a, b: ...`), so the ad(S_t)-weight of a component is alpha + t beta.
+A weight space is echelonized the first time a predicate selects it.
 
 Convention used throughout (stated once): a functional phi is realized as the
 matrix f with phi(X) = trace(f X); then ad*-weights of phi equal ad-weights of
@@ -14,16 +21,16 @@ from fractions import Fraction
 
 from .errors import (DimensionMismatch, InternalCheckFailure, NotCommuting,
                      ShapeViolation, VerificationError)
-from .exactq import (NO_SOLUTION, QMatrix, Subspace, _kernel_rows, _rref_rows,
+from .exactq import (QMatrix, Subspace, _combine, _kernel_rows, _rref_rows,
                      _trace_pairing, ad_matrix, rat_str, rational_eigenvalues,
                      rref_solve, skew_tools)
 from .orbits import is_neutral_pair, jordan_partition, sl2_complete
 
 __all__ = [
-    "WhittakerPair", "WhittakerTriple", "BiGrading", "DeformationSnapshot",
+    "WhittakerPair", "WhittakerTriple", "Grading", "DeformationSnapshot",
     "ChainCertificate", "weight_components", "find_Z", "is_neutral_pair",
-    "bigrading", "critical_numbers", "quasi_criticals", "snapshot", "chain",
-    "model_data", "quasi_model_data",
+    "grading", "bigrading", "critical_numbers", "quasi_criticals", "snapshot",
+    "chain", "model_data", "quasi_model_data",
 ]
 
 
@@ -48,28 +55,102 @@ def _sparse_bracket(X, Y, n):
 
 
 # ---------------------------------------------------------------------------
-# weight decompositions
+# gradings
 
 
-def _eigenbasis(eig):
-    """Columns P of the eigenbasis listed by rational_eigenvalues output
-    `eig`, P^{-1}, and the eigenvalue labelling each column."""
-    P = QMatrix.from_rows([list(v) for _, sp in eig for v in sp.basis]).transpose()
-    labels = [lam for lam, sp in eig for _ in sp.basis]
-    return P, P.inverse(), labels
+@dataclass(frozen=True)
+class Grading:
+    """gl_n graded by commuting rational semisimple matrices M_1, ..., M_k.
+    The columns of P are joint eigenvectors and labels[i] is the tuple of
+    eigenvalues of column i, so P E_ij P^{-1} has weight labels[i] - labels[j]:
+    one eigenvalue of ad M_1, ..., ad M_k per entry."""
+    P: QMatrix
+    Pinv: QMatrix
+    labels: tuple
+    # weight -> the (i, j) whose P E_ij P^{-1} have that weight
+    _cells: dict = field(init=False, repr=False, compare=False)
+    # weight -> its weight space, echelonized on first use
+    _spaces: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
+
+    def __post_init__(self):
+        cells = {}
+        for i, a in enumerate(self.labels):
+            for j, b in enumerate(self.labels):
+                w = tuple(x - y for x, y in zip(a, b))
+                cells.setdefault(w, []).append((i, j))
+        object.__setattr__(self, "_cells", cells)
+
+    @property
+    def weights(self):
+        """The weights that occur, sorted."""
+        return tuple(sorted(self._cells))
+
+    def component(self, w):
+        """The weight space of weight w in flattened gl_n."""
+        if w not in self._spaces:
+            cols = self.P.transpose().row_lists()
+            rows = self.Pinv.row_lists()
+            self._spaces[w] = Subspace(self.P.rows ** 2,
+                                       [[x * y for x in cols[i] for y in rows[j]]
+                                        for i, j in self._cells.get(w, ())])
+        return self._spaces[w]
+
+    def space(self, predicate):
+        """Echelonized sum of the weight spaces whose weight satisfies the
+        predicate, which gets one argument per grading matrix."""
+        return Subspace(self.P.rows ** 2,
+                        [v for w in self._cells if predicate(*w)
+                         for v in self.component(w).basis])
+
+    def terms(self, M):
+        """{w: [(i, j, c)]}: the nonzero entries c of M in the eigenbasis,
+        grouped by their weight w."""
+        Mt = self.Pinv * M * self.P
+        out = {}
+        for w, cells in self._cells.items():
+            found = [(i, j, Mt[i, j]) for i, j in cells if Mt[i, j]]
+            if found:
+                out[w] = found
+        return out
 
 
-def _weight_terms(eigenbasis, M):
-    """{r: [(i, j, c)]}: the nonzero entries c of M in the eigenbasis,
-    grouped by their ad(S)-weight r."""
-    P, Pinv, labels = eigenbasis
-    Mt = Pinv * M * P
-    comps = {}
-    for i, a in enumerate(labels):
-        for j, b in enumerate(labels):
-            if Mt[i, j]:
-                comps.setdefault(a - b, []).append((i, j, Mt[i, j]))
-    return comps
+def grading(*Ms):
+    """The joint eigenspace grading of gl_n under commuting rational
+    semisimple n x n matrices.  Each matrix in turn splits every joint
+    eigenspace found so far, by the rational eigenvalues of its restriction;
+    a block's basis is echelonized, so the restriction's coordinates are the
+    image's entries at the block's pivots."""
+    n = Ms[0].rows
+    for i, A in enumerate(Ms):
+        for B in Ms[i + 1:]:
+            if not A.bracket(B).is_zero():
+                raise NotCommuting("the grading matrices do not commute")
+    blocks = [((), Subspace(n, QMatrix.identity(n).row_lists()))]
+    for M in Ms:
+        split = []
+        for label, block in blocks:
+            images = [M.matvec(v) for v in block.basis]
+            k = block.dim
+            small = QMatrix._trusted(k, k, [images[c][p] for p in block.pivots
+                                            for c in range(k)])
+            for lam, sp in rational_eigenvalues(small):
+                split.append((label + (lam,), Subspace(
+                    n, [_combine(c, block.basis) for c in sp.basis])))
+        blocks = split
+    cols = [(label, v) for label, block in blocks for v in block.basis]
+    if any(M.matvec(v) != [lam * x for x in v]
+           for label, v in cols for M, lam in zip(Ms, label)):
+        raise InternalCheckFailure(
+            "grading: a basis vector is not a joint eigenvector")
+    P = QMatrix._trusted(n, n, [v[r] for r in range(n) for _, v in cols])
+    return Grading(P, P.inverse(), tuple(label for label, _ in cols))
+
+
+def bigrading(h, Z):
+    """Joint (ad h, ad Z)-eigenspace decomposition of gl_n; weights are
+    pairs (alpha, beta)."""
+    return grading(h, Z)
 
 
 def weight_components(S, M):
@@ -77,34 +158,20 @@ def weight_components(S, M):
     n = S.rows
     if M.rows != n or M.cols != n or S.cols != n:
         raise DimensionMismatch("S, M must be square of equal size")
-    P, Pinv, _ = eb = _eigenbasis(rational_eigenvalues(S))
+    g = grading(S)
     out = {}
-    for r, terms in sorted(_weight_terms(eb, M).items()):
+    for (r,), terms in sorted(g.terms(M).items()):
         ent = [Fraction(0)] * (n * n)
         for (i, j, c) in terms:
             ent[i * n + j] = c
-        out[r] = P * QMatrix(n, n, ent) * Pinv
+        out[r] = g.P * QMatrix(n, n, ent) * g.Pinv
     return out
 
 
 def graded_space(S, predicate):
     """Subspace of flattened gl_n spanned by the ad(S)-weight spaces whose
     weight satisfies the predicate."""
-    return _graded(_eigenbasis(rational_eigenvalues(S)), predicate)
-
-
-def _graded(eigenbasis, predicate):
-    """graded_space for the S whose _eigenbasis is given."""
-    P, Pinv, labels = eigenbasis
-    n = P.rows
-    Pl = P.row_lists()
-    Pil = Pinv.row_lists()
-    vecs = []
-    for i, a in enumerate(labels):
-        for j, b in enumerate(labels):
-            if predicate(a - b):
-                vecs.append([Pl[r][i] * Pil[j][c] for r in range(n) for c in range(n)])
-    return Subspace(n * n, vecs)
+    return grading(S).space(predicate)
 
 
 # ---------------------------------------------------------------------------
@@ -118,14 +185,14 @@ class WhittakerPair:
     n: int
     S: QMatrix
     f: QMatrix
-    # rational_eigenvalues(S), computed once by the validation
-    eigen: tuple = field(init=False, repr=False, compare=False)
+    # grading(S), built once by the validation
+    grading: Grading = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if (self.S.rows, self.S.cols) != (self.n, self.n) or \
            (self.f.rows, self.f.cols) != (self.n, self.n):
             raise DimensionMismatch("S, f must be n x n")
-        object.__setattr__(self, "eigen", tuple(rational_eigenvalues(self.S)))
+        object.__setattr__(self, "grading", grading(self.S))
         if self.S.bracket(self.f) != self.f.scale(-2):
             raise VerificationError("[S, f] != -2 f; not a Whittaker pair")
         jordan_partition(self.f)   # raises NotNilpotent if f is not
@@ -143,32 +210,13 @@ class WhittakerTriple:
         n = self.pair.n
         if (self.f_prime.rows, self.f_prime.cols) != (n, n):
             raise DimensionMismatch("f_prime must be n x n")
-        for r in sorted(_weight_terms(_eigenbasis(self.pair.eigen), self.f_prime)):
+        for (r,) in sorted(self.pair.grading.terms(self.f_prime)):
             if r <= -2:
                 raise VerificationError(
                     f"f_prime has an ad(S)-weight component at {rat_str(r)} <= -2")
 
     def to_json(self):
         return {"pair": self.pair.to_json(), "f_prime": self.f_prime.to_json()}
-
-
-@dataclass(frozen=True)
-class BiGrading:
-    """Joint eigenspace decomposition of gl_n under two commuting rational
-    semisimple matrices; components keyed by the weight pair (alpha, beta)."""
-    h: QMatrix
-    Z: QMatrix
-    components: dict    # (alpha, beta) -> Subspace of flattened gl_n
-
-    def space(self, predicate):
-        """Echelonized sum of all components whose (alpha, beta) satisfies
-        the predicate."""
-        n2 = self.h.rows ** 2
-        vecs = []
-        for (a, b), sp in self.components.items():
-            if predicate(a, b):
-                vecs.extend(sp.basis)
-        return Subspace(n2, vecs)
 
 
 @dataclass(frozen=True)
@@ -244,58 +292,6 @@ def find_Z(pair):
     return h, Z
 
 
-def _joint_eigenbasis(h, Z):
-    """Columns P of a joint eigenbasis of Q^n for commuting rational
-    semisimple h, Z, with per-column labels (a_i, b_i)."""
-    n = h.rows
-    if h.bracket(Z) != QMatrix.zeros(n):
-        raise NotCommuting("[h, Z] != 0")
-    cols = []
-    labels = []
-    for a, sp in rational_eigenvalues(h):
-        basis = [list(v) for v in sp.basis]
-        k = len(basis)
-        # restrict Z to this eigenspace
-        Bt = QMatrix.from_rows(basis).transpose()     # n x k
-        small_cols = []
-        for v in basis:
-            target = Z.matvec(v)
-            res = rref_solve(Bt, target)
-            if res.solution is NO_SOLUTION:
-                raise InternalCheckFailure(
-                    "joint eigenbasis: Z does not preserve an h-eigenspace")
-            small_cols.append(list(res.solution))
-        Zsmall = QMatrix.from_rows([[small_cols[j][i] for j in range(k)]
-                                    for i in range(k)])
-        for b, spz in rational_eigenvalues(Zsmall):
-            for coeff in spz.basis:
-                vec = [Fraction(0)] * n
-                for ci, c in enumerate(coeff):
-                    if c:
-                        for t in range(n):
-                            vec[t] += c * basis[ci][t]
-                cols.append(vec)
-                labels.append((a, b))
-    P = QMatrix.from_rows([[cols[j][i] for j in range(len(cols))]
-                           for i in range(n)])
-    return P, P.inverse(), labels
-
-
-def bigrading(h, Z):
-    """Joint (ad h, ad Z)-eigenspace decomposition of gl_n."""
-    n = h.rows
-    P, Pinv, labels = _joint_eigenbasis(h, Z)
-    Pl, Pil = P.row_lists(), Pinv.row_lists()
-    comps = {}
-    for i, (ai, bi) in enumerate(labels):
-        for j, (aj, bj) in enumerate(labels):
-            key = (ai - aj, bi - bj)
-            vec = [Pl[r][i] * Pil[j][c] for r in range(n) for c in range(n)]
-            comps.setdefault(key, []).append(vec)
-    components = {key: Subspace(n * n, vecs) for key, vecs in comps.items()}
-    return BiGrading(h, Z, components)
-
-
 def _check_pair_data(h, Z, f):
     n = h.rows
     if Z.bracket(f) != QMatrix.zeros(n):
@@ -316,7 +312,7 @@ def critical_numbers(h, Z, f):
 def _critical_values(bg):
     """critical_numbers read off an already built bigrading."""
     crits = {Fraction(0)}
-    for (a, b) in bg.components:
+    for (a, b) in bg.weights:
         if b != 0:
             t = (1 - a) / b
             if t > 0:
@@ -339,7 +335,7 @@ def quasi_criticals(S, f, h):
         raise VerificationError("h is not neutral for f")
     bg = bigrading(h, Z)
     vals = set()
-    for (a, b) in bg.components:
+    for (a, b) in bg.weights:
         if b != 0:
             t = (2 - a) / b
             if t > 1:
@@ -465,23 +461,15 @@ def _functional_kernel(space, f, n):
         return space
     pair = _trace_pairing(f.entries, n)
     vals = [pair(v) for v in space.basis]
-    coeffs = _kernel_rows([vals], len(vals))
-    vecs = []
-    for cv in coeffs:
-        vec = [Fraction(0)] * (n * n)
-        for i, c in enumerate(cv):
-            if c:
-                for t in range(n * n):
-                    vec[t] += c * space.basis[i][t]
-        vecs.append(vec)
-    return Subspace(n * n, vecs)
+    return Subspace(n * n, [_combine(cv, space.basis)
+                            for cv in _kernel_rows([vals], len(vals))])
 
 
 def model_data(pair):
     """Degenerate-model nilpotent data at S itself: u = g^S_{>=1}, the radical
     n of omega_phi on u, and n' = n cap Ker(phi)."""
     f, n = pair.f, pair.n
-    u = _graded(_eigenbasis(pair.eigen), lambda r: r >= 1)
+    u = pair.grading.space(lambda r: r >= 1)
     n_rad = skew_tools(f, u, "radical")
     n_prime = _functional_kernel(n_rad, f, n)
     return {"u": u, "n_rad": n_rad, "n_prime": n_prime}
@@ -494,10 +482,10 @@ def quasi_model_data(triple):
     on [u,u]."""
     pair, fp = triple.pair, triple.f_prime
     f, n = pair.f, pair.n
-    eb = _eigenbasis(pair.eigen)
-    u = _graded(eb, lambda r: r >= 1)
-    v = _graded(eb, lambda r: r > 1)
-    w = _graded(eb, lambda r: r == 1)
+    g = pair.grading
+    u = g.space(lambda r: r >= 1)
+    v = g.space(lambda r: r > 1)
+    w = g.space(lambda r: r == 1)
     z = v.sum(w.intersect(_centralizer(f)))
     k = _functional_kernel(z, f + fp, n)
     sparse_u = [_sparse(list(vec), n) for vec in u.basis]

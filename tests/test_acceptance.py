@@ -69,8 +69,8 @@ def test_criterion_1_glsame_bit_exact():
         }
         bg = bigrading(cert.h, cert.Z)
         for (i, j), key in expected.items():
-            space = bg.components[key]
-            assert space.member(flat(E(4, i, j)))
+            assert bg.component(key).member(flat(E(4, i, j)))
+            assert list(bg.terms(E(4, i, j))) == [key]
 
 
 def test_criterion_2_gl6_quasi_criticals():

@@ -70,14 +70,15 @@ def test_orbit_classify_cli(capsys):
     assert doc["partition"] == [3, 1]
 
 
-def test_orbit_classify_runs_one_jordan_partition(capsys, monkeypatch):
+def test_orbit_classify_builds_one_kernel_filtration(capsys, monkeypatch):
+    # the partition and the conjugator both come from one Jordan chain basis
     calls = []
-    real = orbits.jordan_partition
+    real = orbits._power_kernels
 
     def counting(N):
         calls.append(N)
         return real(N)
-    monkeypatch.setattr(orbits, "jordan_partition", counting)
+    monkeypatch.setattr(orbits, "_power_kernels", counting)
     code, out, _ = run_cli(capsys, "orbit-classify", "--matrix", "E21+E43+E42")
     assert code == 0 and json.loads(out)["partition"] == [3, 1]
     assert len(calls) == 1

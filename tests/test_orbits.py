@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from whitforge import orbits
 from whitforge.errors import NoSolutionError, NotNilpotent, WrongPartition
 from whitforge.exactq import QMatrix
 from whitforge.orbits import (J_eta, J_eta_a, SlOrbitClass, h_eta,
@@ -202,6 +203,20 @@ def test_neutral_for_two_chain_orders_both_pass(rng):
         h2 = neutral_for(f, order="reverse")
         assert is_neutral_pair(h1, f)
         assert is_neutral_pair(h2, f)
+
+
+@pytest.mark.parametrize("order", ["forward", "reverse"])
+def test_neutral_for_builds_one_kernel_filtration(monkeypatch, order):
+    calls = []
+    real = orbits._power_kernels
+
+    def counting(N):
+        calls.append(N)
+        return real(N)
+    monkeypatch.setattr(orbits, "_power_kernels", counting)
+    f = E(4, 2, 1) + E(4, 4, 3) + E(4, 4, 2)
+    assert is_neutral_pair(neutral_for(f, order=order), f)
+    assert len(calls) == 1
 
 
 def test_is_neutral_pair_rejects():

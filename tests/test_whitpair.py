@@ -5,17 +5,20 @@ from fractions import Fraction
 import pytest
 
 from whitforge import whitpair
-from whitforge.errors import (NotCommuting, NotRationalSplit, ShapeViolation,
+from whitforge.errors import (InternalCheckFailure, NotCommuting,
+                              NotRationalSplit, ShapeViolation,
                               VerificationError)
-from whitforge.exactq import (QMatrix, Subspace, _rref_rows, rat_str,
-                              rational_eigenvalues, rref_solve)
+from whitforge.exactq import (QMatrix, Subspace, _kernel_rows, _rref_rows,
+                              rat_str, rational_eigenvalues, rref_solve)
 from whitforge.orbits import is_neutral_pair, neutral_for, sl2_complete
 from whitforge.whitpair import (WhittakerPair, WhittakerTriple, ad_matrix,
                                 bigrading, chain, critical_numbers, find_Z,
-                                graded_space, model_data, quasi_criticals,
-                                quasi_model_data, snapshot, weight_components)
+                                graded_space, grading, model_data,
+                                quasi_criticals, quasi_model_data, snapshot,
+                                weight_components)
 
-from conftest import E, random_nilpotent, random_whittaker_pair
+from conftest import (E, random_nilpotent, random_unimodular,
+                      random_whittaker_pair)
 
 
 def glsame_pair():
@@ -180,26 +183,122 @@ def test_neutral_characterizations_agree_on_500_randoms():
 
 def test_bigrading_glsame_entries():
     bg = bigrading(QMatrix.diag([1, -1, 1, -1]), QMatrix.diag([2, 2, -2, -2]))
-    def key_of(M):
-        return next(k for k, sp in bg.components.items() if sp.member(flat(M)))
-    assert key_of(E(4, 1, 3)) == (0, 4)
-    assert key_of(E(4, 1, 4)) == (2, 4)
+    assert list(bg.terms(E(4, 1, 3))) == [(0, 4)]
+    assert list(bg.terms(E(4, 1, 4))) == [(2, 4)]
+    assert bg.component((0, 4)).member(flat(E(4, 1, 3)))
+    assert bg.component((2, 4)).member(flat(E(4, 1, 4)))
 
 
 def test_bigrading_z_zero():
     bg = bigrading(QMatrix.diag([1, -1]), QMatrix.zeros(2))
-    assert all(b == 0 for (_, b) in bg.components)
+    assert all(b == 0 for (_, b) in bg.weights)
 
 
 def test_bigrading_h_zero():
     bg = bigrading(QMatrix.zeros(2), QMatrix.diag([1, -1]))
-    key = next(k for k, sp in bg.components.items() if sp.member(flat(E(2, 1, 2))))
-    assert key == (0, 2)
+    assert list(bg.terms(E(2, 1, 2))) == [(0, 2)]
+    assert bg.component((0, 2)).member(flat(E(2, 1, 2)))
 
 
 def test_bigrading_requires_commuting():
     with pytest.raises(NotCommuting):
         bigrading(QMatrix.diag([1, -1]), E(2, 1, 2) + E(2, 2, 1))
+    with pytest.raises(NotCommuting):
+        grading(E(3, 1, 2), QMatrix.diag([1, 0, 0]))
+
+
+def test_bigrading_requires_rational_semisimple():
+    # ad h = 0 leaves one block, on which Z = E12 is nilpotent
+    with pytest.raises(NotRationalSplit):
+        bigrading(QMatrix.zeros(2), E(2, 1, 2))
+
+
+def _weight_space_oracle(Ms, w):
+    """Kernel of the stacked [ad M_1 - w_1; ...; ad M_k - w_k]."""
+    rows = []
+    for M, x in zip(Ms, w):
+        A = ad_matrix(M).row_lists()
+        for i, row in enumerate(A):
+            row[i] -= x
+        rows += A
+    return Subspace(Ms[0].rows ** 2, _kernel_rows(rows, Ms[0].rows ** 2))
+
+
+def _conjugated_diagonals(n, k, rng):
+    """k commuting rational semisimple g D_i g^{-1} with diagonal D_i drawn
+    from few values, and the diagonals themselves."""
+    g = random_unimodular(n, rng)
+    gi = g.inverse()
+    diags = [[Fraction(rng.randint(-2, 2), rng.choice([1, 2])) for _ in range(n)]
+             for _ in range(k)]
+    return [g * QMatrix.diag(d) * gi for d in diags], diags
+
+
+def _check_against_oracle(grad, Ms, diags, rng):
+    n = Ms[0].rows
+    candidates = {tuple(d[i] - d[j] for d in diags)
+                  for i in range(n) for j in range(n)}
+    oracle = {w: _weight_space_oracle(Ms, w) for w in candidates}
+    # the candidate kernels fill gl_n, so no other weight occurs
+    assert sum(sp.dim for sp in oracle.values()) == n * n
+    assert set(grad.weights) == {w for w, sp in oracle.items() if sp.dim}
+    for w in grad.weights:
+        assert grad.component(w) == oracle[w]
+    # terms(M) splits a random M into homogeneous parts that sum to M
+    M = QMatrix.from_rows([[Fraction(rng.randint(-2, 2)) for _ in range(n)]
+                           for _ in range(n)])
+    total = QMatrix.zeros(n)
+    for w, terms in grad.terms(M).items():
+        ent = [Fraction(0)] * (n * n)
+        for i, j, c in terms:
+            ent[i * n + j] = c
+        part = grad.P * QMatrix(n, n, ent) * grad.Pinv
+        assert not part.is_zero() and oracle[w].member(part.flat())
+        total = total + part
+    assert total == M
+    return oracle
+
+
+def test_bigrading_matches_kernel_oracle(rng):
+    for n in range(2, 7):
+        for _ in range(3):
+            (h, Z), diags = _conjugated_diagonals(n, 2, rng)
+            bg = bigrading(h, Z)
+            oracle = _check_against_oracle(bg, (h, Z), diags, rng)
+            t = Fraction(rng.randint(0, 4), 3)
+            expect = Subspace(n * n, [v for (a, b), sp in oracle.items()
+                                      if a + t * b >= 1 for v in sp.basis])
+            assert bg.space(lambda a, b: a + t * b >= 1) == expect
+
+
+def test_grading_of_s_matches_kernel_oracle(rng):
+    for n in range(2, 7):
+        for _ in range(3):
+            (S,), diags = _conjugated_diagonals(n, 1, rng)
+            oracle = _check_against_oracle(grading(S), (S,), diags, rng)
+            for pred in (lambda r: r >= 1, lambda r: r == 1, lambda r: r < 0):
+                expect = Subspace(n * n, [v for (r,), sp in oracle.items()
+                                          if pred(r) for v in sp.basis])
+                assert graded_space(S, pred) == expect
+
+
+def test_grading_builds_only_the_selected_weight_spaces():
+    g = grading(QMatrix.diag([3, 1, -1, -3]))
+    assert g.component((6,)) == Subspace(16, [flat(E(4, 1, 4))])
+    assert g.component((5,)).dim == 0
+    g = grading(QMatrix.diag([3, 1, -1, -3]))
+    g.space(lambda r: r >= 4)
+    assert set(g._spaces) == {(4,), (6,)}
+
+
+def test_grading_checks_every_joint_eigenvector(monkeypatch):
+    real = whitpair.rational_eigenvalues
+
+    def shifted(M):
+        return [(lam + 1, sp) for lam, sp in real(M)]
+    monkeypatch.setattr(whitpair, "rational_eigenvalues", shifted)
+    with pytest.raises(InternalCheckFailure, match="joint eigenvector"):
+        bigrading(QMatrix.diag([1, -1]), QMatrix.diag([2, 2]))
 
 
 # -- critical numbers -------------------------------------------------------------
@@ -445,8 +544,8 @@ def test_pair_and_model_data_decompose_s_once(monkeypatch):
     md = model_data(pair)
     assert len(calls) == 1
     assert md["u"] == graded_space(S, lambda r: r >= 1)
-    # the kept eigen-decomposition is neither compared nor printed
-    assert pair == WhittakerPair(4, S, f) and "eigen" not in repr(pair)
+    # the kept grading is neither compared nor printed
+    assert pair == WhittakerPair(4, S, f) and "grading" not in repr(pair)
 
 
 def test_triple_and_quasi_model_data_reuse_the_pairs_decomposition(monkeypatch):
