@@ -3,11 +3,19 @@ eigenvalue extraction and the skew-form utilities built on trace forms.
 
 Everything is a pure function on immutable values; Fraction is the only
 scalar type.  No floating point anywhere.
+
+Rational eigenvalues take bounded time.  `char_poly` runs Faddeev-LeVerrier
+on the integer matrix D M (D the lcm of the denominators) in plain ints.
+`_rational_roots` turns the polynomial into a monic integer one by y = c_n x,
+so its rational roots are integers, and isolates its real roots by Sturm
+sign counts at half-integers, where no such root lies, bisecting from the
+Cauchy bound B to unit intervals: O(deg log B) evaluations of the sequence.
 """
 
 from fractions import Fraction
 from dataclasses import dataclass
 from math import gcd, lcm
+from operator import mul
 
 from .errors import (DimensionMismatch, InternalCheckFailure, NotRationalSplit,
                      ParseError)
@@ -520,59 +528,121 @@ class Subspace:
 
 def char_poly(M):
     """Characteristic polynomial coefficients [a_0, ..., a_n] of det(xI - M),
-    via Faddeev-LeVerrier."""
+    via Faddeev-LeVerrier on the integer matrix A = D M, D the lcm of the
+    entries' denominators: M_1 = I, c_k = -trace(A M_k) / k (an exact
+    division) and M_{k+1} = A M_k + c_k I, so det(xI - A) = sum c_k x^(n-k)
+    and a_(n-k) = c_k / D^k."""
     n = M.rows
     if n != M.cols:
         raise DimensionMismatch("char_poly of non-square")
-    coeffs = [Fraction(1)]          # leading first, x^n
-    Mk = QMatrix.identity(n)
+    D = lcm(*{x.denominator for x in M.entries})
+    A = [[x.numerator * (D // x.denominator) for x in row] for row in M.row_lists()]
+    Mk = [[int(i == j) for j in range(n)] for i in range(n)]
+    coeffs = [1]                    # c_0, c_1, ...: leading first
     for k in range(1, n + 1):
-        Mk = M * Mk
-        ck = -Mk.trace() / k
+        cols = list(zip(*Mk))
+        AM = [[sum(map(mul, row, col)) for col in cols] for row in A]
+        ck = -sum(AM[i][i] for i in range(n)) // k
         coeffs.append(ck)
-        if k < n:
-            Mk = Mk + QMatrix.identity(n).scale(ck)
-    return list(reversed(coeffs))   # [a_0, ..., a_n], a_n = 1
+        for i in range(n):
+            AM[i][i] += ck
+        Mk = AM
+    return [Fraction(coeffs[k], D ** k) for k in range(n, -1, -1)]
 
 
-def _divisors(m):
-    m = abs(m)
-    out = []
-    d = 1
-    while d * d <= m:
-        if m % d == 0:
-            out.append(d)
-            if d != m // d:
-                out.append(m // d)
-        d += 1
-    return sorted(out)
+def _primitive(p):
+    """The integer polynomial divided by the gcd of its coefficients (a
+    positive scale, so signs are kept)."""
+    g = gcd(*p)
+    return [c // g for c in p] if g > 1 else p
+
+
+def _sturm_sequence(q):
+    """Sturm sequence q, q', -rem, ... of an integer polynomial (coefficient
+    lists, constant first).  Each remainder is a pseudo-remainder by a
+    positive power of |lc|, made primitive, so every member has the sign of
+    the true Sturm polynomial."""
+    seq = [q, _primitive([i * c for i, c in enumerate(q)][1:])]
+    while len(seq[-1]) > 1:
+        a, b = seq[-2], seq[-1]
+        lc, db = abs(b[-1]), len(b) - 1
+        r = [c * lc ** (len(a) - len(b) + 1) for c in a]
+        while len(r) > db:
+            t = r[-1] // b[-1]      # exact: r was scaled by lc^(deg a - deg b + 1)
+            shift = len(r) - 1 - db
+            for i, c in enumerate(b):
+                r[shift + i] -= t * c
+            r.pop()
+        while r and not r[-1]:
+            r.pop()
+        if not r:
+            break
+        seq.append(_primitive([-c for c in r]))
+    return seq
+
+
+def _sign_changes_at_half(seq, m):
+    """Sign variations of the sequence at x = m + 1/2, each member p of degree
+    d evaluated as 2^d p((2m+1)/2) in integers."""
+    u = 2 * m + 1
+    changes, last = 0, 0
+    for p in seq:
+        acc, two = p[-1], 1         # sum c_i u^i 2^(d-i), Horner from the top
+        for c in reversed(p[:-1]):
+            two *= 2
+            acc = acc * u + c * two
+        if acc:
+            if last and (acc > 0) != (last > 0):
+                changes += 1
+            last = acc
+    return changes
 
 
 def _rational_roots(coeffs):
     """All rational roots of the polynomial with Fraction coefficients
-    a_0 + a_1 x + ... (not necessarily monic), by rational-root enumeration."""
-    # strip zero roots
+    a_0 + a_1 x + ... + a_n x^n (a_n nonzero, not necessarily 1), distinct and
+    sorted descending.
+
+    With c the primitive integer polynomial and y = c_n x, q(y) =
+    c_n^(n-1) c(y / c_n) is monic with integer coefficients, so its rational
+    roots are integers.  Sturm sign counts at half-integers, where q has no
+    root, bisect (-B - 1/2, B + 1/2), B the Cauchy bound, down to unit
+    intervals; such an interval holds a rational root only at its integer."""
     roots = []
     cs = list(coeffs)
     while cs and cs[0] == 0:
         roots.append(Fraction(0))
         cs = cs[1:]
-    if not cs or len(cs) == 1:
+    if len(cs) <= 1:
         return sorted(set(roots), reverse=True)
     den = lcm(*[c.denominator for c in cs])
-    ints = [int(c * den) for c in cs]
-    a0, an = ints[0], ints[-1]
-    cands = set()
-    for p in _divisors(a0):
-        for q in _divisors(an):
-            cands.add(Fraction(p, q))
-            cands.add(Fraction(-p, q))
-    def val(x):
-        acc = Fraction(0)
-        for c in reversed(ints):
-            acc = acc * x + c
+    c = _primitive([int(x * den) for x in cs])
+    d, lead = len(c) - 1, c[-1]
+    q = [x * lead ** (d - 1 - i) for i, x in enumerate(c[:-1])] + [1]
+    seq = _sturm_sequence(q)
+    bound = 1 + max(abs(x) for x in q[:-1])
+
+    def value(y):
+        acc = 0
+        for x in reversed(q):
+            acc = acc * y + x
         return acc
-    roots.extend(x for x in cands if val(x) == 0)
+
+    # the integers lo+1..hi lie in (lo + 1/2, hi + 1/2); V(lo) - V(hi) roots
+    stack = [(-bound - 1, bound, _sign_changes_at_half(seq, -bound - 1),
+              _sign_changes_at_half(seq, bound))]
+    while stack:
+        lo, hi, vlo, vhi = stack.pop()
+        if vlo == vhi:
+            continue
+        if hi - lo == 1:
+            if value(hi) == 0:
+                roots.append(Fraction(hi, lead))
+            continue
+        mid = (lo + hi) // 2
+        vmid = _sign_changes_at_half(seq, mid)
+        stack.append((lo, mid, vlo, vmid))
+        stack.append((mid, hi, vmid, vhi))
     return sorted(set(roots), reverse=True)
 
 
@@ -586,8 +656,10 @@ def rational_eigenvalues(M):
     out = []
     total = 0
     for lam in _rational_roots(char_poly(M)):
-        shifted = M - QMatrix.identity(n).scale(lam)
-        kern = _kernel_rows(shifted.row_lists(), n)
+        shifted = M.row_lists()
+        for i in range(n):
+            shifted[i][i] -= lam
+        kern = _kernel_rows(shifted, n)
         if kern:
             space = Subspace(n, kern)
             out.append((lam, space))

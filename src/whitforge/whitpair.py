@@ -9,7 +9,8 @@ rational semisimple matrices, from a joint eigenbasis P of Q^n.  A Whittaker
 pair is graded by S alone (weights r, predicates `lambda r: ...`); the chain
 is bigraded by (h, Z) with S_t = h + tZ (weights (alpha, beta), predicates
 `lambda a, b: ...`), so the ad(S_t)-weight of a component is alpha + t beta.
-A weight space is echelonized the first time a predicate selects it.
+`space(predicate)` is one elimination over the selected P E_ij P^{-1};
+`component(w)` echelonizes one weight space the first time it is asked for.
 
 Convention used throughout (stated once): a functional phi is realized as the
 matrix f with phi(X) = trace(f X); then ad*-weights of phi equal ad-weights of
@@ -86,22 +87,26 @@ class Grading:
         """The weights that occur, sorted."""
         return tuple(sorted(self._cells))
 
+    def _vectors(self, cells):
+        """The flattened P E_ij P^{-1} for the given cells (i, j)."""
+        cols = self.P.transpose().row_lists()
+        rows = self.Pinv.row_lists()
+        return [[x * y for x in cols[i] for y in rows[j]] for i, j in cells]
+
     def component(self, w):
         """The weight space of weight w in flattened gl_n."""
         if w not in self._spaces:
-            cols = self.P.transpose().row_lists()
-            rows = self.Pinv.row_lists()
             self._spaces[w] = Subspace(self.P.rows ** 2,
-                                       [[x * y for x in cols[i] for y in rows[j]]
-                                        for i, j in self._cells.get(w, ())])
+                                       self._vectors(self._cells.get(w, ())))
         return self._spaces[w]
 
     def space(self, predicate):
         """Echelonized sum of the weight spaces whose weight satisfies the
-        predicate, which gets one argument per grading matrix."""
+        predicate, which gets one argument per grading matrix: one
+        elimination over the selected cells' vectors."""
         return Subspace(self.P.rows ** 2,
-                        [v for w in self._cells if predicate(*w)
-                         for v in self.component(w).basis])
+                        self._vectors([ij for w, cells in self._cells.items()
+                                       if predicate(*w) for ij in cells]))
 
     def terms(self, M):
         """{w: [(i, j, c)]}: the nonzero entries c of M in the eigenbasis,
@@ -192,9 +197,9 @@ class WhittakerPair:
         if (self.S.rows, self.S.cols) != (self.n, self.n) or \
            (self.f.rows, self.f.cols) != (self.n, self.n):
             raise DimensionMismatch("S, f must be n x n")
-        object.__setattr__(self, "grading", grading(self.S))
         if self.S.bracket(self.f) != self.f.scale(-2):
             raise VerificationError("[S, f] != -2 f; not a Whittaker pair")
+        object.__setattr__(self, "grading", grading(self.S))
         jordan_partition(self.f)   # raises NotNilpotent if f is not
 
     def to_json(self):

@@ -1,5 +1,7 @@
 import random
+import time
 from fractions import Fraction
+from math import gcd, isqrt
 
 import pytest
 
@@ -7,7 +9,7 @@ from whitforge import exactq
 from whitforge.errors import (DimensionMismatch, InternalCheckFailure,
                               NotRationalSplit)
 from whitforge.exactq import (NO_SOLUTION, QMatrix, Subspace, _lagrangian,
-                              _rref_rows, rat_parse, rat_str,
+                              _rref_rows, char_poly, rat_parse, rat_str,
                               rational_eigenvalues, rref_solve, skew_tools)
 
 from conftest import E
@@ -264,9 +266,11 @@ def test_eigen_reassembly_reproduces_matrix():
 def test_rational_eigenvalues_match_sympy_eigenvects():
     pytest.importorskip("sympy")
     rng = random.Random(13)
-    for _ in range(20):
+    for trial in range(30):
         n = rng.randint(1, 6)
-        vals = [Fraction(rng.randint(-4, 4), rng.choice([1, 2, 3])) for _ in range(n)]
+        # the last ten draws have eigenvalues of up to 30 digits
+        top = 4 if trial < 20 else 10 ** rng.randint(5, 30)
+        vals = [Fraction(rng.randint(-top, top), rng.choice([1, 2, 3])) for _ in range(n)]
         g = QMatrix.identity(n)
         while g.det() == 0:
             g = QMatrix.from_rows([[Fraction(rng.randint(-3, 3), rng.randint(1, 3))
@@ -280,6 +284,101 @@ def test_rational_eigenvalues_match_sympy_eigenvects():
         for (_, space), (_, mult, vecs) in zip(ours, theirs):
             assert space.dim == mult == len(vecs)
             assert space == Subspace(n, [_from_sympy(v.T)[0] for v in vecs])
+
+
+def test_char_poly_matches_sympy_charpoly():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(17)
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        rows = [[Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 7]))
+                 for _ in range(n)] for _ in range(n)]
+        theirs = _to_sympy(rows, n).charpoly(sympy.Symbol("x")).all_coeffs()
+        assert char_poly(QMatrix.from_rows(rows)) == \
+            [Fraction(int(c.p), int(c.q)) for c in reversed(theirs)]
+
+
+def rational_roots_by_divisors(coeffs):
+    """Test-only oracle: every p/q with p | a_0 and q | a_n, evaluated
+    exactly.  Shares nothing with the Sturm isolation in exactq."""
+    roots = []
+    cs = list(coeffs)
+    while cs and cs[0] == 0:
+        roots.append(Fraction(0))
+        cs = cs[1:]
+    if len(cs) <= 1:
+        return sorted(set(roots), reverse=True)
+    den = 1
+    for c in cs:
+        den = den * c.denominator // gcd(den, c.denominator)
+    ints = [int(c * den) for c in cs]
+
+    def divisors(m):
+        m = abs(m)
+        return {d for k in range(1, isqrt(m) + 1) if m % k == 0 for d in (k, m // k)}
+
+    def value(x):
+        acc = Fraction(0)
+        for c in reversed(ints):
+            acc = acc * x + c
+        return acc
+    roots += [s * Fraction(p, q) for p in divisors(ints[0]) for q in divisors(ints[-1])
+              for s in (1, -1) if value(s * Fraction(p, q)) == 0]
+    return sorted(set(roots), reverse=True)
+
+
+def _poly_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def test_rational_roots_match_divisor_oracle():
+    # products of linear factors (repeated, zero, half- and third-integer
+    # roots), x^2 - k with k not a square, and x^2 + k (no real root), times
+    # a non-monic rational leading coefficient; degree <= 8
+    rng = random.Random(23)
+    for _ in range(150):
+        poly = [Fraction(rng.choice([1, -1, 2, -3, 6, 12]), rng.choice([1, 1, 5]))]
+        built = set()
+        while len(poly) < rng.randint(2, 9):
+            kind = rng.random()
+            if kind < 0.55:
+                r = rng.choice(sorted(built)) if built and rng.random() < 0.3 else \
+                    Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 3]))
+                built.add(r)
+                factor = [-r, Fraction(1)]
+            elif kind < 0.8 and len(poly) < 8:
+                factor = [Fraction(-rng.choice([2, 3, 5, 6, 7, 8, 12])), 0, Fraction(1)]
+            elif len(poly) < 8:
+                factor = [Fraction(rng.randint(1, 9)), 0, Fraction(1)]
+            else:
+                continue
+            scale = rng.choice([1, 2, 3])
+            poly = _poly_mul(poly, [c * scale for c in factor])
+        assert exactq._rational_roots(poly) == rational_roots_by_divisors(poly) \
+            == sorted(built, reverse=True)
+
+
+def test_rational_roots_corner_cases():
+    assert exactq._rational_roots([Fraction(5)]) == []
+    assert exactq._rational_roots([Fraction(0), Fraction(0), Fraction(3)]) == [0]
+    assert exactq._rational_roots([Fraction(-2), 0, Fraction(1)]) == []
+    assert exactq._rational_roots([Fraction(1), 0, Fraction(1)]) == []
+    # a root and an irrational pair in one unit interval around it
+    poly = _poly_mul([Fraction(-3), Fraction(1)], [Fraction(-9, 1), 0, Fraction(1)])
+    poly = _poly_mul(poly, [Fraction(-10), 0, Fraction(1)])   # 3, -3, +-sqrt(10)
+    assert exactq._rational_roots(poly) == [3, -3]
+
+
+def test_rational_roots_of_large_eigenvalues_are_fast():
+    vals = [10 ** 29 + 7, Fraction(10 ** 16 + 1, 3), -(10 ** 30 - 1), 0, 5, -5]
+    start = time.perf_counter()
+    eig = rational_eigenvalues(QMatrix.diag(vals))
+    assert [lam for lam, _ in eig] == sorted(vals, reverse=True)
+    assert time.perf_counter() - start < 1.0
 
 
 # -- skew tools ---------------------------------------------------------------

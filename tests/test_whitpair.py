@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from whitforge import whitpair
+from whitforge import exactq, whitpair
 from whitforge.errors import (InternalCheckFailure, NotCommuting,
                               NotRationalSplit, ShapeViolation,
                               VerificationError)
@@ -62,6 +62,16 @@ def test_weight_components_sum_reconstructs(rng):
             assert S.bracket(C) == C.scale(r)
             total = total + C
         assert total == M
+
+
+def test_pair_checks_the_bracket_before_the_eigenvalues(monkeypatch):
+    # an S that is not rational semisimple and does not satisfy [S, f] = -2f
+    # gets the cheap check's VerificationError; no eigenvalue is computed
+    def unexpected(M):
+        raise AssertionError("rational_eigenvalues called")
+    monkeypatch.setattr(whitpair, "rational_eigenvalues", unexpected)
+    with pytest.raises(VerificationError, match=r"\[S, f\] != -2 f"):
+        WhittakerPair(2, QMatrix.from_rows([[0, 2], [1, 0]]), E(2, 2, 1))
 
 
 def test_non_semisimple_s_is_rejected():
@@ -282,13 +292,23 @@ def test_grading_of_s_matches_kernel_oracle(rng):
                 assert graded_space(S, pred) == expect
 
 
-def test_grading_builds_only_the_selected_weight_spaces():
+def test_grading_space_runs_one_elimination(monkeypatch):
     g = grading(QMatrix.diag([3, 1, -1, -3]))
     assert g.component((6,)) == Subspace(16, [flat(E(4, 1, 4))])
     assert g.component((5,)).dim == 0
-    g = grading(QMatrix.diag([3, 1, -1, -3]))
-    g.space(lambda r: r >= 4)
-    assert set(g._spaces) == {(4,), (6,)}
+    u = random_unimodular(4, random.Random(5))
+    g = grading(u * QMatrix.diag([3, 1, -1, -3]) * u.inverse())
+    real, calls = exactq._rref_rows, []
+
+    def counting(rows):
+        calls.append(len(rows))
+        return real(rows)
+    monkeypatch.setattr(exactq, "_rref_rows", counting)
+    space = g.space(lambda r: r >= 2)
+    assert calls == [6] and not g._spaces
+    monkeypatch.undo()
+    assert space == Subspace(16, [v for w in g.weights if w[0] >= 2
+                                  for v in g.component(w).basis])
 
 
 def test_grading_checks_every_joint_eigenvector(monkeypatch):
