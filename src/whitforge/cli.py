@@ -22,13 +22,15 @@ FIXTURE_ENV = "WHITFORGE_FIXTURE_DIR"
 
 
 # ---------------------------------------------------------------------------
-# sparse matrix notation: "E21+E43", "2E21 - 1/2 E43", "diag(3,1,-1,-3)"
+# sparse matrix notation: "E21+E43", "2E21 - 1/2 E43", "diag(3,1,-1,-3)";
+# "E{11,10}" names an entry with an index of two or more digits
 
 _TERM_RE = re.compile(r"""
     (?P<sign>[+-])?\s*
     (?:
         (?P<diag>diag\(\s*(?P<dargs>[^()]*)\))
-      | (?P<coef>\d+(?:/\d+)?)?\s*\*?\s*E(?P<i>\d)(?P<j>\d)
+      | (?P<coef>\d+(?:/\d+)?)?\s*\*?\s*E
+        (?:(?P<i>\d)(?P<j>\d) | \{\s*(?P<bi>\d+)\s*,\s*(?P<bj>\d+)\s*\})
       | (?P<zero>0)
     )\s*""", re.X)
 
@@ -57,7 +59,8 @@ def parse_matrix_spec(spec, n=None):
             terms.append(("zero", sign, None))
         else:
             coef = rat_parse(m.group("coef")) if m.group("coef") else Fraction(1)
-            terms.append(("E", sign * coef, (int(m.group("i")), int(m.group("j")))))
+            i, j = m.group("i", "j") if m.group("i") else m.group("bi", "bj")
+            terms.append(("E", sign * coef, (int(i), int(j))))
     if not terms:
         raise ParseError(f"empty matrix spec {text!r}")
     size = n

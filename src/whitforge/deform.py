@@ -7,8 +7,9 @@ The builder keeps h and Z diagonal at every level (no inter-level
 conjugation); instead it tracks one designated chain-top vector per Jordan
 block of f + psi.  Every raising path ends in one checker,
 _check_raising, which reads each ad(h)-, ad(Z)- and ad(h+Z)-weight of f and
-psi off the diagonals of h and Z; violations raise InternalCheckFailure naming
-the clause and are never expected.
+psi off the diagonals of h and Z and tests (h, f) with orbits.is_neutral_pair,
+the one neutrality test; violations raise InternalCheckFailure naming the
+clause and are never expected.
 """
 
 import math
@@ -16,9 +17,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InternalCheckFailure, NotDominated, PreconditionViolation
-from .exactq import QMatrix, _rref_rows, rat_str
-from .orbits import (is_dth_power, jordan_partition, power_class,
-                     rational_dth_root, sl_class)
+from .exactq import QMatrix, rat_str
+from .orbits import (is_dth_power, is_neutral_pair, jordan_partition,
+                     power_class, rational_dth_root, sl_class)
 from .partitions import as_partition, dominance_leq, lemma_part_index
 
 
@@ -237,45 +238,6 @@ class ConditionNotMet:
                 "class": rat_str(self.a_class)}
 
 
-def _neutral_check_diagonal(hdiag, f):
-    """Definition-style neutrality check for diagonal h: integer eigenvalues
-    splitting into symmetric chains, and [., f] mapping the h-weight-0 space
-    onto the full weight-(-2) space."""
-    from collections import Counter
-    if any(x.denominator != 1 for x in hdiag):
-        return False
-    count = Counter(int(x) for x in hdiag)
-    while count:
-        m = max(count)
-        if m < 0:
-            return False
-        for k in range(m, -m - 1, -2):
-            if count[k] <= 0:
-                return False
-            count[k] -= 1
-            if count[k] == 0:
-                del count[k]
-    n = len(hdiag)
-    fl = f.row_lists()
-    images = []
-    for a in range(n):
-        for b in range(n):
-            if hdiag[a] == hdiag[b]:
-                # [E_ab, f] = sum_j f_bj E_aj - sum_i f_ia E_ib
-                vec = [Fraction(0)] * (n * n)
-                for j in range(n):
-                    if fl[b][j]:
-                        vec[a * n + j] += fl[b][j]
-                for i_ in range(n):
-                    if fl[i_][a]:
-                        vec[i_ * n + b] -= fl[i_][a]
-                images.append(vec)
-    rank = len(_rref_rows(images)[1]) if images else 0
-    target = sum(1 for a in range(n) for b in range(n)
-                 if hdiag[a] - hdiag[b] == -2)
-    return rank == target
-
-
 def _ad_weights(D, M):
     """The ad(D)-weights of the nonzero entries of M, for diagonal D:
     [D, E_ab] = (D_aa - D_bb) E_ab."""
@@ -300,7 +262,7 @@ def _check_raising(h, f, Z, psi, mu, lam):
             ("psi_S_weight_minus_two", _ad_weights(h + Z, psi) <= {-2})):
         if not holds:
             raise InternalCheckFailure(f"{clause} fails")
-    if not _neutral_check_diagonal([h[i, i] for i in range(h.rows)], f):
+    if not is_neutral_pair(h, f):
         raise InternalCheckFailure("neutral_pair: (h, f) is not a neutral pair")
     if jordan_partition(f) != mu:
         raise InternalCheckFailure("jordan_source: jordan_partition(f) != mu")

@@ -4,6 +4,12 @@ eigenvalue extraction and the skew-form utilities built on trace forms.
 Everything is a pure function on immutable values; Fraction is the only
 scalar type.  No floating point anywhere.
 
+`QMatrix.bracket` is the one bracket of two matrices; it multiplies only
+nonzero entries.  The skew form omega_f(X, Y) = trace(f [X, Y]) on a subspace
+W is evaluated once, as the Gram matrix G on W's echelon basis: the radical
+is the kernel of G, and the Lagrangian is grown in coordinates over that
+basis, where omega(c, w_j) = (c G)_j.
+
 Rational eigenvalues take bounded time.  `char_poly` runs Faddeev-LeVerrier
 on the integer matrix D M (D the lcm of the denominators) in plain ints.
 `_rational_roots` turns the polynomial into a monic integer one by y = c_n x,
@@ -191,7 +197,28 @@ class QMatrix:
     __rmul__ = scale
 
     def bracket(self, other):
-        return self * other - other * self
+        """[A, B] = AB - BA for square A, B of one size.  Each nonzero a =
+        A[i, j] adds a B[j, :] to row i and subtracts a B[:, i] from column j,
+        so only the nonzero entries of A meet the nonzero entries of B."""
+        n = self.rows
+        if (self.cols, other.rows, other.cols) != (n, n, n):
+            raise DimensionMismatch("bracket needs square matrices of one size")
+        by_row = [[] for _ in range(n)]
+        by_col = [[] for _ in range(n)]
+        for k, b in enumerate(other.entries):
+            if b:
+                r, c = divmod(k, n)
+                by_row[r].append((c, b))
+                by_col[c].append((r, b))
+        out = [_ZERO] * (n * n)
+        for k, a in enumerate(self.entries):
+            if a:
+                i, j = divmod(k, n)
+                for c, b in by_row[j]:
+                    out[i * n + c] += a * b
+                for r, b in by_col[i]:
+                    out[r * n + j] -= a * b
+        return QMatrix._trusted(n, n, out)
 
     def transpose(self):
         return QMatrix._trusted(self.cols, self.rows,
@@ -213,14 +240,6 @@ class QMatrix:
             out.append(sum((self.entries[base + j] * v[j]
                             for j in range(self.cols) if self.entries[base + j] and v[j]),
                            Fraction(0)))
-        return out
-
-    def power(self, k):
-        if self.rows != self.cols:
-            raise DimensionMismatch("power of non-square")
-        out = QMatrix.identity(self.rows)
-        for _ in range(k):
-            out = out * self
         return out
 
     def is_zero(self):
@@ -684,20 +703,14 @@ def _trace_pairing(B, n):
     return pair
 
 
-def _omega_with(f, X):
-    """The functional Y -> omega_f(X, Y) = trace([f, X] Y), for X a flattened
-    gl_n vector of Fractions."""
-    n = f.rows
-    return _trace_pairing(f.bracket(QMatrix._trusted(n, n, X)).entries, n)
-
-
 def _omega_gram_vectors(f, vectors):
-    """Gram matrix of omega_f on flattened gl_n vectors."""
-    pairs = [_omega_with(f, v) for v in vectors]
+    """Gram matrix of omega_f on flattened gl_n vectors: row i pairs
+    [f, X_i] with each X_j by the trace form."""
+    n = f.rows
     k = len(vectors)
     gram = [[_ZERO] * k for _ in range(k)]
     for i in range(k):
-        pair = pairs[i]
+        pair = _trace_pairing(f.bracket(QMatrix._trusted(n, n, vectors[i])).entries, n)
         for j in range(i + 1, k):
             val = pair(vectors[j])
             gram[i][j] = val
@@ -721,58 +734,50 @@ def skew_tools(f, W, task):
     if task == "gram":
         return QMatrix.from_rows(gram) if gram else QMatrix.zeros(0, 0)
     kern = _kernel_rows(gram, len(gram)) if gram else []
-    radical = Subspace(W.ambient_dim, [_combine(kv, W.basis) for kv in kern])
     if task == "radical":
-        return radical
+        return Subspace(W.ambient_dim, [_combine(kv, W.basis) for kv in kern])
     if task != "lagrangian":
         raise ValueError(f"unknown task {task!r}")
-    return _lagrangian(f, W, radical)
+    return _lagrangian(W, gram, kern)
 
 
-def _lagrangian(f, W, radical):
-    target = W.dim + radical.dim
+def _lagrangian(W, gram, kern):
+    """Maximal isotropic subspace of W containing the radical, in coordinates
+    over W's echelon basis w_1, ..., w_k: omega(sum c_i w_i, w_j) = (c G)_j
+    for the Gram matrix G, and the radical's coordinate vectors `kern` pair
+    to zero with all of W.  A greedy pass adjoins each w_j outside the span
+    that pairs to zero with the vectors adjoined so far; the completion then
+    adjoins the first vector of their omega-perp outside the span (always
+    isotropic).  The span is mapped back to gl_n once at the end."""
+    k = len(gram)
+    target = k + len(kern)
     if target % 2:
         raise InternalCheckFailure(
             "lagrangian: dim W + dim radical must be even")
     target //= 2
-    cur = list(radical.basis)
-    cur_pairs = [_omega_with(f, v) for v in cur]
+    added = []              # coordinate vectors adjoined to the radical
+    rows = []               # their omega-rows c G
 
-    def pairs_zero(vec):
-        return all(pair(vec) == 0 for pair in cur_pairs)
+    def add(c):
+        added.append(c)
+        rows.append([sum([x * g[j] for x, g in zip(c, gram) if x], _ZERO)
+                     for j in range(k)])
+        return Subspace(k, kern + added)
 
-    def add(vec):
-        cur.append(tuple(vec))
-        cur_pairs.append(_omega_with(f, vec))
-
-    span = Subspace(W.ambient_dim, cur)
-    # greedy pass over W's echelon basis in order
-    for v in W.basis:
+    span = Subspace(k, kern)
+    for j in range(k):
         if span.dim >= target:
             break
-        if not span.member(v) and pairs_zero(v):
-            add(v)
-            span = Subspace(W.ambient_dim, cur)
-    # completion: repeatedly adjoin the first echelon vector of the
-    # omega-perp of the current span inside W (always isotropic)
+        e_j = [_ONE if i == j else _ZERO for i in range(k)]
+        if not span.member(e_j) and all(row[j] == 0 for row in rows):
+            span = add(e_j)
     while span.dim < target:
-        # coefficients c (over W basis) with omega(sum c w, cur) = 0
-        perp_coeffs = _kernel_rows([[pair(w) for w in W.basis] for pair in cur_pairs],
-                                   len(W.basis)) \
-            if cur_pairs else [[Fraction(int(i == j)) for j in range(len(W.basis))]
-                               for i in range(len(W.basis))]
-        added = False
-        for cv in perp_coeffs:
-            v = _combine(cv, W.basis)
-            if any(v) and not span.member(v):
-                add(v)
-                span = Subspace(W.ambient_dim, cur)
-                added = True
-                break
-        if not added:
+        c = next((c for c in _kernel_rows(rows, k) if not span.member(c)), None)
+        if c is None:
             raise InternalCheckFailure(
                 f"lagrangian completion stalled at dim {span.dim} < {target}")
-    if 2 * span.dim != W.dim + radical.dim:
+        span = add(c)
+    if 2 * span.dim != k + len(kern):
         raise InternalCheckFailure(
             "lagrangian: 2 dim L != dim W + dim radical")
-    return span
+    return Subspace(W.ambient_dim, [_combine(c, W.basis) for c in kern + added])

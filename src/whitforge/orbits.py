@@ -212,13 +212,27 @@ def neutral_for(f, order="forward"):
 def is_neutral_pair(h, f):
     """[h,f] = -2f and h in image(ad f).  By the Jacobson-Morozov/Kostant
     lemma this is exactly the condition that h completes f to an sl2-triple
-    (h, e, f)."""
+    (h, e, f).
+
+    One elimination decides the membership: the columns [f, E_ab] of ad f
+    augmented by h.  For a diagonal h only the E_ab of ad(h)-weight
+    h_aa - h_bb = 2 enter: ad f lowers ad(h)-weights by 2 and h has weight
+    0, so h lies in image(ad f) iff it lies in ad f(g^h_2)."""
     n = f.rows
     if (h.rows, h.cols, f.cols) != (n, n, n):
         raise DimensionMismatch("h, f must be square of equal size")
     if h.bracket(f) != f.scale(-2):
         return False
-    return rref_solve(ad_matrix(f), h.flat()).solution is not NO_SOLUTION
+    N = n * n
+    Af = ad_matrix(f).entries
+    if h.is_diagonal():
+        cols = [a * n + b for a in range(n) for b in range(n)
+                if h[a, a] - h[b, b] == 2]
+    else:
+        cols = range(N)
+    rows = [[Af[r * N + c] for c in cols] + [h.entries[r]] for r in range(N)]
+    piv = _rref_rows([row for row in rows if any(row)])[1]
+    return not piv or piv[-1] != len(cols)
 
 
 # ---------------------------------------------------------------------------

@@ -36,26 +36,6 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# sparse brackets
-
-
-def _sparse(vec, n):
-    return [(i // n, i % n, c) for i, c in enumerate(vec) if c]
-
-
-def _sparse_bracket(X, Y, n):
-    """[X, Y] for sparse term lists; returns a flattened dense vector."""
-    out = [Fraction(0)] * (n * n)
-    for (i, j, c) in X:
-        for (k, l, d) in Y:
-            if j == k:
-                out[i * n + l] += c * d
-            if l == i:
-                out[k * n + j] -= c * d
-    return out
-
-
-# ---------------------------------------------------------------------------
 # gradings
 
 
@@ -399,10 +379,10 @@ def snapshot(h, Z, f, t):
 
 def _bracket_contained(A, B, n, clause):
     """Verify [A, A] subseteq B for subspaces of flattened gl_n."""
-    sparse = [_sparse(list(vec), n) for vec in A.basis]
-    for i in range(len(sparse)):
-        for j in range(i + 1, len(sparse)):
-            if not B.member(_sparse_bracket(sparse[i], sparse[j], n)):
+    mats = [QMatrix._trusted(n, n, vec) for vec in A.basis]
+    for i, X in enumerate(mats):
+        for Y in mats[i + 1:]:
+            if not B.member(X.bracket(Y).entries):
                 raise VerificationError(clause)
 
 
@@ -416,7 +396,7 @@ def chain(pair):
     e = sl2_complete(f, h)
     bg = bigrading(h, Z)
     g_f = _centralizer(f)
-    ker_ad_e = Subspace(n * n, _kernel_rows(ad_matrix(e).row_lists(), n * n))
+    ker_ad_e = _centralizer(e)
     crits = [t for t in _critical_values(bg) if t <= 1]
     nodes = list(crits)
     if nodes[-1] != 1:
@@ -493,19 +473,19 @@ def quasi_model_data(triple):
     w = g.space(lambda r: r == 1)
     z = v.sum(w.intersect(_centralizer(f)))
     k = _functional_kernel(z, f + fp, n)
-    sparse_u = [_sparse(list(vec), n) for vec in u.basis]
-    sparse_z = [_sparse(list(vec), n) for vec in z.basis]
+    mats_u = [QMatrix._trusted(n, n, vec) for vec in u.basis]
+    mats_z = [QMatrix._trusted(n, n, vec) for vec in z.basis]
     pair_fp = _trace_pairing(fp.entries, n)
-    for i in range(len(sparse_u)):
-        for j in range(i + 1, len(sparse_u)):
-            br = _sparse_bracket(sparse_u[i], sparse_u[j], n)
+    for i, X in enumerate(mats_u):
+        for Y in mats_u[i + 1:]:
+            br = X.bracket(Y).entries
             if not z.member(br):
                 raise ShapeViolation("[u, u] <= z violated")
             if pair_fp(br) != 0:
                 raise ShapeViolation("phi' does not vanish on [u, u]")
-    for su in sparse_u:
-        for sz in sparse_z:
-            if not k.member(_sparse_bracket(su, sz, n)):
+    for X in mats_u:
+        for Y in mats_z:
+            if not k.member(X.bracket(Y).entries):
                 raise ShapeViolation("[u, z] <= k violated")
     if skew_tools(f + fp, u, "radical") != z:
         raise ShapeViolation("omega_{phi+phi'} degenerate on u/z")

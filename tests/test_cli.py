@@ -30,11 +30,15 @@ def test_parse_e_notation():
     assert parse_matrix_spec("diag(1,-1) + E21") == QMatrix.diag([1, -1]) + E(2, 2, 1)
     assert parse_matrix_spec([["0", "1"], ["0", "0"]]) == E(2, 1, 2)
     assert parse_matrix_spec("0", n=2) == QMatrix.zeros(2)
+    assert parse_matrix_spec("E{2,1}+E43") == parse_matrix_spec("E21+E43")
+    assert parse_matrix_spec("- 2 E{ 12 , 3 }") == E(12, 12, 3, -2)
 
 
 def test_parse_e_notation_errors():
     with pytest.raises(ParseError):
         parse_matrix_spec("Exy")
+    with pytest.raises(ParseError):
+        parse_matrix_spec("E{1}")
     with pytest.raises(ParseError):
         parse_matrix_spec("0")   # no size available
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from whitforge import deform
+from whitforge import deform, orbits
 from whitforge.deform import (ConditionNotMet, compar_certificate, deform_gl,
                               deform_sl, two_blocks)
 from whitforge.errors import (InternalCheckFailure, NotDominated,
@@ -160,6 +160,15 @@ def _faulty_h(matrices):
     return wrapped
 
 
+def _shifted_h(matrices):
+    # h + Id: diagonal with the same ad-weights, but of nonzero trace, so it
+    # is not in the image of ad f
+    def wrapped(h, Z, f, psi):
+        h, f, Z, psi = matrices(h, Z, f, psi)
+        return h + QMatrix.identity(h.rows), f, Z, psi
+    return wrapped
+
+
 RAISING_PATHS = [
     lambda: deform_gl((2, 2), (3, 1)),
     lambda: deform_sl((2, 2), (4,), 4, 1),
@@ -172,11 +181,23 @@ RAISING_PATHS = [
 @pytest.mark.parametrize("target, fault, clause", [
     ("_build_stripped", _faulty_psi, "psi_Z_negative"),
     ("_matrices", _faulty_h, "Z_commutes_h: h is not diagonal"),
+    ("_matrices", _shifted_h, r"neutral_pair: \(h, f\) is not a neutral pair"),
 ])
 def test_raising_paths_run_the_checker(monkeypatch, path, target, fault, clause):
     monkeypatch.setattr(deform, target, fault(getattr(deform, target)))
     with pytest.raises(InternalCheckFailure, match=clause):
         path()
+
+
+def test_raising_checker_uses_the_one_neutrality_test(monkeypatch):
+    calls = []
+
+    def counted(h, f):
+        calls.append(h)
+        return orbits.is_neutral_pair(h, f)
+    monkeypatch.setattr(deform, "is_neutral_pair", counted)
+    cert = deform_gl((2, 2, 1), (4, 1))
+    assert calls == [cert.h]
 
 
 @pytest.mark.parametrize("index, entry, clause", [

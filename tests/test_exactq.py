@@ -8,9 +8,10 @@ import pytest
 from whitforge import exactq
 from whitforge.errors import (DimensionMismatch, InternalCheckFailure,
                               NotRationalSplit)
-from whitforge.exactq import (NO_SOLUTION, QMatrix, Subspace, _lagrangian,
-                              _rref_rows, char_poly, rat_parse, rat_str,
-                              rational_eigenvalues, rref_solve, skew_tools)
+from whitforge.exactq import (NO_SOLUTION, QMatrix, Subspace, _combine,
+                              _kernel_rows, _lagrangian, _rref_rows, char_poly,
+                              rat_parse, rat_str, rational_eigenvalues,
+                              rref_solve, skew_tools)
 
 from conftest import E
 
@@ -20,6 +21,47 @@ def test_rat_roundtrip():
     assert rat_str(Fraction(5)) == "5"
     assert rat_parse("-7/2") == Fraction(-7, 2)
     assert rat_parse("0") == 0
+
+
+# -- bracket ------------------------------------------------------------------
+
+def _random_entries(rng, n, density):
+    """n*n entries, each nonzero with the given probability, as a mix of
+    ints and Fractions."""
+    out = []
+    for _ in range(n * n):
+        if rng.random() >= density:
+            out.append(rng.choice([0, Fraction(0)]))
+        elif rng.random() < 0.5:
+            out.append(rng.randint(-9, 9))
+        else:
+            out.append(Fraction(rng.randint(-30, 30), rng.randint(1, 12)))
+    return out
+
+
+def test_bracket_matches_dense_products():
+    rng = random.Random(8)
+    for trial in range(300):
+        n = trial % 6 + 1
+        density = rng.choice([0.0, 0.1, 0.3, 1.0])
+        A = QMatrix(n, n, _random_entries(rng, n, density))
+        B = QMatrix(n, n, _random_entries(rng, n, rng.choice([0.1, 0.5, 1.0])))
+        expected = A * B - B * A
+        assert A.bracket(B) == expected
+        assert B.bracket(A) == -expected
+        # views of raw ints give Fraction entries too
+        raw = QMatrix._trusted(n, n, [int(x) for x in A.entries])
+        got = raw.bracket(B)
+        assert got == QMatrix(n, n, raw.entries) * B - B * QMatrix(n, n, raw.entries)
+        assert all(type(x) is Fraction for x in got.entries)
+
+
+@pytest.mark.parametrize("shapes", [((2, 3), (2, 3)), ((2, 2), (3, 3)),
+                                    ((3, 3), (3, 2)), ((3, 2), (2, 2))])
+def test_bracket_shape_mismatch_is_typed(shapes):
+    (r1, c1), (r2, c2) = shapes
+    with pytest.raises(DimensionMismatch):
+        QMatrix.zeros(r1, c1).bracket(QMatrix.zeros(r2, c2))
 
 
 # -- rref_solve ---------------------------------------------------------------
@@ -437,19 +479,97 @@ def test_lagrangian_is_maximal_isotropic_random():
         assert skew_tools(f, L, "gram").is_zero()
 
 
+def lagrangian_by_functionals(f, W, radical):
+    """The omega-functional construction of the Lagrangian, as an oracle for
+    skew_tools(..., "lagrangian"): start from the radical's echelon basis,
+    adjoin in order each echelon vector of W outside the span that pairs to
+    zero with every vector so far, then complete by the first echelon vector
+    of the omega-perp inside W outside the span.  omega is evaluated in gl_n
+    with dense products.  Returns (L, whether the completion ran)."""
+    n = f.rows
+
+    def omega_with(X):
+        Xm = QMatrix(n, n, X)
+        B = (f * Xm - Xm * f).transpose().entries
+        return lambda Y: sum((b * y for b, y in zip(B, Y)), Fraction(0))
+
+    target = (W.dim + radical.dim) // 2
+    cur = list(radical.basis)
+    pairs = [omega_with(v) for v in cur]
+    span = Subspace(W.ambient_dim, cur)
+    for v in W.basis:
+        if span.dim >= target:
+            break
+        if not span.member(v) and all(p(v) == 0 for p in pairs):
+            cur.append(v)
+            pairs.append(omega_with(v))
+            span = Subspace(W.ambient_dim, cur)
+    completed = span.dim < target
+    while span.dim < target:
+        rows = [[p(w) for w in W.basis] for p in pairs]
+        perp = _kernel_rows(rows, W.dim) if rows else \
+            [[Fraction(int(i == j)) for j in range(W.dim)] for i in range(W.dim)]
+        v = next(v for v in (_combine(c, W.basis) for c in perp)
+                 if not span.member(v))
+        cur.append(v)
+        pairs.append(omega_with(v))
+        span = Subspace(W.ambient_dim, cur)
+    return span, completed
+
+
+# the greedy pass stops at dim 1 here, so the completion step must run
+_STALLING_F = QMatrix.from_rows([[-1, -1, 0], [1, 0, 0], [0, -1, 1]])
+_STALLING_W = Subspace(9, [[1, 0, 0, 0, -6, -1, -6, 4, 0],
+                           [0, 1, 0, 0, -3, -1, -3, 3, 1],
+                           [0, 0, 1, 0, 2, 0, 2, 0, 0],
+                           [0, 0, 0, 1, 4, 1, 4, -2, 0]])
+
+
+def _random_space(rng, n):
+    """A random subspace of flattened gl_n: the span of random small vectors,
+    or of elementary matrices (a coordinate subspace), or all of gl_n."""
+    kind = rng.random()
+    if kind < 0.45:
+        return Subspace(n * n, [[Fraction(rng.choice([0, 0, 1, -1, 2]))
+                                 for _ in range(n * n)]
+                                for _ in range(rng.randint(1, n * n))])
+    if kind < 0.9:
+        cells = rng.sample(range(n * n), rng.randint(1, n * n))
+        return Subspace(n * n, [[Fraction(int(c == k)) for k in range(n * n)]
+                                for c in cells])
+    return _glq(n)
+
+
+def test_lagrangian_matches_functional_oracle():
+    rng = random.Random(11)
+    cases = [(_STALLING_F, _STALLING_W)]
+    for _ in range(320):
+        n = rng.randint(2, 4)
+        density = rng.choice([0.3, 1.0])
+        f = QMatrix.from_rows([[Fraction(rng.randint(-2, 2))
+                                if rng.random() < density else 0
+                                for _ in range(n)] for _ in range(n)])
+        cases.append((f, _random_space(rng, n)))
+    completions = 0
+    for f, W in cases:
+        rad = skew_tools(f, W, "radical")
+        expected, completed = lagrangian_by_functionals(f, W, rad)
+        assert skew_tools(f, W, "lagrangian") == expected
+        completions += completed
+    assert completions >= 30
+
+
 def test_lagrangian_stalled_completion_is_typed(monkeypatch):
-    # the greedy pass stops at dim 1 here, so the completion step must run
-    f = QMatrix.from_rows([[-1, -1, 0], [1, 0, 0], [0, -1, 1]])
-    W = Subspace(9, [[1, 0, 0, 0, -6, -1, -6, 4, 0], [0, 1, 0, 0, -3, -1, -3, 3, 1],
-                     [0, 0, 1, 0, 2, 0, 2, 0, 0], [0, 0, 0, 1, 4, 1, 4, -2, 0]])
-    rad = skew_tools(f, W, "radical")
-    assert rad.dim == 0 and _lagrangian(f, W, rad).dim == 2
+    gram = skew_tools(_STALLING_F, _STALLING_W, "gram").row_lists()
+    kern = _kernel_rows(gram, len(gram))
+    assert kern == [] and _lagrangian(_STALLING_W, gram, kern).dim == 2
+    assert lagrangian_by_functionals(_STALLING_F, _STALLING_W, Subspace(9))[1]
     monkeypatch.setattr(exactq, "_kernel_rows", lambda rows, n_cols: [])
     with pytest.raises(InternalCheckFailure, match="completion stalled"):
-        _lagrangian(f, W, rad)
+        _lagrangian(_STALLING_W, gram, kern)
 
 
 def test_lagrangian_parity_check_is_typed():
     W = Subspace(4, [[1, 0, 0, 0]])
     with pytest.raises(InternalCheckFailure, match="must be even"):
-        _lagrangian(QMatrix.zeros(2), W, Subspace(4))
+        _lagrangian(W, [[Fraction(0)]], [])

@@ -87,3 +87,9 @@ def test_jordan_block_is_rejected(capsys):
     assert json.loads(err) == {
         "error": "NotRationalSplit",
         "message": "eigenspace dimensions sum to 1 < 2; not rational semisimple"}
+
+
+def test_two_digit_indices_in_braces(capsys):
+    code, out, _ = run_timed(capsys, "orbit-classify", "--matrix", "E{11,10}+E21")
+    assert code == 0
+    assert json.loads(out)["partition"] == [2, 2, 1, 1, 1, 1, 1, 1, 1]
