@@ -36,14 +36,22 @@ _TERM_RE = re.compile(r"""
 
 
 def parse_matrix_spec(spec, n=None):
-    """Parse a matrix from dense JSON (list of lists) or E-notation text."""
+    """Parse a matrix from dense JSON (list of lists) or E-notation text.  A
+    given size n is the size: a dense matrix of another shape, an index past
+    n and a diag(...) of another length are ParseErrors.  Without n,
+    E-notation takes the largest index or diag(...) length."""
+    if n is not None and (type(n) is not int or n < 1):
+        raise ParseError(f"matrix size n must be a positive integer, got {n!r}")
     if isinstance(spec, QMatrix):
         return spec
+    if isinstance(spec, str) and spec.strip().startswith("["):
+        spec = json.loads(spec)
     if isinstance(spec, list):
-        return QMatrix.from_json(spec)
+        M = QMatrix.from_json(spec)
+        if n is not None and (M.rows, M.cols) != (n, n):
+            raise ParseError(f"matrix is {M.rows} x {M.cols}, not n = {n}")
+        return M
     text = str(spec).strip()
-    if text.startswith("["):
-        return QMatrix.from_json(json.loads(text))
     terms = []
     pos = 0
     while pos < len(text):
@@ -63,12 +71,8 @@ def parse_matrix_spec(spec, n=None):
             terms.append(("E", sign * coef, (int(i), int(j))))
     if not terms:
         raise ParseError(f"empty matrix spec {text!r}")
-    size = n
-    for kind, _, payload in terms:
-        if kind == "diag":
-            size = max(size or 0, len(payload))
-        elif kind == "E":
-            size = max(size or 0, *payload)
+    size = n or max([len(p) if kind == "diag" else max(p)
+                     for kind, _, p in terms if kind != "zero"], default=0)
     if not size:
         raise ParseError(f"cannot infer size of {text!r}; pass n")
     out = QMatrix.zeros(size)
@@ -79,6 +83,8 @@ def parse_matrix_spec(spec, n=None):
             out = out + QMatrix.diag(payload).scale(coef)
         elif kind == "E":
             i, j = payload
+            if not (1 <= i <= size and 1 <= j <= size):
+                raise ParseError(f"E{{{i},{j}}} is out of range for n = {size}")
             out = out + QMatrix.elementary(size, i, j, coef)
     return out
 
@@ -111,22 +117,25 @@ def _read_input(args):
         raise ParseError(f"input is not valid JSON: {exc}") from None
 
 
-def _matrix_arg(args, doc, key, n=None, required=True):
+def _size(args, doc):
+    """The matrix size of a verb: --n when given (0 included), else the
+    input document's n, else None (inferred from the first matrix)."""
+    return args.n if args.n is not None else doc.get("n")
+
+
+def _matrix_arg(args, doc, key, n, required=True):
     inline = getattr(args, key.replace("-", "_"), None)
     spec = inline if inline is not None else doc.get(key)
     if spec is None:
         if required:
             raise ParseError(f"missing matrix {key!r}")
         return None
-    return parse_matrix_spec(spec, n=n or doc.get("n"))
+    return parse_matrix_spec(spec, n=n)
 
 
 def _build_pair(args, doc):
-    n = doc.get("n")
-    S = _matrix_arg(args, doc, "S", n=n)
-    f = _matrix_arg(args, doc, "f", n=n or S.rows)
-    if f.rows != S.rows:
-        raise ParseError("S and f sizes differ")
+    S = _matrix_arg(args, doc, "S", _size(args, doc))
+    f = _matrix_arg(args, doc, "f", S.rows)
     return whitpair.WhittakerPair(S.rows, S, f)
 
 
@@ -136,7 +145,7 @@ def _build_pair(args, doc):
 
 def cmd_orbit_classify(args):
     doc = _read_input(args)
-    N = _matrix_arg(args, doc, "matrix", n=getattr(args, "n", None) or doc.get("n"))
+    N = _matrix_arg(args, doc, "matrix", _size(args, doc))
     cls = orbits.sl_class(N)
     return {"partition": list(cls.lam), "sl_class": cls.to_json()}
 
@@ -176,7 +185,7 @@ def cmd_pair_chain(args):
 def cmd_quasi_criticals(args):
     doc = _read_input(args)
     pair = _build_pair(args, doc)
-    h = _matrix_arg(args, doc, "h", n=pair.n, required=False)
+    h = _matrix_arg(args, doc, "h", pair.n, required=False)
     if h is None:
         h, _ = whitpair.find_Z(pair)
     vals, count = whitpair.quasi_criticals(pair.S, pair.f, h)
@@ -187,7 +196,7 @@ def cmd_quasi_criticals(args):
 def cmd_model_data(args):
     doc = _read_input(args)
     pair = _build_pair(args, doc)
-    fp = _matrix_arg(args, doc, "f_prime", n=pair.n, required=False)
+    fp = _matrix_arg(args, doc, "f_prime", pair.n, required=False)
     if fp is not None:
         data = whitpair.quasi_model_data(whitpair.WhittakerTriple(pair, fp))
     else:

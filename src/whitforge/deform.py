@@ -3,9 +3,11 @@ recursive certificate builder for any dominated pair mu <= lambda, the SL
 variant with its gcd power-class gate, and the orbit-comparison hypothesis
 certificates.
 
-The builder keeps h and Z diagonal at every level (no inter-level
-conjugation); instead it tracks one designated chain-top vector per Jordan
-block of f + psi.  Every raising path ends in one checker,
+The builder has one lemma step, _merge, which raises one Jordan block along
+the dominance order; every stripped pair, two-part ones included, and the
+two-block step go through it.  It keeps h and Z diagonal at every level (no
+inter-level conjugation); instead it tracks one designated chain-top vector
+per Jordan block of f + psi.  Every raising path ends in one checker,
 _check_raising, which reads each ad(h)-, ad(Z)- and ad(h+Z)-weight of f and
 psi off the diagonals of h and Z and tests (h, f) with orbits.is_neutral_pair,
 the one neutrality test; violations raise InternalCheckFailure naming the
@@ -31,12 +33,13 @@ def two_blocks(p, q, r):
     """The elementary raising move on two Jordan blocks:
     Z = diag((p+q-r) Id_p, 0_{q+r}), Y = E_{p+r+1, p}, X = J_{(p, q+r)} + Y,
     S = h_{(p, q+r)} + Z; X lands in the orbit of (p+q, r).  This is the
-    builder's two-part base case, checked like every raising certificate."""
+    builder's lemma step _merge at index 1 on the composition (p, q+r)
+    (lam_1 = p+q > p > r = lam_2), checked like every raising certificate."""
     p, q, r = int(p), int(q), int(r)
     if not (p > r >= 0 and q > 0):
         raise PreconditionViolation(f"need p > r >= 0 and q > 0, got {(p, q, r)}")
     target = (p + q, r) if r else (p + q,)
-    h, f, Z, Y = _matrices(*_build_stripped((p, q + r), target)[:4])
+    h, f, Z, Y = _matrices(*_merge((p, q + r), target, 1)[:4])
     _check_raising(h, f, Z, Y, (max(p, q + r), min(p, q + r)), target)
     return Z, Y, f + Y, h + Z
 
@@ -105,7 +108,8 @@ def _build(mu, lam):
         tops.append((k, top))
         off += k
     if mu_s:
-        h_s, Z_s, f_s, psi_s, tops_s = _build_stripped(mu_s, lam_s)
+        h_s, Z_s, f_s, psi_s, tops_s = _merge(mu_s, lam_s,
+                                              lemma_part_index(lam_s, mu_s))
         h += h_s
         Z += Z_s
         _put_block(f, f_s, off)
@@ -113,33 +117,6 @@ def _build(mu, lam):
         for k, v in tops_s:
             tops.append((k, [Fraction(0)] * off + v))
     return n, h, Z, f, psi, tops
-
-
-def _build_stripped(mu, lam):
-    """mu strictly dominated by lam, no common parts."""
-    n = sum(mu)
-    if len(mu) == 2:
-        p1, p2 = mu
-        l1 = lam[0]
-        l2 = lam[1] if len(lam) > 1 else 0
-        h = _h_std(p1) + _h_std(p2)
-        Z = [Fraction(l1 - l2)] * p1 + [Fraction(0)] * p2
-        f = _zeros(n)
-        _put_block(f, _jrows(p1), 0)
-        _put_block(f, _jrows(p2), p1)
-        psi = _zeros(n)
-        psi[p1 + l2][p1 - 1] = Fraction(1)
-        tops = []
-        tlong = [Fraction(0)] * n
-        tlong[0] = Fraction(1)
-        tops.append((l1, tlong))
-        if l2:
-            tshort = [Fraction(0)] * n
-            tshort[p1] = Fraction(1)
-            tshort[p1 - l2] -= Fraction(1)
-            tops.append((l2, tshort))
-        return h, Z, f, psi, tops
-    return _merge(mu, lam, lemma_part_index(lam, mu))
 
 
 def _merge(mu, lam, i):

@@ -115,18 +115,12 @@ def jordan_partition(N):
                  for j in range(1, lam_t[0] + 1)) if lam_t else ()
 
 
-def jordan_chain_basis(N, order="forward"):
+def jordan_chain_basis(N):
     """Deterministic Jordan chain basis: chains longest first, chain tops
     found by extending echelon bases of the kernel filtration in fixed
-    coordinate order.  order="reverse" works in the reversed coordinate frame
-    (a genuinely different deterministic chain-top choice), used to exercise
-    uniqueness-up-to-conjugacy properties."""
+    coordinate order.  The choice in another frame R is the chains of
+    R N R^{-1} mapped back by R^{-1}."""
     n = N.rows
-    if order == "reverse":
-        R = QMatrix.from_rows([[Fraction(int(j == n - 1 - i)) for j in range(n)]
-                               for i in range(n)])
-        chains = jordan_chain_basis(R * N * R, order="forward")
-        return [[R.matvec(v) for v in ch] for ch in chains]
     kernels = _power_kernels(N)
     chains = []
     for ell in range(len(kernels) - 1, 0, -1):
@@ -145,18 +139,18 @@ def jordan_chain_basis(N, order="forward"):
     return chains
 
 
-def jordan_conjugator(N, eta, order="forward"):
+def jordan_conjugator(N, eta):
     """Invertible g over Q with g N g^{-1} = J_eta exactly.  eta must be a
     composition whose sorted form is the Jordan type of N."""
-    return _conjugator(N, tuple(int(k) for k in eta), order)[1]
+    return _conjugator(N, tuple(int(k) for k in eta))[1]
 
 
-def _conjugator(N, eta=None, order="forward"):
+def _conjugator(N, eta=None):
     """(lam, g): the Jordan type lam of N, read off the chain lengths of one
     jordan_chain_basis, and g with g N g^{-1} = J_eta, whose inverse has the
     chains as columns in the order eta lists their lengths (eta = lam when
     not given)."""
-    chains = jordan_chain_basis(N, order=order)
+    chains = jordan_chain_basis(N)
     lam = tuple(sorted((len(ch) for ch in chains), reverse=True))
     eta = lam if eta is None else eta
     if tuple(sorted(eta, reverse=True)) != lam:
@@ -200,10 +194,10 @@ def sl2_complete(f, h):
     return e
 
 
-def neutral_for(f, order="forward"):
+def neutral_for(f):
     """A neutral element h for the nilpotent f, built by transporting the
     standard h_eta through a Jordan conjugator."""
-    eta, g = _conjugator(f, order=order)
+    eta, g = _conjugator(f)
     if not eta:
         raise DimensionMismatch("empty matrix")
     return g.inverse() * h_eta(eta) * g

@@ -9,8 +9,8 @@ rational semisimple matrices, from a joint eigenbasis P of Q^n.  A Whittaker
 pair is graded by S alone (weights r, predicates `lambda r: ...`); the chain
 is bigraded by (h, Z) with S_t = h + tZ (weights (alpha, beta), predicates
 `lambda a, b: ...`), so the ad(S_t)-weight of a component is alpha + t beta.
-`space(predicate)` is one elimination over the selected P E_ij P^{-1};
-`component(w)` echelonizes one weight space the first time it is asked for.
+`space(predicate)` is one elimination over the selected P E_ij P^{-1}, and
+`component(w)` is that elimination for the single weight w.
 
 Convention used throughout (stated once): a functional phi is realized as the
 matrix f with phi(X) = trace(f X); then ad*-weights of phi equal ad-weights of
@@ -50,9 +50,6 @@ class Grading:
     labels: tuple
     # weight -> the (i, j) whose P E_ij P^{-1} have that weight
     _cells: dict = field(init=False, repr=False, compare=False)
-    # weight -> its weight space, echelonized on first use
-    _spaces: dict = field(default_factory=dict, init=False, repr=False,
-                          compare=False)
 
     def __post_init__(self):
         cells = {}
@@ -75,10 +72,7 @@ class Grading:
 
     def component(self, w):
         """The weight space of weight w in flattened gl_n."""
-        if w not in self._spaces:
-            self._spaces[w] = Subspace(self.P.rows ** 2,
-                                       self._vectors(self._cells.get(w, ())))
-        return self._spaces[w]
+        return self.space(lambda *x: x == w)
 
     def space(self, predicate):
         """Echelonized sum of the weight spaces whose weight satisfies the
@@ -294,15 +288,16 @@ def critical_numbers(h, Z, f):
     return _critical_values(bigrading(h, Z))
 
 
+def _crossings(bg, level, after):
+    """The t > after, sorted, at which a component (alpha, beta) of the
+    bigrading with beta != 0 has ad(S_t)-weight alpha + t beta = level."""
+    ts = {(level - a) / b for a, b in bg.weights if b != 0}
+    return sorted(t for t in ts if t > after)
+
+
 def _critical_values(bg):
     """critical_numbers read off an already built bigrading."""
-    crits = {Fraction(0)}
-    for (a, b) in bg.weights:
-        if b != 0:
-            t = (1 - a) / b
-            if t > 0:
-                crits.add(t)
-    return sorted(crits)
+    return [Fraction(0)] + _crossings(bg, 1, 0)
 
 
 def quasi_criticals(S, f, h):
@@ -318,14 +313,7 @@ def quasi_criticals(S, f, h):
         raise NotCommuting("[Z, h] != 0")
     if not is_neutral_pair(h, f):
         raise VerificationError("h is not neutral for f")
-    bg = bigrading(h, Z)
-    vals = set()
-    for (a, b) in bg.weights:
-        if b != 0:
-            t = (2 - a) / b
-            if t > 1:
-                vals.add(t)
-    out = sorted(vals)
+    out = _crossings(bigrading(h, Z), 2, 1)
     return out, len(out)
 
 

@@ -41,6 +41,10 @@ def test_parse_e_notation_errors():
         parse_matrix_spec("E{1}")
     with pytest.raises(ParseError):
         parse_matrix_spec("0")   # no size available
+    with pytest.raises(ParseError):
+        parse_matrix_spec("E01")
+    with pytest.raises(ParseError):
+        parse_matrix_spec("E21", n=True)
 
 
 # -- verbs -----------------------------------------------------------------------
@@ -184,6 +188,31 @@ def test_quasi_criticals_cli(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["quasi_criticals"][0] == "4/3"
+
+
+def test_pair_check_cli_reads_the_size_from_n(capsys):
+    code, out, err = run_cli(capsys, "pair-check", "--n", "3", "--S", "0",
+                             "--f", "0")
+    assert code == 0 and err == ""
+    zero = QMatrix.zeros(3).to_json()
+    assert json.loads(out) == {"valid": True, "S_is_neutral": True,
+                               "h": zero, "Z": zero}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("quasi-criticals", "--n", "3", "--S", "diag(1,-1)", "--f", "E21"),
+     "diag(...) length 2 != n = 3"),
+    (("orbit-classify", "--n", "2", "--matrix", "E31"),
+     "E{3,1} is out of range for n = 2"),
+    (("orbit-classify", "--n", "0", "--matrix", "E21"),
+     "matrix size n must be a positive integer, got 0"),
+    (("model-data", "--n", "3", "--S", "[[1,0],[0,-1]]", "--f", "0"),
+     "matrix is 2 x 2, not n = 3"),
+])
+def test_cli_rejects_a_matrix_of_another_size_than_n(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "ParseError", "message": message}
 
 
 def test_model_data_cli(capsys):

@@ -12,7 +12,8 @@ from whitforge.errors import (InternalCheckFailure, NotDominated,
 from whitforge.exactq import QMatrix
 from whitforge.orbits import (is_dth_power, jordan_partition, power_class,
                               sl_class)
-from whitforge.partitions import dominance_leq, partitions_of
+from whitforge.partitions import (dominance_leq, lemma_part_index,
+                                  partitions_of)
 from whitforge.whitpair import weight_components
 
 from conftest import E
@@ -57,6 +58,52 @@ def test_two_blocks_exhaustive_small():
                 r = total - p - q
                 if p > r >= 0 and q > 0:
                     two_blocks(p, q, r)
+
+
+def _two_part_step(mu, lam):
+    """The lemma step on two Jordan blocks written out by hand: mu = (p1, p2)
+    raised to lam = (l1, l2) (l2 = 0 for one part) by Z = (l1 - l2) Id_{p1}
+    (+) 0_{p2} and psi = E_{p1+l2+1, p1}, with chain tops e_1 of size l1 and
+    e_{p1+1} - e_{p1-l2+1} of size l2.  Returns the builder's
+    (h, Z, f, psi, tops)."""
+    p1, p2 = mu
+    l1, l2 = lam[0], (lam[1] if len(lam) > 1 else 0)
+    n = p1 + p2
+
+    def unit(*ks):
+        v = [Fraction(0)] * n
+        for k, c in ks:
+            v[k] += c
+        return v
+    h = [Fraction(k - 1 - 2 * i) for k in mu for i in range(k)]
+    Z = [Fraction(l1 - l2)] * p1 + [Fraction(0)] * p2
+    f = [unit() for _ in range(n)]
+    for i in range(n - 1):
+        if i != p1 - 1:
+            f[i + 1][i] = Fraction(1)
+    psi = [unit() for _ in range(n)]
+    psi[p1 + l2][p1 - 1] = Fraction(1)
+    tops = [(l1, unit((0, 1)))]
+    if l2:
+        tops.append((l2, unit((p1, 1), (p1 - l2, -1))))
+    return h, Z, f, psi, tops
+
+
+def test_merge_at_index_one_is_the_two_part_step():
+    # every two_blocks triple: mu = (p, q + r) is a composition
+    triples = [(p, q, total - p - q) for total in range(2, 13)
+               for p in range(1, total) for q in range(1, total - p + 1)
+               if p > total - p - q]
+    for p, q, r in triples:
+        lam = (p + q, r) if r else (p + q,)
+        assert deform._merge((p, q + r), lam, 1) == _two_part_step((p, q + r), lam)
+    # every stripped two-part pair: strictly dominated, no common part
+    stripped = [(mu, lam) for mu, lam in _dominated_pairs(12)
+                if len(mu) == 2 and not set(mu) & set(lam)]
+    assert len(triples) == 161 and len(stripped) == 91
+    for mu, lam in stripped:
+        assert lemma_part_index(lam, mu) == 1
+        assert deform._merge(mu, lam, 1) == _two_part_step(mu, lam)
 
 
 # -- deform_gl -------------------------------------------------------------------
@@ -143,10 +190,10 @@ def test_deform_sl_certificate_weights_independent():
         _assert_raising_weights(cert)
 
 
-def _faulty_psi(build_stripped):
+def _faulty_psi(merge):
     # psi gains E_11, of ad(Z)-weight 0
-    def wrapped(mu, lam):
-        h, Z, f, psi, tops = build_stripped(mu, lam)
+    def wrapped(mu, lam, i):
+        h, Z, f, psi, tops = merge(mu, lam, i)
         psi[0][0] = Fraction(1)
         return h, Z, f, psi, tops
     return wrapped
@@ -179,7 +226,7 @@ RAISING_PATHS = [
 
 @pytest.mark.parametrize("path", RAISING_PATHS)
 @pytest.mark.parametrize("target, fault, clause", [
-    ("_build_stripped", _faulty_psi, "psi_Z_negative"),
+    ("_merge", _faulty_psi, "psi_Z_negative"),
     ("_matrices", _faulty_h, "Z_commutes_h: h is not diagonal"),
     ("_matrices", _shifted_h, r"neutral_pair: \(h, f\) is not a neutral pair"),
 ])
