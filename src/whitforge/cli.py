@@ -36,17 +36,25 @@ _TERM_RE = re.compile(r"""
 
 
 def parse_matrix_spec(spec, n=None):
-    """Parse a matrix from dense JSON (list of lists) or E-notation text.  A
-    given size n is the size: a dense matrix of another shape, an index past
-    n and a diag(...) of another length are ParseErrors.  Without n,
-    E-notation takes the largest index or diag(...) length."""
+    """Parse a matrix from dense JSON (a non-empty square list of lists) or
+    E-notation text.  Dense input that is not valid JSON or not square is a
+    ParseError.  A given size n is the size: a dense matrix of another shape,
+    an index past n and a diag(...) of another length are ParseErrors.
+    Without n, E-notation takes the largest index or diag(...) length."""
     if n is not None and (type(n) is not int or n < 1):
         raise ParseError(f"matrix size n must be a positive integer, got {n!r}")
     if isinstance(spec, QMatrix):
         return spec
     if isinstance(spec, str) and spec.strip().startswith("["):
-        spec = json.loads(spec)
+        try:
+            spec = json.loads(spec)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"dense matrix is not valid JSON: {exc}") from None
     if isinstance(spec, list):
+        if not spec or not all(isinstance(r, list) and len(r) == len(spec)
+                               for r in spec):
+            raise ParseError("a dense matrix must be a non-empty square list "
+                             "of lists")
         M = QMatrix.from_json(spec)
         if n is not None and (M.rows, M.cols) != (n, n):
             raise ParseError(f"matrix is {M.rows} x {M.cols}, not n = {n}")
@@ -106,15 +114,22 @@ def parse_composition(text):
 
 
 def _read_input(args):
-    """Input document from --input path, '-' for stdin, or {} if absent."""
+    """Input document (a JSON object, UTF-8) from the positional path, '-'
+    for stdin, or {} if absent.  An unreadable file or a document that is
+    not a JSON object is a ParseError."""
     src = getattr(args, "input", None)
     if not src:
         return {}
-    raw = sys.stdin.read() if src == "-" else Path(src).read_text()
     try:
-        return json.loads(raw)
+        doc = json.loads(sys.stdin.read() if src == "-"
+                         else Path(src).read_text("utf-8"))
     except json.JSONDecodeError as exc:
         raise ParseError(f"input is not valid JSON: {exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read input {src!r}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ParseError("input document must be a JSON object")
+    return doc
 
 
 def _size(args, doc):
@@ -366,8 +381,20 @@ def _render_text(payload, out):
     walk(payload)
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors raised as ParseError (exit code 1, JSON on
+    stderr) rather than printed and exited with argparse's code 2.  Options
+    match only in full: an undeclared --h is an error, not --help."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        raise ParseError(f"{self.prog}: {message}")
+
+
 def build_parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="whitforge",
         description="exact certificates for nilpotent orbits and Whittaker pairs")
     p.add_argument("--output", choices=("json", "text"), default="json")
@@ -395,18 +422,15 @@ def build_parser():
     sp.add_argument("--field", default="padic", choices=partitions.FIELD_FLAVORS)
     sp.add_argument("--lambda", dest="lam", required=True)
 
-    for name, fn, with_t in (("pair-check", cmd_pair_check, False),
-                             ("pair-chain", cmd_pair_chain, True),
-                             ("quasi-criticals", cmd_quasi_criticals, False),
-                             ("model-data", cmd_model_data, False)):
+    # each pair verb declares only the options it reads
+    for name, fn, extra in (("pair-check", cmd_pair_check, ()),
+                            ("pair-chain", cmd_pair_chain, ("--t",)),
+                            ("quasi-criticals", cmd_quasi_criticals, ("--h",)),
+                            ("model-data", cmd_model_data, ("--f-prime",))):
         sp = add(name, fn)
-        sp.add_argument("--S")
-        sp.add_argument("--f")
-        sp.add_argument("--h")
-        sp.add_argument("--f-prime")
+        for opt in ("--S", "--f") + extra:
+            sp.add_argument(opt)
         sp.add_argument("--n", type=int)
-        if with_t:
-            sp.add_argument("--t")
         sp.add_argument("input", nargs="?")
 
     sp = add("deform-gl", cmd_deform_gl, help="orbit-raising certificate")
@@ -431,10 +455,9 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     out = sys.stdout
     try:
+        args = build_parser().parse_args(argv)
         result = args.fn(args)
     except ParseError as exc:
         print(json.dumps({"error": "ParseError", "message": str(exc)},

@@ -5,9 +5,13 @@ certificates.
 
 The builder has one lemma step, _merge, which raises one Jordan block along
 the dominance order; every stripped pair, two-part ones included, and the
-two-block step go through it.  It keeps h and Z diagonal at every level (no
-inter-level conjugation); instead it tracks one designated chain-top vector
-per Jordan block of f + psi.  Every raising path ends in one checker,
+two-block step go through it.  It returns (eta, Z, psi, tops): h and f are
+never free data but the standard h_eta and J_eta of the composition eta of
+block sizes it lays down (orbits builds both), Z is a diagonal list, psi the
+dict of its nonzero entries, and tops one designated chain-top vector per
+Jordan block of f + psi (no inter-level conjugation).  _matrices is the one
+place that turns (eta, Z, psi) into the matrices (h, f, Z, psi), so deform
+keeps no matrix code of its own.  Every raising path ends in one checker,
 _check_raising, which reads each ad(h)-, ad(Z)- and ad(h+Z)-weight of f and
 psi off the diagonals of h and Z and tests (h, f) with orbits.is_neutral_pair,
 the one neutrality test; violations raise InternalCheckFailure naming the
@@ -20,8 +24,9 @@ from fractions import Fraction
 
 from .errors import InternalCheckFailure, NotDominated, PreconditionViolation
 from .exactq import QMatrix, rat_str
-from .orbits import (is_dth_power, is_neutral_pair, jordan_partition,
-                     power_class, rational_dth_root, sl_class)
+from .orbits import (J_eta, h_eta, is_dth_power, is_neutral_pair,
+                     jordan_partition, power_class, rational_dth_root,
+                     sl_class)
 from .partitions import as_partition, dominance_leq, lemma_part_index
 
 
@@ -39,42 +44,25 @@ def two_blocks(p, q, r):
     if not (p > r >= 0 and q > 0):
         raise PreconditionViolation(f"need p > r >= 0 and q > 0, got {(p, q, r)}")
     target = (p + q, r) if r else (p + q,)
-    h, f, Z, Y = _matrices(*_merge((p, q + r), target, 1)[:4])
+    h, f, Z, Y = _matrices(*_merge((p, q + r), target, 1)[:3])
     _check_raising(h, f, Z, Y, (max(p, q + r), min(p, q + r)), target)
     return Z, Y, f + Y, h + Z
 
 
 # ---------------------------------------------------------------------------
-# internal recursive builder (diagonal h, Z; chain-top bookkeeping)
+# internal recursive builder (standard h and f of a composition; diagonal Z;
+# chain-top bookkeeping)
 
 
-def _zeros(n):
-    return [[Fraction(0)] * n for _ in range(n)]
-
-def _h_std(k):
-    return [Fraction(k - 1 - 2 * i) for i in range(k)]
-
-def _put_block(M, B, off):
-    for i, row in enumerate(B):
-        for j, x in enumerate(row):
-            M[off + i][off + j] = x
-
-def _jrows(k):
-    B = _zeros(k)
-    for i in range(k - 1):
-        B[i + 1][i] = Fraction(1)
-    return B
-
-def _matrices(h, Z, f, psi):
-    """The builder's diagonal lists h, Z and row lists f, psi as the
-    matrices (h, f, Z, psi); every entry is a Fraction already."""
-    n = len(h)
-    return (QMatrix.diag(h), QMatrix._trusted(n, n, [x for r in f for x in r]),
-            QMatrix.diag(Z), QMatrix._trusted(n, n, [x for r in psi for x in r]))
-
-def _matvec(M, v):
-    return [sum((a * x for a, x in zip(row, v) if a and x), Fraction(0))
-            for row in M]
+def _matrices(eta, Z, psi):
+    """The builder's (eta, Z, psi) as the certificate's matrices (h, f, Z,
+    psi): h = h_eta, f = J_eta, Z diagonal and psi from its nonzero
+    entries."""
+    n = len(Z)
+    ent = [Fraction(0)] * (n * n)
+    for (a, b), x in psi.items():
+        ent[a * n + b] = x
+    return h_eta(eta), J_eta(eta), QMatrix.diag(Z), QMatrix._trusted(n, n, ent)
 
 
 def _common_parts(mu, lam):
@@ -88,35 +76,32 @@ def _common_parts(mu, lam):
 
 
 def _build(mu, lam):
-    """Core recursion.  Returns (n, h, Z, f, psi, tops): h, Z diagonal lists,
-    f, psi dense row lists, tops a list of (part, vector) with one designated
-    chain top per Jordan block of f + psi, each supported on a single
-    (h + Z)-eigenvalue."""
+    """Core recursion.  Returns (eta, Z, psi, tops): eta the composition of
+    Jordan block sizes laid down (so h = h_eta, f = J_eta), Z a diagonal
+    list, psi a dict {(row, col): entry} of its nonzero entries (0-based),
+    tops a list of (part, vector) with one designated chain top per Jordan
+    block of f + psi, each supported on a single (h + Z)-eigenvalue."""
     n = sum(mu)
     common, mu_s, lam_s = _common_parts(mu, lam)
     if mu_s and not dominance_leq(mu_s, lam_s):
         raise InternalCheckFailure(
             f"stripping common parts broke dominance: {mu_s} vs {lam_s}")
-    h, Z, f, psi, tops = [], [], _zeros(n), _zeros(n), []
+    eta, Z, psi, tops = list(common), [Fraction(0)] * sum(common), {}, []
     off = 0
     for k in common:
-        h += _h_std(k)
-        Z += [Fraction(0)] * k
-        _put_block(f, _jrows(k), off)
         top = [Fraction(0)] * n
         top[off] = Fraction(1)
         tops.append((k, top))
         off += k
     if mu_s:
-        h_s, Z_s, f_s, psi_s, tops_s = _merge(mu_s, lam_s,
-                                              lemma_part_index(lam_s, mu_s))
-        h += h_s
+        eta_s, Z_s, psi_s, tops_s = _merge(mu_s, lam_s,
+                                           lemma_part_index(lam_s, mu_s))
+        eta += eta_s
         Z += Z_s
-        _put_block(f, f_s, off)
-        _put_block(psi, psi_s, off)
+        psi = {(a + off, b + off): x for (a, b), x in psi_s.items()}
         for k, v in tops_s:
             tops.append((k, [Fraction(0)] * off + v))
-    return n, h, Z, f, psi, tops
+    return eta, Z, psi, tops
 
 
 def _merge(mu, lam, i):
@@ -136,16 +121,20 @@ def _merge(mu, lam, i):
                           if j not in (i - 1, i)] + [p], reverse=True))
     if not dominance_leq(mu_c, lam_c):
         raise InternalCheckFailure("reduced pair lost dominance")
-    _, h_c, Z_c, f_c, psi_c, tops_c = _build(mu_c, lam_c)
-    X_c = [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(f_c, psi_c)]
-    S_c = [a + b for a, b in zip(h_c, Z_c)]
+    eta_c, Z_c, psi_c, tops_c = _build(mu_c, lam_c)
+    f_c = J_eta(eta_c)
+    S_c = [x + z for x, z in zip(h_eta(eta_c).entries[::len(Z_c) + 1], Z_c)]
     top = next((k for k, (size, _) in enumerate(tops_c) if size == p), None)
     if top is None:
         raise InternalCheckFailure(f"no chain top of size {p} for {mu} -> {lam}")
     u = tops_c.pop(top)[1]
-    w = u[:]
+    # the connector w = (f_c + psi_c)^ln u
+    w = u
     for _ in range(ln):
-        w = _matvec(X_c, w)
+        Xw = f_c.matvec(w)
+        for (a, b), x in psi_c.items():
+            Xw[a] += x * w[b]
+        w = Xw
     supp = [k for k, x in enumerate(w) if x]
     if not supp:
         raise InternalCheckFailure("connector vector vanished")
@@ -156,15 +145,11 @@ def _merge(mu, lam, i):
     for k in supp:
         if Z_c[k] + c - z1 >= 0:
             raise InternalCheckFailure("connector has nonnegative Z-weight")
-    h = _h_std(mi) + h_c
+    eta = [mi] + eta_c
     Z = [z1] * mi + [zc + c for zc in Z_c]
-    f = _zeros(n)
-    _put_block(f, _jrows(mi), 0)
-    _put_block(f, f_c, mi)
-    psi = _zeros(n)
-    _put_block(psi, psi_c, mi)
+    psi = {(a + mi, b + mi): x for (a, b), x in psi_c.items()}
     for k in supp:
-        psi[mi + k][mi - 1] = w[k]
+        psi[mi + k, mi - 1] = w[k]
     tops = []
     tlong = [Fraction(0)] * n
     tlong[0] = Fraction(1)
@@ -178,7 +163,7 @@ def _merge(mu, lam, i):
         tops.append((ln, tshort))
     for k, v in tops_c:
         tops.append((k, [Fraction(0)] * mi + v))
-    return h, Z, f, psi, tops
+    return eta, Z, psi, tops
 
 
 # ---------------------------------------------------------------------------
@@ -258,9 +243,8 @@ def deform_gl(mu, lam):
     mu, lam = as_partition(mu), as_partition(lam)
     if not dominance_leq(mu, lam):
         raise NotDominated(f"{mu} is not dominated by {lam}")
-    n, h, Z, f, psi, _ = _build(mu, lam)
-    h, f, Z, psi = _matrices(h, Z, f, psi)
-    return DeformationCertificate(n, h, f, Z, psi, mu, lam,
+    h, f, Z, psi = _matrices(*_build(mu, lam)[:3])
+    return DeformationCertificate(sum(mu), h, f, Z, psi, mu, lam,
                                   _check_raising(h, f, Z, psi, mu, lam))
 
 
@@ -286,11 +270,11 @@ def deform_sl(mu, lam, a, b):
         raise NotDominated(f"{mu} is not dominated by {lam}")
     dl, dm = d_of(lam), d_of(mu)
     d = math.gcd(dl, dm)
-    if not is_dth_power(a / b, d):
+    u = rational_dth_root(a / b, d)
+    if u is None:
         return ConditionNotMet(d, power_class(a / b, d))
     base = deform_gl(mu, lam)
     # normalize a, b to a common c (Bezout exponents on d = x dl + y dm)
-    u = rational_dth_root(a / b, d)
     g, x, _ = _ext_gcd(dl, dm)
     if g != d:
         raise InternalCheckFailure("Bezout: gcd(d(lambda), d(mu)) != d")

@@ -18,36 +18,23 @@ from .exactq import (NO_SOLUTION, QMatrix, Subspace, _kernel_of_rref,
 # standard representatives
 
 
-def jordan_block(k):
-    """Lower-triangular Jordan block of size k."""
-    ent = [Fraction(0)] * (k * k)
-    for i in range(k - 1):
-        ent[(i + 1) * k + i] = Fraction(1)
-    return QMatrix(k, k, ent)
-
-
-def h_block(k):
-    return QMatrix.diag([k - 1 - 2 * i for i in range(k)])
-
-
-def block_diag(blocks):
-    n = sum(b.rows for b in blocks)
+def J_eta(eta):
+    """The standard nilpotent of the composition eta: lower-triangular Jordan
+    blocks of the sizes eta lists, in that order down the diagonal."""
+    n = sum(eta)
     ent = [Fraction(0)] * (n * n)
     off = 0
-    for b in blocks:
-        for i in range(b.rows):
-            for j in range(b.cols):
-                ent[(off + i) * n + (off + j)] = b[i, j]
-        off += b.rows
-    return QMatrix(n, n, ent)
-
-
-def J_eta(eta):
-    return block_diag([jordan_block(k) for k in eta])
+    for k in eta:
+        for i in range(off, off + k - 1):
+            ent[(i + 1) * n + i] = Fraction(1)
+        off += k
+    return QMatrix._trusted(n, n, ent)
 
 
 def h_eta(eta):
-    return block_diag([h_block(k) for k in eta])
+    """The standard neutral element of J_eta: diag(k-1, k-3, ..., 1-k) on
+    each block of size k."""
+    return QMatrix.diag([k - 1 - 2 * i for k in eta for i in range(k)])
 
 
 @dataclass(frozen=True)
@@ -250,8 +237,9 @@ def integer_nth_root(m, d):
         x = y
 
 
-def is_dth_power(r, d):
-    """True iff the nonzero rational r is a d-th power in Q."""
+def rational_dth_root(r, d):
+    """The rational d-th root of the nonzero rational r when it exists (the
+    sign goes to the root for odd d); None otherwise."""
     r = Fraction(r)
     if r == 0:
         raise ValueError("r must be nonzero")
@@ -259,26 +247,19 @@ def is_dth_power(r, d):
     if d < 1:
         raise ValueError("d must be >= 1")
     if d == 1:
-        return True
+        return r
     if r < 0 and d % 2 == 0:
-        return False
-    num, den = abs(r.numerator), r.denominator
-    rn = integer_nth_root(num, d)
-    rd = integer_nth_root(den, d)
-    return rn ** d == num and rd ** d == den
-
-
-def rational_dth_root(r, d):
-    """The rational d-th root of r when it exists (sign goes to the root for
-    odd d); None otherwise."""
-    r = Fraction(r)
-    if not is_dth_power(r, d):
         return None
     num, den = abs(r.numerator), r.denominator
-    root = Fraction(integer_nth_root(num, d), integer_nth_root(den, d))
-    if r < 0:
-        root = -root
-    return root
+    rn, rd = integer_nth_root(num, d), integer_nth_root(den, d)
+    if rn ** d != num or rd ** d != den:
+        return None
+    return Fraction(rn, rd) if r > 0 else -Fraction(rn, rd)
+
+
+def is_dth_power(r, d):
+    """True iff the nonzero rational r is a d-th power in Q."""
+    return rational_dth_root(r, d) is not None
 
 
 def _strip_dth_powers(m, d):

@@ -136,6 +136,53 @@ def test_malformed_input_is_exit_1(capsys):
     assert code == 1 and "ParseError" in err
 
 
+def _assert_parse_error(code, out, err):
+    # exit code 1 and one JSON ParseError on stderr, no traceback
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "ParseError"
+
+
+@pytest.mark.parametrize("argv", [
+    ("orbit-classify", "--matrix", "[[1,"),
+    ("orbit-classify", "--matrix", "[1,2]"),
+    ("orbit-classify", "--matrix", "[[1,0],[0]]"),
+    ("orbit-classify", "--matrix", "[[]]"),
+    ("orbit-classify", "--bogus", "1"),
+    ("orbit-classify", "--n", "x"),
+    (),
+    # pair-check reads no --h (only quasi-criticals does)
+    ("pair-check", "--S", "diag(3,1,-1,-3)", "--f", "E21+E43", "--h", "E12"),
+], ids=["truncated-json", "flat-list", "ragged-rows", "empty-row",
+        "unknown-option", "non-integer-n", "no-verb", "undeclared-option"])
+def test_malformed_arguments_are_parse_errors(capsys, argv):
+    _assert_parse_error(*run_cli(capsys, *argv))
+
+
+def _missing(tmp_path):
+    return tmp_path / "missing.json"
+
+
+def _directory(tmp_path):
+    return tmp_path
+
+
+def _not_utf8(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"S": "diag(1,-1)", "f": "E21", "note": "\xe9"}')
+    return path
+
+
+def _json_list(tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text("[1]")
+    return path
+
+
+@pytest.mark.parametrize("make", [_missing, _directory, _not_utf8, _json_list])
+def test_unreadable_input_documents_are_parse_errors(tmp_path, capsys, make):
+    _assert_parse_error(*run_cli(capsys, "pair-check", str(make(tmp_path))))
+
+
 def test_pair_check_cli_neutral(capsys):
     code, out, _ = run_cli(capsys, "pair-check", "--S", "diag(1,-1)", "--f", "E21")
     assert code == 0

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -5,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from whitforge import deform, orbits
+from whitforge.cli import canonical_json
 from whitforge.deform import (ConditionNotMet, compar_certificate, deform_gl,
                               deform_sl, two_blocks)
 from whitforge.errors import (InternalCheckFailure, NotDominated,
@@ -65,7 +67,8 @@ def _two_part_step(mu, lam):
     raised to lam = (l1, l2) (l2 = 0 for one part) by Z = (l1 - l2) Id_{p1}
     (+) 0_{p2} and psi = E_{p1+l2+1, p1}, with chain tops e_1 of size l1 and
     e_{p1+1} - e_{p1-l2+1} of size l2.  Returns the builder's
-    (h, Z, f, psi, tops)."""
+    (eta, Z, psi, tops): h and f are the standard h_eta and J_eta of
+    eta = mu."""
     p1, p2 = mu
     l1, l2 = lam[0], (lam[1] if len(lam) > 1 else 0)
     n = p1 + p2
@@ -75,18 +78,11 @@ def _two_part_step(mu, lam):
         for k, c in ks:
             v[k] += c
         return v
-    h = [Fraction(k - 1 - 2 * i) for k in mu for i in range(k)]
     Z = [Fraction(l1 - l2)] * p1 + [Fraction(0)] * p2
-    f = [unit() for _ in range(n)]
-    for i in range(n - 1):
-        if i != p1 - 1:
-            f[i + 1][i] = Fraction(1)
-    psi = [unit() for _ in range(n)]
-    psi[p1 + l2][p1 - 1] = Fraction(1)
     tops = [(l1, unit((0, 1)))]
     if l2:
         tops.append((l2, unit((p1, 1), (p1 - l2, -1))))
-    return h, Z, f, psi, tops
+    return list(mu), Z, {(p1 + l2, p1 - 1): 1}, tops
 
 
 def test_merge_at_index_one_is_the_two_part_step():
@@ -193,16 +189,16 @@ def test_deform_sl_certificate_weights_independent():
 def _faulty_psi(merge):
     # psi gains E_11, of ad(Z)-weight 0
     def wrapped(mu, lam, i):
-        h, Z, f, psi, tops = merge(mu, lam, i)
-        psi[0][0] = Fraction(1)
-        return h, Z, f, psi, tops
+        eta, Z, psi, tops = merge(mu, lam, i)
+        psi[0, 0] = Fraction(1)
+        return eta, Z, psi, tops
     return wrapped
 
 
 def _faulty_h(matrices):
     # h gains E_12
-    def wrapped(h, Z, f, psi):
-        h, f, Z, psi = matrices(h, Z, f, psi)
+    def wrapped(eta, Z, psi):
+        h, f, Z, psi = matrices(eta, Z, psi)
         return h + E(h.rows, 1, 2), f, Z, psi
     return wrapped
 
@@ -210,8 +206,8 @@ def _faulty_h(matrices):
 def _shifted_h(matrices):
     # h + Id: diagonal with the same ad-weights, but of nonzero trace, so it
     # is not in the image of ad f
-    def wrapped(h, Z, f, psi):
-        h, f, Z, psi = matrices(h, Z, f, psi)
+    def wrapped(eta, Z, psi):
+        h, f, Z, psi = matrices(eta, Z, psi)
         return h + QMatrix.identity(h.rows), f, Z, psi
     return wrapped
 
@@ -343,3 +339,22 @@ def test_compar_11_to_2():
     assert cc.F == E(2, 2, 1)
     diff = cc.F - cc.f
     assert set(weight_components(cc.S - cc.h, diff)) == {-2}
+
+
+# -- pinned output ------------------------------------------------------------------
+
+def test_raising_outputs_are_pinned():
+    # canonical JSON of every deform_gl and compar certificate for n <= 7, of
+    # deform_sl(mu, lam, 4, 1) for n <= 6 and of every two_blocks triple with
+    # p + q + r <= 10, hashed: any change to a certificate's bytes shows here
+    docs = []
+    for mu, lam in _dominated_pairs(7):
+        docs.append(deform_gl(mu, lam).to_json())
+        docs.append(compar_certificate(mu, lam).to_json())
+    docs += [deform_sl(mu, lam, 4, 1).to_json() for mu, lam in _dominated_pairs(6)]
+    docs += [[M.to_json() for M in two_blocks(p, q, total - p - q)]
+             for total in range(2, 11) for p in range(1, total)
+             for q in range(1, total - p + 1) if p > total - p - q]
+    assert len(docs) == 678
+    assert hashlib.sha256(canonical_json(docs).encode()).hexdigest() == \
+        "730b2a606aa19bcb48f619eda3bde1fd88e120ee8d5e9c6e7686c73473e97f27"

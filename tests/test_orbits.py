@@ -10,7 +10,8 @@ from whitforge.orbits import (J_eta, J_eta_a, SlOrbitClass, h_eta,
                               integer_nth_root, is_dth_power, is_neutral_pair,
                               jordan_chain_basis, jordan_conjugator,
                               jordan_partition, neutral_for, power_class,
-                              sl2_complete, sl_class, standard_rep)
+                              rational_dth_root, sl2_complete, sl_class,
+                              standard_rep)
 from whitforge.partitions import partitions_of
 
 from conftest import E, random_invertible, random_nilpotent, random_unimodular
@@ -257,6 +258,29 @@ def test_dth_powers_beyond_float_range():
     assert is_dth_power(10 ** 401, 2) is False
     assert is_dth_power(Fraction(3 ** 700, 10 ** 350), 7) is True
     assert is_dth_power(3 ** 700 + 1, 7) is False
+
+
+def test_rational_dth_root_is_exact(rng):
+    # r = base^d is a d-th power with root base (|base| for even d); r times
+    # a prime p has p-adic valuation 1 mod d, so it is none for d >= 2
+    for trial in range(200):
+        d = rng.randint(1, 7)
+        digits = 400 if trial % 4 == 0 else 6
+        base = Fraction(rng.randint(1, 10 ** digits), rng.randint(1, 10 ** digits))
+        if d % 2 and rng.random() < 0.5:
+            base = -base
+        p = rng.choice((2, 3, 5, 7))
+        for r, root in ((base ** d, base if d % 2 else abs(base)),
+                        (base ** d * p, base * p if d == 1 else None),
+                        (-(base ** d), None if d % 2 == 0 else -base)):
+            got = rational_dth_root(r, d)
+            assert got == root
+            assert (got is not None) is is_dth_power(r, d)
+            if got is not None:
+                assert got ** d == r
+    for r, d in ((0, 2), (1, 0)):
+        with pytest.raises(ValueError):
+            rational_dth_root(r, d)
 
 
 def test_integer_nth_root_is_exact_floor(rng):
