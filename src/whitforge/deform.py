@@ -266,6 +266,8 @@ def deform_sl(mu, lam, a, b):
     a, b = Fraction(a), Fraction(b)
     if a == 0 or b == 0:
         raise PreconditionViolation("a, b must be nonzero")
+    if not mu or not lam:
+        raise PreconditionViolation("empty mu or lambda: d = gcd() is undefined")
     if not dominance_leq(mu, lam):
         raise NotDominated(f"{mu} is not dominated by {lam}")
     dl, dm = d_of(lam), d_of(mu)

@@ -2,7 +2,12 @@
 eigenvalue extraction and the skew-form utilities built on trace forms.
 
 Everything is a pure function on immutable values; Fraction is the only
-scalar type.  No floating point anywhere.
+scalar type.  No floating point anywhere.  Every elimination runs here: other
+modules eliminate only through `rref_solve`, `QMatrix` and `Subspace`, whose
+canonical RREF basis serves `member` and `intersect` (one shared reduction),
+`span` of coordinate vectors, `kernel_of` a map given by the basis's images,
+`orthogonal` and `coordinates`.  `brackets` yields the brackets of the basis
+vectors of one or two subspaces, for the bracket containments.
 
 `QMatrix.bracket` is the one bracket of two matrices; it multiplies only
 nonzero entries.  The skew form omega_f(X, Y) = trace(f [X, Y]) on a subspace
@@ -20,7 +25,8 @@ Cauchy bound B to unit intervals: O(deg log B) evaluations of the sequence.
 
 from fractions import Fraction
 from dataclasses import dataclass
-from math import gcd, lcm
+from itertools import combinations, product
+from math import gcd, isqrt, lcm
 from operator import mul
 
 from .errors import (DimensionMismatch, InternalCheckFailure, NotRationalSplit,
@@ -409,18 +415,6 @@ def _kernel_rows(rows, n_cols):
     return _kernel_of_rref(red, piv, n_cols)
 
 
-def _combine(coeffs, basis):
-    """The linear combination sum c_i basis[i] of a nonempty basis, touching
-    only nonzero coefficients and nonzero entries."""
-    out = [_ZERO] * len(basis[0])
-    for c, v in zip(coeffs, basis):
-        if c:
-            for t, x in enumerate(v):
-                if x:
-                    out[t] += c * x
-    return out
-
-
 @dataclass(frozen=True)
 class RrefResult:
     echelon: QMatrix
@@ -493,21 +487,42 @@ class Subspace:
         self._check(other)
         return Subspace(self.ambient_dim, list(self.basis) + list(other.basis))
 
-    def intersect(self, other):
-        self._check(other)
-        if not self.basis or not other.basis:
-            return Subspace(self.ambient_dim)
-        # solve sum a_i u_i = sum b_j v_j: kernel of columns [u | -v]
-        k, m = len(self.basis), len(other.basis)
-        rows = []
-        for c in range(self.ambient_dim):
-            rows.append([self.basis[i][c] for i in range(k)]
-                        + [-other.basis[j][c] for j in range(m)])
-        return Subspace(self.ambient_dim, [_combine(kv[:k], self.basis)
-                                           for kv in _kernel_rows(rows, k + m)])
+    def span(self, coords):
+        """The subspace spanned by the combinations sum c_i basis[i], one per
+        coordinate vector c, touching only nonzero coefficients and entries."""
+        vectors = []
+        for coeffs in coords:
+            out = [_ZERO] * self.ambient_dim
+            for c, v in zip(coeffs, self.basis):
+                if c:
+                    for t, x in enumerate(v):
+                        if x:
+                            out[t] += c * x
+            vectors.append(out)
+        return Subspace(self.ambient_dim, vectors)
 
-    def member(self, vector):
-        """Reduce the vector against the echelon basis; a member leaves 0."""
+    def kernel_of(self, images):
+        """{sum c_i basis[i] : sum c_i images[i] = 0}, images[i] that of basis[i]."""
+        rows = [row for row in zip(*images) if any(row)]
+        return self.span(_kernel_rows(rows, self.dim))
+
+    def orthogonal(self):
+        """{x : b . x = 0 for every basis vector b}, read off the echelon
+        basis: the kernel of any matrix whose rows span the subspace."""
+        return Subspace(self.ambient_dim,
+                        _kernel_of_rref(self.basis, self.pivots, self.ambient_dim))
+
+    def coordinates(self, vector):
+        """A member's coordinates over the echelon basis: its pivot entries."""
+        return [vector[p] for p in self.pivots]
+
+    def intersect(self, other):
+        """The combinations of the basis whose reduction against other is 0."""
+        self._check(other)
+        return self.kernel_of([other._reduce(u) for u in self.basis])
+
+    def _reduce(self, vector):
+        """The vector reduced against the echelon basis; 0 for a member."""
         v = list(vector)
         if len(v) != self.ambient_dim:
             raise DimensionMismatch("vector length != ambient_dim")
@@ -517,7 +532,10 @@ class Subspace:
                 for i in range(p, self.ambient_dim):
                     if row[i]:
                         v[i] -= c * row[i]
-        return not any(v)
+        return v
+
+    def member(self, vector):
+        return not any(self._reduce(vector))
 
     def contains(self, other):
         self._check(other)
@@ -673,16 +691,10 @@ def rational_eigenvalues(M):
     if n != M.cols:
         raise DimensionMismatch("eigenvalues of non-square")
     out = []
-    total = 0
-    for lam in _rational_roots(char_poly(M)):
-        shifted = M.row_lists()
-        for i in range(n):
-            shifted[i][i] -= lam
-        kern = _kernel_rows(shifted, n)
-        if kern:
-            space = Subspace(n, kern)
-            out.append((lam, space))
-            total += space.dim
+    for lam in _rational_roots(char_poly(M)):    # exact roots: nonzero spaces
+        shifted = M - QMatrix.identity(n).scale(lam)
+        out.append((lam, Subspace(n, shifted.row_lists()).orthogonal()))
+    total = sum(space.dim for _, space in out)
     if total != n:
         raise NotRationalSplit(
             f"eigenspace dimensions sum to {total} < {n}; not rational semisimple")
@@ -691,6 +703,18 @@ def rational_eigenvalues(M):
 
 # ---------------------------------------------------------------------------
 # the anti-symmetric trace form omega_f(X, Y) = trace(f [X, Y]) and friends
+
+
+def brackets(A, B=None):
+    """The flattened [a, b] for a in A's basis and b in B's, for subspaces of
+    flattened gl_n; with B None, [a, a'] for each unordered pair of A's
+    basis once."""
+    n = isqrt(A.ambient_dim)
+    mats = [QMatrix._trusted(n, n, v) for v in A.basis]
+    pairs = combinations(mats, 2) if B is None else \
+        product(mats, [QMatrix._trusted(n, n, v) for v in B.basis])
+    for X, Y in pairs:
+        yield X.bracket(Y).entries
 
 
 def _trace_pairing(B, n):
@@ -733,9 +757,9 @@ def skew_tools(f, W, task):
     gram = _omega_gram_vectors(f, W.basis)
     if task == "gram":
         return QMatrix.from_rows(gram) if gram else QMatrix.zeros(0, 0)
-    kern = _kernel_rows(gram, len(gram)) if gram else []
+    kern = _kernel_rows(gram, len(gram))
     if task == "radical":
-        return Subspace(W.ambient_dim, [_combine(kv, W.basis) for kv in kern])
+        return W.span(kern)
     if task != "lagrangian":
         raise ValueError(f"unknown task {task!r}")
     return _lagrangian(W, gram, kern)
@@ -780,4 +804,4 @@ def _lagrangian(W, gram, kern):
     if 2 * span.dim != k + len(kern):
         raise InternalCheckFailure(
             "lagrangian: 2 dim L != dim W + dim radical")
-    return Subspace(W.ambient_dim, [_combine(c, W.basis) for c in kern + added])
+    return W.span(kern + added)

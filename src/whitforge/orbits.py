@@ -10,8 +10,8 @@ from fractions import Fraction
 
 from .errors import (DimensionMismatch, InternalCheckFailure, NoSolutionError,
                      NotNilpotent, WrongPartition)
-from .exactq import (NO_SOLUTION, QMatrix, Subspace, _kernel_of_rref,
-                     _rref_rows, ad_matrix, rat_str, rref_solve)
+from .exactq import (NO_SOLUTION, QMatrix, Subspace, ad_matrix, rat_str,
+                     rref_solve)
 
 
 # ---------------------------------------------------------------------------
@@ -84,12 +84,12 @@ def _power_kernels(N):
     kernels = [Subspace(n)]
     rows = N.row_lists()
     while kernels[-1].dim < n:
-        red, piv = _rref_rows(rows)
-        K = Subspace(n, _kernel_of_rref(red, piv, n))
+        R = Subspace(n, rows)
+        K = R.orthogonal()
         if K.dim == kernels[-1].dim:
             raise NotNilpotent("matrix is not nilpotent")
         kernels.append(K)
-        rows = [Nt.matvec(r) for r in red[:len(piv)]]
+        rows = [Nt.matvec(r) for r in R.basis]
     return kernels
 
 
@@ -195,8 +195,8 @@ def is_neutral_pair(h, f):
     lemma this is exactly the condition that h completes f to an sl2-triple
     (h, e, f).
 
-    One elimination decides the membership: the columns [f, E_ab] of ad f
-    augmented by h.  For a diagonal h only the E_ab of ad(h)-weight
+    One elimination decides the membership: h against the span of the
+    columns [f, E_ab] of ad f.  For a diagonal h only the E_ab of ad(h)-weight
     h_aa - h_bb = 2 enter: ad f lowers ad(h)-weights by 2 and h has weight
     0, so h lies in image(ad f) iff it lies in ad f(g^h_2)."""
     n = f.rows
@@ -211,9 +211,7 @@ def is_neutral_pair(h, f):
                 if h[a, a] - h[b, b] == 2]
     else:
         cols = range(N)
-    rows = [[Af[r * N + c] for c in cols] + [h.entries[r]] for r in range(N)]
-    piv = _rref_rows([row for row in rows if any(row)])[1]
-    return not piv or piv[-1] != len(cols)
+    return Subspace(N, [Af[c::N] for c in cols]).member(h.entries)
 
 
 # ---------------------------------------------------------------------------

@@ -22,9 +22,8 @@ from fractions import Fraction
 
 from .errors import (DimensionMismatch, InternalCheckFailure, NotCommuting,
                      ShapeViolation, VerificationError)
-from .exactq import (QMatrix, Subspace, _combine, _kernel_rows, _rref_rows,
-                     _trace_pairing, ad_matrix, rat_str, rational_eigenvalues,
-                     rref_solve, skew_tools)
+from .exactq import (QMatrix, Subspace, _trace_pairing, ad_matrix, brackets,
+                     rat_str, rational_eigenvalues, rref_solve, skew_tools)
 from .orbits import is_neutral_pair, jordan_partition, sl2_complete
 
 __all__ = [
@@ -97,9 +96,8 @@ class Grading:
 def grading(*Ms):
     """The joint eigenspace grading of gl_n under commuting rational
     semisimple n x n matrices.  Each matrix in turn splits every joint
-    eigenspace found so far, by the rational eigenvalues of its restriction;
-    a block's basis is echelonized, so the restriction's coordinates are the
-    image's entries at the block's pivots."""
+    eigenspace found so far, by the rational eigenvalues of its restriction,
+    the matrix of the images' coordinates over the block's basis."""
     n = Ms[0].rows
     for i, A in enumerate(Ms):
         for B in Ms[i + 1:]:
@@ -109,13 +107,10 @@ def grading(*Ms):
     for M in Ms:
         split = []
         for label, block in blocks:
-            images = [M.matvec(v) for v in block.basis]
-            k = block.dim
-            small = QMatrix._trusted(k, k, [images[c][p] for p in block.pivots
-                                            for c in range(k)])
+            coords = [block.coordinates(M.matvec(v)) for v in block.basis]
+            small = QMatrix.from_rows(coords).transpose()
             for lam, sp in rational_eigenvalues(small):
-                split.append((label + (lam,), Subspace(
-                    n, [_combine(c, block.basis) for c in sp.basis])))
+                split.append((label + (lam,), block.span(sp.basis)))
         blocks = split
     cols = [(label, v) for label, block in blocks for v in block.basis]
     if any(M.matvec(v) != [lam * x for x in v]
@@ -319,7 +314,7 @@ def quasi_criticals(S, f, h):
 
 def _centralizer(f):
     n = f.rows
-    return Subspace(n * n, _kernel_rows(ad_matrix(f).row_lists(), n * n))
+    return Subspace(n * n, ad_matrix(f).row_lists()).orthogonal()
 
 
 def _lagrangian_m(bg, f):
@@ -365,15 +360,6 @@ def snapshot(h, Z, f, t):
     return _snapshot(bg, f, _centralizer(f), _lagrangian_m(bg, f), t)
 
 
-def _bracket_contained(A, B, n, clause):
-    """Verify [A, A] subseteq B for subspaces of flattened gl_n."""
-    mats = [QMatrix._trusted(n, n, vec) for vec in A.basis]
-    for i, X in enumerate(mats):
-        for Y in mats[i + 1:]:
-            if not B.member(X.bracket(Y).entries):
-                raise VerificationError(clause)
-
-
 def chain(pair):
     """Full deformation-chain certificate for a Whittaker pair: critical
     numbers in [0,1], snapshots, verified inclusions r_{t_i} <= l_{t_{i+1}},
@@ -399,28 +385,28 @@ def chain(pair):
             raise VerificationError(
                 f"Lemma 4.4 inclusion r_{rat_str(t)} <= l_{rat_str(T)} violated")
         obstruction = cur.w.intersect(g_f)
-        if prev.r.sum(obstruction) != cur.l or prev.r.intersect(obstruction).dim:
+        if prev.r.sum(obstruction) != cur.l or \
+                prev.r.dim + obstruction.dim != cur.l.dim:
             raise VerificationError(
                 f"Lemma 4.4 direct sum l_{rat_str(T)} = r_{rat_str(t)} (+) "
                 f"(w_{rat_str(T)} cap g_f) violated")
-        _bracket_contained(
-            cur.l, prev.r, n,
-            f"Lemma 4.4 commutative quotient [l_{rat_str(T)}, l_{rat_str(T)}] "
-            f"<= r_{rat_str(t)} violated")
-        _bracket_contained(
-            prev.r, cur.v, n,
-            f"Lemma 4.4 commutative quotient [r_{rat_str(t)}, r_{rat_str(t)}] "
-            f"<= v_{rat_str(T)} violated")
+        if not all(prev.r.member(b) for b in brackets(cur.l)):
+            raise VerificationError(
+                f"Lemma 4.4 commutative quotient [l_{rat_str(T)}, l_{rat_str(T)}] "
+                f"<= r_{rat_str(t)} violated")
+        if not all(cur.v.member(b) for b in brackets(prev.r)):
+            raise VerificationError(
+                f"Lemma 4.4 commutative quotient [r_{rat_str(t)}, r_{rat_str(t)}] "
+                f"<= v_{rat_str(T)} violated")
         dual = bg.space(lambda a, b: a + T * b == -1).intersect(ker_ad_e)
         if dual.dim != obstruction.dim:
             raise VerificationError(
                 f"obstruction dual dimension mismatch at t={rat_str(T)}")
-        if obstruction.dim:
-            gram = [[pair(o) for o in obstruction.basis]
-                    for pair in (_trace_pairing(d, n) for d in dual.basis)]
-            if len(_rref_rows(gram)[1]) != obstruction.dim:
-                raise VerificationError(
-                    f"obstruction pairing degenerate at t={rat_str(T)}")
+        gram = [[pair(o) for o in obstruction.basis]
+                for pair in (_trace_pairing(d, n) for d in dual.basis)]
+        if dual.kernel_of(gram).dim:
+            raise VerificationError(
+                f"obstruction pairing degenerate at t={rat_str(T)}")
         inclusions.append({"from_t": rat_str(t), "to_t": rat_str(T),
                            "obstruction_dim": obstruction.dim})
         obstructions.append({"t": T, "space": obstruction, "dual": dual})
@@ -430,12 +416,8 @@ def chain(pair):
 
 def _functional_kernel(space, f, n):
     """{X in space : trace(f X) = 0}."""
-    if space.dim == 0:
-        return space
     pair = _trace_pairing(f.entries, n)
-    vals = [pair(v) for v in space.basis]
-    return Subspace(n * n, [_combine(cv, space.basis)
-                            for cv in _kernel_rows([vals], len(vals))])
+    return space.kernel_of([[pair(v)] for v in space.basis])
 
 
 def model_data(pair):
@@ -461,20 +443,14 @@ def quasi_model_data(triple):
     w = g.space(lambda r: r == 1)
     z = v.sum(w.intersect(_centralizer(f)))
     k = _functional_kernel(z, f + fp, n)
-    mats_u = [QMatrix._trusted(n, n, vec) for vec in u.basis]
-    mats_z = [QMatrix._trusted(n, n, vec) for vec in z.basis]
     pair_fp = _trace_pairing(fp.entries, n)
-    for i, X in enumerate(mats_u):
-        for Y in mats_u[i + 1:]:
-            br = X.bracket(Y).entries
-            if not z.member(br):
-                raise ShapeViolation("[u, u] <= z violated")
-            if pair_fp(br) != 0:
-                raise ShapeViolation("phi' does not vanish on [u, u]")
-    for X in mats_u:
-        for Y in mats_z:
-            if not k.member(X.bracket(Y).entries):
-                raise ShapeViolation("[u, z] <= k violated")
+    for br in brackets(u):
+        if not z.member(br):
+            raise ShapeViolation("[u, u] <= z violated")
+        if pair_fp(br) != 0:
+            raise ShapeViolation("phi' does not vanish on [u, u]")
+    if not all(k.member(br) for br in brackets(u, z)):
+        raise ShapeViolation("[u, z] <= k violated")
     if skew_tools(f + fp, u, "radical") != z:
         raise ShapeViolation("omega_{phi+phi'} degenerate on u/z")
     return {"u": u, "v": v, "z": z, "k": k}

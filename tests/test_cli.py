@@ -131,6 +131,15 @@ def test_deform_sl_cli_huge_ratio_is_json_not_traceback():
     json.loads(proc.stdout or proc.stderr)
 
 
+def test_deform_sl_cli_rejects_empty_partitions(capsys):
+    code, out, err = run_cli(capsys, "deform-sl", "--mu", ",", "--lambda", ",",
+                             "--a", "1", "--b", "1")
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert json.loads(err)["error"] == "PreconditionViolation"
+    code, out, _ = run_cli(capsys, "deform-gl", "--mu", ",", "--lambda", ",")
+    assert code == 0 and json.loads(out)["n"] == 0
+
+
 def test_malformed_input_is_exit_1(capsys):
     code, _, err = run_cli(capsys, "deform-gl", "--mu", "2,x", "--lambda", "4")
     assert code == 1 and "ParseError" in err

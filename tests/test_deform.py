@@ -281,6 +281,15 @@ def test_deform_sl_rejects_nonsquare():
     assert res.d == 2 and res.a_class == 2
 
 
+@pytest.mark.parametrize("mu, lam", [((), ()), ((), (1,)), ((1,), ())])
+def test_deform_sl_rejects_empty_partitions(mu, lam):
+    # d = gcd of no parts is undefined; deform_gl keeps its 0 x 0 certificate
+    with pytest.raises(PreconditionViolation, match="empty mu or lambda"):
+        deform_sl(mu, lam, 1, 1)
+    if mu == lam:
+        assert deform_gl(mu, lam).n == 0
+
+
 def test_deform_sl_square_ratio_passes():
     cert = deform_sl((2, 2), (4,), 4, 1)
     assert is_dth_power(sl_class(cert.f + cert.psi).a_class / 4, 4)

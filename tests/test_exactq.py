@@ -8,10 +8,10 @@ import pytest
 from whitforge import exactq
 from whitforge.errors import (DimensionMismatch, InternalCheckFailure,
                               NotRationalSplit)
-from whitforge.exactq import (NO_SOLUTION, QMatrix, Subspace, _combine,
-                              _kernel_rows, _lagrangian, _rref_rows, char_poly,
-                              rat_parse, rat_str, rational_eigenvalues,
-                              rref_solve, skew_tools)
+from whitforge.exactq import (NO_SOLUTION, QMatrix, Subspace, _kernel_rows,
+                              _lagrangian, _rref_rows, char_poly, rat_parse,
+                              rat_str, rational_eigenvalues, rref_solve,
+                              skew_tools)
 
 from conftest import E
 
@@ -264,6 +264,98 @@ def test_dimension_formula_random():
         assert U.sum(V).dim == U.dim + V.dim - U.intersect(V).dim
 
 
+# -- subspace arithmetic against sympy ------------------------------------------
+
+def _subspace_cases():
+    """(U, V) pairs of subspaces of one Q^n: U spanned by a kernel case's
+    rows, V by seeded random rational rows, plus the zero subspace and the
+    full space of that n on either side."""
+    rng = random.Random(15)
+    for rows in _kernel_cases():
+        n = len(rows[0])
+        U = Subspace(n, rows)
+        V = Subspace(n, _random_rows(rng, rng.randint(1, n), n, 12))
+        zero, full = Subspace(n), Subspace(n, QMatrix.identity(n).row_lists())
+        yield from ((U, V), (U, zero), (zero, U), (U, full), (full, U))
+
+
+def _basis_matrix(U):
+    return _to_sympy([list(b) for b in U.basis], U.ambient_dim)
+
+
+def _nullspace_rows(M):
+    return [_from_sympy(v.T)[0] for v in M.nullspace()]
+
+
+def test_orthogonal_matches_sympy_nullspace():
+    pytest.importorskip("sympy")
+    for U, _ in _subspace_cases():
+        n = U.ambient_dim
+        theirs = (_nullspace_rows(_basis_matrix(U)) if U.dim
+                  else QMatrix.identity(n).row_lists())
+        assert U.orthogonal() == Subspace(n, theirs)
+        assert U.orthogonal().dim == n - U.dim
+
+
+def test_span_and_coordinates_match_sympy():
+    pytest.importorskip("sympy")
+    rng = random.Random(16)
+    for U, _ in _subspace_cases():
+        n, k = U.ambient_dim, U.dim
+        coords = [[Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(k)]
+                  for _ in range(rng.randint(0, 3))]
+        vectors = (_from_sympy(_to_sympy(coords, k) * _basis_matrix(U))
+                   if coords and k else [[0] * n for _ in coords])
+        assert U.span(coords) == Subspace(n, vectors)
+        for c, v in zip(coords, vectors):
+            assert U.member(v) and U.coordinates(v) == c
+
+
+def test_kernel_of_matches_sympy_nullspace():
+    pytest.importorskip("sympy")
+    rng = random.Random(17)
+    for U, _ in _subspace_cases():
+        n, k = U.ambient_dim, U.dim
+        m = rng.randint(0, 5)
+        images = _random_rows(rng, k, m, 12) if k and m else [[] for _ in range(k)]
+        coords = (_nullspace_rows(_to_sympy(images, m).T) if k and m
+                  else QMatrix.identity(k).row_lists())
+        expected = (_from_sympy(_to_sympy(coords, k) * _basis_matrix(U))
+                    if coords else [])
+        assert U.kernel_of(images) == Subspace(n, expected)
+
+
+def test_intersect_matches_sympy_nullspace():
+    pytest.importorskip("sympy")
+    for U, V in _subspace_cases():
+        n = U.ambient_dim
+        if U.dim and V.dim:
+            # sum a_i u_i = sum b_j v_j: the kernel of the columns [u | -v]
+            system = _basis_matrix(U).T.row_join(-_basis_matrix(V).T)
+            coords = [c[:U.dim] for c in _nullspace_rows(system)]
+            expected = (_from_sympy(_to_sympy(coords, U.dim) * _basis_matrix(U))
+                        if coords else [])
+        else:
+            expected = []
+        meet = U.intersect(V)
+        assert meet == Subspace(n, expected)
+        assert meet == V.intersect(U)
+        assert U.contains(meet) and V.contains(meet)
+
+
+def test_brackets_are_the_pairwise_brackets():
+    rng = random.Random(18)
+    for n in (1, 2, 3):
+        A = Subspace(n * n, [_random_entries(rng, n, 0.5) for _ in range(3)])
+        B = Subspace(n * n, [_random_entries(rng, n, 0.5) for _ in range(2)])
+        mats = [QMatrix(n, n, v) for v in A.basis]
+        others = [QMatrix(n, n, v) for v in B.basis]
+        assert list(exactq.brackets(A)) == [
+            (X * Y - Y * X).entries for i, X in enumerate(mats) for Y in mats[i + 1:]]
+        assert list(exactq.brackets(A, B)) == [
+            (X * Y - Y * X).entries for X in mats for Y in others]
+
+
 # -- rational eigenvalues -----------------------------------------------------
 
 def test_eigenvalues_diagonal():
@@ -509,8 +601,9 @@ def lagrangian_by_functionals(f, W, radical):
         rows = [[p(w) for w in W.basis] for p in pairs]
         perp = _kernel_rows(rows, W.dim) if rows else \
             [[Fraction(int(i == j)) for j in range(W.dim)] for i in range(W.dim)]
-        v = next(v for v in (_combine(c, W.basis) for c in perp)
-                 if not span.member(v))
+        combos = ([sum((x * b[t] for x, b in zip(c, W.basis)), Fraction(0))
+                   for t in range(W.ambient_dim)] for c in perp)
+        v = next(v for v in combos if not span.member(v))
         cur.append(v)
         pairs.append(omega_with(v))
         span = Subspace(W.ambient_dim, cur)

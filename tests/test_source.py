@@ -31,3 +31,22 @@ def test_raising_paths_do_not_decompose_by_eigenvalues():
     used = {getattr(node, "id", None) or getattr(node, "attr", None)
             or getattr(node, "name", None) for node in ast.walk(tree)}
     assert not used & eigen, f"deform.py references {sorted(used & eigen)}"
+
+
+def test_only_exactq_eliminates():
+    # how echelon rows are stored and reduced is exactq's own decision: the
+    # other modules eliminate only through Subspace, rref_solve and QMatrix
+    private = {"_rref_rows", "_kernel_rows", "_kernel_of_rref", "_combine"}
+    found = []
+    for name in ("whitpair.py", "orbits.py", "deform.py", "cli.py"):
+        for node in ast.walk(ast.parse((SRC / name).read_text())):
+            if isinstance(node, ast.ImportFrom):
+                used = {a.name for a in node.names} & private
+            elif isinstance(node, ast.Attribute):
+                used = {node.attr} & (private | {"pivots"})
+            elif isinstance(node, ast.Name):
+                used = {node.id} & private
+            else:
+                continue
+            found += [f"{name}:{node.lineno} {x}" for x in sorted(used)]
+    assert not found, f"elimination internals used outside exactq: {found}"

@@ -429,6 +429,27 @@ def test_chain_builds_the_bigrading_once(monkeypatch):
     assert len(calls) == 1
 
 
+def _bracket_failing_at(monkeypatch, call):
+    """Make the call-th brackets() of whitpair yield the 4 x 4 identity,
+    which lies in no subspace of positive weight."""
+    real, calls = whitpair.brackets, []
+
+    def faulty(A, B=None):
+        calls.append(1)
+        if len(calls) - 1 == call:
+            return iter([flat(QMatrix.identity(4))])
+        return real(A, B)
+    monkeypatch.setattr(whitpair, "brackets", faulty)
+
+
+@pytest.mark.parametrize("call, clause", [(0, r"\[l_1/4, l_1/4\] <= r_0 "),
+                                          (1, r"\[r_0, r_0\] <= v_1/4 ")])
+def test_chain_commutative_quotients_name_their_clause(monkeypatch, call, clause):
+    _bracket_failing_at(monkeypatch, call)
+    with pytest.raises(VerificationError, match="commutative quotient " + clause):
+        chain(glsame_pair())
+
+
 def test_chain_neutral_pair_trivial():
     pair = WhittakerPair(2, QMatrix.diag([1, -1]), E(2, 2, 1))
     cert = chain(pair)
@@ -532,6 +553,16 @@ def test_quasi_model_gl4_example():
     triple = WhittakerTriple(WhittakerPair(4, S3, f), fp)
     qm = quasi_model_data(triple)
     assert qm["u"].dim == 6 and qm["z"].dim == 6
+
+
+@pytest.mark.parametrize("call, clause", [(0, r"\[u, u\] <= z"),
+                                          (1, r"\[u, z\] <= k")])
+def test_quasi_model_shape_failures_name_their_clause(monkeypatch, call, clause):
+    _bracket_failing_at(monkeypatch, call)
+    triple = WhittakerTriple(WhittakerPair(4, QMatrix.diag([1, -1, 4, 2]),
+                                           E(4, 2, 1) + E(4, 4, 3)), E(4, 1, 4))
+    with pytest.raises(ShapeViolation, match=clause):
+        quasi_model_data(triple)
 
 
 def test_quasi_model_remark_smallest_eigenvalue():
