@@ -1,26 +1,32 @@
 """Exact rational linear algebra: matrices, echelonized subspaces, rational
 eigenvalue extraction and the skew-form utilities built on trace forms.
 
-Everything is a pure function on immutable values; Fraction is the only
-scalar type.  No floating point anywhere.  Every elimination runs here: other
-modules eliminate only through `rref_solve`, `QMatrix` and `Subspace`, whose
+Everything is a pure function on immutable values.  Fractions at the API,
+integer rows inside the kernels: eliminations, reductions, brackets and Gram
+matrices run on ints scaled by one common denominator, and every test made
+on them (membership, a kernel, a zero) does not depend on that scale.  No
+floating point anywhere.  Every elimination runs here: other modules
+eliminate only through `rref_solve`, `QMatrix` and `Subspace`, whose
 canonical RREF basis serves `member` and `intersect` (one shared reduction),
 `span` of coordinate vectors, `kernel_of` a map given by the basis's images,
-`orthogonal` and `coordinates`.  `brackets` yields the brackets of the basis
-vectors of one or two subspaces, for the bracket containments.
+`orthogonal` and `coordinates`.  `brackets` yields the brackets of the
+integer rows of one or two subspaces, for the bracket containments.
 
-`QMatrix.bracket` is the one bracket of two matrices; it multiplies only
-nonzero entries.  The skew form omega_f(X, Y) = trace(f [X, Y]) on a subspace
-W is evaluated once, as the Gram matrix G on W's echelon basis: the radical
-is the kernel of G, and the Lagrangian is grown in coordinates over that
-basis, where omega(c, w_j) = (c G)_j.
+`_bracket` is the one bracket, of int or Fraction matrices, and
+`QMatrix.bracket` wraps it; it multiplies only nonzero entries.  The skew
+form omega_f(X, Y) = trace(f [X, Y]) on a subspace W is evaluated once, as
+the integer Gram matrix G of W's integer rows, a constant times the Gram
+matrix on its echelon basis: the radical is the kernel of G, and the
+Lagrangian is grown in coordinates over that basis, where omega(c, w_j) is
+that constant times (c G)_j.
 
 Rational eigenvalues take bounded time.  `char_poly` runs Faddeev-LeVerrier
 on the integer matrix D M (D the lcm of the denominators) in plain ints.
 `_rational_roots` turns the polynomial into a monic integer one by y = c_n x,
 so its rational roots are integers, and isolates its real roots by Sturm
-sign counts at half-integers, where no such root lies, bisecting from the
-Cauchy bound B to unit intervals: O(deg log B) evaluations of the sequence.
+sign counts at half-integers, where no such root lies, bisecting from a
+bound B on the roots to unit intervals: O(deg log B) evaluations of the
+sequence.
 """
 
 from fractions import Fraction
@@ -61,7 +67,8 @@ NO_SOLUTION = NoSolutionType()
 
 
 def rat_str(x):
-    x = Fraction(x)
+    if not isinstance(x, (Fraction, int)):
+        x = Fraction(x)
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
@@ -96,7 +103,8 @@ class QMatrix:
     @classmethod
     def _trusted(cls, rows, cols, entries):
         """Internal constructor for entries that are already Fractions of the
-        right count: no re-coercion, no shape check."""
+        right count: no re-coercion, no shape check.  An int system handed
+        straight to `rref_solve` may hold ints."""
         self = object.__new__(cls)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
@@ -203,28 +211,12 @@ class QMatrix:
     __rmul__ = scale
 
     def bracket(self, other):
-        """[A, B] = AB - BA for square A, B of one size.  Each nonzero a =
-        A[i, j] adds a B[j, :] to row i and subtracts a B[:, i] from column j,
-        so only the nonzero entries of A meet the nonzero entries of B."""
+        """[A, B] = AB - BA for square A, B of one size (see `_bracket`)."""
         n = self.rows
         if (self.cols, other.rows, other.cols) != (n, n, n):
             raise DimensionMismatch("bracket needs square matrices of one size")
-        by_row = [[] for _ in range(n)]
-        by_col = [[] for _ in range(n)]
-        for k, b in enumerate(other.entries):
-            if b:
-                r, c = divmod(k, n)
-                by_row[r].append((c, b))
-                by_col[c].append((r, b))
-        out = [_ZERO] * (n * n)
-        for k, a in enumerate(self.entries):
-            if a:
-                i, j = divmod(k, n)
-                for c, b in by_row[j]:
-                    out[i * n + c] += a * b
-                for r, b in by_col[i]:
-                    out[r * n + j] -= a * b
-        return QMatrix._trusted(n, n, out)
+        return QMatrix._trusted(n, n, _bracket(
+            enumerate(self.entries), enumerate(other.entries), n, _ZERO))
 
     def transpose(self):
         return QMatrix._trusted(self.cols, self.rows,
@@ -328,6 +320,36 @@ def ad_matrix(M):
     return QMatrix._trusted(N, N, out)
 
 
+def _bracket(A, B, n, zero=0):
+    """[A, B] = AB - BA of flattened n x n matrices of ints or Fractions,
+    each given by (flat index, entry) pairs (all entries, or the nonzero
+    ones), as a flat list.  Each nonzero a = A[i, j] adds a B[j, :] to row i
+    and subtracts a B[:, i] from column j, so only the nonzero entries of A
+    meet the nonzero entries of B; entries nothing reaches stay `zero`."""
+    by_row = [[] for _ in range(n)]
+    by_col = [[] for _ in range(n)]
+    for k, b in B:
+        if b:
+            r, c = divmod(k, n)
+            by_row[r].append((c, b))
+            by_col[c].append((r, b))
+    out = [zero] * (n * n)
+    for k, a in A:
+        if a:
+            i, j = divmod(k, n)
+            for c, b in by_row[j]:
+                out[i * n + c] += a * b
+            for r, b in by_col[i]:
+                out[r * n + j] -= a * b
+    return out
+
+
+def _scaled(M):
+    """(D, the entries of D M as ints), D the lcm of M's denominators."""
+    D = lcm(*{x.denominator for x in M.entries})
+    return D, [x.numerator * (D // x.denominator) for x in M.entries]
+
+
 # ---------------------------------------------------------------------------
 # row reduction
 
@@ -344,16 +366,18 @@ def _integer_row(row):
     return [x // g for x in out] if g > 1 else out
 
 
-def _rref_rows(rows):
-    """Reduced row echelon form of a list of row lists (int or Fraction
-    entries; the input is not mutated).  Returns (reduced rows, pivot column
-    list); zero rows are kept at the end and every entry is a Fraction.
+def _echelon(rows):
+    """The reduced row echelon form of a list of row lists (int or Fraction
+    entries; the input is not mutated) up to the scale of each row: returns
+    (primitive int rows, pivot column list), the nonzero rows first and one
+    per pivot.
 
     Elimination is fraction-free, in the style of Bareiss (1968): rows are
     primitive integer lists, a row R is cleared at pivot column c of P by
     R := (a/g) R - (b/g) P with a = P[c], b = R[c], g = gcd(a, b), touching
     only P's nonzero columns, and then divided by its content.  The RREF is
-    unique, so the result equals plain Gauss-Jordan over Q."""
+    unique, so dividing each row by its pivot entry gives plain Gauss-Jordan
+    over Q."""
     A = [_integer_row(r) for r in rows]
     if not A:
         return [], []
@@ -385,24 +409,30 @@ def _rref_rows(rows):
         r += 1
         if r == m:
             break
-    for k, c in enumerate(pivots):
-        p = A[k][c]
-        A[k] = [Fraction(x, p) if x else _ZERO for x in A[k]]
-    for k in range(r, m):
-        A[k] = [_ZERO] * n
     return A, pivots
 
 
-def _kernel_of_rref(red, piv, n_cols):
+def _rref_rows(rows):
+    """Reduced row echelon form of a list of row lists (int or Fraction
+    entries; the input is not mutated).  Returns (reduced rows, pivot column
+    list); zero rows are kept at the end and every entry is a Fraction."""
+    A, pivots = _echelon(rows)
+    red = [[Fraction(x, row[c]) if x else _ZERO for x in row]
+           for row, c in zip(A, pivots)]
+    return red + [[_ZERO] * len(row) for row in A[len(pivots):]], pivots
+
+
+def _kernel_of_rref(red, piv, n_cols, one=_ONE):
     """Echelonized basis of the right kernel, read off an RREF (`red`, `piv`)
-    restricted to its first n_cols columns."""
+    restricted to its first n_cols columns; with the rows of D times an RREF
+    and one = D, D times that basis."""
     pivset = set(piv)
     out = []
     for fc in range(n_cols):
         if fc in pivset:
             continue
-        v = [_ZERO] * n_cols
-        v[fc] = _ONE
+        v = [one * 0] * n_cols
+        v[fc] = one
         for r, pc in enumerate(piv):
             v[pc] = -red[r][fc]
         out.append(v)
@@ -458,19 +488,41 @@ def rref_solve(A, b=None):
 
 
 class Subspace:
-    """Subspace of Q^ambient_dim with canonical RREF basis."""
+    """Subspace of Q^ambient_dim with canonical RREF basis.  Beside the
+    Fraction `basis` it keeps the same rows as ints over one common
+    denominator D, every pivot entry D, each row as its nonzero entries
+    (`_cols` the columns and `_vals` the ints of each row); the reductions,
+    sums, spans and brackets run on these.  The rows are lists, not tuples:
+    CPython keeps freed short tuples on free lists, so the rows of the many
+    short-lived subspaces of a pass would hold peak memory up."""
 
-    __slots__ = ("ambient_dim", "basis", "pivots")
+    __slots__ = ("ambient_dim", "basis", "pivots", "_cols", "_vals", "_den")
 
     def __init__(self, ambient_dim, vectors=()):
-        red, piv = _rref_rows([list(v) for v in vectors])
-        basis = tuple(tuple(row) for row in red[:len(piv)])
-        for v in basis:
-            if len(v) != ambient_dim:
+        A, piv = _echelon([list(v) for v in vectors])
+        D = lcm(*(row[c] for row, c in zip(A, piv)))
+        cols, ints = [], []
+        for row, c in zip(A, piv):
+            if len(row) != ambient_dim:
                 raise DimensionMismatch("vector length != ambient_dim")
+            s = D // row[c]
+            cols.append([i for i, x in enumerate(row) if x])
+            ints.append([row[i] * s for i in cols[-1]])
+        entry = {}      # equal entries share one Fraction: fewer to build and keep
+        basis = []
+        for idx, vals in zip(cols, ints):
+            b = [_ZERO] * ambient_dim
+            for i, x in zip(idx, vals):
+                if x not in entry:
+                    entry[x] = Fraction(x, D)
+                b[i] = entry[x]
+            basis.append(tuple(b))
         object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "basis", tuple(basis))
         object.__setattr__(self, "pivots", tuple(piv))
+        object.__setattr__(self, "_cols", tuple(cols))
+        object.__setattr__(self, "_vals", tuple(ints))
+        object.__setattr__(self, "_den", D)
 
     def __setattr__(self, *a):
         raise AttributeError("Subspace is immutable")
@@ -483,67 +535,86 @@ class Subspace:
         if self.ambient_dim != other.ambient_dim:
             raise DimensionMismatch("ambient_dim mismatch")
 
+    def _dense(self):
+        """The int rows as dense lists."""
+        out = []
+        for idx, vals in zip(self._cols, self._vals):
+            row = [0] * self.ambient_dim
+            for i, x in zip(idx, vals):
+                row[i] = x
+            out.append(row)
+        return out
+
     def sum(self, other):
         self._check(other)
-        return Subspace(self.ambient_dim, list(self.basis) + list(other.basis))
+        return Subspace(self.ambient_dim, self._dense() + other._dense())
 
     def span(self, coords):
         """The subspace spanned by the combinations sum c_i basis[i], one per
-        coordinate vector c, touching only nonzero coefficients and entries."""
+        coordinate vector c, formed as int combinations of the int rows (a
+        nonzero multiple of each), touching only nonzero coefficients and
+        entries."""
         vectors = []
         for coeffs in coords:
-            out = [_ZERO] * self.ambient_dim
-            for c, v in zip(coeffs, self.basis):
+            out = [0] * self.ambient_dim
+            for c, idx, vals in zip(_integer_row(coeffs), self._cols, self._vals):
                 if c:
-                    for t, x in enumerate(v):
-                        if x:
-                            out[t] += c * x
+                    for t, x in zip(idx, vals):
+                        out[t] += c * x
             vectors.append(out)
         return Subspace(self.ambient_dim, vectors)
 
     def kernel_of(self, images):
-        """{sum c_i basis[i] : sum c_i images[i] = 0}, images[i] that of basis[i]."""
+        """{sum c_i basis[i] : sum c_i images[i] = 0}, images[i] that of
+        basis[i] (or all of them times one nonzero constant)."""
         rows = [row for row in zip(*images) if any(row)]
         return self.span(_kernel_rows(rows, self.dim))
 
     def orthogonal(self):
         """{x : b . x = 0 for every basis vector b}, read off the echelon
-        basis: the kernel of any matrix whose rows span the subspace."""
-        return Subspace(self.ambient_dim,
-                        _kernel_of_rref(self.basis, self.pivots, self.ambient_dim))
+        rows: the kernel of any matrix whose rows span the subspace."""
+        return Subspace(self.ambient_dim, _kernel_of_rref(
+            self._dense(), self.pivots, self.ambient_dim, self._den))
 
     def coordinates(self, vector):
         """A member's coordinates over the echelon basis: its pivot entries."""
         return [vector[p] for p in self.pivots]
 
     def intersect(self, other):
-        """The combinations of the basis whose reduction against other is 0."""
+        """The combinations of the basis whose reduction against other is 0.
+        The int rows share one scale, so their reductions are those of the
+        basis times one constant."""
         self._check(other)
-        return self.kernel_of([other._reduce(u) for u in self.basis])
+        return self.kernel_of([other._reduce(row) for row in self._dense()])
 
     def _reduce(self, vector):
-        """The vector reduced against the echelon basis; 0 for a member."""
-        v = list(vector)
-        if len(v) != self.ambient_dim:
+        """D v - sum v[p] R_p for a dense int vector v, the R_p the int rows:
+        D times v reduced against the echelon basis, 0 for a member.  The
+        basis is reduced echelon, so reducing v leaves its pivot entries
+        as they are."""
+        if len(vector) != self.ambient_dim:
             raise DimensionMismatch("vector length != ambient_dim")
-        for row, p in zip(self.basis, self.pivots):
-            c = v[p]
+        D = self._den
+        v = [D * x for x in vector]
+        for idx, vals, p in zip(self._cols, self._vals, self.pivots):
+            c = vector[p]
             if c:
-                for i in range(p, self.ambient_dim):
-                    if row[i]:
-                        v[i] -= c * row[i]
+                for i, x in zip(idx, vals):
+                    v[i] -= c * x
         return v
 
     def member(self, vector):
-        return not any(self._reduce(vector))
+        """Whether the vector lies in the subspace, tested on it scaled to a
+        primitive int row (membership does not depend on scale)."""
+        return not any(self._reduce(_integer_row(vector)))
 
     def contains(self, other):
         self._check(other)
-        return all(self.member(v) for v in other.basis)
+        return not any(any(self._reduce(row)) for row in other._dense())
 
     def __eq__(self, other):
         return (isinstance(other, Subspace) and self.ambient_dim == other.ambient_dim
-                and self.basis == other.basis)
+                and self._vals == other._vals and self._cols == other._cols)
 
     def __hash__(self):
         return hash((self.ambient_dim, self.basis))
@@ -572,8 +643,8 @@ def char_poly(M):
     n = M.rows
     if n != M.cols:
         raise DimensionMismatch("char_poly of non-square")
-    D = lcm(*{x.denominator for x in M.entries})
-    A = [[x.numerator * (D // x.denominator) for x in row] for row in M.row_lists()]
+    D, flat = _scaled(M)
+    A = [flat[i * n:(i + 1) * n] for i in range(n)]
     Mk = [[int(i == j) for j in range(n)] for i in range(n)]
     coeffs = [1]                    # c_0, c_1, ...: leading first
     for k in range(1, n + 1):
@@ -643,8 +714,10 @@ def _rational_roots(coeffs):
     With c the primitive integer polynomial and y = c_n x, q(y) =
     c_n^(n-1) c(y / c_n) is monic with integer coefficients, so its rational
     roots are integers.  Sturm sign counts at half-integers, where q has no
-    root, bisect (-B - 1/2, B + 1/2), B the Cauchy bound, down to unit
-    intervals; such an interval holds a rational root only at its integer."""
+    root, bisect (-B - 1/2, B + 1/2) down to unit intervals; such an interval
+    holds a rational root only at its integer.  The roots of q are c_n times
+    those of c, so B = |c_n| + max |c_i| (c_n times the Cauchy bound of c)
+    bounds them; the Cauchy bound of q itself has (n - 1) times the bits."""
     roots = []
     cs = list(coeffs)
     while cs and cs[0] == 0:
@@ -657,7 +730,7 @@ def _rational_roots(coeffs):
     d, lead = len(c) - 1, c[-1]
     q = [x * lead ** (d - 1 - i) for i, x in enumerate(c[:-1])] + [1]
     seq = _sturm_sequence(q)
-    bound = 1 + max(abs(x) for x in q[:-1])
+    bound = abs(lead) + max(abs(x) for x in c[:-1])
 
     def value(y):
         acc = 0
@@ -706,15 +779,16 @@ def rational_eigenvalues(M):
 
 
 def brackets(A, B=None):
-    """The flattened [a, b] for a in A's basis and b in B's, for subspaces of
-    flattened gl_n; with B None, [a, a'] for each unordered pair of A's
-    basis once."""
+    """The flattened brackets of the int rows of subspaces A and B of
+    flattened gl_n: D_A D_B [a, b] for a in A's basis and b in B's, D_A and
+    D_B their common denominators; with B None, D_A^2 [a, a'] for each
+    unordered pair of A's basis once.  Callers test what does not depend on
+    the scale (membership, a functional vanishing)."""
     n = isqrt(A.ambient_dim)
-    mats = [QMatrix._trusted(n, n, v) for v in A.basis]
-    pairs = combinations(mats, 2) if B is None else \
-        product(mats, [QMatrix._trusted(n, n, v) for v in B.basis])
+    rows = list(zip(A._cols, A._vals))
+    pairs = combinations(rows, 2) if B is None else product(rows, zip(B._cols, B._vals))
     for X, Y in pairs:
-        yield X.bracket(Y).entries
+        yield _bracket(zip(*X), zip(*Y), n)
 
 
 def _trace_pairing(B, n):
@@ -723,23 +797,27 @@ def _trace_pairing(B, n):
     terms = [((k % n) * n + k // n, x) for k, x in enumerate(B) if x]
 
     def pair(Y):
-        return sum([x * Y[k] for k, x in terms], _ZERO)
+        return sum([x * Y[k] for k, x in terms])
     return pair
 
 
-def _omega_gram_vectors(f, vectors):
-    """Gram matrix of omega_f on flattened gl_n vectors: row i pairs
-    [f, X_i] with each X_j by the trace form."""
+def _omega_gram_vectors(f, W):
+    """(G, s): G the Gram matrix of omega_f on the int rows R_i of W, in
+    ints, and s = D_f D_W^2 (D_f the lcm of f's denominators, D_W the rows'
+    common denominator), so G / s is the Gram matrix on W's echelon basis.
+    Row i pairs [D_f f, R_i] with each R_j by the trace form."""
     n = f.rows
-    k = len(vectors)
-    gram = [[_ZERO] * k for _ in range(k)]
+    D, fi = _scaled(f)
+    rows = W._dense()
+    k = len(rows)
+    gram = [[0] * k for _ in range(k)]
     for i in range(k):
-        pair = _trace_pairing(f.bracket(QMatrix._trusted(n, n, vectors[i])).entries, n)
+        pair = _trace_pairing(_bracket(enumerate(fi), enumerate(rows[i]), n), n)
         for j in range(i + 1, k):
-            val = pair(vectors[j])
+            val = pair(rows[j])
             gram[i][j] = val
             gram[j][i] = -val
-    return gram
+    return gram, D * W._den ** 2
 
 
 def skew_tools(f, W, task):
@@ -747,16 +825,17 @@ def skew_tools(f, W, task):
     subspace W of flattened gl_n.
 
     gram       -> exact Gram matrix on W's echelon basis
-    radical    -> {X in W : omega(X, W) = 0}
+    radical    -> {X in W : omega(X, W) = 0}, the kernel of the int Gram matrix
     lagrangian -> maximal isotropic subspace of W containing the radical,
                   grown deterministically over W's echelon basis in order
     """
     n = f.rows
     if W.ambient_dim != n * n:
         raise DimensionMismatch("W must live in flattened gl_n")
-    gram = _omega_gram_vectors(f, W.basis)
+    gram, scale = _omega_gram_vectors(f, W)
     if task == "gram":
-        return QMatrix.from_rows(gram) if gram else QMatrix.zeros(0, 0)
+        return QMatrix._trusted(len(gram), len(gram), [
+            Fraction(x, scale) if x else _ZERO for row in gram for x in row])
     kern = _kernel_rows(gram, len(gram))
     if task == "radical":
         return W.span(kern)
@@ -768,7 +847,7 @@ def skew_tools(f, W, task):
 def _lagrangian(W, gram, kern):
     """Maximal isotropic subspace of W containing the radical, in coordinates
     over W's echelon basis w_1, ..., w_k: omega(sum c_i w_i, w_j) = (c G)_j
-    for the Gram matrix G, and the radical's coordinate vectors `kern` pair
+    for the Gram matrix G (any nonzero multiple serves), and the radical's coordinate vectors `kern` pair
     to zero with all of W.  A greedy pass adjoins each w_j outside the span
     that pairs to zero with the vectors adjoined so far; the completion then
     adjoins the first vector of their omega-perp outside the span (always

@@ -22,8 +22,9 @@ from fractions import Fraction
 
 from .errors import (DimensionMismatch, InternalCheckFailure, NotCommuting,
                      ShapeViolation, VerificationError)
-from .exactq import (QMatrix, Subspace, _trace_pairing, ad_matrix, brackets,
-                     rat_str, rational_eigenvalues, rref_solve, skew_tools)
+from .exactq import (QMatrix, Subspace, _bracket, _scaled, _trace_pairing,
+                     ad_matrix, brackets, rat_str, rational_eigenvalues,
+                     rref_solve, skew_tools)
 from .orbits import is_neutral_pair, jordan_partition, sl2_complete
 
 __all__ = [
@@ -247,14 +248,25 @@ def find_Z(pair):
     h in image(ad f), [S, h] = 0, [h, f] = -2f, as one exact linear system
     in the ad(f)-preimage; echelon-first particular solution.  (h, f) is
     neutral by construction: h = [f, y] lies in image(ad f) and the system
-    solves [h, f] = -2f."""
+    solves [h, f] = -2f.
+
+    The equations are [S, [f, y]] = 0 over [f, [f, y]] = 2f.  Column k of
+    the system is [S', [f', E_k]] over [f', [f', E_k]], for the int
+    matrices S' = D_S S and f' = D_f f (D the lcm of the denominators),
+    so its top rows carry D_S D_f and its bottom rows D_f^2; the right-hand
+    side 0 over 2 D_f^2 f is scaled to match, which leaves the RREF and the
+    echelon-first solution as they are."""
     S, f, n = pair.S, pair.f, pair.n
-    Af = ad_matrix(f)
-    AS = ad_matrix(S)
-    top = AS * Af                  # [S, [f, y]] = 0
-    bot = Af * Af                  # [[f, y], f] = -2f  <=>  [f,[f,y]] = 2f
-    system = QMatrix._trusted(2 * n * n, n * n, top.entries + bot.entries)
-    rhs = [Fraction(0)] * (n * n) + [2 * x for x in f.flat()]
+    N = n * n
+    _, Si = _scaled(S)
+    df, fi = _scaled(f)
+    cols = []
+    for k in range(N):
+        F = _bracket(enumerate(fi), [(k, 1)], n)      # [f', E_k]
+        cols.append(_bracket(enumerate(Si), enumerate(F), n)
+                    + _bracket(enumerate(fi), enumerate(F), n))
+    system = QMatrix._trusted(2 * N, N, [x for row in zip(*cols) for x in row])
+    rhs = [0] * N + [2 * df * x for x in fi]
     res = rref_solve(system, rhs)
     if not isinstance(res.solution, tuple):
         raise VerificationError("Z-decomposition system inconsistent; invalid pair")

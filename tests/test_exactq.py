@@ -1,7 +1,7 @@
 import random
 import time
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 import pytest
 
@@ -343,17 +343,70 @@ def test_intersect_matches_sympy_nullspace():
         assert U.contains(meet) and V.contains(meet)
 
 
+def _int_scaled(vector, rng):
+    """The vector times a random nonzero integer multiple of the lcm of its
+    denominators: a list of ints spanning the same line."""
+    den = lcm(*(Fraction(x).denominator for x in vector))
+    c = rng.choice([-1, 1]) * rng.randint(1, 10 ** 6) * den
+    return [int(c * x) for x in vector]
+
+
+def test_member_matches_sympy_rank_for_fraction_and_int_vectors():
+    pytest.importorskip("sympy")
+    rng = random.Random(19)
+    for U, V in _subspace_cases():
+        n = U.ambient_dim
+        inside = [Fraction(0)] * n
+        for b in U.basis:
+            c = Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 6))
+            inside = [x + c * y for x, y in zip(inside, b)]
+        candidates = [inside] + [list(v) for v in V.basis] + \
+            [[x + y for x, y in zip(inside, v)] for v in V.basis]
+        for vec in candidates:
+            expected = _to_sympy([list(b) for b in U.basis] + [vec], n).rank() == U.dim
+            assert U.member(vec) is expected
+            assert U.member(_int_scaled(vec, rng)) is expected
+
+
+def test_intersect_matches_sympy_for_fraction_and_int_spanning_sets():
+    pytest.importorskip("sympy")
+    rng = random.Random(20)
+    for U, V in _subspace_cases():
+        n = U.ambient_dim
+        if U.dim and V.dim:
+            system = _basis_matrix(U).T.row_join(-_basis_matrix(V).T)
+            coords = [c[:U.dim] for c in _nullspace_rows(system)]
+            expected = (_from_sympy(_to_sympy(coords, U.dim) * _basis_matrix(U))
+                        if coords else [])
+        else:
+            expected = []
+        U_int = Subspace(n, [_int_scaled(b, rng) for b in U.basis])
+        V_int = Subspace(n, [_int_scaled(b, rng) for b in V.basis])
+        assert (U_int, V_int) == (U, V)
+        for A, B in ((U, V), (U_int, V_int), (U, V_int), (U_int, V)):
+            assert A.intersect(B) == Subspace(n, expected)
+
+
+def _common_denominator(U):
+    return lcm(*(x.denominator for v in U.basis for x in v))
+
+
 def test_brackets_are_the_pairwise_brackets():
+    # the brackets of the integer rows: D_A D_B [a, b], D the lcm of the
+    # denominators of a subspace's echelon basis
     rng = random.Random(18)
     for n in (1, 2, 3):
         A = Subspace(n * n, [_random_entries(rng, n, 0.5) for _ in range(3)])
         B = Subspace(n * n, [_random_entries(rng, n, 0.5) for _ in range(2)])
+        DA, DB = _common_denominator(A), _common_denominator(B)
         mats = [QMatrix(n, n, v) for v in A.basis]
         others = [QMatrix(n, n, v) for v in B.basis]
         assert list(exactq.brackets(A)) == [
-            (X * Y - Y * X).entries for i, X in enumerate(mats) for Y in mats[i + 1:]]
+            [DA * DA * x for x in (X * Y - Y * X).entries]
+            for i, X in enumerate(mats) for Y in mats[i + 1:]]
         assert list(exactq.brackets(A, B)) == [
-            (X * Y - Y * X).entries for X in mats for Y in others]
+            [DA * DB * x for x in (X * Y - Y * X).entries]
+            for X in mats for Y in others]
 
 
 # -- rational eigenvalues -----------------------------------------------------
@@ -516,6 +569,54 @@ def test_rational_roots_of_large_eigenvalues_are_fast():
 
 
 # -- skew tools ---------------------------------------------------------------
+
+def omega_gram_by_fractions(f, W):
+    """The Gram matrix of omega_f(X, Y) = trace(f [X, Y]) on W's echelon
+    basis in Fractions, as an oracle for the integer Gram matrix of
+    skew_tools: row i pairs [f, w_i] with each w_j by the trace form."""
+    n, k = f.rows, W.dim
+    gram = [[Fraction(0)] * k for _ in range(k)]
+    for i in range(k):
+        B = f.bracket(QMatrix(n, n, W.basis[i])).entries
+        for j in range(i + 1, k):
+            val = sum((B[a * n + b] * W.basis[j][b * n + a]
+                       for a in range(n) for b in range(n)), Fraction(0))
+            gram[i][j] = val
+            gram[j][i] = -val
+    return gram
+
+
+def _large_denominator_cases():
+    """Seeded (f, W) in gl_2 .. gl_4 whose entries are ratios of up to
+    6-digit integers."""
+    rng = random.Random(21)
+
+    def rational():
+        return Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 6))
+    for _ in range(25):
+        n = rng.randint(2, 4)
+        density = rng.choice([0.3, 1.0])
+        f = QMatrix.from_rows([[rational() if rng.random() < density else 0
+                                for _ in range(n)] for _ in range(n)])
+        W = Subspace(n * n, [[rational() if rng.random() < 0.5 else 0
+                              for _ in range(n * n)]
+                             for _ in range(rng.randint(1, n * n))])
+        yield f, W
+
+
+def test_skew_tools_match_the_fraction_gram_oracle():
+    pytest.importorskip("sympy")
+    for f, W in _large_denominator_cases():
+        gram = omega_gram_by_fractions(f, W)
+        k = W.dim
+        assert skew_tools(f, W, "gram") == QMatrix(k, k, [x for r in gram for x in r])
+        kern = _nullspace_rows(_to_sympy(gram, k)) if k else []
+        radical = Subspace(W.ambient_dim, [
+            [sum((c * b[t] for c, b in zip(v, W.basis)), Fraction(0))
+             for t in range(W.ambient_dim)] for v in kern])
+        assert skew_tools(f, W, "radical") == radical
+        assert skew_tools(f, W, "lagrangian") == \
+            _lagrangian(W, gram, _kernel_rows(gram, k))
 
 def _glq(n):
     return Subspace(n * n, [list(E(n, i, j).flat())

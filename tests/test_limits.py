@@ -1,5 +1,6 @@
 """Time-bounded probes at the edge of the inputs: each request either succeeds
-or is rejected with a typed JSON error, and finishes in under a second."""
+or is rejected with a typed JSON error, and finishes in under a second (the
+dense-rational probe in under ten)."""
 
 import json
 import random
@@ -13,12 +14,12 @@ from conftest import E, random_unimodular
 LIMIT_S = 1.0
 
 
-def run_timed(capsys, *argv):
+def run_timed(capsys, *argv, limit=LIMIT_S):
     start = time.perf_counter()
     code = main(list(argv))
     elapsed = time.perf_counter() - start
     captured = capsys.readouterr()
-    assert elapsed < LIMIT_S, f"{argv[0]} took {elapsed:.2f} s"
+    assert elapsed < limit, f"{argv[0]} took {elapsed:.2f} s"
     return code, captured.out, captured.err
 
 
@@ -87,6 +88,28 @@ def test_jordan_block_is_rejected(capsys):
     assert json.loads(err) == {
         "error": "NotRationalSplit",
         "message": "eigenspace dimensions sum to 1 < 2; not rational semisimple"}
+
+
+def dense_rational_s():
+    """An 8 x 8 dense matrix of 6-digit rationals p/q, as a JSON string.  Its
+    characteristic polynomial has coefficients of thousands of bits and no
+    rational root."""
+    rng = random.Random(11)
+    return json.dumps([[f"{rng.choice([-1, 1]) * rng.randint(100000, 999999)}"
+                        f"/{rng.randint(100000, 999999)}" for _ in range(8)]
+                       for _ in range(8)])
+
+
+def test_dense_rational_s_is_rejected_in_bounded_time(capsys):
+    # the root search bisects from |c_n| + max |c_i| of the primitive
+    # characteristic polynomial c, not from the far larger Cauchy bound of
+    # its monic transform
+    code, out, err = run_timed(capsys, "model-data", "--S", dense_rational_s(),
+                               "--f", "0", limit=10.0)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {
+        "error": "NotRationalSplit",
+        "message": "eigenspace dimensions sum to 0 < 8; not rational semisimple"}
 
 
 def test_two_digit_indices_in_braces(capsys):

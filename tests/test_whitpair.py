@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import Counter
 from fractions import Fraction
@@ -5,12 +6,15 @@ from fractions import Fraction
 import pytest
 
 from whitforge import exactq, whitpair
+from whitforge.cli import canonical_json
 from whitforge.errors import (InternalCheckFailure, NotCommuting,
                               NotRationalSplit, ShapeViolation,
                               VerificationError)
 from whitforge.exactq import (QMatrix, Subspace, _kernel_rows, _rref_rows,
                               rat_str, rational_eigenvalues, rref_solve)
-from whitforge.orbits import is_neutral_pair, neutral_for, sl2_complete
+from whitforge.orbits import (J_eta, h_eta, is_neutral_pair, neutral_for,
+                              sl2_complete)
+from whitforge.partitions import partitions_of
 from whitforge.whitpair import (WhittakerPair, WhittakerTriple, ad_matrix,
                                 bigrading, chain, critical_numbers, find_Z,
                                 graded_space, grading, model_data,
@@ -298,12 +302,12 @@ def test_grading_space_runs_one_elimination(monkeypatch):
     assert g.component((5,)).dim == 0
     u = random_unimodular(4, random.Random(5))
     g = grading(u * QMatrix.diag([3, 1, -1, -3]) * u.inverse())
-    real, calls = exactq._rref_rows, []
+    real, calls = exactq._echelon, []
 
     def counting(rows):
         calls.append(len(rows))
         return real(rows)
-    monkeypatch.setattr(exactq, "_rref_rows", counting)
+    monkeypatch.setattr(exactq, "_echelon", counting)
     space = g.space(lambda r: r >= 2)
     assert calls == [6]
     monkeypatch.undo()
@@ -457,6 +461,40 @@ def test_chain_neutral_pair_trivial():
     assert all(o["space"].dim == 0 for o in cert.obstructions)
     last = cert.snapshots[-1]
     assert last.l == last.r == Subspace(4, [flat(E(2, 1, 2))])
+
+
+def _pinned_pair(n, k):
+    """(S, f) = g (h_mu + diag z, J_mu) g^-1 drawn from one seeded generator:
+    a partition mu of n, a z constant on each block with values a / b,
+    a in [-2, 2] and b in {1, 2}, and g = U L with U upper and L lower unit
+    bidiagonal, signs +-1 off the diagonal (the benchmark's chain generator
+    with one draw)."""
+    rng = random.Random(f"sha:{n}:{k}")
+    mu = rng.choice(list(partitions_of(n)))
+    z = []
+    for part in mu:
+        z += [Fraction(rng.randint(-2, 2), rng.choice([1, 2]))] * part
+    upper = [[int(i == j) for j in range(n)] for i in range(n)]
+    lower = [[int(i == j) for j in range(n)] for i in range(n)]
+    for i in range(n - 1):
+        upper[i][i + 1] = rng.choice([-1, 1])
+        lower[i + 1][i] = rng.choice([-1, 1])
+    g = QMatrix.from_rows(upper) * QMatrix.from_rows(lower)
+    gi = g.inverse()
+    return WhittakerPair(n, g * (h_eta(mu) + QMatrix.diag(z)) * gi,
+                         g * J_eta(mu) * gi)
+
+
+def test_chain_outputs_are_pinned():
+    # the canonical JSON of chain() on 9 seeded pairs with n = 7, 8, 9,
+    # hashed one certificate after the other: any change to a chain
+    # certificate's bytes shows here
+    digest = hashlib.sha256()
+    for n in (7, 8, 9):
+        for k in range(3):
+            digest.update(canonical_json(chain(_pinned_pair(n, k)).to_json()).encode())
+    assert digest.hexdigest() == \
+        "047200d82aba14c3f2badf338d62e060cdd4bc99a987e2409978aa5ec5863f2b"
 
 
 def test_chain_principal_gl2():
