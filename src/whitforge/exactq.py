@@ -2,15 +2,21 @@
 eigenvalue extraction and the skew-form utilities built on trace forms.
 
 Everything is a pure function on immutable values.  Fractions at the API,
-integer rows inside the kernels: eliminations, reductions, brackets and Gram
-matrices run on ints scaled by one common denominator, and every test made
-on them (membership, a kernel, a zero) does not depend on that scale.  No
-floating point anywhere.  Every elimination runs here: other modules
-eliminate only through `rref_solve`, `QMatrix` and `Subspace`, whose
-canonical RREF basis serves `member` and `intersect` (one shared reduction),
-`span` of coordinate vectors, `kernel_of` a map given by the basis's images,
-`orthogonal` and `coordinates`.  `brackets` yields the brackets of the
-integer rows of one or two subspaces, for the bracket containments.
+integer rows inside the kernels: eliminations, reductions, brackets, ad
+operators and Gram matrices run on ints scaled by one common denominator,
+and every test made on them (membership, a kernel, a zero) does not depend
+on that scale.  No floating point anywhere.  Every elimination runs here:
+other modules eliminate only through `rref_solve`, `_solve`, `QMatrix` and
+`Subspace`.  A `Subspace` keeps its canonical RREF basis as int rows over
+one common denominator, which serve `member` and `intersect` (one shared
+reduction), `span` of coordinate vectors, `kernel_of` a map given by the
+basis's images, `orthogonal` and `coordinates`; its Fraction `basis` is
+built when it is first read, and `to_json` prints x/D straight from the int
+rows.  `_solve` reads the echelon-first solution of an int system, making
+only the solution's entries Fractions, and `rref_solve` reads its solution
+through it.  `brackets` yields the brackets of the integer rows of one or
+two subspaces, for the bracket containments; `ad_matrix` keeps the type of
+its input, so `_int_ad` gives the int operator ad(D M).
 
 `_bracket` is the one bracket, of int or Fraction matrices, and
 `QMatrix.bracket` wraps it; it multiplies only nonzero entries.  The skew
@@ -103,8 +109,8 @@ class QMatrix:
     @classmethod
     def _trusted(cls, rows, cols, entries):
         """Internal constructor for entries that are already Fractions of the
-        right count: no re-coercion, no shape check.  An int system handed
-        straight to `rref_solve` may hold ints."""
+        right count: no re-coercion, no shape check.  An int matrix, such as
+        D M handed to `ad_matrix`, holds ints."""
         self = object.__new__(cls)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
@@ -305,10 +311,11 @@ class QMatrix:
 
 
 def ad_matrix(M):
-    """Matrix of X -> [M, X] on row-major flattened gl_n."""
+    """Matrix of X -> [M, X] on row-major flattened gl_n, with entries of
+    M's type: ints for an int M, Fractions for a Fraction M."""
     n = M.rows
     N = n * n
-    out = [_ZERO] * (N * N)
+    out = [0 * M.entries[0]] * (N * N) if n else []
     for k, x in enumerate(M.entries):
         if not x:
             continue
@@ -350,19 +357,41 @@ def _scaled(M):
     return D, [x.numerator * (D // x.denominator) for x in M.entries]
 
 
+def _int_ad(M):
+    """ad(D M) as an int matrix, D the lcm of M's denominators: D ad M, with
+    the kernel, the row space and the column space of ad M."""
+    return ad_matrix(QMatrix._trusted(M.rows, M.cols, _scaled(M)[1]))
+
+
+def _int_action(M):
+    """(D, v -> D M v on int vectors), D the lcm of M's denominators; the
+    product touches only the nonzero entries of D M."""
+    D, flat = _scaled(M)
+    n = M.cols
+    rows = [[(j, x) for j, x in enumerate(flat[i * n:(i + 1) * n]) if x]
+            for i in range(M.rows)]
+
+    def act(v):
+        return [sum([x * v[j] for j, x in row]) for row in rows]
+    return D, act
+
+
 # ---------------------------------------------------------------------------
 # row reduction
 
 
 def _integer_row(row):
-    """The row scaled by the lcm of its denominators to a primitive list of
-    ints (same span; the sign is left as it falls)."""
-    den = lcm(*{x.denominator for x in row})
-    if den == 1:
-        out = [x.numerator for x in row]
-    else:
-        out = [x.numerator * (den // x.denominator) for x in row]
-    g = gcd(*out)
+    """The row as a new primitive list of ints with the same span (the sign
+    is left as it falls): a row of ints is divided by its content, and a
+    row holding a Fraction is first scaled by the lcm of its denominators.
+    The list is always new, as `_echelon` updates its rows in place."""
+    out = list(row)
+    try:
+        g = gcd(*out)
+    except TypeError:               # a Fraction entry
+        den = lcm(*{x.denominator for x in out})
+        out = [x.numerator * (den // x.denominator) for x in out]
+        g = gcd(*out)
     return [x // g for x in out] if g > 1 else out
 
 
@@ -440,9 +469,30 @@ def _kernel_of_rref(red, piv, n_cols, one=_ONE):
 
 
 def _kernel_rows(rows, n_cols):
-    """Basis of the right kernel of the matrix given by `rows` (echelonized)."""
-    red, piv = _rref_rows(rows)
-    return _kernel_of_rref(red, piv, n_cols)
+    """Basis of the right kernel of the matrix given by `rows` (int or
+    Fraction entries), as int vectors: D times the basis `_kernel_of_rref`
+    reads off the RREF, D the lcm of its denominators."""
+    A, piv = _echelon(rows)
+    D = lcm(*(row[c] for row, c in zip(A, piv)))
+    return _kernel_of_rref([[x * (D // row[c]) for x in row] for row, c in zip(A, piv)],
+                           piv, n_cols, D)
+
+
+def _solve(rows, n):
+    """The echelon-first particular solution of a linear system in n
+    unknowns given by its augmented rows [M | b] (int or Fraction entries):
+    free variables 0 and each pivot variable the b entry of its echelon row
+    over that row's pivot entry, or NO_SOLUTION when b is a pivot column.
+    Returns (solution, echelon rows, pivot columns), the last two as
+    `_echelon` gives them.  Only the solution's entries become Fractions,
+    so a system scaled to ints row by row is solved in ints."""
+    A, piv = _echelon(rows)
+    if piv and piv[-1] == n:
+        return NO_SOLUTION, A, piv
+    sol = [_ZERO] * n
+    for row, c in zip(A, piv):
+        sol[c] = Fraction(row[n], row[c])
+    return tuple(sol), A, piv
 
 
 @dataclass(frozen=True)
@@ -456,28 +506,24 @@ class RrefResult:
 
 def rref_solve(A, b=None):
     """Exact reduced row echelon form of A; when b is given, also a particular
-    solution of A x = b (free variables set to 0) or NO_SOLUTION.  One
-    reduction serves both: the first n columns of the augmented RREF are the
-    RREF of A."""
+    solution of A x = b (free variables set to 0) or NO_SOLUTION, read by
+    `_solve`.  One reduction serves both: the first n columns of the
+    augmented echelon are the echelon of A."""
     rows = A.row_lists()
     m, n = A.rows, A.cols
     solution = None
-    if b is not None:
+    if b is None:
+        E, piv = _echelon(rows)
+    else:
         b = [Fraction(x) for x in b]
         if len(b) != m:
             raise DimensionMismatch("b length != rows(A)")
-        rows = [row + [bx] for row, bx in zip(rows, b)]
-    red, piv = _rref_rows(rows)
-    if b is not None:
-        if piv and piv[-1] == n:
-            solution = NO_SOLUTION
+        solution, E, piv = _solve([row + [bx] for row, bx in zip(rows, b)], n)
+        if solution is NO_SOLUTION:
             piv = piv[:-1]
-        else:
-            sol = [_ZERO] * n
-            for r, pc in enumerate(piv):
-                sol[pc] = red[r][n]
-            solution = tuple(sol)
-        red = [row[:n] for row in red]
+    red = [[Fraction(x, row[c]) if x else _ZERO for x in row[:n]]
+           for row, c in zip(E, piv)]
+    red += [[_ZERO] * n for _ in range(m - len(piv))]
     ech = QMatrix._trusted(m, n, [x for row in red for x in row])
     kernel = tuple(tuple(v) for v in _kernel_of_rref(red, piv, n))
     return RrefResult(ech, tuple(piv), len(piv), solution, kernel)
@@ -488,18 +534,20 @@ def rref_solve(A, b=None):
 
 
 class Subspace:
-    """Subspace of Q^ambient_dim with canonical RREF basis.  Beside the
-    Fraction `basis` it keeps the same rows as ints over one common
-    denominator D, every pivot entry D, each row as its nonzero entries
-    (`_cols` the columns and `_vals` the ints of each row); the reductions,
-    sums, spans and brackets run on these.  The rows are lists, not tuples:
-    CPython keeps freed short tuples on free lists, so the rows of the many
-    short-lived subspaces of a pass would hold peak memory up."""
+    """Subspace of Q^ambient_dim with canonical RREF basis, kept as int rows
+    over one common denominator D, every pivot entry D, each row as its
+    nonzero entries (`_cols` the columns and `_vals` the ints of each row);
+    the reductions, sums, spans and brackets run on these, and `to_json`
+    prints each entry x/D straight from them.  The Fraction `basis` is built
+    from the int rows when it is first read, so a subspace nobody reads
+    holds no Fractions.  The rows are lists, not tuples: CPython keeps freed
+    short tuples on free lists, so the rows of the many short-lived
+    subspaces of a pass would hold peak memory up."""
 
-    __slots__ = ("ambient_dim", "basis", "pivots", "_cols", "_vals", "_den")
+    __slots__ = ("ambient_dim", "pivots", "_cols", "_vals", "_den", "_basis")
 
     def __init__(self, ambient_dim, vectors=()):
-        A, piv = _echelon([list(v) for v in vectors])
+        A, piv = _echelon(vectors)
         D = lcm(*(row[c] for row, c in zip(A, piv)))
         cols, ints = [], []
         for row, c in zip(A, piv):
@@ -508,28 +556,35 @@ class Subspace:
             s = D // row[c]
             cols.append([i for i, x in enumerate(row) if x])
             ints.append([row[i] * s for i in cols[-1]])
-        entry = {}      # equal entries share one Fraction: fewer to build and keep
-        basis = []
-        for idx, vals in zip(cols, ints):
-            b = [_ZERO] * ambient_dim
-            for i, x in zip(idx, vals):
-                if x not in entry:
-                    entry[x] = Fraction(x, D)
-                b[i] = entry[x]
-            basis.append(tuple(b))
         object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "basis", tuple(basis))
         object.__setattr__(self, "pivots", tuple(piv))
         object.__setattr__(self, "_cols", tuple(cols))
         object.__setattr__(self, "_vals", tuple(ints))
         object.__setattr__(self, "_den", D)
+        object.__setattr__(self, "_basis", None)
 
     def __setattr__(self, *a):
         raise AttributeError("Subspace is immutable")
 
     @property
+    def basis(self):
+        """The echelon basis as tuples of Fractions, built on first read;
+        equal entries share one Fraction."""
+        if self._basis is None:
+            D, entry, basis = self._den, {}, []
+            for idx, vals in zip(self._cols, self._vals):
+                b = [_ZERO] * self.ambient_dim
+                for i, x in zip(idx, vals):
+                    if x not in entry:
+                        entry[x] = Fraction(x, D)
+                    b[i] = entry[x]
+                basis.append(tuple(b))
+            object.__setattr__(self, "_basis", tuple(basis))
+        return self._basis
+
+    @property
     def dim(self):
-        return len(self.basis)
+        return len(self.pivots)
 
     def _check(self, other):
         if self.ambient_dim != other.ambient_dim:
@@ -617,13 +672,25 @@ class Subspace:
                 and self._vals == other._vals and self._cols == other._cols)
 
     def __hash__(self):
-        return hash((self.ambient_dim, self.basis))
+        return hash((self.ambient_dim, tuple(map(tuple, self._cols)),
+                     tuple(map(tuple, self._vals))))
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
 
     def to_json(self):
-        return [[rat_str(x) for x in v] for v in self.basis]
+        """The echelon basis as rational strings, each entry x/D of the int
+        rows written in lowest terms."""
+        D, text, out = self._den, {}, []
+        for idx, vals in zip(self._cols, self._vals):
+            row = ["0"] * self.ambient_dim
+            for i, x in zip(idx, vals):
+                if x not in text:
+                    g = gcd(x, D)
+                    text[x] = str(x // g) if g == D else f"{x // g}/{D // g}"
+                row[i] = text[x]
+            out.append(row)
+        return out
 
     @classmethod
     def from_json(cls, ambient_dim, obj):
@@ -863,7 +930,7 @@ def _lagrangian(W, gram, kern):
 
     def add(c):
         added.append(c)
-        rows.append([sum([x * g[j] for x, g in zip(c, gram) if x], _ZERO)
+        rows.append([sum([x * g[j] for x, g in zip(c, gram) if x])
                      for j in range(k)])
         return Subspace(k, kern + added)
 
@@ -871,7 +938,7 @@ def _lagrangian(W, gram, kern):
     for j in range(k):
         if span.dim >= target:
             break
-        e_j = [_ONE if i == j else _ZERO for i in range(k)]
+        e_j = [int(i == j) for i in range(k)]
         if not span.member(e_j) and all(row[j] == 0 for row in rows):
             span = add(e_j)
     while span.dim < target:

@@ -4,14 +4,17 @@ sl2-triple completion, neutral elements, and the scalar power-class invariant
 that separates SL_n-orbits inside a GL_n-orbit.
 """
 
+import functools
+import itertools
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (DimensionMismatch, InternalCheckFailure, NoSolutionError,
-                     NotNilpotent, WrongPartition)
-from .exactq import (NO_SOLUTION, QMatrix, Subspace, ad_matrix, rat_str,
-                     rref_solve)
+                     NotNilpotent, UnsupportedQuery, WrongPartition)
+from .exactq import (NO_SOLUTION, QMatrix, Subspace, _int_action, _int_ad,
+                     _scaled, _solve, rat_str)
 
 
 # ---------------------------------------------------------------------------
@@ -73,14 +76,15 @@ def _power_kernels(N):
     """Kernel filtration [ker N^0, ker N^1, ..., ker N^L] of a nilpotent N,
     with N^L = 0 first reached at L: one RREF per power.  The row space of
     N^(k+1) is the row space of N^k times N, so each RREF runs on the
-    previous echelon rows times N rather than on the power itself.  The ranks
-    of the powers never rise, and once two consecutive ranks are equal they
-    stay equal, so the first power whose kernel fails to grow shows that N
-    is not nilpotent."""
+    previous echelon rows times N rather than on the power itself: the int
+    echelon rows times D N, D the lcm of N's denominators (the same span).
+    The ranks of the powers never rise, and once two consecutive ranks are
+    equal they stay equal, so the first power whose kernel fails to grow
+    shows that N is not nilpotent."""
     n = N.rows
     if n != N.cols:
         raise DimensionMismatch("matrix not square")
-    Nt = N.transpose()
+    _, times_n = _int_action(N.transpose())
     kernels = [Subspace(n)]
     rows = N.row_lists()
     while kernels[-1].dim < n:
@@ -89,7 +93,7 @@ def _power_kernels(N):
         if K.dim == kernels[-1].dim:
             raise NotNilpotent("matrix is not nilpotent")
         kernels.append(K)
-        rows = [Nt.matvec(r) for r in R.basis]
+        rows = [times_n(r) for r in R._dense()]
     return kernels
 
 
@@ -106,21 +110,31 @@ def jordan_chain_basis(N):
     """Deterministic Jordan chain basis: chains longest first, chain tops
     found by extending echelon bases of the kernel filtration in fixed
     coordinate order.  The choice in another frame R is the chains of
-    R N R^{-1} mapped back by R^{-1}."""
+    R N R^{-1} mapped back by R^{-1}.
+
+    The search runs on int rows: a top is an int echelon row D_K v of its
+    kernel (D_K the rows' common denominator) and its chain D_K (D N)^k v,
+    D the lcm of N's denominators; only the chosen chains become Fractions,
+    N^k v = that row / (D_K D^k)."""
     n = N.rows
     kernels = _power_kernels(N)
+    D, times_n = _int_action(N)
     chains = []
+    found = []              # the int chains, for the membership tests
     for ell in range(len(kernels) - 1, 0, -1):
         # N maps each chain built so far onto its own tail
-        span = Subspace(n, list(kernels[ell - 1].basis)
-                        + [c for ch in chains for c in ch[1:]])
-        for v in kernels[ell].basis:
+        K = kernels[ell]
+        span = Subspace(n, kernels[ell - 1]._dense()
+                        + [c for ch in found for c in ch[1:]])
+        for v in K._dense():
             if not span.member(v):
-                chain = [list(v)]
+                chain = [v]
                 for _ in range(ell - 1):
-                    chain.append(N.matvec(chain[-1]))
-                chains.append(chain)
-                span = Subspace(n, list(span.basis) + chain)
+                    chain.append(times_n(chain[-1]))
+                found.append(chain)
+                chains.append([[Fraction(x, K._den * D ** k) for x in w]
+                               for k, w in enumerate(chain)])
+                span = Subspace(n, span._dense() + chain)
     if sum(len(c) for c in chains) != n:
         raise InternalCheckFailure("jordan chain basis: chain lengths do not sum to n")
     return chains
@@ -166,16 +180,24 @@ def sl2_complete(f, h):
     n = f.rows
     if (n, n) != (h.rows, h.cols) or f.cols != n:
         raise DimensionMismatch("f, h must be square of equal size")
-    # unknown e as an n^2 vector: (ad h - 2) e = 0 and (ad f) e = -h
+    # unknown e as an n^2 vector: (ad h - 2) e = 0 and (ad f) e = -h, in
+    # ints: the rows times D_h D_f (D the lcm of a matrix's denominators),
+    # the right-hand side 0 over -D_f (D_h h)
     N = n * n
-    top = list(ad_matrix(h).entries)
-    for k in range(0, N * N, N + 1):
-        top[k] -= 2
-    system = QMatrix._trusted(2 * N, N, top + list(ad_matrix(f).entries))
-    res = rref_solve(system, [Fraction(0)] * N + [-x for x in h.flat()])
-    if res.solution is NO_SOLUTION:
+    dh, hi = _scaled(h)
+    df = _scaled(f)[0]
+    top, bottom = _int_ad(h).entries, _int_ad(f).entries
+    rows = []
+    for r in range(N):
+        row = [df * x for x in top[r * N:(r + 1) * N]]
+        row[r] -= 2 * dh * df
+        rows.append(row + [0])
+    for r in range(N):
+        rows.append([dh * x for x in bottom[r * N:(r + 1) * N]] + [-df * hi[r]])
+    solution = _solve(rows, N)[0]
+    if solution is NO_SOLUTION:
         raise NoSolutionError("no sl2 completion; (h, f) is not a neutral pair")
-    e = QMatrix(n, n, res.solution)
+    e = QMatrix(n, n, solution)
     if h.bracket(e) != e.scale(2) or e.bracket(f) != h:
         raise InternalCheckFailure("sl2 completion: [h,e] = 2e, [e,f] = h fails")
     return e
@@ -205,7 +227,7 @@ def is_neutral_pair(h, f):
     if h.bracket(f) != f.scale(-2):
         return False
     N = n * n
-    Af = ad_matrix(f).entries
+    Af = _int_ad(f).entries
     if h.is_diagonal():
         cols = [a * n + b for a in range(n) for b in range(n)
                 if h[a, a] - h[b, b] == 2]
@@ -260,22 +282,132 @@ def is_dth_power(r, d):
     return rational_dth_root(r, d) is not None
 
 
+# trial division runs over the primes below this bound; a cofactor with no
+# smaller prime factor is split by the primality test, the perfect-power
+# test and rho
+_TRIAL_BOUND = 1 << 16
+# Miller-Rabin on these bases is exact below 3.3 * 10^24
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# Pollard-Brent rho iterations allowed per number split, over all its tries
+_RHO_BUDGET = 1 << 17
+_RHO_BATCH = 128
+
+
+@functools.cache
+def _trial_primes():
+    """The primes below _TRIAL_BOUND, sieved once and kept as 16-bit
+    unsigned ints (13 kB, where a list of ints would take 240 kB)."""
+    sieve = bytearray([1]) * _TRIAL_BOUND
+    sieve[:2] = b"\0\0"
+    for p in range(2, math.isqrt(_TRIAL_BOUND) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, _TRIAL_BOUND, p)))
+    return array("H", itertools.compress(range(_TRIAL_BOUND), sieve))
+
+
+def _is_prime(m):
+    """Miller-Rabin on the first 13 prime bases (m > 1): exact for
+    m < 3.3 * 10^24, a strong probable-prime test above."""
+    for p in _PRIME_BASES:
+        if m % p == 0:
+            return m == p
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _perfect_power(m):
+    """(r, k) with m = r^k for the least prime k that has such an r, or
+    (m, 1) when there is none; m > 1 has no prime factor below _TRIAL_BOUND,
+    so k < log m / log _TRIAL_BOUND."""
+    k_max = m.bit_length() // (_TRIAL_BOUND.bit_length() - 1)
+    for k in _trial_primes():
+        if k > k_max:
+            break
+        r = integer_nth_root(m, k)
+        if r ** k == m:
+            return r, k
+    return m, 1
+
+
+def _rho_factor(m):
+    """A nontrivial factor of the odd composite m, found by Pollard-Brent
+    rho on x -> x^2 + c from x = 2 for c = 1, 2, ... (products of
+    _RHO_BATCH differences per gcd); UnsupportedQuery once _RHO_BUDGET
+    iterations have found none."""
+    budget = _RHO_BUDGET
+    c = 1
+    while budget > 0:
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1 and budget > 0:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % m
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % m
+                    q = q * abs(x - y) % m
+                g = math.gcd(q, m)
+                k += _RHO_BATCH
+            budget -= 2 * r
+            r *= 2
+        if g == m:                  # the batch overshot: step back one at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % m
+                g = math.gcd(abs(x - ys), m)
+        if 1 < g < m:
+            return g
+        c += 1
+    raise UnsupportedQuery(
+        f"power class: no factor of a {m.bit_length()}-bit cofactor found "
+        f"in {_RHO_BUDGET} rho iterations")
+
+
 def _strip_dth_powers(m, d):
-    """Remove all d-th power factors from the positive integer m (trial
-    division; certificate numbers stay small)."""
+    """Remove all d-th power factors from the positive integer m: trial
+    division below _TRIAL_BOUND, then the cofactor split into primes by
+    Miller-Rabin, the perfect-power test and Pollard-Brent rho under a
+    fixed budget (UnsupportedQuery when it runs out)."""
     out = 1
-    mm = m
-    p = 2
-    while p * p <= mm:
-        if mm % p == 0:
+    for p in _trial_primes():
+        if p * p > m:
+            break
+        if m % p == 0:
             e = 0
-            while mm % p == 0:
-                mm //= p
+            while m % p == 0:
+                m //= p
                 e += 1
             out *= p ** (e % d)
-        p += 1
-    if mm > 1:
-        out *= mm
+    exponents = {}
+    pending = [(m, 1)] if m > 1 else []
+    while pending:
+        x, e = pending.pop()
+        if x < _TRIAL_BOUND ** 2 or _is_prime(x):
+            exponents[x] = exponents.get(x, 0) + e
+            continue
+        r, k = _perfect_power(x)
+        if k > 1:
+            pending.append((r, e * k))
+        else:
+            f = _rho_factor(x)
+            pending += [(f, e), (x // f, e)]
+    for p, e in exponents.items():
+        out *= p ** (e % d)
     return out
 
 

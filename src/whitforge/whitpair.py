@@ -22,9 +22,11 @@ from fractions import Fraction
 
 from .errors import (DimensionMismatch, InternalCheckFailure, NotCommuting,
                      ShapeViolation, VerificationError)
-from .exactq import (QMatrix, Subspace, _bracket, _scaled, _trace_pairing,
+# ad_matrix is not used here; it stays importable as whitforge.whitpair.ad_matrix
+from .exactq import (NO_SOLUTION, QMatrix, Subspace, _bracket, _int_action,
+                     _int_ad, _integer_row, _scaled, _solve, _trace_pairing,
                      ad_matrix, brackets, rat_str, rational_eigenvalues,
-                     rref_solve, skew_tools)
+                     skew_tools)
 from .orbits import is_neutral_pair, jordan_partition, sl2_complete
 
 __all__ = [
@@ -50,6 +52,8 @@ class Grading:
     labels: tuple
     # weight -> the (i, j) whose P E_ij P^{-1} have that weight
     _cells: dict = field(init=False, repr=False, compare=False)
+    # the columns of P and the rows of P^{-1}, each a primitive int list
+    _factors: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         cells = {}
@@ -58,6 +62,9 @@ class Grading:
                 w = tuple(x - y for x, y in zip(a, b))
                 cells.setdefault(w, []).append((i, j))
         object.__setattr__(self, "_cells", cells)
+        object.__setattr__(self, "_factors", (
+            [_integer_row(c) for c in self.P.transpose().row_lists()],
+            [_integer_row(r) for r in self.Pinv.row_lists()]))
 
     @property
     def weights(self):
@@ -65,9 +72,10 @@ class Grading:
         return tuple(sorted(self._cells))
 
     def _vectors(self, cells):
-        """The flattened P E_ij P^{-1} for the given cells (i, j)."""
-        cols = self.P.transpose().row_lists()
-        rows = self.Pinv.row_lists()
+        """Nonzero int multiples of the flattened P E_ij P^{-1} for the given
+        cells (i, j): column i of P times row j of P^{-1}, both scaled to
+        primitive ints."""
+        cols, rows = self._factors
         return [[x * y for x in cols[i] for y in rows[j]] for i, j in cells]
 
     def component(self, w):
@@ -98,26 +106,35 @@ def grading(*Ms):
     """The joint eigenspace grading of gl_n under commuting rational
     semisimple n x n matrices.  Each matrix in turn splits every joint
     eigenspace found so far, by the rational eigenvalues of its restriction,
-    the matrix of the images' coordinates over the block's basis."""
+    the matrix of the images' coordinates over the block's basis.  The
+    images are taken in ints, of the block's int rows under D M (D the lcm
+    of M's denominators), and their coordinates divided by c = D D_B (D_B
+    the rows' common denominator) once, in that k x k matrix."""
     n = Ms[0].rows
     for i, A in enumerate(Ms):
         for B in Ms[i + 1:]:
             if not A.bracket(B).is_zero():
                 raise NotCommuting("the grading matrices do not commute")
-    blocks = [((), Subspace(n, QMatrix.identity(n).row_lists()))]
-    for M in Ms:
+    actions = [_int_action(M) for M in Ms]
+    blocks = [((), Subspace(n, [[int(i == j) for j in range(n)] for i in range(n)]))]
+    for D, act in actions:
         split = []
         for label, block in blocks:
-            coords = [block.coordinates(M.matvec(v)) for v in block.basis]
-            small = QMatrix.from_rows(coords).transpose()
+            coords = [block.coordinates(act(v)) for v in block._dense()]
+            c, k = D * block._den, len(coords)
+            small = QMatrix._trusted(k, k, [Fraction(x, c) for col in zip(*coords)
+                                            for x in col])
             for lam, sp in rational_eigenvalues(small):
-                split.append((label + (lam,), block.span(sp.basis)))
+                split.append((label + (lam,), block.span(sp._dense())))
         blocks = split
+    for label, block in blocks:
+        for v in block._dense():
+            for (D, act), lam in zip(actions, label):
+                c = D * lam
+                if [c.denominator * x for x in act(v)] != [c.numerator * x for x in v]:
+                    raise InternalCheckFailure(
+                        "grading: a basis vector is not a joint eigenvector")
     cols = [(label, v) for label, block in blocks for v in block.basis]
-    if any(M.matvec(v) != [lam * x for x in v]
-           for label, v in cols for M, lam in zip(Ms, label)):
-        raise InternalCheckFailure(
-            "grading: a basis vector is not a joint eigenvector")
     P = QMatrix._trusted(n, n, [v[r] for r in range(n) for _, v in cols])
     return Grading(P, P.inverse(), tuple(label for label, _ in cols))
 
@@ -265,12 +282,11 @@ def find_Z(pair):
         F = _bracket(enumerate(fi), [(k, 1)], n)      # [f', E_k]
         cols.append(_bracket(enumerate(Si), enumerate(F), n)
                     + _bracket(enumerate(fi), enumerate(F), n))
-    system = QMatrix._trusted(2 * N, N, [x for row in zip(*cols) for x in row])
     rhs = [0] * N + [2 * df * x for x in fi]
-    res = rref_solve(system, rhs)
-    if not isinstance(res.solution, tuple):
+    solution = _solve([[*row, b] for row, b in zip(zip(*cols), rhs)], N)[0]
+    if solution is NO_SOLUTION:
         raise VerificationError("Z-decomposition system inconsistent; invalid pair")
-    y = QMatrix(n, n, res.solution)
+    y = QMatrix(n, n, solution)
     h = f.bracket(y)
     Z = S - h
     if Z.bracket(f) != QMatrix.zeros(n) or Z.bracket(h) != QMatrix.zeros(n):
@@ -325,8 +341,8 @@ def quasi_criticals(S, f, h):
 
 
 def _centralizer(f):
-    n = f.rows
-    return Subspace(n * n, ad_matrix(f).row_lists()).orthogonal()
+    """ker ad f, read off the rows of the int matrix ad(D_f f)."""
+    return Subspace(f.rows ** 2, _int_ad(f).row_lists()).orthogonal()
 
 
 def _lagrangian_m(bg, f):
@@ -414,8 +430,8 @@ def chain(pair):
         if dual.dim != obstruction.dim:
             raise VerificationError(
                 f"obstruction dual dimension mismatch at t={rat_str(T)}")
-        gram = [[pair(o) for o in obstruction.basis]
-                for pair in (_trace_pairing(d, n) for d in dual.basis)]
+        gram = [[pair(o) for o in obstruction._dense()]
+                for pair in (_trace_pairing(d, n) for d in dual._dense())]
         if dual.kernel_of(gram).dim:
             raise VerificationError(
                 f"obstruction pairing degenerate at t={rat_str(T)}")
@@ -427,9 +443,10 @@ def chain(pair):
 
 
 def _functional_kernel(space, f, n):
-    """{X in space : trace(f X) = 0}."""
-    pair = _trace_pairing(f.entries, n)
-    return space.kernel_of([[pair(v)] for v in space.basis])
+    """{X in space : trace(f X) = 0}, from the pairings of the int rows with
+    D_f f (a constant multiple of those of the basis with f)."""
+    pair = _trace_pairing(_scaled(f)[1], n)
+    return space.kernel_of([[pair(v)] for v in space._dense()])
 
 
 def model_data(pair):

@@ -387,6 +387,103 @@ def test_intersect_matches_sympy_for_fraction_and_int_spanning_sets():
             assert A.intersect(B) == Subspace(n, expected)
 
 
+
+def eager_basis(ambient_dim, vectors):
+    """The echelon basis as the Subspace constructor built it before the
+    basis became lazy: each row scaled to the common denominator D of the
+    pivot entries, each entry a Fraction x / D."""
+    A, piv = exactq._echelon([list(v) for v in vectors])
+    D = lcm(*(row[c] for row, c in zip(A, piv)))
+    return tuple(tuple(Fraction(x * (D // row[c]), D) for x in row)
+                 for row, c in zip(A, piv))
+
+
+def _int_spanning_set(rng, m, n):
+    """m rows of ints in [-9, 9], each row's first nonzero entry negated or
+    scaled by 2 or 3 now and then, so echelon rows meet negative and
+    non-unit pivots."""
+    rows = []
+    for _ in range(m):
+        row = [rng.randint(-9, 9) if rng.random() < 0.6 else 0 for _ in range(n)]
+        lead = next((i for i, x in enumerate(row) if x), None)
+        if lead is not None:
+            row[lead] *= rng.choice([-3, -2, -1, 2, 3])
+        rows.append(row)
+    return rows
+
+
+def test_subspace_from_fractions_equals_subspace_from_ints():
+    rng = random.Random(21)
+    for _ in range(150):
+        n = rng.randint(1, 7)
+        ints = _int_spanning_set(rng, rng.randint(0, n + 1), n)
+        fracs = [[Fraction(x, c) for x in row]
+                 for row, c in zip(ints, (rng.choice([-7, -2, 1, 3, 10]) for _ in ints))]
+        U, V = Subspace(n, ints), Subspace(n, fracs)
+        assert U == V and hash(U) == hash(V) and U.to_json() == V.to_json()
+        assert U.basis == V.basis == eager_basis(n, ints)
+        assert U.dim == len(U.basis)
+        assert U.to_json() == [[rat_str(x) for x in b] for b in U.basis]
+
+
+def test_subspace_basis_is_built_on_first_read():
+    U = Subspace(3, [[0, -2, 4], [3, 0, 6], [0, 4, -8]])
+    assert U._basis is None and U.dim == 2
+    assert U.to_json() == [["1", "0", "2"], ["0", "1", "-2"]]
+    assert U._basis is None
+    assert U.basis == ((1, 0, 2), (0, 1, -2)) and U._basis is U.basis
+    assert U.to_json() == [[rat_str(x) for x in b] for b in U.basis]
+
+
+def test_int_rows_are_not_modified():
+    rng = random.Random(22)
+    for _ in range(100):
+        n = rng.randint(1, 6)
+        rows = _int_spanning_set(rng, rng.randint(1, n + 2), n)
+        before = [list(r) for r in rows]
+        Subspace(n, rows)
+        exactq._echelon(rows)
+        Subspace(n, rows).sum(Subspace(n, rows))
+        exactq._solve(rows, n - 1)
+        assert rows == before
+    # a primitive int row goes through the reduction as it is given
+    rows = [[1, 2], [1, 3]]
+    exactq._echelon(rows)
+    assert rows == [[1, 2], [1, 3]]
+
+
+def test_solve_matches_rref_solve_on_int_scaled_systems():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(23)
+    seen = set()
+    for rows in _kernel_cases():
+        m, n = len(rows), len(rows[0])
+        A = QMatrix.from_rows(rows)
+        cols = _to_sympy(rows, n)
+        outside = next((e for e in range(m)
+                        if cols.row_join(sympy.eye(m)[:, e]).rank() > cols.rank()), None)
+        x = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)]
+        rhss = [A.matvec(x)] + ([[int(i == outside) for i in range(m)]]
+                                if outside is not None else [])
+        for b in rhss:
+            expected = rref_solve(A, b).solution
+            augmented = [list(row) + [bx] for row, bx in zip(A.row_lists(), b)]
+            # each row scaled to ints by its own nonzero multiple
+            scaled = [[int(x * c) for x in row] for row, c in zip(augmented, (
+                rng.choice([-1, 1]) * rng.randint(1, 99)
+                * lcm(*(Fraction(x).denominator for x in row)) for row in augmented))]
+            for system in (augmented, scaled):
+                solution = exactq._solve(system, n)[0]
+                assert solution == expected
+            if expected is NO_SOLUTION:
+                seen.add("none")
+                assert b != A.matvec(x)
+            else:
+                seen.add("solved")
+                assert A.matvec(list(expected)) == b
+                assert all(type(v) is Fraction for v in expected)
+    assert seen == {"none", "solved"}
+
 def _common_denominator(U):
     return lcm(*(x.denominator for v in U.basis for x in v))
 

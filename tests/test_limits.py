@@ -116,3 +116,24 @@ def test_two_digit_indices_in_braces(capsys):
     code, out, _ = run_timed(capsys, "orbit-classify", "--matrix", "E{11,10}+E21")
     assert code == 0
     assert json.loads(out)["partition"] == [2, 2, 1, 1, 1, 1, 1, 1, 1]
+
+
+def test_prime_determinant_class_in_bounded_time(capsys):
+    # 10^18 + 3 is prime: the power class splits it by Miller-Rabin, where
+    # trial division would run to its square root
+    code, out, _ = run_timed(capsys, "orbit-classify", "--matrix",
+                             "1000000000000000003E21+E43")
+    assert code == 0
+    assert json.loads(out)["sl_class"] == {
+        "a_class": "1000000000000000003", "d": 2, "lambda": [2, 2]}
+
+
+def test_semiprime_determinant_is_classified_or_rejected_in_bounded_time(capsys):
+    # the entry is 10000000000000000051 * 20000000000000000011, two primes
+    # of 64 bits: out of reach of the bounded rho search
+    code, out, err = run_timed(capsys, "orbit-classify", "--matrix",
+                               "200000000000000001130000000000000000561E21+E43")
+    assert code in (0, 2)
+    if code == 2:
+        assert out == ""
+        assert json.loads(err.strip().splitlines()[-1])["error"] == "UnsupportedQuery"

@@ -1,11 +1,16 @@
+import hashlib
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from whitforge import orbits
-from whitforge.errors import NoSolutionError, NotNilpotent, WrongPartition
-from whitforge.exactq import QMatrix
+from whitforge.cli import canonical_json
+from whitforge.errors import (NoSolutionError, NotNilpotent, UnsupportedQuery,
+                              WrongPartition)
+from whitforge.exactq import QMatrix, rat_str
 from whitforge.orbits import (J_eta, J_eta_a, SlOrbitClass, h_eta,
                               integer_nth_root, is_dth_power, is_neutral_pair,
                               jordan_chain_basis, jordan_conjugator,
@@ -301,6 +306,49 @@ def test_power_class_is_class_invariant(rng):
         assert power_class(r, d) == power_class(r * s ** d, d)
 
 
+
+def _is_prime_by_trial_division(p):
+    return p > 1 and all(p % q for q in range(2, math.isqrt(p) + 1))
+
+
+def test_power_class_matches_the_factorization():
+    # r built from known primes: ones below the trial bound, primes of up to
+    # 26 bits (Miller-Rabin), their powers (the perfect-power test) and
+    # products of two or more of them (Pollard-Brent rho); the class of
+    # num * den^(d-1) keeps each prime to its exponent mod d
+    rng = random.Random(31)
+    big = [p for p in (rng.getrandbits(bits) | 1 for bits in (11, 13, 16, 20, 26)
+                       for _ in range(40)) if _is_prime_by_trial_division(p)]
+    small = [2, 3, 5, 7, 1021, 1031]
+    assert len(big) > 20
+    for _ in range(300):
+        d = rng.randint(1, 5)
+        exponents = {p: rng.choice([-3, -2, -1, 1, 2, 3, 4, 5])
+                     for p in rng.sample(big + small, rng.randint(0, 4))}
+        r = rng.choice([-1, 1]) * math.prod(
+            (Fraction(p) ** e for p, e in exponents.items()), start=Fraction(1))
+        expected = 1
+        for p, e in exponents.items():
+            expected *= p ** ((e if e > 0 else -e * (d - 1)) % d)
+        if r < 0 and d % 2 == 0:
+            expected = -expected
+        assert power_class(r, d) == (1 if d == 1 else expected)
+
+
+def test_power_class_of_a_large_prime_and_of_its_powers():
+    p = 1000000000000000003
+    assert power_class(p, 2) == p and power_class(Fraction(1, p), 3) == p * p
+    assert power_class(p ** 4 * 12, 2) == 3 and power_class(p ** 6, 3) == 1
+    assert power_class(p ** 2 * 1000000007 ** 3, 2) == 1000000007
+
+
+def test_power_class_gives_up_on_a_cofactor_rho_cannot_split():
+    semiprime = 10000000000000000051 * 20000000000000000011
+    start = time.perf_counter()
+    with pytest.raises(UnsupportedQuery, match="rho"):
+        power_class(semiprime, 2)
+    assert time.perf_counter() - start < 1.0
+
 def test_sl_class_standard_is_trivial():
     for lam in [(2,), (2, 2), (3, 1), (4,)]:
         cls = sl_class(J_eta(lam))
@@ -337,3 +385,36 @@ def test_sl_class_det1_invariant(rng):
         if g.det() == -1:
             g = g * QMatrix.diag([-1] + [1] * (n - 1))
         assert sl_class(g * N * g.inverse()) == sl_class(N)
+
+
+# -- pinned output ------------------------------------------------------------
+
+def _pinned_nilpotent(n):
+    """g J_mu g^-1 for a partition mu of n other than 1^n and a dense
+    integer g with entries in [-1, 1], both drawn from one seeded
+    generator: a dense nilpotent with rational entries."""
+    rng = random.Random(f"jordan:{n}")
+    mu = rng.choice(list(partitions_of(n))[:-1])
+    g = random_invertible(n, rng, span=1)
+    return g * J_eta(mu) * g.inverse()
+
+
+def test_jordan_layer_outputs_are_pinned():
+    # the canonical JSON of the chain basis, the conjugator, the neutral
+    # element, the SL class and the sl2 completion of 7 seeded dense
+    # nilpotents, n = 6..12, hashed one matrix after the other: the chains
+    # the kernel filtration chooses show in every one of them
+    digest = hashlib.sha256()
+    for n in range(6, 13):
+        N = _pinned_nilpotent(n)
+        h = neutral_for(N)
+        cls = sl_class(N)
+        doc = {"chains": [[[rat_str(x) for x in v] for v in ch]
+                          for ch in jordan_chain_basis(N)],
+               "conjugator": jordan_conjugator(N, cls.lam).to_json(),
+               "neutral": h.to_json(),
+               "sl_class": cls.to_json(),
+               "e": sl2_complete(N, h).to_json()}
+        digest.update(canonical_json(doc).encode())
+    assert digest.hexdigest() == \
+        "c0fc73e82362ff5afe28a05843c7309962a467286dea1e240686f61db4b2a888"
