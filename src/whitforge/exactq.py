@@ -14,9 +14,11 @@ basis's images, `orthogonal` and `coordinates`; its Fraction `basis` is
 built when it is first read, and `to_json` prints x/D straight from the int
 rows.  `_solve` reads the echelon-first solution of an int system, making
 only the solution's entries Fractions, and `rref_solve` reads its solution
-through it.  `brackets` yields the brackets of the integer rows of one or
-two subspaces, for the bracket containments; `ad_matrix` keeps the type of
-its input, so `_int_ad` gives the int operator ad(D M).
+through it.  `_echelon` is the only elimination: `QMatrix.inverse` reads
+the RREF of [M | I] off its rows, and `QMatrix.det` is read off `char_poly`.
+`brackets` yields the brackets of the integer rows of one or two
+subspaces, for the bracket containments; `_int_ad` is the one ad-operator
+builder, the flat int list of ad(D M), and `ad_matrix` its Fraction view.
 
 `_bracket` is the one bracket, of int or Fraction matrices, and
 `QMatrix.bracket` wraps it; it multiplies only nonzero entries.  The skew
@@ -109,8 +111,7 @@ class QMatrix:
     @classmethod
     def _trusted(cls, rows, cols, entries):
         """Internal constructor for entries that are already Fractions of the
-        right count: no re-coercion, no shape check.  An int matrix, such as
-        D M handed to `ad_matrix`, holds ints."""
+        right count: no re-coercion, no shape check."""
         self = object.__new__(cls)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
@@ -255,37 +256,23 @@ class QMatrix:
                    if idx // n != idx % n)
 
     def det(self):
+        """det M = (-1)^n times the constant term of det(xI - M)."""
         if self.rows != self.cols:
             raise DimensionMismatch("det of non-square")
-        A = self.row_lists()
-        n = self.rows
-        d = Fraction(1)
-        for c in range(n):
-            piv = next((i for i in range(c, n) if A[i][c]), None)
-            if piv is None:
-                return Fraction(0)
-            if piv != c:
-                A[c], A[piv] = A[piv], A[c]
-                d = -d
-            d *= A[c][c]
-            inv = 1 / A[c][c]
-            A[c] = [x * inv for x in A[c]]
-            for i in range(c + 1, n):
-                if A[i][c]:
-                    f = A[i][c]
-                    A[i] = [x - f * y for x, y in zip(A[i], A[c])]
-        return d
+        return (-1) ** self.rows * char_poly(self)[0]
 
     def inverse(self):
+        """Read off the RREF of [M | I], whose pivots are the first n columns
+        exactly when M is invertible."""
         if self.rows != self.cols:
             raise DimensionMismatch("inverse of non-square")
         n = self.rows
-        aug = [row + [Fraction(int(i == j)) for j in range(n)]
-               for i, row in enumerate(self.row_lists())]
-        red, piv = _rref_rows(aug)
+        A, piv = _echelon([row + [int(i == j) for j in range(n)]
+                           for i, row in enumerate(self.row_lists())])
         if piv != list(range(n)):
             raise DimensionMismatch("matrix not invertible")
-        return QMatrix.from_rows([row[n:] for row in red])
+        return QMatrix._trusted(n, n, [Fraction(x, row[c]) if x else _ZERO
+                                       for row, c in zip(A, piv) for x in row[n:]])
 
     # -- dunder plumbing
 
@@ -311,20 +298,11 @@ class QMatrix:
 
 
 def ad_matrix(M):
-    """Matrix of X -> [M, X] on row-major flattened gl_n, with entries of
-    M's type: ints for an int M, Fractions for a Fraction M."""
-    n = M.rows
-    N = n * n
-    out = [0 * M.entries[0]] * (N * N) if n else []
-    for k, x in enumerate(M.entries):
-        if not x:
-            continue
-        p, q = divmod(k, n)
-        # [M, E_qb] gains x E_pb and [M, E_ap] gains -x E_aq, for all a, b
-        for t in range(n):
-            out[(p * n + t) * N + q * n + t] += x
-            out[(t * n + q) * N + t * n + p] -= x
-    return QMatrix._trusted(N, N, out)
+    """Matrix of X -> [M, X] on row-major flattened gl_n, in Fractions: the
+    int operator of `_int_ad` over D."""
+    D, N = _scaled(M)[0], M.rows ** 2
+    return QMatrix._trusted(N, N, [Fraction(x, D) if x else _ZERO
+                                   for x in _int_ad(M)])
 
 
 def _bracket(A, B, n, zero=0):
@@ -358,9 +336,21 @@ def _scaled(M):
 
 
 def _int_ad(M):
-    """ad(D M) as an int matrix, D the lcm of M's denominators: D ad M, with
-    the kernel, the row space and the column space of ad M."""
-    return ad_matrix(QMatrix._trusted(M.rows, M.cols, _scaled(M)[1]))
+    """ad(D M) as a flat int list, row-major on flattened gl_n, D the lcm of
+    M's denominators: D ad M, with the kernel, the row space and the column
+    space of ad M.  Column k is [D M, E_k]."""
+    n = M.rows
+    N = n * n
+    out = [0] * (N * N)
+    for k, x in enumerate(_scaled(M)[1]):
+        if not x:
+            continue
+        p, q = divmod(k, n)
+        # [M, E_qb] gains x E_pb and [M, E_ap] gains -x E_aq, for all a, b
+        for t in range(n):
+            out[(p * n + t) * N + q * n + t] += x
+            out[(t * n + q) * N + t * n + p] -= x
+    return out
 
 
 def _int_action(M):
@@ -439,16 +429,6 @@ def _echelon(rows):
         if r == m:
             break
     return A, pivots
-
-
-def _rref_rows(rows):
-    """Reduced row echelon form of a list of row lists (int or Fraction
-    entries; the input is not mutated).  Returns (reduced rows, pivot column
-    list); zero rows are kept at the end and every entry is a Fraction."""
-    A, pivots = _echelon(rows)
-    red = [[Fraction(x, row[c]) if x else _ZERO for x in row]
-           for row, c in zip(A, pivots)]
-    return red + [[_ZERO] * len(row) for row in A[len(pivots):]], pivots
 
 
 def _kernel_of_rref(red, piv, n_cols, one=_ONE):
@@ -725,19 +705,12 @@ def char_poly(M):
     return [Fraction(coeffs[k], D ** k) for k in range(n, -1, -1)]
 
 
-def _primitive(p):
-    """The integer polynomial divided by the gcd of its coefficients (a
-    positive scale, so signs are kept)."""
-    g = gcd(*p)
-    return [c // g for c in p] if g > 1 else p
-
-
 def _sturm_sequence(q):
     """Sturm sequence q, q', -rem, ... of an integer polynomial (coefficient
     lists, constant first).  Each remainder is a pseudo-remainder by a
     positive power of |lc|, made primitive, so every member has the sign of
     the true Sturm polynomial."""
-    seq = [q, _primitive([i * c for i, c in enumerate(q)][1:])]
+    seq = [q, _integer_row([i * c for i, c in enumerate(q)][1:])]
     while len(seq[-1]) > 1:
         a, b = seq[-2], seq[-1]
         lc, db = abs(b[-1]), len(b) - 1
@@ -752,7 +725,7 @@ def _sturm_sequence(q):
             r.pop()
         if not r:
             break
-        seq.append(_primitive([-c for c in r]))
+        seq.append(_integer_row([-c for c in r]))
     return seq
 
 
@@ -792,8 +765,7 @@ def _rational_roots(coeffs):
         cs = cs[1:]
     if len(cs) <= 1:
         return sorted(set(roots), reverse=True)
-    den = lcm(*[c.denominator for c in cs])
-    c = _primitive([int(x * den) for x in cs])
+    c = _integer_row(cs)
     d, lead = len(c) - 1, c[-1]
     q = [x * lead ** (d - 1 - i) for i, x in enumerate(c[:-1])] + [1]
     seq = _sturm_sequence(q)

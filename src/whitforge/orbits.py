@@ -143,14 +143,14 @@ def jordan_chain_basis(N):
 def jordan_conjugator(N, eta):
     """Invertible g over Q with g N g^{-1} = J_eta exactly.  eta must be a
     composition whose sorted form is the Jordan type of N."""
-    return _conjugator(N, tuple(int(k) for k in eta))[1]
+    return _conjugator(N, tuple(int(k) for k in eta))[2]
 
 
 def _conjugator(N, eta=None):
-    """(lam, g): the Jordan type lam of N, read off the chain lengths of one
-    jordan_chain_basis, and g with g N g^{-1} = J_eta, whose inverse has the
-    chains as columns in the order eta lists their lengths (eta = lam when
-    not given)."""
+    """(lam, B, g): the Jordan type lam of N, read off the chain lengths of
+    one jordan_chain_basis, the matrix B with the chains as columns in the
+    order eta lists their lengths (eta = lam when not given), and its
+    inverse g, with g N g^{-1} = J_eta."""
     chains = jordan_chain_basis(N)
     lam = tuple(sorted((len(ch) for ch in chains), reverse=True))
     eta = lam if eta is None else eta
@@ -167,7 +167,7 @@ def _conjugator(N, eta=None):
     g = B.inverse()
     if g * N * B != J_eta(eta):
         raise InternalCheckFailure("jordan conjugator: g N g^-1 = J_eta fails")
-    return lam, g
+    return lam, B, g
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +186,7 @@ def sl2_complete(f, h):
     N = n * n
     dh, hi = _scaled(h)
     df = _scaled(f)[0]
-    top, bottom = _int_ad(h).entries, _int_ad(f).entries
+    top, bottom = _int_ad(h), _int_ad(f)
     rows = []
     for r in range(N):
         row = [df * x for x in top[r * N:(r + 1) * N]]
@@ -206,10 +206,10 @@ def sl2_complete(f, h):
 def neutral_for(f):
     """A neutral element h for the nilpotent f, built by transporting the
     standard h_eta through a Jordan conjugator."""
-    eta, g = _conjugator(f)
+    eta, B, g = _conjugator(f)
     if not eta:
         raise DimensionMismatch("empty matrix")
-    return g.inverse() * h_eta(eta) * g
+    return B * h_eta(eta) * g
 
 
 def is_neutral_pair(h, f):
@@ -227,7 +227,7 @@ def is_neutral_pair(h, f):
     if h.bracket(f) != f.scale(-2):
         return False
     N = n * n
-    Af = _int_ad(f).entries
+    Af = _int_ad(f)
     if h.is_diagonal():
         cols = [a * n + b for a in range(n) for b in range(n)
                 if h[a, a] - h[b, b] == 2]
@@ -288,7 +288,11 @@ def is_dth_power(r, d):
 _TRIAL_BOUND = 1 << 16
 # Miller-Rabin on these bases is exact below 3.3 * 10^24
 _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-# Pollard-Brent rho iterations allowed per number split, over all its tries
+# Pollard-Brent rho work allowed per number split, over all its tries: an
+# iteration on a cofactor of b bits costs ceil(b / 256)^2 units (its modular
+# squaring and product grow about so): up to 256 bits the budget buys 2^17
+# iterations, and at 3482 bits (196 units each) about 670; the round that
+# crosses the budget still runs to its end
 _RHO_BUDGET = 1 << 17
 _RHO_BATCH = 128
 
@@ -345,13 +349,14 @@ def _perfect_power(m):
 def _rho_factor(m):
     """A nontrivial factor of the odd composite m, found by Pollard-Brent
     rho on x -> x^2 + c from x = 2 for c = 1, 2, ... (products of
-    _RHO_BATCH differences per gcd); UnsupportedQuery once _RHO_BUDGET
-    iterations have found none."""
-    budget = _RHO_BUDGET
+    _RHO_BATCH differences per gcd); UnsupportedQuery once the iterations
+    have spent _RHO_BUDGET units, at ceil(bits / 256)^2 units each, and
+    found none."""
+    cost, spent = ((m.bit_length() + 255) // 256) ** 2, 0
     c = 1
-    while budget > 0:
+    while spent * cost < _RHO_BUDGET:
         y, r, q, g = 2, 1, 1, 1
-        while g == 1 and budget > 0:
+        while g == 1 and spent * cost < _RHO_BUDGET:
             x = y
             for _ in range(r):
                 y = (y * y + c) % m
@@ -363,7 +368,7 @@ def _rho_factor(m):
                     q = q * abs(x - y) % m
                 g = math.gcd(q, m)
                 k += _RHO_BATCH
-            budget -= 2 * r
+            spent += 2 * r
             r *= 2
         if g == m:                  # the batch overshot: step back one at a time
             g = 1
@@ -375,7 +380,7 @@ def _rho_factor(m):
         c += 1
     raise UnsupportedQuery(
         f"power class: no factor of a {m.bit_length()}-bit cofactor found "
-        f"in {_RHO_BUDGET} rho iterations")
+        f"in {spent} rho iterations (cost {cost} each, budget {_RHO_BUDGET})")
 
 
 def _strip_dth_powers(m, d):
@@ -446,9 +451,10 @@ class SlOrbitClass:
 
 def sl_class(N):
     """SL_n orbit invariant of a nilpotent N: the partition plus the class of
-    det(g)^{-1} modulo d-th powers, where g N g^{-1} = J_lambda."""
-    lam, g = _conjugator(N)
+    det(g)^{-1} = det(B) modulo d-th powers, where g N g^{-1} = J_lambda and
+    B = g^{-1}."""
+    lam, B, _ = _conjugator(N)
     if not lam:
         raise DimensionMismatch("empty matrix")
     d = math.gcd(*lam)
-    return SlOrbitClass(lam, d, power_class(1 / g.det(), d))
+    return SlOrbitClass(lam, d, power_class(B.det(), d))

@@ -22,11 +22,9 @@ from fractions import Fraction
 
 from .errors import (DimensionMismatch, InternalCheckFailure, NotCommuting,
                      ShapeViolation, VerificationError)
-# ad_matrix is not used here; it stays importable as whitforge.whitpair.ad_matrix
 from .exactq import (NO_SOLUTION, QMatrix, Subspace, _bracket, _int_action,
                      _int_ad, _integer_row, _scaled, _solve, _trace_pairing,
-                     ad_matrix, brackets, rat_str, rational_eigenvalues,
-                     skew_tools)
+                     brackets, rat_str, rational_eigenvalues, skew_tools)
 from .orbits import is_neutral_pair, jordan_partition, sl2_complete
 
 __all__ = [
@@ -277,9 +275,10 @@ def find_Z(pair):
     N = n * n
     _, Si = _scaled(S)
     df, fi = _scaled(f)
+    Af = _int_ad(f)
     cols = []
     for k in range(N):
-        F = _bracket(enumerate(fi), [(k, 1)], n)      # [f', E_k]
+        F = Af[k::N]            # [f', E_k], column k of ad f'
         cols.append(_bracket(enumerate(Si), enumerate(F), n)
                     + _bracket(enumerate(fi), enumerate(F), n))
     rhs = [0] * N + [2 * df * x for x in fi]
@@ -342,7 +341,8 @@ def quasi_criticals(S, f, h):
 
 def _centralizer(f):
     """ker ad f, read off the rows of the int matrix ad(D_f f)."""
-    return Subspace(f.rows ** 2, _int_ad(f).row_lists()).orthogonal()
+    N, A = f.rows ** 2, _int_ad(f)
+    return Subspace(N, [A[r:r + N] for r in range(0, N * N, N)]).orthogonal()
 
 
 def _lagrangian_m(bg, f):

@@ -8,10 +8,10 @@ import pytest
 from whitforge import exactq
 from whitforge.errors import (DimensionMismatch, InternalCheckFailure,
                               NotRationalSplit)
-from whitforge.exactq import (NO_SOLUTION, QMatrix, Subspace, _kernel_rows,
-                              _lagrangian, _rref_rows, char_poly, rat_parse,
-                              rat_str, rational_eigenvalues, rref_solve,
-                              skew_tools)
+from whitforge.exactq import (NO_SOLUTION, QMatrix, Subspace, _echelon,
+                              _int_ad, _kernel_rows, _lagrangian, ad_matrix,
+                              char_poly, rat_parse, rat_str,
+                              rational_eigenvalues, rref_solve, skew_tools)
 
 from conftest import E
 
@@ -62,6 +62,61 @@ def test_bracket_shape_mismatch_is_typed(shapes):
     (r1, c1), (r2, c2) = shapes
     with pytest.raises(DimensionMismatch):
         QMatrix.zeros(r1, c1).bracket(QMatrix.zeros(r2, c2))
+
+
+# -- det, inverse and the ad operator -----------------------------------------
+
+def _det_inverse_cases():
+    """(M, singular): seeded rational n x n matrices, n = 0..8, random ones
+    and singular ones whose last row is a combination of the others."""
+    rng = random.Random(23)
+    for n in range(9):
+        for singular in (False, True):
+            for _ in range(4):
+                rows = [[Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 7]))
+                         for _ in range(n)] for _ in range(n)]
+                if singular and n:
+                    coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                              for _ in range(n - 1)]
+                    rows[-1] = [sum((c * r[j] for c, r in zip(coeffs, rows)), Fraction(0))
+                                for j in range(n)]
+                yield QMatrix.from_rows(rows), singular and n > 0
+
+
+def test_det_and_inverse_match_sympy():
+    pytest.importorskip("sympy")
+    for M, singular in _det_inverse_cases():
+        n = M.rows
+        theirs = _to_sympy(M.row_lists(), n)
+        det = M.det()
+        assert type(det) is Fraction
+        assert det == Fraction(int(theirs.det().p), int(theirs.det().q))
+        assert not (singular and det)
+        if det:
+            inv = M.inverse()
+            assert all(type(x) is Fraction for x in inv.entries)
+            assert inv.row_lists() == _from_sympy(theirs.inv())
+        else:
+            with pytest.raises(DimensionMismatch):
+                M.inverse()
+
+
+def test_int_ad_columns_are_dense_brackets():
+    rng = random.Random(29)
+    for trial in range(60):
+        n = trial % 5 + 1
+        N = n * n
+        M = QMatrix(n, n, _random_entries(rng, n, rng.choice([0.0, 0.3, 1.0])))
+        D = lcm(*(x.denominator for x in M.entries))
+        A = _int_ad(M)
+        assert type(A) is list and len(A) == N * N
+        assert all(type(x) is int for x in A)
+        for k in range(N):
+            Ek = QMatrix(n, n, [int(i == k) for i in range(N)])
+            assert [Fraction(x, D) for x in A[k::N]] == list((M * Ek - Ek * M).entries)
+        ad = ad_matrix(M)
+        assert all(type(x) is Fraction for x in ad.entries)
+        assert ad.entries == tuple(Fraction(x, D) for x in A)
 
 
 # -- rref_solve ---------------------------------------------------------------
@@ -157,9 +212,12 @@ def _from_sympy(M):
 def test_kernel_output_is_fraction_and_input_untouched():
     for rows in _kernel_cases():
         before = [list(r) for r in rows]
-        red, piv = _rref_rows(rows)
+        piv = _echelon(rows)[1]
         assert rows == before and [type(x) for r in rows for x in r] == \
             [type(x) for r in before for x in r]
+        res = rref_solve(QMatrix.from_rows(rows))
+        red = res.echelon.row_lists()
+        assert res.pivots == tuple(piv)
         assert len(red) == len(rows)
         assert all(type(x) is Fraction for r in red for x in r)
         assert all(any(r) for r in red[:len(piv)])
@@ -174,10 +232,10 @@ def test_kernel_matches_sympy_rref_and_nullspace():
         n = len(rows[0])
         M = _to_sympy(rows, n)
         ref, ref_piv = M.rref()
-        red, piv = _rref_rows(rows)
-        assert red == _from_sympy(ref)
-        assert tuple(piv) == ref_piv
-        kernel = rref_solve(QMatrix.from_rows(rows)).kernel
+        res = rref_solve(QMatrix.from_rows(rows))
+        assert res.echelon.row_lists() == _from_sympy(ref)
+        assert res.pivots == ref_piv
+        kernel = res.kernel
         ref_null = M.nullspace()
         assert len(kernel) == len(ref_null)
         if kernel:
@@ -242,14 +300,14 @@ def test_subspace_member_agrees_with_rank_test():
         amb = rng.randint(1, 7)
         U = Subspace(amb, [[Fraction(rng.randint(-2, 2), rng.randint(1, 2))
                             for _ in range(amb)] for _ in range(rng.randint(0, amb))])
-        assert U.pivots == tuple(_rref_rows([list(b) for b in U.basis])[1])
+        assert U.pivots == tuple(_echelon([list(b) for b in U.basis])[1])
         inside = [Fraction(0)] * amb
         for b in U.basis:
             c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
             inside = [x + c * y for x, y in zip(inside, b)]
         other = [Fraction(rng.randint(-2, 2)) for _ in range(amb)]
         for vec in (inside, other, [x + y for x, y in zip(inside, other)]):
-            rank = len(_rref_rows([list(b) for b in U.basis] + [vec])[1])
+            rank = len(_echelon([list(b) for b in U.basis] + [vec])[1])
             assert U.member(vec) is (rank == U.dim)
 
 

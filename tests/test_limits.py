@@ -5,9 +5,13 @@ dense-rational probe in under ten)."""
 import json
 import random
 import time
+from fractions import Fraction
+
+import pytest
 
 from whitforge.cli import main
-from whitforge.exactq import QMatrix
+from whitforge.exactq import QMatrix, rat_str
+from whitforge.orbits import J_eta, h_eta, is_neutral_pair
 
 from conftest import E, random_unimodular
 
@@ -137,3 +141,129 @@ def test_semiprime_determinant_is_classified_or_rejected_in_bounded_time(capsys)
     if code == 2:
         assert out == ""
         assert json.loads(err.strip().splitlines()[-1])["error"] == "UnsupportedQuery"
+
+
+# -- n = 10..12 in both notations ---------------------------------------------
+
+# a partition per n whose last block has size >= 2, so the E-notation spec
+# reaches index n; d = gcd of the parts is 2, 11 and 3
+LARGE_ETAS = {10: (4, 4, 2), 11: (11,), 12: (6, 3, 3)}
+
+
+def e_notation(eta, lead=1):
+    """J_eta as an E{i,j} sum, its first entry scaled by lead."""
+    terms, off = [], 0
+    for k in eta:
+        terms += [f"E{{{i + 2},{i + 1}}}" for i in range(off, off + k - 1)]
+        off += k
+    return f"{lead}" + "+".join(terms)
+
+
+def dense(M):
+    return json.dumps(M.to_json())
+
+
+@pytest.mark.parametrize("n", sorted(LARGE_ETAS))
+def test_orbit_classify_at_large_n_in_both_notations(capsys, n):
+    # g has determinant 1, so the SL class of g f g^-1 is that of f and the
+    # printed class representative is the same
+    eta = LARGE_ETAS[n]
+    f = J_eta(eta) + E(n, 2, 1, 2)
+    g = random_unimodular(n, random.Random(f"classify:{n}"))
+    outs = []
+    for spec in (e_notation(eta, lead=3), dense(f), dense(g * f * g.inverse())):
+        code, out, _ = run_timed(capsys, "orbit-classify", "--matrix", spec)
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1] == outs[2]
+    assert json.loads(outs[0])["partition"] == list(eta)
+
+
+def large_pair(n):
+    """h_eta + Z for Z constant on each block, and J_eta: a Whittaker pair."""
+    eta = LARGE_ETAS[n]
+    z = [Fraction(x, 2) for k, x in zip(eta, (1, -3, 4)) for _ in range(k)]
+    return h_eta(eta) + QMatrix.diag(z), J_eta(eta)
+
+
+@pytest.mark.parametrize("n", sorted(LARGE_ETAS))
+def test_pair_check_at_large_n_in_both_notations(capsys, n):
+    S, f = large_pair(n)
+    diag = "diag(" + ",".join(rat_str(x) for x in S.entries[::n + 1]) + ")"
+    code, out, _ = run_timed(capsys, "pair-check", "--S", diag,
+                             "--f", e_notation(LARGE_ETAS[n]))
+    assert code == 0
+    code, out_dense, _ = run_timed(capsys, "pair-check", "--S", dense(S),
+                                   "--f", dense(f))
+    assert code == 0 and out_dense == out
+    doc = json.loads(out)
+    assert doc["valid"] is True and doc["S_is_neutral"] is False
+    assert doc["h"] == h_eta(LARGE_ETAS[n]).to_json()
+
+
+def test_pair_check_of_a_conjugated_dense_pair_at_n_12(capsys):
+    # the dense 288 x 144 find_Z system of rational entries takes about a
+    # second: bounded here at ten
+    S, f = large_pair(12)
+    g = random_unimodular(12, random.Random("pair-check:12"))
+    gi = g.inverse()
+    S, f = g * S * gi, g * f * gi
+    code, out, _ = run_timed(capsys, "pair-check", "--S", dense(S),
+                             "--f", dense(f), limit=10.0)
+    assert code == 0
+    doc = json.loads(out)
+    h, Z = QMatrix.from_json(doc["h"]), QMatrix.from_json(doc["Z"])
+    assert doc["valid"] is True and h + Z == S and is_neutral_pair(h, f)
+
+
+# -- 30-digit rationals in S --------------------------------------------------
+
+def thirty_digit_pair():
+    """diag(a, a - 2, b, b - 2) with 30-digit numerators, and E21 + E43."""
+    a = Fraction(123456789012345678901234567891, 987654321098765)
+    b = -Fraction(987654321098765432109876543211, 123456789012345)
+    return QMatrix.diag([a, a - 2, b, b - 2]), E(4, 2, 1) + E(4, 4, 3)
+
+
+def test_model_data_with_thirty_digit_rationals(capsys):
+    # the weights keep their signs and how they compare with 1 and 2, so the
+    # diagonal S has the model data of diag(3, 1, -1, -3); a conjugate has
+    # the same dimensions
+    expected = json.loads(small_model_data(capsys))
+    S, f = thirty_digit_pair()
+    code, out, _ = run_timed(capsys, "model-data", "--S", dense(S), "--f", dense(f))
+    assert code == 0 and json.loads(out) == expected
+    g = random_unimodular(4, random.Random("thirty:model"))
+    gi = g.inverse()
+    code, out, _ = run_timed(capsys, "model-data", "--S", dense(g * S * gi),
+                             "--f", dense(g * f * gi))
+    assert code == 0
+    assert {k: v["dim"] for k, v in json.loads(out).items()} == \
+        {k: v["dim"] for k, v in expected.items()}
+
+
+def test_pair_chain_with_thirty_digit_rationals(capsys):
+    # h = diag(1, -1, 1, -1) and Z = S - h has ad-weights 0 and +-(a - b),
+    # so the critical numbers in (0, 1] are 1 / (a - b) and 3 / (a - b),
+    # for S and for any conjugate of it
+    S, f = thirty_digit_pair()
+    gap = S[0, 0] - S[2, 2]
+    expected = ["0", rat_str(1 / gap), rat_str(3 / gap)]
+    g = random_unimodular(4, random.Random("thirty:chain"))
+    gi = g.inverse()
+    for S_, f_ in ((S, f), (g * S * gi, g * f * gi)):
+        code, out, _ = run_timed(capsys, "pair-chain", "--S", dense(S_),
+                                 "--f", dense(f_))
+        assert code == 0 and json.loads(out)["criticals"] == expected
+
+
+# -- empty partitions ---------------------------------------------------------
+
+@pytest.mark.parametrize("verb", ["deform-gl", "compar"])
+def test_empty_partitions_give_empty_certificates(capsys, verb):
+    code, out, _ = run_timed(capsys, verb, "--mu", ",", "--lambda", ",")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["mu"] == doc["lambda"] == doc["f"] == doc["h"] == []
+    assert all(v is True for v in doc.get("checks", doc.get("conditions")).values()
+               if isinstance(v, bool))

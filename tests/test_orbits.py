@@ -241,6 +241,29 @@ def test_neutral_for_builds_one_kernel_filtration(monkeypatch, order):
     assert len(calls) == 1
 
 
+def test_neutral_for_inverts_one_matrix(monkeypatch, rng):
+    # the chain basis B is inverted once, to g, and h = B h_eta g; the SL
+    # class reads det(B), which is 1 / det(g)
+    calls = []
+    real = QMatrix.inverse
+
+    def counting(self):
+        calls.append(self)
+        return real(self)
+    for _ in range(20):
+        f = random_nilpotent(rng.randint(1, 6), rng)
+        lam = jordan_partition(f)
+        g = jordan_conjugator(f, lam)
+        monkeypatch.setattr(QMatrix, "inverse", counting)
+        calls.clear()
+        h = neutral_for(f)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        assert h == g.inverse() * h_eta(lam) * g
+        d = math.gcd(*lam)
+        assert sl_class(f).a_class == power_class(1 / g.det(), d)
+
+
 def test_is_neutral_pair_rejects():
     assert is_neutral_pair(QMatrix.diag([2, 0]), E(2, 2, 1)) is False
     assert is_neutral_pair(QMatrix.zeros(2), QMatrix.zeros(2)) is True
@@ -343,11 +366,15 @@ def test_power_class_of_a_large_prime_and_of_its_powers():
 
 
 def test_power_class_gives_up_on_a_cofactor_rho_cannot_split():
-    semiprime = 10000000000000000051 * 20000000000000000011
-    start = time.perf_counter()
-    with pytest.raises(UnsupportedQuery, match="rho"):
-        power_class(semiprime, 2)
-    assert time.perf_counter() - start < 1.0
+    # the second is two Mersenne primes, 3482 bits: each rho iteration on
+    # it costs 196 budget units, where an iteration count took seconds
+    for semiprime in (10000000000000000051 * 20000000000000000011,
+                      (2 ** 1279 - 1) * (2 ** 2203 - 1)):
+        start = time.perf_counter()
+        with pytest.raises(UnsupportedQuery, match="rho"):
+            power_class(semiprime, 2)
+        assert time.perf_counter() - start < 1.0
+
 
 def test_sl_class_standard_is_trivial():
     for lam in [(2,), (2, 2), (3, 1), (4,)]:

@@ -10,16 +10,15 @@ from whitforge.cli import canonical_json
 from whitforge.errors import (InternalCheckFailure, NotCommuting,
                               NotRationalSplit, ShapeViolation,
                               VerificationError)
-from whitforge.exactq import (QMatrix, Subspace, _kernel_rows, _rref_rows,
+from whitforge.exactq import (QMatrix, Subspace, _kernel_rows, ad_matrix,
                               rat_str, rational_eigenvalues, rref_solve)
 from whitforge.orbits import (J_eta, h_eta, is_neutral_pair, neutral_for,
                               sl2_complete)
 from whitforge.partitions import partitions_of
-from whitforge.whitpair import (WhittakerPair, WhittakerTriple, ad_matrix,
-                                bigrading, chain, critical_numbers, find_Z,
-                                graded_space, grading, model_data,
-                                quasi_criticals, quasi_model_data, snapshot,
-                                weight_components)
+from whitforge.whitpair import (WhittakerPair, WhittakerTriple, bigrading,
+                                chain, critical_numbers, find_Z, graded_space,
+                                grading, model_data, quasi_criticals,
+                                quasi_model_data, snapshot, weight_components)
 
 from conftest import (E, random_nilpotent, random_unimodular,
                       random_whittaker_pair)
@@ -168,7 +167,7 @@ def neutral_by_weight_spaces(h, f):
     image = [flat((P * E(n, i + 1, j + 1) * Pinv).bracket(f))
              for i, a in enumerate(labels) for j, b in enumerate(labels) if a == b]
     target = sum(1 for a in labels for b in labels if a - b == -2)
-    return len(_rref_rows(image)[1]) == target
+    return len(rref_solve(QMatrix.from_rows(image)).pivots) == target
 
 
 def test_neutral_characterizations_agree_on_500_randoms():
