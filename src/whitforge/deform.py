@@ -12,10 +12,10 @@ dict of its nonzero entries, and tops one designated chain-top vector per
 Jordan block of f + psi (no inter-level conjugation).  _matrices is the one
 place that turns (eta, Z, psi) into the matrices (h, f, Z, psi), so deform
 keeps no matrix code of its own.  Every raising path ends in one checker,
-_check_raising, which reads each ad(h)-, ad(Z)- and ad(h+Z)-weight of f and
-psi off the diagonals of h and Z and tests (h, f) with orbits.is_neutral_pair,
-the one neutrality test; violations raise InternalCheckFailure naming the
-clause and are never expected.
+_check_raising, which reads the diagonals of h and Z once, as lists, takes
+each ad(h)-, ad(Z)- and ad(h+Z)-weight of f and psi from them, and tests
+(h, f) with orbits.is_neutral_pair, the one neutrality test; violations
+raise InternalCheckFailure naming the clause and are never expected.
 """
 
 import math
@@ -200,12 +200,11 @@ class ConditionNotMet:
                 "class": rat_str(self.a_class)}
 
 
-def _ad_weights(D, M):
-    """The ad(D)-weights of the nonzero entries of M, for diagonal D:
-    [D, E_ab] = (D_aa - D_bb) E_ab."""
-    n = D.rows
-    d = [D[i, i] for i in range(n)]
-    return {d[k // n] - d[k % n] for k, x in enumerate(M.entries) if x}
+def _ad_weights(d, at):
+    """The ad(D)-weights d_a - d_b of the entries at the (a, b) listed, for
+    the diagonal D given as the list d of its entries: [D, E_ab] =
+    (d_a - d_b) E_ab."""
+    return {d[a] - d[b] for a, b in at}
 
 
 def _check_raising(h, f, Z, psi, mu, lam):
@@ -213,15 +212,22 @@ def _check_raising(h, f, Z, psi, mu, lam):
     ad(h)-weight -2 and ad(Z)-weight 0, psi of negative ad(Z)-weights and
     ad(h+Z)-weight -2, (h, f) neutral, f in the mu-orbit and f + psi in the
     lambda-orbit (jordan_partition is the independent oracle for the two
-    orbits).  Returns the checks record, one entry per clause."""
+    orbits).  The diagonals of h and Z are read once, as lists, and every
+    ad-weight comes from them at the nonzero entries of f and psi.  Returns
+    the checks record, one entry per clause."""
     for name, D in (("h", h), ("Z", Z)):
         if not D.is_diagonal():
             raise InternalCheckFailure(f"Z_commutes_h: {name} is not diagonal")
+    n = h.cols
+    hd, zd = h.entries[::n + 1], Z.entries[::n + 1]
+    sd = [x + z for x, z in zip(hd, zd)]
+    f_at = [divmod(k, n) for k, x in enumerate(f.entries) if x]
+    psi_at = [divmod(k, n) for k, x in enumerate(psi.entries) if x]
     for clause, holds in (
-            ("f_h_weight_minus_two", _ad_weights(h, f) <= {-2}),
-            ("Z_commutes_f", _ad_weights(Z, f) <= {0}),
-            ("psi_Z_negative", all(r < 0 for r in _ad_weights(Z, psi))),
-            ("psi_S_weight_minus_two", _ad_weights(h + Z, psi) <= {-2})):
+            ("f_h_weight_minus_two", _ad_weights(hd, f_at) <= {-2}),
+            ("Z_commutes_f", _ad_weights(zd, f_at) <= {0}),
+            ("psi_Z_negative", all(r < 0 for r in _ad_weights(zd, psi_at))),
+            ("psi_S_weight_minus_two", _ad_weights(sd, psi_at) <= {-2})):
         if not holds:
             raise InternalCheckFailure(f"{clause} fails")
     if not is_neutral_pair(h, f):

@@ -178,14 +178,18 @@ class QMatrix:
             raise DimensionMismatch("shape mismatch")
 
     def __add__(self, other):
+        """Entrywise sum; an entry whose right summand is zero is the left
+        one, not a new Fraction."""
         self._check_same_shape(other)
         return QMatrix._trusted(self.rows, self.cols,
-                                [a + b for a, b in zip(self.entries, other.entries)])
+                                [a + b if b else a
+                                 for a, b in zip(self.entries, other.entries)])
 
     def __sub__(self, other):
         self._check_same_shape(other)
         return QMatrix._trusted(self.rows, self.cols,
-                                [a - b for a, b in zip(self.entries, other.entries)])
+                                [a - b if b else a
+                                 for a, b in zip(self.entries, other.entries)])
 
     def __neg__(self):
         return QMatrix._trusted(self.rows, self.cols, [-a for a in self.entries])
@@ -290,7 +294,7 @@ class QMatrix:
         return "QMatrix[" + "; ".join(rows) + "]"
 
     def to_json(self):
-        return [[rat_str(x) for x in row] for row in self.row_lists()]
+        return [[rat_str(x) if x else "0" for x in row] for row in self.row_lists()]
 
     @classmethod
     def from_json(cls, obj):
@@ -300,9 +304,9 @@ class QMatrix:
 def ad_matrix(M):
     """Matrix of X -> [M, X] on row-major flattened gl_n, in Fractions: the
     int operator of `_int_ad` over D."""
-    D, N = _scaled(M)[0], M.rows ** 2
+    (D, flat), N = _scaled(M), M.rows ** 2
     return QMatrix._trusted(N, N, [Fraction(x, D) if x else _ZERO
-                                   for x in _int_ad(M)])
+                                   for x in _int_ad(flat, M.rows)])
 
 
 def _bracket(A, B, n, zero=0):
@@ -335,14 +339,14 @@ def _scaled(M):
     return D, [x.numerator * (D // x.denominator) for x in M.entries]
 
 
-def _int_ad(M):
-    """ad(D M) as a flat int list, row-major on flattened gl_n, D the lcm of
-    M's denominators: D ad M, with the kernel, the row space and the column
-    space of ad M.  Column k is [D M, E_k]."""
-    n = M.rows
+def _int_ad(flat, n):
+    """ad M as a flat int list, row-major on flattened gl_n, for the n x n
+    int matrix M given by its row-major entries flat.  Column k is [M, E_k].
+    On the entries of D M from `_scaled` it is D ad M, with the kernel, the
+    row space and the column space of ad M."""
     N = n * n
     out = [0] * (N * N)
-    for k, x in enumerate(_scaled(M)[1]):
+    for k, x in enumerate(flat):
         if not x:
             continue
         p, q = divmod(k, n)

@@ -13,8 +13,8 @@ from fractions import Fraction
 
 from .errors import (DimensionMismatch, InternalCheckFailure, NoSolutionError,
                      NotNilpotent, UnsupportedQuery, WrongPartition)
-from .exactq import (NO_SOLUTION, QMatrix, Subspace, _int_action, _int_ad,
-                     _scaled, _solve, rat_str)
+from .exactq import (NO_SOLUTION, QMatrix, Subspace, _bracket, _int_action,
+                     _int_ad, _scaled, _solve, rat_str)
 
 
 # ---------------------------------------------------------------------------
@@ -72,52 +72,54 @@ def J_eta_a(eta, a):
 # jordan classification
 
 
-def _power_kernels(N):
-    """Kernel filtration [ker N^0, ker N^1, ..., ker N^L] of a nilpotent N,
-    with N^L = 0 first reached at L: one RREF per power.  The row space of
-    N^(k+1) is the row space of N^k times N, so each RREF runs on the
-    previous echelon rows times N rather than on the power itself: the int
-    echelon rows times D N, D the lcm of N's denominators (the same span).
+def _power_row_spaces(N):
+    """Row spaces [R(N), R(N^2), ..., R(N^L)] of the powers of a nilpotent
+    N, with N^L = 0 first reached at L: one elimination per power.  They
+    are the Jordan filtration: dim ker N^k = n - dim R(N^k), and ker N^k is
+    R(N^k).orthogonal().  The row space of N^(k+1) is the row space of N^k
+    times N, so each elimination runs on the previous echelon rows times
+    D N, D the lcm of N's denominators, starting from the identity rows of
+    N^0: N is scaled once.
     The ranks of the powers never rise, and once two consecutive ranks are
-    equal they stay equal, so the first power whose kernel fails to grow
+    equal they stay equal, so the first power whose rank fails to drop
     shows that N is not nilpotent."""
     n = N.rows
     if n != N.cols:
         raise DimensionMismatch("matrix not square")
     _, times_n = _int_action(N.transpose())
-    kernels = [Subspace(n)]
-    rows = N.row_lists()
-    while kernels[-1].dim < n:
-        R = Subspace(n, rows)
-        K = R.orthogonal()
-        if K.dim == kernels[-1].dim:
+    spaces, rank = [], n
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]     # R(N^0)
+    while rank:
+        R = Subspace(n, [times_n(r) for r in rows])
+        if R.dim == rank:
             raise NotNilpotent("matrix is not nilpotent")
-        kernels.append(K)
-        rows = [times_n(r) for r in R._dense()]
-    return kernels
+        spaces.append(R)
+        rank = R.dim
+        rows = R._dense()
+    return spaces
 
 
 def jordan_partition(N):
-    """Partition of the nilpotent orbit of N, read off the kernel filtration:
-    N has dim ker N^k - dim ker N^(k-1) Jordan blocks of size >= k."""
-    dims = [K.dim for K in _power_kernels(N)]
-    lam_t = [b - a for a, b in zip(dims, dims[1:])]
+    """Partition of the nilpotent orbit of N, read off the ranks of its
+    powers: N has rank N^(k-1) - rank N^k Jordan blocks of size >= k."""
+    ranks = [N.rows] + [R.dim for R in _power_row_spaces(N)]
+    lam_t = [a - b for a, b in zip(ranks, ranks[1:])]
     return tuple(sum(1 for c in lam_t if c >= j)
                  for j in range(1, lam_t[0] + 1)) if lam_t else ()
 
 
 def jordan_chain_basis(N):
     """Deterministic Jordan chain basis: chains longest first, chain tops
-    found by extending echelon bases of the kernel filtration in fixed
-    coordinate order.  The choice in another frame R is the chains of
-    R N R^{-1} mapped back by R^{-1}.
+    found by extending echelon bases of the kernel filtration ker N^k =
+    R(N^k).orthogonal() in fixed coordinate order.  The choice in another
+    frame R is the chains of R N R^{-1} mapped back by R^{-1}.
 
     The search runs on int rows: a top is an int echelon row D_K v of its
     kernel (D_K the rows' common denominator) and its chain D_K (D N)^k v,
     D the lcm of N's denominators; only the chosen chains become Fractions,
     N^k v = that row / (D_K D^k)."""
     n = N.rows
-    kernels = _power_kernels(N)
+    kernels = [Subspace(n)] + [R.orthogonal() for R in _power_row_spaces(N)]
     D, times_n = _int_action(N)
     chains = []
     found = []              # the int chains, for the membership tests
@@ -185,8 +187,8 @@ def sl2_complete(f, h):
     # the right-hand side 0 over -D_f (D_h h)
     N = n * n
     dh, hi = _scaled(h)
-    df = _scaled(f)[0]
-    top, bottom = _int_ad(h), _int_ad(f)
+    df, fi = _scaled(f)
+    top, bottom = _int_ad(hi, n), _int_ad(fi, n)
     rows = []
     for r in range(N):
         row = [df * x for x in top[r * N:(r + 1) * N]]
@@ -217,23 +219,28 @@ def is_neutral_pair(h, f):
     lemma this is exactly the condition that h completes f to an sl2-triple
     (h, e, f).
 
-    One elimination decides the membership: h against the span of the
-    columns [f, E_ab] of ad f.  For a diagonal h only the E_ab of ad(h)-weight
+    Both run on the int matrices D_h h and D_f f (D the lcm of a matrix's
+    denominators): [D_h h, D_f f] = -2 D_h (D_f f), and one elimination
+    decides whether D_h h lies in the span of the columns [D_f f, E_ab] of
+    ad(D_f f).  For a diagonal h only the E_ab of ad(h)-weight
     h_aa - h_bb = 2 enter: ad f lowers ad(h)-weights by 2 and h has weight
     0, so h lies in image(ad f) iff it lies in ad f(g^h_2)."""
     n = f.rows
     if (h.rows, h.cols, f.cols) != (n, n, n):
         raise DimensionMismatch("h, f must be square of equal size")
-    if h.bracket(f) != f.scale(-2):
+    dh, hi = _scaled(h)
+    fi = _scaled(f)[1]
+    if _bracket(enumerate(hi), enumerate(fi), n) != [-2 * dh * x for x in fi]:
         return False
     N = n * n
-    Af = _int_ad(f)
+    Af = _int_ad(fi, n)
     if h.is_diagonal():
+        d = hi[::n + 1]
         cols = [a * n + b for a in range(n) for b in range(n)
-                if h[a, a] - h[b, b] == 2]
+                if d[a] - d[b] == 2 * dh]
     else:
         cols = range(N)
-    return Subspace(N, [Af[c::N] for c in cols]).member(h.entries)
+    return Subspace(N, [Af[c::N] for c in cols]).member(hi)
 
 
 # ---------------------------------------------------------------------------
@@ -291,8 +298,9 @@ _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # Pollard-Brent rho work allowed per number split, over all its tries: an
 # iteration on a cofactor of b bits costs ceil(b / 256)^2 units (its modular
 # squaring and product grow about so): up to 256 bits the budget buys 2^17
-# iterations, and at 3482 bits (196 units each) about 670; the round that
-# crosses the budget still runs to its end
+# iterations, and at 3482 bits (196 units each) 669; it is tested before
+# each batch of _RHO_BATCH iterations, so the search stops at most one batch
+# past it
 _RHO_BUDGET = 1 << 17
 _RHO_BATCH = 128
 
@@ -351,24 +359,31 @@ def _rho_factor(m):
     rho on x -> x^2 + c from x = 2 for c = 1, 2, ... (products of
     _RHO_BATCH differences per gcd); UnsupportedQuery once the iterations
     have spent _RHO_BUDGET units, at ceil(bits / 256)^2 units each, and
-    found none."""
+    found none.  Each round's advance and its products both run in batches
+    of _RHO_BATCH iterations with the budget tested before each."""
     cost, spent = ((m.bit_length() + 255) // 256) ** 2, 0
     c = 1
     while spent * cost < _RHO_BUDGET:
         y, r, q, g = 2, 1, 1, 1
         while g == 1 and spent * cost < _RHO_BUDGET:
             x = y
-            for _ in range(r):
-                y = (y * y + c) % m
             k = 0
-            while k < r and g == 1:
+            while k < r and spent * cost < _RHO_BUDGET:     # the advance
+                step = min(_RHO_BATCH, r - k)
+                for _ in range(step):
+                    y = (y * y + c) % m
+                k += step
+                spent += step
+            k = 0
+            while k < r and g == 1 and spent * cost < _RHO_BUDGET:
                 ys = y
-                for _ in range(min(_RHO_BATCH, r - k)):
+                step = min(_RHO_BATCH, r - k)
+                for _ in range(step):
                     y = (y * y + c) % m
                     q = q * abs(x - y) % m
                 g = math.gcd(q, m)
-                k += _RHO_BATCH
-            spent += 2 * r
+                k += step
+                spent += step
             r *= 2
         if g == m:                  # the batch overshot: step back one at a time
             g = 1

@@ -275,7 +275,7 @@ def find_Z(pair):
     N = n * n
     _, Si = _scaled(S)
     df, fi = _scaled(f)
-    Af = _int_ad(f)
+    Af = _int_ad(fi, n)
     cols = []
     for k in range(N):
         F = Af[k::N]            # [f', E_k], column k of ad f'
@@ -341,7 +341,7 @@ def quasi_criticals(S, f, h):
 
 def _centralizer(f):
     """ker ad f, read off the rows of the int matrix ad(D_f f)."""
-    N, A = f.rows ** 2, _int_ad(f)
+    N, A = f.rows ** 2, _int_ad(_scaled(f)[1], f.rows)
     return Subspace(N, [A[r:r + N] for r in range(0, N * N, N)]).orthogonal()
 
 

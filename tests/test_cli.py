@@ -81,12 +81,12 @@ def test_orbit_classify_cli(capsys):
 def test_orbit_classify_builds_one_kernel_filtration(capsys, monkeypatch):
     # the partition and the conjugator both come from one Jordan chain basis
     calls = []
-    real = orbits._power_kernels
+    real = orbits._power_row_spaces
 
     def counting(N):
         calls.append(N)
         return real(N)
-    monkeypatch.setattr(orbits, "_power_kernels", counting)
+    monkeypatch.setattr(orbits, "_power_row_spaces", counting)
     code, out, _ = run_cli(capsys, "orbit-classify", "--matrix", "E21+E43+E42")
     assert code == 0 and json.loads(out)["partition"] == [3, 1]
     assert len(calls) == 1

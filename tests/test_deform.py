@@ -232,6 +232,44 @@ def test_raising_paths_run_the_checker(monkeypatch, path, target, fault, clause)
         path()
 
 
+def _psi_of_wrong_S_weight(cert):
+    """An E_ab of negative ad(Z)-weight whose ad(h+Z)-weight is not -2."""
+    h, Z, n = cert.h, cert.Z, cert.n
+    a, b = next((a, b) for a in range(n) for b in range(n)
+                if Z[a, a] - Z[b, b] < 0
+                and (h + Z)[a, a] - (h + Z)[b, b] != -2)
+    return E(n, a + 1, b + 1)
+
+
+@pytest.mark.parametrize("spoil, clause", [
+    (lambda c: (c.h + E(c.n, 1, 2), c.f, c.Z, c.psi, c.mu, c.lam),
+     "Z_commutes_h: h is not diagonal"),
+    (lambda c: (c.h, c.f, c.Z + E(c.n, 1, 2), c.psi, c.mu, c.lam),
+     "Z_commutes_h: Z is not diagonal"),
+    (lambda c: (c.h.scale(2), c.f, c.Z, c.psi, c.mu, c.lam),
+     "f_h_weight_minus_two fails"),
+    (lambda c: (c.h, c.f, c.Z + E(c.n, 2, 2), c.psi, c.mu, c.lam),
+     "Z_commutes_f fails"),
+    (lambda c: (c.h, c.f, c.Z, c.psi + E(c.n, 1, 1), c.mu, c.lam),
+     "psi_Z_negative fails"),
+    (lambda c: (c.h, c.f, c.Z, c.psi + _psi_of_wrong_S_weight(c), c.mu, c.lam),
+     "psi_S_weight_minus_two fails"),
+    (lambda c: (c.h + QMatrix.identity(c.n), c.f, c.Z, c.psi, c.mu, c.lam),
+     r"neutral_pair: \(h, f\) is not a neutral pair"),
+    (lambda c: (c.h, c.f, c.Z, c.psi, (2, 2, 1), c.lam),
+     r"jordan_source: jordan_partition\(f\) != mu"),
+    (lambda c: (c.h, c.f, c.Z, c.psi, c.mu, (5,)),
+     r"jordan_target: jordan_partition\(f \+ psi\) != lambda"),
+])
+def test_raising_checker_names_each_failed_clause(spoil, clause):
+    # the checker reads the diagonals of h and Z as lists: each clause still
+    # fails, with its own message, on a certificate spoiled for it alone
+    cert = deform_gl((3, 1, 1), (4, 1))
+    deform._check_raising(cert.h, cert.f, cert.Z, cert.psi, cert.mu, cert.lam)
+    with pytest.raises(InternalCheckFailure, match=f"^{clause}$"):
+        deform._check_raising(*spoil(cert))
+
+
 def test_raising_checker_uses_the_one_neutrality_test(monkeypatch):
     calls = []
 

@@ -8,10 +8,11 @@ import pytest
 from whitforge import exactq
 from whitforge.errors import (DimensionMismatch, InternalCheckFailure,
                               NotRationalSplit)
-from whitforge.exactq import (NO_SOLUTION, QMatrix, Subspace, _echelon,
-                              _int_ad, _kernel_rows, _lagrangian, ad_matrix,
-                              char_poly, rat_parse, rat_str,
-                              rational_eigenvalues, rref_solve, skew_tools)
+from whitforge.exactq import (NO_SOLUTION, QMatrix, Subspace, _bracket,
+                              _echelon, _int_ad, _kernel_rows, _lagrangian,
+                              _scaled, ad_matrix, char_poly, rat_parse,
+                              rat_str, rational_eigenvalues, rref_solve,
+                              skew_tools)
 
 from conftest import E
 
@@ -49,11 +50,13 @@ def test_bracket_matches_dense_products():
         expected = A * B - B * A
         assert A.bracket(B) == expected
         assert B.bracket(A) == -expected
-        # views of raw ints give Fraction entries too
-        raw = QMatrix._trusted(n, n, [int(x) for x in A.entries])
-        got = raw.bracket(B)
-        assert got == QMatrix(n, n, raw.entries) * B - B * QMatrix(n, n, raw.entries)
-        assert all(type(x) is Fraction for x in got.entries)
+        # the int form that find_Z and brackets use: the nonzero (index,
+        # entry) pairs of D_A A and D_B B give D_A D_B [A, B] in ints
+        (da, ai), (db, bi) = _scaled(A), _scaled(B)
+        got = _bracket([(k, x) for k, x in enumerate(ai) if x],
+                       [(k, x) for k, x in enumerate(bi) if x], n)
+        assert all(type(x) is int for x in got)
+        assert QMatrix(n, n, got) == expected.scale(da * db)
 
 
 @pytest.mark.parametrize("shapes", [((2, 3), (2, 3)), ((2, 2), (3, 3)),
@@ -108,7 +111,7 @@ def test_int_ad_columns_are_dense_brackets():
         N = n * n
         M = QMatrix(n, n, _random_entries(rng, n, rng.choice([0.0, 0.3, 1.0])))
         D = lcm(*(x.denominator for x in M.entries))
-        A = _int_ad(M)
+        A = _int_ad([int(D * x) for x in M.entries], n)
         assert type(A) is list and len(A) == N * N
         assert all(type(x) is int for x in A)
         for k in range(N):

@@ -1,16 +1,17 @@
 import hashlib
 import math
 import random
+import re
 import time
 from fractions import Fraction
 
 import pytest
 
-from whitforge import orbits
+from whitforge import exactq, orbits
 from whitforge.cli import canonical_json
 from whitforge.errors import (NoSolutionError, NotNilpotent, UnsupportedQuery,
                               WrongPartition)
-from whitforge.exactq import QMatrix, rat_str
+from whitforge.exactq import QMatrix, Subspace, rat_str
 from whitforge.orbits import (J_eta, J_eta_a, SlOrbitClass, h_eta,
                               integer_nth_root, is_dth_power, is_neutral_pair,
                               jordan_chain_basis, jordan_conjugator,
@@ -97,6 +98,45 @@ def test_jordan_partition_multiplies_no_matrices(rng, monkeypatch):
         raise AssertionError("matrix product in the Jordan analysis")
     monkeypatch.setattr(QMatrix, "__mul__", no_matmul)
     assert [jordan_partition(N) for N in cases] == expected
+
+
+@pytest.mark.parametrize("eta", [(3, 1), (4, 2, 1), (5,)])
+def test_jordan_partition_runs_one_elimination_per_power(monkeypatch, eta):
+    # J_eta has index L = max(eta): one elimination for each of the row
+    # spaces of N, N^2, ..., N^L, and none for the kernels
+    calls = []
+    real = exactq._echelon
+
+    def counting(rows):
+        calls.append(len(rows))
+        return real(rows)
+    monkeypatch.setattr(exactq, "_echelon", counting)
+    assert jordan_partition(J_eta(eta)) == eta
+    assert len(calls) == max(eta)
+
+
+def test_jordan_partition_agrees_with_the_kernel_filtration():
+    # the ranks jordan_partition reads against the kernels ker N^k that
+    # jordan_chain_basis extends, and against the kernels of the powers
+    # formed as matrix products
+    rng = random.Random(31)
+    for _ in range(40):
+        n = rng.randint(1, 10)
+        N = random_nilpotent(n, rng)
+        if rng.random() < 0.5:
+            N = N.scale(Fraction(rng.choice([-3, 2, 5]), rng.choice([1, 2, 7])))
+        kernels = [R.orthogonal() for R in orbits._power_row_spaces(N)]
+        dims = [0] + [K.dim for K in kernels]
+        power = N
+        for K in kernels:
+            assert K == Subspace(n, power.row_lists()).orthogonal()
+            power = power * N
+        lam_t = [b - a for a, b in zip(dims, dims[1:])]
+        expected = tuple(sum(1 for c in lam_t if c >= j)
+                         for j in range(1, lam_t[0] + 1))
+        assert jordan_partition(N) == expected
+        assert tuple(sorted((len(ch) for ch in jordan_chain_basis(N)),
+                            reverse=True)) == expected
 
 
 def _rational_invertible(n, rng):
@@ -230,12 +270,12 @@ def test_neutral_for_two_chain_orders_both_pass(rng):
 def test_neutral_for_builds_one_kernel_filtration(monkeypatch, order):
     R = QMatrix.identity(4) if order == "forward" else _reversal(4)
     calls = []
-    real = orbits._power_kernels
+    real = orbits._power_row_spaces
 
     def counting(N):
         calls.append(N)
         return real(N)
-    monkeypatch.setattr(orbits, "_power_kernels", counting)
+    monkeypatch.setattr(orbits, "_power_row_spaces", counting)
     f = E(4, 2, 1) + E(4, 4, 3) + E(4, 4, 2)
     assert is_neutral_pair(R * neutral_for(R * f * R) * R, f)
     assert len(calls) == 1
@@ -367,13 +407,18 @@ def test_power_class_of_a_large_prime_and_of_its_powers():
 
 def test_power_class_gives_up_on_a_cofactor_rho_cannot_split():
     # the second is two Mersenne primes, 3482 bits: each rho iteration on
-    # it costs 196 budget units, where an iteration count took seconds
-    for semiprime in (10000000000000000051 * 20000000000000000011,
-                      (2 ** 1279 - 1) * (2 ** 2203 - 1)):
+    # it costs 196 budget units, where an iteration count took seconds.
+    # The budget is tested before every batch, the advance's included, so
+    # the search stops at most one batch past it
+    for semiprime, cost in ((10000000000000000051 * 20000000000000000011, 1),
+                            ((2 ** 1279 - 1) * (2 ** 2203 - 1), 196)):
         start = time.perf_counter()
-        with pytest.raises(UnsupportedQuery, match="rho"):
+        with pytest.raises(UnsupportedQuery, match="rho") as info:
             power_class(semiprime, 2)
         assert time.perf_counter() - start < 1.0
+        found = re.search(r"in (\d+) rho iterations \(cost (\d+) each", str(info.value))
+        assert int(found[2]) == cost
+        assert int(found[1]) <= -(-orbits._RHO_BUDGET // cost) + orbits._RHO_BATCH
 
 
 def test_sl_class_standard_is_trivial():

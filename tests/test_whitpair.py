@@ -192,6 +192,60 @@ def test_neutral_characterizations_agree_on_500_randoms():
     assert outcomes[True] >= 50 and outcomes[False] >= 50
 
 
+def _shifted_standard_pair(rng):
+    """(h, f) from a standard pair: h_eta shifted on each block by a scalar
+    of denominator 2 or 3 (so [h, f] = -2f holds, and the pair is neutral
+    iff every shift is 0), sometimes scaled by 1/2 (so it fails), f = J_eta
+    times a random Fraction, and half the time both conjugated by a
+    rational matrix (so h is not diagonal)."""
+    n = rng.randint(2, 6)
+    eta = rng.choice(list(partitions_of(n)))
+    den = rng.choice([2, 3])
+    shifts = ([0] * len(eta) if rng.random() < 0.5 else
+              [Fraction(rng.choice([0, 1, -1, 2, 5]), den) for _ in eta])
+    h = h_eta(eta) + QMatrix.diag([s for s, k in zip(shifts, eta) for _ in range(k)])
+    if rng.random() < 0.15:
+        h = h.scale(Fraction(1, 2))
+    f = J_eta(eta).scale(Fraction(rng.choice([1, -2, 3]), rng.choice([1, 2, 5])))
+    if rng.random() < 0.5:
+        g = QMatrix.diag([Fraction(rng.randint(1, 3), rng.randint(1, 3))
+                          for _ in range(n)]) * random_unimodular(n, rng)
+        gi = g.inverse()
+        h, f = g * h * gi, g * f * gi
+    return h, f
+
+
+def test_neutral_characterizations_agree_on_fractional_pairs():
+    # fractional diagonal h (D_h 2 or 3), Fraction-scaled f and conjugated,
+    # non-diagonal h, against the weight-space oracle
+    rng = random.Random(15)
+    outcomes = Counter()
+    for _ in range(240):
+        h, f = _shifted_standard_pair(rng)
+        expected = neutral_by_weight_spaces(h, f)
+        assert is_neutral_pair(h, f) == expected
+        outcomes[expected] += 1
+    assert outcomes[True] >= 50 and outcomes[False] >= 50
+
+
+@pytest.mark.parametrize("shift", [0, Fraction(1, 2)])
+def test_is_neutral_pair_eliminates_only_the_weight_two_columns(monkeypatch, shift):
+    # for a diagonal h the one elimination gets the columns [f, E_ab] with
+    # h_aa - h_bb = 2 and no others; a scalar shift keeps those columns
+    eta = (4, 3, 1)
+    f, h = J_eta(eta), h_eta(eta) + QMatrix.diag([shift] * 8)
+    weight_two = sum(1 for a in range(8) for b in range(8) if h[a, a] - h[b, b] == 2)
+    calls = []
+    real = exactq._echelon
+
+    def counting(rows):
+        calls.append(len(rows))
+        return real(rows)
+    monkeypatch.setattr(exactq, "_echelon", counting)
+    assert is_neutral_pair(h, f) is (shift == 0)
+    assert calls == [weight_two]
+
+
 # -- bigrading -------------------------------------------------------------------
 
 def test_bigrading_glsame_entries():
