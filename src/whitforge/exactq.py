@@ -6,19 +6,29 @@ integer rows inside the kernels: eliminations, reductions, brackets, ad
 operators and Gram matrices run on ints scaled by one common denominator,
 and every test made on them (membership, a kernel, a zero) does not depend
 on that scale.  No floating point anywhere.  Every elimination runs here:
-other modules eliminate only through `rref_solve`, `_solve`, `QMatrix` and
-`Subspace`.  A `Subspace` keeps its canonical RREF basis as int rows over
-one common denominator, which serve `member` and `intersect` (one shared
-reduction), `span` of coordinate vectors, `kernel_of` a map given by the
-basis's images, `orthogonal` and `coordinates`; its Fraction `basis` is
+other modules eliminate only through `rref_solve`, `QMatrix`, `Subspace`
+and the graded solvers.  A `Subspace` keeps its canonical RREF basis as int
+rows over one common denominator, which serve `member` and `intersect` (one
+shared reduction), `span` of coordinate vectors, `kernel_of` a map given by
+the basis's images, `orthogonal` and `coordinates`; its Fraction `basis` is
 built when it is first read, and `to_json` prints x/D straight from the int
 rows.  `_solve` reads the echelon-first solution of an int system, making
-only the solution's entries Fractions, and `rref_solve` reads its solution
-through it.  `_echelon` is the only elimination: `QMatrix.inverse` reads
-the RREF of [M | I] off its rows, and `QMatrix.det` is read off `char_poly`.
-`brackets` yields the brackets of the integer rows of one or two
-subspaces, for the bracket containments; `_int_ad` is the one ad-operator
-builder, the flat int list of ad(D M), and `ad_matrix` its Fraction view.
+only the solution's entries Fractions, and `rref_solve` and `graded_solve`
+read their solutions through it.  `_echelon` is the only elimination:
+`QMatrix.inverse` reads the RREF of [M | I] off its rows, and `QMatrix.det`
+is read off `char_poly`.  `brackets` yields the brackets of the integer rows
+of one or two subspaces, for the bracket containments; `_int_ad` builds the
+dense ad operator, the flat int list of ad(D M), and `ad_matrix` is its
+Fraction view.
+
+`grading` builds the one eigenbasis grading, a `Grading`: a joint eigenbasis
+P of commuting rational semisimple matrices, with the weight of every frame
+cell E_ij.  `Grading.frame` is P^{-1} M P in ints and `unframe` maps a
+frame matrix back by int outer products of P's columns and P^{-1}'s rows.
+An M homogeneous in the grading shifts weights by one fixed amount, so
+ad(M) splits into one small block per weight: `graded_kernel` and
+`graded_solve` eliminate those blocks, and refuse an M that is not
+homogeneous, whose images the blocks would miss.
 
 `_bracket` is the one bracket, of int or Fraction matrices, and
 `QMatrix.bracket` wraps it; it multiplies only nonzero entries.  The skew
@@ -38,13 +48,13 @@ sequence.
 """
 
 from fractions import Fraction
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations, product
 from math import gcd, isqrt, lcm
 from operator import mul
 
-from .errors import (DimensionMismatch, InternalCheckFailure, NotRationalSplit,
-                     ParseError)
+from .errors import (DimensionMismatch, InternalCheckFailure, NotCommuting,
+                     NotRationalSplit, ParseError)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -479,6 +489,20 @@ def _solve(rows, n):
     return tuple(sol), A, piv
 
 
+def echelon_first(y, kernel):
+    """(D, ints): the echelon-first solution ints / D of a linear system
+    whose solutions are y + span(kernel), for y a list of rationals and
+    kernel int vectors; the solution `_solve` reads, with every free
+    coordinate of the system's RREF at 0.  The free coordinates are the
+    complement of the system's lex-first column basis, which by matroid
+    duality is the lex-last basis of its kernel: the pivots of the kernel
+    echelonized in reversed coordinate order.  So it is y reduced against
+    that echelon basis."""
+    D = lcm(*(Fraction(x).denominator for x in y))
+    K = Subspace(len(y), [v[::-1] for v in kernel])
+    return D * K._den, K._reduce([int(x * D) for x in reversed(y)])[::-1]
+
+
 @dataclass(frozen=True)
 class RrefResult:
     echelon: QMatrix
@@ -815,6 +839,212 @@ def rational_eigenvalues(M):
         raise NotRationalSplit(
             f"eigenspace dimensions sum to {total} < {n}; not rational semisimple")
     return out
+
+
+# ---------------------------------------------------------------------------
+# gradings of gl_n by commuting rational semisimple matrices, and the
+# operators that are homogeneous in them
+
+
+@dataclass(frozen=True)
+class Grading:
+    """gl_n graded by commuting rational semisimple matrices M_1, ..., M_k.
+    The columns of P are joint eigenvectors and labels[i] is the tuple of
+    eigenvalues of column i, so P E_ij P^{-1} has weight labels[i] - labels[j]:
+    one eigenvalue of ad M_1, ..., ad M_k per entry.  In the frame of P a
+    matrix M reads P^{-1} M P (`frame`), and a frame matrix X maps back to
+    P X P^{-1} (`unframe`)."""
+    P: QMatrix
+    Pinv: QMatrix
+    labels: tuple
+    # weight -> the (i, j) whose P E_ij P^{-1} have that weight
+    _cells: dict = field(init=False, repr=False, compare=False)
+    # the columns of P and the rows of P^{-1}, each a primitive int list
+    _factors: tuple = field(init=False, repr=False, compare=False)
+    # (u, v, s): ints with s P E_ij P^{-1} = u_i v_j cols[i] rows[j] for
+    # (cols, rows) the _factors
+    _scales: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        cells = {}
+        for i, a in enumerate(self.labels):
+            for j, b in enumerate(self.labels):
+                w = tuple(x - y for x, y in zip(a, b))
+                cells.setdefault(w, []).append((i, j))
+        object.__setattr__(self, "_cells", cells)
+        factors = []
+        scales = []
+        for vectors in (self.P.transpose().row_lists(), self.Pinv.row_lists()):
+            ints = [_integer_row(v) for v in vectors]
+            # each vector is q times its ints, and D q is an int for D the
+            # lcm of the q's denominators: D_P P[:, i] = u_i cols[i] and
+            # D_Pinv P^{-1}[j, :] = v_j rows[j], so s = D_P D_Pinv
+            q = [next(Fraction(x, y) for x, y in zip(v, row) if y)
+                 for v, row in zip(vectors, ints)]
+            D = lcm(*(x.denominator for x in q))
+            factors.append(ints)
+            scales.append(([x.numerator * (D // x.denominator) for x in q], D))
+        (u, a), (v, b) = scales
+        object.__setattr__(self, "_factors", tuple(factors))
+        object.__setattr__(self, "_scales", (u, v, a * b))
+
+    @property
+    def weights(self):
+        """The weights that occur, sorted."""
+        return tuple(sorted(self._cells))
+
+    def _vectors(self, cells):
+        """Nonzero int multiples of the flattened P E_ij P^{-1} for the given
+        cells (i, j): column i of P times row j of P^{-1}, both scaled to
+        primitive ints."""
+        cols, rows = self._factors
+        return [[x * y for x in cols[i] for y in rows[j]] for i, j in cells]
+
+    def component(self, w):
+        """The weight space of weight w in flattened gl_n."""
+        return self.space(lambda *x: x == w)
+
+    def space(self, predicate):
+        """Echelonized sum of the weight spaces whose weight satisfies the
+        predicate, which gets one argument per grading matrix: one
+        elimination over the selected cells' vectors."""
+        return Subspace(self.P.rows ** 2,
+                        self._vectors([ij for w, cells in self._cells.items()
+                                       if predicate(*w) for ij in cells]))
+
+    def terms(self, M):
+        """{w: [(i, j, c)]}: the nonzero entries c of M in the eigenbasis,
+        grouped by their weight w."""
+        D, T = self.frame(M)
+        n = len(self.labels)
+        out = {}
+        for w, cells in self._cells.items():
+            found = [(i, j, T[i * n + j] / D) for i, j in cells if T[i * n + j]]
+            if found:
+                out[w] = found
+        return out
+
+    def frame(self, M):
+        """(D, T): P^{-1} M P = T / D for a primitive int matrix T, flat and
+        row-major, and a Fraction D.  Only ints are multiplied: entry (i, j)
+        of T is v_i u_j (row i of P^{-1}'s ints) (D_M M) (column j of P's
+        ints), D_M the lcm of M's denominators, over the content g of those
+        entries, and D = s D_M / g."""
+        cols, rows = self._factors
+        u, v, s = self._scales
+        d, act = _int_action(M)
+        images = [act(c) for c in cols]
+        T = [vi * uj * sum(map(mul, row, im))
+             for row, vi in zip(rows, v) for im, uj in zip(images, u)]
+        g = gcd(*T) or 1
+        return Fraction(s * d, g), [x // g for x in T] if g > 1 else T
+
+    def _outer(self, terms):
+        """s P X P^{-1}, flattened, for the frame matrix X = sum c E_ij over
+        the terms ((i, j), c) with int c: the int outer products of
+        `_vectors`, weighted by u_i v_j c."""
+        u, v, _ = self._scales
+        out = [0] * len(self.labels) ** 2
+        for (i, j), c in terms:
+            if c:
+                c *= u[i] * v[j]
+                out = [o + c * x for o, x in zip(out, self._vectors([(i, j)])[0])]
+        return out
+
+    def unframe(self, terms):
+        """P X P^{-1} for the frame matrix X = sum c E_ij over the terms
+        ((i, j), c), c rational."""
+        terms = [(ij, Fraction(c)) for ij, c in terms]
+        L = lcm(*(c.denominator for _, c in terms))
+        vec = self._outer([(ij, c.numerator * (L // c.denominator)) for ij, c in terms])
+        den, n = L * self._scales[2], len(self.labels)
+        return QMatrix._trusted(n, n, [Fraction(x, den) if x else _ZERO for x in vec])
+
+
+def grading(*Ms):
+    """The joint eigenspace grading of gl_n under commuting rational
+    semisimple n x n matrices.  Each matrix in turn splits every joint
+    eigenspace found so far, by the rational eigenvalues of its restriction,
+    the matrix of the images' coordinates over the block's basis.  The
+    images are taken in ints, of the block's int rows under D M (D the lcm
+    of M's denominators), and their coordinates divided by c = D D_B (D_B
+    the rows' common denominator) once, in that k x k matrix."""
+    n = Ms[0].rows
+    flats = [_scaled(M)[1] for M in Ms]
+    for i, A in enumerate(flats):
+        for B in flats[i + 1:]:
+            if any(_bracket(enumerate(A), enumerate(B), n)):
+                raise NotCommuting("the grading matrices do not commute")
+    actions = [_int_action(M) for M in Ms]
+    blocks = [((), Subspace(n, [[int(i == j) for j in range(n)] for i in range(n)]))]
+    for D, act in actions:
+        split = []
+        for label, block in blocks:
+            coords = [block.coordinates(act(v)) for v in block._dense()]
+            c, k = D * block._den, len(coords)
+            small = QMatrix._trusted(k, k, [Fraction(x, c) for col in zip(*coords)
+                                            for x in col])
+            for lam, sp in rational_eigenvalues(small):
+                split.append((label + (lam,), block.span(sp._dense())))
+        blocks = split
+    for label, block in blocks:
+        for v in block._dense():
+            for (D, act), lam in zip(actions, label):
+                c = D * lam
+                if [c.denominator * x for x in act(v)] != [c.numerator * x for x in v]:
+                    raise InternalCheckFailure(
+                        "grading: a basis vector is not a joint eigenvector")
+    cols = [(label, v) for label, block in blocks for v in block.basis]
+    P = QMatrix._trusted(n, n, [v[r] for r in range(n) for _, v in cols])
+    return Grading(P, P.inverse(), tuple(label for label, _ in cols))
+
+
+def _graded_blocks(g, T, shift, weights, power):
+    """ad(M)^power one weight at a time, for M homogeneous of weight shift
+    in the grading g and given by its frame ints T (`Grading.frame`): for
+    each weight w, (the weight-w cells, the weight w + power shift cells,
+    the int matrix between them as rows, one per target cell), its columns
+    the brackets of T with the source cells' E_ij.  An entry of T of another
+    weight would carry an image out of weight w + shift, where the blocks do
+    not look: InternalCheckFailure."""
+    n = len(g.labels)
+    A = [(k, x) for k, x in enumerate(T) if x]
+    for k, _ in A:
+        a, b = g.labels[k // n], g.labels[k % n]
+        if tuple(x - y for x, y in zip(a, b)) != shift:
+            raise InternalCheckFailure(
+                f"graded kernel: an image of ad M leaves the weight shifted by {shift}")
+    for w in weights:
+        cells = g._cells.get(w, [])
+        targets = g._cells.get(tuple(a + power * b for a, b in zip(w, shift)), [])
+        cols = []
+        for i, j in cells:
+            image = _bracket(A, [(i * n + j, 1)], n)
+            for _ in range(power - 1):
+                image = _bracket(A, enumerate(image), n)
+            cols.append([image[a * n + b] for a, b in targets])
+        yield cells, targets, [[c[r] for c in cols] for r in range(len(targets))]
+
+
+def graded_kernel(g, T, shift, weights, power=1):
+    """ker ad(M)^power on the given weights of the grading g, for M
+    homogeneous of weight shift with frame ints T: the kernel of each
+    weight's block, mapped back to int vectors of flattened gl_n by the
+    outer products of `Grading._outer` (not echelonized)."""
+    out = []
+    for cells, _, rows in _graded_blocks(g, T, shift, weights, power):
+        out += [g._outer(zip(cells, k)) for k in _kernel_rows(rows, len(cells))]
+    return out
+
+
+def graded_solve(g, T, shift, w, rhs, power=1):
+    """The echelon-first solution X of ad(T)^power X = rhs over the weight-w
+    cells, as frame terms ((i, j), Fraction), or NO_SOLUTION; rhs maps the
+    weight w + power shift cells to values (missing ones are 0)."""
+    ((cells, targets, rows),) = _graded_blocks(g, T, shift, [w], power)
+    sol = _solve([row + [rhs.get(t, 0)] for row, t in zip(rows, targets)],
+                 len(cells))[0]
+    return sol if sol is NO_SOLUTION else list(zip(cells, sol))
 
 
 # ---------------------------------------------------------------------------

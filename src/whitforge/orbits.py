@@ -12,9 +12,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (DimensionMismatch, InternalCheckFailure, NoSolutionError,
-                     NotNilpotent, UnsupportedQuery, WrongPartition)
+                     NotNilpotent, NotRationalSplit, UnsupportedQuery,
+                     WrongPartition)
 from .exactq import (NO_SOLUTION, QMatrix, Subspace, _bracket, _int_action,
-                     _int_ad, _scaled, _solve, rat_str)
+                     _int_ad, _scaled, graded_solve, grading, rat_str)
 
 
 # ---------------------------------------------------------------------------
@@ -177,32 +178,49 @@ def _conjugator(N, eta=None):
 
 
 def sl2_complete(f, h):
-    """Solve for e with [h,e] = 2e and [e,f] = h (exact linear system; any
-    solution).  NoSolutionError signals that (h, f) was not a neutral pair."""
+    """Solve for e with [h,e] = 2e and [e,f] = h.  Such an e exists exactly
+    when (h, f) is a neutral pair, and is then unique; NoSolutionError
+    signals that it is not, including for an h that is not rational
+    semisimple (no neutral pair has one).  e is solved over the ad(h)-weight
+    2 cells of grading(h) (see `_sl2_in_frame`)."""
     n = f.rows
     if (n, n) != (h.rows, h.cols) or f.cols != n:
         raise DimensionMismatch("f, h must be square of equal size")
-    # unknown e as an n^2 vector: (ad h - 2) e = 0 and (ad f) e = -h, in
-    # ints: the rows times D_h D_f (D the lcm of a matrix's denominators),
-    # the right-hand side 0 over -D_f (D_h h)
-    N = n * n
-    dh, hi = _scaled(h)
-    df, fi = _scaled(f)
-    top, bottom = _int_ad(hi, n), _int_ad(fi, n)
-    rows = []
-    for r in range(N):
-        row = [df * x for x in top[r * N:(r + 1) * N]]
-        row[r] -= 2 * dh * df
-        rows.append(row + [0])
-    for r in range(N):
-        rows.append([dh * x for x in bottom[r * N:(r + 1) * N]] + [-df * hi[r]])
-    solution = _solve(rows, N)[0]
-    if solution is NO_SOLUTION:
+    if h.bracket(f) != f.scale(-2):
+        raise NoSolutionError("no sl2 completion; [h, f] != -2f")
+    try:
+        g = grading(h)
+    except NotRationalSplit:
+        raise NoSolutionError(
+            "no sl2 completion; h is not rational semisimple") from None
+    return _sl2_in_frame(g, f, h, (2,), *g.frame(f))[0]
+
+
+def _sl2_in_frame(g, f, h, w, D, T):
+    """(e, T_e): the sl2 completion of a pair (h, f) in the frame of a
+    grading g whose labels begin with h's eigenvalues, f having weight -w
+    there and frame ints T (P^{-1} f P = T / D), and w = (2, 0, ...).  On
+    the weight-w cells [h, e] = 2e holds, and [e, f] = h is
+    ad(f') e' = -h', h' the diagonal of the labels' first entries; e' is
+    unique when (h, f) is neutral, as g^f has no positive ad(h)-weight.
+    T_e is e' as frame ints, for ker ad e."""
+    n = f.rows
+    rhs = {(i, i): -D * label[0] for i, label in enumerate(g.labels)}
+    sol = graded_solve(g, T, tuple(-x for x in w), w, rhs)
+    if sol is NO_SOLUTION:
         raise NoSolutionError("no sl2 completion; (h, f) is not a neutral pair")
-    e = QMatrix(n, n, solution)
-    if h.bracket(e) != e.scale(2) or e.bracket(f) != h:
+    e = g.unframe(sol)
+    # in ints: [D_h h, D_e e] = 2 D_h (D_e e), D_h [D_e e, D_f f] = D_e D_f (D_h h)
+    (dh, hi), (de, ei), (df, fi) = _scaled(h), _scaled(e), _scaled(f)
+    if _bracket(enumerate(hi), enumerate(ei), n) != [2 * dh * x for x in ei] or \
+            [dh * x for x in _bracket(enumerate(ei), enumerate(fi), n)] != \
+            [de * df * x for x in hi]:
         raise InternalCheckFailure("sl2 completion: [h,e] = 2e, [e,f] = h fails")
-    return e
+    L = math.lcm(*(x.denominator for _, x in sol))
+    Te = [0] * (n * n)
+    for (i, j), x in sol:
+        Te[i * n + j] = x.numerator * (L // x.denominator)
+    return e, Te
 
 
 def neutral_for(f):

@@ -10,7 +10,11 @@ pair is graded by S alone (weights r, predicates `lambda r: ...`); the chain
 is bigraded by (h, Z) with S_t = h + tZ (weights (alpha, beta), predicates
 `lambda a, b: ...`), so the ad(S_t)-weight of a component is alpha + t beta.
 `space(predicate)` is one elimination over the selected P E_ij P^{-1}, and
-`component(w)` is that elimination for the single weight w.
+`component(w)` is that elimination for the single weight w.  f is
+homogeneous in both gradings, and so is everything the chain solves for:
+h comes from a y of S-weight 2, e has weight (2, 0), and g^f and g^e are
+sums of per-weight kernels, so each is solved one weight at a time in the
+grading's frame (`exactq.graded_solve`, `exactq.graded_kernel`).
 
 Convention used throughout (stated once): a functional phi is realized as the
 matrix f with phi(X) = trace(f X); then ad*-weights of phi equal ad-weights of
@@ -20,12 +24,15 @@ f, so every weight condition is a bracket condition on matrices.
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import (DimensionMismatch, InternalCheckFailure, NotCommuting,
-                     ShapeViolation, VerificationError)
-from .exactq import (NO_SOLUTION, QMatrix, Subspace, _bracket, _int_action,
-                     _int_ad, _integer_row, _scaled, _solve, _trace_pairing,
-                     brackets, rat_str, rational_eigenvalues, skew_tools)
-from .orbits import is_neutral_pair, jordan_partition, sl2_complete
+from .errors import (DimensionMismatch, NotCommuting, ShapeViolation,
+                     VerificationError)
+# Grading, grading and rational_eigenvalues live in exactq, and stay names
+# of this module too
+from .exactq import (NO_SOLUTION, Grading, QMatrix, Subspace, _bracket, _scaled,
+                     _trace_pairing, brackets, echelon_first, graded_kernel,
+                     graded_solve, grading, rat_str, rational_eigenvalues,
+                     skew_tools)
+from .orbits import _sl2_in_frame, is_neutral_pair, jordan_partition
 
 __all__ = [
     "WhittakerPair", "WhittakerTriple", "Grading", "DeformationSnapshot",
@@ -37,104 +44,6 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # gradings
-
-
-@dataclass(frozen=True)
-class Grading:
-    """gl_n graded by commuting rational semisimple matrices M_1, ..., M_k.
-    The columns of P are joint eigenvectors and labels[i] is the tuple of
-    eigenvalues of column i, so P E_ij P^{-1} has weight labels[i] - labels[j]:
-    one eigenvalue of ad M_1, ..., ad M_k per entry."""
-    P: QMatrix
-    Pinv: QMatrix
-    labels: tuple
-    # weight -> the (i, j) whose P E_ij P^{-1} have that weight
-    _cells: dict = field(init=False, repr=False, compare=False)
-    # the columns of P and the rows of P^{-1}, each a primitive int list
-    _factors: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        cells = {}
-        for i, a in enumerate(self.labels):
-            for j, b in enumerate(self.labels):
-                w = tuple(x - y for x, y in zip(a, b))
-                cells.setdefault(w, []).append((i, j))
-        object.__setattr__(self, "_cells", cells)
-        object.__setattr__(self, "_factors", (
-            [_integer_row(c) for c in self.P.transpose().row_lists()],
-            [_integer_row(r) for r in self.Pinv.row_lists()]))
-
-    @property
-    def weights(self):
-        """The weights that occur, sorted."""
-        return tuple(sorted(self._cells))
-
-    def _vectors(self, cells):
-        """Nonzero int multiples of the flattened P E_ij P^{-1} for the given
-        cells (i, j): column i of P times row j of P^{-1}, both scaled to
-        primitive ints."""
-        cols, rows = self._factors
-        return [[x * y for x in cols[i] for y in rows[j]] for i, j in cells]
-
-    def component(self, w):
-        """The weight space of weight w in flattened gl_n."""
-        return self.space(lambda *x: x == w)
-
-    def space(self, predicate):
-        """Echelonized sum of the weight spaces whose weight satisfies the
-        predicate, which gets one argument per grading matrix: one
-        elimination over the selected cells' vectors."""
-        return Subspace(self.P.rows ** 2,
-                        self._vectors([ij for w, cells in self._cells.items()
-                                       if predicate(*w) for ij in cells]))
-
-    def terms(self, M):
-        """{w: [(i, j, c)]}: the nonzero entries c of M in the eigenbasis,
-        grouped by their weight w."""
-        Mt = self.Pinv * M * self.P
-        out = {}
-        for w, cells in self._cells.items():
-            found = [(i, j, Mt[i, j]) for i, j in cells if Mt[i, j]]
-            if found:
-                out[w] = found
-        return out
-
-
-def grading(*Ms):
-    """The joint eigenspace grading of gl_n under commuting rational
-    semisimple n x n matrices.  Each matrix in turn splits every joint
-    eigenspace found so far, by the rational eigenvalues of its restriction,
-    the matrix of the images' coordinates over the block's basis.  The
-    images are taken in ints, of the block's int rows under D M (D the lcm
-    of M's denominators), and their coordinates divided by c = D D_B (D_B
-    the rows' common denominator) once, in that k x k matrix."""
-    n = Ms[0].rows
-    for i, A in enumerate(Ms):
-        for B in Ms[i + 1:]:
-            if not A.bracket(B).is_zero():
-                raise NotCommuting("the grading matrices do not commute")
-    actions = [_int_action(M) for M in Ms]
-    blocks = [((), Subspace(n, [[int(i == j) for j in range(n)] for i in range(n)]))]
-    for D, act in actions:
-        split = []
-        for label, block in blocks:
-            coords = [block.coordinates(act(v)) for v in block._dense()]
-            c, k = D * block._den, len(coords)
-            small = QMatrix._trusted(k, k, [Fraction(x, c) for col in zip(*coords)
-                                            for x in col])
-            for lam, sp in rational_eigenvalues(small):
-                split.append((label + (lam,), block.span(sp._dense())))
-        blocks = split
-    for label, block in blocks:
-        for v in block._dense():
-            for (D, act), lam in zip(actions, label):
-                c = D * lam
-                if [c.denominator * x for x in act(v)] != [c.numerator * x for x in v]:
-                    raise InternalCheckFailure(
-                        "grading: a basis vector is not a joint eigenvector")
-    cols = [(label, v) for label, block in blocks for v in block.basis]
-    P = QMatrix._trusted(n, n, [v[r] for r in range(n) for _, v in cols])
-    return Grading(P, P.inverse(), tuple(label for label, _ in cols))
 
 
 def bigrading(h, Z):
@@ -149,13 +58,8 @@ def weight_components(S, M):
     if M.rows != n or M.cols != n or S.cols != n:
         raise DimensionMismatch("S, M must be square of equal size")
     g = grading(S)
-    out = {}
-    for (r,), terms in sorted(g.terms(M).items()):
-        ent = [Fraction(0)] * (n * n)
-        for (i, j, c) in terms:
-            ent[i * n + j] = c
-        out[r] = g.P * QMatrix(n, n, ent) * g.Pinv
-    return out
+    return {r: g.unframe(((i, j), c) for i, j, c in terms)
+            for (r,), terms in sorted(g.terms(M).items())}
 
 
 def graded_space(S, predicate):
@@ -260,35 +164,34 @@ class ChainCertificate:
 
 def find_Z(pair):
     """Solve for a neutral h with S - h =: Z commuting with h and f:
-    h in image(ad f), [S, h] = 0, [h, f] = -2f, as one exact linear system
-    in the ad(f)-preimage; echelon-first particular solution.  (h, f) is
-    neutral by construction: h = [f, y] lies in image(ad f) and the system
-    solves [h, f] = -2f.
+    h = [f, y] with [S, h] = 0 and [h, f] = -2f, y the echelon-first
+    solution of that system in the coordinates of gl_n (free coordinates
+    0).  (h, f) is neutral: h lies in image(ad f), and [h, f] = [S - Z, f]
+    = -2f once [Z, f] = 0 is checked.
 
-    The equations are [S, [f, y]] = 0 over [f, [f, y]] = 2f.  Column k of
-    the system is [S', [f', E_k]] over [f', [f', E_k]], for the int
-    matrices S' = D_S S and f' = D_f f (D the lcm of the denominators),
-    so its top rows carry D_S D_f and its bottom rows D_f^2; the right-hand
-    side 0 over 2 D_f^2 f is scaled to match, which leaves the RREF and the
-    echelon-first solution as they are."""
+    The system is solved one weight at a time in the frame of the pair's
+    S-grading, where f' = P^{-1} f P has weight -2: of the weight-w part y_w
+    of y, [S, [f, y]] = 0 asks [f', y_w] = 0 for w != 2, and [f, [f, y]] = 2f
+    asks ad(f')^2 y_2 = 2f'.  The solutions are y_0 + K, y_0 solved over the
+    weight-2 cells and K = (g^f in the weights != 2) + ker ad(f')^2 on
+    weight 2, and y is read off them by `exactq.echelon_first`."""
     S, f, n = pair.S, pair.f, pair.n
-    N = n * n
-    _, Si = _scaled(S)
-    df, fi = _scaled(f)
-    Af = _int_ad(fi, n)
-    cols = []
-    for k in range(N):
-        F = Af[k::N]            # [f', E_k], column k of ad f'
-        cols.append(_bracket(enumerate(Si), enumerate(F), n)
-                    + _bracket(enumerate(fi), enumerate(F), n))
-    rhs = [0] * N + [2 * df * x for x in fi]
-    solution = _solve([[*row, b] for row, b in zip(zip(*cols), rhs)], N)[0]
-    if solution is NO_SOLUTION:
+    g = pair.grading
+    D, T = g.frame(f)
+    rhs = {divmod(k, n): 2 * D * x for k, x in enumerate(T) if x}
+    y0 = graded_solve(g, T, (-2,), (2,), rhs, power=2)
+    if y0 is NO_SOLUTION:
         raise VerificationError("Z-decomposition system inconsistent; invalid pair")
-    y = QMatrix(n, n, solution)
-    h = f.bracket(y)
+    K = graded_kernel(g, T, (-2,), [w for w in g.weights if w != (2,)]) \
+        + graded_kernel(g, T, (-2,), [(2,)], power=2)
+    dy, y = echelon_first(g.unframe(y0).entries, K)
+    df, fi = _scaled(f)
+    hi = _bracket(enumerate(fi), enumerate(y), n)
+    h = QMatrix._trusted(n, n, [Fraction(x, df * dy) for x in hi])
     Z = S - h
-    if Z.bracket(f) != QMatrix.zeros(n) or Z.bracket(h) != QMatrix.zeros(n):
+    zi = _scaled(Z)[1]
+    if any(_bracket(enumerate(zi), enumerate(fi), n)) or \
+            any(_bracket(enumerate(zi), enumerate(hi), n)):
         raise VerificationError("Z-decomposition commutation check failed")
     return h, Z
 
@@ -339,10 +242,10 @@ def quasi_criticals(S, f, h):
     return out, len(out)
 
 
-def _centralizer(f):
-    """ker ad f, read off the rows of the int matrix ad(D_f f)."""
-    N, A = f.rows ** 2, _int_ad(_scaled(f)[1], f.rows)
-    return Subspace(N, [A[r:r + N] for r in range(0, N * N, N)]).orthogonal()
+def _centralizer(g, T, shift):
+    """ker ad M for M homogeneous of weight shift in the grading g, with
+    frame ints T: the per-weight kernels, echelonized once."""
+    return Subspace(g.P.rows ** 2, graded_kernel(g, T, shift, g.weights))
 
 
 def _lagrangian_m(bg, f):
@@ -385,7 +288,8 @@ def snapshot(h, Z, f, t):
         raise VerificationError("t must be >= 0")
     _check_pair_data(h, Z, f)
     bg = bigrading(h, Z)
-    return _snapshot(bg, f, _centralizer(f), _lagrangian_m(bg, f), t)
+    g_f = _centralizer(bg, bg.frame(f)[1], (-2, 0))
+    return _snapshot(bg, f, g_f, _lagrangian_m(bg, f), t)
 
 
 def chain(pair):
@@ -395,10 +299,11 @@ def chain(pair):
     with dual spanning sets among the highest-weight vectors."""
     f, n = pair.f, pair.n
     h, Z = find_Z(pair)
-    e = sl2_complete(f, h)
     bg = bigrading(h, Z)
-    g_f = _centralizer(f)
-    ker_ad_e = _centralizer(e)
+    Df, Tf = bg.frame(f)
+    e, Te = _sl2_in_frame(bg, f, h, (2, 0), Df, Tf)
+    g_f = _centralizer(bg, Tf, (-2, 0))
+    ker_ad_e = _centralizer(bg, Te, (2, 0))
     crits = [t for t in _critical_values(bg) if t <= 1]
     nodes = list(crits)
     if nodes[-1] != 1:
@@ -470,7 +375,7 @@ def quasi_model_data(triple):
     u = g.space(lambda r: r >= 1)
     v = g.space(lambda r: r > 1)
     w = g.space(lambda r: r == 1)
-    z = v.sum(w.intersect(_centralizer(f)))
+    z = v.sum(w.intersect(_centralizer(g, g.frame(f)[1], (-2,))))
     k = _functional_kernel(z, f + fp, n)
     pair_fp = _trace_pairing(fp.entries, n)
     for br in brackets(u):

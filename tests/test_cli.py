@@ -209,6 +209,22 @@ def test_pair_check_cli_not_neutral(capsys):
     assert doc["Z"] == QMatrix.diag([2, 2, -2, -2]).to_json()
 
 
+def test_pair_check_pins_the_echelon_first_h(tmp_path, capsys):
+    # a unimodular conjugate of (diag(1, -1, 3, 1), E21 + E43) whose
+    # Z-decomposition system has one more free direction than g^f: h is the
+    # solution with every free coordinate of the system's RREF at 0
+    doc = {"S": [[3, -4, -4, 4], [6, -11, -14, 14], [-6, 12, 17, -16],
+                 [-2, 4, 6, -5]],
+           "f": [[1, -1, -1, 1], [2, -2, -2, 2], [-2, 3, 4, -4],
+                 [-1, 2, 3, -3]]}
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_cli(capsys, "pair-check", str(path))
+    assert code == 0
+    assert json.loads(out)["h"] == QMatrix.from_rows(
+        [[3, -4, -4, 4], [4, -7, -8, 8], [-2, 6, 9, -10], [0, 2, 4, -5]]).to_json()
+
+
 def test_pair_check_cli_rejects_non_pair(capsys):
     code, out, err = run_cli(capsys, "pair-check", "--S", "diag(1,1)", "--f", "E21")
     assert code == 2 and out == ""

@@ -10,9 +10,9 @@ from whitforge.errors import (DimensionMismatch, InternalCheckFailure,
                               NotRationalSplit)
 from whitforge.exactq import (NO_SOLUTION, QMatrix, Subspace, _bracket,
                               _echelon, _int_ad, _kernel_rows, _lagrangian,
-                              _scaled, ad_matrix, char_poly, rat_parse,
-                              rat_str, rational_eigenvalues, rref_solve,
-                              skew_tools)
+                              _scaled, ad_matrix, char_poly, echelon_first,
+                              rat_parse, rat_str, rational_eigenvalues,
+                              rref_solve, skew_tools)
 
 from conftest import E
 
@@ -269,6 +269,30 @@ def test_rref_solve_echelon_is_that_of_a_for_any_rhs():
                 (plain.echelon, plain.pivots, plain.rank, plain.kernel)
         if rhs:
             assert rref_solve(A, rhs[0]).solution is NO_SOLUTION
+
+
+def test_echelon_first_is_the_rref_solution():
+    # from any solution and a spanning set of the kernel (its basis scaled
+    # to ints, shuffled, and one dependent vector), echelon_first finds the
+    # solution rref_solve reads
+    rng = random.Random(16)
+    for rows in _kernel_cases():
+        A = QMatrix.from_rows(rows)
+        n = A.cols
+        x = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)]
+        res = rref_solve(A, A.matvec(x))
+        kernel = []
+        for v in res.kernel:
+            c = lcm(*(a.denominator for a in v)) * rng.choice([-2, 1, 3])
+            kernel.append([int(a * c) for a in v])
+        rng.shuffle(kernel)
+        if kernel:
+            kernel.append([a - b for a, b in zip(kernel[0], kernel[-1])])
+        coeffs = [rng.randint(-2, 2) for _ in kernel]
+        y = [a + sum(c * v[i] for c, v in zip(coeffs, kernel))
+             for i, a in enumerate(x)]
+        D, ints = echelon_first(y, kernel)
+        assert [Fraction(v, D) for v in ints] == list(res.solution)
 
 
 # -- subspaces ----------------------------------------------------------------

@@ -201,19 +201,37 @@ def test_pair_check_at_large_n_in_both_notations(capsys, n):
     assert doc["h"] == h_eta(LARGE_ETAS[n]).to_json()
 
 
-def test_pair_check_of_a_conjugated_dense_pair_at_n_12(capsys):
-    # the dense 288 x 144 find_Z system of rational entries takes about a
-    # second: bounded here at ten
+def conjugated_large_pair():
     S, f = large_pair(12)
     g = random_unimodular(12, random.Random("pair-check:12"))
     gi = g.inverse()
-    S, f = g * S * gi, g * f * gi
+    return g * S * gi, g * f * gi
+
+
+def test_pair_check_of_a_conjugated_dense_pair_at_n_12(capsys):
+    # find_Z runs in the frame of S's eigenbasis: the eigenvalues of the
+    # dense 12 x 12 S, one small system per ad(S)-weight and one reversed
+    # echelon of the solutions' kernel in 144 coordinates: bounded here at
+    # ten seconds
+    S, f = conjugated_large_pair()
     code, out, _ = run_timed(capsys, "pair-check", "--S", dense(S),
                              "--f", dense(f), limit=10.0)
     assert code == 0
     doc = json.loads(out)
     h, Z = QMatrix.from_json(doc["h"]), QMatrix.from_json(doc["Z"])
     assert doc["valid"] is True and h + Z == S and is_neutral_pair(h, f)
+
+
+def test_pair_chain_of_a_conjugated_dense_pair_at_n_12(capsys):
+    # find_Z, the bigrading, e and both centralizers, then one snapshot per
+    # critical number: bounded at ten seconds like pair-check
+    S, f = conjugated_large_pair()
+    code, out, _ = run_timed(capsys, "pair-chain", "--S", dense(S),
+                             "--f", dense(f), limit=10.0)
+    assert code == 0
+    cert = json.loads(out)
+    assert cert["criticals"][0] == "0"
+    assert QMatrix.from_json(cert["h"]) + QMatrix.from_json(cert["Z"]) == S
 
 
 # -- 30-digit rationals in S --------------------------------------------------

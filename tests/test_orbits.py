@@ -226,6 +226,31 @@ def test_sl2_complete_rejects_non_neutral():
         sl2_complete(E(2, 2, 1), QMatrix.diag([2, 0]))
 
 
+@pytest.mark.parametrize("h", [
+    QMatrix.diag([2, 0]),                           # [h, f] = -2f, not neutral
+    E(2, 1, 2),                                     # not semisimple
+    QMatrix.from_rows([[0, 2], [1, 0]]),            # irrational eigenvalues
+])
+def test_sl2_complete_errors_are_typed(h):
+    with pytest.raises(NoSolutionError):
+        sl2_complete(E(2, 2, 1), h)
+
+
+def test_sl2_complete_rejects_what_grading_rejects():
+    # [h, f] = -2f holds, but h = diag(1, -1, 0, 0) + E34 is not semisimple,
+    # so grading(h) rejects it; no neutral pair has such an h
+    h = QMatrix.diag([1, -1, 0, 0]) + E(4, 3, 4)
+    with pytest.raises(NoSolutionError, match="not rational semisimple"):
+        sl2_complete(E(4, 2, 1), h)
+
+
+def test_sl2_complete_needs_the_weight_minus_two_bracket():
+    # [E12, E12 + E21] = diag(1, -1), so e = E12 solves [h, e] = 2e and
+    # [e, f] = h; but [h, f] != -2f, so (h, f) is not a neutral pair
+    with pytest.raises(NoSolutionError, match=r"\[h, f\] != -2f"):
+        sl2_complete(E(2, 1, 2) + E(2, 2, 1), QMatrix.diag([1, -1]))
+
+
 def test_sl2_triple_relations_random(rng):
     for _ in range(20):
         n = rng.randint(2, 5)

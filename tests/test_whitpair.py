@@ -72,7 +72,7 @@ def test_pair_checks_the_bracket_before_the_eigenvalues(monkeypatch):
     # gets the cheap check's VerificationError; no eigenvalue is computed
     def unexpected(M):
         raise AssertionError("rational_eigenvalues called")
-    monkeypatch.setattr(whitpair, "rational_eigenvalues", unexpected)
+    monkeypatch.setattr(exactq, "rational_eigenvalues", unexpected)
     with pytest.raises(VerificationError, match=r"\[S, f\] != -2 f"):
         WhittakerPair(2, QMatrix.from_rows([[0, 2], [1, 0]]), E(2, 2, 1))
 
@@ -87,7 +87,7 @@ def test_non_semisimple_s_is_rejected():
 def test_eigen_bug_is_not_reported_as_math_error(monkeypatch):
     def broken(M):
         raise TypeError("bug inside the eigenvalue code")
-    monkeypatch.setattr(whitpair, "rational_eigenvalues", broken)
+    monkeypatch.setattr(exactq, "rational_eigenvalues", broken)
     with pytest.raises(TypeError, match="bug inside"):
         weight_components(QMatrix.diag([1, -1]), E(2, 2, 1))
 
@@ -369,11 +369,11 @@ def test_grading_space_runs_one_elimination(monkeypatch):
 
 
 def test_grading_checks_every_joint_eigenvector(monkeypatch):
-    real = whitpair.rational_eigenvalues
+    real = exactq.rational_eigenvalues
 
     def shifted(M):
         return [(lam + 1, sp) for lam, sp in real(M)]
-    monkeypatch.setattr(whitpair, "rational_eigenvalues", shifted)
+    monkeypatch.setattr(exactq, "rational_eigenvalues", shifted)
     with pytest.raises(InternalCheckFailure, match="joint eigenvector"):
         bigrading(QMatrix.diag([1, -1]), QMatrix.diag([2, 2]))
 
@@ -670,12 +670,12 @@ def test_quasi_model_remark_smallest_eigenvalue():
 
 def _count_eigen(monkeypatch):
     calls = []
-    real = whitpair.rational_eigenvalues
+    real = exactq.rational_eigenvalues
 
     def counting(M):
         calls.append(M)
         return real(M)
-    monkeypatch.setattr(whitpair, "rational_eigenvalues", counting)
+    monkeypatch.setattr(exactq, "rational_eigenvalues", counting)
     return calls
 
 
