@@ -17,9 +17,7 @@ only the solution's entries Fractions, and `rref_solve` and `graded_solve`
 read their solutions through it.  `_echelon` is the only elimination:
 `QMatrix.inverse` reads the RREF of [M | I] off its rows, and `QMatrix.det`
 is read off `char_poly`.  `brackets` yields the brackets of the integer rows
-of one or two subspaces, for the bracket containments; `_int_ad` builds the
-dense ad operator, the flat int list of ad(D M), and `ad_matrix` is its
-Fraction view.
+of one or two subspaces, for the bracket containments.
 
 `grading` builds the one eigenbasis grading, a `Grading`: a joint eigenbasis
 P of commuting rational semisimple matrices, with the weight of every frame
@@ -28,7 +26,8 @@ frame matrix back by int outer products of P's columns and P^{-1}'s rows.
 An M homogeneous in the grading shifts weights by one fixed amount, so
 ad(M) splits into one small block per weight: `graded_kernel` and
 `graded_solve` eliminate those blocks, and refuse an M that is not
-homogeneous, whose images the blocks would miss.
+homogeneous, whose images the blocks would miss.  These blocks are the one
+ad-operator builder, and a diagonal matrix's coordinate frame serves too.
 
 `_bracket` is the one bracket, of int or Fraction matrices, and
 `QMatrix.bracket` wraps it; it multiplies only nonzero entries.  The skew
@@ -311,14 +310,6 @@ class QMatrix:
         return cls.from_rows([[rat_parse(x) for x in row] for row in obj])
 
 
-def ad_matrix(M):
-    """Matrix of X -> [M, X] on row-major flattened gl_n, in Fractions: the
-    int operator of `_int_ad` over D."""
-    (D, flat), N = _scaled(M), M.rows ** 2
-    return QMatrix._trusted(N, N, [Fraction(x, D) if x else _ZERO
-                                   for x in _int_ad(flat, M.rows)])
-
-
 def _bracket(A, B, n, zero=0):
     """[A, B] = AB - BA of flattened n x n matrices of ints or Fractions,
     each given by (flat index, entry) pairs (all entries, or the nonzero
@@ -347,24 +338,6 @@ def _scaled(M):
     """(D, the entries of D M as ints), D the lcm of M's denominators."""
     D = lcm(*{x.denominator for x in M.entries})
     return D, [x.numerator * (D // x.denominator) for x in M.entries]
-
-
-def _int_ad(flat, n):
-    """ad M as a flat int list, row-major on flattened gl_n, for the n x n
-    int matrix M given by its row-major entries flat.  Column k is [M, E_k].
-    On the entries of D M from `_scaled` it is D ad M, with the kernel, the
-    row space and the column space of ad M."""
-    N = n * n
-    out = [0] * (N * N)
-    for k, x in enumerate(flat):
-        if not x:
-            continue
-        p, q = divmod(k, n)
-        # [M, E_qb] gains x E_pb and [M, E_ap] gains -x E_aq, for all a, b
-        for t in range(n):
-            out[(p * n + t) * N + q * n + t] += x
-            out[(t * n + q) * N + t * n + p] -= x
-    return out
 
 
 def _int_action(M):
@@ -999,31 +972,32 @@ def grading(*Ms):
     return Grading(P, P.inverse(), tuple(label for label, _ in cols))
 
 
-def _graded_blocks(g, T, shift, weights, power):
+def _graded_blocks(labels, cells, T, shift, weights, power):
     """ad(M)^power one weight at a time, for M homogeneous of weight shift
-    in the grading g and given by its frame ints T (`Grading.frame`): for
-    each weight w, (the weight-w cells, the weight w + power shift cells,
-    the int matrix between them as rows, one per target cell), its columns
-    the brackets of T with the source cells' E_ij.  An entry of T of another
-    weight would carry an image out of weight w + shift, where the blocks do
-    not look: InternalCheckFailure."""
-    n = len(g.labels)
+    in a frame of weight tuples labels, cells mapping a weight to its cells
+    (i, j), and M given by its frame ints T: for each weight w, (the
+    weight-w cells, the weight w + power shift cells, the int matrix between
+    them as rows, one per target cell), its columns the brackets of T with
+    the source cells' E_ij.  An entry of T of another weight would carry an
+    image out of weight w + shift, where the blocks do not look:
+    InternalCheckFailure."""
+    n = len(labels)
     A = [(k, x) for k, x in enumerate(T) if x]
     for k, _ in A:
-        a, b = g.labels[k // n], g.labels[k % n]
+        a, b = labels[k // n], labels[k % n]
         if tuple(x - y for x, y in zip(a, b)) != shift:
             raise InternalCheckFailure(
                 f"graded kernel: an image of ad M leaves the weight shifted by {shift}")
     for w in weights:
-        cells = g._cells.get(w, [])
-        targets = g._cells.get(tuple(a + power * b for a, b in zip(w, shift)), [])
+        sources = cells.get(w, [])
+        targets = cells.get(tuple(a + power * b for a, b in zip(w, shift)), [])
         cols = []
-        for i, j in cells:
+        for i, j in sources:
             image = _bracket(A, [(i * n + j, 1)], n)
             for _ in range(power - 1):
                 image = _bracket(A, enumerate(image), n)
             cols.append([image[a * n + b] for a, b in targets])
-        yield cells, targets, [[c[r] for c in cols] for r in range(len(targets))]
+        yield sources, targets, [[c[r] for c in cols] for r in range(len(targets))]
 
 
 def graded_kernel(g, T, shift, weights, power=1):
@@ -1032,19 +1006,20 @@ def graded_kernel(g, T, shift, weights, power=1):
     weight's block, mapped back to int vectors of flattened gl_n by the
     outer products of `Grading._outer` (not echelonized)."""
     out = []
-    for cells, _, rows in _graded_blocks(g, T, shift, weights, power):
+    for cells, _, rows in _graded_blocks(g.labels, g._cells, T, shift, weights, power):
         out += [g._outer(zip(cells, k)) for k in _kernel_rows(rows, len(cells))]
     return out
 
 
-def graded_solve(g, T, shift, w, rhs, power=1):
+def graded_solve(labels, cells, T, shift, w, rhs, power=1):
     """The echelon-first solution X of ad(T)^power X = rhs over the weight-w
-    cells, as frame terms ((i, j), Fraction), or NO_SOLUTION; rhs maps the
-    weight w + power shift cells to values (missing ones are 0)."""
-    ((cells, targets, rows),) = _graded_blocks(g, T, shift, [w], power)
+    cells of a frame (as `_graded_blocks` takes it), as frame terms
+    ((i, j), Fraction), or NO_SOLUTION; rhs maps the weight w + power shift
+    cells to values (missing ones are 0)."""
+    ((sources, targets, rows),) = _graded_blocks(labels, cells, T, shift, [w], power)
     sol = _solve([row + [rhs.get(t, 0)] for row, t in zip(rows, targets)],
-                 len(cells))[0]
-    return sol if sol is NO_SOLUTION else list(zip(cells, sol))
+                 len(sources))[0]
+    return sol if sol is NO_SOLUTION else list(zip(sources, sol))
 
 
 # ---------------------------------------------------------------------------

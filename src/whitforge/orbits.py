@@ -15,7 +15,7 @@ from .errors import (DimensionMismatch, InternalCheckFailure, NoSolutionError,
                      NotNilpotent, NotRationalSplit, UnsupportedQuery,
                      WrongPartition)
 from .exactq import (NO_SOLUTION, QMatrix, Subspace, _bracket, _int_action,
-                     _int_ad, _scaled, graded_solve, grading, rat_str)
+                     _scaled, graded_solve, grading, rat_str)
 
 
 # ---------------------------------------------------------------------------
@@ -199,14 +199,11 @@ def sl2_complete(f, h):
 def _sl2_in_frame(g, f, h, w, D, T):
     """(e, T_e): the sl2 completion of a pair (h, f) in the frame of a
     grading g whose labels begin with h's eigenvalues, f having weight -w
-    there and frame ints T (P^{-1} f P = T / D), and w = (2, 0, ...).  On
-    the weight-w cells [h, e] = 2e holds, and [e, f] = h is
-    ad(f') e' = -h', h' the diagonal of the labels' first entries; e' is
-    unique when (h, f) is neutral, as g^f has no positive ad(h)-weight.
-    T_e is e' as frame ints, for ker ad e."""
+    there and frame ints T (P^{-1} f P = T / D), and w = (2, 0, ...): e' is
+    `_weight_two_solve`'s, unique when (h, f) is neutral, as g^f has no
+    positive ad(h)-weight.  T_e is e' as frame ints, for ker ad e."""
     n = f.rows
-    rhs = {(i, i): -D * label[0] for i, label in enumerate(g.labels)}
-    sol = graded_solve(g, T, tuple(-x for x in w), w, rhs)
+    sol = _weight_two_solve(g.labels, g._cells, w, D, T)
     if sol is NO_SOLUTION:
         raise NoSolutionError("no sl2 completion; (h, f) is not a neutral pair")
     e = g.unframe(sol)
@@ -223,6 +220,17 @@ def _sl2_in_frame(g, f, h, w, D, T):
     return e, Te
 
 
+def _weight_two_solve(labels, cells, w, D, T):
+    """The frame terms of e' over the weight-w cells of a frame (as
+    `graded_solve` takes it) with ad(f') e' = -h', f' = T / D of weight -w
+    and h' the diagonal of the labels' first entries, or NO_SOLUTION.  With
+    h' from h's eigenvalues and w = (2, 0, ...), [h', e'] = 2e' holds there
+    and this is [e', f'] = h', solvable iff (h, f) is neutral; labels c h'
+    with w = (2c,) leave that so."""
+    rhs = {(i, i): -D * label[0] for i, label in enumerate(labels)}
+    return graded_solve(labels, cells, T, tuple(-x for x in w), w, rhs)
+
+
 def neutral_for(f):
     """A neutral element h for the nilpotent f, built by transporting the
     standard h_eta through a Jordan conjugator."""
@@ -235,14 +243,14 @@ def neutral_for(f):
 def is_neutral_pair(h, f):
     """[h,f] = -2f and h in image(ad f).  By the Jacobson-Morozov/Kostant
     lemma this is exactly the condition that h completes f to an sl2-triple
-    (h, e, f).
+    (h, e, f), so it is the existence half of the sl2 completion.
 
-    Both run on the int matrices D_h h and D_f f (D the lcm of a matrix's
-    denominators): [D_h h, D_f f] = -2 D_h (D_f f), and one elimination
-    decides whether D_h h lies in the span of the columns [D_f f, E_ab] of
-    ad(D_f f).  For a diagonal h only the E_ab of ad(h)-weight
-    h_aa - h_bb = 2 enter: ad f lowers ad(h)-weights by 2 and h has weight
-    0, so h lies in image(ad f) iff it lies in ad f(g^h_2)."""
+    [h, f] = -2f is tested on D_h h and D_f f (D the lcm of a matrix's
+    denominators).  ad f lowers ad(h)-weights by 2 and h has weight 0, so h
+    lies in image(ad f) iff it lies in ad f(g^h_2): one `_weight_two_solve`,
+    for a diagonal h in the coordinate frame (labels the diagonal of D_h h,
+    T = D_f f), else in grading(h)'s, whose NotRationalSplit means not
+    neutral: a neutral h is semisimple with integer eigenvalues."""
     n = f.rows
     if (h.rows, h.cols, f.cols) != (n, n, n):
         raise DimensionMismatch("h, f must be square of equal size")
@@ -250,15 +258,18 @@ def is_neutral_pair(h, f):
     fi = _scaled(f)[1]
     if _bracket(enumerate(hi), enumerate(fi), n) != [-2 * dh * x for x in fi]:
         return False
-    N = n * n
-    Af = _int_ad(fi, n)
     if h.is_diagonal():
-        d = hi[::n + 1]
-        cols = [a * n + b for a in range(n) for b in range(n)
-                if d[a] - d[b] == 2 * dh]
+        d, w = hi[::n + 1], 2 * dh
+        cells = {(x,): [(a, b) for a in range(n) for b in range(n) if d[a] - d[b] == x]
+                 for x in (w, 0)}
+        sol = _weight_two_solve([(x,) for x in d], cells, (w,), 1, fi)
     else:
-        cols = range(N)
-    return Subspace(N, [Af[c::N] for c in cols]).member(hi)
+        try:
+            g = grading(h)
+        except NotRationalSplit:
+            return False
+        sol = _weight_two_solve(g.labels, g._cells, (2,), *g.frame(f))
+    return sol is not NO_SOLUTION
 
 
 # ---------------------------------------------------------------------------

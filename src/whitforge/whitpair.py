@@ -179,7 +179,7 @@ def find_Z(pair):
     g = pair.grading
     D, T = g.frame(f)
     rhs = {divmod(k, n): 2 * D * x for k, x in enumerate(T) if x}
-    y0 = graded_solve(g, T, (-2,), (2,), rhs, power=2)
+    y0 = graded_solve(g.labels, g._cells, T, (-2,), (2,), rhs, power=2)
     if y0 is NO_SOLUTION:
         raise VerificationError("Z-decomposition system inconsistent; invalid pair")
     K = graded_kernel(g, T, (-2,), [w for w in g.weights if w != (2,)]) \

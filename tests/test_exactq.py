@@ -9,12 +9,12 @@ from whitforge import exactq
 from whitforge.errors import (DimensionMismatch, InternalCheckFailure,
                               NotRationalSplit)
 from whitforge.exactq import (NO_SOLUTION, QMatrix, Subspace, _bracket,
-                              _echelon, _int_ad, _kernel_rows, _lagrangian,
-                              _scaled, ad_matrix, char_poly, echelon_first,
-                              rat_parse, rat_str, rational_eigenvalues,
-                              rref_solve, skew_tools)
+                              _echelon, _kernel_rows, _lagrangian, _scaled,
+                              char_poly, echelon_first, rat_parse, rat_str,
+                              rational_eigenvalues, rref_solve, skew_tools)
 
 from conftest import E
+from dense_ad import ad_matrix, int_ad
 
 
 def test_rat_roundtrip():
@@ -111,7 +111,7 @@ def test_int_ad_columns_are_dense_brackets():
         N = n * n
         M = QMatrix(n, n, _random_entries(rng, n, rng.choice([0.0, 0.3, 1.0])))
         D = lcm(*(x.denominator for x in M.entries))
-        A = _int_ad([int(D * x) for x in M.entries], n)
+        A = int_ad([int(D * x) for x in M.entries], n)
         assert type(A) is list and len(A) == N * N
         assert all(type(x) is int for x in A)
         for k in range(N):

@@ -1,6 +1,6 @@
-"""The graded solvers of find_Z, the sl2 completion and the centralizers
-against the dense n^2-unknown eliminations they replaced, kept here verbatim
-as oracles."""
+"""The graded solvers of find_Z, the sl2 completion, the neutrality test and
+the centralizers against the dense n^2-unknown eliminations they replaced,
+kept here verbatim as oracles over the dense ad operator of dense_ad.py."""
 
 import random
 from fractions import Fraction
@@ -10,14 +10,16 @@ import pytest
 from whitforge.errors import (InternalCheckFailure, NoSolutionError,
                               VerificationError)
 from whitforge.exactq import (NO_SOLUTION, QMatrix, Subspace, _bracket,
-                              _echelon, _int_ad, _scaled, _solve,
-                              graded_kernel, grading)
-from whitforge.orbits import J_eta, _sl2_in_frame, h_eta, sl2_complete
+                              _echelon, _scaled, _solve, graded_kernel,
+                              grading)
+from whitforge.orbits import (J_eta, _sl2_in_frame, h_eta, is_neutral_pair,
+                              sl2_complete)
 from whitforge.partitions import partitions_of
 from whitforge.whitpair import (WhittakerPair, WhittakerTriple, _centralizer,
                                 bigrading, find_Z, quasi_model_data)
 
 from conftest import random_unimodular
+from dense_ad import int_ad
 
 
 # -- the dense oracles ------------------------------------------------------------
@@ -39,7 +41,7 @@ def dense_find_Z(pair):
     N = n * n
     _, Si = _scaled(S)
     df, fi = _scaled(f)
-    Af = _int_ad(fi, n)
+    Af = int_ad(fi, n)
     cols = []
     for k in range(N):
         F = Af[k::N]            # [f', E_k], column k of ad f'
@@ -67,7 +69,7 @@ def dense_sl2_complete(f, h):
     N = n * n
     dh, hi = _scaled(h)
     df, fi = _scaled(f)
-    top, bottom = _int_ad(hi, n), _int_ad(fi, n)
+    top, bottom = int_ad(hi, n), int_ad(fi, n)
     rows = []
     for r in range(N):
         row = [df * x for x in top[r * N:(r + 1) * N]]
@@ -86,8 +88,21 @@ def dense_sl2_complete(f, h):
 
 def dense_centralizer(f):
     """ker ad f, read off the rows of the int matrix ad(D_f f)."""
-    N, A = f.rows ** 2, _int_ad(_scaled(f)[1], f.rows)
+    N, A = f.rows ** 2, int_ad(_scaled(f)[1], f.rows)
     return Subspace(N, [A[r:r + N] for r in range(0, N * N, N)]).orthogonal()
+
+
+def dense_is_neutral_pair(h, f):
+    """[h,f] = -2f and h in image(ad f), the image membership decided over
+    all n^2 columns [D_f f, E_ab] of ad(D_f f)."""
+    n = f.rows
+    dh, hi = _scaled(h)
+    fi = _scaled(f)[1]
+    if _bracket(enumerate(hi), enumerate(fi), n) != [-2 * dh * x for x in fi]:
+        return False
+    N = n * n
+    Af = int_ad(fi, n)
+    return Subspace(N, [Af[c::N] for c in range(N)]).member(hi)
 
 
 def dense_solution_kernel_dim(pair):
@@ -95,7 +110,7 @@ def dense_solution_kernel_dim(pair):
     S, f, n = pair.S, pair.f, pair.n
     N = n * n
     Si, fi = _scaled(S)[1], _scaled(f)[1]
-    Af = _int_ad(fi, n)
+    Af = int_ad(fi, n)
     cols = []
     for k in range(N):
         F = Af[k::N]
@@ -157,6 +172,22 @@ def test_graded_paths_match_the_dense_oracles():
             g.space(lambda r: r == 1).intersect(g_f))
     # y_0 is reduced against more than g^f, so the reversed echelon decides
     assert larger_kernel >= 4
+
+
+def test_graded_neutrality_matches_the_dense_oracle():
+    # S (neutral iff z = 0), find_Z's h, and h shifted by a scalar, which
+    # keeps [h, f] = -2f but is never neutral; S and h are rarely diagonal
+    rng = random.Random("graded:17")
+    outcomes = set()
+    for k, n in enumerate(SIZES[:-2]):
+        pair = seeded_pair(n, rng, scaled=k % 2 == 1)
+        f = pair.f
+        h, _ = find_Z(pair)
+        for M in (pair.S, h, h + QMatrix.identity(n).scale(Fraction(1, 3))):
+            expected = dense_is_neutral_pair(M, f)
+            assert is_neutral_pair(M, f) is expected
+            outcomes.add(expected)
+    assert outcomes == {True, False}
 
 
 def test_named_pair_exercises_the_reversed_echelon():

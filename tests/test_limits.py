@@ -9,9 +9,11 @@ from fractions import Fraction
 
 import pytest
 
+from whitforge import exactq
 from whitforge.cli import main
 from whitforge.exactq import QMatrix, rat_str
 from whitforge.orbits import J_eta, h_eta, is_neutral_pair
+from whitforge.whitpair import WhittakerPair, find_Z
 
 from conftest import E, random_unimodular
 
@@ -232,6 +234,24 @@ def test_pair_chain_of_a_conjugated_dense_pair_at_n_12(capsys):
     cert = json.loads(out)
     assert cert["criticals"][0] == "0"
     assert QMatrix.from_json(cert["h"]) + QMatrix.from_json(cert["Z"]) == S
+
+
+def test_neutrality_of_a_conjugated_dense_pair_at_n_12_is_graded(monkeypatch):
+    # S and find_Z's h are not diagonal: each is tested in the frame of its
+    # own grading, so no elimination has a row of n^2 = 144 entries (the
+    # dense ad f has 144 columns)
+    S, f = conjugated_large_pair()
+    h, _ = find_Z(WhittakerPair(12, S, f))
+    widths = []
+    real = exactq._echelon
+
+    def recording(rows):
+        widths.extend(len(r) for r in rows)
+        return real(rows)
+    monkeypatch.setattr(exactq, "_echelon", recording)
+    assert is_neutral_pair(S, f) is False
+    assert is_neutral_pair(h, f) is True
+    assert widths and max(widths) < 144
 
 
 # -- 30-digit rationals in S --------------------------------------------------

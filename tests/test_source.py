@@ -50,3 +50,16 @@ def test_only_exactq_eliminates():
                 continue
             found += [f"{name}:{node.lineno} {x}" for x in sorted(used)]
     assert not found, f"elimination internals used outside exactq: {found}"
+
+
+def test_no_dense_ad_operator_in_library():
+    # ad M is built one weight at a time, by exactq's graded blocks; the
+    # dense n^2 x n^2 operator is a test oracle (tests/dense_ad.py)
+    dense = {"_int_ad", "ad_matrix"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            # a definition, an imported alias, a name or an attribute
+            names = {getattr(node, a, None) for a in ("name", "id", "attr")}
+            found += [f"{path.name}:{node.lineno} {x}" for x in sorted(names & dense)]
+    assert not found, f"dense ad operator in src/whitforge: {found}"

@@ -10,8 +10,8 @@ from whitforge.cli import canonical_json
 from whitforge.errors import (InternalCheckFailure, NotCommuting,
                               NotRationalSplit, ShapeViolation,
                               VerificationError)
-from whitforge.exactq import (QMatrix, Subspace, _kernel_rows, ad_matrix,
-                              rat_str, rational_eigenvalues, rref_solve)
+from whitforge.exactq import (QMatrix, Subspace, _kernel_rows, rat_str,
+                              rational_eigenvalues, rref_solve)
 from whitforge.orbits import (J_eta, h_eta, is_neutral_pair, neutral_for,
                               sl2_complete)
 from whitforge.partitions import partitions_of
@@ -22,6 +22,7 @@ from whitforge.whitpair import (WhittakerPair, WhittakerTriple, bigrading,
 
 from conftest import (E, random_nilpotent, random_unimodular,
                       random_whittaker_pair)
+from dense_ad import ad_matrix
 
 
 def glsame_pair():
@@ -230,20 +231,24 @@ def test_neutral_characterizations_agree_on_fractional_pairs():
 
 @pytest.mark.parametrize("shift", [0, Fraction(1, 2)])
 def test_is_neutral_pair_eliminates_only_the_weight_two_columns(monkeypatch, shift):
-    # for a diagonal h the one elimination gets the columns [f, E_ab] with
-    # h_aa - h_bb = 2 and no others; a scalar shift keeps those columns
+    # for a diagonal h the one elimination is the weight-2 block of ad f in
+    # the coordinate frame: one row per weight-0 target cell (h_aa = h_bb),
+    # one column per weight-2 cell [f, E_ab] (h_aa - h_bb = 2) and the
+    # right-hand side, and no other; a scalar shift keeps those cells
     eta = (4, 3, 1)
     f, h = J_eta(eta), h_eta(eta) + QMatrix.diag([shift] * 8)
-    weight_two = sum(1 for a in range(8) for b in range(8) if h[a, a] - h[b, b] == 2)
+    d = [h[a, a] for a in range(8)]
+    weight_two = sum(1 for a in d for b in d if a - b == 2)
+    weight_zero = sum(1 for a in d for b in d if a == b)
     calls = []
     real = exactq._echelon
 
     def counting(rows):
-        calls.append(len(rows))
+        calls.append((len(rows), {len(r) for r in rows}))
         return real(rows)
     monkeypatch.setattr(exactq, "_echelon", counting)
     assert is_neutral_pair(h, f) is (shift == 0)
-    assert calls == [weight_two]
+    assert calls == [(weight_zero, {weight_two + 1})]
 
 
 # -- bigrading -------------------------------------------------------------------
