@@ -7,6 +7,7 @@ precondition or failed lemma clause).
 """
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -393,7 +394,9 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(f"{self.prog}: {message}")
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once: every `main` call reuses it."""
     p = _Parser(
         prog="whitforge",
         description="exact certificates for nilpotent orbits and Whittaker pairs")

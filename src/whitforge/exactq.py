@@ -19,10 +19,12 @@ read their solutions through it.  `_echelon` is the only elimination:
 is read off `char_poly`.  `brackets` yields the brackets of the integer rows
 of one or two subspaces, for the bracket containments.
 
-`grading` builds the one eigenbasis grading, a `Grading`: a joint eigenbasis
-P of commuting rational semisimple matrices, with the weight of every frame
-cell E_ij.  `Grading.frame` is P^{-1} M P in ints and `unframe` maps a
-frame matrix back by int outer products of P's columns and P^{-1}'s rows.
+`grading` builds the one eigenbasis grading, a `Grading`, held as its int
+frame: the primitive int columns of a joint eigenbasis P of commuting
+rational semisimple matrices, the int rows R = s P^{-1} read off one
+elimination, and the weight of every frame cell E_ij.  `Grading.frame` is
+P^{-1} M P in ints and `unframe` maps a frame matrix back by int outer
+products of P's columns and R's rows.
 An M homogeneous in the grading shifts weights by one fixed amount, so
 ad(M) splits into one small block per weight: `graded_kernel` and
 `graded_solve` eliminate those blocks, and refuse an M that is not
@@ -821,22 +823,22 @@ def rational_eigenvalues(M):
 
 @dataclass(frozen=True)
 class Grading:
-    """gl_n graded by commuting rational semisimple matrices M_1, ..., M_k.
-    The columns of P are joint eigenvectors and labels[i] is the tuple of
-    eigenvalues of column i, so P E_ij P^{-1} has weight labels[i] - labels[j]:
-    one eigenvalue of ad M_1, ..., ad M_k per entry.  In the frame of P a
-    matrix M reads P^{-1} M P (`frame`), and a frame matrix X maps back to
-    P X P^{-1} (`unframe`)."""
-    P: QMatrix
-    Pinv: QMatrix
+    """gl_n graded by commuting rational semisimple matrices M_1, ..., M_k,
+    held as its int frame.  The columns of P are joint eigenvectors, kept as
+    the primitive int lists `cols`, and labels[i] is the tuple of
+    eigenvalues of column i, so P E_ij P^{-1} has weight labels[i] -
+    labels[j]: one eigenvalue of ad M_1, ..., ad M_k per entry.  The int
+    rows R are s P^{-1}, so s P E_ij P^{-1} is the outer product of cols[i]
+    and R[j].  In the frame of P a matrix M reads P^{-1} M P (`frame`), and
+    a frame matrix X maps back to P X P^{-1} (`unframe`)."""
     labels: tuple
+    cols: tuple
+    R: tuple
+    s: int
     # weight -> the (i, j) whose P E_ij P^{-1} have that weight
     _cells: dict = field(init=False, repr=False, compare=False)
-    # the columns of P and the rows of P^{-1}, each a primitive int list
-    _factors: tuple = field(init=False, repr=False, compare=False)
-    # (u, v, s): ints with s P E_ij P^{-1} = u_i v_j cols[i] rows[j] for
-    # (cols, rows) the _factors
-    _scales: tuple = field(init=False, repr=False, compare=False)
+    # the weights that occur, sorted
+    weights: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         cells = {}
@@ -845,43 +847,18 @@ class Grading:
                 w = tuple(x - y for x, y in zip(a, b))
                 cells.setdefault(w, []).append((i, j))
         object.__setattr__(self, "_cells", cells)
-        factors = []
-        scales = []
-        for vectors in (self.P.transpose().row_lists(), self.Pinv.row_lists()):
-            ints = [_integer_row(v) for v in vectors]
-            # each vector is q times its ints, and D q is an int for D the
-            # lcm of the q's denominators: D_P P[:, i] = u_i cols[i] and
-            # D_Pinv P^{-1}[j, :] = v_j rows[j], so s = D_P D_Pinv
-            q = [next(Fraction(x, y) for x, y in zip(v, row) if y)
-                 for v, row in zip(vectors, ints)]
-            D = lcm(*(x.denominator for x in q))
-            factors.append(ints)
-            scales.append(([x.numerator * (D // x.denominator) for x in q], D))
-        (u, a), (v, b) = scales
-        object.__setattr__(self, "_factors", tuple(factors))
-        object.__setattr__(self, "_scales", (u, v, a * b))
-
-    @property
-    def weights(self):
-        """The weights that occur, sorted."""
-        return tuple(sorted(self._cells))
+        object.__setattr__(self, "weights", tuple(sorted(cells)))
 
     def _vectors(self, cells):
-        """Nonzero int multiples of the flattened P E_ij P^{-1} for the given
-        cells (i, j): column i of P times row j of P^{-1}, both scaled to
-        primitive ints."""
-        cols, rows = self._factors
-        return [[x * y for x in cols[i] for y in rows[j]] for i, j in cells]
-
-    def component(self, w):
-        """The weight space of weight w in flattened gl_n."""
-        return self.space(lambda *x: x == w)
+        """s P E_ij P^{-1}, flattened, for the given cells (i, j): column i
+        of P times row j of R."""
+        return [[x * y for x in self.cols[i] for y in self.R[j]] for i, j in cells]
 
     def space(self, predicate):
         """Echelonized sum of the weight spaces whose weight satisfies the
         predicate, which gets one argument per grading matrix: one
         elimination over the selected cells' vectors."""
-        return Subspace(self.P.rows ** 2,
+        return Subspace(len(self.labels) ** 2,
                         self._vectors([ij for w, cells in self._cells.items()
                                        if predicate(*w) for ij in cells]))
 
@@ -900,27 +877,21 @@ class Grading:
     def frame(self, M):
         """(D, T): P^{-1} M P = T / D for a primitive int matrix T, flat and
         row-major, and a Fraction D.  Only ints are multiplied: entry (i, j)
-        of T is v_i u_j (row i of P^{-1}'s ints) (D_M M) (column j of P's
-        ints), D_M the lcm of M's denominators, over the content g of those
-        entries, and D = s D_M / g."""
-        cols, rows = self._factors
-        u, v, s = self._scales
+        of T is R[i] (D_M M) cols[j], D_M the lcm of M's denominators, over
+        the content g of those entries, and D = s D_M / g."""
         d, act = _int_action(M)
-        images = [act(c) for c in cols]
-        T = [vi * uj * sum(map(mul, row, im))
-             for row, vi in zip(rows, v) for im, uj in zip(images, u)]
+        images = [act(c) for c in self.cols]
+        T = [sum(map(mul, row, im)) for row in self.R for im in images]
         g = gcd(*T) or 1
-        return Fraction(s * d, g), [x // g for x in T] if g > 1 else T
+        return Fraction(self.s * d, g), [x // g for x in T] if g > 1 else T
 
     def _outer(self, terms):
         """s P X P^{-1}, flattened, for the frame matrix X = sum c E_ij over
-        the terms ((i, j), c) with int c: the int outer products of
-        `_vectors`, weighted by u_i v_j c."""
-        u, v, _ = self._scales
+        the terms ((i, j), c) with int c: the outer products of `_vectors`,
+        weighted by c."""
         out = [0] * len(self.labels) ** 2
         for (i, j), c in terms:
             if c:
-                c *= u[i] * v[j]
                 out = [o + c * x for o, x in zip(out, self._vectors([(i, j)])[0])]
         return out
 
@@ -930,7 +901,7 @@ class Grading:
         terms = [(ij, Fraction(c)) for ij, c in terms]
         L = lcm(*(c.denominator for _, c in terms))
         vec = self._outer([(ij, c.numerator * (L // c.denominator)) for ij, c in terms])
-        den, n = L * self._scales[2], len(self.labels)
+        den, n = L * self.s, len(self.labels)
         return QMatrix._trusted(n, n, [Fraction(x, den) if x else _ZERO for x in vec])
 
 
@@ -941,7 +912,10 @@ def grading(*Ms):
     the matrix of the images' coordinates over the block's basis.  The
     images are taken in ints, of the block's int rows under D M (D the lcm
     of M's denominators), and their coordinates divided by c = D D_B (D_B
-    the rows' common denominator) once, in that k x k matrix."""
+    the rows' common denominator) once, in that k x k matrix.  The columns
+    of P are the blocks' int rows made primitive, and R = s P^{-1} is read
+    off one elimination of the int rows of [P | I]: row k of its RREF is
+    a_k [e_k | P^{-1}[k, :]], and s is the lcm of the pivot entries a_k."""
     n = Ms[0].rows
     flats = [_scaled(M)[1] for M in Ms]
     for i, A in enumerate(flats):
@@ -967,9 +941,15 @@ def grading(*Ms):
                 if [c.denominator * x for x in act(v)] != [c.numerator * x for x in v]:
                     raise InternalCheckFailure(
                         "grading: a basis vector is not a joint eigenvector")
-    cols = [(label, v) for label, block in blocks for v in block.basis]
-    P = QMatrix._trusted(n, n, [v[r] for r in range(n) for _, v in cols])
-    return Grading(P, P.inverse(), tuple(label for label, _ in cols))
+    labels = tuple(label for label, block in blocks for _ in range(block.dim))
+    cols = tuple(tuple(_integer_row(v)) for _, block in blocks for v in block._dense())
+    A, piv = _echelon([[v[r] for v in cols] + [int(r == c) for c in range(n)]
+                       for r in range(n)])
+    if piv != list(range(n)):
+        raise InternalCheckFailure("grading: the joint eigenvectors are not a basis")
+    s = lcm(*(A[k][k] for k in range(n)))
+    R = tuple(tuple(x * (s // A[k][k]) for x in A[k][n:]) for k in range(n))
+    return Grading(labels, cols, R, s)
 
 
 def _graded_blocks(labels, cells, T, shift, weights, power):

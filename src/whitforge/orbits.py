@@ -153,7 +153,9 @@ def _conjugator(N, eta=None):
     """(lam, B, g): the Jordan type lam of N, read off the chain lengths of
     one jordan_chain_basis, the matrix B with the chains as columns in the
     order eta lists their lengths (eta = lam when not given), and its
-    inverse g, with g N g^{-1} = J_eta."""
+    inverse g, with g N g^{-1} = J_eta.  g N B = J_eta is checked in ints,
+    column by column: D_g g (D_N N) applied to the columns of D_B B against
+    D_g D_N D_B J_eta, D the lcm of a matrix's denominators."""
     chains = jordan_chain_basis(N)
     lam = tuple(sorted((len(ch) for ch in chains), reverse=True))
     eta = lam if eta is None else eta
@@ -168,7 +170,11 @@ def _conjugator(N, eta=None):
     n = N.rows
     B = QMatrix.from_rows([[cols[j][i] for j in range(n)] for i in range(n)])
     g = B.inverse()
-    if g * N * B != J_eta(eta):
+    dB, Bi = _scaled(B)
+    dN, times_n = _int_action(N)
+    dg, times_g = _int_action(g)
+    c, J = dg * dN * dB, _scaled(J_eta(eta))[1]
+    if any(times_g(times_n(Bi[j::n])) != [c * x for x in J[j::n]] for j in range(n)):
         raise InternalCheckFailure("jordan conjugator: g N g^-1 = J_eta fails")
     return lam, B, g
 

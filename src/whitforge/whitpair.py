@@ -5,16 +5,17 @@ certificates with obstruction spaces, and the degenerate / quasi model
 subgroup data.
 
 Every weight condition goes through one `Grading`: gl_n graded by commuting
-rational semisimple matrices, from a joint eigenbasis P of Q^n.  A Whittaker
-pair is graded by S alone (weights r, predicates `lambda r: ...`); the chain
-is bigraded by (h, Z) with S_t = h + tZ (weights (alpha, beta), predicates
-`lambda a, b: ...`), so the ad(S_t)-weight of a component is alpha + t beta.
-`space(predicate)` is one elimination over the selected P E_ij P^{-1}, and
-`component(w)` is that elimination for the single weight w.  f is
-homogeneous in both gradings, and so is everything the chain solves for:
-h comes from a y of S-weight 2, e has weight (2, 0), and g^f and g^e are
-sums of per-weight kernels, so each is solved one weight at a time in the
-grading's frame (`exactq.graded_solve`, `exactq.graded_kernel`).
+rational semisimple matrices, from a joint eigenbasis P of Q^n held in ints.
+A Whittaker pair is graded by S alone (weights r, predicates
+`lambda r: ...`); the chain is bigraded by (h, Z) with S_t = h + tZ
+(weights (alpha, beta), predicates `lambda a, b: ...`), so the
+ad(S_t)-weight of a component is alpha + t beta.  `space(predicate)` is one
+elimination over the selected cells' int s P E_ij P^{-1}.  f is homogeneous
+in both gradings, and so is everything the chain solves for: h comes from a
+y of S-weight 2 and e has weight (2, 0), each solved one weight at a time in
+the grading's frame (`exactq.graded_solve`); and a sum of weight spaces
+meets g^f or g^e in the kernels of ad f or ad e on its weights
+(`_centralizer`): the radicals, the obstructions and their duals.
 
 Convention used throughout (stated once): a functional phi is realized as the
 matrix f with phi(X) = trace(f X); then ad*-weights of phi equal ad-weights of
@@ -242,10 +243,13 @@ def quasi_criticals(S, f, h):
     return out, len(out)
 
 
-def _centralizer(g, T, shift):
-    """ker ad M for M homogeneous of weight shift in the grading g, with
-    frame ints T: the per-weight kernels, echelonized once."""
-    return Subspace(g.P.rows ** 2, graded_kernel(g, T, shift, g.weights))
+def _centralizer(g, T, shift, predicate):
+    """ker ad M on the weights of the grading g that satisfy the predicate,
+    for M homogeneous of weight shift with frame ints T: that sum of weight
+    spaces meets the centralizer of M in its per-weight kernels, echelonized
+    once."""
+    return Subspace(len(g.labels) ** 2, graded_kernel(
+        g, T, shift, [w for w in g.weights if predicate(*w)]))
 
 
 def _lagrangian_m(bg, f):
@@ -257,11 +261,13 @@ def _lagrangian_m(bg, f):
     return skew_tools(f, space, "lagrangian")
 
 
-def _snapshot(bg, f, g_f, m, t):
+def _snapshot(bg, f, Tf, m, t):
+    """The snapshot at t, for f with frame ints Tf in bg: its radical is
+    v_t (+) (w_t cap g^f), checked against omega_f's radical on u_t."""
     u = bg.space(lambda a, b: a + t * b >= 1)
     v = bg.space(lambda a, b: a + t * b > 1)
     w = bg.space(lambda a, b: a + t * b == 1)
-    rad = v.sum(w.intersect(g_f))
+    rad = v.sum(_centralizer(bg, Tf, (-2, 0), lambda a, b: a + t * b == 1))
     rad_direct = skew_tools(f, u, "radical")
     if rad_direct != rad:
         raise VerificationError(
@@ -288,8 +294,7 @@ def snapshot(h, Z, f, t):
         raise VerificationError("t must be >= 0")
     _check_pair_data(h, Z, f)
     bg = bigrading(h, Z)
-    g_f = _centralizer(bg, bg.frame(f)[1], (-2, 0))
-    return _snapshot(bg, f, g_f, _lagrangian_m(bg, f), t)
+    return _snapshot(bg, f, bg.frame(f)[1], _lagrangian_m(bg, f), t)
 
 
 def chain(pair):
@@ -302,14 +307,12 @@ def chain(pair):
     bg = bigrading(h, Z)
     Df, Tf = bg.frame(f)
     e, Te = _sl2_in_frame(bg, f, h, (2, 0), Df, Tf)
-    g_f = _centralizer(bg, Tf, (-2, 0))
-    ker_ad_e = _centralizer(bg, Te, (2, 0))
     crits = [t for t in _critical_values(bg) if t <= 1]
     nodes = list(crits)
     if nodes[-1] != 1:
         nodes.append(Fraction(1))
     m = _lagrangian_m(bg, f)
-    snaps = [_snapshot(bg, f, g_f, m, t) for t in nodes]
+    snaps = [_snapshot(bg, f, Tf, m, t) for t in nodes]
     inclusions = []
     obstructions = []
     for prev, cur in zip(snaps, snaps[1:]):
@@ -317,7 +320,7 @@ def chain(pair):
         if not cur.l.contains(prev.r):
             raise VerificationError(
                 f"Lemma 4.4 inclusion r_{rat_str(t)} <= l_{rat_str(T)} violated")
-        obstruction = cur.w.intersect(g_f)
+        obstruction = _centralizer(bg, Tf, (-2, 0), lambda a, b: a + T * b == 1)
         if prev.r.sum(obstruction) != cur.l or \
                 prev.r.dim + obstruction.dim != cur.l.dim:
             raise VerificationError(
@@ -331,7 +334,7 @@ def chain(pair):
             raise VerificationError(
                 f"Lemma 4.4 commutative quotient [r_{rat_str(t)}, r_{rat_str(t)}] "
                 f"<= v_{rat_str(T)} violated")
-        dual = bg.space(lambda a, b: a + T * b == -1).intersect(ker_ad_e)
+        dual = _centralizer(bg, Te, (2, 0), lambda a, b: a + T * b == -1)
         if dual.dim != obstruction.dim:
             raise VerificationError(
                 f"obstruction dual dimension mismatch at t={rat_str(T)}")
@@ -374,8 +377,7 @@ def quasi_model_data(triple):
     g = pair.grading
     u = g.space(lambda r: r >= 1)
     v = g.space(lambda r: r > 1)
-    w = g.space(lambda r: r == 1)
-    z = v.sum(w.intersect(_centralizer(g, g.frame(f)[1], (-2,))))
+    z = v.sum(_centralizer(g, g.frame(f)[1], (-2,), lambda r: r == 1))
     k = _functional_kernel(z, f + fp, n)
     pair_fp = _trace_pairing(fp.entries, n)
     for br in brackets(u):

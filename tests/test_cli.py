@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from whitforge import orbits
-from whitforge.cli import main, parse_matrix_spec, verify_fixtures
+from whitforge.cli import build_parser, main, parse_matrix_spec, verify_fixtures
 from whitforge.errors import ParseError
 from whitforge.exactq import QMatrix
 
@@ -165,6 +165,19 @@ def _assert_parse_error(code, out, err):
         "unknown-option", "non-integer-n", "no-verb", "undeclared-option"])
 def test_malformed_arguments_are_parse_errors(capsys, argv):
     _assert_parse_error(*run_cli(capsys, *argv))
+
+
+def test_main_reuses_one_parser(capsys):
+    # the parser is built once: after a valid call, usage errors are still
+    # JSON ParseErrors, and a repeated valid call prints the same bytes
+    assert build_parser() is build_parser()
+    argv = ("pair-chain", "--S", "diag(3,1,-1,-3)", "--f", "E21+E43", "--t", "1/2")
+    first = run_cli(capsys, *argv)
+    assert first[0] == 0 and json.loads(first[1])
+    _assert_parse_error(*run_cli(capsys, "pair-chain", "--S", "diag(1,-1)",
+                                 "--f", "E21", "--h", "E12"))
+    _assert_parse_error(*run_cli(capsys, "orbit-closure", "--eta", "2,2"))
+    assert run_cli(capsys, *argv) == first
 
 
 def _missing(tmp_path):

@@ -16,7 +16,7 @@ from whitforge.orbits import (J_eta, _sl2_in_frame, h_eta, is_neutral_pair,
                               sl2_complete)
 from whitforge.partitions import partitions_of
 from whitforge.whitpair import (WhittakerPair, WhittakerTriple, _centralizer,
-                                bigrading, find_Z, quasi_model_data)
+                                bigrading, chain, find_Z, quasi_model_data)
 
 from conftest import random_unimodular
 from dense_ad import int_ad
@@ -145,6 +145,10 @@ def seeded_pair(n, rng, scaled):
 SIZES = (2, 3, 4, 4, 5, 5, 6, 6, 7, 7, 8, 8, 10, 12)
 
 
+def all_weights(*w):
+    return True
+
+
 def test_graded_paths_match_the_dense_oracles():
     rng = random.Random("graded:16")
     larger_kernel = 0
@@ -163,15 +167,37 @@ def test_graded_paths_match_the_dense_oracles():
         Df, Tf = bg.frame(f)
         e_graded, Te = _sl2_in_frame(bg, f, h, (2, 0), Df, Tf)
         assert e_graded == e
-        assert _centralizer(bg, Tf, (-2, 0)) == g_f
-        assert _centralizer(bg, Te, (2, 0)) == dense_centralizer(e)
+        assert _centralizer(bg, Tf, (-2, 0), all_weights) == g_f
+        assert _centralizer(bg, Te, (2, 0), all_weights) == dense_centralizer(e)
         g = pair.grading
-        assert _centralizer(g, g.frame(f)[1], (-2,)) == g_f
+        assert _centralizer(g, g.frame(f)[1], (-2,), all_weights) == g_f
         z = quasi_model_data(WhittakerTriple(pair, QMatrix.zeros(n)))["z"]
         assert z == g.space(lambda r: r > 1).sum(
             g.space(lambda r: r == 1).intersect(g_f))
     # y_0 is reduced against more than g^f, so the reversed echelon decides
     assert larger_kernel >= 4
+
+
+def test_chain_intersections_match_the_dense_oracle():
+    # at every node, rad = v (+) (w cap g^f), and between nodes the
+    # obstruction w_T cap g^f and its dual in ker ad e, all solved as graded
+    # kernels, against the weight spaces intersected with the dense kernels
+    rng = random.Random("graded:18")
+    nonzero = 0
+    for k, n in enumerate(SIZES):
+        pair = seeded_pair(n, rng, scaled=k % 2 == 1)
+        cert = chain(pair)
+        bg = bigrading(cert.h, cert.Z)
+        g_f, g_e = dense_centralizer(pair.f), dense_centralizer(cert.e)
+        for snap in cert.snapshots:
+            assert snap.rad == snap.v.sum(snap.w.intersect(g_f))
+        for o in cert.obstructions:
+            T = o["t"]
+            assert o["space"] == bg.space(lambda a, b: a + T * b == 1).intersect(g_f)
+            assert o["dual"] == bg.space(lambda a, b: a + T * b == -1).intersect(g_e)
+            nonzero += o["space"].dim > 0
+    # most obstructions are 0; these pairs give 20 that are not
+    assert nonzero >= 10
 
 
 def test_graded_neutrality_matches_the_dense_oracle():

@@ -9,8 +9,8 @@ import pytest
 
 from whitforge import exactq, orbits
 from whitforge.cli import canonical_json
-from whitforge.errors import (NoSolutionError, NotNilpotent, UnsupportedQuery,
-                              WrongPartition)
+from whitforge.errors import (InternalCheckFailure, NoSolutionError,
+                              NotNilpotent, UnsupportedQuery, WrongPartition)
 from whitforge.exactq import QMatrix, Subspace, rat_str
 from whitforge.orbits import (J_eta, J_eta_a, SlOrbitClass, h_eta,
                               integer_nth_root, is_dth_power, is_neutral_pair,
@@ -192,6 +192,21 @@ def test_conjugator_chain_case():
     N = E(4, 2, 1) + E(4, 4, 3) + E(4, 4, 2)
     g = jordan_conjugator(N, (3, 1))
     assert g * N * g.inverse() == J_eta((3, 1))
+
+
+@pytest.mark.parametrize("second", [Fraction(1, 3), Fraction(2, 3)])
+def test_conjugator_checks_g_N_B_against_J_eta(monkeypatch, second):
+    # N = E21 / 3 has the chain (e1, N e1 = e2 / 3); a second vector of
+    # 2 N e1 still makes B invertible, but then g N B = J_eta / 2
+    N = E(2, 2, 1).scale(Fraction(1, 3))
+    monkeypatch.setattr(orbits, "jordan_chain_basis",
+                        lambda _: [[[Fraction(1), Fraction(0)], [Fraction(0), second]]])
+    if second == Fraction(1, 3):
+        g = jordan_conjugator(N, (2,))
+        assert g * N * g.inverse() == J_eta((2,))
+    else:
+        with pytest.raises(InternalCheckFailure, match="J_eta fails"):
+            jordan_conjugator(N, (2,))
 
 
 def test_conjugator_wrong_partition():

@@ -63,3 +63,12 @@ def test_no_dense_ad_operator_in_library():
             names = {getattr(node, a, None) for a in ("name", "id", "attr")}
             found += [f"{path.name}:{node.lineno} {x}" for x in sorted(names & dense)]
     assert not found, f"dense ad operator in src/whitforge: {found}"
+
+
+def test_whitpair_intersects_no_subspaces():
+    # every intersection with a centralizer is a graded kernel: ker ad M on
+    # the weights of the other space (whitpair._centralizer with a predicate)
+    tree = ast.parse((SRC / "whitpair.py").read_text())
+    found = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "intersect"]
+    assert not found, f"whitpair.py calls intersect at lines {found}"

@@ -257,8 +257,8 @@ def test_bigrading_glsame_entries():
     bg = bigrading(QMatrix.diag([1, -1, 1, -1]), QMatrix.diag([2, 2, -2, -2]))
     assert list(bg.terms(E(4, 1, 3))) == [(0, 4)]
     assert list(bg.terms(E(4, 1, 4))) == [(2, 4)]
-    assert bg.component((0, 4)).member(flat(E(4, 1, 3)))
-    assert bg.component((2, 4)).member(flat(E(4, 1, 4)))
+    assert bg.space(lambda *x: x == (0, 4)).member(flat(E(4, 1, 3)))
+    assert bg.space(lambda *x: x == (2, 4)).member(flat(E(4, 1, 4)))
 
 
 def test_bigrading_z_zero():
@@ -269,7 +269,7 @@ def test_bigrading_z_zero():
 def test_bigrading_h_zero():
     bg = bigrading(QMatrix.zeros(2), QMatrix.diag([1, -1]))
     assert list(bg.terms(E(2, 1, 2))) == [(0, 2)]
-    assert bg.component((0, 2)).member(flat(E(2, 1, 2)))
+    assert bg.space(lambda *x: x == (0, 2)).member(flat(E(2, 1, 2)))
 
 
 def test_bigrading_requires_commuting():
@@ -315,16 +315,13 @@ def _check_against_oracle(grad, Ms, diags, rng):
     assert sum(sp.dim for sp in oracle.values()) == n * n
     assert set(grad.weights) == {w for w, sp in oracle.items() if sp.dim}
     for w in grad.weights:
-        assert grad.component(w) == oracle[w]
+        assert grad.space(lambda *x: x == w) == oracle[w]
     # terms(M) splits a random M into homogeneous parts that sum to M
     M = QMatrix.from_rows([[Fraction(rng.randint(-2, 2)) for _ in range(n)]
                            for _ in range(n)])
     total = QMatrix.zeros(n)
     for w, terms in grad.terms(M).items():
-        ent = [Fraction(0)] * (n * n)
-        for i, j, c in terms:
-            ent[i * n + j] = c
-        part = grad.P * QMatrix(n, n, ent) * grad.Pinv
+        part = grad.unframe(((i, j), c) for i, j, c in terms)
         assert not part.is_zero() and oracle[w].member(part.flat())
         total = total + part
     assert total == M
@@ -356,8 +353,8 @@ def test_grading_of_s_matches_kernel_oracle(rng):
 
 def test_grading_space_runs_one_elimination(monkeypatch):
     g = grading(QMatrix.diag([3, 1, -1, -3]))
-    assert g.component((6,)) == Subspace(16, [flat(E(4, 1, 4))])
-    assert g.component((5,)).dim == 0
+    assert g.space(lambda *x: x == (6,)) == Subspace(16, [flat(E(4, 1, 4))])
+    assert g.space(lambda *x: x == (5,)).dim == 0
     u = random_unimodular(4, random.Random(5))
     g = grading(u * QMatrix.diag([3, 1, -1, -3]) * u.inverse())
     real, calls = exactq._echelon, []
@@ -370,7 +367,7 @@ def test_grading_space_runs_one_elimination(monkeypatch):
     assert calls == [6]
     monkeypatch.undo()
     assert space == Subspace(16, [v for w in g.weights if w[0] >= 2
-                                  for v in g.component(w).basis])
+                                  for v in g.space(lambda *x: x == w).basis])
 
 
 def test_grading_checks_every_joint_eigenvector(monkeypatch):
@@ -381,6 +378,16 @@ def test_grading_checks_every_joint_eigenvector(monkeypatch):
     monkeypatch.setattr(exactq, "rational_eigenvalues", shifted)
     with pytest.raises(InternalCheckFailure, match="joint eigenvector"):
         bigrading(QMatrix.diag([1, -1]), QMatrix.diag([2, 2]))
+
+
+def test_grading_checks_that_the_eigenvectors_are_a_basis(monkeypatch):
+    # two copies of one eigenline are joint eigenvectors, but P is singular:
+    # the elimination of [P | I] that gives s P^{-1} finds a pivot right of P
+    def one_line_twice(M):
+        return [(Fraction(1), Subspace(M.rows, [[1] + [0] * (M.rows - 1)]))] * 2
+    monkeypatch.setattr(exactq, "rational_eigenvalues", one_line_twice)
+    with pytest.raises(InternalCheckFailure, match="not a basis"):
+        grading(QMatrix.identity(2))
 
 
 # -- critical numbers -------------------------------------------------------------
