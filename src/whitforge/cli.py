@@ -183,8 +183,10 @@ def cmd_pair_check(args):
     doc = _read_input(args)
     pair = _build_pair(args, doc)
     h, Z = whitpair.find_Z(pair)
+    # S is neutral iff S = h: h - S lies in g^f, im ad f and g^S_0, which
+    # meet in 0 for a neutral S (g^f meets im ad f in negative weights)
     return {"valid": True,
-            "S_is_neutral": orbits.is_neutral_pair(pair.S, pair.f),
+            "S_is_neutral": Z.is_zero(),
             "h": h.to_json(), "Z": Z.to_json()}
 
 

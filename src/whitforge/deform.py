@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .errors import InternalCheckFailure, NotDominated, PreconditionViolation
 from .exactq import QMatrix, rat_str
-from .orbits import (J_eta, h_eta, is_dth_power, is_neutral_pair,
+from .orbits import (J_eta, _twist, h_eta, is_dth_power, is_neutral_pair,
                      jordan_partition, power_class, rational_dth_root,
                      sl_class)
 from .partitions import as_partition, dominance_leq, lemma_part_index
@@ -258,9 +258,9 @@ def d_of(lam):
     return math.gcd(*lam)
 
 
-def _conjugate_cert(cert, T):
-    Ti = T.inverse()
-    return (T * cert.h * Ti, T * cert.f * Ti, T * cert.Z * Ti, T * cert.psi * Ti)
+def _conjugate_cert(cert, delta):
+    """h, f, Z and psi conjugated by diag(delta, 1, ..., 1)."""
+    return tuple(_twist(M, delta) for M in (cert.h, cert.f, cert.Z, cert.psi))
 
 
 def deform_sl(mu, lam, a, b):
@@ -299,9 +299,8 @@ def deform_sl(mu, lam, a, b):
             "source/target classes of the gl certificate differ by a non-d-th power")
     # delta multiplies both classes; land them on c modulo the proper powers
     delta = (c / s_lam.a_class) * rho ** (-x * dl)
-    T = QMatrix.diag([delta] + [Fraction(1)] * (base.n - 1))
-    h2, f2, Z2, psi2 = _conjugate_cert(base, T)
-    # conjugating by the diagonal T keeps h and Z diagonal: re-run the checker
+    h2, f2, Z2, psi2 = _conjugate_cert(base, delta)
+    # conjugating by a diagonal matrix keeps h and Z diagonal: re-run the checker
     checks = _check_raising(h2, f2, Z2, psi2, mu, lam)
     if not is_dth_power(sl_class(f2 + psi2).a_class / a, dl):
         raise InternalCheckFailure("target SL class mismatch")

@@ -31,8 +31,10 @@ ad(M) splits into one small block per weight: `graded_kernel` and
 homogeneous, whose images the blocks would miss.  These blocks are the one
 ad-operator builder, and a diagonal matrix's coordinate frame serves too.
 
-`_bracket` is the one bracket, of int or Fraction matrices, and
-`QMatrix.bracket` wraps it; it multiplies only nonzero entries.  The skew
+`_bracket` is the one bracket, of int matrices only, and multiplies only
+nonzero entries; `QMatrix` products and brackets run `_int_action` and
+`_bracket` on their operands scaled to ints and divide once, and the
+eigenspace of p/q is eliminated from the int rows of q D M - p D I.  The skew
 form omega_f(X, Y) = trace(f [X, Y]) on a subspace W is evaluated once, as
 the integer Gram matrix G of W's integer rows, a constant times the Gram
 matrix on its echelon basis: the radical is the kernel of G, and the
@@ -105,7 +107,8 @@ def rat_parse(s):
 
 
 class QMatrix:
-    """Dense immutable matrix of Fractions, row-major."""
+    """Dense immutable matrix of Fractions, row-major.  Products, matvecs
+    and brackets run in ints (`_int_action`, `_bracket`), divided once."""
 
     __slots__ = ("rows", "cols", "entries", "_hash")
 
@@ -210,35 +213,28 @@ class QMatrix:
         return QMatrix._trusted(self.rows, self.cols, [c * a for a in self.entries])
 
     def __mul__(self, other):
-        if isinstance(other, QMatrix):
-            if self.cols != other.rows:
-                raise DimensionMismatch("matmul shape mismatch")
-            n, k, m = self.rows, self.cols, other.cols
-            A, B = self.entries, other.entries
-            out = [_ZERO] * (n * m)
-            for i in range(n):
-                base = i * k
-                for t in range(k):
-                    a = A[base + t]
-                    if a:
-                        brow = t * m
-                        orow = i * m
-                        for j in range(m):
-                            b = B[brow + j]
-                            if b:
-                                out[orow + j] += a * b
-            return QMatrix._trusted(n, m, out)
-        return self.scale(other)
+        if not isinstance(other, QMatrix):
+            return self.scale(other)
+        if self.cols != other.rows:
+            raise DimensionMismatch("matmul shape mismatch")
+        da, act = _int_action(self)
+        db, B = _scaled(other)
+        m, den = other.cols, da * db
+        cols = [act(B[j::m]) for j in range(m)]
+        return QMatrix._trusted(self.rows, m, [Fraction(x, den) if x else _ZERO
+                                               for row in zip(*cols) for x in row])
 
     __rmul__ = scale
 
     def bracket(self, other):
-        """[A, B] = AB - BA for square A, B of one size (see `_bracket`)."""
+        """[A, B] = [D_A A, D_B B] / (D_A D_B) for square A, B of one size."""
         n = self.rows
         if (self.cols, other.rows, other.cols) != (n, n, n):
             raise DimensionMismatch("bracket needs square matrices of one size")
-        return QMatrix._trusted(n, n, _bracket(
-            enumerate(self.entries), enumerate(other.entries), n, _ZERO))
+        (da, A), (db, B) = _scaled(self), _scaled(other)
+        den = da * db
+        return QMatrix._trusted(n, n, [Fraction(x, den) if x else _ZERO for x in
+                                       _bracket(enumerate(A), enumerate(B), n)])
 
     def transpose(self):
         return QMatrix._trusted(self.cols, self.rows,
@@ -254,13 +250,7 @@ class QMatrix:
     def matvec(self, v):
         if len(v) != self.cols:
             raise DimensionMismatch("matvec shape mismatch")
-        out = []
-        for i in range(self.rows):
-            base = i * self.cols
-            out.append(sum((self.entries[base + j] * v[j]
-                            for j in range(self.cols) if self.entries[base + j] and v[j]),
-                           Fraction(0)))
-        return out
+        return list((self * QMatrix(len(v), 1, v)).entries)
 
     def is_zero(self):
         return not any(self.entries)
@@ -312,12 +302,12 @@ class QMatrix:
         return cls.from_rows([[rat_parse(x) for x in row] for row in obj])
 
 
-def _bracket(A, B, n, zero=0):
-    """[A, B] = AB - BA of flattened n x n matrices of ints or Fractions,
-    each given by (flat index, entry) pairs (all entries, or the nonzero
-    ones), as a flat list.  Each nonzero a = A[i, j] adds a B[j, :] to row i
-    and subtracts a B[:, i] from column j, so only the nonzero entries of A
-    meet the nonzero entries of B; entries nothing reaches stay `zero`."""
+def _bracket(A, B, n):
+    """[A, B] = AB - BA of flattened n x n int matrices, each given by
+    (flat index, entry) pairs (all entries, or the nonzero ones), as a flat
+    list of ints.  Each nonzero a = A[i, j] adds a B[j, :] to row i and
+    subtracts a B[:, i] from column j, so only the nonzero entries of A meet
+    the nonzero entries of B."""
     by_row = [[] for _ in range(n)]
     by_col = [[] for _ in range(n)]
     for k, b in B:
@@ -325,7 +315,7 @@ def _bracket(A, B, n, zero=0):
             r, c = divmod(k, n)
             by_row[r].append((c, b))
             by_col[c].append((r, b))
-    out = [zero] * (n * n)
+    out = [0] * (n * n)
     for k, a in A:
         if a:
             i, j = divmod(k, n)
@@ -805,10 +795,13 @@ def rational_eigenvalues(M):
     n = M.rows
     if n != M.cols:
         raise DimensionMismatch("eigenvalues of non-square")
+    D, flat = _scaled(M)
     out = []
     for lam in _rational_roots(char_poly(M)):    # exact roots: nonzero spaces
-        shifted = M - QMatrix.identity(n).scale(lam)
-        out.append((lam, Subspace(n, shifted.row_lists()).orthogonal()))
+        p, q = lam.numerator * D, lam.denominator    # q (D M - D lam I) in ints
+        shifted = [[q * x - p * (i == j) for j, x in enumerate(flat[i * n:(i + 1) * n])]
+                   for i in range(n)]
+        out.append((lam, Subspace(n, shifted).orthogonal()))
     total = sum(space.dim for _, space in out)
     if total != n:
         raise NotRationalSplit(

@@ -59,14 +59,22 @@ def standard_rep(eta):
     return rep
 
 
+def _twist(M, a):
+    """diag(a, 1, ..., 1) M diag(a, 1, ..., 1)^{-1}: row 0 of M times a and
+    column 0 over a, the diagonal kept."""
+    n = M.rows
+    e = list(M.entries)
+    for j in range(1, n):
+        e[j], e[j * n] = e[j] * a, e[j * n] / a
+    return QMatrix._trusted(n, n, e)
+
+
 def J_eta_a(eta, a):
     """Twisted representative diag(a,1,...,1) J_eta diag(a,1,...,1)^{-1}."""
     a = Fraction(a)
     if a == 0:
         raise ValueError("a must be nonzero")
-    n = sum(eta)
-    D = QMatrix.diag([a] + [Fraction(1)] * (n - 1))
-    return D * J_eta(eta) * D.inverse()
+    return _twist(J_eta(eta), a)
 
 
 # ---------------------------------------------------------------------------
@@ -213,11 +221,7 @@ def _sl2_in_frame(g, f, h, w, D, T):
     if sol is NO_SOLUTION:
         raise NoSolutionError("no sl2 completion; (h, f) is not a neutral pair")
     e = g.unframe(sol)
-    # in ints: [D_h h, D_e e] = 2 D_h (D_e e), D_h [D_e e, D_f f] = D_e D_f (D_h h)
-    (dh, hi), (de, ei), (df, fi) = _scaled(h), _scaled(e), _scaled(f)
-    if _bracket(enumerate(hi), enumerate(ei), n) != [2 * dh * x for x in ei] or \
-            [dh * x for x in _bracket(enumerate(ei), enumerate(fi), n)] != \
-            [de * df * x for x in hi]:
+    if h.bracket(e) != e.scale(2) or e.bracket(f) != h:
         raise InternalCheckFailure("sl2 completion: [h,e] = 2e, [e,f] = h fails")
     L = math.lcm(*(x.denominator for _, x in sol))
     Te = [0] * (n * n)

@@ -187,12 +187,10 @@ def find_Z(pair):
         + graded_kernel(g, T, (-2,), [(2,)], power=2)
     dy, y = echelon_first(g.unframe(y0).entries, K)
     df, fi = _scaled(f)
-    hi = _bracket(enumerate(fi), enumerate(y), n)
-    h = QMatrix._trusted(n, n, [Fraction(x, df * dy) for x in hi])
+    h = QMatrix._trusted(n, n, [Fraction(x, df * dy)
+                                for x in _bracket(enumerate(fi), enumerate(y), n)])
     Z = S - h
-    zi = _scaled(Z)[1]
-    if any(_bracket(enumerate(zi), enumerate(fi), n)) or \
-            any(_bracket(enumerate(zi), enumerate(hi), n)):
+    if not (Z.bracket(f).is_zero() and Z.bracket(h).is_zero()):
         raise VerificationError("Z-decomposition commutation check failed")
     return h, Z
 
@@ -262,20 +260,23 @@ def _lagrangian_m(bg, f):
 
 
 def _snapshot(bg, f, Tf, m, t):
-    """The snapshot at t, for f with frame ints Tf in bg: its radical is
-    v_t (+) (w_t cap g^f), checked against omega_f's radical on u_t."""
-    u = bg.space(lambda a, b: a + t * b >= 1)
-    v = bg.space(lambda a, b: a + t * b > 1)
-    w = bg.space(lambda a, b: a + t * b == 1)
-    rad = v.sum(_centralizer(bg, Tf, (-2, 0), lambda a, b: a + t * b == 1))
+    """(the snapshot at t, w_t cap g^f), for f with frame ints Tf in bg: the
+    radical is v_t (+) (w_t cap g^f), checked against omega_f's radical on
+    u_t.  Each weight's ad(S_t)-weight a + t b is formed once, in `st`."""
+    st = {(a, b): a + t * b for a, b in bg.weights}
+    u = bg.space(lambda *ab: st[ab] >= 1)
+    v = bg.space(lambda *ab: st[ab] > 1)
+    w = bg.space(lambda *ab: st[ab] == 1)
+    cap = _centralizer(bg, Tf, (-2, 0), lambda *ab: st[ab] == 1)
+    rad = v.sum(cap)
     rad_direct = skew_tools(f, u, "radical")
     if rad_direct != rad:
         raise VerificationError(
             f"Lemma 4.3(iv) radical decomposition violated at t={rat_str(t)}")
-    zneg = bg.space(lambda a, b: a + t * b >= 1 and b < 0)
-    zpos = bg.space(lambda a, b: a + t * b >= 1 and b > 0)
-    l = m.sum(zneg).sum(rad)
-    r = m.sum(zpos).sum(rad)
+    zneg = bg.space(lambda *ab: st[ab] >= 1 and ab[1] < 0)
+    zpos = bg.space(lambda *ab: st[ab] >= 1 and ab[1] > 0)
+    l, r = (Subspace(u.ambient_dim, m._dense() + z._dense() + rad._dense())
+            for z in (zneg, zpos))
     for name, iso in (("l", l), ("r", r)):
         if 2 * iso.dim != u.dim + rad.dim:
             raise VerificationError(
@@ -284,7 +285,7 @@ def _snapshot(bg, f, Tf, m, t):
         if not gram.is_zero():
             raise VerificationError(
                 f"{name}_t is not isotropic at t={rat_str(t)}")
-    return DeformationSnapshot(t, u, v, w, rad, l, r)
+    return DeformationSnapshot(t, u, v, w, rad, l, r), cap
 
 
 def snapshot(h, Z, f, t):
@@ -294,7 +295,7 @@ def snapshot(h, Z, f, t):
         raise VerificationError("t must be >= 0")
     _check_pair_data(h, Z, f)
     bg = bigrading(h, Z)
-    return _snapshot(bg, f, bg.frame(f)[1], _lagrangian_m(bg, f), t)
+    return _snapshot(bg, f, bg.frame(f)[1], _lagrangian_m(bg, f), t)[0]
 
 
 def chain(pair):
@@ -312,15 +313,14 @@ def chain(pair):
     if nodes[-1] != 1:
         nodes.append(Fraction(1))
     m = _lagrangian_m(bg, f)
-    snaps = [_snapshot(bg, f, Tf, m, t) for t in nodes]
+    snaps, caps = zip(*(_snapshot(bg, f, Tf, m, t) for t in nodes))
     inclusions = []
     obstructions = []
-    for prev, cur in zip(snaps, snaps[1:]):
+    for prev, cur, obstruction in zip(snaps, snaps[1:], caps[1:]):
         t, T = prev.t, cur.t
         if not cur.l.contains(prev.r):
             raise VerificationError(
                 f"Lemma 4.4 inclusion r_{rat_str(t)} <= l_{rat_str(T)} violated")
-        obstruction = _centralizer(bg, Tf, (-2, 0), lambda a, b: a + T * b == 1)
         if prev.r.sum(obstruction) != cur.l or \
                 prev.r.dim + obstruction.dim != cur.l.dim:
             raise VerificationError(
@@ -347,7 +347,7 @@ def chain(pair):
                            "obstruction_dim": obstruction.dim})
         obstructions.append({"t": T, "space": obstruction, "dual": dual})
     return ChainCertificate(pair, h, Z, e, tuple(crits), tuple(nodes),
-                            tuple(snaps), tuple(inclusions), tuple(obstructions))
+                            snaps, tuple(inclusions), tuple(obstructions))
 
 
 def _functional_kernel(space, f, n):
@@ -379,7 +379,7 @@ def quasi_model_data(triple):
     v = g.space(lambda r: r > 1)
     z = v.sum(_centralizer(g, g.frame(f)[1], (-2,), lambda r: r == 1))
     k = _functional_kernel(z, f + fp, n)
-    pair_fp = _trace_pairing(fp.entries, n)
+    pair_fp = _trace_pairing(_scaled(fp)[1], n)
     for br in brackets(u):
         if not z.member(br):
             raise ShapeViolation("[u, u] <= z violated")

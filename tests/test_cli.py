@@ -238,6 +238,22 @@ def test_pair_check_pins_the_echelon_first_h(tmp_path, capsys):
         [[3, -4, -4, 4], [4, -7, -8, 8], [-2, 6, 9, -10], [0, 2, 4, -5]]).to_json()
 
 
+def test_pair_check_cli_dense_neutral_pair(tmp_path, capsys):
+    # the pinned h above, as S with the same f: a neutral S that is not
+    # diagonal, read as neutral because find_Z returns it as h (Z = 0)
+    S = [[3, -4, -4, 4], [4, -7, -8, 8], [-2, 6, 9, -10], [0, 2, 4, -5]]
+    f = [[1, -1, -1, 1], [2, -2, -2, 2], [-2, 3, 4, -4], [-1, 2, 3, -3]]
+    path = tmp_path / "neutral.json"
+    path.write_text(json.dumps({"S": S, "f": f}))
+    code, out, _ = run_cli(capsys, "pair-check", str(path))
+    assert code == 0
+    assert '"S_is_neutral":true' in out
+    doc = json.loads(out)
+    assert doc["h"] == QMatrix.from_rows(S).to_json()
+    assert doc["Z"] == QMatrix.zeros(4).to_json()
+    assert orbits.is_neutral_pair(QMatrix.from_rows(S), QMatrix.from_rows(f))
+
+
 def test_pair_check_cli_rejects_non_pair(capsys):
     code, out, err = run_cli(capsys, "pair-check", "--S", "diag(1,1)", "--f", "E21")
     assert code == 2 and out == ""

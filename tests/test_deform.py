@@ -288,8 +288,8 @@ def test_deform_sl_checks_the_conjugated_certificate(monkeypatch, index, entry,
                                                      clause):
     conjugate = deform._conjugate_cert
 
-    def wrapped(cert, T):
-        mats = list(conjugate(cert, T))      # (h, f, Z, psi)
+    def wrapped(cert, delta):
+        mats = list(conjugate(cert, delta))      # (h, f, Z, psi)
         mats[index] = mats[index] + E(cert.n, *entry)
         return tuple(mats)
     monkeypatch.setattr(deform, "_conjugate_cert", wrapped)

@@ -1,3 +1,4 @@
+import inspect
 import random
 import time
 from fractions import Fraction
@@ -40,6 +41,14 @@ def _random_entries(rng, n, density):
     return out
 
 
+def dense_product(A, B):
+    """AB by the Fraction triple loop, entry by entry: the reference for
+    the library's int product and bracket."""
+    return QMatrix.from_rows(
+        [[sum((A[i, t] * B[t, j] for t in range(A.cols)), Fraction(0))
+          for j in range(B.cols)] for i in range(A.rows)])
+
+
 def test_bracket_matches_dense_products():
     rng = random.Random(8)
     for trial in range(300):
@@ -47,7 +56,8 @@ def test_bracket_matches_dense_products():
         density = rng.choice([0.0, 0.1, 0.3, 1.0])
         A = QMatrix(n, n, _random_entries(rng, n, density))
         B = QMatrix(n, n, _random_entries(rng, n, rng.choice([0.1, 0.5, 1.0])))
-        expected = A * B - B * A
+        expected = dense_product(A, B) - dense_product(B, A)
+        assert A * B == dense_product(A, B)
         assert A.bracket(B) == expected
         assert B.bracket(A) == -expected
         # the int form that find_Z and brackets use: the nonzero (index,
@@ -57,6 +67,99 @@ def test_bracket_matches_dense_products():
                        [(k, x) for k, x in enumerate(bi) if x], n)
         assert all(type(x) is int for x in got)
         assert QMatrix(n, n, got) == expected.scale(da * db)
+
+
+def _sympy_cases():
+    """(A, B, v, M, U, L, d): seeded Fraction matrices for n = 0..6, A of
+    shape n x k and B of shape k x m for the product (k, m in 0..6), v of
+    length k, a square M of size n, and the rows of unit upper and lower
+    triangular U, L and eigenvalues d for the semisimple U L diag(d) (U L)^-1."""
+    rng = random.Random(31)
+    for trial in range(70):
+        n, k, m = trial % 7, rng.randint(0, 6), rng.randint(0, 6)
+        density = rng.choice([0.2, 0.6, 1.0])
+
+        def draw(r, c):
+            return [Fraction(rng.randint(-40, 40), rng.choice([1, 2, 3, 7, 12]))
+                    if rng.random() < density else Fraction(0) for _ in range(r * c)]
+
+        def unit(lower):
+            return [[1 if i == j else rng.randint(-2, 2) if (j < i) == lower else 0
+                     for j in range(n)] for i in range(n)]
+        yield (QMatrix(n, k, draw(n, k)), QMatrix(k, m, draw(k, m)), draw(1, k),
+               QMatrix(n, n, draw(n, n)), unit(False), unit(True),
+               [Fraction(rng.randint(-3, 3), rng.choice([1, 2])) for _ in range(n)])
+
+
+def test_qmatrix_arithmetic_matches_sympy():
+    # the int kernels behind *, matvec, bracket, inverse, det and the
+    # eigenspaces, against sympy's rational arithmetic
+    pytest.importorskip("sympy")
+    for A, B, v, M, U, L, d in _sympy_cases():
+        n, m = A.rows, B.cols
+        sA, sB, sM = (_to_sympy(X.row_lists(), X.cols) for X in (A, B, M))
+        AB = A * B
+        assert (AB.rows, AB.cols) == (n, m)
+        assert all(type(x) is Fraction for x in AB.entries)
+        assert AB.row_lists() == _from_sympy(sA * sB)
+        Av = A.matvec(v)
+        assert all(type(x) is Fraction for x in Av)
+        assert [[x] for x in Av] == _from_sympy(sA * _to_sympy([[x] for x in v], 1))
+        N = QMatrix(n, n, list(reversed(M.entries)))
+        sN = _to_sympy(N.row_lists(), n)
+        br = M.bracket(N)
+        assert all(type(x) is Fraction for x in br.entries)
+        assert br.row_lists() == _from_sympy(sM * sN - sN * sM)
+        det = M.det()
+        assert det == Fraction(int(sM.det().p), int(sM.det().q))
+        if det:
+            assert M.inverse().row_lists() == _from_sympy(sM.inv())
+        g = _to_sympy(U, n) * _to_sympy(L, n)
+        S = g * _to_sympy([[x if i == j else 0 for j in range(n)]
+                           for i, x in enumerate(d)], n) * g.inv()
+        theirs = sorted(S.eigenvects(), key=lambda t: t[0], reverse=True)
+        ours = rational_eigenvalues(QMatrix(n, n, [x for r in _from_sympy(S) for x in r]))
+        assert [lam for lam, _ in ours] == [Fraction(int(x.p), int(x.q))
+                                            for x, _, _ in theirs]
+        for (_, space), (_, mult, vecs) in zip(ours, theirs):
+            assert space.dim == mult
+            assert space == Subspace(n, [_from_sympy(w.T)[0] for w in vecs])
+
+
+def test_qmatrix_arithmetic_runs_in_the_int_kernels(monkeypatch):
+    # the product and matvec are the int action of D_A A, the bracket is
+    # the int bracket of D_A A and D_B B, and the eigenspaces of a Fraction
+    # matrix are eliminated from int rows
+    assert "zero" not in inspect.signature(_bracket).parameters
+    seen = {"action": 0, "bracket": [], "echelon": []}
+    action, bracket, echelon = exactq._int_action, exactq._bracket, exactq._echelon
+
+    def counting_action(M):
+        seen["action"] += 1
+        return action(M)
+
+    def recording_bracket(A, B, n):
+        A, B = list(A), list(B)
+        seen["bracket"] += [x for _, x in A + B]
+        return bracket(A, B, n)
+
+    def recording_echelon(rows):
+        seen["echelon"] += [x for row in rows for x in row]
+        return echelon(rows)
+    monkeypatch.setattr(exactq, "_int_action", counting_action)
+    monkeypatch.setattr(exactq, "_bracket", recording_bracket)
+    monkeypatch.setattr(exactq, "_echelon", recording_echelon)
+    A = QMatrix.from_rows([[Fraction(1, 2), 3], [Fraction(-2, 3), Fraction(5, 7)]])
+    B = QMatrix.from_rows([[Fraction(2, 5), 0], [1, Fraction(-1, 4)]])
+    A * B
+    assert seen["action"] == 1
+    A.matvec([Fraction(1, 3), Fraction(-3, 2)])
+    assert seen["action"] == 2
+    A.bracket(B)
+    assert seen["bracket"] and all(type(x) is int for x in seen["bracket"])
+    M = QMatrix.from_rows([[Fraction(1, 2), Fraction(1, 3)], [0, Fraction(-5, 3)]])
+    assert [lam for lam, _ in rational_eigenvalues(M)] == [Fraction(1, 2), Fraction(-5, 3)]
+    assert seen["echelon"] and all(type(x) is int for x in seen["echelon"])
 
 
 @pytest.mark.parametrize("shapes", [((2, 3), (2, 3)), ((2, 2), (3, 3)),

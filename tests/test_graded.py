@@ -216,6 +216,23 @@ def test_graded_neutrality_matches_the_dense_oracle():
     assert outcomes == {True, False}
 
 
+def test_pair_check_reads_neutrality_off_Z():
+    # pair-check reports S neutral when find_Z's Z is 0: h - S lies in g^f,
+    # im ad f and g^S_0, which meet in 0 for a neutral S.  On seeded pairs
+    # (S is rarely neutral) and on (h, f) for each pair's h (always
+    # neutral, rarely diagonal), Z = 0 exactly when is_neutral_pair holds
+    rng = random.Random("graded:19")
+    outcomes = set()
+    for k, n in enumerate(SIZES[:-1]):
+        pair = seeded_pair(n, rng, scaled=k % 2 == 1)
+        h, _ = find_Z(pair)
+        for S in (pair.S, h):
+            Z = find_Z(WhittakerPair(n, S, pair.f))[1]
+            assert Z.is_zero() is is_neutral_pair(S, pair.f)
+            outcomes.add(Z.is_zero())
+    assert outcomes == {True, False}
+
+
 def test_named_pair_exercises_the_reversed_echelon():
     # a unimodular conjugate of (diag(1, -1, 3, 1), E21 + E43): the kernel of
     # the dense system exceeds g^f by one, and its echelon-first h is pinned
