@@ -12,10 +12,12 @@ dict of its nonzero entries, and tops one designated chain-top vector per
 Jordan block of f + psi (no inter-level conjugation).  _matrices is the one
 place that turns (eta, Z, psi) into the matrices (h, f, Z, psi), so deform
 keeps no matrix code of its own.  Every raising path ends in one checker,
-_check_raising, which reads the diagonals of h and Z once, as lists, takes
-each ad(h)-, ad(Z)- and ad(h+Z)-weight of f and psi from them, and tests
-(h, f) with orbits.is_neutral_pair, the one neutrality test; violations
-raise InternalCheckFailure naming the clause and are never expected.
+_check_raising, which scales each of h, Z, f and psi to ints once and runs
+every clause on those ints: each ad(h)-, ad(Z)- and ad(h+Z)-weight of f and
+psi comes from the int diagonals of h and Z, (h, f) goes to the int core of
+orbits.is_neutral_pair, the one neutrality test, and f and f + psi to the
+int core of orbits.jordan_partition; violations raise InternalCheckFailure
+naming the clause and are never expected.
 """
 
 import math
@@ -23,10 +25,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InternalCheckFailure, NotDominated, PreconditionViolation
-from .exactq import QMatrix, rat_str
-from .orbits import (J_eta, _twist, h_eta, is_dth_power, is_neutral_pair,
-                     jordan_partition, power_class, rational_dth_root,
-                     sl_class)
+from .exactq import QMatrix, _scaled, rat_str
+from .orbits import (J_eta, _jordan_type, _neutral, _twist, h_eta,
+                     is_dth_power, power_class, rational_dth_root, sl_class)
 from .partitions import as_partition, dominance_leq, lemma_part_index
 
 
@@ -211,30 +212,38 @@ def _check_raising(h, f, Z, psi, mu, lam):
     """The one checker for raising certificates: h, Z diagonal, f of
     ad(h)-weight -2 and ad(Z)-weight 0, psi of negative ad(Z)-weights and
     ad(h+Z)-weight -2, (h, f) neutral, f in the mu-orbit and f + psi in the
-    lambda-orbit (jordan_partition is the independent oracle for the two
-    orbits).  The diagonals of h and Z are read once, as lists, and every
-    ad-weight comes from them at the nonzero entries of f and psi.  Returns
-    the checks record, one entry per clause."""
-    for name, D in (("h", h), ("Z", Z)):
-        if not D.is_diagonal():
-            raise InternalCheckFailure(f"Z_commutes_h: {name} is not diagonal")
+    lambda-orbit (the Jordan type of the powers' ranks is the independent
+    oracle for the two orbits).  Each matrix M is scaled once, to the ints
+    of D_M M (D_M the lcm of its denominators), and every clause runs on
+    those ints: the ad-weights come from the diagonals of D_h h and D_Z Z
+    at the nonzero entries of f and psi, scaled by D_h or D_h D_Z; (h, f)
+    goes to orbits._neutral, the one neutrality test, and f and f + psi,
+    formed over lcm(D_f, D_psi), to orbits._jordan_type.  Returns the
+    checks record, one entry per clause."""
+    (dh, hi), (dz, zi), (df, fi), (dp, psii) = map(_scaled, (h, Z, f, psi))
     n = h.cols
-    hd, zd = h.entries[::n + 1], Z.entries[::n + 1]
-    sd = [x + z for x, z in zip(hd, zd)]
-    f_at = [divmod(k, n) for k, x in enumerate(f.entries) if x]
-    psi_at = [divmod(k, n) for k, x in enumerate(psi.entries) if x]
+    for name, M in (("h", hi), ("Z", zi)):
+        if any(x for k, x in enumerate(M) if k % (n + 1)):
+            raise InternalCheckFailure(f"Z_commutes_h: {name} is not diagonal")
+    hd, zd = hi[::n + 1], zi[::n + 1]
+    sd = [dz * x + dh * z for x, z in zip(hd, zd)]      # D_h D_Z (h + Z)
+    f_at = [divmod(k, n) for k, x in enumerate(fi) if x]
+    psi_at = [divmod(k, n) for k, x in enumerate(psii) if x]
     for clause, holds in (
-            ("f_h_weight_minus_two", _ad_weights(hd, f_at) <= {-2}),
+            ("f_h_weight_minus_two", _ad_weights(hd, f_at) <= {-2 * dh}),
             ("Z_commutes_f", _ad_weights(zd, f_at) <= {0}),
             ("psi_Z_negative", all(r < 0 for r in _ad_weights(zd, psi_at))),
-            ("psi_S_weight_minus_two", _ad_weights(sd, psi_at) <= {-2})):
+            ("psi_S_weight_minus_two",
+             _ad_weights(sd, psi_at) <= {-2 * dh * dz})):
         if not holds:
             raise InternalCheckFailure(f"{clause} fails")
-    if not is_neutral_pair(h, f):
+    if not _neutral(h, f, dh, hi, fi):
         raise InternalCheckFailure("neutral_pair: (h, f) is not a neutral pair")
-    if jordan_partition(f) != mu:
+    if _jordan_type(fi) != mu:
         raise InternalCheckFailure("jordan_source: jordan_partition(f) != mu")
-    if jordan_partition(f + psi) != lam:
+    L = math.lcm(df, dp)
+    F = [x * (L // df) + y * (L // dp) for x, y in zip(fi, psii)]     # L (f + psi)
+    if _jordan_type(F) != lam:
         raise InternalCheckFailure(
             "jordan_target: jordan_partition(f + psi) != lambda")
     return {"f_h_weight_minus_two": True, "Z_commutes_f": True,

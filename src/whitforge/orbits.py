@@ -14,6 +14,7 @@ from fractions import Fraction
 from .errors import (DimensionMismatch, InternalCheckFailure, NoSolutionError,
                      NotNilpotent, NotRationalSplit, UnsupportedQuery,
                      WrongPartition)
+from . import exactq
 from .exactq import (NO_SOLUTION, QMatrix, Subspace, _bracket, _int_action,
                      _scaled, graded_solve, grading, rat_str)
 
@@ -81,71 +82,100 @@ def J_eta_a(eta, a):
 # jordan classification
 
 
-def _power_row_spaces(N):
-    """Row spaces [R(N), R(N^2), ..., R(N^L)] of the powers of a nilpotent
-    N, with N^L = 0 first reached at L: one elimination per power.  They
-    are the Jordan filtration: dim ker N^k = n - dim R(N^k), and ker N^k is
-    R(N^k).orthogonal().  The row space of N^(k+1) is the row space of N^k
-    times N, so each elimination runs on the previous echelon rows times
-    D N, D the lcm of N's denominators, starting from the identity rows of
-    N^0: N is scaled once.
+def _power_row_spaces(M):
+    """The row spaces R(N), R(N^2), ..., R(N^L) of the powers of a nilpotent
+    N, with N^L = 0 first reached at L, as echelon int rows (the nonzero
+    rows `_echelon` returns), for M the flat int entries of D N, D the lcm
+    of N's denominators (scaling N changes no row space).  They are the
+    Jordan filtration: dim ker N^k = n - rank N^k, and ker N^k is the
+    orthogonal complement of R(N^k).  The rows of N^(k+1) span the rows of
+    N^k times N, so each power's rows are the previous echelon rows times
+    D N, formed from D N's nonzero rows at each row's nonzero coordinates,
+    and eliminated once; the first power's rows are those of D N.
     The ranks of the powers never rise, and once two consecutive ranks are
     equal they stay equal, so the first power whose rank fails to drop
     shows that N is not nilpotent."""
-    n = N.rows
-    if n != N.cols:
-        raise DimensionMismatch("matrix not square")
-    _, times_n = _int_action(N.transpose())
+    n = math.isqrt(len(M))
+    rows = [M[i * n:(i + 1) * n] for i in range(n)]
+    nonzero = [[(j, x) for j, x in enumerate(row) if x] for row in rows]
     spaces, rank = [], n
-    rows = [[int(i == j) for j in range(n)] for i in range(n)]     # R(N^0)
     while rank:
-        R = Subspace(n, [times_n(r) for r in rows])
-        if R.dim == rank:
+        A, piv = exactq._echelon(rows)
+        if len(piv) == rank:
             raise NotNilpotent("matrix is not nilpotent")
-        spaces.append(R)
-        rank = R.dim
-        rows = R._dense()
+        rank = len(piv)
+        spaces.append(A[:rank])
+        rows = []
+        for r in spaces[-1]:
+            out = [0] * n
+            for i, c in enumerate(r):
+                if c:
+                    for j, x in nonzero[i]:
+                        out[j] += c * x
+            rows.append(out)
     return spaces
 
 
-def jordan_partition(N):
-    """Partition of the nilpotent orbit of N, read off the ranks of its
-    powers: N has rank N^(k-1) - rank N^k Jordan blocks of size >= k."""
-    ranks = [N.rows] + [R.dim for R in _power_row_spaces(N)]
+def _square_ints(N):
+    """The flat int entries of D N for a square N (DimensionMismatch for
+    any other), D the lcm of N's denominators."""
+    if N.rows != N.cols:
+        raise DimensionMismatch("matrix not square")
+    return _scaled(N)[1]
+
+
+def _jordan_type(M):
+    """The partition of the nilpotent orbit of N, for M the flat ints of
+    D N, read off the ranks of its powers: N has rank N^(k-1) - rank N^k
+    Jordan blocks of size >= k."""
+    ranks = [math.isqrt(len(M))] + [len(R) for R in _power_row_spaces(M)]
     lam_t = [a - b for a, b in zip(ranks, ranks[1:])]
     return tuple(sum(1 for c in lam_t if c >= j)
                  for j in range(1, lam_t[0] + 1)) if lam_t else ()
 
 
+def jordan_partition(N):
+    """Partition of the nilpotent orbit of N: `_jordan_type` of D N, N
+    scaled once."""
+    return _jordan_type(_square_ints(N))
+
+
 def jordan_chain_basis(N):
     """Deterministic Jordan chain basis: chains longest first, chain tops
-    found by extending echelon bases of the kernel filtration ker N^k =
-    R(N^k).orthogonal() in fixed coordinate order.  The choice in another
-    frame R is the chains of R N R^{-1} mapped back by R^{-1}.
+    found by extending echelon bases of the kernel filtration ker N^k (the
+    orthogonal complements of the row spaces R(N^k)) in fixed coordinate
+    order.  The choice in another frame R is the chains of R N R^{-1}
+    mapped back by R^{-1}.
 
     The search runs on int rows: a top is an int echelon row D_K v of its
     kernel (D_K the rows' common denominator) and its chain D_K (D N)^k v,
     D the lcm of N's denominators; only the chosen chains become Fractions,
-    N^k v = that row / (D_K D^k)."""
+    N^k v = that row / (D_K D^k).  A row v of ker N^ell tops a chain of
+    length ell when it lies outside ker N^(ell-1), the tails of the longer
+    chains and the rows before it; the tail of its own chain lies in
+    ker N^(ell-1), so the chains of one length add only their tops, and
+    all of them are read off one elimination: the pivot columns of the
+    matrix with those vectors as columns, in that order."""
     n = N.rows
-    kernels = [Subspace(n)] + [R.orthogonal() for R in _power_row_spaces(N)]
+    kernels = [Subspace(n)] + [Subspace(n, R).orthogonal()
+                               for R in _power_row_spaces(_square_ints(N))]
     D, times_n = _int_action(N)
     chains = []
-    found = []              # the int chains, for the membership tests
+    tails = []              # the int chain vectors below each top found
     for ell in range(len(kernels) - 1, 0, -1):
         # N maps each chain built so far onto its own tail
         K = kernels[ell]
-        span = Subspace(n, kernels[ell - 1]._dense()
-                        + [c for ch in found for c in ch[1:]])
-        for v in K._dense():
-            if not span.member(v):
-                chain = [v]
-                for _ in range(ell - 1):
-                    chain.append(times_n(chain[-1]))
-                found.append(chain)
-                chains.append([[Fraction(x, K._den * D ** k) for x in w]
-                               for k, w in enumerate(chain)])
-                span = Subspace(n, span._dense() + chain)
+        gens = kernels[ell - 1]._dense() + tails + K._dense()
+        s = len(gens) - K.dim
+        for i in exactq._echelon(list(zip(*gens)))[1]:
+            if i < s:
+                continue
+            chain = [gens[i]]
+            for _ in range(ell - 1):
+                chain.append(times_n(chain[-1]))
+            tails += chain[1:]
+            chains.append([[Fraction(x, K._den * D ** k) for x in w]
+                           for k, w in enumerate(chain)])
     if sum(len(c) for c in chains) != n:
         raise InternalCheckFailure("jordan chain basis: chain lengths do not sum to n")
     return chains
@@ -214,10 +244,13 @@ def _sl2_in_frame(g, f, h, w, D, T):
     """(e, T_e): the sl2 completion of a pair (h, f) in the frame of a
     grading g whose labels begin with h's eigenvalues, f having weight -w
     there and frame ints T (P^{-1} f P = T / D), and w = (2, 0, ...): e' is
-    `_weight_two_solve`'s, unique when (h, f) is neutral, as g^f has no
-    positive ad(h)-weight.  T_e is e' as frame ints, for ker ad e."""
+    the `graded_solve` of ad(f') e' = -h' over the weight-w cells, h' the
+    diagonal of h's eigenvalues; [h', e'] = 2e' holds there, so this is
+    [e', f'] = h', solvable iff (h, f) is neutral, and e' is unique, as g^f
+    has no positive ad(h)-weight.  T_e is e' as frame ints, for ker ad e."""
     n = f.rows
-    sol = _weight_two_solve(g.labels, g._cells, w, D, T)
+    rhs = {(i, i): -D * label[0] for i, label in enumerate(g.labels)}
+    sol = graded_solve(g.labels, g._cells, T, tuple(-x for x in w), w, rhs)
     if sol is NO_SOLUTION:
         raise NoSolutionError("no sl2 completion; (h, f) is not a neutral pair")
     e = g.unframe(sol)
@@ -228,17 +261,6 @@ def _sl2_in_frame(g, f, h, w, D, T):
     for (i, j), x in sol:
         Te[i * n + j] = x.numerator * (L // x.denominator)
     return e, Te
-
-
-def _weight_two_solve(labels, cells, w, D, T):
-    """The frame terms of e' over the weight-w cells of a frame (as
-    `graded_solve` takes it) with ad(f') e' = -h', f' = T / D of weight -w
-    and h' the diagonal of the labels' first entries, or NO_SOLUTION.  With
-    h' from h's eigenvalues and w = (2, 0, ...), [h', e'] = 2e' holds there
-    and this is [e', f'] = h', solvable iff (h, f) is neutral; labels c h'
-    with w = (2c,) leave that so."""
-    rhs = {(i, i): -D * label[0] for i, label in enumerate(labels)}
-    return graded_solve(labels, cells, T, tuple(-x for x in w), w, rhs)
 
 
 def neutral_for(f):
@@ -253,33 +275,69 @@ def neutral_for(f):
 def is_neutral_pair(h, f):
     """[h,f] = -2f and h in image(ad f).  By the Jacobson-Morozov/Kostant
     lemma this is exactly the condition that h completes f to an sl2-triple
-    (h, e, f), so it is the existence half of the sl2 completion.
-
-    [h, f] = -2f is tested on D_h h and D_f f (D the lcm of a matrix's
-    denominators).  ad f lowers ad(h)-weights by 2 and h has weight 0, so h
-    lies in image(ad f) iff it lies in ad f(g^h_2): one `_weight_two_solve`,
-    for a diagonal h in the coordinate frame (labels the diagonal of D_h h,
-    T = D_f f), else in grading(h)'s, whose NotRationalSplit means not
-    neutral: a neutral h is semisimple with integer eigenvalues."""
+    (h, e, f), so it is the existence half of the sl2 completion.  h and f
+    are scaled once, and `_neutral` decides on their ints."""
     n = f.rows
     if (h.rows, h.cols, f.cols) != (n, n, n):
         raise DimensionMismatch("h, f must be square of equal size")
-    dh, hi = _scaled(h)
-    fi = _scaled(f)[1]
+    return _neutral(h, f, *_scaled(h), _scaled(f)[1])
+
+
+def _neutral(h, f, dh, hi, fi):
+    """`is_neutral_pair` on the ints hi = D_h h and fi = D_f f (D the lcm
+    of a matrix's denominators); h and f themselves are read only when h is
+    not diagonal.  [h, f] = -2f is tested on the ints.  ad f lowers
+    ad(h)-weights by 2 and h has weight 0, so h lies in image(ad f) iff it
+    lies in ad f(g^h_2): one `_weight_two_exists`, for a diagonal h in the
+    coordinate frame (labels the diagonal of D_h h, so weight 2 D_h, and
+    f' = D_f f), else in grading(h)'s, whose NotRationalSplit means not
+    neutral: a neutral h is semisimple with integer eigenvalues."""
+    n = f.rows
     if _bracket(enumerate(hi), enumerate(fi), n) != [-2 * dh * x for x in fi]:
         return False
-    if h.is_diagonal():
-        d, w = hi[::n + 1], 2 * dh
-        cells = {(x,): [(a, b) for a in range(n) for b in range(n) if d[a] - d[b] == x]
-                 for x in (w, 0)}
-        sol = _weight_two_solve([(x,) for x in d], cells, (w,), 1, fi)
-    else:
-        try:
-            g = grading(h)
-        except NotRationalSplit:
-            return False
-        sol = _weight_two_solve(g.labels, g._cells, (2,), *g.frame(f))
-    return sol is not NO_SOLUTION
+    if not any(x for k, x in enumerate(hi) if k % (n + 1)):
+        return _weight_two_exists(hi[::n + 1], 2 * dh, 1, fi)
+    try:
+        g = grading(h)
+    except NotRationalSplit:
+        return False
+    return _weight_two_exists([x for x, in g.labels], 2, *g.frame(f))
+
+
+def _weight_two_exists(d, w, D, T):
+    """Whether [f', e'] = -diag(d) has a solution e' over the cells (a, b)
+    with d_a - d_b = w, for f' = T / D homogeneous of weight -w in a frame
+    labelled by d (as [h, f] = -2f makes it): one elimination of the block
+    of ad f' from those cells to the weight-0 cells, the right-hand side
+    its last column, which is solvable iff that column is not a pivot.
+    Both cell lists come from one pass over the n^2 index pairs, and column
+    (a, b) is [T, E_ab] = sum_i T[i, a] E_ib - sum_j T[b, j] E_aj, all of
+    it in weight 0."""
+    n = len(d)
+    sources, targets = [], {}
+    for a, x in enumerate(d):
+        for b, y in enumerate(d):
+            if x - y == w:
+                sources.append((a, b))
+            elif x == y:
+                targets[a, b] = len(targets)
+    m = len(sources)
+    rows = [[0] * (m + 1) for _ in targets]
+    for i, x in enumerate(d):
+        rows[targets[i, i]][m] = -D * x
+    by_col, by_row = [[] for _ in range(n)], [[] for _ in range(n)]
+    for k, x in enumerate(T):
+        if x:
+            i, j = divmod(k, n)
+            by_col[j].append((i, x))
+            by_row[i].append((j, x))
+    for k, (a, b) in enumerate(sources):
+        for i, x in by_col[a]:
+            rows[targets[i, b]][k] += x
+        for j, x in by_row[b]:
+            rows[targets[a, j]][k] -= x
+    piv = exactq._echelon(rows)[1]
+    return not piv or piv[-1] != m
 
 
 # ---------------------------------------------------------------------------

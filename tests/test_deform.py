@@ -5,15 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from whitforge import deform, orbits
+from whitforge import deform, exactq, orbits
 from whitforge.cli import canonical_json
 from whitforge.deform import (ConditionNotMet, compar_certificate, deform_gl,
                               deform_sl, two_blocks)
-from whitforge.errors import (InternalCheckFailure, NotDominated,
-                              PreconditionViolation)
-from whitforge.exactq import QMatrix
+from whitforge.errors import (InternalCheckFailure, NoSolutionError,
+                              NotDominated, PreconditionViolation)
+from whitforge.exactq import QMatrix, Subspace, _scaled
 from whitforge.orbits import (is_dth_power, jordan_partition, power_class,
-                              sl_class)
+                              sl2_complete, sl_class)
 from whitforge.partitions import (dominance_leq, lemma_part_index,
                                   partitions_of)
 from whitforge.whitpair import weight_components
@@ -271,14 +271,161 @@ def test_raising_checker_names_each_failed_clause(spoil, clause):
 
 
 def test_raising_checker_uses_the_one_neutrality_test(monkeypatch):
+    # the checker hands its ints of h and f to the int core of
+    # is_neutral_pair, and is_neutral_pair is that core on h and f scaled
     calls = []
+    core = orbits._neutral
 
-    def counted(h, f):
-        calls.append(h)
-        return orbits.is_neutral_pair(h, f)
-    monkeypatch.setattr(deform, "is_neutral_pair", counted)
+    def counted(h, f, dh, hi, fi):
+        calls.append((h, dh, hi, fi))
+        return core(h, f, dh, hi, fi)
+    monkeypatch.setattr(deform, "_neutral", counted)
     cert = deform_gl((2, 2, 1), (4, 1))
-    assert calls == [cert.h]
+    (dh, hi), fi = _scaled(cert.h), _scaled(cert.f)[1]
+    assert calls == [(cert.h, dh, hi, fi)]
+    monkeypatch.setattr(orbits, "_neutral", counted)
+    assert orbits.is_neutral_pair(cert.h, cert.f) is True
+    assert calls[1:] == [(cert.h, dh, hi, fi)]
+
+
+def _forbid_new_matrices(monkeypatch):
+    """Make every QMatrix sum and every internal QMatrix construction fail."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the raising checker built a QMatrix")
+    monkeypatch.setattr(QMatrix, "__add__", refuse)
+    monkeypatch.setattr(QMatrix, "_trusted", classmethod(refuse))
+
+
+def test_raising_checker_scales_each_matrix_once(monkeypatch):
+    # h, Z, f and psi are each scaled to ints once, f + psi is formed from
+    # those ints, and no clause builds a QMatrix
+    cert = deform_gl((2, 2, 1), (4, 1))
+    calls = []
+    real = exactq._scaled
+
+    def counting(M):
+        calls.append(M)
+        return real(M)
+    for module in (exactq, orbits, deform):
+        monkeypatch.setattr(module, "_scaled", counting)
+    _forbid_new_matrices(monkeypatch)
+    checks = deform._check_raising(cert.h, cert.f, cert.Z, cert.psi,
+                                   cert.mu, cert.lam)
+    assert checks == cert.checks
+    assert len(calls) == 4
+    assert {id(M) for M in calls} == {id(cert.h), id(cert.Z), id(cert.f),
+                                      id(cert.psi)}
+
+
+def _oracle_partition(N):
+    """The Jordan type of N from the ranks of its powers, formed as matrix
+    products, or None when the ranks stop dropping before 0."""
+    n, ranks, power = N.rows, [N.rows], N
+    while ranks[-1]:
+        ranks.append(Subspace(n, power.row_lists()).dim)
+        if ranks[-1] == ranks[-2]:
+            return None
+        power = power * N
+    lam_t = [a - b for a, b in zip(ranks, ranks[1:])]
+    return tuple(sum(1 for c in lam_t if c >= j)
+                 for j in range(1, lam_t[0] + 1)) if lam_t else ()
+
+
+def _oracle_clause(h, f, Z, psi, mu, lam):
+    """The first clause the raising checker must fail, as its Fraction
+    formulas read it before the checker ran on ints (diagonals as Fraction
+    lists, f + psi a QMatrix sum), or None.  Neutrality is decided by
+    sl2_complete (the graded solve in the frame of grading(h)) and the
+    orbits by the ranks of the powers formed as products, so neither shares
+    the checker's int cores."""
+    for name, D in (("h", h), ("Z", Z)):
+        if not D.is_diagonal():
+            return f"Z_commutes_h: {name} is not diagonal"
+    n = h.cols
+    hd, zd = h.entries[::n + 1], Z.entries[::n + 1]
+    sd = [x + z for x, z in zip(hd, zd)]
+    f_at = [divmod(k, n) for k, x in enumerate(f.entries) if x]
+    psi_at = [divmod(k, n) for k, x in enumerate(psi.entries) if x]
+
+    def weights(d, at):
+        return {d[a] - d[b] for a, b in at}
+    for clause, holds in (
+            ("f_h_weight_minus_two", weights(hd, f_at) <= {-2}),
+            ("Z_commutes_f", weights(zd, f_at) <= {0}),
+            ("psi_Z_negative", all(r < 0 for r in weights(zd, psi_at))),
+            ("psi_S_weight_minus_two", weights(sd, psi_at) <= {-2})):
+        if not holds:
+            return f"{clause} fails"
+    try:
+        sl2_complete(f, h)
+    except NoSolutionError:
+        return "neutral_pair: (h, f) is not a neutral pair"
+    if _oracle_partition(f) != mu:
+        return "jordan_source: jordan_partition(f) != mu"
+    if _oracle_partition(f + psi) != lam:
+        return "jordan_target: jordan_partition(f + psi) != lambda"
+    return None
+
+
+def _raising_clause_cases():
+    """Certificates for the clause oracle: every deform_gl certificate with
+    n <= 8, 40 twisted deform_sl certificates, Z shifted or scaled by 1/2
+    and 1/3, the orbits claimed swapped for n <= 6, and one-entry
+    perturbations of psi for n <= 5."""
+    cases = []
+    gl = [deform_gl(mu, lam) for mu, lam in _dominated_pairs(8)]
+    assert len(gl) == 471
+    cases += gl
+    rng = random.Random(20)
+    pairs = [(mu, lam) for mu, lam in _dominated_pairs(7) if sum(mu) >= 2]
+    for k in range(40):
+        mu, lam = pairs[k * len(pairs) // 40]
+        d = math.gcd(math.gcd(*lam), math.gcd(*mu))
+        b = Fraction(rng.randint(1, 6), rng.randint(1, 4))
+        a = b * Fraction(rng.randint(1, 5), rng.randint(1, 3)) ** d
+        cases.append(deform_sl(mu, lam, a, b))
+    variants = [(c.h, c.f, c.Z, c.psi, c.mu, c.lam) for c in cases]
+    for c in gl:
+        if c.n > 6:
+            continue
+        if c.mu != c.lam:
+            variants += [(c.h, c.f, c.Z, c.psi, c.lam, c.lam),
+                         (c.h, c.f, c.Z, c.psi, c.mu, c.mu)]
+        eye = QMatrix.identity(c.n)
+        for q in (Fraction(1, 2), Fraction(1, 3)):
+            variants += [(c.h, c.f, c.Z + eye.scale(q), c.psi, c.mu, c.lam),
+                         (c.h, c.f, c.Z.scale(q), c.psi, c.mu, c.lam),
+                         (c.h, c.f, c.Z + E(c.n, 1, 1, q), c.psi, c.mu, c.lam),
+                         (c.h, c.f.scale(q), c.Z, c.psi.scale(q), c.mu, c.lam),
+                         (c.h + eye.scale(q), c.f, c.Z, c.psi, c.mu, c.lam)]
+        if c.n > 5:
+            continue
+        for a in range(1, c.n + 1):
+            for b in range(1, c.n + 1):
+                if a != b:
+                    variants += [(c.h, c.f, c.Z, c.psi + E(c.n, a, b, x), c.mu, c.lam)
+                                 for x in (1, Fraction(1, 2), Fraction(-3, 7))]
+    return variants
+
+
+def test_raising_checker_agrees_with_the_fraction_clauses(monkeypatch):
+    # on int diagonals and int f + psi, the checker fails the same first
+    # clause as the Fraction formulas, or none, and builds no QMatrix
+    cases = _raising_clause_cases()
+    expected = [_oracle_clause(*case) for case in cases]
+    _forbid_new_matrices(monkeypatch)
+    got = []
+    for case in cases:
+        try:
+            deform._check_raising(*case)
+            got.append(None)
+        except InternalCheckFailure as exc:
+            got.append(str(exc))
+    assert got == expected
+    seen = {e.split(":")[0].split(" ")[0] for e in expected if e}
+    assert seen == {"Z_commutes_f", "psi_Z_negative", "psi_S_weight_minus_two",
+                    "neutral_pair", "jordan_source", "jordan_target"}
+    assert expected.count(None) > 511
 
 
 @pytest.mark.parametrize("index, entry, clause", [
