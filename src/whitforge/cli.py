@@ -269,7 +269,9 @@ def _run_fixture(fx):
         pair = whitpair.WhittakerPair(
             n, parse_matrix_spec(inp["S"], n), parse_matrix_spec(inp["f"], n))
         cert = whitpair.chain(pair)
-        bg = whitpair.bigrading(cert.h, cert.Z)
+        # the bigrading chain read its filtrations off, refined from the
+        # pair's S-grading, so the weight pairs pin that path
+        bg = cert.grading
         weight_pairs = {}
         for i in range(1, n + 1):
             for j in range(1, n + 1):

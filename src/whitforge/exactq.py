@@ -22,9 +22,11 @@ of one or two subspaces, for the bracket containments.
 `grading` builds the one eigenbasis grading, a `Grading`, held as its int
 frame: the primitive int columns of a joint eigenbasis P of commuting
 rational semisimple matrices, the int rows R = s P^{-1} read off one
-elimination, and the weight of every frame cell E_ij.  `Grading.frame` is
-P^{-1} M P in ints and `unframe` maps a frame matrix back by int outer
-products of P's columns and R's rows.
+elimination, and the weight of every frame cell E_ij as an int label (L
+times the weight, one L per grading).  It grades by one matrix, then
+splits each block by the next (`_split`); `bigrade` splits an S-grading
+by h.  `Grading.frame` is P^{-1} M P = T / D in ints and `unframe` maps a
+frame matrix back by int outer products of P's columns and R's rows.
 An M homogeneous in the grading shifts weights by one fixed amount, so
 ad(M) splits into one small block per weight: `graded_kernel` and
 `graded_solve` eliminate those blocks, and refuse an M that is not
@@ -41,7 +43,7 @@ matrix on its echelon basis: the radical is the kernel of G, and the
 Lagrangian is grown in coordinates over that basis, where omega(c, w_j) is
 that constant times (c G)_j.
 
-Rational eigenvalues take bounded time.  `char_poly` runs Faddeev-LeVerrier
+Rational eigenvalues take bounded time.  `_char_ints` runs Faddeev-LeVerrier
 on the integer matrix D M (D the lcm of the denominators) in plain ints.
 `_rational_roots` turns the polynomial into a monic integer one by y = c_n x,
 so its rational roots are integers, and isolates its real roots by Sturm
@@ -52,9 +54,11 @@ sequence.
 
 from fractions import Fraction
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from functools import cached_property
+from itertools import combinations, groupby, product
 from math import gcd, isqrt, lcm
-from operator import mul
+from operator import itemgetter, mul
+from typing import NamedTuple
 
 from .errors import (DimensionMismatch, InternalCheckFailure, NotCommuting,
                      NotRationalSplit, ParseError)
@@ -675,18 +679,24 @@ class Subspace:
 
 
 def char_poly(M):
-    """Characteristic polynomial coefficients [a_0, ..., a_n] of det(xI - M),
-    via Faddeev-LeVerrier on the integer matrix A = D M, D the lcm of the
-    entries' denominators: M_1 = I, c_k = -trace(A M_k) / k (an exact
-    division) and M_{k+1} = A M_k + c_k I, so det(xI - A) = sum c_k x^(n-k)
-    and a_(n-k) = c_k / D^k."""
+    """Characteristic polynomial coefficients [a_0, ..., a_n] of det(xI - M):
+    a_(n-k) = c_k / D^k for the `_char_ints` c_k of D M, D the lcm of the
+    entries' denominators."""
     n = M.rows
     if n != M.cols:
         raise DimensionMismatch("char_poly of non-square")
     D, flat = _scaled(M)
+    coeffs = _char_ints(flat, n)
+    return [Fraction(coeffs[k], D ** k) for k in range(n, -1, -1)]
+
+
+def _char_ints(flat, n):
+    """[c_0, ..., c_n] with det(xI - A) = sum c_k x^(n-k), A the n x n int
+    matrix of row-major entries flat: M_1 = I, c_k = -trace(A M_k) / k (an
+    exact division) and M_(k+1) = A M_k + c_k I."""
     A = [flat[i * n:(i + 1) * n] for i in range(n)]
     Mk = [[int(i == j) for j in range(n)] for i in range(n)]
-    coeffs = [1]                    # c_0, c_1, ...: leading first
+    coeffs = [1]
     for k in range(1, n + 1):
         cols = list(zip(*Mk))
         AM = [[sum(map(mul, row, col)) for col in cols] for row in A]
@@ -695,7 +705,7 @@ def char_poly(M):
         for i in range(n):
             AM[i][i] += ck
         Mk = AM
-    return [Fraction(coeffs[k], D ** k) for k in range(n, -1, -1)]
+    return coeffs
 
 
 def _sturm_sequence(q):
@@ -740,7 +750,7 @@ def _sign_changes_at_half(seq, m):
 
 
 def _rational_roots(coeffs):
-    """All rational roots of the polynomial with Fraction coefficients
+    """All rational roots of the polynomial with rational coefficients
     a_0 + a_1 x + ... + a_n x^n (a_n nonzero, not necessarily 1), distinct and
     sorted descending.
 
@@ -788,20 +798,34 @@ def _rational_roots(coeffs):
     return sorted(set(roots), reverse=True)
 
 
+class IntMatrix(NamedTuple):
+    """A rational matrix M as D and the row-major ints of D M: how
+    `_split` hands `rational_eigenvalues` a block, with no Fractions."""
+    rows: int
+    cols: int
+    D: int
+    ints: list
+
+
 def rational_eigenvalues(M):
     """Eigenvalues (rational roots of the characteristic polynomial) with their
-    eigenspaces, sorted by eigenvalue descending.  Raises NotRationalSplit
-    unless the eigenspace dimensions sum to n (i.e. M is rational semisimple)."""
+    eigenspaces, sorted by eigenvalue descending, of a QMatrix or IntMatrix
+    M.  Raises NotRationalSplit unless the eigenspace dimensions sum to n
+    (i.e. M is rational semisimple).  The roots are searched on D^n
+    det(xI - M), coefficients c_k D^(n-k), not on det(xI - D M), whose
+    search costs far more; the eigenspace of p/q is the kernel of the int
+    rows q D M - p D I."""
     n = M.rows
     if n != M.cols:
         raise DimensionMismatch("eigenvalues of non-square")
-    D, flat = _scaled(M)
+    D, flat = (M.D, M.ints) if isinstance(M, IntMatrix) else _scaled(M)
+    c = _char_ints(flat, n)
     out = []
-    for lam in _rational_roots(char_poly(M)):    # exact roots: nonzero spaces
-        p, q = lam.numerator * D, lam.denominator    # q (D M - D lam I) in ints
+    for lam in _rational_roots([c[n - j] * D ** j for j in range(n + 1)]):
+        p, q = lam.numerator * D, lam.denominator
         shifted = [[q * x - p * (i == j) for j, x in enumerate(flat[i * n:(i + 1) * n])]
                    for i in range(n)]
-        out.append((lam, Subspace(n, shifted).orthogonal()))
+        out.append((lam, Subspace(n, shifted).orthogonal()))   # exact roots: nonzero spaces
     total = sum(space.dim for _, space in out)
     if total != n:
         raise NotRationalSplit(
@@ -818,20 +842,22 @@ def rational_eigenvalues(M):
 class Grading:
     """gl_n graded by commuting rational semisimple matrices M_1, ..., M_k,
     held as its int frame.  The columns of P are joint eigenvectors, kept as
-    the primitive int lists `cols`, and labels[i] is the tuple of
-    eigenvalues of column i, so P E_ij P^{-1} has weight labels[i] -
-    labels[j]: one eigenvalue of ad M_1, ..., ad M_k per entry.  The int
-    rows R are s P^{-1}, so s P E_ij P^{-1} is the outer product of cols[i]
-    and R[j].  In the frame of P a matrix M reads P^{-1} M P (`frame`), and
-    a frame matrix X maps back to P X P^{-1} (`unframe`)."""
+    the primitive int lists `cols`, and labels[i] is L times the tuple of
+    eigenvalues of column i, in ints, so P E_ij P^{-1} has the int weight
+    labels[i] - labels[j] (`int_weights`); `weights`, `space` and `terms`
+    give weights as rationals.  The int rows R are s P^{-1}, so s P E_ij
+    P^{-1} is the outer product of cols[i] and R[j].  In the frame of P a
+    matrix M reads P^{-1} M P (`frame`), and a frame matrix X maps back to
+    P X P^{-1} (`unframe`)."""
     labels: tuple
+    L: int
     cols: tuple
     R: tuple
     s: int
-    # weight -> the (i, j) whose P E_ij P^{-1} have that weight
+    # int weight -> the (i, j) whose P E_ij P^{-1} have that weight
     _cells: dict = field(init=False, repr=False, compare=False)
-    # the weights that occur, sorted
-    weights: tuple = field(init=False, repr=False, compare=False)
+    # the int weights that occur, sorted
+    int_weights: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         cells = {}
@@ -840,7 +866,17 @@ class Grading:
                 w = tuple(x - y for x, y in zip(a, b))
                 cells.setdefault(w, []).append((i, j))
         object.__setattr__(self, "_cells", cells)
-        object.__setattr__(self, "weights", tuple(sorted(cells)))
+        object.__setattr__(self, "int_weights", tuple(sorted(cells)))
+
+    @cached_property
+    def _weight(self):
+        """int weight -> the weight as rationals, made on first read."""
+        return {w: tuple(Fraction(x, self.L) for x in w) for w in self.int_weights}
+
+    @property
+    def weights(self):
+        """The weights that occur, as tuples of rationals, sorted."""
+        return tuple(self._weight.values())
 
     def _vectors(self, cells):
         """s P E_ij P^{-1}, flattened, for the given cells (i, j): column i
@@ -848,8 +884,12 @@ class Grading:
         return [[x * y for x in self.cols[i] for y in self.R[j]] for i, j in cells]
 
     def space(self, predicate):
-        """Echelonized sum of the weight spaces whose weight satisfies the
-        predicate, which gets one argument per grading matrix: one
+        """`int_space`, the predicate getting the weight as rationals."""
+        return self.int_space(lambda *w: predicate(*self._weight[w]))
+
+    def int_space(self, predicate):
+        """Echelonized sum of the weight spaces whose int weight satisfies
+        the predicate, which gets one argument per grading matrix: one
         elimination over the selected cells' vectors."""
         return Subspace(len(self.labels) ** 2,
                         self._vectors([ij for w, cells in self._cells.items()
@@ -857,26 +897,26 @@ class Grading:
 
     def terms(self, M):
         """{w: [(i, j, c)]}: the nonzero entries c of M in the eigenbasis,
-        grouped by their weight w."""
+        grouped by their weight w (rationals)."""
         D, T = self.frame(M)
         n = len(self.labels)
         out = {}
         for w, cells in self._cells.items():
-            found = [(i, j, T[i * n + j] / D) for i, j in cells if T[i * n + j]]
+            found = [(i, j, Fraction(T[i * n + j], D)) for i, j in cells if T[i * n + j]]
             if found:
-                out[w] = found
+                out[self._weight[w]] = found
         return out
 
     def frame(self, M):
-        """(D, T): P^{-1} M P = T / D for a primitive int matrix T, flat and
-        row-major, and a Fraction D.  Only ints are multiplied: entry (i, j)
-        of T is R[i] (D_M M) cols[j], D_M the lcm of M's denominators, over
-        the content g of those entries, and D = s D_M / g."""
+        """(D, T): P^{-1} M P = T / D for an int matrix T, flat and
+        row-major, and an int D.  Only ints are multiplied: entry (i, j) of
+        T is R[i] (D_M M) cols[j], D_M the lcm of M's denominators, over
+        the gcd g of those entries and s D_M, and D = s D_M / g."""
         d, act = _int_action(M)
         images = [act(c) for c in self.cols]
         T = [sum(map(mul, row, im)) for row in self.R for im in images]
-        g = gcd(*T) or 1
-        return Fraction(self.s * d, g), [x // g for x in T] if g > 1 else T
+        g = gcd(*T, self.s * d)
+        return self.s * d // g, [x // g for x in T] if g > 1 else T
 
     def _outer(self, terms):
         """s P X P^{-1}, flattened, for the frame matrix X = sum c E_ij over
@@ -900,54 +940,100 @@ class Grading:
 
 def grading(*Ms):
     """The joint eigenspace grading of gl_n under commuting rational
-    semisimple n x n matrices.  Each matrix in turn splits every joint
-    eigenspace found so far, by the rational eigenvalues of its restriction,
-    the matrix of the images' coordinates over the block's basis.  The
-    images are taken in ints, of the block's int rows under D M (D the lcm
-    of M's denominators), and their coordinates divided by c = D D_B (D_B
-    the rows' common denominator) once, in that k x k matrix.  The columns
-    of P are the blocks' int rows made primitive, and R = s P^{-1} is read
-    off one elimination of the int rows of [P | I]: row k of its RREF is
-    a_k [e_k | P^{-1}[k, :]], and s is the lcm of the pivot entries a_k."""
+    semisimple n x n matrices: Q^n split by each in turn (`_split`)."""
+    n = Ms[0].rows
+    actions = _commuting_actions(Ms)
+    blocks = [((), tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))]
+    for action in actions:
+        blocks = _split(blocks, action)
+    return _graded(blocks, actions, n)
+
+
+def bigrade(g, h, Z):
+    """`grading(h, Z)` for commuting rational semisimple h and Z, refined
+    from the grading g of S = h + Z: h preserves each S-eigenspace, so
+    `_split` splits g's blocks by h, and Z's eigenvalue is s - alpha."""
+    actions = _commuting_actions((h, Z))
+    blocks = [(tuple(Fraction(x, g.L) for x in label), tuple(c for _, c in group))
+              for label, group in groupby(zip(g.labels, g.cols), key=itemgetter(0))]
+    return _graded([((a, s - a), cols) for (s, a), cols in _split(blocks, actions[0])],
+                   actions, h.rows)
+
+
+def _commuting_actions(Ms):
+    """[(D, v -> D M v)] for the matrices Ms, once their ints commute."""
     n = Ms[0].rows
     flats = [_scaled(M)[1] for M in Ms]
     for i, A in enumerate(flats):
         for B in flats[i + 1:]:
             if any(_bracket(enumerate(A), enumerate(B), n)):
                 raise NotCommuting("the grading matrices do not commute")
-    actions = [_int_action(M) for M in Ms]
-    blocks = [((), Subspace(n, [[int(i == j) for j in range(n)] for i in range(n)]))]
-    for D, act in actions:
-        split = []
-        for label, block in blocks:
-            coords = [block.coordinates(act(v)) for v in block._dense()]
-            c, k = D * block._den, len(coords)
-            small = QMatrix._trusted(k, k, [Fraction(x, c) for col in zip(*coords)
-                                            for x in col])
-            for lam, sp in rational_eigenvalues(small):
-                split.append((label + (lam,), block.span(sp._dense())))
-        blocks = split
+    return [_int_action(M) for M in Ms]
+
+
+def _split(blocks, action):
+    """The blocks (label, columns), each the primitive RREF rows of a space
+    M preserves, split into (label + (lambda,), columns) by the eigenvalues
+    lambda of M, action = (D, v -> D M v).  One column is an eigenvector.
+    Over k columns, a coordinate is the entry at a column's pivot over the
+    pivot entry, so M's restriction is an IntMatrix over D m, m the lcm of
+    the pivot entries.  Its eigenspaces map back to combinations of the
+    columns, echelonized once, unless M is scalar on the block."""
+    D, act = action
+    out = []
+    for label, cols in blocks:
+        if len(cols) == 1:
+            (v,) = cols
+            p = next(i for i, x in enumerate(v) if x)
+            out.append((label + (Fraction(act(v)[p], D * v[p]),), cols))
+            continue
+        k, n = len(cols), len(cols[0])
+        piv = [next(i for i, x in enumerate(v) if x) for v in cols]
+        m = lcm(*(v[p] for v, p in zip(cols, piv)))
+        images = [act(v) for v in cols]
+        pieces = rational_eigenvalues(IntMatrix(k, k, D * m, [
+            im[p] * (m // v[p]) for v, p in zip(cols, piv) for im in images]))
+        if len(pieces) == 1:
+            out.append((label + (pieces[0][0],), cols))
+            continue
+        for lam, sp in pieces:
+            vectors = [[sum([y * v[t] for y, v in zip(row, cols) if y]) for t in range(n)]
+                       for row in sp._dense()]
+            out.append((label + (lam,), tuple(tuple(_integer_row(r))
+                                              for r in Subspace(n, vectors)._dense())))
+    return out
+
+
+def _graded(blocks, actions, n):
+    """The Grading of the blocks (rational label, columns), sorted by label
+    descending, labels over their lcm denominator L, each column checked
+    against each action (D, v -> D M v) in ints, and R = s P^{-1} read off
+    one elimination of the int rows of [P | I]: row k of its RREF is a_k
+    [e_k | P^{-1}[k, :]], and s is the lcm of the pivot entries a_k."""
+    L = lcm(*(x.denominator for label, _ in blocks for x in label))
+    blocks = sorted(((tuple(x.numerator * (L // x.denominator) for x in label), block)
+                     for label, block in blocks), key=itemgetter(0), reverse=True)
+    labels, cols = [], []
     for label, block in blocks:
-        for v in block._dense():
-            for (D, act), lam in zip(actions, label):
-                c = D * lam
-                if [c.denominator * x for x in act(v)] != [c.numerator * x for x in v]:
+        for v in block:
+            for (D, act), a in zip(actions, label):
+                if [L * x for x in act(v)] != [D * a * x for x in v]:
                     raise InternalCheckFailure(
                         "grading: a basis vector is not a joint eigenvector")
-    labels = tuple(label for label, block in blocks for _ in range(block.dim))
-    cols = tuple(tuple(_integer_row(v)) for _, block in blocks for v in block._dense())
+            labels.append(label)
+            cols.append(v)
     A, piv = _echelon([[v[r] for v in cols] + [int(r == c) for c in range(n)]
                        for r in range(n)])
-    if piv != list(range(n)):
+    if len(cols) != n or piv != list(range(n)):
         raise InternalCheckFailure("grading: the joint eigenvectors are not a basis")
     s = lcm(*(A[k][k] for k in range(n)))
     R = tuple(tuple(x * (s // A[k][k]) for x in A[k][n:]) for k in range(n))
-    return Grading(labels, cols, R, s)
+    return Grading(tuple(labels), L, tuple(cols), R, s)
 
 
 def _graded_blocks(labels, cells, T, shift, weights, power):
     """ad(M)^power one weight at a time, for M homogeneous of weight shift
-    in a frame of weight tuples labels, cells mapping a weight to its cells
+    in a frame of int weight tuples labels, cells mapping a weight to its cells
     (i, j), and M given by its frame ints T: for each weight w, (the
     weight-w cells, the weight w + power shift cells, the int matrix between
     them as rows, one per target cell), its columns the brackets of T with
@@ -974,8 +1060,8 @@ def _graded_blocks(labels, cells, T, shift, weights, power):
 
 
 def graded_kernel(g, T, shift, weights, power=1):
-    """ker ad(M)^power on the given weights of the grading g, for M
-    homogeneous of weight shift with frame ints T: the kernel of each
+    """ker ad(M)^power on the given int weights of the grading g, for M
+    homogeneous of int weight shift with frame ints T: the kernel of each
     weight's block, mapped back to int vectors of flattened gl_n by the
     outer products of `Grading._outer` (not echelonized)."""
     out = []
@@ -988,7 +1074,7 @@ def graded_solve(labels, cells, T, shift, w, rhs, power=1):
     """The echelon-first solution X of ad(T)^power X = rhs over the weight-w
     cells of a frame (as `_graded_blocks` takes it), as frame terms
     ((i, j), Fraction), or NO_SOLUTION; rhs maps the weight w + power shift
-    cells to values (missing ones are 0)."""
+    cells to int values (missing ones are 0)."""
     ((sources, targets, rows),) = _graded_blocks(labels, cells, T, shift, [w], power)
     sol = _solve([row + [rhs.get(t, 0)] for row, t in zip(rows, targets)],
                  len(sources))[0]

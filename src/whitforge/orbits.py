@@ -247,12 +247,16 @@ def _sl2_in_frame(g, f, h, w, D, T):
     the `graded_solve` of ad(f') e' = -h' over the weight-w cells, h' the
     diagonal of h's eigenvalues; [h', e'] = 2e' holds there, so this is
     [e', f'] = h', solvable iff (h, f) is neutral, and e' is unique, as g^f
-    has no positive ad(h)-weight.  T_e is e' as frame ints, for ker ad e."""
+    has no positive ad(h)-weight.  In ints it is ad(T) X = -D L h' on the
+    int labels L h', and e' = X / L.  T_e is e' as frame ints, for ker
+    ad e."""
     n = f.rows
+    w = tuple(g.L * x for x in w)
     rhs = {(i, i): -D * label[0] for i, label in enumerate(g.labels)}
     sol = graded_solve(g.labels, g._cells, T, tuple(-x for x in w), w, rhs)
     if sol is NO_SOLUTION:
         raise NoSolutionError("no sl2 completion; (h, f) is not a neutral pair")
+    sol = [(ij, x / g.L) for ij, x in sol]
     e = g.unframe(sol)
     if h.bracket(e) != e.scale(2) or e.bracket(f) != h:
         raise InternalCheckFailure("sl2 completion: [h,e] = 2e, [e,f] = h fails")
@@ -290,8 +294,9 @@ def _neutral(h, f, dh, hi, fi):
     ad(h)-weights by 2 and h has weight 0, so h lies in image(ad f) iff it
     lies in ad f(g^h_2): one `_weight_two_exists`, for a diagonal h in the
     coordinate frame (labels the diagonal of D_h h, so weight 2 D_h, and
-    f' = D_f f), else in grading(h)'s, whose NotRationalSplit means not
-    neutral: a neutral h is semisimple with integer eigenvalues."""
+    f' = D_f f), else in grading(h)'s (labels L times h's eigenvalues, so
+    weight 2 L), whose NotRationalSplit means not neutral: a neutral h is
+    semisimple with integer eigenvalues."""
     n = f.rows
     if _bracket(enumerate(hi), enumerate(fi), n) != [-2 * dh * x for x in fi]:
         return False
@@ -301,7 +306,7 @@ def _neutral(h, f, dh, hi, fi):
         g = grading(h)
     except NotRationalSplit:
         return False
-    return _weight_two_exists([x for x, in g.labels], 2, *g.frame(f))
+    return _weight_two_exists([x for x, in g.labels], 2 * g.L, *g.frame(f))
 
 
 def _weight_two_exists(d, w, D, T):

@@ -6,10 +6,12 @@ subgroup data.
 
 Every weight condition goes through one `Grading`: gl_n graded by commuting
 rational semisimple matrices, from a joint eigenbasis P of Q^n held in ints.
-A Whittaker pair is graded by S alone (weights r, predicates
-`lambda r: ...`); the chain is bigraded by (h, Z) with S_t = h + tZ
-(weights (alpha, beta), predicates `lambda a, b: ...`), so the
-ad(S_t)-weight of a component is alpha + t beta.  `space(predicate)` is one
+A Whittaker pair is graded by S alone (weights r); the chain is bigraded by
+(h, Z) with S_t = h + tZ (weights (alpha, beta)), refined from the pair's
+S-grading (`exactq.bigrade`), so the ad(S_t)-weight of a component is
+alpha + t beta.  Inside, a weight is its int label L w, for the grading's
+common denominator L, and t = p/q: alpha + t beta >= 1 reads q A + p B >=
+q L on the labels (A, B), in ints.  `int_space(predicate)` is one
 elimination over the selected cells' int s P E_ij P^{-1}.  f is homogeneous
 in both gradings, and so is everything the chain solves for: h comes from a
 y of S-weight 2 and e has weight (2, 0), each solved one weight at a time in
@@ -30,9 +32,9 @@ from .errors import (DimensionMismatch, NotCommuting, ShapeViolation,
 # Grading, grading and rational_eigenvalues live in exactq, and stay names
 # of this module too
 from .exactq import (NO_SOLUTION, Grading, QMatrix, Subspace, _bracket, _scaled,
-                     _trace_pairing, brackets, echelon_first, graded_kernel,
-                     graded_solve, grading, rat_str, rational_eigenvalues,
-                     skew_tools)
+                     _trace_pairing, bigrade, brackets, echelon_first,
+                     graded_kernel, graded_solve, grading, rat_str,
+                     rational_eigenvalues, skew_tools)
 from .orbits import _sl2_in_frame, is_neutral_pair, jordan_partition
 
 __all__ = [
@@ -49,7 +51,8 @@ __all__ = [
 
 def bigrading(h, Z):
     """Joint (ad h, ad Z)-eigenspace decomposition of gl_n; weights are
-    pairs (alpha, beta)."""
+    pairs (alpha, beta).  `chain` builds the same grading by refining its
+    pair's S-grading (`exactq.bigrade`)."""
     return grading(h, Z)
 
 
@@ -143,6 +146,8 @@ class ChainCertificate:
     snapshots: tuple          # one DeformationSnapshot per node
     inclusions: tuple         # dicts per consecutive node pair
     obstructions: tuple       # dicts per consecutive node pair
+    # the (h, Z)-bigrading the filtrations are read off
+    grading: Grading = field(repr=False, compare=False)
 
     def to_json(self):
         return {
@@ -179,12 +184,13 @@ def find_Z(pair):
     S, f, n = pair.S, pair.f, pair.n
     g = pair.grading
     D, T = g.frame(f)
+    two = 2 * g.L
     rhs = {divmod(k, n): 2 * D * x for k, x in enumerate(T) if x}
-    y0 = graded_solve(g.labels, g._cells, T, (-2,), (2,), rhs, power=2)
+    y0 = graded_solve(g.labels, g._cells, T, (-two,), (two,), rhs, power=2)
     if y0 is NO_SOLUTION:
         raise VerificationError("Z-decomposition system inconsistent; invalid pair")
-    K = graded_kernel(g, T, (-2,), [w for w in g.weights if w != (2,)]) \
-        + graded_kernel(g, T, (-2,), [(2,)], power=2)
+    K = graded_kernel(g, T, (-two,), [w for w in g.int_weights if w != (two,)]) \
+        + graded_kernel(g, T, (-two,), [(two,)], power=2)
     dy, y = echelon_first(g.unframe(y0).entries, K)
     df, fi = _scaled(f)
     h = QMatrix._trusted(n, n, [Fraction(x, df * dy)
@@ -214,8 +220,9 @@ def critical_numbers(h, Z, f):
 
 def _crossings(bg, level, after):
     """The t > after, sorted, at which a component (alpha, beta) of the
-    bigrading with beta != 0 has ad(S_t)-weight alpha + t beta = level."""
-    ts = {(level - a) / b for a, b in bg.weights if b != 0}
+    bigrading with beta != 0 has ad(S_t)-weight alpha + t beta = level:
+    t = (level L - A) / B on its int label (A, B)."""
+    ts = {Fraction(level * bg.L - a, b) for a, b in bg.int_weights if b}
     return sorted(t for t in ts if t > after)
 
 
@@ -242,18 +249,19 @@ def quasi_criticals(S, f, h):
 
 
 def _centralizer(g, T, shift, predicate):
-    """ker ad M on the weights of the grading g that satisfy the predicate,
-    for M homogeneous of weight shift with frame ints T: that sum of weight
-    spaces meets the centralizer of M in its per-weight kernels, echelonized
-    once."""
+    """ker ad M on the weights of the grading g whose int labels satisfy
+    the predicate, for M homogeneous of weight shift with frame ints T:
+    that sum of weight spaces meets the centralizer of M in its per-weight
+    kernels, echelonized once."""
     return Subspace(len(g.labels) ** 2, graded_kernel(
-        g, T, shift, [w for w in g.weights if predicate(*w)]))
+        g, T, tuple(g.L * x for x in shift),
+        [w for w in g.int_weights if predicate(*w)]))
 
 
 def _lagrangian_m(bg, f):
     """The Lagrangian m inside g^Z_0 \\cap g^S_1 (components beta = 0,
     alpha = 1), computed once; constant in t."""
-    space = bg.space(lambda a, b: b == 0 and a + b == 1)
+    space = bg.int_space(lambda a, b: b == 0 and a == bg.L)
     if space.dim == 0:
         return space
     return skew_tools(f, space, "lagrangian")
@@ -262,19 +270,23 @@ def _lagrangian_m(bg, f):
 def _snapshot(bg, f, Tf, m, t):
     """(the snapshot at t, w_t cap g^f), for f with frame ints Tf in bg: the
     radical is v_t (+) (w_t cap g^f), checked against omega_f's radical on
-    u_t.  Each weight's ad(S_t)-weight a + t b is formed once, in `st`."""
-    st = {(a, b): a + t * b for a, b in bg.weights}
-    u = bg.space(lambda *ab: st[ab] >= 1)
-    v = bg.space(lambda *ab: st[ab] > 1)
-    w = bg.space(lambda *ab: st[ab] == 1)
-    cap = _centralizer(bg, Tf, (-2, 0), lambda *ab: st[ab] == 1)
+    u_t.  Each weight's ad(S_t)-weight a + t b is formed once, in `st`, as
+    q L (a + t b) = q A + p B on its int label (A, B), for t = p/q, and
+    compared with q L."""
+    p, q = t.numerator, t.denominator
+    one = q * bg.L
+    st = {(a, b): q * a + p * b for a, b in bg.int_weights}
+    u = bg.int_space(lambda *ab: st[ab] >= one)
+    v = bg.int_space(lambda *ab: st[ab] > one)
+    w = bg.int_space(lambda *ab: st[ab] == one)
+    cap = _centralizer(bg, Tf, (-2, 0), lambda *ab: st[ab] == one)
     rad = v.sum(cap)
     rad_direct = skew_tools(f, u, "radical")
     if rad_direct != rad:
         raise VerificationError(
             f"Lemma 4.3(iv) radical decomposition violated at t={rat_str(t)}")
-    zneg = bg.space(lambda *ab: st[ab] >= 1 and ab[1] < 0)
-    zpos = bg.space(lambda *ab: st[ab] >= 1 and ab[1] > 0)
+    zneg = bg.int_space(lambda *ab: st[ab] >= one and ab[1] < 0)
+    zpos = bg.int_space(lambda *ab: st[ab] >= one and ab[1] > 0)
     l, r = (Subspace(u.ambient_dim, m._dense() + z._dense() + rad._dense())
             for z in (zneg, zpos))
     for name, iso in (("l", l), ("r", r)):
@@ -302,10 +314,11 @@ def chain(pair):
     """Full deformation-chain certificate for a Whittaker pair: critical
     numbers in [0,1], snapshots, verified inclusions r_{t_i} <= l_{t_{i+1}},
     the direct-sum and ideal/commutativity clauses, and obstruction spaces
-    with dual spanning sets among the highest-weight vectors."""
+    with dual spanning sets among the highest-weight vectors.  The
+    bigrading refines the pair's S-grading."""
     f, n = pair.f, pair.n
     h, Z = find_Z(pair)
-    bg = bigrading(h, Z)
+    bg = bigrade(pair.grading, h, Z)
     Df, Tf = bg.frame(f)
     e, Te = _sl2_in_frame(bg, f, h, (2, 0), Df, Tf)
     crits = [t for t in _critical_values(bg) if t <= 1]
@@ -334,7 +347,8 @@ def chain(pair):
             raise VerificationError(
                 f"Lemma 4.4 commutative quotient [r_{rat_str(t)}, r_{rat_str(t)}] "
                 f"<= v_{rat_str(T)} violated")
-        dual = _centralizer(bg, Te, (2, 0), lambda a, b: a + T * b == -1)
+        p, q = T.numerator, T.denominator
+        dual = _centralizer(bg, Te, (2, 0), lambda a, b: q * a + p * b == -q * bg.L)
         if dual.dim != obstruction.dim:
             raise VerificationError(
                 f"obstruction dual dimension mismatch at t={rat_str(T)}")
@@ -347,7 +361,7 @@ def chain(pair):
                            "obstruction_dim": obstruction.dim})
         obstructions.append({"t": T, "space": obstruction, "dual": dual})
     return ChainCertificate(pair, h, Z, e, tuple(crits), tuple(nodes),
-                            snaps, tuple(inclusions), tuple(obstructions))
+                            snaps, tuple(inclusions), tuple(obstructions), bg)
 
 
 def _functional_kernel(space, f, n):
@@ -361,7 +375,8 @@ def model_data(pair):
     """Degenerate-model nilpotent data at S itself: u = g^S_{>=1}, the radical
     n of omega_phi on u, and n' = n cap Ker(phi)."""
     f, n = pair.f, pair.n
-    u = pair.grading.space(lambda r: r >= 1)
+    g = pair.grading
+    u = g.int_space(lambda r: r >= g.L)
     n_rad = skew_tools(f, u, "radical")
     n_prime = _functional_kernel(n_rad, f, n)
     return {"u": u, "n_rad": n_rad, "n_prime": n_prime}
@@ -375,9 +390,9 @@ def quasi_model_data(triple):
     pair, fp = triple.pair, triple.f_prime
     f, n = pair.f, pair.n
     g = pair.grading
-    u = g.space(lambda r: r >= 1)
-    v = g.space(lambda r: r > 1)
-    z = v.sum(_centralizer(g, g.frame(f)[1], (-2,), lambda r: r == 1))
+    u = g.int_space(lambda r: r >= g.L)
+    v = g.int_space(lambda r: r > g.L)
+    z = v.sum(_centralizer(g, g.frame(f)[1], (-2,), lambda r: r == g.L))
     k = _functional_kernel(z, f + fp, n)
     pair_fp = _trace_pairing(_scaled(fp)[1], n)
     for br in brackets(u):

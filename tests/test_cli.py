@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -289,6 +290,24 @@ def test_quasi_criticals_cli(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["quasi_criticals"][0] == "4/3"
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (("pair-chain", "--S", "diag(2,0,0,-2)", "--f", "E21+E43"),
+     "54ee96c0da4e7d705288d31bd4bf9df390c36146cb8582ea9c099e183b05c532"),
+    (("quasi-criticals", "--S", "diag(2,0,0,-2)", "--f", "E21+E43",
+      "--h", "diag(1,-1,1,-1)"),
+     "3eaa1d1f8196ab1a9c6df17e9ee7b3ce84d510a311d1b37ae9e19e46e55b7ad9"),
+])
+def test_verbs_where_h_splits_an_s_block_are_pinned(capsys, argv, digest):
+    # h = diag(1, -1, 1, -1) splits the S-eigenspace of 0 in two: the
+    # chain's bigrading splits that 2 x 2 S-block by h, and the one of
+    # quasi-criticals splits h's 2 x 2 eigenspaces by Z.  The digests are
+    # the stdout of the bigrading built from scratch, before the chain
+    # refined the pair's S-grading
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_pair_check_cli_reads_the_size_from_n(capsys):

@@ -486,16 +486,23 @@ def test_chain_glsame_obstructions():
     assert obs[1]["dual"] == Subspace(16, [flat(E(4, 3, 2))])
 
 
-def test_chain_builds_the_bigrading_once(monkeypatch):
+def test_chain_refines_the_pair_grading_once(monkeypatch):
+    # chain builds its bigrading once, from the pair's S-grading: no
+    # grading from scratch, so neither bigrading nor grading runs
+    pair = glsame_pair()
     calls = []
-    real = whitpair.bigrading
 
-    def counted(h, Z):
-        calls.append(1)
-        return real(h, Z)
-    monkeypatch.setattr(whitpair, "bigrading", counted)
-    chain(glsame_pair())
-    assert len(calls) == 1
+    def counted(name, real):
+        def wrapper(*args):
+            calls.append(name)
+            return real(*args)
+        return wrapper
+    for name in ("bigrade", "bigrading", "grading"):
+        monkeypatch.setattr(whitpair, name, counted(name, getattr(whitpair, name)))
+    monkeypatch.setattr(exactq, "grading", counted("grading", exactq.grading))
+    cert = chain(pair)
+    assert calls == ["bigrade"]
+    assert cert.grading == bigrading(cert.h, cert.Z)
 
 
 def _bracket_failing_at(monkeypatch, call):
