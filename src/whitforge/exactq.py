@@ -5,19 +5,18 @@ Everything is a pure function on immutable values.  Fractions at the API,
 integer rows inside the kernels: eliminations, reductions, brackets, ad
 operators and Gram matrices run on ints scaled by one common denominator,
 and every test made on them (membership, a kernel, a zero) does not depend
-on that scale.  No floating point anywhere.  Every elimination runs here:
-other modules eliminate only through `rref_solve`, `QMatrix`, `Subspace`
-and the graded solvers.  A `Subspace` keeps its canonical RREF basis as int
-rows over one common denominator, which serve `member` and `intersect` (one
-shared reduction), `span` of coordinate vectors, `kernel_of` a map given by
-the basis's images, `orthogonal` and `coordinates`; its Fraction `basis` is
-built when it is first read, and `to_json` prints x/D straight from the int
-rows.  `_solve` reads the echelon-first solution of an int system, making
-only the solution's entries Fractions, and `rref_solve` and `graded_solve`
-read their solutions through it.  `_echelon` is the only elimination:
+on that scale.  No floating point anywhere.  A `Subspace` keeps its
+canonical RREF basis as int rows over one common denominator, which serve
+`member` and `intersect` (one shared reduction), `span` of coordinate
+vectors, `kernel_of` a map given by the basis's images and `orthogonal`;
+its Fraction `basis` is built when it is first read, and `to_json` prints
+x/D straight from the int rows.  `_solve` reads the echelon-first solution
+of an int system, making only the solution's entries Fractions, and
+`rref_solve` and `graded_solve` read their solutions through it.
+`_echelon` is the only elimination, of this module or any other:
 `QMatrix.inverse` reads the RREF of [M | I] off its rows, and `QMatrix.det`
-is read off `char_poly`.  `brackets` yields the brackets of the integer rows
-of one or two subspaces, for the bracket containments.
+is the determinant it keeps on request, of D M.  `brackets` yields the
+brackets of the int rows of one or two subspaces, for the containments.
 
 `grading` builds the one eigenbasis grading, a `Grading`, held as its int
 frame: the primitive int columns of a joint eigenbasis P of commuting
@@ -56,7 +55,7 @@ from fractions import Fraction
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations, groupby, product
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 from operator import itemgetter, mul
 from typing import NamedTuple
 
@@ -241,15 +240,13 @@ class QMatrix:
                                        _bracket(enumerate(A), enumerate(B), n)])
 
     def transpose(self):
-        return QMatrix._trusted(self.cols, self.rows,
-                                [self.entries[j * self.cols + i]
-                                 for i in range(self.cols) for j in range(self.rows)])
+        return QMatrix._trusted(self.cols, self.rows, [
+            x for i in range(self.cols) for x in self.entries[i::self.cols]])
 
     def trace(self):
         if self.rows != self.cols:
             raise DimensionMismatch("trace of non-square")
-        return sum((self.entries[i * self.cols + i] for i in range(self.rows)),
-                   Fraction(0))
+        return sum(self.entries[::self.cols + 1], _ZERO)
 
     def matvec(self, v):
         if len(v) != self.cols:
@@ -265,10 +262,11 @@ class QMatrix:
                    if idx // n != idx % n)
 
     def det(self):
-        """det M = (-1)^n times the constant term of det(xI - M)."""
+        """det(D M) / D^n, det(D M) kept by one `_echelon` of D M."""
         if self.rows != self.cols:
             raise DimensionMismatch("det of non-square")
-        return (-1) ** self.rows * char_poly(self)[0]
+        (D, flat), n = _scaled(self), self.rows
+        return _echelon([flat[i * n:(i + 1) * n] for i in range(n)], True)[2] / D ** n
 
     def inverse(self):
         """Read off the RREF of [M | I], whose pivots are the first n columns
@@ -336,10 +334,10 @@ def _scaled(M):
     return D, [x.numerator * (D // x.denominator) for x in M.entries]
 
 
-def _int_action(M):
-    """(D, v -> D M v on int vectors), D the lcm of M's denominators; the
-    product touches only the nonzero entries of D M."""
-    D, flat = _scaled(M)
+def _int_action(M, scaled=None):
+    """(D, v -> D M v on int vectors) from `scaled` = `_scaled(M)`, formed
+    when not given; the product touches only the nonzero entries of D M."""
+    D, flat = scaled or _scaled(M)
     n = M.cols
     rows = [[(j, x) for j, x in enumerate(flat[i * n:(i + 1) * n]) if x]
             for i in range(M.rows)]
@@ -368,29 +366,30 @@ def _integer_row(row):
     return [x // g for x in out] if g > 1 else out
 
 
-def _echelon(rows):
+def _echelon(rows, det=False):
     """The reduced row echelon form of a list of row lists (int or Fraction
     entries; the input is not mutated) up to the scale of each row: returns
     (primitive int rows, pivot column list), the nonzero rows first and one
-    per pivot.
+    per pivot; with det=True (m int rows) also the det of the first m columns.
 
     Elimination is fraction-free, in the style of Bareiss (1968): rows are
     primitive integer lists, a row R is cleared at pivot column c of P by
     R := (a/g) R - (b/g) P with a = P[c], b = R[c], g = gcd(a, b), touching
     only P's nonzero columns, and then divided by its content.  The RREF is
     unique, so dividing each row by its pivot entry gives plain Gauss-Jordan
-    over Q."""
+    over Q.  The det is prod A[k][k] over num / den, the factor it gained
+    (each a/g and swap sign, over each content divided out): the first m
+    columns end diagonal if they are the pivots, else with a zero A[k][k]."""
     A = [_integer_row(r) for r in rows]
-    if not A:
-        return [], []
-    m, n = len(A), len(A[0])
-    pivots = []
-    r = 0
+    m, n = len(A), len(A[0]) if A else 0
+    num, den = 1, prod(gcd(*r) for r in rows) if det else 1
+    pivots, r = [], 0
     for c in range(n):
         piv = next((i for i in range(r, m) if A[i][c]), None)
         if piv is None:
             continue
-        A[r], A[piv] = A[piv], A[r]
+        if piv != r:
+            A[r], A[piv], num = A[piv], A[r], -num
         P = A[r]
         a = P[c]
         nz = [j for j in range(c, n) if P[j]]
@@ -407,10 +406,14 @@ def _echelon(rows):
                 R[j] -= bg * P[j]
             g = gcd(*R)
             A[i] = [x // g for x in R] if g > 1 else R
+            if det:
+                num, den = num * ag, den * g        # g = 0 for a zero row
         pivots.append(c)
         r += 1
         if r == m:
             break
+    if det:
+        return A, pivots, Fraction(den * prod(A[k][k] for k in range(m)), num)
     return A, pivots
 
 
@@ -607,10 +610,6 @@ class Subspace:
         rows: the kernel of any matrix whose rows span the subspace."""
         return Subspace(self.ambient_dim, _kernel_of_rref(
             self._dense(), self.pivots, self.ambient_dim, self._den))
-
-    def coordinates(self, vector):
-        """A member's coordinates over the echelon basis: its pivot entries."""
-        return [vector[p] for p in self.pivots]
 
     def intersect(self, other):
         """The combinations of the basis whose reduction against other is 0.
@@ -963,12 +962,12 @@ def bigrade(g, h, Z):
 def _commuting_actions(Ms):
     """[(D, v -> D M v)] for the matrices Ms, once their ints commute."""
     n = Ms[0].rows
-    flats = [_scaled(M)[1] for M in Ms]
-    for i, A in enumerate(flats):
-        for B in flats[i + 1:]:
+    scaled = [_scaled(M) for M in Ms]
+    for i, (_, A) in enumerate(scaled):
+        for _, B in scaled[i + 1:]:
             if any(_bracket(enumerate(A), enumerate(B), n)):
                 raise NotCommuting("the grading matrices do not commute")
-    return [_int_action(M) for M in Ms]
+    return [_int_action(M, s) for M, s in zip(Ms, scaled)]
 
 
 def _split(blocks, action):

@@ -117,11 +117,11 @@ def _power_row_spaces(M):
 
 
 def _square_ints(N):
-    """The flat int entries of D N for a square N (DimensionMismatch for
-    any other), D the lcm of N's denominators."""
+    """`_scaled(N)`, (D, the flat int entries of D N), for a square N
+    (DimensionMismatch for any other)."""
     if N.rows != N.cols:
         raise DimensionMismatch("matrix not square")
-    return _scaled(N)[1]
+    return _scaled(N)
 
 
 def _jordan_type(M):
@@ -137,7 +137,7 @@ def _jordan_type(M):
 def jordan_partition(N):
     """Partition of the nilpotent orbit of N: `_jordan_type` of D N, N
     scaled once."""
-    return _jordan_type(_square_ints(N))
+    return _jordan_type(_square_ints(N)[1])
 
 
 def jordan_chain_basis(N):
@@ -145,21 +145,27 @@ def jordan_chain_basis(N):
     found by extending echelon bases of the kernel filtration ker N^k (the
     orthogonal complements of the row spaces R(N^k)) in fixed coordinate
     order.  The choice in another frame R is the chains of R N R^{-1}
-    mapped back by R^{-1}.
+    mapped back by R^{-1}.  The chains of `_int_chains`, each vector w
+    over its scale s made Fractions, w / s."""
+    return [[[Fraction(x, s) for x in w] for w, s in chain]
+            for chain in _int_chains(N, _square_ints(N))]
 
-    The search runs on int rows: a top is an int echelon row D_K v of its
-    kernel (D_K the rows' common denominator) and its chain D_K (D N)^k v,
-    D the lcm of N's denominators; only the chosen chains become Fractions,
-    N^k v = that row / (D_K D^k).  A row v of ker N^ell tops a chain of
-    length ell when it lies outside ker N^(ell-1), the tails of the longer
-    chains and the rows before it; the tail of its own chain lies in
-    ker N^(ell-1), so the chains of one length add only their tops, and
-    all of them are read off one elimination: the pivot columns of the
-    matrix with those vectors as columns, in that order."""
+
+def _int_chains(N, scaled):
+    """`jordan_chain_basis` in ints, for scaled = `_square_ints(N)`: each
+    chain as (w, s) pairs, the vector N^k v = w / s.  The search runs on int
+    rows: a top is an int echelon row D_K v of its kernel (D_K the rows'
+    common denominator) and its chain D_K (D N)^k v, so s = D_K D^k, D the
+    lcm of N's denominators.  A row v of ker N^ell tops a chain of length
+    ell when it lies outside ker N^(ell-1), the tails of the longer chains
+    and the rows before it; the tail of its own chain lies in ker N^(ell-1),
+    so the chains of one length add only their tops, and all of them are
+    read off one elimination: the pivot columns of the matrix with those
+    vectors as columns, in that order."""
     n = N.rows
     kernels = [Subspace(n)] + [Subspace(n, R).orthogonal()
-                               for R in _power_row_spaces(_square_ints(N))]
-    D, times_n = _int_action(N)
+                               for R in _power_row_spaces(scaled[1])]
+    D, times_n = _int_action(N, scaled)
     chains = []
     tails = []              # the int chain vectors below each top found
     for ell in range(len(kernels) - 1, 0, -1):
@@ -174,8 +180,7 @@ def jordan_chain_basis(N):
             for _ in range(ell - 1):
                 chain.append(times_n(chain[-1]))
             tails += chain[1:]
-            chains.append([[Fraction(x, K._den * D ** k) for x in w]
-                           for k, w in enumerate(chain)])
+            chains.append([(w, K._den * D ** k) for k, w in enumerate(chain)])
     if sum(len(c) for c in chains) != n:
         raise InternalCheckFailure("jordan chain basis: chain lengths do not sum to n")
     return chains
@@ -184,17 +189,19 @@ def jordan_chain_basis(N):
 def jordan_conjugator(N, eta):
     """Invertible g over Q with g N g^{-1} = J_eta exactly.  eta must be a
     composition whose sorted form is the Jordan type of N."""
-    return _conjugator(N, tuple(int(k) for k in eta))[2]
+    return _basis_matrix(_conjugator(N, tuple(int(k) for k in eta))[1]).inverse()
 
 
 def _conjugator(N, eta=None):
-    """(lam, B, g): the Jordan type lam of N, read off the chain lengths of
-    one jordan_chain_basis, the matrix B with the chains as columns in the
-    order eta lists their lengths (eta = lam when not given), and its
-    inverse g, with g N g^{-1} = J_eta.  g N B = J_eta is checked in ints,
-    column by column: D_g g (D_N N) applied to the columns of D_B B against
-    D_g D_N D_B J_eta, D the lcm of a matrix's denominators."""
-    chains = jordan_chain_basis(N)
+    """(lam, cols, det B): the Jordan type lam of N, read off the chain
+    lengths of one `_int_chains`, the chains in the order eta lists their
+    lengths (eta = lam when not given) as the columns w / s of B, given as
+    (w, s) pairs, and det B.  g = B^{-1} has g N g^{-1} = J_eta: N B =
+    B J_eta is checked in ints, s_(j+1) D N w_j = D s_j w_(j+1) down each
+    chain and D N w = 0 at its end (D the lcm of N's denominators), and
+    det B = det(B_int) / prod s != 0, from one `_echelon` of the w."""
+    scaled = _square_ints(N)
+    chains = _int_chains(N, scaled)
     lam = tuple(sorted((len(ch) for ch in chains), reverse=True))
     eta = lam if eta is None else eta
     if tuple(sorted(eta, reverse=True)) != lam:
@@ -203,18 +210,23 @@ def _conjugator(N, eta=None):
     for ch in chains:
         pool.setdefault(len(ch), []).append(ch)
     cols = []
+    D, times_n = _int_action(N, scaled)
     for k in eta:
-        cols.extend(pool[k].pop(0))
-    n = N.rows
-    B = QMatrix.from_rows([[cols[j][i] for j in range(n)] for i in range(n)])
-    g = B.inverse()
-    dB, Bi = _scaled(B)
-    dN, times_n = _int_action(N)
-    dg, times_g = _int_action(g)
-    c, J = dg * dN * dB, _scaled(J_eta(eta))[1]
-    if any(times_g(times_n(Bi[j::n])) != [c * x for x in J[j::n]] for j in range(n)):
-        raise InternalCheckFailure("jordan conjugator: g N g^-1 = J_eta fails")
-    return lam, B, g
+        chain = pool[k].pop(0)
+        for (w, s), (w1, s1) in zip(chain, chain[1:] + [([0] * N.rows, 1)]):
+            if [s1 * x for x in times_n(w)] != [D * s * x for x in w1]:
+                raise InternalCheckFailure("jordan conjugator: N B = B J_eta fails")
+        cols += chain
+    det = exactq._echelon([w for w, _ in cols], det=True)[2]
+    if not det:
+        raise InternalCheckFailure("jordan conjugator: the chain basis is singular")
+    return lam, cols, det / math.prod(s for _, s in cols)
+
+
+def _basis_matrix(cols):
+    """The matrix B whose columns are w / s for the (w, s) pairs cols."""
+    n = len(cols)
+    return QMatrix._trusted(n, n, [Fraction(w[i], s) for i in range(n) for w, s in cols])
 
 
 # ---------------------------------------------------------------------------
@@ -270,10 +282,11 @@ def _sl2_in_frame(g, f, h, w, D, T):
 def neutral_for(f):
     """A neutral element h for the nilpotent f, built by transporting the
     standard h_eta through a Jordan conjugator."""
-    eta, B, g = _conjugator(f)
+    eta, cols, _ = _conjugator(f)
     if not eta:
         raise DimensionMismatch("empty matrix")
-    return B * h_eta(eta) * g
+    B = _basis_matrix(cols)
+    return B * h_eta(eta) * B.inverse()
 
 
 def is_neutral_pair(h, f):
@@ -569,9 +582,9 @@ class SlOrbitClass:
 def sl_class(N):
     """SL_n orbit invariant of a nilpotent N: the partition plus the class of
     det(g)^{-1} = det(B) modulo d-th powers, where g N g^{-1} = J_lambda and
-    B = g^{-1}."""
-    lam, B, _ = _conjugator(N)
+    B = g^{-1}; det B comes from `_conjugator`, and g is never formed."""
+    lam, _, det = _conjugator(N)
     if not lam:
         raise DimensionMismatch("empty matrix")
     d = math.gcd(*lam)
-    return SlOrbitClass(lam, d, power_class(B.det(), d))
+    return SlOrbitClass(lam, d, power_class(det, d))

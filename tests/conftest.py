@@ -13,6 +13,12 @@ def E(n, i, j, c=1):
     return QMatrix.elementary(n, i, j, c)
 
 
+def coordinates(U, vector):
+    """A member's coordinates over the echelon basis of the Subspace U: its
+    pivot entries."""
+    return [vector[p] for p in U.pivots]
+
+
 def random_unimodular(n, rng, span=1):
     """Random integer matrix of determinant +-1 (product of unitriangulars)."""
     upper = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]

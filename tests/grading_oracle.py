@@ -17,6 +17,8 @@ from whitforge.exactq import (QMatrix, Subspace, _bracket, _echelon,
                               _int_action, _integer_row, _scaled,
                               rational_eigenvalues)
 
+from conftest import coordinates
+
 
 @dataclass(frozen=True)
 class Grading:
@@ -104,7 +106,7 @@ def grading(*Ms):
     for D, act in actions:
         split = []
         for label, block in blocks:
-            coords = [block.coordinates(act(v)) for v in block._dense()]
+            coords = [coordinates(block, act(v)) for v in block._dense()]
             c, k = D * block._den, len(coords)
             small = QMatrix._trusted(k, k, [Fraction(x, c) for col in zip(*coords)
                                             for x in col])

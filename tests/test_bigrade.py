@@ -3,6 +3,7 @@ labels, against the two-matrix grading from scratch it replaced
 (grading_oracle.py), and what a chain pass hands the eigenvalue search,
 the elimination and the weight predicates."""
 
+import os
 import random
 from fractions import Fraction
 
@@ -123,3 +124,25 @@ def test_a_chain_pass_runs_in_ints(monkeypatch):
     assert sizes and all(2 <= k < n for k, n in sizes)
     assert fraction_calls == []
     assert arg_types == {int}
+
+
+def test_a_seed0_chain_pass_scales_each_grading_matrix_once(monkeypatch):
+    # the 36 chains of the benchmark's seed-0 chain pass, their pairs built
+    # first: `_commuting_actions` scales h and Z once each, for the
+    # commutation bracket and the actions both (855 calls when the actions
+    # scaled them again)
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), "..", "perfbench"))
+    import workloads
+    pairs = [WhittakerPair(spec["n"], QMatrix.from_json(spec["S"]),
+                           QMatrix.from_json(spec["f"]))
+             for spec in workloads.generate("chain", 0)]
+    calls = []
+    real = exactq._scaled
+
+    def counting(M):
+        calls.append(M)
+        return real(M)
+    monkeypatch.setattr(exactq, "_scaled", counting)
+    for pair in pairs:
+        chain(pair)
+    assert len(pairs) == 36 and len(calls) == 783

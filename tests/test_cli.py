@@ -93,6 +93,21 @@ def test_orbit_classify_builds_one_kernel_filtration(capsys, monkeypatch):
     assert len(calls) == 1
 
 
+def test_orbit_classify_of_a_dense_rational_conjugate_is_pinned(tmp_path, capsys):
+    # a dense rational conjugate of J_(2,2) whose det B is -5 times a
+    # square, so a_class is nontrivial; the digest is the stdout of the SL
+    # class read off B's inverse and char_poly, before det B came from one
+    # int elimination
+    doc = tmp_path / "dense_nilpotent.json"
+    doc.write_text(json.dumps({"matrix": [
+        ["1", "2/5", "4/5", "13/5"], ["0", "2/5", "-1/5", "-2/5"],
+        ["2", "16/5", "2/5", "14/5"], ["-1", "-6/5", "-2/5", "-9/5"]]}))
+    code, out, _ = run_cli(capsys, "orbit-classify", str(doc))
+    assert code == 0 and json.loads(out)["sl_class"]["a_class"] == "-5"
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "e986c2356bc208554dd463b7268be94182ce1954f8af7d24d97d6fe5fd481e8d"
+
+
 @pytest.mark.parametrize("spec", ["diag(1,2,3)", "E11", "E21+E12", "E21+E33"])
 def test_orbit_classify_rejects_non_nilpotent(capsys, spec):
     code, out, err = run_cli(capsys, "orbit-classify", "--matrix", spec)

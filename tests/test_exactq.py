@@ -13,8 +13,9 @@ from whitforge.exactq import (NO_SOLUTION, QMatrix, Subspace, _bracket,
                               _echelon, _kernel_rows, _lagrangian, _scaled,
                               char_poly, echelon_first, rat_parse, rat_str,
                               rational_eigenvalues, rref_solve, skew_tools)
+from whitforge.orbits import jordan_chain_basis
 
-from conftest import E
+from conftest import E, coordinates, random_unimodular
 from dense_ad import ad_matrix, int_ad
 
 
@@ -187,6 +188,20 @@ def _det_inverse_cases():
                     rows[-1] = [sum((c * r[j] for c, r in zip(coeffs, rows)), Fraction(0))
                                 for j in range(n)]
                 yield QMatrix.from_rows(rows), singular and n > 0
+    # int entries (1 x 1 included), det 1 and -1, and the chain basis B of
+    # the orbit-classify input 1000000000000000003 E21 + E43, whose det
+    # is that prime, alone and times a unimodular g
+    for n in range(1, 7):
+        yield QMatrix.from_rows([[rng.randint(-9, 9) for _ in range(n)]
+                                 for _ in range(n)]), False
+        g = random_unimodular(n, rng)
+        yield g, False
+        yield QMatrix.diag([-1] + [1] * (n - 1)) * g, False
+    yield QMatrix.from_rows([[0]]), True
+    N = E(4, 2, 1, 1000000000000000003) + E(4, 4, 3)
+    B = QMatrix.from_rows(list(zip(*(v for ch in jordan_chain_basis(N) for v in ch))))
+    yield B, False
+    yield random_unimodular(4, rng) * B, False
 
 
 def test_det_and_inverse_match_sympy():
@@ -205,6 +220,52 @@ def test_det_and_inverse_match_sympy():
         else:
             with pytest.raises(DimensionMismatch):
                 M.inverse()
+
+
+def _char_poly_det(M):
+    """The determinant as it was read before the elimination kept one:
+    (-1)^n times the constant term of det(xI - M)."""
+    return (-1) ** M.rows * char_poly(M)[0]
+
+
+def test_det_is_one_int_elimination_and_matches_the_char_poly_oracle(monkeypatch):
+    # every case, unimodular ones with det +-1, the 0 x 0 matrix with det 1
+    # and the prime 1000000000000000003 among them; det runs one
+    # elimination, of the int rows of D M, and asks it for the determinant
+    dets = {}
+    cases = list(_det_inverse_cases())
+    assert {_char_poly_det(M) for M, _ in cases} >= {0, 1, -1, 1000000000000000003}
+    calls = []
+    real = exactq._echelon
+
+    def echelon(rows, det=False):
+        calls.append((det, all(type(x) is int for row in rows for x in row)))
+        return real(rows, det)
+    monkeypatch.setattr(exactq, "_echelon", echelon)
+    for M, singular in cases:
+        calls.clear()
+        det = M.det()
+        assert calls == [(True, True)]
+        assert type(det) is Fraction and det == _char_poly_det(M)
+        assert det == 0 or not singular
+        dets[M.rows] = dets.get(M.rows, set()) | {det}
+    assert dets[0] == {1} and len(dets[1]) > 2
+
+
+def test_echelon_keeps_the_determinant_only_when_asked():
+    # the same rows and pivots either way; with det=True also the
+    # determinant of the first m columns, of M alone or of [M | I]
+    for M, _ in _det_inverse_cases():
+        n = M.rows
+        D = lcm(*(x.denominator for x in M.entries))
+        rows = [[int(D * x) for x in row] for row in M.row_lists()]
+        wide = [row + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+        want = _char_poly_det(M) * D ** n
+        for R in (rows, wide):
+            plain = _echelon(R)
+            A, piv, det = _echelon(R, det=True)
+            assert len(plain) == 2 and (A, piv) == plain
+            assert det == want
 
 
 def test_int_ad_columns_are_dense_brackets():
@@ -496,7 +557,7 @@ def test_span_and_coordinates_match_sympy():
                    if coords and k else [[0] * n for _ in coords])
         assert U.span(coords) == Subspace(n, vectors)
         for c, v in zip(coords, vectors):
-            assert U.member(v) and U.coordinates(v) == c
+            assert U.member(v) and coordinates(U, v) == c
 
 
 def test_kernel_of_matches_sympy_nullspace():

@@ -9,8 +9,9 @@ import pytest
 
 from whitforge import exactq, orbits
 from whitforge.cli import canonical_json
-from whitforge.errors import (InternalCheckFailure, NoSolutionError,
-                              NotNilpotent, UnsupportedQuery, WrongPartition)
+from whitforge.errors import (DimensionMismatch, InternalCheckFailure,
+                              NoSolutionError, NotNilpotent, UnsupportedQuery,
+                              WrongPartition)
 from whitforge.exactq import QMatrix, Subspace, rat_str
 from whitforge.orbits import (J_eta, J_eta_a, SlOrbitClass, h_eta,
                               integer_nth_root, is_dth_power, is_neutral_pair,
@@ -198,16 +199,27 @@ def test_conjugator_chain_case():
 @pytest.mark.parametrize("second", [Fraction(1, 3), Fraction(2, 3)])
 def test_conjugator_checks_g_N_B_against_J_eta(monkeypatch, second):
     # N = E21 / 3 has the chain (e1, N e1 = e2 / 3); a second vector of
-    # 2 N e1 still makes B invertible, but then g N B = J_eta / 2
+    # 2 N e1 still makes B invertible, but then N B = B J_eta / 2.  The
+    # chains are given as `_int_chains` gives them, (w, s) for w / s
     N = E(2, 2, 1).scale(Fraction(1, 3))
-    monkeypatch.setattr(orbits, "jordan_chain_basis",
-                        lambda _: [[[Fraction(1), Fraction(0)], [Fraction(0), second]]])
+    monkeypatch.setattr(orbits, "_int_chains", lambda *_: [
+        [([1, 0], 1), ([0, second.numerator], second.denominator)]])
     if second == Fraction(1, 3):
         g = jordan_conjugator(N, (2,))
         assert g * N * g.inverse() == J_eta((2,))
     else:
         with pytest.raises(InternalCheckFailure, match="J_eta fails"):
             jordan_conjugator(N, (2,))
+
+
+def test_conjugator_checks_det_b(monkeypatch):
+    # two chains of length 1 of N = 0 satisfy N B = B J_eta, but on one
+    # line B is singular: the SL class has no det B to read
+    monkeypatch.setattr(orbits, "_int_chains",
+                        lambda *_: [[([1, 0], 1)], [([2, 0], 3)]])
+    for analysis in (sl_class, neutral_for, lambda N: jordan_conjugator(N, (1, 1))):
+        with pytest.raises(InternalCheckFailure, match="singular"):
+            analysis(QMatrix.zeros(2))
 
 
 def test_conjugator_wrong_partition():
@@ -498,6 +510,94 @@ def test_sl_class_det1_invariant(rng):
         if g.det() == -1:
             g = g * QMatrix.diag([-1] + [1] * (n - 1))
         assert sl_class(g * N * g.inverse()) == sl_class(N)
+
+
+def _rational_unit_triangular(n, rng):
+    """U L for U and L unit triangular with rational entries: det 1."""
+    def entry():
+        return Fraction(rng.randint(-3, 3), rng.choice([1, 2, 3, 5]))
+    U = QMatrix.from_rows([[entry() if j > i else int(i == j) for j in range(n)]
+                           for i in range(n)])
+    L = QMatrix.from_rows([[entry() if j < i else int(i == j) for j in range(n)]
+                           for i in range(n)])
+    return U * L
+
+
+def test_sl_class_conjugation_under_rational_g():
+    # an SL_n conjugate keeps the class; a GL_n one multiplies det B by
+    # det g, since g B is a chain basis of g N g^-1.  N is a dense conjugate
+    # with d >= 2, so the classes are not all trivial
+    rng = random.Random("sl_class:conjugate")
+    classes = set()
+    for _ in range(12):
+        mu = rng.choice([(2,), (2, 2), (3, 3), (4, 2), (2, 2, 2), (4,), (6,)])
+        n = sum(mu)
+        h = random_invertible(n, rng)
+        N = h * J_eta(mu) * h.inverse()
+        cls = sl_class(N)
+        classes.add(cls.a_class)
+        g = _rational_unit_triangular(n, rng)
+        assert sl_class(g * N * g.inverse()) == cls
+        g = g * QMatrix.diag([Fraction(rng.randint(1, 9), rng.randint(1, 9))
+                              for _ in range(n)])
+        other = sl_class(g * N * g.inverse())
+        assert other.lam == cls.lam
+        assert is_dth_power(other.a_class / (g.det() * cls.a_class), cls.d)
+    assert len(classes) > 3
+
+
+def test_sl_class_reads_det_b_off_one_int_elimination(monkeypatch):
+    # on dense conjugates, n = 6..12, the SL class forms no g: it runs no
+    # char_poly, no QMatrix.inverse or det and no elimination with a
+    # Fraction entry, and one elimination reports a determinant, that of
+    # the n x n int chain basis; the class is the one read off det g by
+    # the char_poly oracle
+    cases = [_pinned_nilpotent(n) for n in range(6, 13)]
+    expected = []
+    for N in cases:
+        lam = jordan_partition(N)
+        g = jordan_conjugator(N, lam)
+        det_g = (-1) ** N.rows * exactq.char_poly(g)[0]
+        expected.append(power_class(1 / det_g, math.gcd(*lam)))
+    fractions, dets = [], []
+    real = exactq._echelon
+
+    def echelon(rows, det=False):
+        if any(type(x) is not int for row in rows for x in row):
+            fractions.append(rows)
+        if det:
+            dets.append((len(rows), len(rows[0])))
+        return real(rows, det)
+
+    def refuse(*args):
+        raise AssertionError("g, det or char_poly formed by sl_class")
+    monkeypatch.setattr(exactq, "_echelon", echelon)
+    for name in ("char_poly", "_char_ints"):
+        monkeypatch.setattr(exactq, name, refuse)
+    for name in ("inverse", "det"):
+        monkeypatch.setattr(QMatrix, name, refuse)
+    for N, a_class in zip(cases, expected):
+        dets.clear()
+        assert sl_class(N).a_class == a_class
+        assert dets == [(N.rows, N.rows)]
+    assert fractions == []
+
+
+@pytest.mark.parametrize("N, error", [
+    (E(3, 1, 1), NotNilpotent),
+    (E(3, 2, 1) + E(3, 1, 2), NotNilpotent),
+    (QMatrix.zeros(2, 3), DimensionMismatch),
+    (QMatrix.zeros(0), DimensionMismatch),
+])
+def test_sl_class_errors_are_typed(N, error):
+    with pytest.raises(error):
+        sl_class(N)
+
+
+def test_sl_class_of_a_dense_non_nilpotent_is_typed():
+    g = random_invertible(6, random.Random("sl_class:dense"))
+    with pytest.raises(NotNilpotent):
+        sl_class(g * (J_eta((3, 2, 1)) + E(6, 6, 6)) * g.inverse())
 
 
 # -- pinned output ------------------------------------------------------------
