@@ -15,8 +15,7 @@ of an int system, making only the solution's entries Fractions, and
 `rref_solve` and `graded_solve` read their solutions through it.
 `_echelon` is the only elimination, of this module or any other:
 `QMatrix.inverse` reads the RREF of [M | I] off its rows, and `QMatrix.det`
-is the determinant it keeps on request, of D M.  `brackets` yields the
-brackets of the int rows of one or two subspaces, for the containments.
+is the determinant it keeps on request, of D M.
 
 `grading` builds the one eigenbasis grading, a `Grading`, held as its int
 frame: the primitive int columns of a joint eigenbasis P of commuting
@@ -54,8 +53,8 @@ sequence.
 from fractions import Fraction
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations, groupby, product
-from math import gcd, isqrt, lcm, prod
+from itertools import groupby
+from math import gcd, lcm, prod
 from operator import itemgetter, mul
 from typing import NamedTuple
 
@@ -517,7 +516,7 @@ class Subspace:
     """Subspace of Q^ambient_dim with canonical RREF basis, kept as int rows
     over one common denominator D, every pivot entry D, each row as its
     nonzero entries (`_cols` the columns and `_vals` the ints of each row);
-    the reductions, sums, spans and brackets run on these, and `to_json`
+    the reductions, sums and spans run on these, and `to_json`
     prints each entry x/D straight from them.  The Fraction `basis` is built
     from the int rows when it is first read, so a subspace nobody reads
     holds no Fractions.  The rows are lists, not tuples: CPython keeps freed
@@ -1060,13 +1059,11 @@ def _graded_blocks(labels, cells, T, shift, weights, power):
 
 def graded_kernel(g, T, shift, weights, power=1):
     """ker ad(M)^power on the given int weights of the grading g, for M
-    homogeneous of int weight shift with frame ints T: the kernel of each
-    weight's block, mapped back to int vectors of flattened gl_n by the
-    outer products of `Grading._outer` (not echelonized)."""
-    out = []
-    for cells, _, rows in _graded_blocks(g.labels, g._cells, T, shift, weights, power):
-        out += [g._outer(zip(cells, k)) for k in _kernel_rows(rows, len(cells))]
-    return out
+    homogeneous of int weight shift with frame ints T, in the frame: {w:
+    the int kernel basis of w's block, as vectors over the cells
+    g._cells[w]}; `Grading._outer` maps each back to flattened gl_n."""
+    return {w: _kernel_rows(rows, len(cells)) for w, (cells, _, rows) in zip(
+        weights, _graded_blocks(g.labels, g._cells, T, shift, weights, power))}
 
 
 def graded_solve(labels, cells, T, shift, w, rhs, power=1):
@@ -1082,19 +1079,6 @@ def graded_solve(labels, cells, T, shift, w, rhs, power=1):
 
 # ---------------------------------------------------------------------------
 # the anti-symmetric trace form omega_f(X, Y) = trace(f [X, Y]) and friends
-
-
-def brackets(A, B=None):
-    """The flattened brackets of the int rows of subspaces A and B of
-    flattened gl_n: D_A D_B [a, b] for a in A's basis and b in B's, D_A and
-    D_B their common denominators; with B None, D_A^2 [a, a'] for each
-    unordered pair of A's basis once.  Callers test what does not depend on
-    the scale (membership, a functional vanishing)."""
-    n = isqrt(A.ambient_dim)
-    rows = list(zip(A._cols, A._vals))
-    pairs = combinations(rows, 2) if B is None else product(rows, zip(B._cols, B._vals))
-    for X, Y in pairs:
-        yield _bracket(zip(*X), zip(*Y), n)
 
 
 def _trace_pairing(B, n):

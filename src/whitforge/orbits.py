@@ -161,21 +161,31 @@ def _int_chains(N, scaled):
     and the rows before it; the tail of its own chain lies in ker N^(ell-1),
     so the chains of one length add only their tops, and all of them are
     read off one elimination: the pivot columns of the matrix with those
-    vectors as columns, in that order."""
+    vectors as columns, in that order.  The kernel dimensions give the
+    number of chains of each length ell, (dim K_ell - dim K_(ell-1)) -
+    (dim K_(ell+1) - dim K_ell), so a length no chain has is skipped, and
+    an elimination that finds another number of tops is an internal
+    fault."""
     n = N.rows
     kernels = [Subspace(n)] + [Subspace(n, R).orthogonal()
                                for R in _power_row_spaces(scaled[1])]
+    dims = [K.dim for K in kernels] + [n]
     D, times_n = _int_action(N, scaled)
     chains = []
     tails = []              # the int chain vectors below each top found
     for ell in range(len(kernels) - 1, 0, -1):
+        count = 2 * dims[ell] - dims[ell - 1] - dims[ell + 1]
+        if not count:
+            continue
         # N maps each chain built so far onto its own tail
         K = kernels[ell]
         gens = kernels[ell - 1]._dense() + tails + K._dense()
         s = len(gens) - K.dim
-        for i in exactq._echelon(list(zip(*gens)))[1]:
-            if i < s:
-                continue
+        tops = [i for i in exactq._echelon(list(zip(*gens)))[1] if i >= s]
+        if len(tops) != count:
+            raise InternalCheckFailure(
+                f"jordan chain basis: {len(tops)} chain tops of length {ell}, not {count}")
+        for i in tops:
             chain = [gens[i]]
             for _ in range(ell - 1):
                 chain.append(times_n(chain[-1]))

