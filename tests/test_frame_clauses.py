@@ -15,7 +15,7 @@ from whitforge.errors import VerificationError
 from whitforge.exactq import QMatrix, Subspace
 from whitforge.whitpair import WhittakerPair, chain
 
-import clause_oracle as oracle
+import clause_oracle
 from conftest import E, random_whittaker_pair
 
 FULL = whitpair._FULL
@@ -52,8 +52,9 @@ def recipe_pair(workloads, kind, n, k):
     if kind == "frontier":
         return _pair(*workloads.whittaker_pair(mu, z, rng, 1))
     g, _ = workloads.random_invertible(n, rng)
-    S0 = workloads.oracle.diag([h + x for h, x in zip(workloads.oracle.h_diag(mu), z)])
-    return _pair(workloads.conjugate(g, S0), workloads.conjugate(g, workloads.oracle.jordan(mu)))
+    dense = workloads.oracle
+    S0 = dense.diag([h + x for h, x in zip(dense.h_diag(mu), z)])
+    return _pair(workloads.conjugate(g, S0), workloads.conjugate(g, dense.jordan(mu)))
 
 
 def fraction_scaled_pairs(count):
@@ -96,27 +97,28 @@ def compare_clauses(pair, outcomes, all_pairs=True):
     for snap, obstruction, node in nodes:
         level = list(node.cap)
         agree("radical", whitpair._radical_is(bg, form, node.cap, level),
-              oracle.radical_is(f, snap.u, snap.rad))
+              clause_oracle.radical_is(f, snap.u, snap.rad))
         u, w = weight_one_pieces(node)
         for name, pieces, space in (("l", node.l, snap.l), ("r", node.r, snap.r),
                                     ("u", u, snap.u), ("w", w, snap.w)):
             agree("isotropic " + name, whitpair._isotropic(bg, form, pieces, level),
-                  oracle.isotropic(f, space))
+                  clause_oracle.isotropic(f, space))
     steps = [(i, i + 1) for i in range(len(nodes) - 1)]
     if all_pairs:
         steps = [(i, j) for i in range(len(nodes)) for j in range(len(nodes)) if i != j]
     for i, j in steps:
         (si, _, ni), (sj, oj, nj) = nodes[i], nodes[j]
-        agree("inclusion", whitpair._within(bg, ni.r, nj.l), oracle.within(si.r, sj.l))
+        agree("inclusion", whitpair._within(bg, ni.r, nj.l),
+              clause_oracle.within(si.r, sj.l))
         agree("direct sum", whitpair._direct_sum(bg, nj.l, ni.r, nj.cap),
-              oracle.direct_sum(sj.l, si.r, oj))
+              clause_oracle.direct_sum(sj.l, si.r, oj))
         agree("[l, l] <= r", whitpair._brackets_within(bg, nj.l, None, ni.r),
-              oracle.brackets_within(sj.l, None, si.r))
+              clause_oracle.brackets_within(sj.l, None, si.r))
         agree("[r, r] <= v", whitpair._brackets_within(bg, ni.r, None, nj.v),
-              oracle.brackets_within(si.r, None, sj.v))
+              clause_oracle.brackets_within(si.r, None, sj.v))
         ui = weight_one_pieces(ni)[0]
         agree("[u, r] <= v", whitpair._brackets_within(bg, ui, nj.r, ni.v),
-              oracle.brackets_within(si.u, sj.r, si.v))
+              clause_oracle.brackets_within(si.u, sj.r, si.v))
     return mp
 
 
