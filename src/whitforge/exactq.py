@@ -14,8 +14,8 @@ x/D straight from the int rows.  `_solve` reads the echelon-first solution
 of an int system, making only the solution's entries Fractions, and
 `rref_solve` and `graded_solve` read their solutions through it.
 `_echelon` is the only elimination, of this module or any other:
-`QMatrix.inverse` reads the RREF of [M | I] off its rows, and `QMatrix.det`
-is the determinant it keeps on request, of D M.
+`QMatrix.inverse` reads the RREF of the int rows [D M | I], and
+`QMatrix.det` is the determinant it keeps on request, of D M.
 
 `grading` builds the one eigenbasis grading, a `Grading`, held as its int
 frame: the primitive int columns of a joint eigenbasis P of commuting
@@ -28,13 +28,16 @@ frame matrix back by int outer products of P's columns and R's rows.
 An M homogeneous in the grading shifts weights by one fixed amount, so
 ad(M) splits into one small block per weight: `graded_kernel` and
 `graded_solve` eliminate those blocks, and refuse an M that is not
-homogeneous, whose images the blocks would miss.  These blocks are the one
-ad-operator builder, and a diagonal matrix's coordinate frame serves too.
+homogeneous, whose images the blocks would miss.  `_ad_block` is the one
+ad-operator builder, filling column (a, b) of ad T by index arithmetic off
+T's nonzero entries indexed by row and by column once (`_ad_index`): the
+blocks of ad(M)^2 are two of its blocks multiplied, and neutrality uses it.
 
 `_bracket` is the one bracket, of int matrices only, and multiplies only
-nonzero entries; `QMatrix` products and brackets run `_int_action` and
-`_bracket` on their operands scaled to ints and divide once, and the
-eigenspace of p/q is eliminated from the int rows of q D M - p D I.  The skew
+nonzero entries, read off the same index; `QMatrix` products and brackets
+run `_int_action` and `_bracket` on their operands scaled to ints and
+divide once, and the eigenspace of p/q is eliminated from the int rows of
+q D M - p D I.  The skew
 form omega_f(X, Y) = trace(f [X, Y]) on a subspace W is evaluated once, as
 the integer Gram matrix G of W's integer rows, a constant times the Gram
 matrix on its echelon basis: the radical is the kernel of G, and the
@@ -55,7 +58,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import groupby
 from math import gcd, lcm, prod
-from operator import itemgetter, mul
+from operator import add, itemgetter, mul, sub
 from typing import NamedTuple
 
 from .errors import (DimensionMismatch, InternalCheckFailure, NotCommuting,
@@ -268,16 +271,16 @@ class QMatrix:
         return _echelon([flat[i * n:(i + 1) * n] for i in range(n)], True)[2] / D ** n
 
     def inverse(self):
-        """Read off the RREF of [M | I], whose pivots are the first n columns
-        exactly when M is invertible."""
+        """M^{-1} = D (D M)^{-1}, read off the RREF of the int rows [D M | I],
+        whose pivots are the first n columns exactly when M is invertible."""
         if self.rows != self.cols:
             raise DimensionMismatch("inverse of non-square")
-        n = self.rows
-        A, piv = _echelon([row + [int(i == j) for j in range(n)]
-                           for i, row in enumerate(self.row_lists())])
+        (D, flat), n = _scaled(self), self.rows
+        A, piv = _echelon([flat[i * n:(i + 1) * n] + [int(i == j) for j in range(n)]
+                           for i in range(n)])
         if piv != list(range(n)):
             raise DimensionMismatch("matrix not invertible")
-        return QMatrix._trusted(n, n, [Fraction(x, row[c]) if x else _ZERO
+        return QMatrix._trusted(n, n, [Fraction(D * x, row[c]) if x else _ZERO
                                        for row, c in zip(A, piv) for x in row[n:]])
 
     # -- dunder plumbing
@@ -307,15 +310,9 @@ def _bracket(A, B, n):
     """[A, B] = AB - BA of flattened n x n int matrices, each given by
     (flat index, entry) pairs (all entries, or the nonzero ones), as a flat
     list of ints.  Each nonzero a = A[i, j] adds a B[j, :] to row i and
-    subtracts a B[:, i] from column j, so only the nonzero entries of A meet
-    the nonzero entries of B."""
-    by_row = [[] for _ in range(n)]
-    by_col = [[] for _ in range(n)]
-    for k, b in B:
-        if b:
-            r, c = divmod(k, n)
-            by_row[r].append((c, b))
-            by_col[c].append((r, b))
+    subtracts a B[:, i] from column j, read off B's `_ad_index`, so only
+    the nonzero entries of A meet the nonzero entries of B."""
+    by_row, by_col = _ad_index(B, n)
     out = [0] * (n * n)
     for k, a in A:
         if a:
@@ -325,6 +322,38 @@ def _bracket(A, B, n):
             for r, b in by_col[i]:
                 out[r * n + j] -= a * b
     return out
+
+
+def _ad_index(T, n):
+    """(by_row, by_col) of an n x n int matrix T given by (flat index, entry)
+    pairs: by_row[i] the (j, T_ij) and by_col[j] the (i, T_ij) of its nonzero
+    entries, which `_bracket` and `_ad_block` read."""
+    by_row, by_col = [[] for _ in range(n)], [[] for _ in range(n)]
+    for k, x in T:
+        if x:
+            i, j = divmod(k, n)
+            by_row[i].append((j, x))
+            by_col[j].append((i, x))
+    return by_row, by_col
+
+
+def _ad_block(index, sources, targets):
+    """The block of ad T, T given by its `_ad_index`, from the cells sources
+    to the cells targets numbers ({(i, j): row}), as int rows: column (a, b)
+    is [T, E_ab] = sum_i T_ia E_ib - sum_j T_bj E_aj, all of it on targets."""
+    by_row, by_col = index
+    rows = [[0] * len(sources) for _ in targets]
+    for k, (a, b) in enumerate(sources):
+        for i, x in by_col[a]:
+            rows[targets[i, b]][k] += x
+        for j, x in by_row[b]:
+            rows[targets[a, j]][k] -= x
+    return rows
+
+
+def _times(c, G, width):
+    """The row vector c G, G given by its rows, each of the given width."""
+    return [sum([x * row[k] for x, row in zip(c, G) if x]) for k in range(width)]
 
 
 def _scaled(M):
@@ -1034,27 +1063,25 @@ def _graded_blocks(labels, cells, T, shift, weights, power):
     in a frame of int weight tuples labels, cells mapping a weight to its cells
     (i, j), and M given by its frame ints T: for each weight w, (the
     weight-w cells, the weight w + power shift cells, the int matrix between
-    them as rows, one per target cell), its columns the brackets of T with
-    the source cells' E_ij.  An entry of T of another weight would carry an
-    image out of weight w + shift, where the blocks do not look:
-    InternalCheckFailure."""
-    n = len(labels)
-    A = [(k, x) for k, x in enumerate(T) if x]
-    for k, _ in A:
-        a, b = labels[k // n], labels[k % n]
-        if tuple(x - y for x, y in zip(a, b)) != shift:
-            raise InternalCheckFailure(
-                f"graded kernel: an image of ad M leaves the weight shifted by {shift}")
+    them as rows, one per target cell), the product of the `_ad_block`s of
+    each step.  An entry of T of another weight would carry an image out of
+    weight w + shift, where the blocks do not look: InternalCheckFailure."""
+    index = _ad_index(enumerate(T), len(labels))
+    if any(tuple(map(sub, labels[i], labels[j])) != shift
+           for i, row in enumerate(index[0]) for j, _ in row):
+        raise InternalCheckFailure(
+            f"graded kernel: an image of ad M leaves the weight shifted by {shift}")
     for w in weights:
-        sources = cells.get(w, [])
-        targets = cells.get(tuple(a + power * b for a, b in zip(w, shift)), [])
-        cols = []
-        for i, j in sources:
-            image = _bracket(A, [(i * n + j, 1)], n)
-            for _ in range(power - 1):
-                image = _bracket(A, enumerate(image), n)
-            cols.append([image[a * n + b] for a, b in targets])
-        yield sources, targets, [[c[r] for c in cols] for r in range(len(targets))]
+        sources = span = cells.get(w, [])
+        block, v = None, w
+        for _ in range(power):
+            v = tuple(map(add, v, shift))
+            targets = cells.get(v, [])
+            step = _ad_block(index, span, {c: r for r, c in enumerate(targets)})
+            block = step if block is None else [_times(row, block, len(sources))
+                                                for row in step]
+            span = targets
+        yield sources, span, block
 
 
 def graded_kernel(g, T, shift, weights, power=1):

@@ -270,8 +270,8 @@ def _sl2_in_frame(g, f, h, w, D, T):
     diagonal of h's eigenvalues; [h', e'] = 2e' holds there, so this is
     [e', f'] = h', solvable iff (h, f) is neutral, and e' is unique, as g^f
     has no positive ad(h)-weight.  In ints it is ad(T) X = -D L h' on the
-    int labels L h', and e' = X / L.  T_e is e' as frame ints, for ker
-    ad e."""
+    int labels L h', and e' = X / L.  T_e is e' as primitive frame ints,
+    for ker ad e."""
     n = f.rows
     w = tuple(g.L * x for x in w)
     rhs = {(i, i): -D * label[0] for i, label in enumerate(g.labels)}
@@ -282,11 +282,8 @@ def _sl2_in_frame(g, f, h, w, D, T):
     e = g.unframe(sol)
     if h.bracket(e) != e.scale(2) or e.bracket(f) != h:
         raise InternalCheckFailure("sl2 completion: [h,e] = 2e, [e,f] = h fails")
-    L = math.lcm(*(x.denominator for _, x in sol))
-    Te = [0] * (n * n)
-    for (i, j), x in sol:
-        Te[i * n + j] = x.numerator * (L // x.denominator)
-    return e, Te
+    terms = dict(sol)
+    return e, exactq._integer_row([terms.get(divmod(k, n), 0) for k in range(n * n)])
 
 
 def neutral_for(f):
@@ -315,11 +312,12 @@ def _neutral(h, f, dh, hi, fi):
     of a matrix's denominators); h and f themselves are read only when h is
     not diagonal.  [h, f] = -2f is tested on the ints.  ad f lowers
     ad(h)-weights by 2 and h has weight 0, so h lies in image(ad f) iff it
-    lies in ad f(g^h_2): one `_weight_two_exists`, for a diagonal h in the
-    coordinate frame (labels the diagonal of D_h h, so weight 2 D_h, and
-    f' = D_f f), else in grading(h)'s (labels L times h's eigenvalues, so
-    weight 2 L), whose NotRationalSplit means not neutral: a neutral h is
-    semisimple with integer eigenvalues."""
+    lies in ad f(g^h_2): one `_weight_two_exists` on a block of the one
+    ad-operator builder, for a diagonal h in the coordinate frame (labels
+    the diagonal of D_h h, so weight 2 D_h, and f' = D_f f), else in
+    grading(h)'s (labels L times h's eigenvalues, so weight 2 L), whose
+    NotRationalSplit means not neutral: a neutral h is semisimple with
+    integer eigenvalues."""
     n = f.rows
     if _bracket(enumerate(hi), enumerate(fi), n) != [-2 * dh * x for x in fi]:
         return False
@@ -336,12 +334,10 @@ def _weight_two_exists(d, w, D, T):
     """Whether [f', e'] = -diag(d) has a solution e' over the cells (a, b)
     with d_a - d_b = w, for f' = T / D homogeneous of weight -w in a frame
     labelled by d (as [h, f] = -2f makes it): one elimination of the block
-    of ad f' from those cells to the weight-0 cells, the right-hand side
-    its last column, which is solvable iff that column is not a pivot.
-    Both cell lists come from one pass over the n^2 index pairs, and column
-    (a, b) is [T, E_ab] = sum_i T[i, a] E_ib - sum_j T[b, j] E_aj, all of
-    it in weight 0."""
-    n = len(d)
+    of ad f' (`exactq._ad_block`) from those cells to the weight-0 cells,
+    the right-hand side its last column, which is solvable iff that column
+    is not a pivot.  Both cell lists come from one pass over the n^2 index
+    pairs."""
     sources, targets = [], {}
     for a, x in enumerate(d):
         for b, y in enumerate(d):
@@ -349,23 +345,11 @@ def _weight_two_exists(d, w, D, T):
                 sources.append((a, b))
             elif x == y:
                 targets[a, b] = len(targets)
-    m = len(sources)
-    rows = [[0] * (m + 1) for _ in targets]
-    for i, x in enumerate(d):
-        rows[targets[i, i]][m] = -D * x
-    by_col, by_row = [[] for _ in range(n)], [[] for _ in range(n)]
-    for k, x in enumerate(T):
-        if x:
-            i, j = divmod(k, n)
-            by_col[j].append((i, x))
-            by_row[i].append((j, x))
-    for k, (a, b) in enumerate(sources):
-        for i, x in by_col[a]:
-            rows[targets[i, b]][k] += x
-        for j, x in by_row[b]:
-            rows[targets[a, j]][k] -= x
+    rows = exactq._ad_block(exactq._ad_index(enumerate(T), len(d)), sources, targets)
+    for row, (a, b) in zip(rows, targets):
+        row.append(-D * d[a] if a == b else 0)
     piv = exactq._echelon(rows)[1]
-    return not piv or piv[-1] != m
+    return not piv or piv[-1] != len(sources)
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,10 @@ the grading's frame (`exactq.graded_solve`); and a sum of weight spaces
 meets g^f or g^e in the kernels of ad f or ad e on its weights
 (`_centralizer`): the radicals, the obstructions and their duals.  So the
 chain's Lemma 4.3(iv) and 4.4 clauses, and the quasi model's, are checked
-in the frame, one weight at a time, on the frame pieces of those spaces;
-the outputs are built in standard coordinates.
+in the frame, one weight at a time, on the frame pieces of those spaces,
+omega_f read off the index of f' that ad f' is built from and brackets
+formed by `exactq._bracket`; model data takes its radical there too.  The
+outputs are built in standard coordinates.
 
 Convention used throughout (stated once): a functional phi is realized as the
 matrix f with phi(X) = trace(f X); then ad*-weights of phi equal ad-weights of
@@ -37,8 +39,8 @@ from .errors import (DimensionMismatch, NotCommuting, ShapeViolation,
                      VerificationError)
 # Grading, grading and rational_eigenvalues live in exactq, and stay names
 # of this module too
-from .exactq import (NO_SOLUTION, Grading, QMatrix, Subspace, _bracket, _scaled,
-                     _trace_pairing, bigrade, echelon_first,
+from .exactq import (NO_SOLUTION, Grading, QMatrix, Subspace, _ad_index, _bracket,
+                     _scaled, _times, _trace_pairing, bigrade, echelon_first,
                      graded_kernel, graded_solve, grading, rat_str,
                      rational_eigenvalues, skew_tools)
 from .orbits import _sl2_in_frame, is_neutral_pair, jordan_partition
@@ -309,23 +311,11 @@ def _gl_vectors(g, pieces):
             for terms in _terms(g, w, piece)]
 
 
-def _framed(g, vectors, w):
-    """The flattened int matrices X of weight w in the frame, over the
-    weight-w cells: (R X P)[i, j] = s (P^{-1} X P)[i, j]."""
-    n, cells = len(g.labels), g._cells[w]
-    out = []
-    for X in vectors:
-        XP = {j: [sum(map(mul, X[a * n:(a + 1) * n], g.cols[j])) for a in range(n)]
-              for j in {j for _, j in cells}}
-        out.append([sum(map(mul, g.R[i], XP[j])) for i, j in cells])
-    return out
-
-
 class _Form(NamedTuple):
     """omega_f(X, Y) = trace(f [X, Y]) in a frame where f' = P^{-1} f P is
     T / D, homogeneous of int weight `weight`: by_col[i] holds the (l, T_li)
-    and by_row[j] the (k, T_jk) of T's nonzero entries.  omega pairs weight
-    w only with its partner -w - weight."""
+    and by_row[j] the (k, T_jk) of T's nonzero entries (`_ad_index`).
+    omega pairs weight w only with its partner -w - weight."""
     T: list
     weight: tuple
     by_row: list
@@ -333,13 +323,7 @@ class _Form(NamedTuple):
 
 
 def _form(g, T, weight):
-    n = len(g.labels)
-    by_row, by_col = [[] for _ in range(n)], [[] for _ in range(n)]
-    for k, x in enumerate(T):
-        if x:
-            a, b = divmod(k, n)
-            by_row[a].append((b, x))
-            by_col[b].append((a, x))
+    by_row, by_col = _ad_index(enumerate(T), len(g.labels))
     return _Form(T, tuple(g.L * x for x in weight), by_row, by_col)
 
 
@@ -363,11 +347,6 @@ def _omega_rows(g, form, w):
     return out
 
 
-def _times(c, G):
-    """The row vector c G."""
-    return [sum([x * r for x, r in zip(c, column) if x]) for column in zip(*G)]
-
-
 def _radical_is(g, form, cap, weights):
     """Whether cap[w] is a basis of the kernel of omega's block at each w
     in weights: the part of weight w of omega's radical on a space that
@@ -377,7 +356,7 @@ def _radical_is(g, form, cap, weights):
         k = cap.get(w, [])
         width = len(g._cells.get(_partner(form, w), ()))
         if Subspace(width, G).dim + len(k) != len(G) or \
-                any(any(_times(c, G)) for c in k):
+                any(any(_times(c, G, width)) for c in k):
             return False
     return True
 
@@ -390,7 +369,7 @@ def _isotropic(g, form, pieces, weights):
         if not a or not b:
             continue
         G = _omega_rows(g, form, w)
-        for row in (G if a is _FULL else [_times(c, G) for c in a]):
+        for row in (G if a is _FULL else [_times(c, G, len(G[0])) for c in a]):
             if any(row) if b is _FULL else any(sum(map(mul, row, y)) for y in b):
                 return False
     return True
@@ -418,24 +397,16 @@ def _direct_sum(g, whole, part, other):
     return True
 
 
-def _frame_bracket(X, Y):
-    """[X, Y] of frame matrices given as terms ((i, j), c): [E_ij, E_kl] =
-    d_jk E_il - d_li E_kj, as {cell: entry}."""
-    out = {}
-    for (i, j), c in X:
-        for (k, l), d in Y:
-            if j == k:
-                out[i, l] = out.get((i, l), 0) + c * d
-            if l == i:
-                out[k, j] = out.get((k, j), 0) - c * d
-    return out
-
-
 def _frame_brackets(g, A, B, decided):
     """(w, [X, Y] over the cells of w) for X and Y basis vectors of a piece
     of A and of a piece of B (each unordered pair of A's once when B is
     None), where [A_p, A_q] lies in weight w = p + q: skipped when w has no
     cells or decided(w) says that all of w lies in the target."""
+    n = len(g.labels)
+
+    def flat(w, piece):
+        return [[(i * n + j, c) for (i, j), c in terms]
+                for terms in _terms(g, w, piece)]
     for p, P in A.items():
         for q, Q in (A if B is None else B).items():
             if B is None and q < p:
@@ -443,17 +414,21 @@ def _frame_brackets(g, A, B, decided):
             w = tuple(map(add, p, q))
             if w not in g._cells or decided(w):
                 continue
-            xs, ys = _terms(g, p, P), _terms(g, q, Q)
+            xs, ys = flat(p, P), flat(q, Q)
             cells = g._cells[w]
             pairs = combinations(xs, 2) if B is None and p == q else product(xs, ys)
             for X, Y in pairs:
-                out = _frame_bracket(X, Y)
-                yield w, [out.get(c, 0) for c in cells]
+                out = _bracket(X, Y, n)
+                yield w, [out[i * n + j] for i, j in cells]
 
 
 def _brackets_within(g, A, B, target):
     """Whether [A, B] (or [A, A] for B None) lies in target: every bracket
-    the grading leaves open, tested against target's piece of its weight."""
+    the grading leaves open, tested against target's piece of its weight.
+    For [l_T, l_T] <= r_t on consecutive nodes t < T it leaves none open: a
+    target weight w has S_T(w) >= 2; no crossing of 1 lies in (t, T), so
+    S_t(w) >= 1; and S_t(w) = 1 < S_T(w) makes beta(w) > 0, so r_t holds
+    all of w.  The enumeration stays, as the check of that lemma."""
     found = {}
     for w, y in _frame_brackets(g, A, B, lambda w: target.get(w) is _FULL):
         found.setdefault(w, []).append(y)
@@ -476,12 +451,13 @@ def _lagrangian_m(bg, f):
     """The frame piece of the Lagrangian m inside g^Z_0 cap g^S_1
     (components beta = 0, alpha = 1), as {(L, 0): its basis} or {} when
     that weight space is 0: m is grown over the echelon basis of the weight
-    space in standard coordinates, once, and framed; constant in t."""
-    space = bg.int_space(lambda a, b: b == 0 and a == bg.L)
+    space in standard coordinates, once, and its rows framed; constant in t."""
+    space, n = bg.int_space(lambda a, b: b == 0 and a == bg.L), len(bg.labels)
     if space.dim == 0:
         return {}
     m = skew_tools(f, space, "lagrangian")
-    return {(bg.L, 0): _framed(bg, m._dense(), (bg.L, 0))}
+    frames = (bg.frame(QMatrix(n, n, X))[1] for X in m._dense())
+    return {(bg.L, 0): [[T[i * n + j] for i, j in bg._cells[bg.L, 0]] for T in frames]}
 
 
 def _snapshot(bg, form, mp, t, with_m):
@@ -608,13 +584,29 @@ def _functional_kernel(space, f, n):
     return space.kernel_of([[pair(v)] for v in space._dense()])
 
 
+def _radical_split(g, f, fault):
+    """(u, v, z, the frame pieces of g_1 cap g^f) for the S-grading g: u =
+    g_{>=1}, v = g_{>1} and z = v (+) (g_1 cap g^f), the radical of omega_f
+    on u, as omega_f pairs weight r only with 2 - r.  g_1 cap g^f is the
+    kernel of ad f' at weight 1, checked against omega's own block there
+    (`_radical_is`); the exception fault is raised when it is not."""
+    n = len(g.labels)
+    u = g.int_space(lambda r: r >= g.L)
+    v = g.int_space(lambda r: r > g.L)
+    Tf = g.frame(f)[1]
+    level = [w for w in g.int_weights if w == (g.L,)]
+    cap = _kernels(g, Tf, (-2,), level)
+    if not _radical_is(g, _form(g, Tf, (-2,)), cap, level):
+        raise fault
+    return u, v, v.sum(Subspace(n * n, _gl_vectors(g, cap))), cap
+
+
 def model_data(pair):
     """Degenerate-model nilpotent data at S itself: u = g^S_{>=1}, the radical
-    n of omega_phi on u, and n' = n cap Ker(phi)."""
+    n of omega_phi on u (`_radical_split`), and n' = n cap Ker(phi)."""
     f, n = pair.f, pair.n
-    g = pair.grading
-    u = g.int_space(lambda r: r >= g.L)
-    n_rad = skew_tools(f, u, "radical")
+    u, _, n_rad, _ = _radical_split(pair.grading, f, VerificationError(
+        "model data: omega_phi's radical on u is not g_{>1} (+) (g_1 cap g^f)"))
     n_prime = _functional_kernel(n_rad, f, n)
     return {"u": u, "n_rad": n_rad, "n_prime": n_prime}
 
@@ -643,16 +635,12 @@ def quasi_model_data(triple):
     ad f' at weight 1, and a bracket of weight w lies in k when it lies in
     z and pairs to 0 with f + f', which only its entries of weight -w do.
     Once phi' vanishes on [u, u], omega_{phi+phi'} is omega_phi on u, whose
-    radical is checked at weight 1 as the chain checks it."""
+    radical z is `model_data`'s (`_radical_split`)."""
     pair, fp = triple.pair, triple.f_prime
     f, n = pair.f, pair.n
     g = pair.grading
-    u = g.int_space(lambda r: r >= g.L)
-    v = g.int_space(lambda r: r > g.L)
-    Tf = g.frame(f)[1]
-    level = [w for w in g.int_weights if w == (g.L,)]
-    cap = _kernels(g, Tf, (-2,), level)
-    z = v.sum(Subspace(n * n, _gl_vectors(g, cap)))
+    u, v, z, cap = _radical_split(g, f, ShapeViolation(
+        "omega_{phi+phi'} degenerate on u/z"))
     k = _functional_kernel(z, f + fp, n)
     up = {w: _FULL for w in g.int_weights if w[0] >= g.L}
     zp = {**{w: _FULL for w in g.int_weights if w[0] > g.L}, **cap}
@@ -667,6 +655,4 @@ def quasi_model_data(triple):
                                 and not _pairs_with(g, Tk, w)):
         if not _within(g, {w: [y]}, zp) or _pairing(g, Tk, w, y):
             raise ShapeViolation("[u, z] <= k violated")
-    if not _radical_is(g, _form(g, Tf, (-2,)), cap, level):
-        raise ShapeViolation("omega_{phi+phi'} degenerate on u/z")
     return {"u": u, "v": v, "z": z, "k": k}

@@ -1,0 +1,369 @@
+"""The one ad-operator builder, `exactq._ad_block`, against the two builders
+it replaced, kept here as oracles: the neutrality test's own row and column
+loop (`weight_two_rows`) and the graded blocks formed from one `_bracket`
+per source cell (`bracket_blocks`); and `model_data`'s radical, taken in
+the frame of the S-grading, against omega_f's radical in standard
+coordinates."""
+
+import json
+import os
+import sys
+from collections import Counter
+from fractions import Fraction
+
+import pytest
+
+from whitforge import deform, exactq, orbits, whitpair
+from whitforge.errors import (InternalCheckFailure, ShapeViolation,
+                              VerificationError)
+from whitforge.exactq import QMatrix, _bracket, _echelon, _scaled, skew_tools
+from whitforge.whitpair import (WhittakerPair, WhittakerTriple, chain, find_Z,
+                                model_data, quasi_model_data)
+
+import clause_oracle
+from test_frame_clauses import (bench_pairs, fraction_scaled_pairs,
+                                glsame_pair, recipe_pair)
+
+LAGRANGIAN = ([[-1, 0, 0, 0], [-1, 1, 1, -1], [-3, 0, 2, 0], [-2, 0, 2, 0]],
+              [[1, -1, -1, 1], [0, 0, 0, 0], [1, -1, -1, 1], [0, 0, 0, 0]])
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    return workloads
+
+
+def _pair(S, f):
+    return WhittakerPair(len(S), QMatrix.from_rows(S), QMatrix.from_rows(f))
+
+
+# -- the oracles ------------------------------------------------------------------
+
+def weight_two_rows(d, w, D, T):
+    """The neutrality test's block as its own loop built it: (the rows of
+    ad f' from the cells (a, b) with d_a - d_b = w to the weight-0 cells,
+    the right-hand side -D d on the diagonal cells as the last column, and
+    whether that column is not a pivot)."""
+    n = len(d)
+    sources, targets = [], {}
+    for a, x in enumerate(d):
+        for b, y in enumerate(d):
+            if x - y == w:
+                sources.append((a, b))
+            elif x == y:
+                targets[a, b] = len(targets)
+    m = len(sources)
+    rows = [[0] * (m + 1) for _ in targets]
+    for i, x in enumerate(d):
+        rows[targets[i, i]][m] = -D * x
+    by_col, by_row = [[] for _ in range(n)], [[] for _ in range(n)]
+    for k, x in enumerate(T):
+        if x:
+            i, j = divmod(k, n)
+            by_col[j].append((i, x))
+            by_row[i].append((j, x))
+    for k, (a, b) in enumerate(sources):
+        for i, x in by_col[a]:
+            rows[targets[i, b]][k] += x
+        for j, x in by_row[b]:
+            rows[targets[a, j]][k] -= x
+    piv = _echelon(rows)[1]
+    return rows, not piv or piv[-1] != m
+
+
+def bracket_blocks(labels, cells, T, shift, weights, power):
+    """The graded blocks of ad(M)^power as `_bracket` built them, one
+    bracket per source cell and per power."""
+    n = len(labels)
+    A = [(k, x) for k, x in enumerate(T) if x]
+    for k, _ in A:
+        a, b = labels[k // n], labels[k % n]
+        if tuple(x - y for x, y in zip(a, b)) != shift:
+            raise InternalCheckFailure(
+                f"graded kernel: an image of ad M leaves the weight shifted by {shift}")
+    for w in weights:
+        sources = cells.get(w, [])
+        targets = cells.get(tuple(a + power * b for a, b in zip(w, shift)), [])
+        cols = []
+        for i, j in sources:
+            image = _bracket(A, [(i * n + j, 1)], n)
+            for _ in range(power - 1):
+                image = _bracket(A, enumerate(image), n)
+            cols.append([image[a * n + b] for a, b in targets])
+        yield sources, targets, [[c[r] for c in cols] for r in range(len(targets))]
+
+
+def coordinate_frame(d):
+    """(labels, cells) of the coordinate frame labelled by the diagonal d."""
+    labels = [(x,) for x in d]
+    cells = {}
+    for i, a in enumerate(d):
+        for j, b in enumerate(d):
+            cells.setdefault((a - b,), []).append((i, j))
+    return labels, cells
+
+
+# -- the inputs ------------------------------------------------------------------
+
+def raise_calls(workloads, seed):
+    """The arguments of every `orbits._neutral` call of a raise pass."""
+    calls, real = [], orbits._neutral
+
+    def recording(*args):
+        calls.append(args)
+        return real(*args)
+    deform._neutral = recording
+    try:
+        for spec in workloads.generate("raise", seed):
+            mu, lam = tuple(spec["mu"]), tuple(spec.get("lambda", ()))
+            if spec["kind"] == "deform_gl":
+                deform.deform_gl(mu, lam)
+            elif spec["kind"] == "compar":
+                deform.compar_certificate(mu, lam)
+            else:
+                deform.deform_sl(mu, lam, Fraction(spec["a"]), Fraction(spec["b"]))
+    finally:
+        deform._neutral = real
+    return calls
+
+
+def chain_pairs(workloads):
+    """The seed-0 and seed-3 benchmark chains, Fraction-scaled pairs and
+    dense height-recipe conjugates."""
+    return (bench_pairs(workloads, 0) + bench_pairs(workloads, 3)
+            + list(fraction_scaled_pairs(8))
+            + [recipe_pair(workloads, "height", 8, k) for k in (0, 1)])
+
+
+def neutral_inputs(workloads):
+    """(h, f, D_h, D_h h, D_f f) for the raise passes' neutrality tests, the
+    chain pairs' (h, f) and the non-neutral (h + I, f) of both."""
+    out = [args for seed in (0, 3) for args in raise_calls(workloads, seed)]
+    for pair in chain_pairs(workloads):
+        h, _ = find_Z(pair)
+        out.append((h, pair.f, *_scaled(h), _scaled(pair.f)[1]))
+    for h, f, *_ in list(out):
+        shifted = h + QMatrix.diag([1] * h.rows)
+        out.append((shifted, f, *_scaled(shifted), _scaled(f)[1]))
+    return out
+
+
+def weight_two_calls(monkeypatch, inputs):
+    """The (d, w, D, T) of each `_weight_two_exists` that `_neutral` runs on
+    the inputs, with its verdict."""
+    calls, real = [], orbits._weight_two_exists
+
+    def recording(*args):
+        calls.append(args)
+        return real(*args)
+    with monkeypatch.context() as m:
+        m.setattr(orbits, "_weight_two_exists", recording)
+        verdicts = [orbits._neutral(*args) for args in inputs]
+    return calls, verdicts
+
+
+@pytest.fixture(scope="module")
+def inputs(workloads):
+    return neutral_inputs(workloads)
+
+
+# -- the builder against the oracles --------------------------------------------------
+
+def test_the_neutrality_block_is_the_old_loop(monkeypatch, inputs):
+    # every input reaches the block: the raise and chain pairs are neutral
+    # and their h + I are not
+    calls, verdicts = weight_two_calls(monkeypatch, inputs)
+    assert len(calls) == len(inputs) > 4000
+    assert verdicts == [True] * (len(inputs) // 2) + [False] * (len(inputs) // 2)
+    seen, real = [], exactq._echelon
+
+    def echelon(rows, det=False):
+        seen.append([list(r) for r in rows])
+        return real(rows, det)
+    monkeypatch.setattr(exactq, "_echelon", echelon)
+    for args in calls:
+        seen.clear()
+        verdict = orbits._weight_two_exists(*args)
+        rows, expected = weight_two_rows(*args)
+        assert seen == [rows]
+        assert verdict == expected
+
+
+@pytest.mark.parametrize("power", [1, 2])
+def test_graded_blocks_are_the_bracket_blocks_in_coordinate_frames(monkeypatch, inputs,
+                                                                  power):
+    # the diagonal d of each neutrality test's frame, f' of weight -w there
+    calls, _ = weight_two_calls(monkeypatch, inputs)
+    for d, w, D, T in calls:
+        labels, cells = coordinate_frame(d)
+        weights = sorted(cells)
+        assert list(exactq._graded_blocks(labels, cells, T, (-w,), weights, power)) == \
+            list(bracket_blocks(labels, cells, T, (-w,), weights, power))
+
+
+@pytest.mark.parametrize("power", [1, 2])
+def test_graded_blocks_are_the_bracket_blocks_in_the_chain_gradings(workloads, power):
+    # f' in the S-grading, and f' and e' in the bigrading, at every weight
+    blocks = 0
+    for pair in chain_pairs(workloads):
+        cert = chain(pair)
+        g, bg = pair.grading, cert.grading
+        for grading, M, shift in ((g, pair.f, (-2,)), (bg, pair.f, (-2, 0)),
+                                  (bg, cert.e, (2, 0))):
+            T = grading.frame(M)[1]
+            shift = tuple(grading.L * x for x in shift)
+            new = list(exactq._graded_blocks(grading.labels, grading._cells, T, shift,
+                                             grading.int_weights, power))
+            assert new == list(bracket_blocks(grading.labels, grading._cells, T, shift,
+                                              grading.int_weights, power))
+            blocks += sum(1 for _, targets, rows in new if rows and rows[0])
+    assert blocks > 1000
+
+
+def test_both_builders_refuse_an_inhomogeneous_matrix(workloads):
+    for pair in bench_pairs(workloads, 0)[:6]:
+        g = pair.grading
+        T = g.frame(pair.f + pair.S)[1]
+        for builder in (exactq._graded_blocks, bracket_blocks):
+            with pytest.raises(InternalCheckFailure, match="leaves the weight"):
+                list(builder(g.labels, g._cells, T, (-2 * g.L,), g.int_weights, 1))
+
+
+# -- every block from the one builder ----------------------------------------------
+
+def test_every_block_comes_from_the_one_builder(monkeypatch, workloads, inputs):
+    # each neutrality test builds one block and brackets only h with f;
+    # graded_kernel and graded_solve build one block per weight and per
+    # power, eliminate it or the product of its steps, and bracket nothing
+    built, eliminated, brackets = [], [], Counter()
+    real_block, real_echelon, real_bracket = (exactq._ad_block, exactq._echelon,
+                                              exactq._bracket)
+
+    def block(index, sources, targets):
+        rows = real_block(index, sources, targets)
+        built.append([list(r) for r in rows])
+        return rows
+
+    def echelon(rows, det=False):
+        eliminated.append([list(r) for r in rows])
+        return real_echelon(rows, det)
+
+    def bracket(A, B, n):
+        brackets[sys._getframe(1).f_code.co_name] += 1
+        return real_bracket(A, B, n)
+    monkeypatch.setattr(exactq, "_ad_block", block)
+    monkeypatch.setattr(exactq, "_echelon", echelon)
+    for module in (exactq, orbits):
+        monkeypatch.setattr(module, "_bracket", bracket)
+
+    diagonal = 0
+    for args in inputs:
+        h = args[0]
+        built.clear(), eliminated.clear(), brackets.clear()
+        orbits._neutral(*args)
+        assert brackets == Counter({"_neutral": 1})
+        if not built:
+            continue            # h is not rational semisimple
+        # the last elimination is the block's, after those of grading(h)
+        assert len(built) == 1
+        assert [row[:-1] for row in eliminated[-1]] == built[0]
+        diagonal += not any(x for k, x in enumerate(h.entries) if k % (h.rows + 1))
+    assert 100 < diagonal < len(inputs)
+
+    for pair in bench_pairs(workloads, 0):
+        g = pair.grading
+        D, T = g.frame(pair.f)
+        two = 2 * g.L
+        for power in (1, 2):
+            built.clear(), eliminated.clear(), brackets.clear()
+            exactq.graded_kernel(g, T, (-two,), g.int_weights, power)
+            assert len(built) == power * len(g.int_weights)
+            assert len(eliminated) == len(g.int_weights)
+            if power == 1:
+                assert eliminated == built
+            assert not brackets
+            built.clear(), eliminated.clear()
+            rhs = {divmod(k, pair.n): 2 * D * x for k, x in enumerate(T) if x}
+            exactq.graded_solve(g.labels, g._cells, T, (-two,), (two,), rhs, power=2)
+            assert len(built) == 2 and len(eliminated) == 1
+            first, step = built
+            product = [[sum(x * row[c] for x, row in zip(r, first))
+                        for c in range(len(first[0]))] for r in step]
+            assert [row[:-1] for row in eliminated[0]] == product
+            assert not brackets
+
+
+# -- model data's radical in the frame ------------------------------------------------
+
+def model_data_pairs(workloads):
+    """The 144 model-data pairs of the cli_orbits passes of seeds 0 and 3,
+    glsame, the pair whose weight-1 space has a 1-dimensional ad f kernel,
+    pairs with f = 0 and dense height-recipe conjugates."""
+    pairs = []
+    for seed in (0, 3):
+        for spec in workloads.generate("cli_orbits", seed):
+            if spec["kind"] == "model-data":
+                S, f = (json.loads(spec["argv"][k]) for k in (2, 4))
+                pairs.append(WhittakerPair(len(S), QMatrix.from_json(S),
+                                           QMatrix.from_json(f)))
+    assert len(pairs) == 144
+    pairs += [glsame_pair(), _pair(*LAGRANGIAN)]
+    pairs += [WhittakerPair(p.n, p.S, QMatrix.zeros(p.n)) for p in pairs[:8]]
+    pairs += [recipe_pair(workloads, "height", n, k)
+              for n, k in ((8, 0), (8, 1), (10, 1))]
+    return pairs
+
+
+def test_model_data_radical_is_omega_radical(workloads):
+    # the radical in the frame, g_{>1} (+) (g_1 cap g^f), is the kernel of
+    # omega_f's Gram matrix on u in standard coordinates, and the whole
+    # output is the one the standard-coordinate radical gave
+    between = 0
+    for pair in model_data_pairs(workloads):
+        md = model_data(pair)
+        f, u = pair.f, md["u"]
+        rad = skew_tools(f, u, "radical")
+        assert md["n_rad"] == rad
+        assert clause_oracle.radical_is(f, u, md["n_rad"])
+        assert md["n_prime"] == whitpair._functional_kernel(rad, f, pair.n)
+        g = pair.grading
+        between += g.int_space(lambda r: r > g.L).dim < rad.dim < u.dim
+    # the radical holds part of the weight-1 space, not none or all of it
+    assert between
+
+
+def test_a_lost_weight_one_kernel_vector_fails_model_data(monkeypatch):
+    # the pair's weight-1 space is 3-dimensional, and ad f' has a
+    # 1-dimensional kernel there; without it, omega's weight-1 block has a
+    # kernel that no vector accounts for
+    pair = _pair(*LAGRANGIAN)
+    real = whitpair._kernels
+    assert [len(v) for v in real(pair.grading, pair.grading.frame(pair.f)[1], (-2,),
+                                 [(pair.grading.L,)]).values()] == [1]
+
+    def lost(g, T, shift, weights):
+        return {w: vs[1:] for w, vs in real(g, T, shift, weights).items()}
+    monkeypatch.setattr(whitpair, "_kernels", lost)
+    with pytest.raises(VerificationError, match="radical on u"):
+        model_data(pair)
+    with pytest.raises(ShapeViolation, match=r"degenerate on u/z"):
+        quasi_model_data(WhittakerTriple(pair, QMatrix.zeros(4)))
+
+
+def test_model_data_makes_no_skew_tools_call(monkeypatch, workloads):
+    calls = Counter()
+    real = exactq.skew_tools
+
+    def skew(f, W, task):
+        calls[task] += 1
+        return real(f, W, task)
+    for module in (exactq, whitpair):
+        monkeypatch.setattr(module, "skew_tools", skew)
+    for pair in model_data_pairs(workloads):
+        model_data(pair)
+    assert not calls

@@ -341,6 +341,22 @@ def test_pair_chain_with_a_nonzero_lagrangian_is_pinned(tmp_path, capsys):
         "ba034f1ccab8fbc1af1df2a6af9e965acf6448457edf8b5811d7df7bc1ebf660"
 
 
+def test_model_data_with_a_weight_one_kernel_is_pinned(tmp_path, capsys):
+    # the same pair, the CI verb whose model data meets a weight-1 space of
+    # dimension 3 with a 1-dimensional ad f kernel in a non-diagonal
+    # S-grading: the radical is v (+) (g_1 cap g^f), checked in the frame.
+    # The digest is the stdout of the radical of omega's Gram matrix on u
+    # in standard coordinates
+    doc = {"S": [[-1, 0, 0, 0], [-1, 1, 1, -1], [-3, 0, 2, 0], [-2, 0, 2, 0]],
+           "f": [[1, -1, -1, 1], [0, 0, 0, 0], [1, -1, -1, 1], [0, 0, 0, 0]]}
+    path = tmp_path / "lagrangian_pair.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_cli(capsys, "model-data", str(path))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "78ebf7939d3575dc68a26cfec10713ebba57324ecd1591edd91d38db84ed2b5b"
+
+
 def test_pair_check_cli_reads_the_size_from_n(capsys):
     code, out, err = run_cli(capsys, "pair-check", "--n", "3", "--S", "0",
                              "--f", "0")

@@ -126,12 +126,13 @@ def test_graded_clauses_match_the_oracle_on_the_benchmark_chains(monkeypatch, wo
     # the 36 chains of each of the seed-0 and seed-3 chain passes, every
     # ordered pair of nodes: both verdicts occur for every clause but the
     # radical and the isotropy of l and r, which hold at every node
-    outcomes, real, brackets = Counter(), whitpair._frame_bracket, []
+    outcomes, real, brackets = Counter(), whitpair._frame_brackets, []
 
-    def counted(X, Y):
-        brackets.append(1)
-        return real(X, Y)
-    monkeypatch.setattr(whitpair, "_frame_bracket", counted)
+    def counted(g, A, B, decided):
+        for out in real(g, A, B, decided):
+            brackets.append(1)
+            yield out
+    monkeypatch.setattr(whitpair, "_frame_brackets", counted)
     for seed in (0, 3):
         for pair in bench_pairs(workloads, seed):
             compare_clauses(pair, outcomes)
@@ -185,6 +186,39 @@ def test_chain_property_suite_n7_to_12():
                 assert cur.l.contains(prev.r)
                 assert prev.r.sum(obs["space"]) == cur.l
                 assert cur.l.dim == prev.r.dim + obs["space"].dim
+
+
+def test_consecutive_nodes_leave_no_bracket_of_l_open(monkeypatch):
+    # the lemma of `_brackets_within`: on consecutive nodes t < T the
+    # grading decides every target weight of [l_T, l_T] <= r_t, so the
+    # clause forms no bracket, on seeded chains with n <= 12
+    rng = random.Random("frame:lemma")
+    formed, decided, decisions = [], [], 0
+    real_brackets = whitpair._frame_brackets
+
+    def bracket(A, B, n):
+        formed.append(1)
+        return exactq._bracket(A, B, n)
+
+    def counted(g, A, B, decide):
+        return real_brackets(g, A, B, lambda w: decided.append(w) or decide(w))
+    monkeypatch.setattr(whitpair, "_bracket", bracket)
+    monkeypatch.setattr(whitpair, "_frame_brackets", counted)
+    for n in range(2, 13):
+        for _ in range(4 if n < 8 else 2):
+            pair = random_whittaker_pair(n, rng)
+            cert = chain(pair)
+            bg, f = cert.grading, pair.f
+            form = whitpair._form(bg, bg.frame(f)[1], (-2, 0))
+            mp = whitpair._lagrangian_m(bg, f)
+            nodes = [whitpair._snapshot(bg, form, mp, t, True)[2] for t in cert.nodes]
+            for prev, cur in zip(nodes, nodes[1:]):
+                formed.clear()
+                decisions -= len(decided)
+                assert whitpair._brackets_within(bg, cur.l, None, prev.r)
+                decisions += len(decided)
+                assert not formed
+    assert decisions > 1000
 
 
 # -- fault injection --------------------------------------------------------------
@@ -282,8 +316,10 @@ def test_an_extra_obstruction_vector_fails_the_direct_sum(monkeypatch):
 
 
 def test_frame_bracket_is_the_bracket():
-    # [X, Y] of frame matrices from their terms, by index arithmetic,
-    # against the product of the matrices
+    # [X, Y] of frame matrices from their terms, as `_frame_brackets` forms
+    # it for a piece {X} of A and {Y} of B, against the product of the
+    # matrices; in the grading by 0 every cell has weight 0, in row-major
+    # order
     rng = random.Random("frame:bracket")
     for _ in range(40):
         n = rng.randint(1, 5)
@@ -291,9 +327,12 @@ def test_frame_bracket_is_the_bracket():
                  for _ in range(rng.randint(0, 6))] for _ in range(2))
         A, B = (sum((E(n, i + 1, j + 1, c) for (i, j), c in terms), QMatrix.zeros(n))
                 for terms in (X, Y))
-        out = whitpair._frame_bracket(X, Y)
-        assert QMatrix(n, n, [out.get((i, j), 0) for i in range(n) for j in range(n)]) \
-            == A * B - B * A
+        g = exactq.grading(QMatrix.zeros(n))
+        ((w, out),) = whitpair._frame_brackets(
+            g, {(0,): [[int(x) for x in A.entries]]}, {(0,): [[int(x) for x in B.entries]]},
+            lambda w: False)
+        assert w == (0,) and g._cells[w] == [(i, j) for i in range(n) for j in range(n)]
+        assert QMatrix(n, n, out) == A * B - B * A
 
 
 # -- counts on the seed-0 chain pass ---------------------------------------------

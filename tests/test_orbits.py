@@ -6,6 +6,7 @@ import random
 import re
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -627,6 +628,28 @@ def test_sl_class_reads_det_b_off_one_int_elimination(monkeypatch):
         assert sl_class(N).a_class == a_class
         assert dets == [(N.rows, N.rows)]
     assert fractions == []
+
+
+def test_neutral_for_and_jordan_conjugator_eliminate_in_ints(monkeypatch):
+    # QMatrix.inverse eliminates the int rows of D M, so inverting the
+    # chain basis B hands _echelon no Fraction: on _pinned_nilpotent(8),
+    # neutral_for made 1 of its 11 eliminations on Fraction rows while
+    # inverse eliminated M itself; the outputs are those of the Fraction
+    # inverse, which the Jordan-layer pin holds
+    cases = [_pinned_nilpotent(n) for n in range(6, 13)]
+    counts = Counter()
+    real = exactq._echelon
+
+    def echelon(rows, det=False):
+        counts[any(type(x) is not int for row in rows for x in row)] += 1
+        return real(rows, det)
+    monkeypatch.setattr(exactq, "_echelon", echelon)
+    for N in cases:
+        h = neutral_for(N)
+        g = jordan_conjugator(N, jordan_partition(N))
+        assert h.bracket(N) == N.scale(-2)
+        assert g * N == J_eta(jordan_partition(N)) * g
+    assert counts[False] and not counts[True]
 
 
 @pytest.mark.parametrize("N, error", [
