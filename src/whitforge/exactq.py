@@ -56,7 +56,7 @@ sequence.
 from fractions import Fraction
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import groupby
+from itertools import compress, groupby
 from math import gcd, lcm, prod
 from operator import add, itemgetter, mul, sub
 from typing import NamedTuple
@@ -554,16 +554,24 @@ class Subspace:
 
     __slots__ = ("ambient_dim", "pivots", "_cols", "_vals", "_den", "_basis")
 
-    def __init__(self, ambient_dim, vectors=()):
-        A, piv = _echelon(vectors)
-        D = lcm(*(row[c] for row, c in zip(A, piv)))
-        cols, ints = [], []
-        for row, c in zip(A, piv):
-            if len(row) != ambient_dim:
-                raise DimensionMismatch("vector length != ambient_dim")
-            s = D // row[c]
-            cols.append([i for i, x in enumerate(row) if x])
-            ints.append([row[i] * s for i in cols[-1]])
+    def __init__(self, ambient_dim, vectors=(), within=None):
+        """The span of the vectors, and of the subspace within when given:
+        then only the vectors' reductions against within's rows are
+        echelonized (`_grown`)."""
+        if within is not None:
+            if within.ambient_dim != ambient_dim:
+                raise DimensionMismatch("ambient_dim mismatch")
+            piv, cols, ints, D = within._grown(vectors)
+        else:
+            A, piv = _echelon(vectors)
+            D = lcm(*(row[c] for row, c in zip(A, piv)))
+            cols, ints = [], []
+            for row, c in zip(A, piv):
+                if len(row) != ambient_dim:
+                    raise DimensionMismatch("vector length != ambient_dim")
+                s = D // row[c]
+                cols.append(list(compress(range(ambient_dim), row)))
+                ints.append([x * s for x in compress(row, row)])
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "pivots", tuple(piv))
         object.__setattr__(self, "_cols", tuple(cols))
@@ -608,9 +616,44 @@ class Subspace:
             out.append(row)
         return out
 
+    def _grown(self, vectors):
+        """(pivots, columns, ints, D) of the span of the subspace and the
+        dense int vectors, as the constructor keeps them.  The vectors'
+        reductions vanish at this subspace's pivots, so their echelon rows
+        N_q do too; a row R of this subspace is cleared at each pivot q of
+        those where it is nonzero, R := (a/g) R - (b/g) N_q as in
+        `_echelon`, and a row that meets none of them is only divided by
+        its content.  Each row is then primitive, led by its pivot entry."""
+        n = self.ambient_dim
+        A, new = _echelon([r for r in map(self._reduce, vectors) if any(r)])
+        dense, cols, prims = A[:len(new)], [], []
+        for idx, vals in zip(self._cols, self._vals):
+            if not set(idx).intersection(new):
+                g = gcd(*vals)
+                cols.append(idx)
+                prims.append([x // g for x in vals])
+                continue
+            R = [0] * n
+            for i, x in zip(idx, vals):
+                R[i] = x
+            for P, q in zip(A, new):
+                b = R[q]
+                if b:
+                    g = gcd(P[q], b)
+                    a, b = P[q] // g, b // g
+                    R = [a * x - b * y for x, y in zip(R, P)]
+            dense.append(_integer_row(R))
+        for R in dense:
+            cols.append(list(compress(range(n), R)))
+            prims.append(list(compress(R, R)))
+        order = sorted(range(len(cols)), key=lambda k: cols[k][0])
+        D = lcm(*(vals[0] for vals in prims))
+        return ([cols[k][0] for k in order], [cols[k] for k in order],
+                [[x * (D // prims[k][0]) for x in prims[k]] for k in order], D)
+
     def sum(self, other):
         self._check(other)
-        return Subspace(self.ambient_dim, self._dense() + other._dense())
+        return Subspace(self.ambient_dim, other._dense(), self)
 
     def span(self, coords):
         """The subspace spanned by the combinations sum c_i basis[i], one per

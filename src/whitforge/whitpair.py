@@ -17,12 +17,14 @@ in both gradings, and so is everything the chain solves for: h comes from a
 y of S-weight 2 and e has weight (2, 0), each solved one weight at a time in
 the grading's frame (`exactq.graded_solve`); and a sum of weight spaces
 meets g^f or g^e in the kernels of ad f or ad e on its weights
-(`_centralizer`): the radicals, the obstructions and their duals.  So the
+(`_kernels`): the radicals, the obstructions and their duals.  So the
 chain's Lemma 4.3(iv) and 4.4 clauses, and the quasi model's, are checked
 in the frame, one weight at a time, on the frame pieces of those spaces,
 omega_f read off the index of f' that ad f' is built from and brackets
 formed by `exactq._bracket`; model data takes its radical there too.  The
-outputs are built in standard coordinates.
+outputs are sums of those frame pieces, built in standard coordinates by
+one `_Spaces` per call: each distinct space once, grown from a space it
+contains.
 
 Convention used throughout (stated once): a functional phi is realized as the
 matrix f with phi(X) = trace(f X); then ad*-weights of phi equal ad-weights of
@@ -263,15 +265,6 @@ def _kernels(g, T, shift, weights):
     return graded_kernel(g, T, tuple(g.L * x for x in shift), weights)
 
 
-def _centralizer(g, T, shift, predicate):
-    """ker ad M on the weights of the grading g whose int labels satisfy
-    the predicate, for M homogeneous of weight shift with frame ints T:
-    that sum of weight spaces meets the centralizer of M in its per-weight
-    kernels, echelonized once."""
-    return Subspace(len(g.labels) ** 2, _gl_vectors(
-        g, _kernels(g, T, shift, [w for w in g.int_weights if predicate(*w)])))
-
-
 # ---------------------------------------------------------------------------
 # the Lemma 4.3(iv) and 4.4 clauses in the frame of a grading
 #
@@ -306,9 +299,48 @@ def _terms(g, w, piece):
 
 def _gl_vectors(g, pieces):
     """Int vectors of flattened gl_n spanning the sum of the frame pieces
-    {w: piece}, by the outer products of `Grading._outer`."""
-    return [g._outer(terms) for w, piece in pieces.items()
-            for terms in _terms(g, w, piece)]
+    {w: piece}: the cells' `Grading._vectors` for a whole weight space, and
+    the outer products of `Grading._outer` for a basis."""
+    return [v for w, piece in pieces.items()
+            for v in (g._vectors(g._cells[w]) if piece is _FULL
+                      else map(g._outer, _terms(g, w, piece)))]
+
+
+class _Span(tuple):
+    """Rows that span a space's part of one weight but need not be
+    independent: w_t cap g^f and m, merged at weight (1, 0)."""
+
+
+class _Spaces:
+    """The graded subspaces of flattened gl_n that one `chain` or
+    `_radical_split` call outputs, each built once.  A space is the sum of
+    its frame pieces {w: piece} and is keyed by them: _FULL, or the rows of
+    the piece.  A kernel basis as long as its weight's cell count is all of
+    that weight, so it keys as _FULL; a `_Span` keeps its rows, as its rank
+    may be smaller.  A key that comes back gets the same Subspace, and a
+    space built `within` a space it contains grows from that Subspace by
+    the vectors of only the pieces the smaller key lacks."""
+
+    def __init__(self, g):
+        self.g = g
+        self._built = {}
+
+    def _key(self, pieces):
+        cells = self.g._cells
+        return frozenset((w, _FULL if piece is _FULL or (
+            not isinstance(piece, _Span) and len(piece) == len(cells[w]))
+            else tuple(map(tuple, piece))) for w, piece in pieces.items() if piece)
+
+    def build(self, pieces, within=None):
+        """The Subspace spanned by the pieces, which contain those of within."""
+        key = self._key(pieces)
+        if key not in self._built:
+            base, new = None, key
+            if within is not None:
+                base, new = self.build(within), key - self._key(within)
+            self._built[key] = Subspace(len(self.g.labels) ** 2,
+                                        _gl_vectors(self.g, dict(sorted(new))), base)
+        return self._built[key]
 
 
 class _Form(NamedTuple):
@@ -452,17 +484,18 @@ def _lagrangian_m(bg, f):
     (components beta = 0, alpha = 1), as {(L, 0): its basis} or {} when
     that weight space is 0: m is grown over the echelon basis of the weight
     space in standard coordinates, once, and its rows framed; constant in t."""
-    space, n = bg.int_space(lambda a, b: b == 0 and a == bg.L), len(bg.labels)
-    if space.dim == 0:
+    if (bg.L, 0) not in bg._cells:
         return {}
+    space, n = bg.int_space(lambda a, b: b == 0 and a == bg.L), len(bg.labels)
     m = skew_tools(f, space, "lagrangian")
     frames = (bg.frame(QMatrix(n, n, X))[1] for X in m._dense())
     return {(bg.L, 0): [[T[i * n + j] for i, j in bg._cells[bg.L, 0]] for T in frames]}
 
 
-def _snapshot(bg, form, mp, t, with_m):
+def _snapshot(bg, form, mp, t, with_m, spaces):
     """(the snapshot at t, w_t cap g^f, its frame pieces), for the omega_f
-    of `_form` and m given by its frame piece mp.  Each weight's
+    of `_form` and m given by its frame piece mp, every space built by the
+    call's `_Spaces`.  Each weight's
     ad(S_t)-weight a + t b is formed once, in `st`, as q L (a + t b) =
     q A + p B on its int label (A, B), for t = p/q, and compared with q L.
     u_t, v_t and w_t are sums of weight spaces; at the weights of w_t,
@@ -473,34 +506,37 @@ def _snapshot(bg, form, mp, t, with_m):
     space (1, 0), which is the weight-(1, 0) part of w_t cap g^f, so m is
     the piece of l_t and r_t there.  Isotropy is checked on each pair of
     partner weights once, from the side of its w_t cap g^f piece, and on
-    m x m only when with_m."""
+    m x m only when with_m.  u_t and the radical grow from v_t, and l_t
+    and r_t from the radical, their part of weight (1, 0) spanned by w_t
+    cap g^f and m."""
     p, q = t.numerator, t.denominator
     one = q * bg.L
     st = {(a, b): q * a + p * b for a, b in bg.int_weights}
-    u = bg.int_space(lambda *ab: st[ab] >= one)
-    v = bg.int_space(lambda *ab: st[ab] > one)
-    w = bg.int_space(lambda *ab: st[ab] == one)
     level = [ab for ab in bg.int_weights if st[ab] == one]
     cap = _kernels(bg, form.T, (-2, 0), level)
     if not _radical_is(bg, form, cap, level):
         raise VerificationError(
             f"Lemma 4.3(iv) radical decomposition violated at t={rat_str(t)}")
     high = {ab: _FULL for ab in bg.int_weights if st[ab] > one}
+    whole = {ab: _FULL for ab in level}
+    v = spaces.build(high)
+    u, w = spaces.build({**high, **whole}, high), spaces.build(whole)
     l, r = {**high, **mp}, {**high, **mp}
     for ab in level:
         if ab[1]:
             neg, pos = (l, r) if ab[1] < 0 else (r, l)
             neg[ab], pos[ab] = _FULL, cap[ab]
-    obstruction = Subspace(u.ambient_dim, _gl_vectors(bg, cap))
-    rad = v.sum(obstruction)
+    radical = {**high, **cap}
+    obstruction, rad = spaces.build(cap), spaces.build(radical, high)
     for name, pieces, sign, extra in (("l", l, 1, mp if with_m else ()),
                                       ("r", r, -1, ())):
         if not _isotropic(bg, form, pieces,
                           [ab for ab in level if sign * ab[1] > 0] + list(extra)):
             raise VerificationError(
                 f"{name}_t is not isotropic at t={rat_str(t)}")
-    l_out, r_out = (Subspace(u.ambient_dim, rad._dense() + _gl_vectors(
-        bg, {ab: pieces[ab] for ab in level})) for pieces in (l, r))
+    merged = {ab: _FULL if piece is _FULL else _Span(cap[ab] + piece)
+              for ab, piece in mp.items()}
+    l_out, r_out = (spaces.build({**pieces, **merged}, radical) for pieces in (l, r))
     for name, iso in (("l", l_out), ("r", r_out)):
         if 2 * iso.dim != u.dim + rad.dim:
             raise VerificationError(
@@ -517,7 +553,7 @@ def snapshot(h, Z, f, t):
     _check_pair_data(h, Z, f)
     bg = bigrading(h, Z)
     form = _form(bg, bg.frame(f)[1], (-2, 0))
-    return _snapshot(bg, form, _lagrangian_m(bg, f), t, True)[0]
+    return _snapshot(bg, form, _lagrangian_m(bg, f), t, True, _Spaces(bg))[0]
 
 
 def chain(pair):
@@ -538,7 +574,8 @@ def chain(pair):
         nodes.append(Fraction(1))
     form = _form(bg, Tf, (-2, 0))
     mp = _lagrangian_m(bg, f)
-    snaps, caps, frames = zip(*(_snapshot(bg, form, mp, t, i == 0)
+    spaces = _Spaces(bg)
+    snaps, caps, frames = zip(*(_snapshot(bg, form, mp, t, i == 0, spaces)
                                 for i, t in enumerate(nodes)))
     inclusions = []
     obstructions = []
@@ -561,13 +598,14 @@ def chain(pair):
                 f"Lemma 4.4 commutative quotient [r_{rat_str(t)}, r_{rat_str(t)}] "
                 f"<= v_{rat_str(T)} violated")
         p, q = T.numerator, T.denominator
-        dual = _centralizer(bg, Te, (2, 0), lambda a, b: q * a + p * b == -q * bg.L)
+        dual = spaces.build(_kernels(bg, Te, (2, 0), [
+            (a, b) for a, b in bg.int_weights if q * a + p * b == -q * bg.L]))
         if dual.dim != obstruction.dim:
             raise VerificationError(
                 f"obstruction dual dimension mismatch at t={rat_str(T)}")
         gram = [[pair(o) for o in obstruction._dense()]
                 for pair in (_trace_pairing(d, n) for d in dual._dense())]
-        if dual.kernel_of(gram).dim:
+        if Subspace(obstruction.dim, gram).dim != obstruction.dim:
             raise VerificationError(
                 f"obstruction pairing degenerate at t={rat_str(T)}")
         inclusions.append({"from_t": rat_str(t), "to_t": rat_str(T),
@@ -589,16 +627,16 @@ def _radical_split(g, f, fault):
     g_{>=1}, v = g_{>1} and z = v (+) (g_1 cap g^f), the radical of omega_f
     on u, as omega_f pairs weight r only with 2 - r.  g_1 cap g^f is the
     kernel of ad f' at weight 1, checked against omega's own block there
-    (`_radical_is`); the exception fault is raised when it is not."""
-    n = len(g.labels)
-    u = g.int_space(lambda r: r >= g.L)
-    v = g.int_space(lambda r: r > g.L)
+    (`_radical_is`); the exception fault is raised when it is not.  u and
+    z grow from v."""
     Tf = g.frame(f)[1]
     level = [w for w in g.int_weights if w == (g.L,)]
     cap = _kernels(g, Tf, (-2,), level)
     if not _radical_is(g, _form(g, Tf, (-2,)), cap, level):
         raise fault
-    return u, v, v.sum(Subspace(n * n, _gl_vectors(g, cap))), cap
+    spaces, high = _Spaces(g), {w: _FULL for w in g.int_weights if w[0] > g.L}
+    return (spaces.build({**high, **{w: _FULL for w in level}}, high),
+            spaces.build(high), spaces.build({**high, **cap}, high), cap)
 
 
 def model_data(pair):

@@ -89,13 +89,14 @@ def test_a_chain_pass_runs_in_ints(monkeypatch):
     # the seed-0 chain recipe (n = 4..6, unimodular g, z constant on each
     # Jordan block) and two pairs whose h splits an S-block: the eigenvalue
     # search sees only S-blocks of dimension >= 2, below n; no elimination
-    # gets a Fraction; the snapshot and dual predicates get int labels
+    # gets a Fraction; the snapshot and dual spaces are selected, and their
+    # kernels solved, by int labels
     rng = random.Random("bigrade:counts")
     pairs = [random_whittaker_pair(n, rng) for n in (4, 4, 5, 5, 5, 6, 6, 6)]
     pairs += [split_pair(QMatrix.identity(4)), split_pair(random_unimodular(4, rng))]
     sizes, fraction_calls, arg_types = [], [], set()
     real_eigen, real_echelon = exactq.rational_eigenvalues, exactq._echelon
-    real_space, real_centralizer = exactq.Grading.int_space, whitpair._centralizer
+    real_build, real_kernels = whitpair._Spaces.build, whitpair._kernels
 
     def eigen(M):
         sizes.append((M.rows, pair.n))
@@ -106,19 +107,18 @@ def test_a_chain_pass_runs_in_ints(monkeypatch):
             fraction_calls.append(len(rows))
         return real_echelon(rows)
 
-    def recorded(predicate):
-        def wrapper(*w):
-            arg_types.update(map(type, w))
-            return predicate(*w)
-        return wrapper
+    def build(spaces, pieces, within=None):
+        arg_types.update(type(x) for w in pieces for x in w)
+        return real_build(spaces, pieces, within)
+
+    def kernels(g, T, shift, weights):
+        arg_types.update(type(x) for w in weights for x in w)
+        return real_kernels(g, T, shift, weights)
 
     monkeypatch.setattr(exactq, "rational_eigenvalues", eigen)
     monkeypatch.setattr(exactq, "_echelon", echelon)
-    monkeypatch.setattr(exactq.Grading, "int_space",
-                        lambda g, predicate: real_space(g, recorded(predicate)))
-    monkeypatch.setattr(whitpair, "_centralizer",
-                        lambda g, T, shift, predicate:
-                        real_centralizer(g, T, shift, recorded(predicate)))
+    monkeypatch.setattr(whitpair._Spaces, "build", build)
+    monkeypatch.setattr(whitpair, "_kernels", kernels)
     for pair in pairs:
         chain(pair)
     assert sizes and all(2 <= k < n for k, n in sizes)

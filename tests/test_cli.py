@@ -357,6 +357,39 @@ def test_model_data_with_a_weight_one_kernel_is_pinned(tmp_path, capsys):
         "78ebf7939d3575dc68a26cfec10713ebba57324ecd1591edd91d38db84ed2b5b"
 
 
+FRONTIER_12_3 = {
+    "S": [[3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0], [-4, 5, 4, -4, -4, 4, -4, -4, 4, -4, 4, -4],
+          [4, 0, -1, 0, 0, 0, 0, 0, 0, 0, 0, 0], [4, 0, -4, 1, 4, -4, 4, 4, -4, 4, -4, 4],
+          [-4, 0, 4, 0, -5, 0, 0, 0, 0, 0, 0, 0],
+          ["15/2", 0, "-15/2", 0, "15/2", -3, "15/2", "15/2", "-15/2", "15/2", "-15/2", "15/2"],
+          ["23/2", 0, "-23/2", 0, "23/2", 0, "13/2", 4, -4, 4, -4, 4],
+          [-4, 0, 4, 0, -4, 0, -4, "-7/2", 4, -4, 4, -4],
+          [0, 0, 0, 0, 0, 0, 0, 0, "5/2", -4, 4, -4],
+          [2, 0, -2, 0, 2, 0, 2, 4, -2, "1/2", -2, 2],
+          ["3/2", 0, "-3/2", 0, "3/2", 0, "3/2", 3, "-3/2", 0, -3, 3],
+          ["3/2", 0, "-3/2", 0, "3/2", 0, "3/2", 3, "-3/2", 0, "-3/2", "3/2"]],
+    "f": [[1, -1, -1, 1, 1, -1, 1, 1, -1, 1, -1, 1], [-1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+          [0, -1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0], [0, 0, -1, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+          [0, 0, 0, -1, 0, 0, 0, 0, 0, 0, 0, 0], [1, 0, -1, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+          [-2, 0, 2, 0, -2, 1, -2, -2, 2, -2, 2, -2], [1, 0, -1, 0, 1, 0, 1, 2, -2, 2, -2, 2],
+          [2, 0, -2, 0, 2, 0, 2, 5, -4, 4, -4, 4], [1, 0, -1, 0, 1, 0, 1, 2, -2, 2, -2, 2],
+          [-1, 0, 1, 0, -1, 0, -1, -2, 1, -1, 1, -1], [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]]}
+
+
+def test_pair_chain_of_a_frontier_draw_is_pinned(tmp_path, capsys):
+    # frontier:12:3 (mu = (6, 4, 1, 1)), the CI verb that builds a chain
+    # with n = 12 and a 2-dimensional weight-(1, 0) space, so l_t and r_t
+    # hold the Lagrangian m at both nodes.  The digest is the stdout of the
+    # chain that built every snapshot's spaces from scratch
+    path = tmp_path / "frontier_12_3.json"
+    path.write_text(json.dumps(FRONTIER_12_3))
+    code, out, _ = run_cli(capsys, "pair-chain", str(path))
+    assert code == 0
+    assert json.loads(out)["criticals"] == ["0", "2/3"]
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "aed1bbae40951fb469e1d43d111dc1653e399de45447789f6d93612b61fa3cfa"
+
+
 def test_pair_check_cli_reads_the_size_from_n(capsys):
     code, out, err = run_cli(capsys, "pair-check", "--n", "3", "--S", "0",
                              "--f", "0")

@@ -676,6 +676,33 @@ def test_subspace_from_fractions_equals_subspace_from_ints():
         assert U.to_json() == [[rat_str(x) for x in b] for b in U.basis]
 
 
+def test_subspace_within_is_the_sum():
+    # the span of W and the vectors, with only the vectors' reductions
+    # against W echelonized, is the subspace eliminated from all the rows:
+    # the same pivots, int rows and denominator, also where the vectors
+    # add nothing, where W is 0 and where W's rows need clearing
+    rng = random.Random(25)
+    grown = 0
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        W = Subspace(n, _int_spanning_set(rng, rng.randint(0, n), n))
+        vectors = _int_spanning_set(rng, rng.randint(0, 3), n)
+        if vectors and rng.random() < 0.2:
+            vectors = [list(b) for b in W._dense()][:1]
+        before = [list(v) for v in vectors]
+        U = Subspace(n, vectors, W)
+        expect = Subspace(n, W._dense() + vectors)
+        assert (U.pivots, U._cols, U._vals, U._den) == \
+            (expect.pivots, expect._cols, expect._vals, expect._den)
+        assert U.to_json() == expect.to_json() and vectors == before
+        grown += W.dim < U.dim and any(set(idx) - set(W.pivots) for idx in W._cols)
+    assert grown > 50
+    with pytest.raises(DimensionMismatch):
+        Subspace(3, [[1, 0, 0]], Subspace(2, [[1, 0]]))
+    with pytest.raises(DimensionMismatch):
+        Subspace(2, [[1, 0, 0]], Subspace(2, [[1, 0]]))
+
+
 def test_subspace_basis_is_built_on_first_read():
     U = Subspace(3, [[0, -2, 4], [3, 0, 6], [0, 4, -8]])
     assert U._basis is None and U.dim == 2

@@ -86,8 +86,8 @@ def compare_clauses(pair, outcomes, all_pairs=True):
     cert = chain(pair)
     f, bg = pair.f, cert.grading
     form = whitpair._form(bg, bg.frame(f)[1], (-2, 0))
-    mp = whitpair._lagrangian_m(bg, f)
-    nodes = [whitpair._snapshot(bg, form, mp, t, True) for t in cert.nodes]
+    mp, spaces = whitpair._lagrangian_m(bg, f), whitpair._Spaces(bg)
+    nodes = [whitpair._snapshot(bg, form, mp, t, True, spaces) for t in cert.nodes]
     assert [s for s, _, _ in nodes] == list(cert.snapshots)
 
     def agree(name, graded, expected):
@@ -210,8 +210,9 @@ def test_consecutive_nodes_leave_no_bracket_of_l_open(monkeypatch):
             cert = chain(pair)
             bg, f = cert.grading, pair.f
             form = whitpair._form(bg, bg.frame(f)[1], (-2, 0))
-            mp = whitpair._lagrangian_m(bg, f)
-            nodes = [whitpair._snapshot(bg, form, mp, t, True)[2] for t in cert.nodes]
+            mp, spaces = whitpair._lagrangian_m(bg, f), whitpair._Spaces(bg)
+            nodes = [whitpair._snapshot(bg, form, mp, t, True, spaces)[2]
+                     for t in cert.nodes]
             for prev, cur in zip(nodes, nodes[1:]):
                 formed.clear()
                 decisions -= len(decided)
@@ -228,8 +229,8 @@ def _snapshot_corrupted_at(monkeypatch, t, corrupt):
     once that snapshot's own clauses have passed."""
     real = whitpair._snapshot
 
-    def wrapped(bg, form, mp, tt, with_m):
-        out = real(bg, form, mp, tt, with_m)
+    def wrapped(bg, form, mp, tt, with_m, spaces):
+        out = real(bg, form, mp, tt, with_m, spaces)
         if tt == t:
             corrupt(bg, out[2])
         return out
