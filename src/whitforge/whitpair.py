@@ -17,14 +17,16 @@ in both gradings, and so is everything the chain solves for: h comes from a
 y of S-weight 2 and e has weight (2, 0), each solved one weight at a time in
 the grading's frame (`exactq.graded_solve`); and a sum of weight spaces
 meets g^f or g^e in the kernels of ad f or ad e on its weights
-(`_kernels`): the radicals, the obstructions and their duals.  So the
-chain's Lemma 4.3(iv) and 4.4 clauses, and the quasi model's, are checked
-in the frame, one weight at a time, on the frame pieces of those spaces,
-omega_f read off the index of f' that ad f' is built from and brackets
-formed by `exactq._bracket`; model data takes its radical there too.  The
-outputs are sums of those frame pieces, built in standard coordinates by
-one `_Spaces` per call: each distinct space once, grown from a space it
-contains.
+(`_kernels`): the radicals, the obstructions and their duals.  (h, e, f)
+is an sl2-triple, so ad f is injective on ad h-weight alpha >= 1 and ad e
+on alpha <= -1: the chain solves w_t cap g^f only at alpha <= 0 and the
+dual only at alpha >= 0.  So the chain's Lemma 4.3(iv) and 4.4 clauses,
+and the quasi model's, are checked in the frame, one weight at a time, on
+the frame pieces of those spaces, omega_f read off the index of f' that ad
+f' is built from and brackets formed by `exactq._bracket`; model data takes
+its radical there too.  The outputs are sums of those frame pieces, built
+in standard coordinates by one `_Spaces` per call: each distinct space
+once, grown from a space it contains.
 
 Convention used throughout (stated once): a functional phi is realized as the
 matrix f with phi(X) = trace(f X); then ad*-weights of phi equal ad-weights of
@@ -306,18 +308,13 @@ def _gl_vectors(g, pieces):
                       else map(g._outer, _terms(g, w, piece)))]
 
 
-class _Span(tuple):
-    """Rows that span a space's part of one weight but need not be
-    independent: w_t cap g^f and m, merged at weight (1, 0)."""
-
-
 class _Spaces:
     """The graded subspaces of flattened gl_n that one `chain` or
     `_radical_split` call outputs, each built once.  A space is the sum of
     its frame pieces {w: piece} and is keyed by them: _FULL, or the rows of
-    the piece.  A kernel basis as long as its weight's cell count is all of
-    that weight, so it keys as _FULL; a `_Span` keeps its rows, as its rank
-    may be smaller.  A key that comes back gets the same Subspace, and a
+    the piece.  Every piece is _FULL or an independent basis (a kernel, or
+    m), so a basis as long as its weight's cell count is all of that weight
+    and keys as _FULL.  A key that comes back gets the same Subspace, and a
     space built `within` a space it contains grows from that Subspace by
     the vectors of only the pieces the smaller key lacks."""
 
@@ -327,9 +324,9 @@ class _Spaces:
 
     def _key(self, pieces):
         cells = self.g._cells
-        return frozenset((w, _FULL if piece is _FULL or (
-            not isinstance(piece, _Span) and len(piece) == len(cells[w]))
-            else tuple(map(tuple, piece))) for w, piece in pieces.items() if piece)
+        return frozenset((w, _FULL if piece is _FULL or len(piece) == len(cells[w])
+                          else tuple(map(tuple, piece)))
+                         for w, piece in pieces.items() if piece)
 
     def build(self, pieces, within=None):
         """The Subspace spanned by the pieces, which contain those of within."""
@@ -498,22 +495,22 @@ def _snapshot(bg, form, mp, t, with_m, spaces):
     call's `_Spaces`.  Each weight's
     ad(S_t)-weight a + t b is formed once, in `st`, as q L (a + t b) =
     q A + p B on its int label (A, B), for t = p/q, and compared with q L.
-    u_t, v_t and w_t are sums of weight spaces; at the weights of w_t,
-    w_t cap g^f is the kernel of ad f', and the radical v_t (+) (w_t cap
-    g^f) is checked against omega's radical on u_t.  l_t holds all of w_t
-    with b < 0 and r_t all with b > 0, and each holds the other side's
-    w_t cap g^f and m.  m contains the radical of omega on its weight
-    space (1, 0), which is the weight-(1, 0) part of w_t cap g^f, so m is
-    the piece of l_t and r_t there.  Isotropy is checked on each pair of
-    partner weights once, from the side of its w_t cap g^f piece, and on
-    m x m only when with_m.  u_t and the radical grow from v_t, and l_t
-    and r_t from the radical, their part of weight (1, 0) spanned by w_t
-    cap g^f and m."""
+    u_t, v_t and w_t are sums of weight spaces.  h is neutral for f, so ad
+    f' is injective on ad h-weight a >= 1 (sl2 theory): w_t cap g^f is the
+    kernel of ad f' at the weights of w_t with a <= 0 (b > 0 there for
+    t > 0; none at t = 0), and 0 at the rest.  The radical v_t (+) (w_t
+    cap g^f) is checked against omega's radical on u_t at every weight of
+    w_t.  l_t holds all of w_t with b < 0 and w_t cap g^f, r_t all with
+    b > 0, and both hold m at weight (1, 0).  Isotropy is checked on each
+    pair of partner weights once, from the side of its w_t cap g^f piece
+    (r_t's pieces there are empty: the check of the lemma), and on m x m
+    only when with_m.  u_t and the radical grow from v_t, and l_t and r_t
+    from the radical."""
     p, q = t.numerator, t.denominator
     one = q * bg.L
     st = {(a, b): q * a + p * b for a, b in bg.int_weights}
     level = [ab for ab in bg.int_weights if st[ab] == one]
-    cap = _kernels(bg, form.T, (-2, 0), level)
+    cap = _kernels(bg, form.T, (-2, 0), [ab for ab in level if ab[0] <= 0])
     if not _radical_is(bg, form, cap, level):
         raise VerificationError(
             f"Lemma 4.3(iv) radical decomposition violated at t={rat_str(t)}")
@@ -521,11 +518,8 @@ def _snapshot(bg, form, mp, t, with_m, spaces):
     whole = {ab: _FULL for ab in level}
     v = spaces.build(high)
     u, w = spaces.build({**high, **whole}, high), spaces.build(whole)
-    l, r = {**high, **mp}, {**high, **mp}
-    for ab in level:
-        if ab[1]:
-            neg, pos = (l, r) if ab[1] < 0 else (r, l)
-            neg[ab], pos[ab] = _FULL, cap[ab]
+    l = {**high, **mp, **cap, **{ab: _FULL for ab in level if ab[1] < 0}}
+    r = {**high, **mp, **{ab: _FULL for ab in level if ab[1] > 0}}
     radical = {**high, **cap}
     obstruction, rad = spaces.build(cap), spaces.build(radical, high)
     for name, pieces, sign, extra in (("l", l, 1, mp if with_m else ()),
@@ -534,9 +528,7 @@ def _snapshot(bg, form, mp, t, with_m, spaces):
                           [ab for ab in level if sign * ab[1] > 0] + list(extra)):
             raise VerificationError(
                 f"{name}_t is not isotropic at t={rat_str(t)}")
-    merged = {ab: _FULL if piece is _FULL else _Span(cap[ab] + piece)
-              for ab, piece in mp.items()}
-    l_out, r_out = (spaces.build({**pieces, **merged}, radical) for pieces in (l, r))
+    l_out, r_out = (spaces.build(pieces, radical) for pieces in (l, r))
     for name, iso in (("l", l_out), ("r", r_out)):
         if 2 * iso.dim != u.dim + rad.dim:
             raise VerificationError(
@@ -546,11 +538,15 @@ def _snapshot(bg, form, mp, t, with_m, spaces):
 
 
 def snapshot(h, Z, f, t):
-    """Filtration snapshot at deformation time t >= 0."""
+    """Filtration snapshot at deformation time t >= 0.  h must be neutral
+    for f (else `VerificationError`): ad f is then injective on ad h-weight
+    alpha >= 1, where the snapshot solves no part of w_t cap g^f."""
     t = Fraction(t)
     if t < 0:
         raise VerificationError("t must be >= 0")
     _check_pair_data(h, Z, f)
+    if not is_neutral_pair(h, f):
+        raise VerificationError("h is not neutral for f")
     bg = bigrading(h, Z)
     form = _form(bg, bg.frame(f)[1], (-2, 0))
     return _snapshot(bg, form, _lagrangian_m(bg, f), t, True, _Spaces(bg))[0]
@@ -562,7 +558,8 @@ def chain(pair):
     the direct-sum and ideal/commutativity clauses, and obstruction spaces
     with dual spanning sets among the highest-weight vectors.  The
     bigrading refines the pair's S-grading, and every Lemma 4.3(iv) and 4.4
-    clause is checked in its frame, one weight at a time."""
+    clause is checked in its frame, one weight at a time.  ad e' is
+    injective on alpha <= -1, so the dual is solved only at alpha >= 0."""
     f, n = pair.f, pair.n
     h, Z = find_Z(pair)
     bg = bigrade(pair.grading, h, Z)
@@ -599,7 +596,7 @@ def chain(pair):
                 f"<= v_{rat_str(T)} violated")
         p, q = T.numerator, T.denominator
         dual = spaces.build(_kernels(bg, Te, (2, 0), [
-            (a, b) for a, b in bg.int_weights if q * a + p * b == -q * bg.L]))
+            (a, b) for a, b in bg.int_weights if q * a + p * b == -q * bg.L and a >= 0]))
         if dual.dim != obstruction.dim:
             raise VerificationError(
                 f"obstruction dual dimension mismatch at t={rat_str(T)}")

@@ -8,7 +8,8 @@ elimination of its cells' vectors (`Grading.int_space`); w_t cap g^f, its
 dual in ker ad e and the weight-1 kernel of model data one elimination of
 the outer products of their kernel pieces; the radical v plus that; and
 l_t and r_t one elimination of the radical's rows and their pieces at the
-weights of w_t."""
+weights of w_t.  The kernels are solved on every weight, including those
+where sl2 theory makes them 0 and whitforge solves none."""
 
 from whitforge.exactq import Subspace
 from whitforge.whitpair import _FULL, _kernels, _terms
@@ -24,6 +25,21 @@ def from_pieces(g, pieces):
     return Subspace(len(g.labels) ** 2, gl_vectors(g, pieces))
 
 
+def cap_pieces(bg, f, t):
+    """w_t cap g^f: ker ad f' on every weight of S_t-weight 1."""
+    p, q = t.numerator, t.denominator
+    return _kernels(bg, bg.frame(f)[1], (-2, 0), [
+        (a, b) for a, b in bg.int_weights if q * a + p * b == q * bg.L])
+
+
+def dual_pieces(bg, e, T):
+    """The obstruction's dual at T: ker ad e' on every weight of S_T-weight
+    -1."""
+    p, q = T.numerator, T.denominator
+    return _kernels(bg, bg.frame(e)[1], (2, 0), [
+        (a, b) for a, b in bg.int_weights if q * a + p * b == -q * bg.L])
+
+
 def snapshot(bg, f, mp, t):
     """{name: Subspace} for u, v, w, rad, l and r at t and the obstruction
     w_t cap g^f, for the bigrading bg and m given by its frame piece mp."""
@@ -34,7 +50,7 @@ def snapshot(bg, f, mp, t):
     v = bg.int_space(lambda *ab: st[ab] > one)
     w = bg.int_space(lambda *ab: st[ab] == one)
     level = [ab for ab in bg.int_weights if st[ab] == one]
-    cap = _kernels(bg, bg.frame(f)[1], (-2, 0), level)
+    cap = cap_pieces(bg, f, t)
     l, r = dict(mp), dict(mp)
     for ab in level:
         if ab[1]:
@@ -49,10 +65,8 @@ def snapshot(bg, f, mp, t):
 
 
 def dual(bg, e, T):
-    """The obstruction's dual at T: ker ad e on the weights of S_T-weight -1."""
-    p, q = T.numerator, T.denominator
-    return from_pieces(bg, _kernels(bg, bg.frame(e)[1], (2, 0), [
-        (a, b) for a, b in bg.int_weights if q * a + p * b == -q * bg.L]))
+    """The obstruction's dual at T, from its kernels on every weight."""
+    return from_pieces(bg, dual_pieces(bg, e, T))
 
 
 def radical_split(g, f):

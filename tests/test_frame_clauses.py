@@ -70,9 +70,16 @@ def fraction_scaled_pairs(count):
                             (d * pair.f * d.inverse()).scale(c))
 
 
-def weight_one_pieces(node):
+def level_weights(bg, t):
+    """The int weights (A, B) of S_t-weight 1, alpha + t beta = 1: the
+    weights of w_t."""
+    p, q = t.numerator, t.denominator
+    return [(a, b) for a, b in bg.int_weights if q * a + p * b == q * bg.L]
+
+
+def weight_one_pieces(bg, node, t):
     """The frame pieces of u_t (all of v_t and of w_t) and of w_t."""
-    w = {ab: FULL for ab in node.cap}
+    w = {ab: FULL for ab in level_weights(bg, t)}
     return {**node.v, **w}, w
 
 
@@ -95,10 +102,10 @@ def compare_clauses(pair, outcomes, all_pairs=True):
         outcomes[name, graded] += 1
 
     for snap, obstruction, node in nodes:
-        level = list(node.cap)
+        level = level_weights(bg, snap.t)
         agree("radical", whitpair._radical_is(bg, form, node.cap, level),
               clause_oracle.radical_is(f, snap.u, snap.rad))
-        u, w = weight_one_pieces(node)
+        u, w = weight_one_pieces(bg, node, snap.t)
         for name, pieces, space in (("l", node.l, snap.l), ("r", node.r, snap.r),
                                     ("u", u, snap.u), ("w", w, snap.w)):
             agree("isotropic " + name, whitpair._isotropic(bg, form, pieces, level),
@@ -116,7 +123,7 @@ def compare_clauses(pair, outcomes, all_pairs=True):
               clause_oracle.brackets_within(sj.l, None, si.r))
         agree("[r, r] <= v", whitpair._brackets_within(bg, ni.r, None, nj.v),
               clause_oracle.brackets_within(si.r, None, sj.v))
-        ui = weight_one_pieces(ni)[0]
+        ui = weight_one_pieces(bg, ni, si.t)[0]
         agree("[u, r] <= v", whitpair._brackets_within(bg, ui, nj.r, ni.v),
               clause_oracle.brackets_within(si.u, sj.r, si.v))
     return mp
@@ -262,6 +269,36 @@ def test_a_wrong_omega_entry_fails_the_radical(monkeypatch):
         chain(glsame_pair())
 
 
+@pytest.mark.parametrize("draw, t", [(None, "1/4"), (("frontier", 12, 3), "0")])
+def test_a_zero_omega_block_where_no_kernel_is_solved_fails_the_radical(
+        monkeypatch, workloads, draw, t):
+    # omega's block zeroed at the level weights with alpha >= 1, where the
+    # chain solves no kernel of ad f' (it is 0 there): the radical check
+    # finds an empty piece where the block's kernel is the whole weight.
+    # glsame has no alpha = 1 weight, and its first such level weight is
+    # (2, -4) at t = 1/4; frontier:12:3 has some at t = 0
+    pair = glsame_pair() if draw is None else recipe_pair(workloads, *draw)
+    real_rows, real_kernels = whitpair._omega_rows, whitpair._kernels
+    zeroed, solved = set(), set()
+
+    def zero(g, form, w):
+        rows = real_rows(g, form, w)
+        if w[0] >= g.L:
+            zeroed.add(w)
+            rows = [[0] * len(row) for row in rows]
+        return rows
+
+    def kernels(g, T, shift, weights):
+        solved.update(weights)
+        return real_kernels(g, T, shift, weights)
+    monkeypatch.setattr(whitpair, "_omega_rows", zero)
+    monkeypatch.setattr(whitpair, "_kernels", kernels)
+    with pytest.raises(VerificationError,
+                       match=rf"Lemma 4.3\(iv\) radical decomposition violated at t={t}$"):
+        chain(pair)
+    assert zeroed and not zeroed & solved
+
+
 @pytest.mark.parametrize("call, clause", [(2, "l_t is not isotropic at t=1/4"),
                                           (3, "r_t is not isotropic at t=1/4")])
 def test_a_full_piece_fails_isotropy(monkeypatch, call, clause):
@@ -313,6 +350,34 @@ def test_an_extra_obstruction_vector_fails_the_direct_sum(monkeypatch):
     with pytest.raises(VerificationError,
                        match=r"Lemma 4.4 direct sum l_1/4 = r_0 \(\+\) "
                              r"\(w_1/4 cap g_f\) violated"):
+        chain(glsame_pair())
+
+
+def test_a_dropped_m_fails_maximality(monkeypatch, workloads):
+    # frontier:12:3 without its Lagrangian m: l_0 and r_0 stay isotropic
+    # but fall short of half of u_0 plus its radical
+    monkeypatch.setattr(whitpair, "_lagrangian_m", lambda bg, f: {})
+    with pytest.raises(VerificationError, match="l_t is not maximal isotropic at t=0$"):
+        chain(recipe_pair(workloads, "frontier", 12, 3))
+
+
+def test_a_dropped_dual_vector_fails_the_dual_dimension(monkeypatch):
+    # glsame's dual at t = 1/4 is one line of ker ad e'; without it the
+    # dual is smaller than the obstruction E13 + E24
+    real = whitpair._kernels
+
+    def dropped(g, T, shift, weights):
+        out = real(g, T, shift, weights)
+        return {w: vs[1:] for w, vs in out.items()} if shift == (2, 0) else out
+    monkeypatch.setattr(whitpair, "_kernels", dropped)
+    with pytest.raises(VerificationError,
+                       match="obstruction dual dimension mismatch at t=1/4"):
+        chain(glsame_pair())
+
+
+def test_a_null_trace_pairing_fails_the_obstruction_pairing(monkeypatch):
+    monkeypatch.setattr(whitpair, "_trace_pairing", lambda B, n: lambda Y: 0)
+    with pytest.raises(VerificationError, match="obstruction pairing degenerate at t=1/4"):
         chain(glsame_pair())
 
 

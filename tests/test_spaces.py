@@ -3,6 +3,8 @@ call and grown from the one it contains (`whitpair._Spaces`): the spaces
 against the from-scratch construction of `space_oracle`, the eliminations
 one chain call runs, and the key that decides when two spaces are one."""
 
+from collections import Counter
+
 from whitforge import exactq, whitpair
 from whitforge.exactq import QMatrix, Subspace
 from whitforge.whitpair import (WhittakerPair, WhittakerTriple, chain, model_data,
@@ -72,6 +74,56 @@ def test_model_data_spaces_match_the_oracle(workloads):
         assert (qmd["u"], qmd["v"], qmd["z"]) == (u, v, n_rad)
 
 
+# -- the kernels sl2 theory decides -----------------------------------------------
+
+def test_a_chain_solves_no_kernel_that_sl2_theory_makes_0(monkeypatch, workloads):
+    # (h, e, f) is an sl2-triple, so ad f' is injective on ad h-weight
+    # alpha >= 1 and ad e' on alpha <= -1: a chain solves w_t cap g^f only
+    # at the level weights with alpha <= 0 and its dual only at those with
+    # alpha >= 0, and the oracle, which solves every weight, finds the rest
+    # 0.  Every piece a space is built from is then the whole weight space
+    # or an independent basis, which is what lets `_Spaces._key` read a
+    # basis as long as the cell count as the whole weight space
+    solved, pieces = [], []
+    real_kernels, real_build = whitpair._kernels, whitpair._Spaces.build
+
+    def kernels(g, T, shift, weights):
+        solved.append((shift, list(weights)))
+        return real_kernels(g, T, shift, weights)
+
+    def build(self, given, within=None):
+        pieces.extend((len(self.g._cells[w]), piece) for w, piece in given.items()
+                      if piece is not FULL)
+        return real_build(self, given, within)
+    monkeypatch.setattr(whitpair, "_kernels", kernels)
+    monkeypatch.setattr(whitpair._Spaces, "build", build)
+    pairs = bench_pairs(workloads, 0) + bench_pairs(workloads, 3) + [
+        recipe_pair(workloads, kind, n, k) for kind, n, k in (
+            ("frontier", 10, 1), ("frontier", 12, 3), ("frontier", 14, 0),
+            ("height", 10, 0))]
+    decided = Counter()
+    for pair in pairs:
+        solved.clear()
+        cert = chain(pair)
+        bg = cert.grading
+        caps = [ws for shift, ws in solved if shift == (-2, 0)]
+        duals = [ws for shift, ws in solved if shift == (2, 0)]
+        assert len(caps) == len(cert.nodes) and len(duals) == len(cert.nodes) - 1
+        assert all(a <= 0 for ws in caps for a, _ in ws)
+        assert all(a >= 0 for ws in duals for a, _ in ws)
+        for name, sign, times, oracle, M in (
+                ("cap", 1, cert.nodes, space_oracle.cap_pieces, pair.f),
+                ("dual", -1, cert.nodes[1:], space_oracle.dual_pieces, cert.e)):
+            for t in times:
+                for (a, _), piece in oracle(bg, M, t).items():
+                    if sign * a > 0:
+                        assert not piece, (name, t)
+                        decided[name] += 1
+    assert decided == Counter(cap=152, dual=47)
+    assert pieces and all(Subspace(cells, piece).dim == len(piece)
+                          for cells, piece in pieces)
+
+
 # -- what one call builds ---------------------------------------------------------
 
 def _state(pair):
@@ -122,8 +174,7 @@ def test_a_chain_call_builds_each_space_once(monkeypatch, workloads):
 def test_only_a_basis_keys_as_the_whole_weight(workloads):
     # frontier:12:3's weight-(1, 0) space has two cells and m is a line in
     # it.  A basis as long as the cell count is the whole weight space, and
-    # gets the Subspace built for it; merged rows of w_t cap g^f and m
-    # (`_Span`) as many as the cells span only m, and key apart
+    # gets the Subspace built for it; m, a shorter basis, keys apart
     pair = recipe_pair(workloads, "frontier", 12, 3)
     bg = chain(pair).grading
     ((w, m),) = whitpair._lagrangian_m(bg, pair.f).items()
@@ -131,10 +182,9 @@ def test_only_a_basis_keys_as_the_whole_weight(workloads):
     spaces = whitpair._Spaces(bg)
     whole = spaces.build({w: FULL})
     assert spaces.build({w: [[1, 0], [1, 1]]}) is whole
-    merged = whitpair._Span(m + m)
-    assert spaces._key({w: merged}) != spaces._key({w: FULL})
-    assert spaces.build({w: merged}) == spaces.build({w: m}) != whole
-    assert spaces.build({w: merged}).dim == 1 and whole.dim == 2
+    assert spaces._key({w: m}) != spaces._key({w: FULL})
+    assert spaces.build({w: m}) != whole
+    assert spaces.build({w: m}).dim == 1 and whole.dim == 2
 
 
 def test_a_space_grows_from_the_one_it_contains(monkeypatch, workloads):

@@ -474,6 +474,17 @@ def test_snapshot_dims_glsame():
     assert s2.l == s2.r and s2.l.dim == 6
 
 
+@pytest.mark.parametrize("h, f", [
+    (QMatrix.diag([Fraction(1, 2), Fraction(-1, 2)]), QMatrix.zeros(2)),
+    (QMatrix.diag([2, 0, 0, -2]), E(4, 2, 1) + E(4, 4, 3))])
+@pytest.mark.parametrize("t", [0, Fraction(1, 2)])
+def test_snapshot_of_a_non_neutral_h_fails_neutrality(h, f, t):
+    # [h, f] = -2f and Z = 0 commutes, but h is not neutral for f, so the
+    # sl2 theory that decides which kernels a snapshot solves does not hold
+    with pytest.raises(VerificationError, match="h is not neutral for f"):
+        snapshot(h, QMatrix.zeros(h.rows), f, t)
+
+
 # -- chains ------------------------------------------------------------------------
 
 def test_chain_glsame_obstructions():
