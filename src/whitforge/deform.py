@@ -9,11 +9,16 @@ two-block step go through it.  It returns (eta, Z, psi, tops): h and f are
 never free data but the standard h_eta and J_eta of the composition eta of
 block sizes it lays down (orbits builds both), Z is a diagonal list, psi the
 dict of its nonzero entries, and tops one designated chain-top vector per
-Jordan block of f + psi (no inter-level conjugation).  _matrices is the one
-place that turns (eta, Z, psi) into the matrices (h, f, Z, psi), so deform
-keeps no matrix code of its own.  Every raising path ends in one checker,
-_check_raising, which scales each of h, Z, f and psi to ints once and runs
-every clause on those ints: each ad(h)-, ad(Z)- and ad(h+Z)-weight of f and
+Jordan block of f + psi (no inter-level conjugation).  The builder runs in
+ints: Z, psi and the tops hold ints only (_merge says why they are
+integral), and it forms no matrix, reading the diagonal of h_eta and the
+action of J_eta off eta by index.  _matrices is the one place that turns
+(eta, Z, psi) into the matrices (h, f, Z, psi), each made from its ints
+(QMatrix._of_ints) with its int scaling kept, so deform keeps no matrix
+code of its own.  Every raising path ends in one checker, _check_raising,
+which scales each of h, Z, f and psi to ints once (`_scaled`, which reads
+a kept scaling rather than the Fractions) and runs every clause on those
+ints: each ad(h)-, ad(Z)- and ad(h+Z)-weight of f and
 psi comes from the int diagonals of h and Z, (h, f) goes to the int core of
 orbits.is_neutral_pair, the one neutrality test, and f and f + psi to the
 int core of orbits.jordan_partition; violations raise InternalCheckFailure
@@ -23,12 +28,14 @@ naming the clause and are never expected.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .errors import InternalCheckFailure, NotDominated, PreconditionViolation
 from .exactq import QMatrix, _scaled, rat_str
 from .orbits import (J_eta, _jordan_type, _neutral, _twist, h_eta,
                      is_dth_power, power_class, rational_dth_root, sl_class)
-from .partitions import as_partition, dominance_leq, lemma_part_index
+from .partitions import (_dominated, _of_one_size, as_partition, dominance_leq,
+                         lemma_part_index)
 
 
 # ---------------------------------------------------------------------------
@@ -58,12 +65,12 @@ def two_blocks(p, q, r):
 def _matrices(eta, Z, psi):
     """The builder's (eta, Z, psi) as the certificate's matrices (h, f, Z,
     psi): h = h_eta, f = J_eta, Z diagonal and psi from its nonzero
-    entries."""
+    entries, each made from its ints."""
     n = len(Z)
-    ent = [Fraction(0)] * (n * n)
+    ent = [0] * (n * n)
     for (a, b), x in psi.items():
         ent[a * n + b] = x
-    return h_eta(eta), J_eta(eta), QMatrix.diag(Z), QMatrix._trusted(n, n, ent)
+    return h_eta(eta), J_eta(eta), QMatrix.diag(Z), QMatrix._of_ints(n, n, 1, ent)
 
 
 def _common_parts(mu, lam):
@@ -81,17 +88,18 @@ def _build(mu, lam):
     Jordan block sizes laid down (so h = h_eta, f = J_eta), Z a diagonal
     list, psi a dict {(row, col): entry} of its nonzero entries (0-based),
     tops a list of (part, vector) with one designated chain top per Jordan
-    block of f + psi, each supported on a single (h + Z)-eigenvalue."""
+    block of f + psi, each supported on a single (h + Z)-eigenvalue.  Every
+    entry is an int (see _merge)."""
     n = sum(mu)
     common, mu_s, lam_s = _common_parts(mu, lam)
-    if mu_s and not dominance_leq(mu_s, lam_s):
+    if mu_s and not _dominated(mu_s, lam_s):
         raise InternalCheckFailure(
             f"stripping common parts broke dominance: {mu_s} vs {lam_s}")
-    eta, Z, psi, tops = list(common), [Fraction(0)] * sum(common), {}, []
+    eta, Z, psi, tops = list(common), [0] * sum(common), {}, []
     off = 0
     for k in common:
-        top = [Fraction(0)] * n
-        top[off] = Fraction(1)
+        top = [0] * n
+        top[off] = 1
         tops.append((k, top))
         off += k
     if mu_s:
@@ -101,14 +109,22 @@ def _build(mu, lam):
         Z += Z_s
         psi = {(a + off, b + off): x for (a, b), x in psi_s.items()}
         for k, v in tops_s:
-            tops.append((k, [Fraction(0)] * off + v))
+            tops.append((k, [0] * off + v))
     return eta, Z, psi, tops
 
 
 def _merge(mu, lam, i):
     """Split off the block mu_i, raise the rest to lam with lam_i, lam_{i+1}
     merged into p = lam_i + lam_{i+1} - mu_i, and attach mu_i to the first
-    chain top of size p."""
+    chain top of size p.
+
+    Everything stays in ints.  z_1 = lam_i - lam_{i+1}; the diagonal S_c of
+    h_c + Z_c is an int list, h_c = h_eta_c having the int diagonal
+    (k-1, k-3, ..., 1-k) on each block of size k, so the shift c is an int;
+    and the connector w = (f_c + psi_c)^(lam_{i+1}) u is integral, as f_c =
+    J_eta_c and psi_c are and the chain top u is.  f_c is never formed: it
+    moves entry k of a vector to k + 1 within each block, so f_c w is w
+    shifted down by one with the first entry of each block cleared."""
     n = sum(mu)
     li, mi = lam[i - 1], mu[i - 1]
     ln = lam[i] if i < len(lam) else 0
@@ -116,15 +132,16 @@ def _merge(mu, lam, i):
         raise InternalCheckFailure(
             f"lemma index {i} for {mu} -> {lam}: lam_i > mu_i > lam_(i+1) fails")
     p = li + ln - mi
-    z1 = Fraction(li - ln)
+    z1 = li - ln
     mu_c = tuple(sorted((x for j, x in enumerate(mu) if j != i - 1), reverse=True))
     lam_c = tuple(sorted([x for j, x in enumerate(lam)
                           if j not in (i - 1, i)] + [p], reverse=True))
-    if not dominance_leq(mu_c, lam_c):
+    if not _dominated(mu_c, lam_c):
         raise InternalCheckFailure("reduced pair lost dominance")
     eta_c, Z_c, psi_c, tops_c = _build(mu_c, lam_c)
-    f_c = J_eta(eta_c)
-    S_c = [x + z for x, z in zip(h_eta(eta_c).entries[::len(Z_c) + 1], Z_c)]
+    h_c = [x for k in eta_c for x in range(k - 1, -k, -2)]
+    S_c = [x + z for x, z in zip(h_c, Z_c)]
+    starts = list(accumulate(eta_c[:-1], initial=0))
     top = next((k for k, (size, _) in enumerate(tops_c) if size == p), None)
     if top is None:
         raise InternalCheckFailure(f"no chain top of size {p} for {mu} -> {lam}")
@@ -132,7 +149,9 @@ def _merge(mu, lam, i):
     # the connector w = (f_c + psi_c)^ln u
     w = u
     for _ in range(ln):
-        Xw = f_c.matvec(w)
+        Xw = [0] + w[:-1]
+        for k in starts:
+            Xw[k] = 0
         for (a, b), x in psi_c.items():
             Xw[a] += x * w[b]
         w = Xw
@@ -151,19 +170,15 @@ def _merge(mu, lam, i):
     psi = {(a + mi, b + mi): x for (a, b), x in psi_c.items()}
     for k in supp:
         psi[mi + k, mi - 1] = w[k]
-    tops = []
-    tlong = [Fraction(0)] * n
-    tlong[0] = Fraction(1)
-    tops.append((li, tlong))
+    tlong = [0] * n
+    tlong[0] = 1
+    tops = [(li, tlong)]
     if ln:
-        tshort = [Fraction(0)] * n
-        for k, x in enumerate(u):
-            if x:
-                tshort[mi + k] = x
-        tshort[mi - ln] -= Fraction(1)
+        tshort = [0] * mi + u
+        tshort[mi - ln] -= 1
         tops.append((ln, tshort))
     for k, v in tops_c:
-        tops.append((k, [Fraction(0)] * mi + v))
+        tops.append((k, [0] * mi + v))
     return eta, Z, psi, tops
 
 
@@ -255,8 +270,8 @@ def _check_raising(h, f, Z, psi, mu, lam):
 def deform_gl(mu, lam):
     """Raising certificate (h, f, Z, psi) with f in the mu-orbit, f + psi in
     the lambda-orbit, psi of negative ad(Z)-weights and ad(h+Z)-weight -2."""
-    mu, lam = as_partition(mu), as_partition(lam)
-    if not dominance_leq(mu, lam):
+    mu, lam = _of_one_size(mu, lam)
+    if not _dominated(mu, lam):
         raise NotDominated(f"{mu} is not dominated by {lam}")
     h, f, Z, psi = _matrices(*_build(mu, lam)[:3])
     return DeformationCertificate(sum(mu), h, f, Z, psi, mu, lam,

@@ -37,7 +37,9 @@ blocks of ad(M)^2 are two of its blocks multiplied, and neutrality uses it.
 nonzero entries, read off the same index; `QMatrix` products and brackets
 run `_int_action` and `_bracket` on their operands scaled to ints and
 divide once, and the eigenspace of p/q is eliminated from the int rows of
-q D M - p D I.  The skew
+q D M - p D I.  A `QMatrix` keeps its int scaling in the slot `_ints`,
+which `_scaled` fills once; the int results (products, brackets, inverses,
+`unframe`, diagonals) are made by `QMatrix._of_ints` with it filled.  The skew
 form omega_f(X, Y) = trace(f [X, Y]) on a subspace W is evaluated once, as
 the integer Gram matrix G of W's integer rows, a constant times the Gram
 matrix on its echelon basis: the radical is the kernel of G, and the
@@ -113,9 +115,13 @@ def rat_parse(s):
 
 class QMatrix:
     """Dense immutable matrix of Fractions, row-major.  Products, matvecs
-    and brackets run in ints (`_int_action`, `_bracket`), divided once."""
+    and brackets run in ints (`_int_action`, `_bracket`), divided once.
+    A matrix keeps its int scaling, (D, the ints of D M) with D the lcm of
+    its denominators, in the slot `_ints`: `_scaled` fills it on first use,
+    and a matrix made from ints by `_of_ints` holds it from the start, so a
+    matrix built in ints is never scaled back from its Fractions."""
 
-    __slots__ = ("rows", "cols", "entries", "_hash")
+    __slots__ = ("rows", "cols", "entries", "_hash", "_ints")
 
     def __init__(self, rows, cols, entries):
         entries = tuple(Fraction(e) for e in entries)
@@ -126,6 +132,7 @@ class QMatrix:
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_ints", None)
 
     @classmethod
     def _trusted(cls, rows, cols, entries):
@@ -136,6 +143,21 @@ class QMatrix:
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", tuple(entries))
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_ints", None)
+        return self
+
+    @classmethod
+    def _of_ints(cls, rows, cols, D, ints):
+        """The matrix ints / D for a list of rows * cols ints and an int
+        D > 0, its int scaling kept: D and the ints divided by
+        g = gcd(D, *ints), so the slot holds the least D, what `_scaled`
+        would read off the entries."""
+        if D > 1:
+            g = gcd(D, *ints)
+            if g > 1:
+                D, ints = D // g, [x // g for x in ints]
+        self = cls._trusted(rows, cols, [Fraction(x, D) if x else _ZERO for x in ints])
+        object.__setattr__(self, "_ints", (D, ints))
         return self
 
     def __setattr__(self, *a):
@@ -164,9 +186,10 @@ class QMatrix:
     @classmethod
     def diag(cls, values):
         values = [Fraction(v) for v in values]
-        n = len(values)
-        return cls._trusted(n, n, [values[i] if i == j else _ZERO
-                                   for i in range(n) for j in range(n)])
+        n, D = len(values), lcm(*{v.denominator for v in values})
+        ints = [0] * (n * n)
+        ints[::n + 1] = [v.numerator * (D // v.denominator) for v in values]
+        return cls._of_ints(n, n, D, ints)
 
     @classmethod
     def elementary(cls, n, i, j, coeff=1):
@@ -224,10 +247,10 @@ class QMatrix:
             raise DimensionMismatch("matmul shape mismatch")
         da, act = _int_action(self)
         db, B = _scaled(other)
-        m, den = other.cols, da * db
+        m = other.cols
         cols = [act(B[j::m]) for j in range(m)]
-        return QMatrix._trusted(self.rows, m, [Fraction(x, den) if x else _ZERO
-                                               for row in zip(*cols) for x in row])
+        return QMatrix._of_ints(self.rows, m, da * db,
+                                [x for row in zip(*cols) for x in row])
 
     __rmul__ = scale
 
@@ -237,9 +260,7 @@ class QMatrix:
         if (self.cols, other.rows, other.cols) != (n, n, n):
             raise DimensionMismatch("bracket needs square matrices of one size")
         (da, A), (db, B) = _scaled(self), _scaled(other)
-        den = da * db
-        return QMatrix._trusted(n, n, [Fraction(x, den) if x else _ZERO for x in
-                                       _bracket(enumerate(A), enumerate(B), n)])
+        return QMatrix._of_ints(n, n, da * db, _bracket(enumerate(A), enumerate(B), n))
 
     def transpose(self):
         return QMatrix._trusted(self.cols, self.rows, [
@@ -280,8 +301,9 @@ class QMatrix:
                            for i in range(n)])
         if piv != list(range(n)):
             raise DimensionMismatch("matrix not invertible")
-        return QMatrix._trusted(n, n, [Fraction(D * x, row[c]) if x else _ZERO
-                                       for row, c in zip(A, piv) for x in row[n:]])
+        L = lcm(*(row[c] for row, c in zip(A, piv)))
+        return QMatrix._of_ints(n, n, L, [D * (L // row[c]) * x
+                                          for row, c in zip(A, piv) for x in row[n:]])
 
     # -- dunder plumbing
 
@@ -357,9 +379,14 @@ def _times(c, G, width):
 
 
 def _scaled(M):
-    """(D, the entries of D M as ints), D the lcm of M's denominators."""
-    D = lcm(*{x.denominator for x in M.entries})
-    return D, [x.numerator * (D // x.denominator) for x in M.entries]
+    """(D, the entries of D M as ints), D the lcm of M's denominators: M's
+    `_ints` slot, filled on the first call.  Callers read the list and
+    never change it."""
+    if M._ints is None:
+        D = lcm(*{x.denominator for x in M.entries})
+        object.__setattr__(M, "_ints", (D, [x.numerator * (D // x.denominator)
+                                             for x in M.entries]))
+    return M._ints
 
 
 def _int_action(M, scaled=None):
@@ -1004,8 +1031,8 @@ class Grading:
         terms = [(ij, Fraction(c)) for ij, c in terms]
         L = lcm(*(c.denominator for _, c in terms))
         vec = self._outer([(ij, c.numerator * (L // c.denominator)) for ij, c in terms])
-        den, n = L * self.s, len(self.labels)
-        return QMatrix._trusted(n, n, [Fraction(x, den) if x else _ZERO for x in vec])
+        n = len(self.labels)
+        return QMatrix._of_ints(n, n, L * self.s, vec)
 
 
 def grading(*Ms):

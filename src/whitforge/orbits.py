@@ -27,13 +27,13 @@ def J_eta(eta):
     """The standard nilpotent of the composition eta: lower-triangular Jordan
     blocks of the sizes eta lists, in that order down the diagonal."""
     n = sum(eta)
-    ent = [Fraction(0)] * (n * n)
+    ent = [0] * (n * n)
     off = 0
     for k in eta:
         for i in range(off, off + k - 1):
-            ent[(i + 1) * n + i] = Fraction(1)
+            ent[(i + 1) * n + i] = 1
         off += k
-    return QMatrix._trusted(n, n, ent)
+    return QMatrix._of_ints(n, n, 1, ent)
 
 
 def h_eta(eta):

@@ -4,6 +4,7 @@ distinguished) for the classical groups.
 """
 
 from dataclasses import dataclass
+from itertools import zip_longest
 
 from .errors import (InternalCheckFailure, InvalidPartitionForType,
                      NotDominated, SizeMismatch, UnsupportedQuery)
@@ -44,18 +45,30 @@ def as_composition(parts):
     return t
 
 
-def dominance_leq(mu, lam):
-    """mu <= lam in the dominance order (partial sums), same total required."""
+def _of_one_size(mu, lam):
+    """mu and lam validated by `as_partition`, SizeMismatch unless their
+    totals agree."""
     mu, lam = as_partition(mu), as_partition(lam)
     if sum(mu) != sum(lam):
         raise SizeMismatch(f"|mu|={sum(mu)} != |lambda|={sum(lam)}")
+    return mu, lam
+
+
+def _dominated(mu, lam):
+    """The partial-sum core of the dominance order, for partitions mu and
+    lam of one total: no partial sum of lam falls below mu's."""
     s_mu = s_lam = 0
-    for j in range(max(len(mu), len(lam))):
-        s_mu += mu[j] if j < len(mu) else 0
-        s_lam += lam[j] if j < len(lam) else 0
+    for a, b in zip_longest(mu, lam, fillvalue=0):
+        s_mu += a
+        s_lam += b
         if s_lam < s_mu:
             return False
     return True
+
+
+def dominance_leq(mu, lam):
+    """mu <= lam in the dominance order (partial sums), same total required."""
+    return _dominated(*_of_one_size(mu, lam))
 
 
 def closure_leq(eta, gamma):
@@ -147,8 +160,8 @@ def distinguished_gl(lam):
 def lemma_part_index(lam, mu):
     """Smallest 1-based index i with lam_i >= mu_i >= lam_{i+1} (indices past
     the end read as 0).  Requires mu <= lam."""
-    lam, mu = as_partition(lam), as_partition(mu)
-    if not dominance_leq(mu, lam):
+    mu, lam = _of_one_size(mu, lam)
+    if not _dominated(mu, lam):
         raise NotDominated(f"{mu} is not dominated by {lam}")
     for i in range(1, len(lam) + 1):
         li = lam[i - 1]

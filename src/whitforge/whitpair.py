@@ -206,8 +206,7 @@ def find_Z(pair):
         + _gl_vectors(g, graded_kernel(g, T, (-two,), [(two,)], power=2))
     dy, y = echelon_first(g.unframe(y0).entries, K)
     df, fi = _scaled(f)
-    h = QMatrix._trusted(n, n, [Fraction(x, df * dy)
-                                for x in _bracket(enumerate(fi), enumerate(y), n)])
+    h = QMatrix._of_ints(n, n, df * dy, _bracket(enumerate(fi), enumerate(y), n))
     Z = S - h
     if not (Z.bracket(f).is_zero() and Z.bracket(h).is_zero()):
         raise VerificationError("Z-decomposition commutation check failed")

@@ -102,6 +102,40 @@ def test_merge_at_index_one_is_the_two_part_step():
         assert deform._merge(mu, lam, 1) == _two_part_step(mu, lam)
 
 
+def test_the_builder_runs_in_ints():
+    # on every dominated pair with n <= 8, every Z entry, psi value and
+    # chain-top entry the builder returns is an int
+    pairs = _dominated_pairs(8)
+    assert len(pairs) == 471
+    for mu, lam in pairs:
+        eta, Z, psi, tops = deform._build(mu, lam)
+        assert sorted(eta, reverse=True) == list(mu)
+        assert all(type(x) is int for x in Z)
+        assert all(type(x) is int for x in psi.values())
+        assert all(type(x) is int for _, v in tops for x in v)
+
+
+def test_a_raising_certificate_builds_each_standard_matrix_once(monkeypatch):
+    # the recursion reads h_eta and J_eta off eta: one deform_gl call builds
+    # each at most once, for the certificate
+    counts = {"J_eta": 0, "h_eta": 0}
+
+    def counted(name):
+        real = getattr(orbits, name)
+
+        def wrapped(eta):
+            counts[name] += 1
+            return real(eta)
+        return wrapped
+    for name in counts:
+        monkeypatch.setattr(deform, name, counted(name))
+        monkeypatch.setattr(orbits, name, counted(name))
+    for mu, lam in _dominated_pairs(8):
+        counts.update(J_eta=0, h_eta=0)
+        deform_gl(mu, lam)
+        assert counts["J_eta"] <= 1 and counts["h_eta"] <= 1
+
+
 # -- deform_gl -------------------------------------------------------------------
 
 def test_deform_gl_22_to_31():

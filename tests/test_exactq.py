@@ -5,8 +5,9 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from whitforge import exactq
+from whitforge import exactq, orbits
 from whitforge.errors import (DimensionMismatch, InternalCheckFailure,
                               NotRationalSplit)
 from whitforge.exactq import (NO_SOLUTION, QMatrix, Subspace, _bracket,
@@ -14,9 +15,10 @@ from whitforge.exactq import (NO_SOLUTION, QMatrix, Subspace, _bracket,
                               char_poly, echelon_first, rat_parse, rat_str,
                               rational_eigenvalues, rref_solve, skew_tools)
 from whitforge.orbits import jordan_chain_basis
+from whitforge.whitpair import find_Z
 
 import clause_oracle
-from conftest import E, coordinates, random_unimodular
+from conftest import E, coordinates, random_unimodular, random_whittaker_pair
 from dense_ad import ad_matrix, int_ad
 
 
@@ -1141,3 +1143,94 @@ def test_lagrangian_parity_check_is_typed():
     W = Subspace(4, [[1, 0, 0, 0]])
     with pytest.raises(InternalCheckFailure, match="must be even"):
         _lagrangian(W, [[Fraction(0)]], [])
+
+
+# -- the int scaling slot -------------------------------------------------------
+
+def _scaled_from_entries(M):
+    """The int scaling as read off the entries, `_scaled` before the slot:
+    (D, the ints of D M), D the lcm of M's denominators.  The oracle of
+    the `_ints` slot."""
+    D = lcm(*{x.denominator for x in M.entries})
+    return D, [x.numerator * (D // x.denominator) for x in M.entries]
+
+
+def _assert_slot(M):
+    """M's slot, when filled, is the oracle's, the least D; `_scaled` fills
+    it when empty and returns it after that."""
+    want = _scaled_from_entries(M)
+    assert M._ints is None or M._ints == want
+    assert _scaled(M) == want and M._ints == want
+    assert _scaled(M) is M._ints
+    D, ints = want
+    assert D > 0 and gcd(D, *ints) == 1 and all(type(x) is int for x in ints)
+
+
+_rationals = st.one_of(st.just(0), st.integers(-9, 9),
+                       st.fractions(min_value=-20, max_value=20, max_denominator=12))
+
+
+@st.composite
+def _matrices(draw, rows=None, cols=None):
+    rows = draw(st.integers(1, 4)) if rows is None else rows
+    cols = draw(st.integers(1, 4)) if cols is None else cols
+    return QMatrix(rows, cols, draw(st.lists(_rationals, min_size=rows * cols,
+                                             max_size=rows * cols)))
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_every_construction_keeps_the_least_int_scaling(data):
+    # the slot of a matrix from every construction path equals what the
+    # entries give, the int results hold it from the start, and a matrix
+    # derived from one whose slot is filled gets a slot of its own
+    n = data.draw(st.integers(1, 4))
+    A, B = data.draw(_matrices(n, n)), data.draw(_matrices(n, n))
+    ints = data.draw(st.lists(st.integers(-40, 40), min_size=n * n, max_size=n * n))
+    D = data.draw(st.integers(1, 60))
+    c = data.draw(_rationals)
+    a = data.draw(_rationals.filter(bool))
+    from_ints = [QMatrix.diag(data.draw(st.lists(_rationals, min_size=n, max_size=n))),
+                 QMatrix._of_ints(n, n, D, ints)]
+    assert from_ints[-1].entries == tuple(Fraction(x, D) for x in ints)
+    for M in [A, QMatrix.from_rows(A.row_lists()), QMatrix.from_json(A.to_json()),
+              QMatrix._trusted(n, n, B.entries)] + from_ints:
+        _assert_slot(M)
+    # A and B have filled slots now
+    from_ints = [A * B, A.bracket(B)] + ([A.inverse()] if A.det() else [])
+    assert all(M._ints is not None for M in from_ints)
+    for M in from_ints + [A + B, A - B, A.scale(c), c * A, orbits._twist(A, a), -A,
+                          A.transpose(), QMatrix(n, 1, A.matvec(list(B.entries[:n])))]:
+        assert M._ints is not A._ints and M._ints is not B._ints
+        _assert_slot(M)
+
+
+@given(st.lists(st.integers(-40, 40), min_size=1, max_size=16), st.integers(1, 10 ** 6))
+@settings(max_examples=150, deadline=None)
+def test_the_int_constructor_divides_to_the_least_denominator(ints, D):
+    # ints / D in lowest terms: the slot's D is D / gcd(D, *ints), however
+    # much common factor D and the ints share
+    k = random.Random(D).randint(1, 50)
+    M = QMatrix._of_ints(1, len(ints), D * k, [x * k for x in ints])
+    g = gcd(D, *ints)
+    assert M._ints == (D // g, [x // g for x in ints])
+    assert M.entries == tuple(Fraction(x, D) for x in ints)
+    _assert_slot(M)
+
+
+def test_the_standard_matrices_and_the_frame_results_are_made_from_ints():
+    # J_eta, h_eta, Grading.unframe and find_Z's h hold their int scaling
+    # from the start, the oracle's
+    rng = random.Random(27)
+    made = []
+    for n in range(1, 7):
+        eta = [rng.randint(1, 3) for _ in range(n)]
+        made += [orbits.J_eta(eta), orbits.h_eta(eta)]
+        pair = random_whittaker_pair(n, rng)
+        made.append(find_Z(pair)[0])
+        g = pair.grading
+        made.append(g.unframe(((i, j), Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+                              for i in range(n) for j in range(n) if rng.random() < 0.5))
+    for M in made:
+        assert M._ints is not None
+        _assert_slot(M)
