@@ -389,10 +389,13 @@ def _render_text(payload, out):
 class _Parser(argparse.ArgumentParser):
     """argparse with usage errors raised as ParseError (exit code 1, JSON on
     stderr) rather than printed and exited with argparse's code 2.  Options
-    match only in full: an undeclared --h is an error, not --help."""
+    match only in full: an undeclared --h is an error, not --help.  A '-'
+    then a digit, E or diag( starts a value, as a negative number does to
+    argparse: --a -1/8, --f -E21 and --S -diag(1,-1) read like --a=-1/8."""
 
     def __init__(self, **kwargs):
         super().__init__(allow_abbrev=False, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d|E|diag\()")
 
     def error(self, message):
         raise ParseError(f"{self.prog}: {message}")

@@ -14,10 +14,9 @@ ints: Z, psi and the tops hold ints only (_merge says why they are
 integral), and it forms no matrix, reading the diagonal of h_eta and the
 action of J_eta off eta by index.  _matrices is the one place that turns
 (eta, Z, psi) into the matrices (h, f, Z, psi), each made from its ints
-(QMatrix._of_ints) with its int scaling kept, so deform keeps no matrix
-code of its own.  Every raising path ends in one checker, _check_raising,
-which scales each of h, Z, f and psi to ints once (`_scaled`, which reads
-a kept scaling rather than the Fractions) and runs every clause on those
+(QMatrix._of_ints), so deform keeps no matrix code of its own.  Every
+raising path ends in one checker, _check_raising, which reads the int
+scaling each of h, Z, f and psi holds and runs every clause on those
 ints: each ad(h)-, ad(Z)- and ad(h+Z)-weight of f and
 psi comes from the int diagonals of h and Z, (h, f) goes to the int core of
 orbits.is_neutral_pair, the one neutrality test, and f and f + psi to the
@@ -31,7 +30,7 @@ from fractions import Fraction
 from itertools import accumulate
 
 from .errors import InternalCheckFailure, NotDominated, PreconditionViolation
-from .exactq import QMatrix, _scaled, rat_str
+from .exactq import QMatrix, rat_str
 from .orbits import (J_eta, _jordan_type, _neutral, _twist, h_eta,
                      is_dth_power, power_class, rational_dth_root, sl_class)
 from .partitions import (_dominated, _of_one_size, as_partition, dominance_leq,
@@ -228,14 +227,13 @@ def _check_raising(h, f, Z, psi, mu, lam):
     ad(h)-weight -2 and ad(Z)-weight 0, psi of negative ad(Z)-weights and
     ad(h+Z)-weight -2, (h, f) neutral, f in the mu-orbit and f + psi in the
     lambda-orbit (the Jordan type of the powers' ranks is the independent
-    oracle for the two orbits).  Each matrix M is scaled once, to the ints
-    of D_M M (D_M the lcm of its denominators), and every clause runs on
-    those ints: the ad-weights come from the diagonals of D_h h and D_Z Z
-    at the nonzero entries of f and psi, scaled by D_h or D_h D_Z; (h, f)
-    goes to orbits._neutral, the one neutrality test, and f and f + psi,
-    formed over lcm(D_f, D_psi), to orbits._jordan_type.  Returns the
-    checks record, one entry per clause."""
-    (dh, hi), (dz, zi), (df, fi), (dp, psii) = map(_scaled, (h, Z, f, psi))
+    oracle for the two orbits).  Every clause runs on the ints of D_M M
+    each matrix M holds (D_M the lcm of its denominators): the ad-weights
+    come from the diagonals of D_h h and D_Z Z at the nonzero entries of f
+    and psi, scaled by D_h or D_h D_Z; (h, f) goes to orbits._neutral, the
+    one neutrality test, and f and f + psi, formed over lcm(D_f, D_psi), to
+    orbits._jordan_type.  Returns the checks record, one entry per clause."""
+    (dh, hi), (dz, zi), (df, fi), (dp, psii) = (M._ints for M in (h, Z, f, psi))
     n = h.cols
     for name, M in (("h", hi), ("Z", zi)):
         if any(x for k, x in enumerate(M) if k % (n + 1)):
@@ -252,7 +250,7 @@ def _check_raising(h, f, Z, psi, mu, lam):
              _ad_weights(sd, psi_at) <= {-2 * dh * dz})):
         if not holds:
             raise InternalCheckFailure(f"{clause} fails")
-    if not _neutral(h, f, dh, hi, fi):
+    if not _neutral(h, f):
         raise InternalCheckFailure("neutral_pair: (h, f) is not a neutral pair")
     if _jordan_type(fi) != mu:
         raise InternalCheckFailure("jordan_source: jordan_partition(f) != mu")

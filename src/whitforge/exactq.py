@@ -5,15 +5,17 @@ Everything is a pure function on immutable values.  Fractions at the API,
 integer rows inside the kernels: eliminations, reductions, brackets, ad
 operators and Gram matrices run on ints scaled by one common denominator,
 and every test made on them (membership, a kernel, a zero) does not depend
-on that scale.  No floating point anywhere.  A `Subspace` keeps its
-canonical RREF basis as int rows over one common denominator, which serve
-`member` and `intersect` (one shared reduction), `span` of coordinate
-vectors, `kernel_of` a map given by the basis's images and `orthogonal`;
-its Fraction `basis` is built when it is first read, and `to_json` prints
-x/D straight from the int rows.  `_solve` reads the echelon-first solution
-of an int system, making only the solution's entries Fractions, and
-`rref_solve` and `graded_solve` read their solutions through it.
-`_echelon` is the only elimination, of this module or any other:
+on that scale.  No floating point anywhere.  A `QMatrix` is its int
+scaling (D, the ints of D M), D the lcm of its denominators, and a
+`Subspace` its canonical RREF basis as int rows over one common
+denominator, which serve `member` and `intersect` (one shared reduction),
+`span` of coordinate vectors, `kernel_of` a map given by the basis's
+images and `orthogonal`.  Each builds its Fractions (`entries`, `basis`)
+when they are first read, and prints x/D straight from its ints
+(`_ratio_texts`).  `_solve` reads the echelon-first solution of an int
+system, making only the solution's entries Fractions, and `rref_solve`
+and `graded_solve` read their solutions through it.  `_echelon` is the
+only elimination, of this module or any other:
 `QMatrix.inverse` reads the RREF of the int rows [D M | I], and
 `QMatrix.det` is the determinant it keeps on request, of D M.
 
@@ -35,12 +37,10 @@ blocks of ad(M)^2 are two of its blocks multiplied, and neutrality uses it.
 
 `_bracket` is the one bracket, of int matrices only, and multiplies only
 nonzero entries, read off the same index; `QMatrix` products and brackets
-run `_int_action` and `_bracket` on their operands scaled to ints and
-divide once, and the eigenspace of p/q is eliminated from the int rows of
-q D M - p D I.  A `QMatrix` keeps its int scaling in the slot `_ints`,
-which `_scaled` fills once; the int results (products, brackets, inverses,
-`unframe`, diagonals) are made by `QMatrix._of_ints` with it filled.  The skew
-form omega_f(X, Y) = trace(f [X, Y]) on a subspace W is evaluated once, as
+run `_int_action` and `_bracket` on their operands' ints and divide once,
+and the eigenspace of p/q is eliminated from the int rows of q D M - p D I.
+The skew form omega_f(X, Y) = trace(f [X, Y]) on a subspace W is evaluated
+once, as
 the integer Gram matrix G of W's integer rows, a constant times the Gram
 matrix on its echelon basis: the radical is the kernel of G, and the
 Lagrangian is grown in coordinates over that basis, where omega(c, w_j) is
@@ -57,17 +57,15 @@ sequence.
 
 from fractions import Fraction
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import compress, groupby
 from math import gcd, lcm, prod
 from operator import add, itemgetter, mul, sub
-from typing import NamedTuple
 
 from .errors import (DimensionMismatch, InternalCheckFailure, NotCommuting,
                      NotRationalSplit, ParseError)
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class NoSolutionType:
@@ -114,50 +112,39 @@ def rat_parse(s):
 
 
 class QMatrix:
-    """Dense immutable matrix of Fractions, row-major.  Products, matvecs
-    and brackets run in ints (`_int_action`, `_bracket`), divided once.
-    A matrix keeps its int scaling, (D, the ints of D M) with D the lcm of
-    its denominators, in the slot `_ints`: `_scaled` fills it on first use,
-    and a matrix made from ints by `_of_ints` holds it from the start, so a
-    matrix built in ints is never scaled back from its Fractions."""
+    """Dense immutable matrix over Q, row-major, held as one int scaling
+    `_ints` = (D, the ints of D M), D > 0 the lcm of its denominators, so
+    the pair is canonical: D and the ints share no common factor.  Every
+    operation runs on the ints, and products, matvecs and brackets divide
+    once (`_int_action`, `_bracket`).  The Fraction `entries` are built
+    when first read, as `Subspace.basis` is."""
 
-    __slots__ = ("rows", "cols", "entries", "_hash", "_ints")
+    __slots__ = ("rows", "cols", "_ints", "_entries", "_hash")
 
     def __init__(self, rows, cols, entries):
         entries = tuple(Fraction(e) for e in entries)
         if len(entries) != rows * cols:
             raise DimensionMismatch(
                 f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_ints", None)
+        D = lcm(*{x.denominator for x in entries})
+        self._set(rows, cols, D, [x.numerator * (D // x.denominator) for x in entries],
+                  entries)
 
-    @classmethod
-    def _trusted(cls, rows, cols, entries):
-        """Internal constructor for entries that are already Fractions of the
-        right count: no re-coercion, no shape check."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", tuple(entries))
-        object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_ints", None)
-        return self
+    def _set(self, rows, cols, D, ints, entries=None):
+        """Fill the slots: the canonical (D, ints), the Fractions if known."""
+        for name, value in zip(self.__slots__, (rows, cols, (D, ints), entries, None)):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def _of_ints(cls, rows, cols, D, ints):
         """The matrix ints / D for a list of rows * cols ints and an int
-        D > 0, its int scaling kept: D and the ints divided by
-        g = gcd(D, *ints), so the slot holds the least D, what `_scaled`
-        would read off the entries."""
+        D > 0: D and the ints divided by gcd(D, *ints), the canonical pair."""
         if D > 1:
             g = gcd(D, *ints)
             if g > 1:
                 D, ints = D // g, [x // g for x in ints]
-        self = cls._trusted(rows, cols, [Fraction(x, D) if x else _ZERO for x in ints])
-        object.__setattr__(self, "_ints", (D, ints))
+        self = object.__new__(cls)
+        self._set(rows, cols, D, ints)
         return self
 
     def __setattr__(self, *a):
@@ -177,11 +164,11 @@ class QMatrix:
     @classmethod
     def zeros(cls, n, m=None):
         m = n if m is None else m
-        return cls(n, m, [Fraction(0)] * (n * m))
+        return cls._of_ints(n, m, 1, [0] * (n * m))
 
     @classmethod
     def identity(cls, n):
-        return cls(n, n, [Fraction(int(i == j)) for i in range(n) for j in range(n)])
+        return cls.diag([1] * n)
 
     @classmethod
     def diag(cls, values):
@@ -196,11 +183,21 @@ class QMatrix:
         """E_ij (1-based), optionally scaled."""
         if not (1 <= i <= n and 1 <= j <= n):
             raise DimensionMismatch(f"E_{i}{j} out of range for n={n}")
-        ent = [Fraction(0)] * (n * n)
-        ent[(i - 1) * n + (j - 1)] = Fraction(coeff)
-        return cls(n, n, ent)
+        coeff = Fraction(coeff)
+        ints = [0] * (n * n)
+        ints[(i - 1) * n + (j - 1)] = coeff.numerator
+        return cls._of_ints(n, n, coeff.denominator, ints)
 
     # -- access
+
+    @property
+    def entries(self):
+        """The entries as a tuple of Fractions, built on first read."""
+        if self._entries is None:
+            D, ints = self._ints
+            object.__setattr__(self, "_entries",
+                               tuple(Fraction(x, D) if x else _ZERO for x in ints))
+        return self._entries
 
     def __getitem__(self, ij):
         i, j = ij
@@ -215,30 +212,32 @@ class QMatrix:
 
     # -- algebra
 
-    def _check_same_shape(self, other):
+    def _entrywise(self, other, op):
+        """The entrywise op (add or sub) of two matrices of one shape, over
+        the lcm of their denominators."""
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("shape mismatch")
+        (da, A), (db, B) = self._ints, other._ints
+        if da != db:
+            L = lcm(da, db)
+            A, B, da = [x * (L // da) for x in A], [x * (L // db) for x in B], L
+        return QMatrix._of_ints(self.rows, self.cols, da, list(map(op, A, B)))
 
     def __add__(self, other):
-        """Entrywise sum; an entry whose right summand is zero is the left
-        one, not a new Fraction."""
-        self._check_same_shape(other)
-        return QMatrix._trusted(self.rows, self.cols,
-                                [a + b if b else a
-                                 for a, b in zip(self.entries, other.entries)])
+        return self._entrywise(other, add)
 
     def __sub__(self, other):
-        self._check_same_shape(other)
-        return QMatrix._trusted(self.rows, self.cols,
-                                [a - b if b else a
-                                 for a, b in zip(self.entries, other.entries)])
+        return self._entrywise(other, sub)
 
     def __neg__(self):
-        return QMatrix._trusted(self.rows, self.cols, [-a for a in self.entries])
+        D, ints = self._ints
+        return QMatrix._of_ints(self.rows, self.cols, D, [-x for x in ints])
 
     def scale(self, c):
         c = Fraction(c)
-        return QMatrix._trusted(self.rows, self.cols, [c * a for a in self.entries])
+        D, ints = self._ints
+        return QMatrix._of_ints(self.rows, self.cols, D * c.denominator,
+                                [c.numerator * x for x in ints])
 
     def __mul__(self, other):
         if not isinstance(other, QMatrix):
@@ -246,7 +245,7 @@ class QMatrix:
         if self.cols != other.rows:
             raise DimensionMismatch("matmul shape mismatch")
         da, act = _int_action(self)
-        db, B = _scaled(other)
+        db, B = other._ints
         m = other.cols
         cols = [act(B[j::m]) for j in range(m)]
         return QMatrix._of_ints(self.rows, m, da * db,
@@ -259,17 +258,19 @@ class QMatrix:
         n = self.rows
         if (self.cols, other.rows, other.cols) != (n, n, n):
             raise DimensionMismatch("bracket needs square matrices of one size")
-        (da, A), (db, B) = _scaled(self), _scaled(other)
+        (da, A), (db, B) = self._ints, other._ints
         return QMatrix._of_ints(n, n, da * db, _bracket(enumerate(A), enumerate(B), n))
 
     def transpose(self):
-        return QMatrix._trusted(self.cols, self.rows, [
-            x for i in range(self.cols) for x in self.entries[i::self.cols]])
+        (D, ints), c = self._ints, self.cols
+        return QMatrix._of_ints(c, self.rows, D,
+                                [x for i in range(c) for x in ints[i::c]])
 
     def trace(self):
         if self.rows != self.cols:
             raise DimensionMismatch("trace of non-square")
-        return sum(self.entries[::self.cols + 1], _ZERO)
+        D, ints = self._ints
+        return Fraction(sum(ints[::self.cols + 1]), D)
 
     def matvec(self, v):
         if len(v) != self.cols:
@@ -277,18 +278,17 @@ class QMatrix:
         return list((self * QMatrix(len(v), 1, v)).entries)
 
     def is_zero(self):
-        return not any(self.entries)
+        return not any(self._ints[1])
 
     def is_diagonal(self):
         n = self.cols
-        return all(not e for idx, e in enumerate(self.entries)
-                   if idx // n != idx % n)
+        return all(not x for k, x in enumerate(self._ints[1]) if k // n != k % n)
 
     def det(self):
         """det(D M) / D^n, det(D M) kept by one `_echelon` of D M."""
         if self.rows != self.cols:
             raise DimensionMismatch("det of non-square")
-        (D, flat), n = _scaled(self), self.rows
+        (D, flat), n = self._ints, self.rows
         return _echelon([flat[i * n:(i + 1) * n] for i in range(n)], True)[2] / D ** n
 
     def inverse(self):
@@ -296,7 +296,7 @@ class QMatrix:
         whose pivots are the first n columns exactly when M is invertible."""
         if self.rows != self.cols:
             raise DimensionMismatch("inverse of non-square")
-        (D, flat), n = _scaled(self), self.rows
+        (D, flat), n = self._ints, self.rows
         A, piv = _echelon([flat[i * n:(i + 1) * n] + [int(i == j) for j in range(n)]
                            for i in range(n)])
         if piv != list(range(n)):
@@ -309,11 +309,13 @@ class QMatrix:
 
     def __eq__(self, other):
         return (isinstance(other, QMatrix) and self.rows == other.rows
-                and self.cols == other.cols and self.entries == other.entries)
+                and self.cols == other.cols and self._ints == other._ints)
 
     def __hash__(self):
         if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.rows, self.cols, self.entries)))
+            D, ints = self._ints
+            object.__setattr__(self, "_hash", hash((self.rows, self.cols, D,
+                                                    tuple(ints))))
         return self._hash
 
     def __repr__(self):
@@ -321,7 +323,9 @@ class QMatrix:
         return "QMatrix[" + "; ".join(rows) + "]"
 
     def to_json(self):
-        return [[rat_str(x) if x else "0" for x in row] for row in self.row_lists()]
+        (D, ints), c = self._ints, self.cols
+        text = _ratio_texts(D)
+        return [[text(x) for x in ints[i * c:(i + 1) * c]] for i in range(self.rows)]
 
     @classmethod
     def from_json(cls, obj):
@@ -378,21 +382,20 @@ def _times(c, G, width):
     return [sum([x * row[k] for x, row in zip(c, G) if x]) for k in range(width)]
 
 
-def _scaled(M):
-    """(D, the entries of D M as ints), D the lcm of M's denominators: M's
-    `_ints` slot, filled on the first call.  Callers read the list and
-    never change it."""
-    if M._ints is None:
-        D = lcm(*{x.denominator for x in M.entries})
-        object.__setattr__(M, "_ints", (D, [x.numerator * (D // x.denominator)
-                                             for x in M.entries]))
-    return M._ints
+def _ratio_texts(D):
+    """x -> the text of x / D in lowest terms ("p/q", or "p" when q = 1),
+    each distinct x formatted once: the printer of both `to_json`s."""
+    @cache
+    def text(x):
+        g = gcd(x, D)
+        return str(x // g) if g == D else f"{x // g}/{D // g}"
+    return text
 
 
-def _int_action(M, scaled=None):
-    """(D, v -> D M v on int vectors) from `scaled` = `_scaled(M)`, formed
-    when not given; the product touches only the nonzero entries of D M."""
-    D, flat = scaled or _scaled(M)
+def _int_action(M):
+    """(D, v -> D M v on int vectors) for M's int scaling (D, the ints of
+    D M); the product touches only the nonzero entries of D M."""
+    D, flat = M._ints
     n = M.cols
     rows = [[(j, x) for j, x in enumerate(flat[i * n:(i + 1) * n]) if x]
             for i in range(M.rows)]
@@ -472,17 +475,17 @@ def _echelon(rows, det=False):
     return A, pivots
 
 
-def _kernel_of_rref(red, piv, n_cols, one=_ONE):
-    """Echelonized basis of the right kernel, read off an RREF (`red`, `piv`)
-    restricted to its first n_cols columns; with the rows of D times an RREF
-    and one = D, D times that basis."""
+def _kernel_of_rref(red, piv, n_cols, D):
+    """D times the echelonized basis of the right kernel, read off the int
+    rows `red` of D times an RREF with pivots `piv`, restricted to its
+    first n_cols columns."""
     pivset = set(piv)
     out = []
     for fc in range(n_cols):
         if fc in pivset:
             continue
-        v = [one * 0] * n_cols
-        v[fc] = one
+        v = [0] * n_cols
+        v[fc] = D
         for r, pc in enumerate(piv):
             v[pc] = -red[r][fc]
         out.append(v)
@@ -518,16 +521,16 @@ def _solve(rows, n):
 
 def echelon_first(y, kernel):
     """(D, ints): the echelon-first solution ints / D of a linear system
-    whose solutions are y + span(kernel), for y a list of rationals and
-    kernel int vectors; the solution `_solve` reads, with every free
+    whose solutions are y + span(kernel), for y = (D_y, the ints of D_y y)
+    and kernel int vectors; the solution `_solve` reads, with every free
     coordinate of the system's RREF at 0.  The free coordinates are the
     complement of the system's lex-first column basis, which by matroid
     duality is the lex-last basis of its kernel: the pivots of the kernel
     echelonized in reversed coordinate order.  So it is y reduced against
     that echelon basis."""
-    D = lcm(*(Fraction(x).denominator for x in y))
+    D, y = y
     K = Subspace(len(y), [v[::-1] for v in kernel])
-    return D * K._den, K._reduce([int(x * D) for x in reversed(y)])[::-1]
+    return D * K._den, K._reduce(y[::-1])[::-1]
 
 
 @dataclass(frozen=True)
@@ -543,9 +546,11 @@ def rref_solve(A, b=None):
     """Exact reduced row echelon form of A; when b is given, also a particular
     solution of A x = b (free variables set to 0) or NO_SOLUTION, read by
     `_solve`.  One reduction serves both: the first n columns of the
-    augmented echelon are the echelon of A."""
-    rows = A.row_lists()
-    m, n = A.rows, A.cols
+    augmented echelon are the echelon of A.  It runs on the ints of D A and
+    D b, and reads the RREF and kernel off the echelon rows over the lcm L
+    of their pivot entries."""
+    (D, flat), m, n = A._ints, A.rows, A.cols
+    rows = [flat[i * n:(i + 1) * n] for i in range(m)]
     solution = None
     if b is None:
         E, piv = _echelon(rows)
@@ -553,14 +558,15 @@ def rref_solve(A, b=None):
         b = [Fraction(x) for x in b]
         if len(b) != m:
             raise DimensionMismatch("b length != rows(A)")
-        solution, E, piv = _solve([row + [bx] for row, bx in zip(rows, b)], n)
+        solution, E, piv = _solve([row + [D * bx] for row, bx in zip(rows, b)], n)
         if solution is NO_SOLUTION:
             piv = piv[:-1]
-    red = [[Fraction(x, row[c]) if x else _ZERO for x in row[:n]]
-           for row, c in zip(E, piv)]
-    red += [[_ZERO] * n for _ in range(m - len(piv))]
-    ech = QMatrix._trusted(m, n, [x for row in red for x in row])
-    kernel = tuple(tuple(v) for v in _kernel_of_rref(red, piv, n))
+    L = lcm(*(row[c] for row, c in zip(E, piv)))
+    red = [[x * (L // row[c]) for x in row[:n]] for row, c in zip(E, piv)]
+    ech = QMatrix._of_ints(m, n, L, [x for row in red for x in row]
+                           + [0] * (n * (m - len(piv))))
+    kernel = tuple(tuple(Fraction(x, L) for x in v)
+                   for v in _kernel_of_rref(red, piv, n, L))
     return RrefResult(ech, tuple(piv), len(piv), solution, kernel)
 
 
@@ -755,14 +761,11 @@ class Subspace:
     def to_json(self):
         """The echelon basis as rational strings, each entry x/D of the int
         rows written in lowest terms."""
-        D, text, out = self._den, {}, []
+        text, out = _ratio_texts(self._den), []
         for idx, vals in zip(self._cols, self._vals):
             row = ["0"] * self.ambient_dim
             for i, x in zip(idx, vals):
-                if x not in text:
-                    g = gcd(x, D)
-                    text[x] = str(x // g) if g == D else f"{x // g}/{D // g}"
-                row[i] = text[x]
+                row[i] = text(x)
             out.append(row)
         return out
 
@@ -782,7 +785,7 @@ def char_poly(M):
     n = M.rows
     if n != M.cols:
         raise DimensionMismatch("char_poly of non-square")
-    D, flat = _scaled(M)
+    D, flat = M._ints
     coeffs = _char_ints(flat, n)
     return [Fraction(coeffs[k], D ** k) for k in range(n, -1, -1)]
 
@@ -895,27 +898,18 @@ def _rational_roots(coeffs):
     return sorted(set(roots), reverse=True)
 
 
-class IntMatrix(NamedTuple):
-    """A rational matrix M as D and the row-major ints of D M: how
-    `_split` hands `rational_eigenvalues` a block, with no Fractions."""
-    rows: int
-    cols: int
-    D: int
-    ints: list
-
-
 def rational_eigenvalues(M):
     """Eigenvalues (rational roots of the characteristic polynomial) with their
-    eigenspaces, sorted by eigenvalue descending, of a QMatrix or IntMatrix
-    M.  Raises NotRationalSplit unless the eigenspace dimensions sum to n
-    (i.e. M is rational semisimple).  The roots are searched on D^n
+    eigenspaces, sorted by eigenvalue descending, of a QMatrix M.  Raises
+    NotRationalSplit unless the eigenspace dimensions sum to n (i.e. M is
+    rational semisimple).  The roots are searched on D^n
     det(xI - M), coefficients c_k D^(n-k), not on det(xI - D M), whose
     search costs far more; the eigenspace of p/q is the kernel of the int
     rows q D M - p D I."""
     n = M.rows
     if n != M.cols:
         raise DimensionMismatch("eigenvalues of non-square")
-    D, flat = (M.D, M.ints) if isinstance(M, IntMatrix) else _scaled(M)
+    D, flat = M._ints
     c = _char_ints(flat, n)
     out = []
     for lam in _rational_roots([c[n - j] * D ** j for j in range(n + 1)]):
@@ -1060,12 +1054,11 @@ def bigrade(g, h, Z):
 def _commuting_actions(Ms):
     """[(D, v -> D M v)] for the matrices Ms, once their ints commute."""
     n = Ms[0].rows
-    scaled = [_scaled(M) for M in Ms]
-    for i, (_, A) in enumerate(scaled):
-        for _, B in scaled[i + 1:]:
-            if any(_bracket(enumerate(A), enumerate(B), n)):
+    for i, A in enumerate(Ms):
+        for B in Ms[i + 1:]:
+            if any(_bracket(enumerate(A._ints[1]), enumerate(B._ints[1]), n)):
                 raise NotCommuting("the grading matrices do not commute")
-    return [_int_action(M, s) for M, s in zip(Ms, scaled)]
+    return [_int_action(M) for M in Ms]
 
 
 def _split(blocks, action):
@@ -1073,8 +1066,8 @@ def _split(blocks, action):
     M preserves, split into (label + (lambda,), columns) by the eigenvalues
     lambda of M, action = (D, v -> D M v).  One column is an eigenvector.
     Over k columns, a coordinate is the entry at a column's pivot over the
-    pivot entry, so M's restriction is an IntMatrix over D m, m the lcm of
-    the pivot entries.  Its eigenspaces map back to combinations of the
+    pivot entry, so M's restriction is a matrix of ints over D m, m the lcm
+    of the pivot entries.  Its eigenspaces map back to combinations of the
     columns, echelonized once, unless M is scalar on the block."""
     D, act = action
     out = []
@@ -1088,7 +1081,7 @@ def _split(blocks, action):
         piv = [next(i for i, x in enumerate(v) if x) for v in cols]
         m = lcm(*(v[p] for v, p in zip(cols, piv)))
         images = [act(v) for v in cols]
-        pieces = rational_eigenvalues(IntMatrix(k, k, D * m, [
+        pieces = rational_eigenvalues(QMatrix._of_ints(k, k, D * m, [
             im[p] * (m // v[p]) for v, p in zip(cols, piv) for im in images]))
         if len(pieces) == 1:
             out.append((label + (pieces[0][0],), cols))
@@ -1194,7 +1187,7 @@ def _omega_gram_vectors(f, W):
     common denominator), so G / s is the Gram matrix on W's echelon basis.
     Row i pairs [D_f f, R_i] with each R_j by the trace form."""
     n = f.rows
-    D, fi = _scaled(f)
+    D, fi = f._ints
     rows = W._dense()
     k = len(rows)
     gram = [[0] * k for _ in range(k)]
@@ -1221,8 +1214,8 @@ def skew_tools(f, W, task):
         raise DimensionMismatch("W must live in flattened gl_n")
     gram, scale = _omega_gram_vectors(f, W)
     if task == "gram":
-        return QMatrix._trusted(len(gram), len(gram), [
-            Fraction(x, scale) if x else _ZERO for row in gram for x in row])
+        return QMatrix._of_ints(len(gram), len(gram), scale,
+                                [x for row in gram for x in row])
     kern = _kernel_rows(gram, len(gram))
     if task == "radical":
         return W.span(kern)

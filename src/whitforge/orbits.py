@@ -16,7 +16,7 @@ from .errors import (DimensionMismatch, InternalCheckFailure, NoSolutionError,
                      WrongPartition)
 from . import exactq
 from .exactq import (NO_SOLUTION, QMatrix, Subspace, _bracket, _int_action,
-                     _scaled, graded_solve, grading, rat_str)
+                     graded_solve, grading, rat_str)
 
 
 # ---------------------------------------------------------------------------
@@ -62,12 +62,15 @@ def standard_rep(eta):
 
 def _twist(M, a):
     """diag(a, 1, ..., 1) M diag(a, 1, ..., 1)^{-1}: row 0 of M times a and
-    column 0 over a, the diagonal kept."""
-    n = M.rows
-    e = list(M.entries)
+    column 0 over a, the diagonal kept, in ints over D s, s = |p| q for
+    a = p/q and M = X / D."""
+    (D, X), n = M._ints, M.rows
+    p, q = a.numerator, a.denominator
+    s = abs(p) * q
+    Y = [s * x for x in X]
     for j in range(1, n):
-        e[j], e[j * n] = e[j] * a, e[j * n] / a
-    return QMatrix._trusted(n, n, e)
+        Y[j], Y[j * n] = X[j] * p * s // q, X[j * n] * q * s // p
+    return QMatrix._of_ints(n, n, D * s, Y)
 
 
 def J_eta_a(eta, a):
@@ -117,11 +120,11 @@ def _power_row_spaces(M):
 
 
 def _square_ints(N):
-    """`_scaled(N)`, (D, the flat int entries of D N), for a square N
+    """N's int scaling, (D, the flat int entries of D N), for a square N
     (DimensionMismatch for any other)."""
     if N.rows != N.cols:
         raise DimensionMismatch("matrix not square")
-    return _scaled(N)
+    return N._ints
 
 
 def _jordan_type(M):
@@ -135,8 +138,7 @@ def _jordan_type(M):
 
 
 def jordan_partition(N):
-    """Partition of the nilpotent orbit of N: `_jordan_type` of D N, N
-    scaled once."""
+    """Partition of the nilpotent orbit of N: `_jordan_type` of D N."""
     return _jordan_type(_square_ints(N)[1])
 
 
@@ -148,29 +150,29 @@ def jordan_chain_basis(N):
     mapped back by R^{-1}.  The chains of `_int_chains`, each vector w
     over its scale s made Fractions, w / s."""
     return [[[Fraction(x, s) for x in w] for w, s in chain]
-            for chain in _int_chains(N, _square_ints(N))]
+            for chain in _int_chains(N)]
 
 
-def _int_chains(N, scaled):
-    """`jordan_chain_basis` in ints, for scaled = `_square_ints(N)`: each
-    chain as (w, s) pairs, the vector N^k v = w / s.  The search runs on int
-    rows: a top is an int echelon row D_K v of its kernel (D_K the rows'
-    common denominator) and its chain D_K (D N)^k v, so s = D_K D^k, D the
-    lcm of N's denominators.  A row v of ker N^ell tops a chain of length
-    ell when it lies outside ker N^(ell-1), the tails of the longer chains
-    and the rows before it; the tail of its own chain lies in ker N^(ell-1),
-    so the chains of one length add only their tops, and all of them are
-    read off one elimination: the pivot columns of the matrix with those
-    vectors as columns, in that order.  The kernel dimensions give the
+def _int_chains(N):
+    """`jordan_chain_basis` in ints: each chain as (w, s) pairs, the
+    vector N^k v = w / s.  The search runs on int rows: a top is an int
+    echelon row D_K v of its kernel (D_K the rows' common denominator) and
+    its chain D_K (D N)^k v, so s = D_K D^k, D the lcm of N's denominators.
+    A row v of ker N^ell tops a chain of length ell when it lies outside
+    ker N^(ell-1), the tails of the longer chains and the rows before it;
+    the tail of its own chain lies in ker N^(ell-1), so the chains of one
+    length add only their tops, and all of them are read off one
+    elimination: the pivot columns of the matrix with those vectors as
+    columns, in that order.  The kernel dimensions give the
     number of chains of each length ell, (dim K_ell - dim K_(ell-1)) -
     (dim K_(ell+1) - dim K_ell), so a length no chain has is skipped, and
     an elimination that finds another number of tops is an internal
     fault."""
     n = N.rows
     kernels = [Subspace(n)] + [Subspace(n, R).orthogonal()
-                               for R in _power_row_spaces(scaled[1])]
+                               for R in _power_row_spaces(_square_ints(N)[1])]
     dims = [K.dim for K in kernels] + [n]
-    D, times_n = _int_action(N, scaled)
+    D, times_n = _int_action(N)
     chains = []
     tails = []              # the int chain vectors below each top found
     for ell in range(len(kernels) - 1, 0, -1):
@@ -210,8 +212,7 @@ def _conjugator(N, eta=None):
     B J_eta is checked in ints, s_(j+1) D N w_j = D s_j w_(j+1) down each
     chain and D N w = 0 at its end (D the lcm of N's denominators), and
     det B = det(B_int) / prod s != 0, from one `_echelon` of the w."""
-    scaled = _square_ints(N)
-    chains = _int_chains(N, scaled)
+    chains = _int_chains(N)
     lam = tuple(sorted((len(ch) for ch in chains), reverse=True))
     eta = lam if eta is None else eta
     if tuple(sorted(eta, reverse=True)) != lam:
@@ -220,7 +221,7 @@ def _conjugator(N, eta=None):
     for ch in chains:
         pool.setdefault(len(ch), []).append(ch)
     cols = []
-    D, times_n = _int_action(N, scaled)
+    D, times_n = _int_action(N)
     for k in eta:
         chain = pool[k].pop(0)
         for (w, s), (w1, s1) in zip(chain, chain[1:] + [([0] * N.rows, 1)]):
@@ -235,8 +236,9 @@ def _conjugator(N, eta=None):
 
 def _basis_matrix(cols):
     """The matrix B whose columns are w / s for the (w, s) pairs cols."""
-    n = len(cols)
-    return QMatrix._trusted(n, n, [Fraction(w[i], s) for i in range(n) for w, s in cols])
+    n, L = len(cols), math.lcm(*(s for _, s in cols))
+    return QMatrix._of_ints(n, n, L, [w[i] * (L // s) for i in range(n)
+                                      for w, s in cols])
 
 
 # ---------------------------------------------------------------------------
@@ -299,26 +301,25 @@ def neutral_for(f):
 def is_neutral_pair(h, f):
     """[h,f] = -2f and h in image(ad f).  By the Jacobson-Morozov/Kostant
     lemma this is exactly the condition that h completes f to an sl2-triple
-    (h, e, f), so it is the existence half of the sl2 completion.  h and f
-    are scaled once, and `_neutral` decides on their ints."""
+    (h, e, f), so it is the existence half of the sl2 completion, which
+    `_neutral` decides on the ints of h and f."""
     n = f.rows
     if (h.rows, h.cols, f.cols) != (n, n, n):
         raise DimensionMismatch("h, f must be square of equal size")
-    return _neutral(h, f, *_scaled(h), _scaled(f)[1])
+    return _neutral(h, f)
 
 
-def _neutral(h, f, dh, hi, fi):
-    """`is_neutral_pair` on the ints hi = D_h h and fi = D_f f (D the lcm
-    of a matrix's denominators); h and f themselves are read only when h is
-    not diagonal.  [h, f] = -2f is tested on the ints.  ad f lowers
-    ad(h)-weights by 2 and h has weight 0, so h lies in image(ad f) iff it
-    lies in ad f(g^h_2): one `_weight_two_exists` on a block of the one
-    ad-operator builder, for a diagonal h in the coordinate frame (labels
-    the diagonal of D_h h, so weight 2 D_h, and f' = D_f f), else in
-    grading(h)'s (labels L times h's eigenvalues, so weight 2 L), whose
-    NotRationalSplit means not neutral: a neutral h is semisimple with
-    integer eigenvalues."""
-    n = f.rows
+def _neutral(h, f):
+    """`is_neutral_pair` for h and f square of one size, on their ints
+    hi = D_h h and fi = D_f f (D the lcm of a matrix's denominators).
+    [h, f] = -2f is tested on the ints.  ad f lowers ad(h)-weights by 2
+    and h has weight 0, so h lies in image(ad f) iff it lies in
+    ad f(g^h_2): one `_weight_two_exists` on a block of the one ad-operator
+    builder, for a diagonal h in the coordinate frame (labels the diagonal
+    of D_h h, so weight 2 D_h, and f' = D_f f), else in grading(h)'s
+    (labels L times h's eigenvalues, so weight 2 L), whose NotRationalSplit
+    means not neutral: a neutral h is semisimple with integer eigenvalues."""
+    n, (dh, hi), fi = f.rows, h._ints, f._ints[1]
     if _bracket(enumerate(hi), enumerate(fi), n) != [-2 * dh * x for x in fi]:
         return False
     if not any(x for k, x in enumerate(hi) if k % (n + 1)):

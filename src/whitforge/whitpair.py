@@ -44,7 +44,7 @@ from .errors import (DimensionMismatch, NotCommuting, ShapeViolation,
 # Grading, grading and rational_eigenvalues live in exactq, and stay names
 # of this module too
 from .exactq import (NO_SOLUTION, Grading, QMatrix, Subspace, _ad_index, _bracket,
-                     _scaled, _times, _trace_pairing, bigrade, echelon_first,
+                     _times, _trace_pairing, bigrade, echelon_first,
                      graded_kernel, graded_solve, grading, rat_str,
                      rational_eigenvalues, skew_tools)
 from .orbits import _sl2_in_frame, is_neutral_pair, jordan_partition
@@ -204,8 +204,8 @@ def find_Z(pair):
     K = _gl_vectors(g, graded_kernel(g, T, (-two,), [w for w in g.int_weights
                                                      if w != (two,)])) \
         + _gl_vectors(g, graded_kernel(g, T, (-two,), [(two,)], power=2))
-    dy, y = echelon_first(g.unframe(y0).entries, K)
-    df, fi = _scaled(f)
+    dy, y = echelon_first(g.unframe(y0)._ints, K)
+    df, fi = f._ints
     h = QMatrix._of_ints(n, n, df * dy, _bracket(enumerate(fi), enumerate(y), n))
     Z = S - h
     if not (Z.bracket(f).is_zero() and Z.bracket(h).is_zero()):
@@ -484,7 +484,7 @@ def _lagrangian_m(bg, f):
         return {}
     space, n = bg.int_space(lambda a, b: b == 0 and a == bg.L), len(bg.labels)
     m = skew_tools(f, space, "lagrangian")
-    frames = (bg.frame(QMatrix(n, n, X))[1] for X in m._dense())
+    frames = (bg.frame(QMatrix._of_ints(n, n, 1, X))[1] for X in m._dense())
     return {(bg.L, 0): [[T[i * n + j] for i, j in bg._cells[bg.L, 0]] for T in frames]}
 
 
@@ -614,7 +614,7 @@ def chain(pair):
 def _functional_kernel(space, f, n):
     """{X in space : trace(f X) = 0}, from the pairings of the int rows with
     D_f f (a constant multiple of those of the basis with f)."""
-    pair = _trace_pairing(_scaled(f)[1], n)
+    pair = _trace_pairing(f._ints[1], n)
     return space.kernel_of([[pair(v)] for v in space._dense()])
 
 

@@ -14,7 +14,7 @@ from operator import mul
 
 from whitforge.errors import InternalCheckFailure, NotCommuting
 from whitforge.exactq import (QMatrix, Subspace, _bracket, _echelon,
-                              _int_action, _integer_row, _scaled,
+                              _int_action, _integer_row,
                               rational_eigenvalues)
 
 from conftest import coordinates
@@ -96,7 +96,7 @@ def grading(*Ms):
     off one elimination of the int rows of [P | I]: row k of its RREF is
     a_k [e_k | P^{-1}[k, :]], and s is the lcm of the pivot entries a_k."""
     n = Ms[0].rows
-    flats = [_scaled(M)[1] for M in Ms]
+    flats = [M._ints[1] for M in Ms]
     for i, A in enumerate(flats):
         for B in flats[i + 1:]:
             if any(_bracket(enumerate(A), enumerate(B), n)):
@@ -108,8 +108,7 @@ def grading(*Ms):
         for label, block in blocks:
             coords = [coordinates(block, act(v)) for v in block._dense()]
             c, k = D * block._den, len(coords)
-            small = QMatrix._trusted(k, k, [Fraction(x, c) for col in zip(*coords)
-                                            for x in col])
+            small = QMatrix(k, k, [Fraction(x, c) for col in zip(*coords) for x in col])
             for lam, sp in rational_eigenvalues(small):
                 split.append((label + (lam,), block.span(sp._dense())))
         blocks = split

@@ -8,6 +8,7 @@ import random
 from fractions import Fraction
 
 from whitforge import exactq, whitpair
+from whitforge.cli import canonical_json
 from whitforge.exactq import QMatrix
 from whitforge.orbits import J_eta, h_eta
 from whitforge.partitions import partitions_of
@@ -126,24 +127,20 @@ def test_a_chain_pass_runs_in_ints(monkeypatch):
     assert arg_types == {int}
 
 
-def test_a_seed0_chain_pass_scales_each_grading_matrix_once(monkeypatch):
+def test_a_seed0_chain_pass_reads_no_matrix_entries(monkeypatch):
     # the 36 chains of the benchmark's seed-0 chain pass, their pairs built
-    # first: `_commuting_actions` scales h and Z once each, for the
-    # commutation bracket and the actions both (855 calls when the actions
-    # scaled them again, and 783 while the radical and the Gram matrices of
-    # each snapshot scaled f in standard coordinates)
+    # first: the gradings, brackets, neutrality tests and the canonical
+    # JSON of each certificate run on the int scaling every matrix holds,
+    # and no matrix on the way reads its Fraction entries
     monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), "..", "perfbench"))
     import workloads
     pairs = [WhittakerPair(spec["n"], QMatrix.from_json(spec["S"]),
                            QMatrix.from_json(spec["f"]))
              for spec in workloads.generate("chain", 0)]
-    calls = []
-    real = exactq._scaled
 
-    def counting(M):
-        calls.append(M)
-        return real(M)
-    monkeypatch.setattr(exactq, "_scaled", counting)
+    def refuse(M):
+        raise AssertionError("a chain pass read a matrix's Fraction entries")
+    monkeypatch.setattr(QMatrix, "entries", property(refuse))
     for pair in pairs:
-        chain(pair)
-    assert len(pairs) == 36 and len(calls) == 432
+        canonical_json(chain(pair).to_json())
+    assert len(pairs) == 36

@@ -183,6 +183,52 @@ def test_malformed_arguments_are_parse_errors(capsys, argv):
     _assert_parse_error(*run_cli(capsys, *argv))
 
 
+def test_an_option_value_may_start_with_a_minus(capsys):
+    # -1/8, -diag(...) and -E21 are values, as a plain negative integer is:
+    # each prints what the --opt=value form prints
+    cases = [(("deform-sl", "--mu", "3,3", "--lambda", "6", "--a"), "-1/8", ("--b", "1")),
+             (("pair-check", "--S"), "-diag(3,1,-1,-3)", ("--f", "-E21+E43")),
+             (("pair-check", "--S", "diag(3,1,-1,-3)", "--f"), "-E21-E43", ())]
+    for head, value, tail in cases:
+        spaced = run_cli(capsys, *head, value, *tail)
+        joined = run_cli(capsys, *head[:-1], f"{head[-1]}={value}", *tail)
+        assert spaced == joined and spaced[0] in (0, 2)
+        assert "ParseError" not in spaced[2]
+    code, out, _ = run_cli(capsys, *cases[0][0], "-1/8", "--b", "1")
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == \
+        "bb6e08efd377c78f18a2bd9c1732b19b7e88ab2e5e79a70d33daa4d0e2074ddf"
+
+
+def test_a_negative_t_is_a_math_error_not_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "pair-chain", "--S", "diag(3,1,-1,-3)",
+                             "--f", "E21+E43", "--t", "-1/2")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "VerificationError"
+
+
+@pytest.mark.parametrize("argv", [("-h",), ("deform-sl", "-h"), ("pair-chain", "-h")])
+def test_dash_h_still_prints_help(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out = capsys.readouterr().out
+    assert exc.value.code == 0 and out.startswith("usage: whitforge")
+
+
+@pytest.mark.parametrize("argv, digest", [
+    # a negative twist: deform_sl conjugates by diag(delta, 1, ..., 1) with
+    # delta < 0
+    (("deform-sl", "--mu", "3,3", "--lambda", "6", "--a", "-8", "--b", "1"),
+     "a8f07cc1b7ecff9606915d0fc20b588226d42071be7c893b624d13f441d9a868"),
+    # fractional E-notation, summed in ints
+    (("pair-chain", "--S", "diag(7/2,3/2,-1/2,-5/2)", "--f", "1/2E21-3E43"),
+     "a8cdcf6f840048fab4a9f6b2240774ca8cf60bdd8797e69a3b600e6b0a46de72"),
+])
+def test_negative_twists_and_fractional_sums_are_pinned(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_main_reuses_one_parser(capsys):
     # the parser is built once: after a valid call, usage errors are still
     # JSON ParseErrors, and a repeated valid call prints the same bytes

@@ -5,13 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from whitforge import deform, exactq, orbits
+from whitforge import deform, orbits
 from whitforge.cli import canonical_json
 from whitforge.deform import (ConditionNotMet, compar_certificate, deform_gl,
                               deform_sl, two_blocks)
 from whitforge.errors import (InternalCheckFailure, NoSolutionError,
                               NotDominated, PreconditionViolation)
-from whitforge.exactq import QMatrix, Subspace, _scaled
+from whitforge.exactq import QMatrix, Subspace
 from whitforge.orbits import (is_dth_power, jordan_partition, power_class,
                               sl2_complete, sl_class)
 from whitforge.partitions import (dominance_leq, lemma_part_index,
@@ -305,50 +305,62 @@ def test_raising_checker_names_each_failed_clause(spoil, clause):
 
 
 def test_raising_checker_uses_the_one_neutrality_test(monkeypatch):
-    # the checker hands its ints of h and f to the int core of
-    # is_neutral_pair, and is_neutral_pair is that core on h and f scaled
+    # the checker hands the certificate's h and f to the int core of
+    # is_neutral_pair, and is_neutral_pair is that core once the shapes
+    # are checked
     calls = []
     core = orbits._neutral
 
-    def counted(h, f, dh, hi, fi):
-        calls.append((h, dh, hi, fi))
-        return core(h, f, dh, hi, fi)
+    def counted(h, f):
+        calls.append((h, f))
+        return core(h, f)
     monkeypatch.setattr(deform, "_neutral", counted)
     cert = deform_gl((2, 2, 1), (4, 1))
-    (dh, hi), fi = _scaled(cert.h), _scaled(cert.f)[1]
-    assert calls == [(cert.h, dh, hi, fi)]
+    assert [tuple(map(id, c)) for c in calls] == [(id(cert.h), id(cert.f))]
     monkeypatch.setattr(orbits, "_neutral", counted)
     assert orbits.is_neutral_pair(cert.h, cert.f) is True
-    assert calls[1:] == [(cert.h, dh, hi, fi)]
+    assert [tuple(map(id, c)) for c in calls[1:]] == [(id(cert.h), id(cert.f))]
 
 
 def _forbid_new_matrices(monkeypatch):
-    """Make every QMatrix sum and every internal QMatrix construction fail."""
+    """Make every QMatrix sum, every QMatrix construction and every read of
+    a matrix's Fraction entries fail."""
     def refuse(*args, **kwargs):
-        raise AssertionError("the raising checker built a QMatrix")
+        raise AssertionError("the raising checker built a QMatrix or its entries")
     monkeypatch.setattr(QMatrix, "__add__", refuse)
-    monkeypatch.setattr(QMatrix, "_trusted", classmethod(refuse))
+    monkeypatch.setattr(QMatrix, "__init__", refuse)
+    monkeypatch.setattr(QMatrix, "_of_ints", classmethod(refuse))
+    monkeypatch.setattr(QMatrix, "entries", property(refuse))
 
 
-def test_raising_checker_scales_each_matrix_once(monkeypatch):
-    # h, Z, f and psi are each scaled to ints once, f + psi is formed from
-    # those ints, and no clause builds a QMatrix
+def test_raising_checker_reads_only_the_ints(monkeypatch):
+    # every clause runs on the int scaling h, Z, f and psi hold: f + psi is
+    # formed from those ints, and no clause builds a QMatrix or reads a
+    # Fraction entry
     cert = deform_gl((2, 2, 1), (4, 1))
-    calls = []
-    real = exactq._scaled
-
-    def counting(M):
-        calls.append(M)
-        return real(M)
-    for module in (exactq, orbits, deform):
-        monkeypatch.setattr(module, "_scaled", counting)
     _forbid_new_matrices(monkeypatch)
     checks = deform._check_raising(cert.h, cert.f, cert.Z, cert.psi,
                                    cert.mu, cert.lam)
     assert checks == cert.checks
-    assert len(calls) == 4
-    assert {id(M) for M in calls} == {id(cert.h), id(cert.Z), id(cert.f),
-                                      id(cert.psi)}
+
+
+def test_raising_certificates_build_no_fraction_entries(monkeypatch):
+    # deform_gl, compar_certificate and deform_sl build their certificates
+    # and print them from the ints alone, on every dominated pair n <= 8:
+    # no matrix of theirs, or of any step on the way, reads its entries
+    pairs = _dominated_pairs(8)
+    assert len(pairs) == 471
+
+    def refuse(M):
+        raise AssertionError("a raising path read a matrix's Fraction entries")
+    monkeypatch.setattr(QMatrix, "entries", property(refuse))
+    for mu, lam in pairs:
+        d = math.gcd(*mu, *lam)
+        certs = [deform_gl(mu, lam), compar_certificate(mu, lam),
+                 deform_sl(mu, lam, Fraction(-3, 2) ** d, Fraction(1, 5) ** d)]
+        assert not isinstance(certs[-1], ConditionNotMet)
+        for cert in certs:
+            canonical_json(cert.to_json())
 
 
 def _oracle_partition(N):
@@ -444,7 +456,8 @@ def _raising_clause_cases():
 
 def test_raising_checker_agrees_with_the_fraction_clauses(monkeypatch):
     # on int diagonals and int f + psi, the checker fails the same first
-    # clause as the Fraction formulas, or none, and builds no QMatrix
+    # clause as the Fraction formulas, or none, and builds no QMatrix and
+    # no Fraction entries
     cases = _raising_clause_cases()
     expected = [_oracle_clause(*case) for case in cases]
     _forbid_new_matrices(monkeypatch)

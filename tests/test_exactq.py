@@ -11,7 +11,7 @@ from whitforge import exactq, orbits
 from whitforge.errors import (DimensionMismatch, InternalCheckFailure,
                               NotRationalSplit)
 from whitforge.exactq import (NO_SOLUTION, QMatrix, Subspace, _bracket,
-                              _echelon, _kernel_rows, _lagrangian, _scaled,
+                              _echelon, _kernel_rows, _lagrangian,
                               char_poly, echelon_first, rat_parse, rat_str,
                               rational_eigenvalues, rref_solve, skew_tools)
 from whitforge.orbits import jordan_chain_basis
@@ -66,7 +66,7 @@ def test_bracket_matches_dense_products():
         assert B.bracket(A) == -expected
         # the int form that find_Z and brackets use: the nonzero (index,
         # entry) pairs of D_A A and D_B B give D_A D_B [A, B] in ints
-        (da, ai), (db, bi) = _scaled(A), _scaled(B)
+        (da, ai), (db, bi) = A._ints, B._ints
         got = _bracket([(k, x) for k, x in enumerate(ai) if x],
                        [(k, x) for k, x in enumerate(bi) if x], n)
         assert all(type(x) is int for x in got)
@@ -458,7 +458,8 @@ def test_echelon_first_is_the_rref_solution():
         coeffs = [rng.randint(-2, 2) for _ in kernel]
         y = [a + sum(c * v[i] for c, v in zip(coeffs, kernel))
              for i, a in enumerate(x)]
-        D, ints = echelon_first(y, kernel)
+        Dy = lcm(*(a.denominator for a in y))
+        D, ints = echelon_first((Dy, [int(a * Dy) for a in y]), kernel)
         assert [Fraction(v, D) for v in ints] == list(res.solution)
 
 
@@ -1145,25 +1146,23 @@ def test_lagrangian_parity_check_is_typed():
         _lagrangian(W, [[Fraction(0)]], [])
 
 
-# -- the int scaling slot -------------------------------------------------------
+# -- the int scaling -------------------------------------------------------------
 
 def _scaled_from_entries(M):
-    """The int scaling as read off the entries, `_scaled` before the slot:
-    (D, the ints of D M), D the lcm of M's denominators.  The oracle of
-    the `_ints` slot."""
+    """(D, the ints of D M), D the lcm of the denominators of M's Fraction
+    entries: the oracle of the int scaling a QMatrix holds."""
     D = lcm(*{x.denominator for x in M.entries})
     return D, [x.numerator * (D // x.denominator) for x in M.entries]
 
 
-def _assert_slot(M):
-    """M's slot, when filled, is the oracle's, the least D; `_scaled` fills
-    it when empty and returns it after that."""
-    want = _scaled_from_entries(M)
-    assert M._ints is None or M._ints == want
-    assert _scaled(M) == want and M._ints == want
-    assert _scaled(M) is M._ints
-    D, ints = want
+def _assert_canonical(M):
+    """M holds the oracle's int scaling, with the least D, and prints what
+    its Fraction entries print."""
+    assert M._ints == _scaled_from_entries(M)
+    D, ints = M._ints
     assert D > 0 and gcd(D, *ints) == 1 and all(type(x) is int for x in ints)
+    assert all(type(x) is Fraction for x in M.entries)
+    assert M.to_json() == [[rat_str(x) for x in row] for row in M.row_lists()]
 
 
 _rationals = st.one_of(st.just(0), st.integers(-9, 9),
@@ -1181,46 +1180,66 @@ def _matrices(draw, rows=None, cols=None):
 @given(st.data())
 @settings(max_examples=150, deadline=None)
 def test_every_construction_keeps_the_least_int_scaling(data):
-    # the slot of a matrix from every construction path equals what the
-    # entries give, the int results hold it from the start, and a matrix
-    # derived from one whose slot is filled gets a slot of its own
-    n = data.draw(st.integers(1, 4))
+    # every constructor and operation holds the int scaling its entries
+    # give, the least D; matrices that are equal but built different ways
+    # compare equal and hash alike; and _twist is the conjugation it names
+    n, m = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
     A, B = data.draw(_matrices(n, n)), data.draw(_matrices(n, n))
+    C = data.draw(_matrices(n, m))
     ints = data.draw(st.lists(st.integers(-40, 40), min_size=n * n, max_size=n * n))
-    D = data.draw(st.integers(1, 60))
+    D, k = data.draw(st.integers(1, 60)), data.draw(st.integers(1, 12))
+    values = data.draw(st.lists(_rationals, min_size=n, max_size=n))
     c = data.draw(_rationals)
-    a = data.draw(_rationals.filter(bool))
-    from_ints = [QMatrix.diag(data.draw(st.lists(_rationals, min_size=n, max_size=n))),
-                 QMatrix._of_ints(n, n, D, ints)]
-    assert from_ints[-1].entries == tuple(Fraction(x, D) for x in ints)
-    for M in [A, QMatrix.from_rows(A.row_lists()), QMatrix.from_json(A.to_json()),
-              QMatrix._trusted(n, n, B.entries)] + from_ints:
-        _assert_slot(M)
-    # A and B have filled slots now
-    from_ints = [A * B, A.bracket(B)] + ([A.inverse()] if A.det() else [])
-    assert all(M._ints is not None for M in from_ints)
-    for M in from_ints + [A + B, A - B, A.scale(c), c * A, orbits._twist(A, a), -A,
-                          A.transpose(), QMatrix(n, 1, A.matvec(list(B.entries[:n])))]:
-        assert M._ints is not A._ints and M._ints is not B._ints
-        _assert_slot(M)
+    a = Fraction(data.draw(_rationals.filter(bool)))
+    p, q = data.draw(st.integers(1, 9)), data.draw(st.integers(1, 9))
+    i, j = data.draw(st.integers(1, n)), data.draw(st.integers(1, n))
+    built = [A, C, QMatrix.from_rows(C.row_lists()), QMatrix.from_json(C.to_json()),
+             QMatrix.diag(values), QMatrix._of_ints(n, n, D, ints),
+             QMatrix.zeros(n), QMatrix.zeros(n, m), QMatrix.identity(n),
+             QMatrix.elementary(n, i, j, c), A + B, A - B, -A, A.scale(c), c * A,
+             A * c, A.scale(0), A.scale(Fraction(-p, q)), A * B, A * C,
+             A.bracket(B), C.transpose(), QMatrix(n, 1, A.matvec(list(B.entries[:n]))),
+             orbits._twist(A, a), orbits._twist(A, -abs(a)), orbits._twist(A, Fraction(p, q))]
+    if A.det():
+        built.append(A.inverse())
+    for M in built:
+        _assert_canonical(M)
+    fractions = QMatrix(n, n, [Fraction(x, D) for x in ints])
+    unit = QMatrix.diag([1] * n)
+    E_ij = QMatrix(n, n, [c if (r, s) == (i - 1, j - 1) else 0
+                          for r in range(n) for s in range(n)])
+    for X, Y in [(QMatrix._of_ints(n, n, D * k, [x * k for x in ints]), fractions),
+                 (A + B, B + A), (A - B, -(B - A)), (A - A, QMatrix.zeros(n)),
+                 (A.scale(c), QMatrix(n, n, [c * x for x in A.entries])),
+                 (A * unit, A), (QMatrix.identity(n), unit),
+                 (QMatrix.elementary(n, i, j, c), E_ij),
+                 (A.bracket(B), A * B - B * A), (C.transpose().transpose(), C),
+                 (A.scale(Fraction(-p, q)).scale(Fraction(-q, p)), A),
+                 (QMatrix.diag(values), sum((QMatrix.elementary(n, r + 1, r + 1, x)
+                                            for r, x in enumerate(values)),
+                                           QMatrix.zeros(n)))]:
+        assert X == Y and hash(X) == hash(Y)
+    for b in (a, -abs(a), Fraction(p, q)):
+        t = QMatrix.diag([b] + [1] * (n - 1))
+        assert orbits._twist(A, b) == t * A * t.inverse()
 
 
 @given(st.lists(st.integers(-40, 40), min_size=1, max_size=16), st.integers(1, 10 ** 6))
 @settings(max_examples=150, deadline=None)
 def test_the_int_constructor_divides_to_the_least_denominator(ints, D):
-    # ints / D in lowest terms: the slot's D is D / gcd(D, *ints), however
+    # ints / D in lowest terms: the held D is D / gcd(D, *ints), however
     # much common factor D and the ints share
     k = random.Random(D).randint(1, 50)
     M = QMatrix._of_ints(1, len(ints), D * k, [x * k for x in ints])
     g = gcd(D, *ints)
     assert M._ints == (D // g, [x // g for x in ints])
     assert M.entries == tuple(Fraction(x, D) for x in ints)
-    _assert_slot(M)
+    _assert_canonical(M)
 
 
 def test_the_standard_matrices_and_the_frame_results_are_made_from_ints():
-    # J_eta, h_eta, Grading.unframe and find_Z's h hold their int scaling
-    # from the start, the oracle's
+    # J_eta, h_eta, Grading.unframe and find_Z's h are made from ints: none
+    # has built its Fraction entries, and each holds the oracle's scaling
     rng = random.Random(27)
     made = []
     for n in range(1, 7):
@@ -1231,6 +1250,6 @@ def test_the_standard_matrices_and_the_frame_results_are_made_from_ints():
         g = pair.grading
         made.append(g.unframe(((i, j), Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
                               for i in range(n) for j in range(n) if rng.random() < 0.5))
+    assert all(M._entries is None for M in made)
     for M in made:
-        assert M._ints is not None
-        _assert_slot(M)
+        _assert_canonical(M)

@@ -10,7 +10,7 @@ import pytest
 from whitforge.errors import (InternalCheckFailure, NoSolutionError,
                               VerificationError)
 from whitforge.exactq import (NO_SOLUTION, QMatrix, Subspace, _bracket,
-                              _echelon, _scaled, _solve, graded_kernel,
+                              _echelon, _solve, graded_kernel,
                               grading)
 from whitforge.orbits import (J_eta, _sl2_in_frame, h_eta, is_neutral_pair,
                               sl2_complete)
@@ -39,8 +39,8 @@ def dense_find_Z(pair):
     echelon-first solution as they are."""
     S, f, n = pair.S, pair.f, pair.n
     N = n * n
-    _, Si = _scaled(S)
-    df, fi = _scaled(f)
+    _, Si = S._ints
+    df, fi = f._ints
     Af = int_ad(fi, n)
     cols = []
     for k in range(N):
@@ -67,8 +67,8 @@ def dense_sl2_complete(f, h):
     # ints: the rows times D_h D_f (D the lcm of a matrix's denominators),
     # the right-hand side 0 over -D_f (D_h h)
     N = n * n
-    dh, hi = _scaled(h)
-    df, fi = _scaled(f)
+    dh, hi = h._ints
+    df, fi = f._ints
     top, bottom = int_ad(hi, n), int_ad(fi, n)
     rows = []
     for r in range(N):
@@ -88,7 +88,7 @@ def dense_sl2_complete(f, h):
 
 def dense_centralizer(f):
     """ker ad f, read off the rows of the int matrix ad(D_f f)."""
-    N, A = f.rows ** 2, int_ad(_scaled(f)[1], f.rows)
+    N, A = f.rows ** 2, int_ad(f._ints[1], f.rows)
     return Subspace(N, [A[r:r + N] for r in range(0, N * N, N)]).orthogonal()
 
 
@@ -96,8 +96,8 @@ def dense_is_neutral_pair(h, f):
     """[h,f] = -2f and h in image(ad f), the image membership decided over
     all n^2 columns [D_f f, E_ab] of ad(D_f f)."""
     n = f.rows
-    dh, hi = _scaled(h)
-    fi = _scaled(f)[1]
+    dh, hi = h._ints
+    fi = f._ints[1]
     if _bracket(enumerate(hi), enumerate(fi), n) != [-2 * dh * x for x in fi]:
         return False
     N = n * n
@@ -109,7 +109,7 @@ def dense_solution_kernel_dim(pair):
     """dim K, K the kernel of dense_find_Z's system."""
     S, f, n = pair.S, pair.f, pair.n
     N = n * n
-    Si, fi = _scaled(S)[1], _scaled(f)[1]
+    Si, fi = S._ints[1], f._ints[1]
     Af = int_ad(fi, n)
     cols = []
     for k in range(N):

@@ -131,7 +131,7 @@ def test_jordan_partition_agrees_with_the_kernel_filtration():
         if rng.random() < 0.5:
             N = N.scale(Fraction(rng.choice([-3, 2, 5]), rng.choice([1, 2, 7])))
         kernels = [Subspace(n, R).orthogonal()
-                   for R in orbits._power_row_spaces(exactq._scaled(N)[1])]
+                   for R in orbits._power_row_spaces(N._ints[1])]
         dims = [0] + [K.dim for K in kernels]
         power = N
         for K in kernels:
