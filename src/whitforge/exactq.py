@@ -596,12 +596,13 @@ class Subspace:
                 raise DimensionMismatch("ambient_dim mismatch")
             piv, cols, ints, D = within._grown(vectors)
         else:
+            vectors = list(vectors)
+            if any(len(v) != ambient_dim for v in vectors):
+                raise DimensionMismatch("vector length != ambient_dim")
             A, piv = _echelon(vectors)
             D = lcm(*(row[c] for row, c in zip(A, piv)))
             cols, ints = [], []
             for row, c in zip(A, piv):
-                if len(row) != ambient_dim:
-                    raise DimensionMismatch("vector length != ambient_dim")
                 s = D // row[c]
                 cols.append(list(compress(range(ambient_dim), row)))
                 ints.append([x * s for x in compress(row, row)])

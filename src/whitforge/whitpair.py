@@ -23,10 +23,11 @@ on alpha <= -1: the chain solves w_t cap g^f only at alpha <= 0 and the
 dual only at alpha >= 0.  So the chain's Lemma 4.3(iv) and 4.4 clauses,
 and the quasi model's, are checked in the frame, one weight at a time, on
 the frame pieces of those spaces, omega_f read off the index of f' that ad
-f' is built from and brackets formed by `exactq._bracket`; model data takes
-its radical there too.  The outputs are sums of those frame pieces, built
-in standard coordinates by one `_Spaces` per call: each distinct space
-once, grown from a space it contains.
+f' is built from.  The grading decides each bracket containment but
+[u, z] <= k (`_weight_test`), whose brackets `exactq._bracket` forms;
+model data takes its radical there too.  The outputs are sums of those
+frame pieces, built in standard coordinates by one `_Spaces` per call:
+each distinct space once, grown from a space it contains.
 
 Convention used throughout (stated once): a functional phi is realized as the
 matrix f with phi(X) = trace(f X); then ad*-weights of phi equal ad-weights of
@@ -35,7 +36,7 @@ f, so every weight condition is a bracket condition on matrices.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 from operator import add, mul
 from typing import NamedTuple
 
@@ -425,42 +426,46 @@ def _direct_sum(g, whole, part, other):
     return True
 
 
+def _weight_test(g, A, holds):
+    """Whether holds(w) at each weight w = p + q with frame cells, for
+    pieces of A at p and q: where [A, A] lies, so no bracket is formed.
+    holds(w) says that the target holds all of w for [A, A] <= target, and
+    that f' pairs with none of w for phi' vanishing on [A, A].  On correct
+    inputs it holds; below, S_t(w) = alpha + t beta for w = (alpha, beta),
+    and t < T are consecutive nodes, with no crossing of S = 1 between:
+    - [l_T, l_T] <= r_t: S_T >= 1 on l_T, so S_T(w) >= 2; then S_t(w) >= 1,
+      and S_t(w) = 1 < S_T(w) forces beta(w) > 0, so r_t holds all of w.
+    - [r_t, r_t] <= v_T: r_t is v_t, m at (1, 0) and the weights of w_t
+      with beta > 0, where S_T = 1 + (T - t) beta; S_T < 1 on v_t would
+      cross 1 inside (t, T).  So S_T >= 1 on r_t, S_T(w) >= 2, and v_T
+      holds all of w.
+    - [u, u] <= z: S >= 1 on u, and z holds every weight > 1; f' pairs
+      with w >= 2 only through a component of weight -w <= -2, which
+      `WhittakerTriple` rejects."""
+    weights = [w for w, piece in A.items() if piece]
+    return all(map(holds, {tuple(map(add, p, q)) for p in weights for q in weights}
+                   & g._cells.keys()))
+
+
 def _frame_brackets(g, A, B, decided):
     """(w, [X, Y] over the cells of w) for X and Y basis vectors of a piece
-    of A and of a piece of B (each unordered pair of A's once when B is
-    None), where [A_p, A_q] lies in weight w = p + q: skipped when w has no
-    cells or decided(w) says that all of w lies in the target."""
+    of A and of a piece of B, where [A_p, B_q] lies in weight w = p + q:
+    skipped when w has no cells or decided(w) says that all of w lies in
+    the target.  It serves [u, z] <= k, whose target the grading does not
+    decide."""
     n = len(g.labels)
 
     def flat(w, piece):
         return [[(i * n + j, c) for (i, j), c in terms]
                 for terms in _terms(g, w, piece)]
     for p, P in A.items():
-        for q, Q in (A if B is None else B).items():
-            if B is None and q < p:
-                continue
+        for q, Q in B.items():
             w = tuple(map(add, p, q))
             if w not in g._cells or decided(w):
                 continue
-            xs, ys = flat(p, P), flat(q, Q)
-            cells = g._cells[w]
-            pairs = combinations(xs, 2) if B is None and p == q else product(xs, ys)
-            for X, Y in pairs:
+            for X, Y in product(flat(p, P), flat(q, Q)):
                 out = _bracket(X, Y, n)
-                yield w, [out[i * n + j] for i, j in cells]
-
-
-def _brackets_within(g, A, B, target):
-    """Whether [A, B] (or [A, A] for B None) lies in target: every bracket
-    the grading leaves open, tested against target's piece of its weight.
-    For [l_T, l_T] <= r_t on consecutive nodes t < T it leaves none open: a
-    target weight w has S_T(w) >= 2; no crossing of 1 lies in (t, T), so
-    S_t(w) >= 1; and S_t(w) = 1 < S_T(w) makes beta(w) > 0, so r_t holds
-    all of w.  The enumeration stays, as the check of that lemma."""
-    found = {}
-    for w, y in _frame_brackets(g, A, B, lambda w: target.get(w) is _FULL):
-        found.setdefault(w, []).append(y)
-    return all(_within(g, {w: ys}, target) for w, ys in found.items())
+                yield w, [out[i * n + j] for i, j in g._cells[w]]
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +493,7 @@ def _lagrangian_m(bg, f):
     return {(bg.L, 0): [[T[i * n + j] for i, j in bg._cells[bg.L, 0]] for T in frames]}
 
 
-def _snapshot(bg, form, mp, t, with_m, spaces):
+def _snapshot(bg, form, mp, t, spaces):
     """(the snapshot at t, w_t cap g^f, its frame pieces), for the omega_f
     of `_form` and m given by its frame piece mp, every space built by the
     call's `_Spaces`.  Each weight's
@@ -503,8 +508,8 @@ def _snapshot(bg, form, mp, t, with_m, spaces):
     b > 0, and both hold m at weight (1, 0).  Isotropy is checked on each
     pair of partner weights once, from the side of its w_t cap g^f piece
     (r_t's pieces there are empty: the check of the lemma), and on m x m
-    only when with_m.  u_t and the radical grow from v_t, and l_t and r_t
-    from the radical."""
+    in l_t.  u_t and the radical grow from v_t, and l_t and r_t from the
+    radical."""
     p, q = t.numerator, t.denominator
     one = q * bg.L
     st = {(a, b): q * a + p * b for a, b in bg.int_weights}
@@ -521,8 +526,7 @@ def _snapshot(bg, form, mp, t, with_m, spaces):
     r = {**high, **mp, **{ab: _FULL for ab in level if ab[1] > 0}}
     radical = {**high, **cap}
     obstruction, rad = spaces.build(cap), spaces.build(radical, high)
-    for name, pieces, sign, extra in (("l", l, 1, mp if with_m else ()),
-                                      ("r", r, -1, ())):
+    for name, pieces, sign, extra in (("l", l, 1, mp), ("r", r, -1, ())):
         if not _isotropic(bg, form, pieces,
                           [ab for ab in level if sign * ab[1] > 0] + list(extra)):
             raise VerificationError(
@@ -548,7 +552,7 @@ def snapshot(h, Z, f, t):
         raise VerificationError("h is not neutral for f")
     bg = bigrading(h, Z)
     form = _form(bg, bg.frame(f)[1], (-2, 0))
-    return _snapshot(bg, form, _lagrangian_m(bg, f), t, True, _Spaces(bg))[0]
+    return _snapshot(bg, form, _lagrangian_m(bg, f), t, _Spaces(bg))[0]
 
 
 def chain(pair):
@@ -571,8 +575,7 @@ def chain(pair):
     form = _form(bg, Tf, (-2, 0))
     mp = _lagrangian_m(bg, f)
     spaces = _Spaces(bg)
-    snaps, caps, frames = zip(*(_snapshot(bg, form, mp, t, i == 0, spaces)
-                                for i, t in enumerate(nodes)))
+    snaps, caps, frames = zip(*(_snapshot(bg, form, mp, t, spaces) for t in nodes))
     inclusions = []
     obstructions = []
     for prev, cur, obstruction, pn, cn in zip(snaps, snaps[1:], caps[1:],
@@ -585,14 +588,11 @@ def chain(pair):
             raise VerificationError(
                 f"Lemma 4.4 direct sum l_{rat_str(T)} = r_{rat_str(t)} (+) "
                 f"(w_{rat_str(T)} cap g_f) violated")
-        if not _brackets_within(bg, cn.l, None, pn.r):
-            raise VerificationError(
-                f"Lemma 4.4 commutative quotient [l_{rat_str(T)}, l_{rat_str(T)}] "
-                f"<= r_{rat_str(t)} violated")
-        if not _brackets_within(bg, pn.r, None, cn.v):
-            raise VerificationError(
-                f"Lemma 4.4 commutative quotient [r_{rat_str(t)}, r_{rat_str(t)}] "
-                f"<= v_{rat_str(T)} violated")
+        for x, X, y, Y in ((f"l_{rat_str(T)}", cn.l, f"r_{rat_str(t)}", pn.r),
+                           (f"r_{rat_str(t)}", pn.r, f"v_{rat_str(T)}", cn.v)):
+            if not _weight_test(bg, X, lambda w: Y.get(w) is _FULL):
+                raise VerificationError(
+                    f"Lemma 4.4 commutative quotient [{x}, {x}] <= {y} violated")
         p, q = T.numerator, T.denominator
         dual = spaces.build(_kernels(bg, Te, (2, 0), [
             (a, b) for a, b in bg.int_weights if q * a + p * b == -q * bg.L and a >= 0]))
@@ -619,9 +619,9 @@ def _functional_kernel(space, f, n):
 
 
 def _radical_split(g, f, fault):
-    """(u, v, z, the frame pieces of g_1 cap g^f) for the S-grading g: u =
-    g_{>=1}, v = g_{>1} and z = v (+) (g_1 cap g^f), the radical of omega_f
-    on u, as omega_f pairs weight r only with 2 - r.  g_1 cap g^f is the
+    """(u, v, z, the frame pieces of u, those of z) for the S-grading g: u
+    = g_{>=1}, v = g_{>1} and z = v (+) (g_1 cap g^f), the radical of
+    omega_f on u, as omega_f pairs weight r only with 2 - r.  g_1 cap g^f is the
     kernel of ad f' at weight 1, checked against omega's own block there
     (`_radical_is`); the exception fault is raised when it is not.  u and
     z grow from v."""
@@ -631,15 +631,16 @@ def _radical_split(g, f, fault):
     if not _radical_is(g, _form(g, Tf, (-2,)), cap, level):
         raise fault
     spaces, high = _Spaces(g), {w: _FULL for w in g.int_weights if w[0] > g.L}
-    return (spaces.build({**high, **{w: _FULL for w in level}}, high),
-            spaces.build(high), spaces.build({**high, **cap}, high), cap)
+    up, zp = {**high, **{w: _FULL for w in level}}, {**high, **cap}
+    return (spaces.build(up, high), spaces.build(high), spaces.build(zp, high),
+            up, zp)
 
 
 def model_data(pair):
     """Degenerate-model nilpotent data at S itself: u = g^S_{>=1}, the radical
     n of omega_phi on u (`_radical_split`), and n' = n cap Ker(phi)."""
     f, n = pair.f, pair.n
-    u, _, n_rad, _ = _radical_split(pair.grading, f, VerificationError(
+    u, _, n_rad, _, _ = _radical_split(pair.grading, f, VerificationError(
         "model data: omega_phi's radical on u is not g_{>1} (+) (g_1 cap g^f)"))
     n_prime = _functional_kernel(n_rad, f, n)
     return {"u": u, "n_rad": n_rad, "n_prime": n_prime}
@@ -666,27 +667,24 @@ def quasi_model_data(triple):
 
     The checks run in the frame of the pair's S-grading, one weight at a
     time: u holds every weight >= 1, z every weight > 1 and the kernel of
-    ad f' at weight 1, and a bracket of weight w lies in k when it lies in
-    z and pairs to 0 with f + f', which only its entries of weight -w do.
-    Once phi' vanishes on [u, u], omega_{phi+phi'} is omega_phi on u, whose
-    radical z is `model_data`'s (`_radical_split`)."""
+    ad f' at weight 1.  The grading decides [u, u] (`_weight_test`), and a
+    bracket of [u, z] of weight w lies in k when it lies in z and pairs to
+    0 with f + f', which only its entries of weight -w do.  Once phi'
+    vanishes on [u, u], omega_{phi+phi'} is omega_phi on u, whose radical z
+    is `model_data`'s (`_radical_split`)."""
     pair, fp = triple.pair, triple.f_prime
     f, n = pair.f, pair.n
     g = pair.grading
-    u, v, z, cap = _radical_split(g, f, ShapeViolation(
+    u, v, z, up, zp = _radical_split(g, f, ShapeViolation(
         "omega_{phi+phi'} degenerate on u/z"))
     k = _functional_kernel(z, f + fp, n)
-    up = {w: _FULL for w in g.int_weights if w[0] >= g.L}
-    zp = {**{w: _FULL for w in g.int_weights if w[0] > g.L}, **cap}
     Tp, Tk = g.frame(fp)[1], g.frame(f + fp)[1]
-    for w, y in _frame_brackets(g, up, None, lambda w: zp.get(w) is _FULL
-                                and not _pairs_with(g, Tp, w)):
-        if not _within(g, {w: [y]}, zp):
-            raise ShapeViolation("[u, u] <= z violated")
-        if _pairing(g, Tp, w, y):
-            raise ShapeViolation("phi' does not vanish on [u, u]")
+    if not _weight_test(g, up, lambda w: zp.get(w) is _FULL):
+        raise ShapeViolation("[u, u] <= z violated")
     for w, y in _frame_brackets(g, up, zp, lambda w: zp.get(w) is _FULL
                                 and not _pairs_with(g, Tk, w)):
         if not _within(g, {w: [y]}, zp) or _pairing(g, Tk, w, y):
             raise ShapeViolation("[u, z] <= k violated")
+    if not _weight_test(g, up, lambda w: not _pairs_with(g, Tp, w)):
+        raise ShapeViolation("phi' does not vanish on [u, u]")
     return {"u": u, "v": v, "z": z, "k": k}

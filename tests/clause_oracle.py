@@ -3,7 +3,8 @@ oracle for the tests.
 
 whitforge checks these clauses in the frame of the chain's bigrading, one
 weight at a time (`whitpair._radical_is`, `_isotropic`, `_within`,
-`_direct_sum` and `_brackets_within`).  This is the check path it replaced,
+`_direct_sum`, and `_weight_test` for the commutative quotients, which
+forms no bracket).  This is the check path it replaced,
 kept as it was: omega_f's radical and Gram matrices from
 `exactq.skew_tools` on whole subspaces of flattened gl_n, and the brackets
 of their int rows tested by `Subspace.member`."""

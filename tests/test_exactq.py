@@ -489,6 +489,27 @@ def test_subspace_dimension_mismatch():
         Subspace(2, [[1, 0]]).member([1, 0, 0])
 
 
+@pytest.mark.parametrize("n, vectors", [(3, [[0, 0]]), (2, [[1, 0], [0, 0, 0, 0]]),
+                                        (2, [[0, 0, 0]]), (3, [[1, 0, 0], [1]])])
+def test_subspace_rejects_a_vector_of_another_length(n, vectors):
+    # the from-scratch path checks every vector's length, zero vectors and
+    # vectors its elimination drops included, as the path `within` does
+    for within in (None, Subspace(n)):
+        with pytest.raises(DimensionMismatch, match="vector length != ambient_dim"):
+            Subspace(n, vectors, within)
+    with pytest.raises(DimensionMismatch, match="vector length != ambient_dim"):
+        Subspace.from_json(n, [[str(x) for x in v] for v in vectors])
+
+
+def test_subspace_from_json_reads_to_json(rng):
+    for _ in range(20):
+        n = rng.randint(1, 6)
+        V = Subspace(n, [[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)]
+                         for _ in range(rng.randint(0, n))])
+        W = Subspace.from_json(n, V.to_json())
+        assert W == V and W.to_json() == V.to_json()
+
+
 def test_subspace_member_agrees_with_rank_test():
     rng = random.Random(14)
     for _ in range(200):

@@ -83,18 +83,34 @@ def weight_one_pieces(bg, node, t):
     return {**node.v, **w}, w
 
 
+def weight_test(bg, A, target):
+    """The chain's weight test of [A, A] <= target (`_weight_test`)."""
+    return whitpair._weight_test(bg, A, lambda w: target.get(w) is FULL)
+
+
+def frame_brackets_within(bg, A, B, target):
+    """[A, B] <= target through `_frame_brackets`' product form: every
+    bracket whose weight target does not hold whole, tested against
+    target's piece of that weight."""
+    return all(whitpair._within(bg, {w: [y]}, target) for w, y in
+               whitpair._frame_brackets(bg, A, B, lambda w: target.get(w) is FULL))
+
+
 def compare_clauses(pair, outcomes, all_pairs=True):
     """Every node of chain(pair) rebuilt with its frame pieces, and each
     graded clause compared with the oracle's: the radical, and isotropy of
     l_t, r_t, u_t and w_t, at each node; the inclusion, the direct sum and
-    the two commutative quotients for consecutive nodes, or for every
-    ordered pair of distinct nodes (where the clauses may fail) when
-    all_pairs.  Returns the frame piece of m."""
+    the brackets [l, l] <= r, [r, r] <= v and [u, r] <= v for consecutive
+    nodes, or for every ordered pair of distinct nodes (where the clauses
+    may fail) when all_pairs.  The brackets are formed by `_frame_brackets`;
+    the weight tests of [l, l] <= r and [r, r] <= v hold on consecutive
+    nodes, and where one holds on any pair, the oracle's containment holds
+    too.  Returns the frame piece of m."""
     cert = chain(pair)
     f, bg = pair.f, cert.grading
     form = whitpair._form(bg, bg.frame(f)[1], (-2, 0))
     mp, spaces = whitpair._lagrangian_m(bg, f), whitpair._Spaces(bg)
-    nodes = [whitpair._snapshot(bg, form, mp, t, True, spaces) for t in cert.nodes]
+    nodes = [whitpair._snapshot(bg, form, mp, t, spaces) for t in cert.nodes]
     assert [s for s, _, _ in nodes] == list(cert.snapshots)
 
     def agree(name, graded, expected):
@@ -119,20 +135,24 @@ def compare_clauses(pair, outcomes, all_pairs=True):
               clause_oracle.within(si.r, sj.l))
         agree("direct sum", whitpair._direct_sum(bg, nj.l, ni.r, nj.cap),
               clause_oracle.direct_sum(sj.l, si.r, oj))
-        agree("[l, l] <= r", whitpair._brackets_within(bg, nj.l, None, ni.r),
-              clause_oracle.brackets_within(sj.l, None, si.r))
-        agree("[r, r] <= v", whitpair._brackets_within(bg, ni.r, None, nj.v),
-              clause_oracle.brackets_within(si.r, None, sj.v))
+        for name, A, target, dense in (("[l, l] <= r", nj.l, ni.r, (sj.l, si.r)),
+                                       ("[r, r] <= v", ni.r, nj.v, (si.r, sj.v))):
+            expected = clause_oracle.brackets_within(dense[0], None, dense[1])
+            agree(name, frame_brackets_within(bg, A, A, target), expected)
+            decided = weight_test(bg, A, target)
+            assert decided <= expected and (j != i + 1 or decided), name
+            outcomes["weight test " + name, decided] += 1
         ui = weight_one_pieces(bg, ni, si.t)[0]
-        agree("[u, r] <= v", whitpair._brackets_within(bg, ui, nj.r, ni.v),
+        agree("[u, r] <= v", frame_brackets_within(bg, ui, nj.r, ni.v),
               clause_oracle.brackets_within(si.u, sj.r, si.v))
     return mp
 
 
 def test_graded_clauses_match_the_oracle_on_the_benchmark_chains(monkeypatch, workloads):
     # the 36 chains of each of the seed-0 and seed-3 chain passes, every
-    # ordered pair of nodes: both verdicts occur for every clause but the
-    # radical and the isotropy of l and r, which hold at every node
+    # ordered pair of nodes: both verdicts occur for every clause and
+    # weight test but the radical and the isotropy of l and r, which hold
+    # at every node
     outcomes, real, brackets = Counter(), whitpair._frame_brackets, []
 
     def counted(g, A, B, decided):
@@ -146,7 +166,8 @@ def test_graded_clauses_match_the_oracle_on_the_benchmark_chains(monkeypatch, wo
     # pairs of nodes that are not consecutive leave brackets to be formed
     assert brackets
     for name in ("isotropic u", "isotropic w", "inclusion", "direct sum",
-                 "[l, l] <= r", "[r, r] <= v", "[u, r] <= v"):
+                 "[l, l] <= r", "[r, r] <= v", "[u, r] <= v",
+                 "weight test [l, l] <= r", "weight test [r, r] <= v"):
         assert outcomes[name, True] and outcomes[name, False], name
     assert not any(outcomes[name, False]
                    for name in ("radical", "isotropic l", "isotropic r"))
@@ -195,22 +216,22 @@ def test_chain_property_suite_n7_to_12():
                 assert cur.l.dim == prev.r.dim + obs["space"].dim
 
 
-def test_consecutive_nodes_leave_no_bracket_of_l_open(monkeypatch):
-    # the lemma of `_brackets_within`: on consecutive nodes t < T the
-    # grading decides every target weight of [l_T, l_T] <= r_t, so the
-    # clause forms no bracket, on seeded chains with n <= 12
+def test_consecutive_nodes_leave_no_bracket_of_l_or_r_open(monkeypatch):
+    # the lemmas of `_weight_test`: on consecutive nodes t < T the grading
+    # decides every weight of [l_T, l_T] <= r_t and of [r_t, r_t] <= v_T,
+    # on seeded chains with n <= 12: chain()'s two weight tests per step
+    # pass, deciding over 500 target weights each (673 and 567), and
+    # `_frame_brackets`' product form, which skips the weights the target
+    # holds whole, leaves no bracket to form
     rng = random.Random("frame:lemma")
-    formed, decided, decisions = [], [], 0
-    real_brackets = whitpair._frame_brackets
+    real, decided = whitpair._weight_test, []
 
-    def bracket(A, B, n):
-        formed.append(1)
-        return exactq._bracket(A, B, n)
-
-    def counted(g, A, B, decide):
-        return real_brackets(g, A, B, lambda w: decided.append(w) or decide(w))
-    monkeypatch.setattr(whitpair, "_bracket", bracket)
-    monkeypatch.setattr(whitpair, "_frame_brackets", counted)
+    def counted(g, A, holds):
+        weights = []
+        passed = real(g, A, lambda w: weights.append(w) or holds(w))
+        decided.append(len(weights))
+        return passed
+    monkeypatch.setattr(whitpair, "_weight_test", counted)
     for n in range(2, 13):
         for _ in range(4 if n < 8 else 2):
             pair = random_whittaker_pair(n, rng)
@@ -218,15 +239,14 @@ def test_consecutive_nodes_leave_no_bracket_of_l_open(monkeypatch):
             bg, f = cert.grading, pair.f
             form = whitpair._form(bg, bg.frame(f)[1], (-2, 0))
             mp, spaces = whitpair._lagrangian_m(bg, f), whitpair._Spaces(bg)
-            nodes = [whitpair._snapshot(bg, form, mp, t, True, spaces)[2]
+            nodes = [whitpair._snapshot(bg, form, mp, t, spaces)[2]
                      for t in cert.nodes]
             for prev, cur in zip(nodes, nodes[1:]):
-                formed.clear()
-                decisions -= len(decided)
-                assert whitpair._brackets_within(bg, cur.l, None, prev.r)
-                decisions += len(decided)
-                assert not formed
-    assert decisions > 1000
+                for A, target in ((cur.l, prev.r), (prev.r, cur.v)):
+                    assert not list(whitpair._frame_brackets(
+                        bg, A, A, lambda w: target.get(w) is FULL))
+    # chain() tests [l, l] <= r, then [r, r] <= v, at each step
+    assert min(sum(decided[0::2]), sum(decided[1::2])) > 500
 
 
 # -- fault injection --------------------------------------------------------------
@@ -236,8 +256,8 @@ def _snapshot_corrupted_at(monkeypatch, t, corrupt):
     once that snapshot's own clauses have passed."""
     real = whitpair._snapshot
 
-    def wrapped(bg, form, mp, tt, with_m, spaces):
-        out = real(bg, form, mp, tt, with_m, spaces)
+    def wrapped(bg, form, mp, tt, spaces):
+        out = real(bg, form, mp, tt, spaces)
         if tt == t:
             corrupt(bg, out[2])
         return out

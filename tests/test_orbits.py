@@ -14,8 +14,8 @@ import pytest
 from whitforge import exactq, orbits
 from whitforge.cli import canonical_json
 from whitforge.errors import (DimensionMismatch, InternalCheckFailure,
-                              NoSolutionError, NotNilpotent, UnsupportedQuery,
-                              WrongPartition)
+                              NoSolutionError, NotNilpotent, NotRationalSplit,
+                              UnsupportedQuery, WrongPartition)
 from whitforge.exactq import QMatrix, Subspace, rat_str
 from whitforge.orbits import (J_eta, J_eta_a, SlOrbitClass, h_eta,
                               integer_nth_root, is_dth_power, is_neutral_pair,
@@ -407,6 +407,15 @@ def test_neutral_for_inverts_one_matrix(monkeypatch, rng):
 def test_is_neutral_pair_rejects():
     assert is_neutral_pair(QMatrix.diag([2, 0]), E(2, 2, 1)) is False
     assert is_neutral_pair(QMatrix.zeros(2), QMatrix.zeros(2)) is True
+
+
+def test_is_neutral_pair_rejects_an_h_with_no_rational_grading():
+    # [E12, 0] = 0 = -2 * 0, and E12 is not diagonal, so the test needs
+    # grading(E12), which raises NotRationalSplit (E12 is nilpotent, not
+    # semisimple): not neutral
+    with pytest.raises(NotRationalSplit):
+        exactq.grading(E(2, 1, 2))
+    assert is_neutral_pair(E(2, 1, 2), QMatrix.zeros(2)) is False
 
 
 # -- d-th powers and SL classes --------------------------------------------------

@@ -434,6 +434,27 @@ def test_quasi_criticals_z_zero():
     assert vals == [] and count == 0
 
 
+def test_quasi_criticals_rejects_an_h_that_does_not_commute_with_z():
+    # h = diag(1,-1,1,-1) + E41 keeps [h, f] = -2f and [Z, f] = 0, but
+    # Z = S - h does not commute with h
+    S, f = QMatrix.diag([3, 1, -1, -3]), E(4, 2, 1) + E(4, 4, 3)
+    with pytest.raises(NotCommuting, match=r"^\[Z, h\] != 0$"):
+        quasi_criticals(S, f, QMatrix.diag([1, -1, 1, -1]) + E(4, 4, 1))
+
+
+def test_quasi_criticals_rejects_an_h_that_is_not_neutral():
+    # h = S commutes with Z = 0, but S = diag(3,1,-1,-3) does not lie in
+    # image(ad f) for f = E21 + E43
+    S, f = QMatrix.diag([3, 1, -1, -3]), E(4, 2, 1) + E(4, 4, 3)
+    with pytest.raises(VerificationError, match="^h is not neutral for f$"):
+        quasi_criticals(S, f, S)
+
+
+def test_critical_numbers_reject_an_h_that_does_not_lower_f_by_two():
+    with pytest.raises(VerificationError, match=r"^\[h, f\] != -2 f$"):
+        critical_numbers(QMatrix.diag([1, 1]), QMatrix.zeros(2), E(2, 2, 1))
+
+
 def test_quasi_criticals_independent_of_h(rng):
     # all solutions of the Z-decomposition system give the same invariant
     for _ in range(6):
@@ -517,18 +538,29 @@ def test_chain_refines_the_pair_grading_once(monkeypatch):
 
 
 def _bracket_failing_at(monkeypatch, call):
-    """Make the call-th `_frame_brackets` of whitpair (one per bracket
-    containment) yield the identity, of weight 0 in the frame, which lies
+    """Make the call-th bracket check of whitpair fail, counting one per
+    bracket containment in the order they run, each a `_weight_test` or a
+    `_frame_brackets`.  That weight test reads its space as all of gl_n,
+    whose [A, A] reaches every weight: weight 0, which no target of
+    positive weight holds, and each weight a nonzero f' pairs with.  Those
+    frame brackets yield the identity, of weight 0 in the frame, which lies
     in no subspace of positive weight."""
-    real, calls = whitpair._frame_brackets, []
+    real_test, real_brackets, calls = whitpair._weight_test, whitpair._frame_brackets, []
 
-    def faulty(g, A, B, decided):
+    def faulty_test(g, A, holds):
+        calls.append(1)
+        if len(calls) - 1 == call:
+            A = {w: whitpair._FULL for w in g._cells}
+        return real_test(g, A, holds)
+
+    def faulty_brackets(g, A, B, decided):
         calls.append(1)
         if len(calls) - 1 == call:
             zero = tuple(0 for _ in g.labels[0])
             return iter([(zero, [int(i == j) for i, j in g._cells[zero]])])
-        return real(g, A, B, decided)
-    monkeypatch.setattr(whitpair, "_frame_brackets", faulty)
+        return real_brackets(g, A, B, decided)
+    monkeypatch.setattr(whitpair, "_weight_test", faulty_test)
+    monkeypatch.setattr(whitpair, "_frame_brackets", faulty_brackets)
 
 
 @pytest.mark.parametrize("call, clause", [(0, r"\[l_1/4, l_1/4\] <= r_0 "),
@@ -679,12 +711,31 @@ def test_quasi_model_gl4_example():
 
 
 @pytest.mark.parametrize("call, clause", [(0, r"\[u, u\] <= z"),
-                                          (1, r"\[u, z\] <= k")])
+                                          (1, r"\[u, z\] <= k"),
+                                          (2, r"phi' does not vanish on \[u, u\]")])
 def test_quasi_model_shape_failures_name_their_clause(monkeypatch, call, clause):
+    # the weight test of [u, u] <= z, the brackets of [u, z] <= k, and the
+    # weight test of phi' on [u, u], in that order
     _bracket_failing_at(monkeypatch, call)
     triple = WhittakerTriple(WhittakerPair(4, QMatrix.diag([1, -1, 4, 2]),
                                            E(4, 2, 1) + E(4, 4, 3)), E(4, 1, 4))
     with pytest.raises(ShapeViolation, match=clause):
+        quasi_model_data(triple)
+
+
+def test_quasi_model_an_f_prime_of_weight_minus_two_fails_phi_prime():
+    # (diag(1, 0, -1), E31) with f' = E31, of S-weight -2, which
+    # WhittakerTriple rejects.  Built past that check, f' pairs with E13 =
+    # [E12, E23] of weight 2 in [u, u], so the weight test of phi' on
+    # [u, u] fails; [u, u] <= z holds, and [u, z] reaches no weight with
+    # cells (ad f is injective on weight 1, so z is weight 2 alone)
+    pair = WhittakerPair(3, QMatrix.diag([1, 0, -1]), E(3, 3, 1))
+    with pytest.raises(VerificationError, match="-2 <= -2"):
+        WhittakerTriple(pair, E(3, 3, 1))
+    triple = object.__new__(WhittakerTriple)
+    object.__setattr__(triple, "pair", pair)
+    object.__setattr__(triple, "f_prime", E(3, 3, 1))
+    with pytest.raises(ShapeViolation, match=r"^phi' does not vanish on \[u, u\]$"):
         quasi_model_data(triple)
 
 
