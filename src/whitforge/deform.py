@@ -17,11 +17,12 @@ action of J_eta off eta by index.  _matrices is the one place that turns
 (QMatrix._of_ints), so deform keeps no matrix code of its own.  Every
 raising path ends in one checker, _check_raising, which reads the int
 scaling each of h, Z, f and psi holds and runs every clause on those
-ints: each ad(h)-, ad(Z)- and ad(h+Z)-weight of f and
-psi comes from the int diagonals of h and Z, (h, f) goes to the int core of
-orbits.is_neutral_pair, the one neutrality test, and f and f + psi to the
-int core of orbits.jordan_partition; violations raise InternalCheckFailure
-naming the clause and are never expected.
+ints: each ad(h)-, ad(Z)- and ad(h+Z)-weight of f and psi comes from the
+int diagonals of h and Z, (h, f) goes to the int core of
+orbits.is_neutral_pair, the one neutrality test, which also gives f's
+Jordan type, and f + psi has its Jordan type read off the ranks of its
+powers graded by h + Z, so no dense Jordan elimination runs; violations
+raise InternalCheckFailure naming the clause and are never expected.
 """
 
 import math
@@ -31,8 +32,9 @@ from itertools import accumulate
 
 from .errors import InternalCheckFailure, NotDominated, PreconditionViolation
 from .exactq import QMatrix, rat_str
-from .orbits import (J_eta, _jordan_type, _neutral, _twist, h_eta,
-                     is_dth_power, power_class, rational_dth_root, sl_class)
+from .orbits import (J_eta, _graded_row_spaces, _jordan_type, _neutral, _twist,
+                     h_eta, is_dth_power, power_class, rational_dth_root,
+                     sl_class)
 from .partitions import (_dominated, _of_one_size, as_partition, dominance_leq,
                          lemma_part_index)
 
@@ -230,13 +232,16 @@ def _check_raising(h, f, Z, psi, mu, lam):
     oracle for the two orbits).  Every clause runs on the ints of D_M M
     each matrix M holds (D_M the lcm of its denominators): the ad-weights
     come from the diagonals of D_h h and D_Z Z at the nonzero entries of f
-    and psi, scaled by D_h or D_h D_Z; (h, f) goes to orbits._neutral, the
-    one neutrality test, and f and f + psi, formed over lcm(D_f, D_psi), to
-    orbits._jordan_type.  Returns the checks record, one entry per clause."""
+    and psi, scaled by D_h or D_h D_Z.  (h, f) goes to orbits._neutral,
+    the one neutrality test, whose graded power ranks of f also give f's
+    Jordan type; f + psi, formed over lcm(D_f, D_psi), has weight -2 in
+    S = h + Z, so its Jordan type comes from the ranks of its powers
+    graded by the diagonal of D_h D_Z S.  Returns the checks record, one
+    entry per clause."""
     (dh, hi), (dz, zi), (df, fi), (dp, psii) = (M._ints for M in (h, Z, f, psi))
     n = h.cols
-    for name, M in (("h", hi), ("Z", zi)):
-        if any(x for k, x in enumerate(M) if k % (n + 1)):
+    for name, M in (("h", h), ("Z", Z)):
+        if not M.is_diagonal():
             raise InternalCheckFailure(f"Z_commutes_h: {name} is not diagonal")
     hd, zd = hi[::n + 1], zi[::n + 1]
     sd = [dz * x + dh * z for x, z in zip(hd, zd)]      # D_h D_Z (h + Z)
@@ -250,13 +255,14 @@ def _check_raising(h, f, Z, psi, mu, lam):
              _ad_weights(sd, psi_at) <= {-2 * dh * dz})):
         if not holds:
             raise InternalCheckFailure(f"{clause} fails")
-    if not _neutral(h, f):
+    source = _neutral(h, f)
+    if source is None:
         raise InternalCheckFailure("neutral_pair: (h, f) is not a neutral pair")
-    if _jordan_type(fi) != mu:
+    if source != mu:
         raise InternalCheckFailure("jordan_source: jordan_partition(f) != mu")
     L = math.lcm(df, dp)
     F = [x * (L // df) + y * (L // dp) for x, y in zip(fi, psii)]     # L (f + psi)
-    if _jordan_type(F) != lam:
+    if _jordan_type(n, _graded_row_spaces(F, sd, 2 * dh * dz)) != lam:
         raise InternalCheckFailure(
             "jordan_target: jordan_partition(f + psi) != lambda")
     return {"f_h_weight_minus_two": True, "Z_commutes_f": True,

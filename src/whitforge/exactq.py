@@ -33,7 +33,7 @@ ad(M) splits into one small block per weight: `graded_kernel` and
 homogeneous, whose images the blocks would miss.  `_ad_block` is the one
 ad-operator builder, filling column (a, b) of ad T by index arithmetic off
 T's nonzero entries indexed by row and by column once (`_ad_index`): the
-blocks of ad(M)^2 are two of its blocks multiplied, and neutrality uses it.
+blocks of ad(M)^2 are two of its blocks multiplied.
 
 `_bracket` is the one bracket, of int matrices only, and multiplies only
 nonzero entries, read off the same index; `QMatrix` products and brackets
@@ -57,8 +57,8 @@ sequence.
 
 from fractions import Fraction
 from dataclasses import dataclass, field
-from functools import cache, cached_property
-from itertools import compress, groupby
+from functools import cached_property
+from itertools import chain, compress, groupby
 from math import gcd, lcm, prod
 from operator import add, itemgetter, mul, sub
 
@@ -281,8 +281,10 @@ class QMatrix:
         return not any(self._ints[1])
 
     def is_diagonal(self):
-        n = self.cols
-        return all(not x for k, x in enumerate(self._ints[1]) if k // n != k % n)
+        """Every entry off the diagonal is 0: the zeros of the ints, less
+        those on the diagonal, fill all the cells off it."""
+        ints, m = self._ints[1], min(self.rows, self.cols)
+        return ints.count(0) - ints[::self.cols + 1][:m].count(0) == len(ints) - m
 
     def det(self):
         """det(D M) / D^n, det(D M) kept by one `_echelon` of D M."""
@@ -324,8 +326,8 @@ class QMatrix:
 
     def to_json(self):
         (D, ints), c = self._ints, self.cols
-        text = _ratio_texts(D)
-        return [[text(x) for x in ints[i * c:(i + 1) * c]] for i in range(self.rows)]
+        texts = list(map(_ratio_texts(D, ints).__getitem__, ints))
+        return [texts[i * c:(i + 1) * c] for i in range(self.rows)]
 
     @classmethod
     def from_json(cls, obj):
@@ -382,14 +384,15 @@ def _times(c, G, width):
     return [sum([x * row[k] for x, row in zip(c, G) if x]) for k in range(width)]
 
 
-def _ratio_texts(D):
-    """x -> the text of x / D in lowest terms ("p/q", or "p" when q = 1),
-    each distinct x formatted once: the printer of both `to_json`s."""
-    @cache
-    def text(x):
+def _ratio_texts(D, ints):
+    """{x: the text of x / D in lowest terms ("p/q", or "p" when q = 1)}
+    for each distinct x of the ints, each formatted once: the printer of
+    both `to_json`s."""
+    texts = {}
+    for x in set(ints):
         g = gcd(x, D)
-        return str(x // g) if g == D else f"{x // g}/{D // g}"
-    return text
+        texts[x] = str(x // g) if g == D else f"{x // g}/{D // g}"
+    return texts
 
 
 def _int_action(M):
@@ -440,11 +443,15 @@ def _echelon(rows, det=False):
     columns end diagonal if they are the pivots, else with a zero A[k][k]."""
     A = [_integer_row(r) for r in rows]
     m, n = len(A), len(A[0]) if A else 0
+    if m == 1 and not det:
+        return A, [c for c, x in enumerate(A[0]) if x][:1]
     num, den = 1, prod(gcd(*r) for r in rows) if det else 1
     pivots, r = [], 0
     for c in range(n):
-        piv = next((i for i in range(r, m) if A[i][c]), None)
-        if piv is None:
+        for piv in range(r, m):
+            if A[piv][c]:
+                break
+        else:
             continue
         if piv != r:
             A[r], A[piv], num = A[piv], A[r], -num
@@ -762,11 +769,11 @@ class Subspace:
     def to_json(self):
         """The echelon basis as rational strings, each entry x/D of the int
         rows written in lowest terms."""
-        text, out = _ratio_texts(self._den), []
+        texts, out = _ratio_texts(self._den, chain.from_iterable(self._vals)), []
         for idx, vals in zip(self._cols, self._vals):
             row = ["0"] * self.ambient_dim
-            for i, x in zip(idx, vals):
-                row[i] = text(x)
+            for i, x in zip(idx, map(texts.__getitem__, vals)):
+                row[i] = x
             out.append(row)
         return out
 

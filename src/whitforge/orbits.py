@@ -8,6 +8,7 @@ import functools
 import itertools
 import math
 from array import array
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -87,35 +88,71 @@ def J_eta_a(eta, a):
 
 def _power_row_spaces(M):
     """The row spaces R(N), R(N^2), ..., R(N^L) of the powers of a nilpotent
-    N, with N^L = 0 first reached at L, as echelon int rows (the nonzero
-    rows `_echelon` returns), for M the flat int entries of D N, D the lcm
-    of N's denominators (scaling N changes no row space).  They are the
-    Jordan filtration: dim ker N^k = n - rank N^k, and ker N^k is the
-    orthogonal complement of R(N^k).  The rows of N^(k+1) span the rows of
-    N^k times N, so each power's rows are the previous echelon rows times
-    D N, formed from D N's nonzero rows at each row's nonzero coordinates,
-    and eliminated once; the first power's rows are those of D N.
-    The ranks of the powers never rise, and once two consecutive ranks are
-    equal they stay equal, so the first power whose rank fails to drop
-    shows that N is not nilpotent."""
+    N, as echelon int rows, for M the flat int entries of D N, D the lcm of
+    N's denominators: the one-label case of `_graded_row_spaces`.  They are
+    the Jordan filtration: ker N^k is the orthogonal complement of R(N^k)."""
     n = math.isqrt(len(M))
-    rows = [M[i * n:(i + 1) * n] for i in range(n)]
-    nonzero = [[(j, x) for j, x in enumerate(row) if x] for row in rows]
-    spaces, rank = [], n
+    return [P.get(0, []) for P in _graded_row_spaces(M, [0] * n, 0)]
+
+
+def _graded_row_spaces(M, labels, w):
+    """The row spaces of the powers N, ..., N^L of a nilpotent N (N^L = 0
+    first reached at L), split by the int labels of a frame in which N has
+    weight -w (N_ab = 0 unless labels[b] = labels[a] + w), for M the flat
+    ints of D N there: for each power k, {c: the echelon int rows of the
+    label-c rows of N^k, on the label-(c + k w) columns}, classes of rank 0
+    left out.  R(N^k) is the direct sum of its classes, and each class's
+    rows of N^(k+1) span its echelon rows of N^k times the block of D N
+    from the label-(c + k w) rows to the label-(c + (k+1) w) columns, one
+    small elimination each; with one label that block is D N.  The ranks
+    never rise, and once two consecutive ranks are equal they stay equal,
+    so a power whose rank fails to drop shows that N is not nilpotent.  An
+    entry of another weight, which the blocks would miss, is an
+    InternalCheckFailure."""
+    n, members = len(labels), {}
+    for i, c in enumerate(labels):
+        members.setdefault(c, []).append(i)
+    # the label-c rows of D N on the label-(c + w) columns: dense in rows[c]
+    # and as their nonzero (column, entry) pairs in block[c]
+    rows = {c: [] for c in members if c + w in members}
+    block = {c: [] for c in rows}
+    seen = 0
+    for a, c in enumerate(labels):
+        if c in rows:
+            row = M[a * n:(a + 1) * n]
+            cols = members[c + w]
+            row = row if len(cols) == n else list(map(row.__getitem__, cols))
+            nonzero = [(j, x) for j, x in enumerate(row) if x]
+            rows[c].append(row)
+            block[c].append(nonzero)
+            seen += len(nonzero)
+    if seen != n * n - M.count(0):
+        raise InternalCheckFailure(
+            f"power ranks: an entry of N has not the weight {-w}")
+    spaces, rank, k = [], n, 0
     while rank:
-        A, piv = exactq._echelon(rows)
-        if len(piv) == rank:
+        k += 1
+        power, total = {}, 0
+        for c, R in rows.items():
+            A, piv = exactq._echelon(R)
+            if piv:
+                power[c], total = A[:len(piv)], total + len(piv)
+        if total == rank:
             raise NotNilpotent("matrix is not nilpotent")
-        rank = len(piv)
-        spaces.append(A[:rank])
-        rows = []
-        for r in spaces[-1]:
-            out = [0] * n
-            for i, c in enumerate(r):
-                if c:
-                    for j, x in nonzero[i]:
-                        out[j] += c * x
-            rows.append(out)
+        rank = total
+        spaces.append(power)
+        rows = {}
+        for c, R in power.items():
+            t = c + k * w               # the label of R's columns
+            if t in block:
+                B, width, rows[c] = block[t], len(members[t + w]), []
+                for r in R:             # r times the block, at r's nonzeros
+                    out = [0] * width
+                    for i, x in enumerate(r):
+                        if x:
+                            for j, y in B[i]:
+                                out[j] += x * y
+                    rows[c].append(out)
     return spaces
 
 
@@ -127,19 +164,21 @@ def _square_ints(N):
     return N._ints
 
 
-def _jordan_type(M):
-    """The partition of the nilpotent orbit of N, for M the flat ints of
-    D N, read off the ranks of its powers: N has rank N^(k-1) - rank N^k
-    Jordan blocks of size >= k."""
-    ranks = [math.isqrt(len(M))] + [len(R) for R in _power_row_spaces(M)]
+def _jordan_type(n, spaces):
+    """The partition of the nilpotent orbit of an n x n N off the
+    `_graded_row_spaces` of its powers: N has rank N^(k-1) - rank N^k
+    Jordan blocks of size >= k, rank N^k the sum of its classes' ranks."""
+    ranks = [n] + [sum(map(len, P.values())) for P in spaces]
     lam_t = [a - b for a, b in zip(ranks, ranks[1:])]
     return tuple(sum(1 for c in lam_t if c >= j)
                  for j in range(1, lam_t[0] + 1)) if lam_t else ()
 
 
 def jordan_partition(N):
-    """Partition of the nilpotent orbit of N: `_jordan_type` of D N."""
-    return _jordan_type(_square_ints(N)[1])
+    """Partition of the nilpotent orbit of N: `_jordan_type` of D N's
+    powers, in one label class."""
+    M = _square_ints(N)[1]
+    return _jordan_type(N.rows, _graded_row_spaces(M, [0] * N.rows, 0))
 
 
 def jordan_chain_basis(N):
@@ -306,51 +345,47 @@ def is_neutral_pair(h, f):
     n = f.rows
     if (h.rows, h.cols, f.cols) != (n, n, n):
         raise DimensionMismatch("h, f must be square of equal size")
-    return _neutral(h, f)
+    return _neutral(h, f) is not None
 
 
 def _neutral(h, f):
     """`is_neutral_pair` for h and f square of one size, on their ints
-    hi = D_h h and fi = D_f f (D the lcm of a matrix's denominators).
-    [h, f] = -2f is tested on the ints.  ad f lowers ad(h)-weights by 2
-    and h has weight 0, so h lies in image(ad f) iff it lies in
-    ad f(g^h_2): one `_weight_two_exists` on a block of the one ad-operator
-    builder, for a diagonal h in the coordinate frame (labels the diagonal
-    of D_h h, so weight 2 D_h, and f' = D_f f), else in grading(h)'s
-    (labels L times h's eigenvalues, so weight 2 L), whose NotRationalSplit
-    means not neutral: a neutral h is semisimple with integer eigenvalues."""
+    hi = D_h h and fi = D_f f (D the lcm of a matrix's denominators): f's
+    Jordan type when (h, f) is neutral, else None.  Once [h, f] = -2f, that
+    is the hard Lefschetz form of Jacobson-Morozov: h is semisimple with
+    integer eigenvalues and, V_k its k-eigenspace, f^k maps V_k onto V_-k
+    isomorphically for every k > 0.  It is read in a frame labelled by h's
+    eigenvalues, the coordinate frame for a diagonal h (labels the diagonal
+    of hi, integers iff D_h = 1) or else grading(h)'s (labels L times the
+    eigenvalues, integers iff L = 1; NotRationalSplit means not neutral):
+    f^k's block from V_k to V_-k is its label -k rows, whose ranks, and
+    f's Jordan type, come from one `_graded_row_spaces`.
+    An sl2-triple meets the test.  Conversely, let P_k = V_k cap
+    ker f^(k+1) for k >= 0; f^(k+2) maps V_(k+2) onto V_-(k+2) injectively,
+    so V_k = P_k (+) f V_(k+2), Q^n is the direct sum of the strings p,
+    f p, ..., f^k p (p in a basis of P_k, f^k p != 0), and e, defined on
+    each as on the irreducible sl2-module of dimension k + 1, completes
+    (h, f)."""
     n, (dh, hi), fi = f.rows, h._ints, f._ints[1]
     if _bracket(enumerate(hi), enumerate(fi), n) != [-2 * dh * x for x in fi]:
-        return False
-    if not any(x for k, x in enumerate(hi) if k % (n + 1)):
-        return _weight_two_exists(hi[::n + 1], 2 * dh, 1, fi)
-    try:
-        g = grading(h)
-    except NotRationalSplit:
-        return False
-    return _weight_two_exists([x for x, in g.labels], 2 * g.L, *g.frame(f))
-
-
-def _weight_two_exists(d, w, D, T):
-    """Whether [f', e'] = -diag(d) has a solution e' over the cells (a, b)
-    with d_a - d_b = w, for f' = T / D homogeneous of weight -w in a frame
-    labelled by d (as [h, f] = -2f makes it): one elimination of the block
-    of ad f' (`exactq._ad_block`) from those cells to the weight-0 cells,
-    the right-hand side its last column, which is solvable iff that column
-    is not a pivot.  Both cell lists come from one pass over the n^2 index
-    pairs."""
-    sources, targets = [], {}
-    for a, x in enumerate(d):
-        for b, y in enumerate(d):
-            if x - y == w:
-                sources.append((a, b))
-            elif x == y:
-                targets[a, b] = len(targets)
-    rows = exactq._ad_block(exactq._ad_index(enumerate(T), len(d)), sources, targets)
-    for row, (a, b) in zip(rows, targets):
-        row.append(-D * d[a] if a == b else 0)
-    piv = exactq._echelon(rows)[1]
-    return not piv or piv[-1] != len(sources)
+        return None
+    if h.is_diagonal():
+        d, T, L = hi[::n + 1], fi, dh
+    else:
+        try:
+            g = grading(h)
+        except NotRationalSplit:
+            return None
+        d, T, L = [x for x, in g.labels], g.frame(f)[1], g.L
+    if L != 1:
+        return None
+    spaces, dims = _graded_row_spaces(T, d, 2), Counter(d)
+    for k, dim in dims.items():
+        if dims[-k] != dim:
+            return None
+        if k > 0 and (k > len(spaces) or len(spaces[k - 1].get(-k, ())) != dim):
+            return None
+    return _jordan_type(n, spaces)
 
 
 # ---------------------------------------------------------------------------

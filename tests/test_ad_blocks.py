@@ -1,28 +1,37 @@
 """The one ad-operator builder, `exactq._ad_block`, against the two builders
-it replaced, kept here as oracles: the neutrality test's own row and column
-loop (`weight_two_rows`) and the graded blocks formed from one `_bracket`
-per source cell (`bracket_blocks`); and `model_data`'s radical, taken in
-the frame of the S-grading, against omega_f's radical in standard
-coordinates."""
+it replaced, kept here as oracles: the weight-two block that decided
+neutrality before the hard Lefschetz test of `orbits._neutral`, built by
+its own row and column loop (`weight_two_rows`), and the graded blocks
+formed from one `_bracket` per source cell (`bracket_blocks`); the
+Lefschetz test against that block and against the dense solve of [f, e] =
+-h; the graded power ranks against the dense ones; and `model_data`'s
+radical, taken in the frame of the S-grading, against omega_f's radical in
+standard coordinates."""
 
 import json
 import os
+import random
 import sys
 from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from whitforge import deform, exactq, orbits, whitpair
-from whitforge.errors import (InternalCheckFailure, ShapeViolation,
-                              VerificationError)
-from whitforge.exactq import QMatrix, _bracket, _echelon, skew_tools
+from whitforge.errors import (InternalCheckFailure, NotRationalSplit,
+                              ShapeViolation, VerificationError)
+from whitforge.exactq import QMatrix, Subspace, _bracket, _echelon, grading, skew_tools
+from whitforge.orbits import J_eta, is_neutral_pair, jordan_partition
+from whitforge.partitions import partitions_of
 from whitforge.whitpair import (WhittakerPair, WhittakerTriple, chain, find_Z,
                                 model_data, quasi_model_data)
 
 import clause_oracle
+from conftest import random_unimodular
 from test_frame_clauses import (bench_pairs, fraction_scaled_pairs,
                                 glsame_pair, recipe_pair)
+from test_graded import dense_is_neutral_pair
 
 LAGRANGIAN = ([[-1, 0, 0, 0], [-1, 1, 1, -1], [-3, 0, 2, 0], [-2, 0, 2, 0]],
               [[1, -1, -1, 1], [0, 0, 0, 0], [1, -1, -1, 1], [0, 0, 0, 0]])
@@ -45,7 +54,7 @@ def _pair(S, f):
 # -- the oracles ------------------------------------------------------------------
 
 def weight_two_rows(d, w, D, T):
-    """The neutrality test's block as its own loop built it: (the rows of
+    """The old neutrality test's block as its own loop built it: (the rows of
     ad f' from the cells (a, b) with d_a - d_b = w to the weight-0 cells,
     the right-hand side -D d on the diagonal cells as the last column, and
     whether that column is not a pivot)."""
@@ -110,14 +119,15 @@ def coordinate_frame(d):
 
 # -- the inputs ------------------------------------------------------------------
 
-def raise_calls(workloads, seed):
-    """The arguments of every `orbits._neutral` call of a raise pass."""
-    calls, real = [], orbits._neutral
+def raise_calls(workloads, seed, name="_neutral"):
+    """The arguments of every call of `deform.<name>` (`orbits._neutral`,
+    or the checker `_check_raising`) in a raise pass."""
+    calls, real = [], getattr(deform, name)
 
     def recording(*args):
         calls.append(args)
         return real(*args)
-    deform._neutral = recording
+    setattr(deform, name, recording)
     try:
         for spec in workloads.generate("raise", seed):
             mu, lam = tuple(spec["mu"]), tuple(spec.get("lambda", ()))
@@ -128,7 +138,7 @@ def raise_calls(workloads, seed):
             else:
                 deform.deform_sl(mu, lam, Fraction(spec["a"]), Fraction(spec["b"]))
     finally:
-        deform._neutral = real
+        setattr(deform, name, real)
     return calls
 
 
@@ -152,18 +162,26 @@ def neutral_inputs(workloads):
     return out
 
 
-def weight_two_calls(monkeypatch, inputs):
-    """The (d, w, D, T) of each `_weight_two_exists` that `_neutral` runs on
-    the inputs, with its verdict."""
-    calls, real = [], orbits._weight_two_exists
-
-    def recording(*args):
-        calls.append(args)
-        return real(*args)
-    with monkeypatch.context() as m:
-        m.setattr(orbits, "_weight_two_exists", recording)
-        verdicts = [orbits._neutral(*args) for args in inputs]
-    return calls, verdicts
+def neutrality_frames(inputs):
+    """The (d, w, D, T) the weight-two block took for each (h, f) of the
+    inputs with [h, f] = -2f and, for an h that is not diagonal, a
+    rational grading(h): the coordinate frame for a diagonal h, labels the
+    diagonal of D_h h, f' = D_f f of weight -w = -2 D_h, and D = 1; else
+    grading(h)'s, labels L times h's eigenvalues and w = 2L."""
+    frames = []
+    for h, f in inputs:
+        n, (dh, hi), fi = f.rows, h._ints, f._ints[1]
+        if _bracket(enumerate(hi), enumerate(fi), n) != [-2 * dh * x for x in fi]:
+            continue
+        if h.is_diagonal():
+            frames.append((hi[::n + 1], 2 * dh, 1, fi))
+            continue
+        try:
+            g = grading(h)
+        except NotRationalSplit:
+            continue
+        frames.append(([x for x, in g.labels], 2 * g.L, *g.frame(f)))
+    return frames
 
 
 @pytest.fixture(scope="module")
@@ -173,32 +191,84 @@ def inputs(workloads):
 
 # -- the builder against the oracles --------------------------------------------------
 
-def test_the_neutrality_block_is_the_old_loop(monkeypatch, inputs):
-    # every input reaches the block: the raise and chain pairs are neutral
-    # and their h + I are not
-    calls, verdicts = weight_two_calls(monkeypatch, inputs)
-    assert len(calls) == len(inputs) > 4000
+def test_the_lefschetz_test_is_the_weight_two_solve(inputs):
+    # every input has a frame, as the raise and chain pairs are neutral and
+    # their h + I are not; the Lefschetz test's verdict is the weight-two
+    # block's, and on a neutral pair it gives jordan_partition(f)
+    frames = neutrality_frames(inputs)
+    assert len(frames) == len(inputs) > 4000
+    types = [orbits._neutral(h, f) for h, f in inputs]
+    verdicts = [t is not None for t in types]
     assert verdicts == [True] * (len(inputs) // 2) + [False] * (len(inputs) // 2)
-    seen, real = [], exactq._echelon
+    assert [weight_two_rows(*frame)[1] for frame in frames] == verdicts
+    for (_, f), lam in zip(inputs, types):
+        assert lam is None or lam == jordan_partition(f)
 
-    def echelon(rows, det=False):
-        seen.append([list(r) for r in rows])
-        return real(rows, det)
-    monkeypatch.setattr(exactq, "_echelon", echelon)
-    for args in calls:
-        seen.clear()
-        verdict = orbits._weight_two_exists(*args)
-        rows, expected = weight_two_rows(*args)
-        assert seen == [rows]
-        assert verdict == expected
+
+def test_the_lefschetz_test_is_the_dense_solve(inputs):
+    # [f, e] = -h solved over all n^2 unknowns of the dense ad f, on the
+    # inputs and on each neutral one with a diagonal h and f's first
+    # nonzero entry cleared: [h, f] = -2f and dim V_k = dim V_-k still
+    # hold, so where the cut leaves h not neutral only the ranks of f's
+    # graded powers see it
+    distinct = list(dict.fromkeys(inputs))
+    cut = []
+    for h, f in distinct:
+        D, ints = f._ints
+        if h.is_diagonal() and any(ints) and dense_is_neutral_pair(h, f):
+            k = next(k for k, x in enumerate(ints) if x)
+            cut.append((h, QMatrix._of_ints(f.rows, f.cols, D,
+                                            ints[:k] + [0] + ints[k + 1:])))
+    pairs = distinct + cut
+    verdicts = [is_neutral_pair(h, f) for h, f in pairs]
+    assert verdicts == [dense_is_neutral_pair(h, f) for h, f in pairs]
+    assert len(distinct) > 500 and verdicts[len(distinct):].count(False) > 100
+
+
+@st.composite
+def near_neutral_pairs(draw):
+    """(h, f) with [h, f] = -2f, near a neutral pair: a standard pair
+    (h_eta, J_eta) or a random diagonal h with f on its weight -2 cells;
+    then h shifted on one block or one cell by an integer (a V_-k goes
+    missing) or by a non-integer, f given extra weight -2 entries, and both
+    conjugated by a unimodular g (h is not diagonal)."""
+    n = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        eta = draw(st.sampled_from(list(partitions_of(n))))
+        d = [k - 1 - 2 * i for k in eta for i in range(k)]
+        block = draw(st.integers(0, len(eta) - 1))
+        cells = range(sum(eta[:block]), sum(eta[:block + 1]))
+        f = J_eta(eta)
+    else:
+        d = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+        cells = [draw(st.integers(0, n - 1))]
+        f = QMatrix.zeros(n)
+    shift = draw(st.sampled_from([0, 0, 1, -2, Fraction(1, 2), Fraction(-2, 3)]))
+    d = [x + shift if i in cells else x for i, x in enumerate(d)]
+    lower = [(a, b) for a in range(n) for b in range(n) if d[a] - d[b] == -2]
+    for a, b in draw(st.lists(st.sampled_from(lower), max_size=3) if lower else st.just([])):
+        f = f + QMatrix.elementary(n, a + 1, b + 1, draw(st.integers(-2, 2)))
+    h = QMatrix.diag(d)
+    if draw(st.booleans()):
+        g = random_unimodular(n, random.Random(draw(st.integers(0, 10 ** 6))))
+        gi = g.inverse()
+        h, f = g * h * gi, g * f * gi
+    return h, f
+
+
+@given(near_neutral_pairs())
+@settings(max_examples=300, deadline=None)
+def test_the_lefschetz_test_is_the_dense_solve_near_neutral_pairs(pair):
+    h, f = pair
+    lam = orbits._neutral(h, f)
+    assert (lam is not None) is dense_is_neutral_pair(h, f)
+    assert lam is None or lam == jordan_partition(f)
 
 
 @pytest.mark.parametrize("power", [1, 2])
-def test_graded_blocks_are_the_bracket_blocks_in_coordinate_frames(monkeypatch, inputs,
-                                                                  power):
-    # the diagonal d of each neutrality test's frame, f' of weight -w there
-    calls, _ = weight_two_calls(monkeypatch, inputs)
-    for d, w, D, T in calls:
+def test_graded_blocks_are_the_bracket_blocks_in_coordinate_frames(inputs, power):
+    # the diagonal d of each neutrality frame, f' of weight -w there
+    for d, w, D, T in neutrality_frames(inputs):
         labels, cells = coordinate_frame(d)
         weights = sorted(cells)
         assert list(exactq._graded_blocks(labels, cells, T, (-w,), weights, power)) == \
@@ -236,9 +306,10 @@ def test_both_builders_refuse_an_inhomogeneous_matrix(workloads):
 # -- every block from the one builder ----------------------------------------------
 
 def test_every_block_comes_from_the_one_builder(monkeypatch, workloads, inputs):
-    # each neutrality test builds one block and brackets only h with f;
-    # graded_kernel and graded_solve build one block per weight and per
-    # power, eliminate it or the product of its steps, and bracket nothing
+    # each neutrality test brackets only h with f and builds no block of ad
+    # f, in the coordinate frame or in grading(h)'s; graded_kernel and
+    # graded_solve build one block per weight and per power, eliminate it
+    # or the product of its steps, and bracket nothing
     built, eliminated, brackets = [], [], Counter()
     real_block, real_echelon, real_bracket = (exactq._ad_block, exactq._echelon,
                                               exactq._bracket)
@@ -266,12 +337,8 @@ def test_every_block_comes_from_the_one_builder(monkeypatch, workloads, inputs):
         built.clear(), eliminated.clear(), brackets.clear()
         orbits._neutral(*args)
         assert brackets == Counter({"_neutral": 1})
-        if not built:
-            continue            # h is not rational semisimple
-        # the last elimination is the block's, after those of grading(h)
-        assert len(built) == 1
-        assert [row[:-1] for row in eliminated[-1]] == built[0]
-        diagonal += not any(x for k, x in enumerate(h.entries) if k % (h.rows + 1))
+        assert not built
+        diagonal += h.is_diagonal()
     assert 100 < diagonal < len(inputs)
 
     for pair in bench_pairs(workloads, 0):
@@ -295,6 +362,45 @@ def test_every_block_comes_from_the_one_builder(monkeypatch, workloads, inputs):
                         for c in range(len(first[0]))] for r in step]
             assert [row[:-1] for row in eliminated[0]] == product
             assert not brackets
+
+
+# -- the graded power ranks ---------------------------------------------------------
+
+def expanded(rows, labels, label):
+    """Rows over the label's columns, in order, as rows of all n columns."""
+    at = [j for j, x in enumerate(labels) if x == label]
+    out = []
+    for r in rows:
+        full = [0] * len(labels)
+        for j, x in zip(at, r):
+            full[j] = x
+        out.append(full)
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_graded_jordan_types_are_the_ungraded_ones(workloads, seed):
+    # on every certificate a raise pass checks: the classes of the
+    # h-graded powers of f and of the S-graded powers of f + psi (S = h +
+    # Z, labels the diagonal of D_h D_Z S) sum, at each power, to the
+    # dense row space, so their ranks are the dense ranks and the Jordan
+    # types the checker reads are jordan_partition's
+    calls = raise_calls(workloads, seed, "_check_raising")
+    assert len(calls) > 900
+    for h, f, Z, psi, mu, lam in calls:
+        n, (dh, hi), (dz, zi) = h.rows, h._ints, Z._ints
+        sd = [dz * x + dh * z for x, z in zip(hi[::n + 1], zi[::n + 1])]
+        for M, labels, w, partition in ((f, hi[::n + 1], 2 * dh, mu),
+                                        (f + psi, sd, 2 * dh * dz, lam)):
+            ints = M._ints[1]
+            graded = orbits._graded_row_spaces(ints, labels, w)
+            dense = orbits._power_row_spaces(ints)
+            assert len(graded) == len(dense)
+            for k, (P, R) in enumerate(zip(graded, dense), 1):
+                rows = [r for c, C in P.items() for r in expanded(C, labels, c + k * w)]
+                assert len(rows) == len(R) and Subspace(n, rows) == Subspace(n, R)
+            assert orbits._jordan_type(n, graded) == jordan_partition(M) == partition
+        assert orbits._neutral(h, f) == mu
 
 
 # -- model data's radical in the frame ------------------------------------------------

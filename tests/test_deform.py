@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from whitforge import deform, orbits
+from whitforge import deform, exactq, orbits
 from whitforge.cli import canonical_json
 from whitforge.deform import (ConditionNotMet, compar_certificate, deform_gl,
                               deform_sl, two_blocks)
@@ -342,6 +342,29 @@ def test_raising_checker_reads_only_the_ints(monkeypatch):
     checks = deform._check_raising(cert.h, cert.f, cert.Z, cert.psi,
                                    cert.mu, cert.lam)
     assert checks == cert.checks
+
+
+def test_the_raising_checker_runs_no_dense_jordan_elimination(monkeypatch):
+    # neutrality and both orbits come from graded power ranks: on every
+    # dominated pair n <= 8, each elimination the checker runs is one
+    # label class of a power of f or f + psi, narrower than n, and the
+    # dense Jordan filtration is never built
+    certs = [deform_gl(mu, lam) for mu, lam in _dominated_pairs(8)]
+    widths, real = [], exactq._echelon
+
+    def echelon(rows, det=False):
+        widths.append(len(rows[0]) if rows else 0)
+        return real(rows, det)
+
+    def dense(M):
+        raise AssertionError("the checker built the dense Jordan filtration")
+    monkeypatch.setattr(exactq, "_echelon", echelon)
+    monkeypatch.setattr(orbits, "_power_row_spaces", dense)
+    for c in certs:
+        widths.clear()
+        deform._check_raising(c.h, c.f, c.Z, c.psi, c.mu, c.lam)
+        assert all(w < c.n for w in widths), (c.mu, c.lam)
+    assert max(c.n for c in certs) == 8
 
 
 def test_raising_certificates_build_no_fraction_entries(monkeypatch):

@@ -7,13 +7,15 @@ import random
 import sys
 from collections import Counter
 from fractions import Fraction
+from itertools import product
+from operator import add
 
 import pytest
 
 from whitforge import exactq, whitpair
 from whitforge.errors import VerificationError
-from whitforge.exactq import QMatrix, Subspace
-from whitforge.whitpair import WhittakerPair, chain
+from whitforge.exactq import QMatrix, Subspace, _bracket
+from whitforge.whitpair import WhittakerPair, WhittakerTriple, chain, quasi_model_data
 
 import clause_oracle
 from conftest import E, random_whittaker_pair
@@ -88,12 +90,33 @@ def weight_test(bg, A, target):
     return whitpair._weight_test(bg, A, lambda w: target.get(w) is FULL)
 
 
+def frame_brackets(g, A, B, decided):
+    """(w, [X, Y] over the cells of w) for X and Y basis vectors of a piece
+    of A and of a piece of B, where [A_p, B_q] lies in weight w = p + q:
+    skipped when w has no cells or decided(w) says that all of w lies in
+    the target.  whitpair formed the brackets of [u, z] <= k so, before
+    the grading decided that clause too (`whitpair._weight_test`)."""
+    n = len(g.labels)
+
+    def flat(w, piece):
+        return [[(i * n + j, c) for (i, j), c in terms]
+                for terms in whitpair._terms(g, w, piece)]
+    for p, P in A.items():
+        for q, Q in B.items():
+            w = tuple(map(add, p, q))
+            if w not in g._cells or decided(w):
+                continue
+            for X, Y in product(flat(p, P), flat(q, Q)):
+                out = _bracket(X, Y, n)
+                yield w, [out[i * n + j] for i, j in g._cells[w]]
+
+
 def frame_brackets_within(bg, A, B, target):
-    """[A, B] <= target through `_frame_brackets`' product form: every
+    """[A, B] <= target through `frame_brackets`' product form: every
     bracket whose weight target does not hold whole, tested against
     target's piece of that weight."""
     return all(whitpair._within(bg, {w: [y]}, target) for w, y in
-               whitpair._frame_brackets(bg, A, B, lambda w: target.get(w) is FULL))
+               frame_brackets(bg, A, B, lambda w: target.get(w) is FULL))
 
 
 def compare_clauses(pair, outcomes, all_pairs=True):
@@ -102,7 +125,7 @@ def compare_clauses(pair, outcomes, all_pairs=True):
     l_t, r_t, u_t and w_t, at each node; the inclusion, the direct sum and
     the brackets [l, l] <= r, [r, r] <= v and [u, r] <= v for consecutive
     nodes, or for every ordered pair of distinct nodes (where the clauses
-    may fail) when all_pairs.  The brackets are formed by `_frame_brackets`;
+    may fail) when all_pairs.  The brackets are formed by `frame_brackets`;
     the weight tests of [l, l] <= r and [r, r] <= v hold on consecutive
     nodes, and where one holds on any pair, the oracle's containment holds
     too.  Returns the frame piece of m."""
@@ -153,13 +176,13 @@ def test_graded_clauses_match_the_oracle_on_the_benchmark_chains(monkeypatch, wo
     # ordered pair of nodes: both verdicts occur for every clause and
     # weight test but the radical and the isotropy of l and r, which hold
     # at every node
-    outcomes, real, brackets = Counter(), whitpair._frame_brackets, []
+    outcomes, real, brackets = Counter(), frame_brackets, []
 
     def counted(g, A, B, decided):
         for out in real(g, A, B, decided):
             brackets.append(1)
             yield out
-    monkeypatch.setattr(whitpair, "_frame_brackets", counted)
+    monkeypatch.setattr(sys.modules[__name__], "frame_brackets", counted)
     for seed in (0, 3):
         for pair in bench_pairs(workloads, seed):
             compare_clauses(pair, outcomes)
@@ -221,7 +244,7 @@ def test_consecutive_nodes_leave_no_bracket_of_l_or_r_open(monkeypatch):
     # decides every weight of [l_T, l_T] <= r_t and of [r_t, r_t] <= v_T,
     # on seeded chains with n <= 12: chain()'s two weight tests per step
     # pass, deciding over 500 target weights each (673 and 567), and
-    # `_frame_brackets`' product form, which skips the weights the target
+    # `frame_brackets`' product form, which skips the weights the target
     # holds whole, leaves no bracket to form
     rng = random.Random("frame:lemma")
     real, decided = whitpair._weight_test, []
@@ -243,7 +266,7 @@ def test_consecutive_nodes_leave_no_bracket_of_l_or_r_open(monkeypatch):
                      for t in cert.nodes]
             for prev, cur in zip(nodes, nodes[1:]):
                 for A, target in ((cur.l, prev.r), (prev.r, cur.v)):
-                    assert not list(whitpair._frame_brackets(
+                    assert not list(frame_brackets(
                         bg, A, A, lambda w: target.get(w) is FULL))
     # chain() tests [l, l] <= r, then [r, r] <= v, at each step
     assert min(sum(decided[0::2]), sum(decided[1::2])) > 500
@@ -401,8 +424,33 @@ def test_a_null_trace_pairing_fails_the_obstruction_pairing(monkeypatch):
         chain(glsame_pair())
 
 
+def test_the_u_z_weight_test_agrees_with_the_brackets():
+    # quasi_model_data decides [u, z] <= k by the grading; on seeded
+    # triples, f' a random sum of frame cells of S-weight > -2, every
+    # bracket of a piece of u with a piece of z lies in z and pairs to 0
+    # with f + f', and the standard-coordinate oracle finds [u, z] <= k.
+    # Brackets of weight 2, which f pairs with, occur: there z_1 lies in
+    # g^f, as `_radical_is` has checked
+    rng = random.Random("frame:uz")
+    seen = Counter()
+    for _ in range(30):
+        pair = random_whittaker_pair(rng.randint(2, 6), rng)
+        g, n = pair.grading, pair.n
+        cells = [ij for w, cs in g._cells.items() if w[0] > -2 * g.L for ij in cs]
+        fp = g.unframe([(rng.choice(cells), rng.randint(-2, 2)) for _ in range(3)])
+        out = quasi_model_data(WhittakerTriple(pair, fp))
+        up, zp = whitpair._radical_split(g, pair.f, AssertionError())[3:]
+        Tk = g.frame(pair.f + fp)[1]
+        for w, y in frame_brackets(g, up, zp, lambda w: False):
+            seen[w == (2 * g.L,)] += 1
+            assert whitpair._within(g, {w: [y]}, zp)
+            assert not sum(Tk[j * n + i] * c for (i, j), c in zip(g._cells[w], y))
+        assert clause_oracle.brackets_within(out["u"], out["z"], out["k"])
+    assert seen[True] and seen[False]
+
+
 def test_frame_bracket_is_the_bracket():
-    # [X, Y] of frame matrices from their terms, as `_frame_brackets` forms
+    # [X, Y] of frame matrices from their terms, as `frame_brackets` forms
     # it for a piece {X} of A and {Y} of B, against the product of the
     # matrices; in the grading by 0 every cell has weight 0, in row-major
     # order
@@ -414,7 +462,7 @@ def test_frame_bracket_is_the_bracket():
         A, B = (sum((E(n, i + 1, j + 1, c) for (i, j), c in terms), QMatrix.zeros(n))
                 for terms in (X, Y))
         g = exactq.grading(QMatrix.zeros(n))
-        ((w, out),) = whitpair._frame_brackets(
+        ((w, out),) = frame_brackets(
             g, {(0,): [[int(x) for x in A.entries]]}, {(0,): [[int(x) for x in B.entries]]},
             lambda w: False)
         assert w == (0,) and g._cells[w] == [(i, j) for i in range(n) for j in range(n)]

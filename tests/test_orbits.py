@@ -56,6 +56,16 @@ def test_jordan_partition_rejects_non_nilpotent():
         jordan_partition(QMatrix.identity(2))
 
 
+def test_graded_power_ranks_refuse_an_entry_of_another_weight():
+    # J_3 has weight -2 in the labels (2, 0, -2) of h_3; E_11 has weight 0
+    # there, in a row whose class block would not see it
+    M = (J_eta((3,)) + E(3, 1, 1))._ints[1]
+    with pytest.raises(InternalCheckFailure, match="has not the weight -2"):
+        orbits._graded_row_spaces(M, [2, 0, -2], 2)
+    assert orbits._graded_row_spaces(J_eta((3,))._ints[1], [2, 0, -2], 2) == \
+        [{0: [[1]], -2: [[1]]}, {-2: [[1]]}, {}]
+
+
 # rank sequences of the powers that stall above 0
 STALLED = {
     "invertible": QMatrix.identity(3),

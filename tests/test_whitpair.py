@@ -230,25 +230,36 @@ def test_neutral_characterizations_agree_on_fractional_pairs():
 
 
 @pytest.mark.parametrize("shift", [0, Fraction(1, 2)])
-def test_is_neutral_pair_eliminates_only_the_weight_two_columns(monkeypatch, shift):
-    # for a diagonal h the one elimination is the weight-2 block of ad f in
-    # the coordinate frame: one row per weight-0 target cell (h_aa = h_bb),
-    # one column per weight-2 cell [f, E_ab] (h_aa - h_bb = 2) and the
-    # right-hand side, and no other; a scalar shift keeps those cells
+def test_is_neutral_pair_eliminates_only_the_graded_power_blocks(monkeypatch, shift):
+    # for a diagonal h the eliminations are the label classes of the powers
+    # of f in the coordinate frame: at power k one per label c whose rows of
+    # f^(k-1) are nonzero and with c + 2k a label, a row per Jordan block
+    # through c and c + 2(k-1) (every label-c row at k = 1) and a column
+    # per label-(c + 2k) cell, none of all n columns; a half-integer shift
+    # makes h not neutral, and nothing is eliminated
     eta = (4, 3, 1)
     f, h = J_eta(eta), h_eta(eta) + QMatrix.diag([shift] * 8)
-    d = [h[a, a] for a in range(8)]
-    weight_two = sum(1 for a in d for b in d if a - b == 2)
-    weight_zero = sum(1 for a in d for b in d if a == b)
+    dims = Counter(k - 1 - 2 * i for k in eta for i in range(k))
+
+    def through(c, k):
+        return sum(1 for s in eta if 1 - s <= c and c + 2 * k <= s - 1
+                   and (s - 1 - c) % 2 == 0)
+    expected = Counter()
+    for k in range(1, max(eta) + 1):
+        for c in list(dims):
+            rows = dims[c] if k == 1 else through(c, k - 1)
+            if rows and dims[c + 2 * k]:
+                expected[rows, dims[c + 2 * k]] += 1
     calls = []
     real = exactq._echelon
 
     def counting(rows):
-        calls.append((len(rows), {len(r) for r in rows}))
+        calls.append((len(rows), len(rows[0])))
         return real(rows)
     monkeypatch.setattr(exactq, "_echelon", counting)
     assert is_neutral_pair(h, f) is (shift == 0)
-    assert calls == [(weight_zero, {weight_two + 1})]
+    assert Counter(calls) == (expected if shift == 0 else Counter())
+    assert sum(expected.values()) > 5 and max(w for _, w in expected) == 2
 
 
 # -- bigrading -------------------------------------------------------------------
@@ -539,28 +550,19 @@ def test_chain_refines_the_pair_grading_once(monkeypatch):
 
 def _bracket_failing_at(monkeypatch, call):
     """Make the call-th bracket check of whitpair fail, counting one per
-    bracket containment in the order they run, each a `_weight_test` or a
-    `_frame_brackets`.  That weight test reads its space as all of gl_n,
-    whose [A, A] reaches every weight: weight 0, which no target of
-    positive weight holds, and each weight a nonzero f' pairs with.  Those
-    frame brackets yield the identity, of weight 0 in the frame, which lies
-    in no subspace of positive weight."""
-    real_test, real_brackets, calls = whitpair._weight_test, whitpair._frame_brackets, []
+    bracket containment in the order they run, each a `_weight_test`.
+    That weight test reads its first space as all of gl_n, whose bracket
+    with any nonzero space reaches weight 0, which no target of positive
+    weight holds, and whose [A, A] reaches each weight a nonzero f' pairs
+    with."""
+    real_test, calls = whitpair._weight_test, []
 
-    def faulty_test(g, A, holds):
+    def faulty_test(g, A, holds, B=None):
         calls.append(1)
         if len(calls) - 1 == call:
             A = {w: whitpair._FULL for w in g._cells}
-        return real_test(g, A, holds)
-
-    def faulty_brackets(g, A, B, decided):
-        calls.append(1)
-        if len(calls) - 1 == call:
-            zero = tuple(0 for _ in g.labels[0])
-            return iter([(zero, [int(i == j) for i, j in g._cells[zero]])])
-        return real_brackets(g, A, B, decided)
+        return real_test(g, A, holds, B)
     monkeypatch.setattr(whitpair, "_weight_test", faulty_test)
-    monkeypatch.setattr(whitpair, "_frame_brackets", faulty_brackets)
 
 
 @pytest.mark.parametrize("call, clause", [(0, r"\[l_1/4, l_1/4\] <= r_0 "),
@@ -714,8 +716,8 @@ def test_quasi_model_gl4_example():
                                           (1, r"\[u, z\] <= k"),
                                           (2, r"phi' does not vanish on \[u, u\]")])
 def test_quasi_model_shape_failures_name_their_clause(monkeypatch, call, clause):
-    # the weight test of [u, u] <= z, the brackets of [u, z] <= k, and the
-    # weight test of phi' on [u, u], in that order
+    # the weight tests of [u, u] <= z, of [u, z] <= k and of phi' on
+    # [u, u], in that order
     _bracket_failing_at(monkeypatch, call)
     triple = WhittakerTriple(WhittakerPair(4, QMatrix.diag([1, -1, 4, 2]),
                                            E(4, 2, 1) + E(4, 4, 3)), E(4, 1, 4))
