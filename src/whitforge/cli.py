@@ -20,6 +20,10 @@ from .errors import MathError, ParseError
 from .exactq import QMatrix, rat_parse, rat_str
 
 FIXTURE_ENV = "WHITFORGE_FIXTURE_DIR"
+# the largest matrix size an input may name (an E-notation index, a
+# diag(...) length, --n, a document's n or a raising verb's |mu|): a larger
+# one is a ParseError before anything allocates its n^2 entries
+MAX_MATRIX_SIZE = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -41,9 +45,11 @@ def parse_matrix_spec(spec, n=None):
     E-notation text.  Dense input that is not valid JSON or not square is a
     ParseError.  A given size n is the size: a dense matrix of another shape,
     an index past n and a diag(...) of another length are ParseErrors.
-    Without n, E-notation takes the largest index or diag(...) length."""
+    Without n, E-notation takes the largest index or diag(...) length.  A
+    size above MAX_MATRIX_SIZE is a ParseError."""
     if n is not None and (type(n) is not int or n < 1):
         raise ParseError(f"matrix size n must be a positive integer, got {n!r}")
+    _within_bound(n or 0)
     if isinstance(spec, QMatrix):
         return spec
     if isinstance(spec, str) and spec.strip().startswith("["):
@@ -84,6 +90,7 @@ def parse_matrix_spec(spec, n=None):
                      for kind, _, p in terms if kind != "zero"], default=0)
     if not size:
         raise ParseError(f"cannot infer size of {text!r}; pass n")
+    _within_bound(size)
     out = QMatrix.zeros(size)
     for kind, coef, payload in terms:
         if kind == "diag":
@@ -96,6 +103,11 @@ def parse_matrix_spec(spec, n=None):
                 raise ParseError(f"E{{{i},{j}}} is out of range for n = {size}")
             out = out + QMatrix.elementary(size, i, j, coef)
     return out
+
+
+def _within_bound(size):
+    if size > MAX_MATRIX_SIZE:
+        raise ParseError(f"matrix size {size} is above the bound {MAX_MATRIX_SIZE}")
 
 
 def parse_partition(text):
@@ -223,22 +235,26 @@ def cmd_model_data(args):
             for name, sp in sorted(data.items())}
 
 
+def _raising_pair(args):
+    """A raising verb's mu and lambda; their matrices have size |mu|."""
+    mu, lam = parse_partition(args.mu), parse_partition(args.lam)
+    _within_bound(max(sum(mu), sum(lam)))
+    return mu, lam
+
+
 def cmd_deform_gl(args):
-    cert = deform.deform_gl(parse_partition(args.mu), parse_partition(args.lam))
-    return cert.to_json()
+    return deform.deform_gl(*_raising_pair(args)).to_json()
 
 
 def cmd_deform_sl(args):
-    res = deform.deform_sl(parse_partition(args.mu), parse_partition(args.lam),
-                           rat_parse(args.a), rat_parse(args.b))
+    res = deform.deform_sl(*_raising_pair(args), rat_parse(args.a), rat_parse(args.b))
     if isinstance(res, deform.ConditionNotMet):
         return MathRejection(res.to_json())
     return res.to_json()
 
 
 def cmd_compar(args):
-    return deform.compar_certificate(
-        parse_partition(args.mu), parse_partition(args.lam)).to_json()
+    return deform.compar_certificate(*_raising_pair(args)).to_json()
 
 
 class MathRejection:

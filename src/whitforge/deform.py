@@ -18,11 +18,14 @@ action of J_eta off eta by index.  _matrices is the one place that turns
 raising path ends in one checker, _check_raising, which reads the int
 scaling each of h, Z, f and psi holds and runs every clause on those
 ints: each ad(h)-, ad(Z)- and ad(h+Z)-weight of f and psi comes from the
-int diagonals of h and Z, (h, f) goes to the int core of
-orbits.is_neutral_pair, the one neutrality test, which also gives f's
+int diagonals of h and Z, h's diagonal and f's ints go to the rank test
+of orbits.is_neutral_pair, the one neutrality test, which also gives f's
 Jordan type, and f + psi has its Jordan type read off the ranks of its
 powers graded by h + Z, so no dense Jordan elimination runs; violations
 raise InternalCheckFailure naming the clause and are never expected.
+deform_sl reads its SL classes off checked Jordan bases grown from the
+builder's chain tops (orbits._chain_basis), so no chain search runs on
+the raising path.
 """
 
 import math
@@ -32,9 +35,9 @@ from itertools import accumulate
 
 from .errors import InternalCheckFailure, NotDominated, PreconditionViolation
 from .exactq import QMatrix, rat_str
-from .orbits import (J_eta, _graded_row_spaces, _jordan_type, _neutral, _twist,
-                     h_eta, is_dth_power, power_class, rational_dth_root,
-                     sl_class)
+from .orbits import (J_eta, _chain_basis, _graded_row_spaces, _jordan_type,
+                     _lefschetz, _twist, h_eta, is_dth_power, power_class,
+                     rational_dth_root)
 from .partitions import (_dominated, _of_one_size, as_partition, dominance_leq,
                          lemma_part_index)
 
@@ -232,9 +235,10 @@ def _check_raising(h, f, Z, psi, mu, lam):
     oracle for the two orbits).  Every clause runs on the ints of D_M M
     each matrix M holds (D_M the lcm of its denominators): the ad-weights
     come from the diagonals of D_h h and D_Z Z at the nonzero entries of f
-    and psi, scaled by D_h or D_h D_Z.  (h, f) goes to orbits._neutral,
-    the one neutrality test, whose graded power ranks of f also give f's
-    Jordan type; f + psi, formed over lcm(D_f, D_psi), has weight -2 in
+    and psi, scaled by D_h or D_h D_Z.  Once f_h_weight_minus_two has
+    shown [h, f] = -2f, h's diagonal (integers iff D_h = 1) and D_f f go to
+    orbits._lefschetz, the rank test of the one neutrality test, whose
+    graded power ranks of f also give f's Jordan type; f + psi, formed over lcm(D_f, D_psi), has weight -2 in
     S = h + Z, so its Jordan type comes from the ranks of its powers
     graded by the diagonal of D_h D_Z S.  Returns the checks record, one
     entry per clause."""
@@ -255,7 +259,7 @@ def _check_raising(h, f, Z, psi, mu, lam):
              _ad_weights(sd, psi_at) <= {-2 * dh * dz})):
         if not holds:
             raise InternalCheckFailure(f"{clause} fails")
-    source = _neutral(h, f)
+    source = _lefschetz(hd, fi) if dh == 1 else None
     if source is None:
         raise InternalCheckFailure("neutral_pair: (h, f) is not a neutral pair")
     if source != mu:
@@ -282,20 +286,14 @@ def deform_gl(mu, lam):
                                   _check_raising(h, f, Z, psi, mu, lam))
 
 
-def d_of(lam):
-    return math.gcd(*lam)
-
-
-def _conjugate_cert(cert, delta):
-    """h, f, Z and psi conjugated by diag(delta, 1, ..., 1)."""
-    return tuple(_twist(M, delta) for M in (cert.h, cert.f, cert.Z, cert.psi))
-
-
 def deform_sl(mu, lam, a, b):
     """SL_n variant: raise the class-b mu-orbit into the class-a lambda-orbit.
     Returns ConditionNotMet(d, class) when a/b is not a d-th power,
     d = gcd(d(lambda), d(mu)); otherwise a verified certificate whose source
-    and target SL classes are b and a."""
+    and target SL classes are b and a, each read off a checked Jordan basis
+    (orbits._chain_basis): f + psi's from the builder's chain tops, f's from
+    eta's block starts, and the conjugate's by T = diag(delta, 1, ..., 1)
+    from those times T (T N T^{-1} T B = T B J if N B = B J)."""
     mu, lam = as_partition(mu), as_partition(lam)
     a, b = Fraction(a), Fraction(b)
     if a == 0 or b == 0:
@@ -304,12 +302,14 @@ def deform_sl(mu, lam, a, b):
         raise PreconditionViolation("empty mu or lambda: d = gcd() is undefined")
     if not dominance_leq(mu, lam):
         raise NotDominated(f"{mu} is not dominated by {lam}")
-    dl, dm = d_of(lam), d_of(mu)
+    dl, dm = math.gcd(*lam), math.gcd(*mu)
     d = math.gcd(dl, dm)
     u = rational_dth_root(a / b, d)
     if u is None:
         return ConditionNotMet(d, power_class(a / b, d))
-    base = deform_gl(mu, lam)
+    eta, Z, psi, tops = _build(mu, lam)
+    h, f, Z, psi = _matrices(eta, Z, psi)
+    _check_raising(h, f, Z, psi, mu, lam)
     # normalize a, b to a common c (Bezout exponents on d = x dl + y dm)
     g, x, _ = _ext_gcd(dl, dm)
     if g != d:
@@ -319,24 +319,28 @@ def deform_sl(mu, lam, a, b):
         raise InternalCheckFailure(
             "normalized class c is not a d(lambda)-th power over a "
             "and a d(mu)-th power over b")
-    s_lam = sl_class(base.f + base.psi)
-    s_mu = sl_class(base.f)
-    rho = rational_dth_root(s_mu.a_class / s_lam.a_class, d)
+    bases = (([(k, v, 1) for k, v in tops], dl, a, "target"),
+             ([(k, [int(i == j) for i in range(f.rows)], 1)
+               for k, j in zip(eta, accumulate(eta, initial=0))], dm, b, "source"))
+    s_lam, s_mu = (power_class(_chain_basis(N, t)[1], e)
+                   for N, (t, e, *_) in zip((f + psi, f), bases))
+    rho = rational_dth_root(s_mu / s_lam, d)
     if rho is None:
         raise InternalCheckFailure(
             "source/target classes of the gl certificate differ by a non-d-th power")
     # delta multiplies both classes; land them on c modulo the proper powers
-    delta = (c / s_lam.a_class) * rho ** (-x * dl)
-    h2, f2, Z2, psi2 = _conjugate_cert(base, delta)
+    delta = (c / s_lam) * rho ** (-x * dl)
+    h, f, Z, psi = (_twist(M, delta) for M in (h, f, Z, psi))
     # conjugating by a diagonal matrix keeps h and Z diagonal: re-run the checker
-    checks = _check_raising(h2, f2, Z2, psi2, mu, lam)
-    if not is_dth_power(sl_class(f2 + psi2).a_class / a, dl):
-        raise InternalCheckFailure("target SL class mismatch")
-    if not is_dth_power(sl_class(f2).a_class / b, dm):
-        raise InternalCheckFailure("source SL class mismatch")
+    checks = _check_raising(h, f, Z, psi, mu, lam)
+    p, q = delta.numerator, delta.denominator
+    for N, (t, e, cls, side) in zip((f + psi, f), bases):
+        moved = [(k, [p * v[0]] + [q * y for y in v[1:]], s * q) for k, v, s in t]
+        if not is_dth_power(_chain_basis(N, moved)[1] / cls, e):
+            raise InternalCheckFailure(f"{side} SL class mismatch")
     checks["sl_class_source"] = rat_str(power_class(b, dm))
     checks["sl_class_target"] = rat_str(power_class(a, dl))
-    return DeformationCertificate(base.n, h2, f2, Z2, psi2, mu, lam, checks)
+    return DeformationCertificate(f.rows, h, f, Z, psi, mu, lam, checks)
 
 
 def _ext_gcd(a, b):

@@ -2,6 +2,14 @@
 classification, conjugators to the standard lower-triangular representatives,
 sl2-triple completion, neutral elements, and the scalar power-class invariant
 that separates SL_n-orbits inside a GL_n-orbit.
+
+Every Jordan basis the module hands out passes one check, `_chain_basis`:
+each chain, grown from its top by N's int action, ends at its length, and
+det B != 0.  `_conjugator` feeds it the tops of the chain search
+`_int_chains` (behind `jordan_chain_basis`, `jordan_conjugator`,
+`neutral_for` and `sl_class`), and `deform_sl` feeds it the raising
+builder's tops, so no chain search runs on the raising path.  Neutrality
+is one rank test, `_lefschetz`, on the powers of f graded by h.
 """
 
 import functools
@@ -84,15 +92,6 @@ def J_eta_a(eta, a):
 
 # ---------------------------------------------------------------------------
 # jordan classification
-
-
-def _power_row_spaces(M):
-    """The row spaces R(N), R(N^2), ..., R(N^L) of the powers of a nilpotent
-    N, as echelon int rows, for M the flat int entries of D N, D the lcm of
-    N's denominators: the one-label case of `_graded_row_spaces`.  They are
-    the Jordan filtration: ker N^k is the orthogonal complement of R(N^k)."""
-    n = math.isqrt(len(M))
-    return [P.get(0, []) for P in _graded_row_spaces(M, [0] * n, 0)]
 
 
 def _graded_row_spaces(M, labels, w):
@@ -186,32 +185,32 @@ def jordan_chain_basis(N):
     found by extending echelon bases of the kernel filtration ker N^k (the
     orthogonal complements of the row spaces R(N^k)) in fixed coordinate
     order.  The choice in another frame R is the chains of R N R^{-1}
-    mapped back by R^{-1}.  The chains of `_int_chains`, each vector w
-    over its scale s made Fractions, w / s."""
-    return [[[Fraction(x, s) for x in w] for w, s in chain]
-            for chain in _int_chains(N)]
+    mapped back by R^{-1}.  The chains of the checked `_chain_basis` of
+    `_int_chains`' tops, each vector w over its scale s made Fractions."""
+    lam, cols, _ = _conjugator(N)
+    vectors = iter([Fraction(x, s) for x in w] for w, s in cols)
+    return [list(itertools.islice(vectors, k)) for k in lam]
 
 
 def _int_chains(N):
-    """`jordan_chain_basis` in ints: each chain as (w, s) pairs, the
-    vector N^k v = w / s.  The search runs on int rows: a top is an int
-    echelon row D_K v of its kernel (D_K the rows' common denominator) and
-    its chain D_K (D N)^k v, so s = D_K D^k, D the lcm of N's denominators.
-    A row v of ker N^ell tops a chain of length ell when it lies outside
-    ker N^(ell-1), the tails of the longer chains and the rows before it;
-    the tail of its own chain lies in ker N^(ell-1), so the chains of one
-    length add only their tops, and all of them are read off one
-    elimination: the pivot columns of the matrix with those vectors as
-    columns, in that order.  The kernel dimensions give the
-    number of chains of each length ell, (dim K_ell - dim K_(ell-1)) -
-    (dim K_(ell+1) - dim K_ell), so a length no chain has is skipped, and
-    an elimination that finds another number of tops is an internal
-    fault."""
+    """The chain tops of `jordan_chain_basis` in ints, longest first, as
+    (length, w, s) for the top w / s.  The search runs on int rows: a top
+    is an int echelon row D_K v of its kernel (D_K the rows' common
+    denominator) and its chain D_K (D N)^k v, D the lcm of N's
+    denominators.  A row v of ker N^ell tops a chain of length ell when it
+    lies outside ker N^(ell-1), the tails of the longer chains and the rows
+    before it; the tail of its own chain lies in ker N^(ell-1), so the
+    chains of one length add only their tops, and all of them are read off
+    one elimination: the pivot columns of the matrix with those vectors as
+    columns, in that order.  The kernel dimensions give the number of
+    chains of each length ell, (dim K_ell - dim K_(ell-1)) - (dim K_(ell+1)
+    - dim K_ell), so a length no chain has is skipped, and an elimination
+    that finds another number of tops is an internal fault."""
     n = N.rows
-    kernels = [Subspace(n)] + [Subspace(n, R).orthogonal()
-                               for R in _power_row_spaces(_square_ints(N)[1])]
+    rows = _graded_row_spaces(_square_ints(N)[1], [0] * n, 0)
+    kernels = [Subspace(n)] + [Subspace(n, P.get(0, [])).orthogonal() for P in rows]
     dims = [K.dim for K in kernels] + [n]
-    D, times_n = _int_action(N)
+    times_n = _int_action(N)[1]
     chains = []
     tails = []              # the int chain vectors below each top found
     for ell in range(len(kernels) - 1, 0, -1):
@@ -227,13 +226,11 @@ def _int_chains(N):
             raise InternalCheckFailure(
                 f"jordan chain basis: {len(tops)} chain tops of length {ell}, not {count}")
         for i in tops:
-            chain = [gens[i]]
+            v = gens[i]
+            chains.append((ell, v, K._den))
             for _ in range(ell - 1):
-                chain.append(times_n(chain[-1]))
-            tails += chain[1:]
-            chains.append([(w, K._den * D ** k) for k, w in enumerate(chain)])
-    if sum(len(c) for c in chains) != n:
-        raise InternalCheckFailure("jordan chain basis: chain lengths do not sum to n")
+                v = times_n(v)
+                tails.append(v)
     return chains
 
 
@@ -244,33 +241,44 @@ def jordan_conjugator(N, eta):
 
 
 def _conjugator(N, eta=None):
-    """(lam, cols, det B): the Jordan type lam of N, read off the chain
-    lengths of one `_int_chains`, the chains in the order eta lists their
-    lengths (eta = lam when not given) as the columns w / s of B, given as
-    (w, s) pairs, and det B.  g = B^{-1} has g N g^{-1} = J_eta: N B =
-    B J_eta is checked in ints, s_(j+1) D N w_j = D s_j w_(j+1) down each
-    chain and D N w = 0 at its end (D the lcm of N's denominators), and
-    det B = det(B_int) / prod s != 0, from one `_echelon` of the w."""
-    chains = _int_chains(N)
-    lam = tuple(sorted((len(ch) for ch in chains), reverse=True))
+    """(lam, cols, det B): the Jordan type lam of N off the lengths of one
+    `_int_chains`, and the `_chain_basis` B grown from its tops in the
+    order eta lists the lengths (eta = lam when not given), so g = B^{-1}
+    has g N g^{-1} = J_eta."""
+    tops = _int_chains(N)
+    lam = tuple(k for k, _, _ in tops)
     eta = lam if eta is None else eta
     if tuple(sorted(eta, reverse=True)) != lam:
         raise WrongPartition(f"jordan type is {lam}, not {tuple(sorted(eta, reverse=True))}")
-    pool = {}
-    for ch in chains:
-        pool.setdefault(len(ch), []).append(ch)
-    cols = []
+    order = sorted(range(len(eta)), key=lambda i: -eta[i])  # eta's blocks by rank
+    by_block = dict(zip(order, tops))
+    return (lam, *_chain_basis(N, [by_block[i] for i in range(len(eta))]))
+
+
+def _chain_basis(N, tops):
+    """(cols, det B) for the Jordan basis B of N grown from chain tops
+    (length, v, s): chain column k is the pair ((D N)^k v, s D^k), D the
+    lcm of N's denominators.  The jordan_basis clause checks in ints that
+    each chain ends at its length and that det B != 0 (one `_echelon` of
+    the n columns), so N B = B J_eta, eta the lengths.  det B modulo d-th
+    powers, d the gcd of the lengths, is `sl_class`'s class for any such
+    B: scaling a chain of length l by c scales det B by c^l, and d | l;
+    swapping blocks of lengths l, l' by (-1)^(l l'), 1 for d even, +-1 =
+    (+-1)^d for d odd; and two bases of one ordered type differ by some c
+    in J_eta's centralizer, det c = prod_l det(A_l)^l, a d-th power."""
     D, times_n = _int_action(N)
-    for k in eta:
-        chain = pool[k].pop(0)
-        for (w, s), (w1, s1) in zip(chain, chain[1:] + [([0] * N.rows, 1)]):
-            if [s1 * x for x in times_n(w)] != [D * s * x for x in w1]:
-                raise InternalCheckFailure("jordan conjugator: N B = B J_eta fails")
-        cols += chain
-    det = exactq._echelon([w for w, _ in cols], det=True)[2]
+    cols = []
+    for length, v, s in tops:
+        for k in range(length):
+            cols.append((v, s * D ** k))
+            v = times_n(v)
+        if any(v):
+            raise InternalCheckFailure(
+                f"jordan_basis: a chain of length {length} does not end there")
+    det = len(cols) == N.rows and exactq._echelon([w for w, _ in cols], det=True)[2]
     if not det:
-        raise InternalCheckFailure("jordan conjugator: the chain basis is singular")
-    return lam, cols, det / math.prod(s for _, s in cols)
+        raise InternalCheckFailure("jordan_basis: the chains do not form a basis")
+    return cols, det / math.prod(s for _, s in cols)
 
 
 def _basis_matrix(cols):
@@ -351,21 +359,11 @@ def is_neutral_pair(h, f):
 def _neutral(h, f):
     """`is_neutral_pair` for h and f square of one size, on their ints
     hi = D_h h and fi = D_f f (D the lcm of a matrix's denominators): f's
-    Jordan type when (h, f) is neutral, else None.  Once [h, f] = -2f, that
-    is the hard Lefschetz form of Jacobson-Morozov: h is semisimple with
-    integer eigenvalues and, V_k its k-eigenspace, f^k maps V_k onto V_-k
-    isomorphically for every k > 0.  It is read in a frame labelled by h's
-    eigenvalues, the coordinate frame for a diagonal h (labels the diagonal
-    of hi, integers iff D_h = 1) or else grading(h)'s (labels L times the
-    eigenvalues, integers iff L = 1; NotRationalSplit means not neutral):
-    f^k's block from V_k to V_-k is its label -k rows, whose ranks, and
-    f's Jordan type, come from one `_graded_row_spaces`.
-    An sl2-triple meets the test.  Conversely, let P_k = V_k cap
-    ker f^(k+1) for k >= 0; f^(k+2) maps V_(k+2) onto V_-(k+2) injectively,
-    so V_k = P_k (+) f V_(k+2), Q^n is the direct sum of the strings p,
-    f p, ..., f^k p (p in a basis of P_k, f^k p != 0), and e, defined on
-    each as on the irreducible sl2-module of dimension k + 1, completes
-    (h, f)."""
+    Jordan type when (h, f) is neutral, else None.  Once [h, f] = -2f, the
+    `_lefschetz` test decides, in a frame labelled by h's eigenvalues: the
+    coordinate frame for a diagonal h (labels the diagonal of hi, integers
+    iff D_h = 1) or else grading(h)'s (labels L times the eigenvalues,
+    integers iff L = 1; NotRationalSplit means not neutral)."""
     n, (dh, hi), fi = f.rows, h._ints, f._ints[1]
     if _bracket(enumerate(hi), enumerate(fi), n) != [-2 * dh * x for x in fi]:
         return None
@@ -377,15 +375,30 @@ def _neutral(h, f):
         except NotRationalSplit:
             return None
         d, T, L = [x for x, in g.labels], g.frame(f)[1], g.L
-    if L != 1:
-        return None
+    return _lefschetz(d, T) if L == 1 else None
+
+
+def _lefschetz(d, T):
+    """The hard Lefschetz form of Jacobson-Morozov for a pair (h, f) with
+    [h, f] = -2f, read in a frame where h is the diagonal of the ints d and
+    f has the frame ints T: f's Jordan type when (h, f) is neutral, else
+    None.  (h, f) is neutral iff, V_k the k-eigenspace of h, f^k maps V_k
+    onto V_-k isomorphically for every k > 0.  f^k's block from V_k to V_-k
+    is its label -k rows, whose ranks, and f's Jordan type, come from one
+    `_graded_row_spaces`.
+    An sl2-triple meets the test.  Conversely, let P_k = V_k cap
+    ker f^(k+1) for k >= 0; f^(k+2) maps V_(k+2) onto V_-(k+2) injectively,
+    so V_k = P_k (+) f V_(k+2), Q^n is the direct sum of the strings p,
+    f p, ..., f^k p (p in a basis of P_k, f^k p != 0), and e, defined on
+    each as on the irreducible sl2-module of dimension k + 1, completes
+    (h, f)."""
     spaces, dims = _graded_row_spaces(T, d, 2), Counter(d)
     for k, dim in dims.items():
         if dims[-k] != dim:
             return None
         if k > 0 and (k > len(spaces) or len(spaces[k - 1].get(-k, ())) != dim):
             return None
-    return _jordan_type(n, spaces)
+    return _jordan_type(len(d), spaces)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -6,9 +8,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from whitforge import orbits
-from whitforge.cli import build_parser, main, parse_matrix_spec, verify_fixtures
+from whitforge.cli import (MAX_MATRIX_SIZE, build_parser, main, parse_matrix_spec,
+                           verify_fixtures)
 from whitforge.errors import ParseError
 from whitforge.exactq import QMatrix
 
@@ -82,12 +86,12 @@ def test_orbit_classify_cli(capsys):
 def test_orbit_classify_builds_one_kernel_filtration(capsys, monkeypatch):
     # the partition and the conjugator both come from one Jordan chain basis
     calls = []
-    real = orbits._power_row_spaces
+    real = orbits._graded_row_spaces
 
-    def counting(N):
-        calls.append(N)
-        return real(N)
-    monkeypatch.setattr(orbits, "_power_row_spaces", counting)
+    def counting(M, labels, w):
+        calls.append(M)
+        return real(M, labels, w)
+    monkeypatch.setattr(orbits, "_graded_row_spaces", counting)
     code, out, _ = run_cli(capsys, "orbit-classify", "--matrix", "E21+E43+E42")
     assert code == 0 and json.loads(out)["partition"] == [3, 1]
     assert len(calls) == 1
@@ -181,6 +185,115 @@ def _assert_parse_error(code, out, err):
         "unknown-option", "non-integer-n", "no-verb", "undeclared-option"])
 def test_malformed_arguments_are_parse_errors(capsys, argv):
     _assert_parse_error(*run_cli(capsys, *argv))
+
+
+@pytest.mark.parametrize("argv", [
+    ("orbit-classify", "--matrix", "E{100000,1}"),
+    ("pair-check", "--n", "100000", "--S", "0", "--f", "0"),
+    ("model-data", "--S", "diag(" + "1," * MAX_MATRIX_SIZE + "1)", "--f", "0"),
+    ("deform-gl", "--mu", "5000", "--lambda", "5000"),
+], ids=["e-notation-index", "option-n", "diag-length", "partition"])
+def test_oversized_matrices_are_parse_errors(capsys, argv):
+    # each would allocate n^2 entries before any other check: the size is
+    # a ParseError naming the bound, before any matrix is built
+    code, out, err = run_cli(capsys, *argv)
+    _assert_parse_error(code, out, err)
+    assert str(MAX_MATRIX_SIZE) in json.loads(err)["message"]
+
+
+def test_a_document_n_above_the_bound_is_a_parse_error(tmp_path, capsys):
+    doc = tmp_path / "pair.json"
+    doc.write_text(json.dumps({"n": 100000, "S": "0", "f": "0"}))
+    code, out, err = run_cli(capsys, "pair-check", str(doc))
+    _assert_parse_error(code, out, err)
+    assert str(MAX_MATRIX_SIZE) in json.loads(err)["message"]
+
+
+def test_sizes_up_to_the_bound_reach_the_matrix(monkeypatch):
+    # E{3000,1} is parsed: the size check lets it through to QMatrix.zeros
+    # (stopped here, so the test allocates nothing), as it does every size
+    # up to the bound
+    class Reached(Exception):
+        pass
+
+    def zeros(n, m=None):
+        raise Reached(n)
+    monkeypatch.setattr(QMatrix, "zeros", staticmethod(zeros))
+    for spec, n in (("E{3000,1}", None), ("0", MAX_MATRIX_SIZE),
+                    (f"E{{{MAX_MATRIX_SIZE},1}}", None)):
+        with pytest.raises(Reached) as reached:
+            parse_matrix_spec(spec, n)
+        assert reached.value.args == (n or int(spec[2:].split(",")[0]),)
+    with pytest.raises(ParseError, match=f"above the bound {MAX_MATRIX_SIZE}"):
+        parse_matrix_spec(f"E{{{MAX_MATRIX_SIZE + 1},1}}")
+
+
+# -- a fuzz of the CLI ---------------------------------------------------------------
+
+_FUZZ_VERBS = {
+    "orbit-classify": {"--matrix": "matrix", "--n": "n"},
+    "pair-check": {"--S": "matrix", "--f": "matrix", "--n": "n"},
+    "pair-chain": {"--S": "matrix", "--f": "matrix", "--n": "n", "--t": "rational"},
+    "model-data": {"--S": "matrix", "--f": "matrix", "--n": "n", "--f-prime": "matrix"},
+    "quasi-criticals": {"--S": "matrix", "--f": "matrix", "--n": "n", "--h": "matrix"},
+    "deform-gl": {"--mu": "partition", "--lambda": "partition"},
+    "deform-sl": {"--mu": "partition", "--lambda": "partition",
+                  "--a": "rational", "--b": "rational"},
+    "compar": {"--mu": "partition", "--lambda": "partition"},
+    "orbit-closure": {"--eta": "partition", "--gamma": "partition"},
+    "classify": {"--group": "name", "--field": "name", "--lambda": "partition"},
+}
+_FUZZ_GOOD = {
+    "matrix": ["E21", "E21+E43", "E{2,1}", "2E21", "0", "diag(1,-1)",
+               "diag(3,1,-1,-3)", "diag(3,1,-1,-3)+E21", "[[0,1],[0,0]]"],
+    "n": ["2", "4"],
+    "rational": ["1", "4", "-4", "1/2", "3"],
+    "partition": ["1", "2", "3", "4", "1,1", "2,1", "2,2", "2,1,1"],
+    "name": ["Sp", "O", "GL", "real", "padic"],
+}
+_FUZZ_MALFORMED = [
+    # bad E-notation
+    "E", "E2", "Ex1", "E{1,}", "E{0,1}", "E21++E12", "diag(", "diag(1,x)", "diag()",
+    # dense JSON: ragged, non-numeric, truncated, empty
+    "[[1,2],[3]]", '[["a"]]', '[[1,0],[0,"x"]]', "[[]]", "[1,2]", "[[1,", "[]",
+    '[["1/0"]]',
+    # rationals, sizes and partitions
+    "1/0", "nan", "inf", "", " ", "x", "-1", "0", ",", "1,2", "-1,2", "2,0", "1/2",
+]
+# sizes above the bound: indices, a diag(...) length, --n and partitions
+_FUZZ_OVERSIZED = ["E{5000,1}", "E{100000,1}", "5000", "100000", "4097,1",
+                   "diag(" + "1," * 4100 + "1)"]
+
+
+@st.composite
+def _fuzz_argv(draw):
+    """A verb (or none, or an unknown one) with each of its options present
+    or not, each value well-formed, malformed, oversized or random text."""
+    verb = draw(st.sampled_from(sorted(_FUZZ_VERBS) + ["bogus", ""]))
+    argv = [verb] if verb else []
+    for opt, kind in _FUZZ_VERBS.get(verb, {"--n": "n"}).items():
+        if draw(st.integers(0, 3)):
+            good = st.sampled_from(_FUZZ_GOOD[kind])
+            argv += [opt, draw(st.one_of(
+                good, good, st.sampled_from(_FUZZ_MALFORMED),
+                st.sampled_from(_FUZZ_OVERSIZED), st.text("E{},[]()diag0123/-+ ", max_size=6)))]
+    if not draw(st.integers(0, 7)):
+        argv += ["--bogus", "1"]
+    return argv
+
+
+@given(_fuzz_argv())
+@settings(max_examples=200, deadline=None)
+def test_every_cli_call_exits_with_a_json_error_or_a_result(argv):
+    # exit code 0, 1 or 2, never a traceback: on 1 or 2 the last stderr
+    # line is JSON with an "error" key, except deform-sl's condition not
+    # met, a result printed on stdout with exit code 2
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code and not (code == 2 and '"condition_not_met":true' in out.getvalue()):
+        assert "error" in json.loads(err.getvalue().splitlines()[-1])
 
 
 def test_an_option_value_may_start_with_a_minus(capsys):

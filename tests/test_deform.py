@@ -1,5 +1,6 @@
 import hashlib
 import math
+import os
 import random
 from fractions import Fraction
 
@@ -305,21 +306,21 @@ def test_raising_checker_names_each_failed_clause(spoil, clause):
 
 
 def test_raising_checker_uses_the_one_neutrality_test(monkeypatch):
-    # the checker hands the certificate's h and f to the int core of
-    # is_neutral_pair, and is_neutral_pair is that core once the shapes
-    # are checked
+    # the checker hands h's int diagonal and f's ints to the hard Lefschetz
+    # rank test, and is_neutral_pair is that test once the shapes, [h, f] =
+    # -2f and the frame are checked: the checker does not re-form [h, f]
     calls = []
-    core = orbits._neutral
+    core = orbits._lefschetz
 
-    def counted(h, f):
-        calls.append((h, f))
-        return core(h, f)
-    monkeypatch.setattr(deform, "_neutral", counted)
+    def counted(d, T):
+        calls.append((list(d), list(T)))
+        return core(d, T)
+    monkeypatch.setattr(deform, "_lefschetz", counted)
     cert = deform_gl((2, 2, 1), (4, 1))
-    assert [tuple(map(id, c)) for c in calls] == [(id(cert.h), id(cert.f))]
-    monkeypatch.setattr(orbits, "_neutral", counted)
+    assert calls == [(cert.h._ints[1][::cert.n + 1], cert.f._ints[1])]
+    monkeypatch.setattr(orbits, "_lefschetz", counted)
     assert orbits.is_neutral_pair(cert.h, cert.f) is True
-    assert [tuple(map(id, c)) for c in calls[1:]] == [(id(cert.h), id(cert.f))]
+    assert calls[1:] == calls[:1]
 
 
 def _forbid_new_matrices(monkeypatch):
@@ -348,7 +349,7 @@ def test_the_raising_checker_runs_no_dense_jordan_elimination(monkeypatch):
     # neutrality and both orbits come from graded power ranks: on every
     # dominated pair n <= 8, each elimination the checker runs is one
     # label class of a power of f or f + psi, narrower than n, and the
-    # dense Jordan filtration is never built
+    # dense Jordan chain search is never run
     certs = [deform_gl(mu, lam) for mu, lam in _dominated_pairs(8)]
     widths, real = [], exactq._echelon
 
@@ -356,10 +357,10 @@ def test_the_raising_checker_runs_no_dense_jordan_elimination(monkeypatch):
         widths.append(len(rows[0]) if rows else 0)
         return real(rows, det)
 
-    def dense(M):
-        raise AssertionError("the checker built the dense Jordan filtration")
+    def dense(N):
+        raise AssertionError("the checker ran the dense Jordan chain search")
     monkeypatch.setattr(exactq, "_echelon", echelon)
-    monkeypatch.setattr(orbits, "_power_row_spaces", dense)
+    monkeypatch.setattr(orbits, "_int_chains", dense)
     for c in certs:
         widths.clear()
         deform._check_raising(c.h, c.f, c.Z, c.psi, c.mu, c.lam)
@@ -503,15 +504,109 @@ def test_raising_checker_agrees_with_the_fraction_clauses(monkeypatch):
     (3, (1, 1), "psi_Z_negative")])                     # psi gains E_11
 def test_deform_sl_checks_the_conjugated_certificate(monkeypatch, index, entry,
                                                      clause):
-    conjugate = deform._conjugate_cert
+    # deform_sl conjugates h, f, Z and psi in that order; the one at index
+    # gains an entry, and the checker re-run on the conjugate finds it
+    twist, calls = deform._twist, []
 
-    def wrapped(cert, delta):
-        mats = list(conjugate(cert, delta))      # (h, f, Z, psi)
-        mats[index] = mats[index] + E(cert.n, *entry)
-        return tuple(mats)
-    monkeypatch.setattr(deform, "_conjugate_cert", wrapped)
+    def wrapped(M, delta):
+        calls.append(M)
+        out = twist(M, delta)
+        return out + E(M.rows, *entry) if len(calls) == index + 1 else out
+    monkeypatch.setattr(deform, "_twist", wrapped)
     with pytest.raises(InternalCheckFailure, match=clause):
         deform_sl((2, 2), (4,), 4, 1)
+    assert len(calls) == 4
+
+
+def _tops_cut_short(tops):
+    """The shortest chain's top replaced by the longest chain's: its chain
+    does not end at its length."""
+    lengths = [k for k, _ in tops]
+    short, long = lengths.index(min(lengths)), lengths.index(max(lengths))
+    return [(k, tops[long][1] if i == short else v) for i, (k, v) in enumerate(tops)]
+
+
+def _tops_dependent(tops):
+    """A second top of some length replaced by twice the first: the chains
+    end, but the columns are dependent."""
+    lengths = [k for k, _ in tops]
+    i = next(i for i, k in enumerate(lengths) if lengths.count(k) > 1)
+    j = lengths.index(lengths[i], i + 1)
+    return [(k, [2 * x for x in tops[i][1]] if t == j else v)
+            for t, (k, v) in enumerate(tops)]
+
+
+@pytest.mark.parametrize("spoil, clause", [
+    (_tops_cut_short, "jordan_basis: a chain of length 1 does not end there"),
+    (_tops_dependent, "jordan_basis: the chains do not form a basis"),
+])
+def test_deform_sl_jordan_basis_faults_name_their_clause(monkeypatch, spoil, clause):
+    # the builder's chain tops of f + psi, for (2, 1, 1, 1) -> (2, 2, 1),
+    # spoiled: the target's SL class is read off a checked Jordan basis
+    build = deform._build
+
+    def spoiled(mu, lam):
+        monkeypatch.setattr(deform, "_build", build)    # the recursion is real
+        eta, Z, psi, tops = build(mu, lam)
+        return eta, Z, psi, spoil(tops)
+    deform_sl((2, 1, 1, 1), (2, 2, 1), 3, 1)
+    monkeypatch.setattr(deform, "_build", spoiled)
+    with pytest.raises(InternalCheckFailure, match=f"^{clause}$"):
+        deform_sl((2, 1, 1, 1), (2, 2, 1), 3, 1)
+
+
+def test_builder_tops_are_a_jordan_basis_of_sl_class_class():
+    # on every dominated pair n <= 9 the builder's chain tops grow a checked
+    # Jordan basis of f + psi with chain lengths lambda, whose det gives
+    # sl_class's class, and the block starts of eta grow the identity basis
+    # of f = J_eta, of det 1
+    pairs = _dominated_pairs(9)
+    for mu, lam in pairs:
+        eta, Z, psi, tops = deform._build(mu, lam)
+        h, f, Z, psi = deform._matrices(eta, Z, psi)
+        cols, det = orbits._chain_basis(f + psi, [(k, v, 1) for k, v in tops])
+        assert sorted((k for k, _ in tops), reverse=True) == list(lam)
+        d = math.gcd(*lam)
+        assert power_class(det, d) == sl_class(f + psi).a_class
+        starts = [sum(eta[:i]) for i in range(len(eta))]
+        n = f.rows
+        cols, det = orbits._chain_basis(
+            f, [(k, [int(i == j) for i in range(n)], 1) for k, j in zip(eta, starts)])
+        assert det == 1
+        assert cols == [([int(i == j) for i in range(n)], 1) for j in range(n)]
+    assert len(pairs) == 901
+
+
+def test_no_chain_search_on_the_raising_path(monkeypatch):
+    # the seed-0 raise items and every two_blocks triple with p + q + r <= 8
+    # run no orbits._int_chains: the raising checker reads graded power
+    # ranks and deform_sl reads its classes off the builder's chain tops
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), "..", "perfbench"))
+    import workloads
+    calls = []
+    real = orbits._int_chains
+
+    def counting(N):
+        calls.append(N)
+        return real(N)
+    monkeypatch.setattr(orbits, "_int_chains", counting)
+    kinds = []
+    for spec in workloads.generate("raise", 0):
+        mu, lam = tuple(spec["mu"]), tuple(spec["lambda"])
+        kinds.append(spec["kind"])
+        if spec["kind"] == "deform_gl":
+            deform_gl(mu, lam)
+        elif spec["kind"] == "compar":
+            compar_certificate(mu, lam)
+        else:
+            deform_sl(mu, lam, Fraction(spec["a"]), Fraction(spec["b"]))
+    for total in range(2, 9):
+        for p in range(1, total):
+            for q in range(1, total - p + 1):
+                if p > total - p - q:
+                    two_blocks(p, q, total - p - q)
+    assert kinds.count("deform_sl") == 40 and len(kinds) == 982
+    assert calls == []
 
 
 def test_deform_gl_non_strict_lemma_index_is_typed(monkeypatch):

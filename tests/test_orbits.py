@@ -140,8 +140,8 @@ def test_jordan_partition_agrees_with_the_kernel_filtration():
         N = random_nilpotent(n, rng)
         if rng.random() < 0.5:
             N = N.scale(Fraction(rng.choice([-3, 2, 5]), rng.choice([1, 2, 7])))
-        kernels = [Subspace(n, R).orthogonal()
-                   for R in orbits._power_row_spaces(N._ints[1])]
+        kernels = [Subspace(n, P.get(0, [])).orthogonal()
+                   for P in orbits._graded_row_spaces(N._ints[1], [0] * n, 0)]
         dims = [0] + [K.dim for K in kernels]
         power = N
         for K in kernels:
@@ -212,27 +212,31 @@ def test_conjugator_chain_case():
 
 @pytest.mark.parametrize("second", [Fraction(1, 3), Fraction(2, 3)])
 def test_conjugator_checks_g_N_B_against_J_eta(monkeypatch, second):
-    # N = E21 / 3 has the chain (e1, N e1 = e2 / 3); a second vector of
-    # 2 N e1 still makes B invertible, but then N B = B J_eta / 2.  The
-    # chains are given as `_int_chains` gives them, (w, s) for w / s
+    # N = E21 / 3 has the chain (e1, N e1 = e2 / 3).  The tops are given as
+    # `_int_chains` gives them, (length, w, s) for the top w / s, and
+    # `_chain_basis` grows each chain: e1 tops the chain of length 2, and
+    # N B = B J_eta holds; cut short at length 1, beside a second top
+    # 2/3 e2, e1's chain does not end
     N = E(2, 2, 1).scale(Fraction(1, 3))
-    monkeypatch.setattr(orbits, "_int_chains", lambda *_: [
-        [([1, 0], 1), ([0, second.numerator], second.denominator)]])
+    top = (1, [0, second.numerator], second.denominator)
+    tops = [(2, [1, 0], 1)] if second == Fraction(1, 3) else [(1, [1, 0], 1), top]
+    monkeypatch.setattr(orbits, "_int_chains", lambda *_: tops)
     if second == Fraction(1, 3):
         g = jordan_conjugator(N, (2,))
         assert g * N * g.inverse() == J_eta((2,))
     else:
-        with pytest.raises(InternalCheckFailure, match="J_eta fails"):
-            jordan_conjugator(N, (2,))
+        with pytest.raises(InternalCheckFailure, match="does not end"):
+            jordan_conjugator(N, (1, 1))
 
 
 def test_conjugator_checks_det_b(monkeypatch):
-    # two chains of length 1 of N = 0 satisfy N B = B J_eta, but on one
-    # line B is singular: the SL class has no det B to read
+    # two chains of length 1 of N = 0 end, but on one line B is singular:
+    # the SL class has no det B to read
     monkeypatch.setattr(orbits, "_int_chains",
-                        lambda *_: [[([1, 0], 1)], [([2, 0], 3)]])
-    for analysis in (sl_class, neutral_for, lambda N: jordan_conjugator(N, (1, 1))):
-        with pytest.raises(InternalCheckFailure, match="singular"):
+                        lambda *_: [(1, [1, 0], 1), (1, [2, 0], 3)])
+    for analysis in (sl_class, neutral_for, jordan_chain_basis,
+                     lambda N: jordan_conjugator(N, (1, 1))):
+        with pytest.raises(InternalCheckFailure, match="do not form a basis"):
             analysis(QMatrix.zeros(2))
 
 
@@ -380,15 +384,16 @@ def test_neutral_for_two_chain_orders_both_pass(rng):
 def test_neutral_for_builds_one_kernel_filtration(monkeypatch, order):
     R = QMatrix.identity(4) if order == "forward" else _reversal(4)
     calls = []
-    real = orbits._power_row_spaces
+    real = orbits._graded_row_spaces
 
-    def counting(N):
-        calls.append(N)
-        return real(N)
-    monkeypatch.setattr(orbits, "_power_row_spaces", counting)
+    def counting(M, labels, w):
+        calls.append(M)
+        return real(M, labels, w)
+    monkeypatch.setattr(orbits, "_graded_row_spaces", counting)
     f = E(4, 2, 1) + E(4, 4, 3) + E(4, 4, 2)
-    assert is_neutral_pair(R * neutral_for(R * f * R) * R, f)
+    h = neutral_for(R * f * R)
     assert len(calls) == 1
+    assert is_neutral_pair(R * h * R, f)
 
 
 def test_neutral_for_inverts_one_matrix(monkeypatch, rng):
