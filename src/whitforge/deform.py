@@ -1,24 +1,26 @@
 """Constructive orbit raising in gl_n / sl_n: the two-block step, the
-recursive certificate builder for any dominated pair mu <= lambda, the SL
-variant with its gcd power-class gate, and the orbit-comparison hypothesis
+certificate builder for any dominated pair mu <= lambda, the SL variant
+with its gcd power-class gate, and the orbit-comparison hypothesis
 certificates.
 
-The builder has one lemma step, _merge, which raises one Jordan block along
-the dominance order; every stripped pair, two-part ones included, and the
-two-block step go through it.  It returns (eta, Z, psi, tops): h and f are
-never free data but the standard h_eta and J_eta of the composition eta of
-block sizes it lays down (orbits builds both), Z is a diagonal list, psi the
-dict of its nonzero entries, and tops one designated chain-top vector per
-Jordan block of f + psi (no inter-level conjugation).  The builder runs in
-ints: Z, psi and the tops hold ints only (_merge says why they are
-integral), and it forms no matrix, reading the diagonal of h_eta and the
-action of J_eta off eta by index.  _matrices is the one place that turns
-(eta, Z, psi) into the matrices (h, f, Z, psi), each made from its ints
-(QMatrix._of_ints), so deform keeps no matrix code of its own.  Every
-raising path ends in one checker, _check_raising, which reads the int
-scaling each of h, Z, f and psi holds and runs every clause on those
-ints: each ad(h)-, ad(Z)- and ad(h+Z)-weight of f and psi comes from the
-int diagonals of h and Z, h's diagonal and f's ints go to the rank test
+The builder is two loops, with no depth limit: a descent strips each pair's
+common parts and reduces the rest at its lemma index, and an ascent lays
+the levels down with one step, _merge (the common blocks, and the split
+block with its connector, in front of the certificate below).  Every level
+and the two-block step go through it.  It returns (eta, Z, psi, tops): h
+and f are never free data but the standard h_eta and J_eta of the
+composition eta of block sizes it lays down (orbits builds both), Z is a
+diagonal list, psi the dict of its nonzero entries, and tops one designated
+chain-top vector per Jordan block of f + psi (no inter-level conjugation).
+The builder runs in ints: Z, psi and the tops hold ints only (_merge says
+why they are integral), and it forms no matrix, reading the diagonal of
+h_eta and the action of J_eta off eta by index.  _matrices is the one place
+that turns (eta, Z, psi) into the matrices (h, f, Z, psi), each made from
+its ints (no Fraction is formed), so deform keeps no matrix code of its
+own.  Every raising path ends in one checker, _check_raising, which reads
+the int scaling each of h, Z, f and psi holds and runs every clause on
+those ints: each ad(h)-, ad(Z)- and ad(h+Z)-weight of f and psi comes from
+the int diagonals of h and Z, h's diagonal and f's ints go to the rank test
 of orbits.is_neutral_pair, the one neutrality test, which also gives f's
 Jordan type, and f + psi has its Jordan type read off the ranks of its
 powers graded by h + Z, so no dense Jordan elimination runs; violations
@@ -51,19 +53,21 @@ def two_blocks(p, q, r):
     Z = diag((p+q-r) Id_p, 0_{q+r}), Y = E_{p+r+1, p}, X = J_{(p, q+r)} + Y,
     S = h_{(p, q+r)} + Z; X lands in the orbit of (p+q, r).  This is the
     builder's lemma step _merge at index 1 on the composition (p, q+r)
-    (lam_1 = p+q > p > r = lam_2), checked like every raising certificate."""
+    (lam_1 = p+q > p > r = lam_2), laid down over the certificate of
+    (q+r,) and checked like every raising certificate."""
     p, q, r = int(p), int(q), int(r)
     if not (p > r >= 0 and q > 0):
         raise PreconditionViolation(f"need p > r >= 0 and q > 0, got {(p, q, r)}")
     target = (p + q, r) if r else (p + q,)
-    h, f, Z, Y = _matrices(*_merge((p, q + r), target, 1)[:3])
+    step = ((p, q + r), target, 1)
+    h, f, Z, Y = _matrices(*_merge([], step, _build((q + r,), (q + r,)))[:3])
     _check_raising(h, f, Z, Y, (max(p, q + r), min(p, q + r)), target)
     return Z, Y, f + Y, h + Z
 
 
 # ---------------------------------------------------------------------------
-# internal recursive builder (standard h and f of a composition; diagonal Z;
-# chain-top bookkeeping)
+# internal builder (standard h and f of a composition; diagonal Z; chain-top
+# bookkeeping)
 
 
 def _matrices(eta, Z, psi):
@@ -88,39 +92,42 @@ def _common_parts(mu, lam):
 
 
 def _build(mu, lam):
-    """Core recursion.  Returns (eta, Z, psi, tops): eta the composition of
-    Jordan block sizes laid down (so h = h_eta, f = J_eta), Z a diagonal
-    list, psi a dict {(row, col): entry} of its nonzero entries (0-based),
-    tops a list of (part, vector) with one designated chain top per Jordan
-    block of f + psi, each supported on a single (h + Z)-eigenvalue.  Every
-    entry is an int (see _merge)."""
-    n = sum(mu)
-    common, mu_s, lam_s = _common_parts(mu, lam)
-    if mu_s and not _dominated(mu_s, lam_s):
-        raise InternalCheckFailure(
-            f"stripping common parts broke dominance: {mu_s} vs {lam_s}")
-    eta, Z, psi, tops = list(common), [0] * sum(common), {}, []
-    off = 0
-    for k in common:
-        top = [0] * n
-        top[off] = 1
-        tops.append((k, top))
-        off += k
-    if mu_s:
-        eta_s, Z_s, psi_s, tops_s = _merge(mu_s, lam_s,
-                                           lemma_part_index(lam_s, mu_s))
-        eta += eta_s
-        Z += Z_s
-        psi = {(a + off, b + off): x for (a, b), x in psi_s.items()}
-        for k, v in tops_s:
-            tops.append((k, [0] * off + v))
-    return eta, Z, psi, tops
+    """Returns (eta, Z, psi, tops): eta the composition of Jordan block
+    sizes laid down (so h = h_eta, f = J_eta), Z a diagonal list, psi a dict
+    {(row, col): entry} of its nonzero entries (0-based), tops a list of
+    (part, vector) with one designated chain top per Jordan block of
+    f + psi, each supported on a single (h + Z)-eigenvalue.  Every entry is
+    an int (see _merge).  The descent strips and reduces each pair; the
+    ascent lays its levels down, innermost first."""
+    levels = []
+    while True:
+        common, mu, lam = _common_parts(mu, lam)
+        if not mu:
+            break
+        if not _dominated(mu, lam):
+            raise InternalCheckFailure(
+                f"stripping common parts broke dominance: {mu} vs {lam}")
+        i = lemma_part_index(lam, mu)
+        li, mi, ln = lam[i - 1], mu[i - 1], (lam + (0,))[i]
+        if not li > mi > ln:
+            raise InternalCheckFailure(
+                f"lemma index {i} for {mu} -> {lam}: lam_i > mu_i > lam_(i+1) fails")
+        levels.append((common, (mu, lam, i)))
+        mu = mu[:i - 1] + mu[i:]
+        lam = tuple(sorted(lam[:i - 1] + lam[i + 1:] + (li + ln - mi,), reverse=True))
+        if not _dominated(mu, lam):
+            raise InternalCheckFailure("reduced pair lost dominance")
+    cert = _merge(common, None, ([], [], {}, []))
+    for common, step in reversed(levels):
+        cert = _merge(common, step, cert)
+    return cert
 
 
-def _merge(mu, lam, i):
-    """Split off the block mu_i, raise the rest to lam with lam_i, lam_{i+1}
-    merged into p = lam_i + lam_{i+1} - mu_i, and attach mu_i to the first
-    chain top of size p.
+def _merge(common, step, below):
+    """Lay one level down in front of the certificate below of its reduced
+    pair, shifting that once: a block per common part, then for a lemma
+    step (mu, lam, i) the split block mu_i, attached to the first chain top
+    of size p = lam_i + lam_{i+1} - mu_i below.
 
     Everything stays in ints.  z_1 = lam_i - lam_{i+1}; the diagonal S_c of
     h_c + Z_c is an int list, h_c = h_eta_c having the int diagonal
@@ -129,61 +136,54 @@ def _merge(mu, lam, i):
     J_eta_c and psi_c are and the chain top u is.  f_c is never formed: it
     moves entry k of a vector to k + 1 within each block, so f_c w is w
     shifted down by one with the first entry of each block cleared."""
-    n = sum(mu)
-    li, mi = lam[i - 1], mu[i - 1]
-    ln = lam[i] if i < len(lam) else 0
-    if not li > mi > ln:
-        raise InternalCheckFailure(
-            f"lemma index {i} for {mu} -> {lam}: lam_i > mu_i > lam_(i+1) fails")
-    p = li + ln - mi
-    z1 = li - ln
-    mu_c = tuple(sorted((x for j, x in enumerate(mu) if j != i - 1), reverse=True))
-    lam_c = tuple(sorted([x for j, x in enumerate(lam)
-                          if j not in (i - 1, i)] + [p], reverse=True))
-    if not _dominated(mu_c, lam_c):
-        raise InternalCheckFailure("reduced pair lost dominance")
-    eta_c, Z_c, psi_c, tops_c = _build(mu_c, lam_c)
-    h_c = [x for k in eta_c for x in range(k - 1, -k, -2)]
-    S_c = [x + z for x, z in zip(h_c, Z_c)]
-    starts = list(accumulate(eta_c[:-1], initial=0))
-    top = next((k for k, (size, _) in enumerate(tops_c) if size == p), None)
-    if top is None:
-        raise InternalCheckFailure(f"no chain top of size {p} for {mu} -> {lam}")
-    u = tops_c.pop(top)[1]
-    # the connector w = (f_c + psi_c)^ln u
-    w = u
-    for _ in range(ln):
-        Xw = [0] + w[:-1]
-        for k in starts:
-            Xw[k] = 0
-        for (a, b), x in psi_c.items():
-            Xw[a] += x * w[b]
-        w = Xw
-    supp = [k for k, x in enumerate(w) if x]
-    if not supp:
-        raise InternalCheckFailure("connector vector vanished")
-    svals = {S_c[k] for k in supp}
-    if len(svals) != 1:
-        raise InternalCheckFailure("connector vector not S-homogeneous")
-    c = (1 - mi) + z1 - 2 - svals.pop()
-    for k in supp:
-        if Z_c[k] + c - z1 >= 0:
-            raise InternalCheckFailure("connector has nonnegative Z-weight")
-    eta = [mi] + eta_c
-    Z = [z1] * mi + [zc + c for zc in Z_c]
-    psi = {(a + mi, b + mi): x for (a, b), x in psi_c.items()}
-    for k in supp:
-        psi[mi + k, mi - 1] = w[k]
-    tlong = [0] * n
-    tlong[0] = 1
-    tops = [(li, tlong)]
-    if ln:
-        tshort = [0] * mi + u
-        tshort[mi - ln] -= 1
-        tops.append((ln, tshort))
-    for k, v in tops_c:
-        tops.append((k, [0] * mi + v))
-    return eta, Z, psi, tops
+    eta_c, Z_c, psi_c, tops_c = below
+    # the level's own blocks: their sizes, chain-top sizes and Z
+    eta, heads, Z = list(common), list(common), [0] * sum(common)
+    links, tail = {}, []        # the connector's psi entries; the short chain top
+    if step:
+        mu, lam, i = step
+        li, mi, ln = lam[i - 1], mu[i - 1], (lam + (0,))[i]
+        p, z1 = li + ln - mi, li - ln
+        h_c = [x for k in eta_c for x in range(k - 1, -k, -2)]
+        S_c = [x + z for x, z in zip(h_c, Z_c)]
+        starts = list(accumulate(eta_c[:-1], initial=0))
+        top = next((k for k, (size, _) in enumerate(tops_c) if size == p), None)
+        if top is None:
+            raise InternalCheckFailure(f"no chain top of size {p} for {mu} -> {lam}")
+        u = tops_c.pop(top)[1]
+        # the connector w = (f_c + psi_c)^ln u
+        w = u
+        for _ in range(ln):
+            Xw = [0] + w[:-1]
+            for k in starts:
+                Xw[k] = 0
+            for (a, b), x in psi_c.items():
+                Xw[a] += x * w[b]
+            w = Xw
+        supp = [k for k, x in enumerate(w) if x]
+        if not supp:
+            raise InternalCheckFailure("connector vector vanished")
+        svals = {S_c[k] for k in supp}
+        if len(svals) != 1:
+            raise InternalCheckFailure("connector vector not S-homogeneous")
+        c = (1 - mi) + z1 - 2 - svals.pop()
+        for k in supp:
+            if Z_c[k] + c - z1 >= 0:
+                raise InternalCheckFailure("connector has nonnegative Z-weight")
+        eta, heads, Z = eta + [mi], heads + [li], Z + [z1] * mi
+        Z_c = [zc + c for zc in Z_c]
+        off = len(Z)
+        links = {(off + k, off - 1): w[k] for k in supp}
+        if ln:
+            tshort = [0] * off + u
+            tshort[off - ln] -= 1
+            tail.append((ln, tshort))
+    off, n = len(Z), len(Z) + len(Z_c)
+    psi = {(a + off, b + off): x for (a, b), x in psi_c.items()} | links
+    tops = [(k, [0] * s + [1] + [0] * (n - s - 1))
+            for k, s in zip(heads, accumulate(eta, initial=0))]
+    tops += tail + [(k, [0] * off + v) for k, v in tops_c]
+    return eta + eta_c, Z + Z_c, psi, tops
 
 
 # ---------------------------------------------------------------------------

@@ -101,8 +101,13 @@ def rat_str(x):
 
 
 def rat_parse(s):
+    """A rational from its text: p/q, an integer or a decimal.  Exponent
+    notation is refused, as 1e1000000000 names a 10^9-digit integer."""
     try:
-        return Fraction(str(s).strip())
+        text = str(s).strip()
+        if "e" in text.lower():
+            raise ValueError("exponent notation is not accepted")
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad rational {s!r}: {exc}") from None
 
@@ -172,7 +177,7 @@ class QMatrix:
 
     @classmethod
     def diag(cls, values):
-        values = [Fraction(v) for v in values]
+        values = [v if isinstance(v, int) else Fraction(v) for v in values]
         n, D = len(values), lcm(*{v.denominator for v in values})
         ints = [0] * (n * n)
         ints[::n + 1] = [v.numerator * (D // v.denominator) for v in values]
@@ -1251,8 +1256,7 @@ def _lagrangian(W, gram, kern):
 
     def add(c):
         added.append(c)
-        rows.append([sum([x * g[j] for x, g in zip(c, gram) if x])
-                     for j in range(k)])
+        rows.append(_times(c, gram, k))
         return Subspace(k, kern + added)
 
     span = Subspace(k, kern)

@@ -22,8 +22,8 @@ is an sl2-triple, so ad f is injective on ad h-weight alpha >= 1 and ad e
 on alpha <= -1: the chain solves w_t cap g^f only at alpha <= 0 and the
 dual only at alpha >= 0.  So the chain's Lemma 4.3(iv) and 4.4 clauses,
 and the quasi model's, are checked in the frame, one weight at a time, on
-the frame pieces of those spaces, omega_f read off the index of f' that ad
-f' is built from.  The grading decides every bracket containment
+the frame pieces of those spaces, each block of omega_f a block of ad f'
+transposed.  The grading decides every bracket containment
 (`_weight_test`), so no bracket is formed; model data takes its radical
 in the frame too.  The outputs are sums of those frame pieces, built in
 standard coordinates by one `_Spaces` per call: each distinct space once,
@@ -43,10 +43,10 @@ from .errors import (DimensionMismatch, NotCommuting, ShapeViolation,
                      VerificationError)
 # Grading, grading and rational_eigenvalues live in exactq, and stay names
 # of this module too
-from .exactq import (NO_SOLUTION, Grading, QMatrix, Subspace, _ad_index, _bracket,
-                     _times, _trace_pairing, bigrade, echelon_first,
-                     graded_kernel, graded_solve, grading, rat_str,
-                     rational_eigenvalues, skew_tools)
+from .exactq import (NO_SOLUTION, Grading, QMatrix, Subspace, _ad_block,
+                     _ad_index, _bracket, _times, _trace_pairing, bigrade,
+                     echelon_first, graded_kernel, graded_solve, grading,
+                     rat_str, rational_eigenvalues, skew_tools)
 from .orbits import _sl2_in_frame, is_neutral_pair
 
 __all__ = [
@@ -344,18 +344,16 @@ class _Spaces:
 
 class _Form(NamedTuple):
     """omega_f(X, Y) = trace(f [X, Y]) in a frame where f' = P^{-1} f P is
-    T / D, homogeneous of int weight `weight`: by_col[i] holds the (l, T_li)
-    and by_row[j] the (k, T_jk) of T's nonzero entries (`_ad_index`).
-    omega pairs weight w only with its partner -w - weight."""
+    T / D, homogeneous of int weight `weight`, with T's `_ad_index`.  omega
+    pairs weight w only with its partner -w - weight."""
     T: list
     weight: tuple
-    by_row: list
-    by_col: list
+    index: tuple
 
 
 def _form(g, T, weight):
-    by_row, by_col = _ad_index(enumerate(T), len(g.labels))
-    return _Form(T, tuple(g.L * x for x in weight), by_row, by_col)
+    index = _ad_index(enumerate(T), len(g.labels))
+    return _Form(T, tuple(g.L * x for x in weight), index)
 
 
 def _partner(form, w):
@@ -364,18 +362,13 @@ def _partner(form, w):
 
 def _omega_rows(g, form, w):
     """D omega(E_ij, E_kl) for the cells (i, j) of weight w (rows) and the
-    cells (k, l) of its partner (columns): d_jk T_li - d_li T_jk, two
-    lookups per nonzero entry of T."""
-    col = {c: k for k, c in enumerate(g._cells.get(_partner(form, w), ()))}
-    out = []
-    for i, j in g._cells[w]:
-        row = [0] * len(col)
-        for l, x in form.by_col[i]:
-            row[col[j, l]] += x
-        for k, x in form.by_row[j]:
-            row[col[k, i]] -= x
-        out.append(row)
-    return out
+    cells (k, l) of its partner (columns): trace(T [E_ij, E_kl]) is entry
+    (l, k) of [T, E_ij], so the rows are the columns of ad T's block from
+    w's cells to the partner cells transposed."""
+    cells = g._cells[w]
+    partner = enumerate(g._cells.get(_partner(form, w), ()))
+    block = _ad_block(form.index, cells, {(l, k): c for c, (k, l) in partner})
+    return [[row[k] for row in block] for k in range(len(cells))]
 
 
 def _radical_is(g, form, cap, weights):

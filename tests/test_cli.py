@@ -201,6 +201,24 @@ def test_oversized_matrices_are_parse_errors(capsys, argv):
     assert str(MAX_MATRIX_SIZE) in json.loads(err)["message"]
 
 
+@pytest.mark.parametrize("argv, value", [
+    (("deform-sl", "--mu", "2,2", "--lambda", "4", "--a", "1e9000", "--b", "1"),
+     "'1e9000'"),
+    (("deform-sl", "--mu", "2,2", "--lambda", "4", "--a", "1e1000000000", "--b", "1"),
+     "'1e1000000000'"),
+    (("deform-sl", "--mu", "2,2", "--lambda", "4", "--a", "4", "--b", "1E5"), "'1E5'"),
+    (("pair-chain", "--S", "diag(3,1,-1,-3)", "--f", "E21+E43", "--t", "5e-1"), "'5e-1'"),
+    (("orbit-classify", "--matrix", "[[0,1e-05],[0,0]]"), "1e-05"),
+], ids=["huge", "giant", "upper-case", "negative-exponent", "dense-json-float"])
+def test_exponent_notation_is_a_parse_error(capsys, argv, value):
+    # 1e1000000000 would ask Fraction for a 10^9-digit integer and 1e9000
+    # for one too long to print: each is refused, naming the value
+    code, out, err = run_cli(capsys, *argv)
+    _assert_parse_error(code, out, err)
+    assert json.loads(err)["message"] == \
+        f"bad rational {value}: exponent notation is not accepted"
+
+
 def test_a_document_n_above_the_bound_is_a_parse_error(tmp_path, capsys):
     doc = tmp_path / "pair.json"
     doc.write_text(json.dumps({"n": 100000, "S": "0", "f": "0"}))
@@ -263,12 +281,16 @@ _FUZZ_MALFORMED = [
 # sizes above the bound: indices, a diag(...) length, --n and partitions
 _FUZZ_OVERSIZED = ["E{5000,1}", "E{100000,1}", "5000", "100000", "4097,1",
                    "diag(" + "1," * 4100 + "1)"]
+# exponent notation, refused before it could name a huge integer
+_FUZZ_EXPONENT = ["1e5", "2E-3", "1.5e2", "1e9000", "1e1000000000", "diag(1e5,1)",
+                  "[[0,1e-05],[0,0]]", '[["1e9000"]]']
 
 
 @st.composite
 def _fuzz_argv(draw):
     """A verb (or none, or an unknown one) with each of its options present
-    or not, each value well-formed, malformed, oversized or random text."""
+    or not, each value well-formed, malformed, oversized, in exponent
+    notation or random text."""
     verb = draw(st.sampled_from(sorted(_FUZZ_VERBS) + ["bogus", ""]))
     argv = [verb] if verb else []
     for opt, kind in _FUZZ_VERBS.get(verb, {"--n": "n"}).items():
@@ -276,7 +298,8 @@ def _fuzz_argv(draw):
             good = st.sampled_from(_FUZZ_GOOD[kind])
             argv += [opt, draw(st.one_of(
                 good, good, st.sampled_from(_FUZZ_MALFORMED),
-                st.sampled_from(_FUZZ_OVERSIZED), st.text("E{},[]()diag0123/-+ ", max_size=6)))]
+                st.sampled_from(_FUZZ_OVERSIZED), st.sampled_from(_FUZZ_EXPONENT),
+                st.text("E{},[]()diag0123/-+ ", max_size=6)))]
     if not draw(st.integers(0, 7)):
         argv += ["--bogus", "1"]
     return argv

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import os
 import random
@@ -7,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from whitforge import deform, exactq, orbits
-from whitforge.cli import canonical_json
+from whitforge.cli import canonical_json, main
 from whitforge.deform import (ConditionNotMet, compar_certificate, deform_gl,
                               deform_sl, two_blocks)
 from whitforge.errors import (InternalCheckFailure, NoSolutionError,
@@ -86,6 +87,12 @@ def _two_part_step(mu, lam):
     return list(mu), Z, {(p1 + l2, p1 - 1): 1}, tops
 
 
+def _step_at_index_one(mu, lam):
+    # the builder's step for the lemma index 1 on mu = (p1, p2), laid down
+    # over the certificate of the reduced pair (p2,) -> (p2,)
+    return deform._merge([], (mu, lam, 1), deform._build(mu[1:], mu[1:]))
+
+
 def test_merge_at_index_one_is_the_two_part_step():
     # every two_blocks triple: mu = (p, q + r) is a composition
     triples = [(p, q, total - p - q) for total in range(2, 13)
@@ -93,14 +100,14 @@ def test_merge_at_index_one_is_the_two_part_step():
                if p > total - p - q]
     for p, q, r in triples:
         lam = (p + q, r) if r else (p + q,)
-        assert deform._merge((p, q + r), lam, 1) == _two_part_step((p, q + r), lam)
+        assert _step_at_index_one((p, q + r), lam) == _two_part_step((p, q + r), lam)
     # every stripped two-part pair: strictly dominated, no common part
     stripped = [(mu, lam) for mu, lam in _dominated_pairs(12)
                 if len(mu) == 2 and not set(mu) & set(lam)]
     assert len(triples) == 161 and len(stripped) == 91
     for mu, lam in stripped:
         assert lemma_part_index(lam, mu) == 1
-        assert deform._merge(mu, lam, 1) == _two_part_step(mu, lam)
+        assert _step_at_index_one(mu, lam) == _two_part_step(mu, lam)
 
 
 def test_the_builder_runs_in_ints():
@@ -116,8 +123,61 @@ def test_the_builder_runs_in_ints():
         assert all(type(x) is int for _, v in tops for x in v)
 
 
+def test_no_builder_function_calls_itself_or_its_caller(monkeypatch):
+    # _build runs its levels in two loops and calls _merge once per level;
+    # _merge calls no builder function: on every dominated pair n <= 8 and
+    # every two_blocks triple p + q + r <= 8, no builder call starts while
+    # another is running, except _merge inside _build
+    running = []
+
+    def tracked(name):
+        real = getattr(deform, name)
+
+        def wrapped(*args):
+            assert running in ([], ["_build"] if name == "_merge" else [])
+            running.append(name)
+            try:
+                return real(*args)
+            finally:
+                running.pop()
+        return wrapped
+    for name in ("_build", "_merge"):
+        monkeypatch.setattr(deform, name, tracked(name))
+    for mu, lam in _dominated_pairs(8):
+        deform_gl(mu, lam)
+    for total in range(2, 9):
+        for p in range(1, total):
+            for q in range(1, total - p + 1):
+                if p > total - p - q:
+                    two_blocks(p, q, total - p - q)
+
+
+_ONES = (1,) * 500
+
+
+def test_many_parts_give_checked_certificates():
+    # 500 one-parts raised to (500,): the builder lays down 500 levels, far
+    # past the depth a recursion per level could reach
+    lam = (500,)
+    assert deform_gl(_ONES, lam).checks["jordan_target"] == [500]
+    assert compar_certificate(_ONES, lam).conditions["F_in_target_orbit"]
+    cert = deform_sl(_ONES, lam, 1, 1)
+    assert cert.checks["jordan_source"] == list(_ONES)
+    assert cert.checks["sl_class_target"] == "1"
+
+
+@pytest.mark.parametrize("verb, extra", [
+    ("deform-gl", []), ("compar", []), ("deform-sl", ["--a", "1", "--b", "1"])])
+def test_many_parts_through_the_cli(capsys, verb, extra):
+    code = main([verb, "--mu", ",".join(map(str, _ONES)), "--lambda", "500", *extra])
+    out, err = capsys.readouterr()
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert all((doc.get("checks") or doc["conditions"]).values())
+
+
 def test_a_raising_certificate_builds_each_standard_matrix_once(monkeypatch):
-    # the recursion reads h_eta and J_eta off eta: one deform_gl call builds
+    # the builder reads h_eta and J_eta off eta: one deform_gl call builds
     # each at most once, for the certificate
     counts = {"J_eta": 0, "h_eta": 0}
 
@@ -222,10 +282,11 @@ def test_deform_sl_certificate_weights_independent():
 
 
 def _faulty_psi(merge):
-    # psi gains E_11, of ad(Z)-weight 0
-    def wrapped(mu, lam, i):
-        eta, Z, psi, tops = merge(mu, lam, i)
-        psi[0, 0] = Fraction(1)
+    # the psi of a lemma step gains E_11, of ad(Z)-weight 0
+    def wrapped(common, step, below):
+        eta, Z, psi, tops = merge(common, step, below)
+        if step:
+            psi[0, 0] = Fraction(1)
         return eta, Z, psi, tops
     return wrapped
 
@@ -546,7 +607,6 @@ def test_deform_sl_jordan_basis_faults_name_their_clause(monkeypatch, spoil, cla
     build = deform._build
 
     def spoiled(mu, lam):
-        monkeypatch.setattr(deform, "_build", build)    # the recursion is real
         eta, Z, psi, tops = build(mu, lam)
         return eta, Z, psi, spoil(tops)
     deform_sl((2, 1, 1, 1), (2, 2, 1), 3, 1)

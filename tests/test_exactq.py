@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from whitforge import exactq, orbits
 from whitforge.errors import (DimensionMismatch, InternalCheckFailure,
-                              NotRationalSplit)
+                              NotRationalSplit, ParseError)
 from whitforge.exactq import (NO_SOLUTION, QMatrix, Subspace, _bracket,
                               _echelon, _kernel_rows, _lagrangian,
                               char_poly, echelon_first, rat_parse, rat_str,
@@ -27,6 +27,10 @@ def test_rat_roundtrip():
     assert rat_str(Fraction(5)) == "5"
     assert rat_parse("-7/2") == Fraction(-7, 2)
     assert rat_parse("0") == 0
+    assert rat_parse(" 1.25 ") == Fraction(5, 4)
+    for text in ("1e1000000000", "1E5", "2.5e-3", 1e-05):
+        with pytest.raises(ParseError, match="exponent notation is not accepted"):
+            rat_parse(text)
 
 
 # -- bracket ------------------------------------------------------------------
