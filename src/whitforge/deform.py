@@ -40,8 +40,8 @@ from .exactq import QMatrix, rat_str
 from .orbits import (J_eta, _chain_basis, _graded_row_spaces, _jordan_type,
                      _lefschetz, _twist, h_eta, is_dth_power, power_class,
                      rational_dth_root)
-from .partitions import (_dominated, _of_one_size, as_partition, dominance_leq,
-                         lemma_part_index)
+from .partitions import (_dominated, _lemma_index, _of_one_size, as_partition,
+                         dominance_leq)
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +107,7 @@ def _build(mu, lam):
         if not _dominated(mu, lam):
             raise InternalCheckFailure(
                 f"stripping common parts broke dominance: {mu} vs {lam}")
-        i = lemma_part_index(lam, mu)
+        i = _lemma_index(lam, mu)
         li, mi, ln = lam[i - 1], mu[i - 1], (lam + (0,))[i]
         if not li > mi > ln:
             raise InternalCheckFailure(

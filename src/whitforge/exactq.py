@@ -12,12 +12,17 @@ denominator, which serve `member` and `intersect` (one shared reduction),
 `span` of coordinate vectors, `kernel_of` a map given by the basis's
 images and `orthogonal`.  Each builds its Fractions (`entries`, `basis`)
 when they are first read, and prints x/D straight from its ints
-(`_ratio_texts`).  `_solve` reads the echelon-first solution of an int
-system, making only the solution's entries Fractions, and `rref_solve`
-and `graded_solve` read their solutions through it.  `_echelon` is the
-only elimination, of this module or any other:
-`QMatrix.inverse` reads the RREF of the int rows [D M | I], and
-`QMatrix.det` is the determinant it keeps on request, of D M.
+(`_ratio_texts`).  Dense input is read as ints too: `_rat_ints` reads a
+rational in the printed form p or p/q with int() and hands any other text
+to Fraction, and both `from_json`s scale the pairs to one denominator.
+`_solve` reads the echelon-first solution of an int system, making only
+the solution's entries Fractions, and `rref_solve` and `graded_solve`
+read their solutions through it.  `_echelon` is the only elimination, of
+this module or any other: `QMatrix.inverse` reads the RREF of the int
+rows [D M | I], `QMatrix.det` is the determinant it keeps on request, of
+D M, and a kernel (`Subspace._kernel`, behind `orthogonal`, the
+eigenspaces and the Jordan kernels) is one elimination of its rows with
+their columns reversed, off which its canonical basis is read.
 
 `grading` builds the one eigenbasis grading, a `Grading`, held as its int
 frame: the primitive int columns of a joint eigenbasis P of commuting
@@ -50,9 +55,9 @@ Rational eigenvalues take bounded time.  `_char_ints` runs Faddeev-LeVerrier
 on the integer matrix D M (D the lcm of the denominators) in plain ints.
 `_rational_roots` turns the polynomial into a monic integer one by y = c_n x,
 so its rational roots are integers, and isolates its real roots by Sturm
-sign counts at half-integers, where no such root lies, bisecting from a
-bound B on the roots to unit intervals: O(deg log B) evaluations of the
-sequence.
+sign counts at half-integers, where no such root lies, bisecting from
+Fujiwara's bound B = 2^(b+1) on the roots to unit intervals: O(deg log B)
+evaluations of the sequence.
 """
 
 from fractions import Fraction
@@ -103,13 +108,40 @@ def rat_str(x):
 def rat_parse(s):
     """A rational from its text: p/q, an integer or a decimal.  Exponent
     notation is refused, as 1e1000000000 names a 10^9-digit integer."""
+    return Fraction(*_rat_ints(s))
+
+
+def _rat_ints(s):
+    """(p, q), q > 0, with s = p/q, not necessarily in lowest terms: an int,
+    or a text in the printed form p or p/q (ASCII digits, an optional "-"
+    and q nonzero), is read with int(); anything else goes through
+    Fraction, so its value and its ParseError are those of the text."""
+    if type(s) is int:
+        return s, 1
+    if type(s) is str:
+        p, slash, q = s.partition("/")
+        digits = p[1:] if p[:1] == "-" else p
+        if (digits.isascii() and digits.isdigit()
+                and (not slash or q.isascii() and q.isdigit() and q.strip("0"))):
+            try:
+                return int(p), int(q) if slash else 1
+            except ValueError:      # past int()'s digit limit: as Fraction says
+                pass
     try:
         text = str(s).strip()
         if "e" in text.lower():
             raise ValueError("exponent notation is not accepted")
-        return Fraction(text)
+        x = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad rational {s!r}: {exc}") from None
+    return x.numerator, x.denominator
+
+
+def _over_lcm(pairs):
+    """(L, the ints p (L/q)) for the (p, q) pairs of `_rat_ints`, L the lcm
+    of the q."""
+    L = lcm(*{q for _, q in pairs})
+    return L, [p * (L // q) for p, q in pairs]
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +368,13 @@ class QMatrix:
 
     @classmethod
     def from_json(cls, obj):
-        return cls.from_rows([[rat_parse(x) for x in row] for row in obj])
+        """The matrix of rows of rationals as `rat_parse` reads them, in
+        ints over one denominator (`_over_lcm`)."""
+        rows = [[_rat_ints(x) for x in row] for row in obj]
+        m = len(rows[0]) if rows else 0
+        if any(len(r) != m for r in rows):
+            raise DimensionMismatch("ragged rows")
+        return cls._of_ints(len(rows), m, *_over_lcm([x for r in rows for x in r]))
 
 
 def _bracket(A, B, n):
@@ -618,12 +656,44 @@ class Subspace:
                 s = D // row[c]
                 cols.append(list(compress(range(ambient_dim), row)))
                 ints.append([x * s for x in compress(row, row)])
+        self._set(ambient_dim, piv, cols, ints, D)
+
+    def _set(self, ambient_dim, piv, cols, ints, D):
+        """Fill the slots from the canonical int rows, their pivots and D."""
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "pivots", tuple(piv))
         object.__setattr__(self, "_cols", tuple(cols))
         object.__setattr__(self, "_vals", tuple(ints))
         object.__setattr__(self, "_den", D)
         object.__setattr__(self, "_basis", None)
+
+    @classmethod
+    def _kernel(cls, ambient_dim, rows):
+        """{x : r . x = 0 for every row r} for int rows of that length, from
+        one elimination: of the rows with their columns reversed.  The
+        kernel vector of a free column f read off that RREF is, back in
+        order, 1 at f, 0 at every other free column, and elsewhere nonzero
+        only at pivots right of f (the matroid duality of `echelon_first`),
+        so the vectors are the kernel's RREF basis.  Vector f is kept times
+        the lcm L_f of the pivot entries a of the echelon rows nonzero at f:
+        each such row is primitive and nonzero only at its pivot and the
+        free columns, so the lcm of the L_f is the lcm of the basis's
+        denominators, the D the constructor would keep."""
+        n = ambient_dim
+        A, piv = _echelon([row[::-1] for row in rows])
+        # pivot column, back in order, with its echelon row and pivot entry,
+        # rightmost pivot last
+        pivots = [(n - 1 - c, row, row[c]) for row, c in zip(A, piv)][::-1]
+        free, cols, vals = sorted(set(range(n)).difference(p for p, _, _ in pivots)), [], []
+        for f in free:
+            terms = [(p, row[n - 1 - f], a) for p, row, a in pivots if row[n - 1 - f]]
+            L = lcm(*(a for _, _, a in terms))
+            cols.append([f] + [p for p, _, _ in terms])
+            vals.append([L] + [-b * (L // a) for _, b, a in terms])
+        D = lcm(*(v[0] for v in vals))
+        self = object.__new__(cls)
+        self._set(n, free, cols, [[x * (D // v[0]) for x in v] for v in vals], D)
+        return self
 
     def __setattr__(self, *a):
         raise AttributeError("Subspace is immutable")
@@ -723,10 +793,9 @@ class Subspace:
         return self.span(_kernel_rows(rows, self.dim))
 
     def orthogonal(self):
-        """{x : b . x = 0 for every basis vector b}, read off the echelon
-        rows: the kernel of any matrix whose rows span the subspace."""
-        return Subspace(self.ambient_dim, _kernel_of_rref(
-            self._dense(), self.pivots, self.ambient_dim, self._den))
+        """{x : b . x = 0 for every basis vector b}: the `_kernel` of the
+        int rows."""
+        return Subspace._kernel(self.ambient_dim, self._dense())
 
     def intersect(self, other):
         """The combinations of the basis whose reduction against other is 0.
@@ -784,7 +853,9 @@ class Subspace:
 
     @classmethod
     def from_json(cls, ambient_dim, obj):
-        return cls(ambient_dim, [[rat_parse(x) for x in v] for v in obj])
+        """The span of vectors of rationals as `rat_parse` reads them, each
+        scaled to ints (`_over_lcm`)."""
+        return cls(ambient_dim, [_over_lcm([_rat_ints(x) for x in v])[1] for v in obj])
 
 
 # ---------------------------------------------------------------------------
@@ -871,9 +942,12 @@ def _rational_roots(coeffs):
     c_n^(n-1) c(y / c_n) is monic with integer coefficients, so its rational
     roots are integers.  Sturm sign counts at half-integers, where q has no
     root, bisect (-B - 1/2, B + 1/2) down to unit intervals; such an interval
-    holds a rational root only at its integer.  The roots of q are c_n times
-    those of c, so B = |c_n| + max |c_i| (c_n times the Cauchy bound of c)
-    bounds them; the Cauchy bound of q itself has (n - 1) times the bits."""
+    holds a rational root only at its integer.  B = 2^(b+1), b the least
+    int with |q_(d-i)| < 2^(b i) for every i (d the degree of q, the
+    coefficient of y^k written q_k), bounds them: by Fujiwara's
+    bound every root y of the monic q has |y| <= 2 max |q_(d-i)|^(1/i) <
+    2^(b+1).  It starts the search closer to the roots than c_n times the
+    Cauchy bound of c, |c_n| + max |c_i|."""
     roots = []
     cs = list(coeffs)
     while cs and cs[0] == 0:
@@ -885,7 +959,9 @@ def _rational_roots(coeffs):
     d, lead = len(c) - 1, c[-1]
     q = [x * lead ** (d - 1 - i) for i, x in enumerate(c[:-1])] + [1]
     seq = _sturm_sequence(q)
-    bound = abs(lead) + max(abs(x) for x in c[:-1])
+    # the least b with |q_(d-i)| < 2^(b i) for every i
+    b = max(-(-abs(x).bit_length() // i) for i, x in enumerate(reversed(q[:-1]), 1))
+    bound = 1 << (b + 1)
 
     def value(y):
         acc = 0
@@ -929,7 +1005,7 @@ def rational_eigenvalues(M):
         p, q = lam.numerator * D, lam.denominator
         shifted = [[q * x - p * (i == j) for j, x in enumerate(flat[i * n:(i + 1) * n])]
                    for i in range(n)]
-        out.append((lam, Subspace(n, shifted).orthogonal()))   # exact roots: nonzero spaces
+        out.append((lam, Subspace._kernel(n, shifted)))   # exact roots: nonzero spaces
     total = sum(space.dim for _, space in out)
     if total != n:
         raise NotRationalSplit(

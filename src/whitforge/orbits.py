@@ -10,6 +10,11 @@ det B != 0.  `_conjugator` feeds it the tops of the chain search
 `neutral_for` and `sl_class`), and `deform_sl` feeds it the raising
 builder's tops, so no chain search runs on the raising path.  Neutrality
 is one rank test, `_lefschetz`, on the powers of f graded by h.
+
+The ranks and row spaces of the powers come from `_graded_row_spaces`,
+one elimination per label class of two or more rows (a class of one row
+is its own echelon form), and the chain search's kernels ker N^k each
+from one elimination, `exactq.Subspace._kernel` of the rows of N^k.
 """
 
 import functools
@@ -103,36 +108,41 @@ def _graded_row_spaces(M, labels, w):
     left out.  R(N^k) is the direct sum of its classes, and each class's
     rows of N^(k+1) span its echelon rows of N^k times the block of D N
     from the label-(c + k w) rows to the label-(c + (k+1) w) columns, one
-    small elimination each; with one label that block is D N.  The ranks
+    small elimination each, and none for a class of one row, which made
+    primitive is its own echelon form; with one label that block is D N.
+    The blocks are filled from the nonzero entries of D N.  The ranks
     never rise, and once two consecutive ranks are equal they stay equal,
     so a power whose rank fails to drop shows that N is not nilpotent.  An
     entry of another weight, which the blocks would miss, is an
     InternalCheckFailure."""
-    n, members = len(labels), {}
+    n, members, at = len(labels), {}, {}
     for i, c in enumerate(labels):
-        members.setdefault(c, []).append(i)
+        group = members.setdefault(c, [])
+        at[i] = len(group)          # i's place in its class
+        group.append(i)
     # the label-c rows of D N on the label-(c + w) columns: dense in rows[c]
     # and as their nonzero (column, entry) pairs in block[c]
-    rows = {c: [] for c in members if c + w in members}
-    block = {c: [] for c in rows}
-    seen = 0
-    for a, c in enumerate(labels):
-        if c in rows:
-            row = M[a * n:(a + 1) * n]
-            cols = members[c + w]
-            row = row if len(cols) == n else list(map(row.__getitem__, cols))
-            nonzero = [(j, x) for j, x in enumerate(row) if x]
-            rows[c].append(row)
-            block[c].append(nonzero)
-            seen += len(nonzero)
-    if seen != n * n - M.count(0):
-        raise InternalCheckFailure(
-            f"power ranks: an entry of N has not the weight {-w}")
+    rows = {c: [[0] * len(members[c + w]) for _ in members[c]]
+            for c in members if c + w in members}
+    block = {c: [[] for _ in R] for c, R in rows.items()}
+    for k in itertools.compress(range(n * n), M):
+        a, b = divmod(k, n)
+        c, x = labels[a], M[k]
+        if labels[b] != c + w:
+            raise InternalCheckFailure(
+                f"power ranks: an entry of N has not the weight {-w}")
+        i, j = at[a], at[b]
+        rows[c][i][j] = x
+        block[c][i].append((j, x))
     spaces, rank, k = [], n, 0
     while rank:
         k += 1
         power, total = {}, 0
         for c, R in rows.items():
+            if len(R) == 1:             # its own echelon form, made primitive
+                if any(R[0]):
+                    power[c], total = [exactq._integer_row(R[0])], total + 1
+                continue
             A, piv = exactq._echelon(R)
             if piv:
                 power[c], total = A[:len(piv)], total + len(piv)
@@ -208,7 +218,7 @@ def _int_chains(N):
     that finds another number of tops is an internal fault."""
     n = N.rows
     rows = _graded_row_spaces(_square_ints(N)[1], [0] * n, 0)
-    kernels = [Subspace(n)] + [Subspace(n, P.get(0, [])).orthogonal() for P in rows]
+    kernels = [Subspace(n)] + [Subspace._kernel(n, P.get(0, [])) for P in rows]
     dims = [K.dim for K in kernels] + [n]
     times_n = _int_action(N)[1]
     chains = []

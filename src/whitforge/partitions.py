@@ -163,6 +163,12 @@ def lemma_part_index(lam, mu):
     mu, lam = _of_one_size(mu, lam)
     if not _dominated(mu, lam):
         raise NotDominated(f"{mu} is not dominated by {lam}")
+    return _lemma_index(lam, mu)
+
+
+def _lemma_index(lam, mu):
+    """The scan of `lemma_part_index`, for partitions mu <= lam of one
+    total already validated."""
     for i in range(1, len(lam) + 1):
         li = lam[i - 1]
         mi = mu[i - 1] if i <= len(mu) else 0

@@ -112,6 +112,29 @@ def test_orbit_classify_of_a_dense_rational_conjugate_is_pinned(tmp_path, capsys
         "e986c2356bc208554dd463b7268be94182ce1954f8af7d24d97d6fe5fd481e8d"
 
 
+def test_orbit_classify_of_padded_unreduced_entries_is_pinned(tmp_path, capsys):
+    # the matrix above with unreduced, signed, decimal and whitespace-padded
+    # entries, an int and a leading zero: the int reader takes the entries
+    # in the printed form p or p/q, hands the others on to Fraction, and
+    # the stdout is the same bytes
+    doc = tmp_path / "padded_nilpotent.json"
+    doc.write_text(json.dumps({"matrix": [
+        [" 1 ", "4/10", "0.8", "26/10"], ["-0", "+2/5", "-2/10", "-0.4"],
+        [2, "3.2", "\t2/5", "014/5"], ["-1", "-12/10", " -0.40", "-1.8 "]]}))
+    code, out, _ = run_cli(capsys, "orbit-classify", str(doc))
+    assert code == 0 and out == (
+        '{"partition":[2,2],"sl_class":{"a_class":"-5","d":2,"lambda":[2,2]}}\n')
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "e986c2356bc208554dd463b7268be94182ce1954f8af7d24d97d6fe5fd481e8d"
+
+
+@pytest.mark.parametrize("entry", ['"1/0"', '"2e3"', "true"])
+def test_orbit_classify_refuses_entries_the_int_reader_hands_on(capsys, entry):
+    code, out, err = run_cli(capsys, "orbit-classify", "--matrix", f"[[{entry}]]")
+    assert code == 1 and out == ""
+    assert json.loads(err.splitlines()[-1])["error"] == "ParseError"
+
+
 @pytest.mark.parametrize("spec", ["diag(1,2,3)", "E11", "E21+E12", "E21+E33"])
 def test_orbit_classify_rejects_non_nilpotent(capsys, spec):
     code, out, err = run_cli(capsys, "orbit-classify", "--matrix", spec)

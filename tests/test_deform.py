@@ -3,6 +3,7 @@ import json
 import math
 import os
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -669,10 +670,46 @@ def test_no_chain_search_on_the_raising_path(monkeypatch):
     assert calls == []
 
 
+def test_raise_pass_skips_one_row_classes_and_validates_once(monkeypatch):
+    # the seed-0 raise items: the graded power ranks run 2,468 eliminations
+    # (12,980 when every label class of one row was eliminated too), and
+    # the partitions are validated twice per raising call, not again at
+    # every level of the builder (5,724 as_partition calls before)
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), "..", "perfbench"))
+    import workloads
+    from whitforge import partitions
+    eliminations, validations = [], []
+    real_echelon, real_partition = exactq._echelon, partitions.as_partition
+
+    def echelon(rows, det=False):
+        if sys._getframe(1).f_code.co_name == "_graded_row_spaces":
+            eliminations.append(len(rows))
+        return real_echelon(rows, det)
+
+    def as_partition(parts):
+        validations.append(parts)
+        return real_partition(parts)
+    monkeypatch.setattr(exactq, "_echelon", echelon)
+    monkeypatch.setattr(partitions, "as_partition", as_partition)
+    monkeypatch.setattr(deform, "as_partition", as_partition)
+    specs = workloads.generate("raise", 0)
+    for spec in specs:
+        mu, lam = tuple(spec["mu"]), tuple(spec["lambda"])
+        if spec["kind"] == "deform_gl":
+            deform_gl(mu, lam)
+        elif spec["kind"] == "compar":
+            compar_certificate(mu, lam)
+        else:
+            deform_sl(mu, lam, Fraction(spec["a"]), Fraction(spec["b"]))
+    assert len(specs) == 982
+    assert len(eliminations) <= 2500 and min(eliminations) >= 2
+    assert len(validations) == 2044
+
+
 def test_deform_gl_non_strict_lemma_index_is_typed(monkeypatch):
     # (1,1,1,1) -> (2,2) merges at i = 2; i = 1 has lam_1 = 2 > mu_1 = 1 but
     # not mu_1 = 1 > lam_2 = 2
-    monkeypatch.setattr(deform, "lemma_part_index", lambda lam, mu: 1)
+    monkeypatch.setattr(deform, "_lemma_index", lambda lam, mu: 1)
     with pytest.raises(InternalCheckFailure, match=r"lam_i > mu_i > lam_\(i\+1\)"):
         deform_gl((1, 1, 1, 1), (2, 2))
 

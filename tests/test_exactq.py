@@ -1,4 +1,6 @@
 import inspect
+import json
+import os
 import random
 import time
 from fractions import Fraction
@@ -11,7 +13,7 @@ from whitforge import exactq, orbits
 from whitforge.errors import (DimensionMismatch, InternalCheckFailure,
                               NotRationalSplit, ParseError)
 from whitforge.exactq import (NO_SOLUTION, QMatrix, Subspace, _bracket,
-                              _echelon, _kernel_rows, _lagrangian,
+                              _echelon, _kernel_of_rref, _kernel_rows, _lagrangian,
                               char_poly, echelon_first, rat_parse, rat_str,
                               rational_eigenvalues, rref_solve, skew_tools)
 from whitforge.orbits import jordan_chain_basis
@@ -31,6 +33,102 @@ def test_rat_roundtrip():
     for text in ("1e1000000000", "1E5", "2.5e-3", 1e-05):
         with pytest.raises(ParseError, match="exponent notation is not accepted"):
             rat_parse(text)
+
+
+def _fraction_rat_parse(s):
+    """The reader that sends every input through Fraction: the oracle of
+    `rat_parse`'s int path, value and ParseError message alike."""
+    try:
+        text = str(s).strip()
+        if "e" in text.lower():
+            raise ValueError("exponent notation is not accepted")
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"bad rational {s!r}: {exc}") from None
+
+
+def _reading(read, x):
+    """("value", read(x)) or ("error", its ParseError message)."""
+    try:
+        return "value", read(x)
+    except ParseError as exc:
+        return "error", str(exc)
+
+
+_SIGNS = st.sampled_from(["", "-", "+", "--", "-+"])
+_PADDING = st.sampled_from(["", " ", "  ", "\t", "\n", " \t"])
+
+
+def _texts_of(p, q, sign, pad):
+    """The texts of p/q the cases below draw from: signed, zero-padded,
+    with a slash, as a decimal, with underscores and in exponent form."""
+    zeros = "0" * (q % 3)
+    return [f"{sign}{p}", f"{sign}{zeros}{p}", f"{sign}{p}/{q}",
+            f"{sign}{p}/{zeros}{q}", f"{p}/{sign}{q}", f"{pad}{sign}{p}/{q}{pad}",
+            f"{sign}{p}.{q}", f"{sign}.{q}", f"{p}_{q}", f"{p}/{q}_{p}", f"{p}e{q}",
+            f"{sign}{p}E-{q}", f"{p}/{q}e1", f"{p}/", f"/{q}", f"{p}//{q}"]
+
+
+_READER_INPUTS = st.one_of(
+    st.integers(),
+    st.integers(-10 ** 40, 10 ** 40),
+    st.builds(_texts_of, st.integers(0, 10 ** 30), st.integers(0, 10 ** 30), _SIGNS,
+              _PADDING).flatmap(st.sampled_from),
+    st.sampled_from(["-0", "0", "000", "-000/0001", "1/0", "0/0", "-1/00", "+3", " 3 ",
+                     "1_000", "_1", "1__0", "2e3", "1E5", "١٢", "３", "", "-", "/",
+                     "nan", "inf", "1/2/3", "0x10"]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.booleans(),
+    st.none(),
+    st.text(alphabet="0123456789-+/._eE \t", max_size=12),
+    st.text(max_size=6),
+)
+
+
+@settings(max_examples=600, deadline=None)
+@given(_READER_INPUTS)
+def test_rat_parse_reads_as_the_fraction_path(x):
+    # the int path gives the value, and any input it hands on the
+    # ParseError message, of the reader that sends every input through
+    # Fraction; a dense matrix of the entry reads the same
+    expected = _reading(_fraction_rat_parse, x)
+    assert _reading(rat_parse, x) == expected
+    p, q = exactq._rat_ints(x) if expected[0] == "value" else (None, None)
+    if expected[0] == "value":
+        assert q > 0 and Fraction(p, q) == expected[1]
+    matrix = _reading(lambda y: QMatrix.from_json([[y, 1], [0, "1/3"]]), x)
+    assert matrix == (expected if expected[0] == "error" else
+                      ("value", QMatrix.from_rows([[expected[1], 1], [0, Fraction(1, 3)]])))
+
+
+def test_dense_matrices_read_as_the_fraction_path(monkeypatch):
+    # every dense matrix of the benchmark's cli_orbits passes at seeds 0
+    # and 3 (the orbit-classify matrices, and S and f of model-data) reads
+    # to the int scaling of the Fraction-per-entry construction
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), "..", "perfbench"))
+    import workloads
+    count = 0
+    for seed in (0, 3):
+        for spec in workloads.generate("cli_orbits", seed):
+            for text in spec["argv"][2::2]:
+                obj = json.loads(text)
+                expected = QMatrix.from_rows([[_fraction_rat_parse(x) for x in row]
+                                              for row in obj])
+                assert QMatrix.from_json(obj)._ints == expected._ints
+                count += 1
+    assert count == 2 * (28 + 2 * 72)
+
+
+def test_subspace_from_json_reads_as_the_fraction_path():
+    rng = random.Random(33)
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        obj = [[rng.choice([0, rng.randint(-9, 9), f"{rng.randint(-20, 20)}/{rng.randint(1, 12)}",
+                            f" {rng.randint(-5, 5)}.5 "]) for _ in range(n)]
+               for _ in range(rng.randint(0, 4))]
+        expected = Subspace(n, [[_fraction_rat_parse(x) for x in v] for v in obj])
+        assert Subspace.from_json(n, obj) == expected
+        assert Subspace.from_json(n, obj)._den == expected._den
 
 
 # -- bracket ------------------------------------------------------------------
@@ -575,6 +673,43 @@ def test_orthogonal_matches_sympy_nullspace():
         assert U.orthogonal().dim == n - U.dim
 
 
+def _kernel_oracle(n, rows):
+    """The kernel read off the rows' RREF by `_kernel_of_rref` and
+    echelonized again by the constructor: two eliminations."""
+    U = Subspace(n, rows)
+    return Subspace(n, _kernel_of_rref(U._dense(), U.pivots, n, U._den))
+
+
+def test_kernel_is_the_two_elimination_kernel():
+    # one elimination of the reversed rows gives the canonical Subspace the
+    # two-elimination oracle gives: random int matrices (sparse and dense,
+    # entries up to 2^40), the zero matrix, full rank, n = 1 and no rows
+    rng = random.Random(34)
+    cases = [(1, []), (1, [[0]]), (1, [[5]]), (1, [[-3], [6]]), (4, []),
+             (4, [[0] * 4] * 3), (3, [[2, 0, 0], [0, -3, 0], [1, 1, 7]]),
+             (3, [[1, 2, 3], [2, 4, 6]])]
+    for _ in range(400):
+        n, m = rng.randint(1, 9), rng.randint(0, 10)
+        big = rng.random() < 0.2
+        cases.append((n, [[rng.choice([0, 0, 1, -1, rng.randint(-9, 9),
+                                       rng.randint(-2 ** 40, 2 ** 40) if big else 2])
+                           for _ in range(n)] for _ in range(m)]))
+    full = 0
+    for n, rows in cases:
+        K, expected = Subspace._kernel(n, rows), _kernel_oracle(n, rows)
+        assert K == expected and K._den == expected._den
+        assert K.pivots == expected.pivots and K.to_json() == expected.to_json()
+        assert Subspace(n, rows).orthogonal() == expected
+        assert all(not any(x for x in row) for row in _dense_products(rows, K))
+        full += K.dim == 0
+    assert full >= 3
+
+
+def _dense_products(rows, K):
+    """The matrix of the rows times each basis vector of K, one row each."""
+    return [[sum(x * y for x, y in zip(row, b)) for row in rows] for b in K.basis]
+
+
 def test_span_and_coordinates_match_sympy():
     pytest.importorskip("sympy")
     rng = random.Random(16)
@@ -968,6 +1103,98 @@ def test_rational_roots_of_large_eigenvalues_are_fast():
     eig = rational_eigenvalues(QMatrix.diag(vals))
     assert [lam for lam, _ in eig] == sorted(vals, reverse=True)
     assert time.perf_counter() - start < 1.0
+
+
+def _cauchy_rational_roots(coeffs):
+    """`_rational_roots` bisecting from |c_n| + max |c_i|, c_n times the
+    Cauchy bound of the primitive c: the oracle of the tighter start."""
+    roots, cs = [], list(coeffs)
+    while cs and cs[0] == 0:
+        roots.append(Fraction(0))
+        cs = cs[1:]
+    if len(cs) <= 1:
+        return sorted(set(roots), reverse=True)
+    c = exactq._integer_row(cs)
+    d, lead = len(c) - 1, c[-1]
+    q = [x * lead ** (d - 1 - i) for i, x in enumerate(c[:-1])] + [1]
+    seq = exactq._sturm_sequence(q)
+    bound = abs(lead) + max(abs(x) for x in c[:-1])
+    stack = [(-bound - 1, bound)]
+    while stack:
+        lo, hi = stack.pop()
+        if (exactq._sign_changes_at_half(seq, lo)
+                == exactq._sign_changes_at_half(seq, hi)):
+            continue
+        if hi - lo == 1:
+            if sum(x * hi ** i for i, x in enumerate(q)) == 0:
+                roots.append(Fraction(hi, lead))
+            continue
+        mid = (lo + hi) // 2
+        stack += [(lo, mid), (mid, hi)]
+    return sorted(set(roots), reverse=True)
+
+
+def test_rational_roots_start_inside_a_root_bound(monkeypatch):
+    # products of (y - r) with |r| up to 2^40, repeated and zero roots, and
+    # a non-monic lead: the search starts at (-B - 1/2, B + 1/2) for B =
+    # 2^(b + 1), b the least int with |q_(d-i)| < 2^(b i), every root y =
+    # c_n x of the monic q lies inside, and the roots are those of the
+    # Cauchy-bound search
+    rng = random.Random(35)
+    points, real = [], exactq._sign_changes_at_half
+
+    def recording(seq, m):
+        points.append(m)
+        return real(seq, m)
+    monkeypatch.setattr(exactq, "_sign_changes_at_half", recording)
+    bits, searched = [3, 10, 20, 40], 0
+    for trial in range(120):
+        lead = Fraction(rng.choice([1, 1, -1, 3, -12, 7]), rng.choice([1, 1, 2, 5]))
+        roots = [Fraction(rng.choice([1, -1]) * rng.randint(0, 2 ** rng.choice(bits)),
+                          rng.choice([1, 1, 1, 2, 3, 7]))
+                 for _ in range(rng.randint(1, 6))]
+        roots += rng.sample(roots, rng.randint(0, len(roots)))       # repeated roots
+        roots += [Fraction(0)] * (trial % 3 == 0)                     # a zero root
+        poly = [lead]
+        for r in roots:
+            poly = _poly_mul(poly, [-r, Fraction(1)])
+        if trial % 4 == 1:
+            poly = _poly_mul(poly, [Fraction(rng.randint(1, 9)), 0, Fraction(1)])
+        points.clear()
+        found = exactq._rational_roots(poly)
+        if points:
+            c = exactq._integer_row(poly[next(i for i, x in enumerate(poly) if x):])
+            d, q_lead = len(c) - 1, c[-1]
+            q = [x * q_lead ** (d - 1 - i) for i, x in enumerate(c[:-1])]
+            b = 0
+            while not all(abs(x) < 2 ** (b * (d - i)) for i, x in enumerate(q)):
+                b += 1
+            assert points[:2] == [-2 ** (b + 1) - 1, 2 ** (b + 1)]
+            assert all(abs(q_lead * r) < 2 ** (b + 1) for r in roots)
+            searched += 1
+        assert found == _cauchy_rational_roots(poly) == sorted(set(roots), reverse=True)
+    assert searched > 100
+    assert exactq._rational_roots([Fraction(-7), Fraction(2)]) == [Fraction(7, 2)]
+
+
+def test_model_data_spectra_take_few_sign_counts(monkeypatch):
+    # the 72 S of the benchmark's seed-0 model-data items: 3,272 Sturm sign
+    # counts when the search started from the Cauchy bound, 2,085 from 2^(b+1)
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), "..", "perfbench"))
+    import workloads
+    specs = [s for s in workloads.generate("cli_orbits", 0) if s["kind"] == "model-data"]
+    matrices = [QMatrix.from_json(json.loads(s["argv"][2])) for s in specs]
+    counts, real = [], exactq._sign_changes_at_half
+
+    def counting(seq, m):
+        counts.append(m)
+        return real(seq, m)
+    monkeypatch.setattr(exactq, "_sign_changes_at_half", counting)
+    spectra = [[lam for lam, _ in rational_eigenvalues(S)] for S in matrices]
+    assert len(specs) == 72 and len(counts) <= 2100
+    monkeypatch.setattr(exactq, "_sign_changes_at_half", real)
+    for S, spectrum in zip(matrices, spectra):
+        assert spectrum == _cauchy_rational_roots(char_poly(S))
 
 
 # -- skew tools ---------------------------------------------------------------

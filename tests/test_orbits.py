@@ -117,8 +117,10 @@ def test_jordan_partition_multiplies_no_matrices(rng, monkeypatch):
 
 @pytest.mark.parametrize("eta", [(3, 1), (4, 2, 1), (5,)])
 def test_jordan_partition_runs_one_elimination_per_power(monkeypatch, eta):
-    # J_eta has index L = max(eta): one elimination for each of the row
-    # spaces of N, N^2, ..., N^L, and none for the kernels
+    # J_eta has index L = max(eta), and its one label class has rank N^(k-1)
+    # rows at power k: one elimination for each power whose class has two
+    # or more rows, of exactly those rows, none for a class of one row
+    # (N^L's class for every eta here) and none for the kernels
     calls = []
     real = exactq._echelon
 
@@ -127,7 +129,9 @@ def test_jordan_partition_runs_one_elimination_per_power(monkeypatch, eta):
         return real(rows)
     monkeypatch.setattr(exactq, "_echelon", counting)
     assert jordan_partition(J_eta(eta)) == eta
-    assert len(calls) == max(eta)
+    assert calls == {(3, 1): [4, 2], (4, 2, 1): [7, 4, 2], (5,): [5, 4, 3, 2]}[eta]
+    assert calls == [r for r in (sum(max(e - j, 0) for e in eta) for j in range(max(eta)))
+                     if r >= 2]
 
 
 def test_jordan_partition_agrees_with_the_kernel_filtration():
@@ -254,6 +258,35 @@ def _chain_top_eliminations(monkeypatch, drop=False):
         return out
     monkeypatch.setattr(exactq, "_echelon", echelon)
     return calls
+
+
+def test_int_chains_eliminates_each_kernel_once(monkeypatch):
+    # the 28 orbit-classify inputs of the benchmark's seed-0 cli_orbits pass:
+    # each kernel ker N^k, k = 1..L, is one elimination (`Subspace._kernel`
+    # of the echelon rows of N^k), and the Subspace constructor eliminates
+    # nothing but the empty ker N^0 (it eliminated each kernel's vectors
+    # again when the kernels were orthogonal complements of row spaces)
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), "..", "perfbench"))
+    import workloads
+    specs = [s for s in workloads.generate("cli_orbits", 0) if s["kind"] == "orbit-classify"]
+    real, calls = exactq._echelon, Counter()
+
+    def echelon(rows, det=False):
+        caller = sys._getframe(1).f_code.co_name
+        calls[caller] += 1
+        calls[caller, "rows"] += len(rows)
+        return real(rows, det)
+    monkeypatch.setattr(exactq, "_echelon", echelon)
+    for spec in specs:
+        N = QMatrix.from_json(json.loads(spec["argv"][2]))
+        calls.clear()
+        tops = orbits._int_chains(N)
+        assert [k for k, _, _ in tops] == spec["mu"]
+        assert calls["_kernel"] == max(spec["mu"])
+        assert calls["__init__"] == 1 and calls["__init__", "rows"] == 0
+        assert set(c for c in calls if type(c) is str) == {
+            "_kernel", "__init__", "_int_chains", "_graded_row_spaces"}
+    assert len(specs) == 28
 
 
 def test_chain_tops_are_sought_only_at_lengths_a_block_has(monkeypatch):

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -233,10 +234,11 @@ def test_neutral_characterizations_agree_on_fractional_pairs():
 def test_is_neutral_pair_eliminates_only_the_graded_power_blocks(monkeypatch, shift):
     # for a diagonal h the eliminations are the label classes of the powers
     # of f in the coordinate frame: at power k one per label c whose rows of
-    # f^(k-1) are nonzero and with c + 2k a label, a row per Jordan block
-    # through c and c + 2(k-1) (every label-c row at k = 1) and a column
-    # per label-(c + 2k) cell, none of all n columns; a half-integer shift
-    # makes h not neutral, and nothing is eliminated
+    # f^(k-1) number two or more and with c + 2k a label, a row per Jordan
+    # block through c and c + 2(k-1) (every label-c row at k = 1) and a
+    # column per label-(c + 2k) cell, none of all n columns; a class of one
+    # row is its own echelon form and is not eliminated; a half-integer
+    # shift makes h not neutral, and nothing is eliminated
     eta = (4, 3, 1)
     f, h = J_eta(eta), h_eta(eta) + QMatrix.diag([shift] * 8)
     dims = Counter(k - 1 - 2 * i for k in eta for i in range(k))
@@ -244,22 +246,30 @@ def test_is_neutral_pair_eliminates_only_the_graded_power_blocks(monkeypatch, sh
     def through(c, k):
         return sum(1 for s in eta if 1 - s <= c and c + 2 * k <= s - 1
                    and (s - 1 - c) % 2 == 0)
-    expected = Counter()
+    expected, single = Counter(), 0
     for k in range(1, max(eta) + 1):
         for c in list(dims):
             rows = dims[c] if k == 1 else through(c, k - 1)
-            if rows and dims[c + 2 * k]:
+            if rows >= 2 and dims[c + 2 * k]:
                 expected[rows, dims[c + 2 * k]] += 1
-    calls = []
-    real = exactq._echelon
+            single += rows == 1 and dims[c + 2 * k] > 0
+    calls, primitive = [], []
+    real, real_row = exactq._echelon, exactq._integer_row
 
     def counting(rows):
         calls.append((len(rows), len(rows[0])))
         return real(rows)
+
+    def one_row(row):
+        if sys._getframe(1).f_code.co_name == "_graded_row_spaces":
+            primitive.append(len(row))
+        return real_row(row)
     monkeypatch.setattr(exactq, "_echelon", counting)
+    monkeypatch.setattr(exactq, "_integer_row", one_row)
     assert is_neutral_pair(h, f) is (shift == 0)
     assert Counter(calls) == (expected if shift == 0 else Counter())
-    assert sum(expected.values()) > 5 and max(w for _, w in expected) == 2
+    assert len(primitive) == (single if shift == 0 else 0)
+    assert expected == Counter({(2, 1): 1}) and single == 8
 
 
 # -- bigrading -------------------------------------------------------------------
