@@ -31,11 +31,10 @@ the raising path.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
-from .errors import InternalCheckFailure, NotDominated, PreconditionViolation
+from .errors import InternalCheckFailure, NotDominated, PreconditionViolation, Record
 from .exactq import QMatrix, rat_str
 from .orbits import (J_eta, _chain_basis, _graded_row_spaces, _jordan_type,
                      _lefschetz, _twist, h_eta, is_dth_power, power_class,
@@ -190,16 +189,10 @@ def _merge(common, step, below):
 # certificates
 
 
-@dataclass(frozen=True)
-class DeformationCertificate:
-    n: int
-    h: QMatrix
-    f: QMatrix
-    Z: QMatrix
-    psi: QMatrix
-    mu: tuple
-    lam: tuple
-    checks: dict
+class DeformationCertificate(Record):
+    """n, the QMatrix values h, f, Z and psi, the partitions mu and lam, and
+    checks (a dict of the clauses the checker verified)."""
+    __slots__ = ("n", "h", "f", "Z", "psi", "mu", "lam", "checks")
 
     def to_json(self):
         return {"n": self.n, "mu": list(self.mu), "lambda": list(self.lam),
@@ -208,12 +201,10 @@ class DeformationCertificate:
                 "checks": dict(self.checks)}
 
 
-@dataclass(frozen=True)
-class ConditionNotMet:
-    """SL raising is impossible: a/b is not a d-th power.  A result value,
-    not an error."""
-    d: int
-    a_class: Fraction
+class ConditionNotMet(Record):
+    """SL raising is impossible: a/b is not a d-th power, of class a_class
+    (a Fraction).  A result value, not an error."""
+    __slots__ = ("d", "a_class")
 
     def to_json(self):
         return {"condition_not_met": True, "d": self.d,
@@ -350,18 +341,12 @@ def _ext_gcd(a, b):
     return g, y, x - (a // b) * y
 
 
-@dataclass(frozen=True)
-class ComparCertificate:
+class ComparCertificate(Record):
     """The four orbit-comparison hypothesis conditions, certified: S = h + Z,
     F = f + psi with F in the lambda-orbit, f of S-weight -2, [h, S] = 0 and
-    F - f of negative (S - h)-weights."""
-    h: QMatrix
-    f: QMatrix
-    S: QMatrix
-    F: QMatrix
-    mu: tuple
-    lam: tuple
-    conditions: dict
+    F - f of negative (S - h)-weights.  The fields are the QMatrix values
+    h, f, S and F, the partitions mu and lam, and the conditions dict."""
+    __slots__ = ("h", "f", "S", "F", "mu", "lam", "conditions")
 
     def to_json(self):
         return {"mu": list(self.mu), "lambda": list(self.lam),

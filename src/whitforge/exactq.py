@@ -10,7 +10,9 @@ scaling (D, the ints of D M), D the lcm of its denominators, and a
 `Subspace` its canonical RREF basis as int rows over one common
 denominator, which serve `member` and `intersect` (one shared reduction),
 `span` of coordinate vectors, `kernel_of` a map given by the basis's
-images and `orthogonal`.  Each builds its Fractions (`entries`, `basis`)
+images and `orthogonal`.  `span` and `kernel_of` eliminate only
+coordinates, of width dim, and read the RREF off the coordinates' RREF
+(`_combined`).  Each builds its Fractions (`entries`, `basis`)
 when they are first read, and prints x/D straight from its ints
 (`_ratio_texts`).  Dense input is read as ints too: `_rat_ints` reads a
 rational in the printed form p or p/q with int() and hands any other text
@@ -20,18 +22,19 @@ the solution's entries Fractions, and `rref_solve` and `graded_solve`
 read their solutions through it.  `_echelon` is the only elimination, of
 this module or any other: `QMatrix.inverse` reads the RREF of the int
 rows [D M | I], `QMatrix.det` is the determinant it keeps on request, of
-D M, and a kernel (`Subspace._kernel`, behind `orthogonal`, the
-eigenspaces and the Jordan kernels) is one elimination of its rows with
+D M, and a kernel (`Subspace._kernel`, behind `orthogonal`, `kernel_of`,
+the eigenspaces and the Jordan kernels) is one elimination of its rows with
 their columns reversed, off which its canonical basis is read.
 
 `grading` builds the one eigenbasis grading, a `Grading`, held as its int
 frame: the primitive int columns of a joint eigenbasis P of commuting
 rational semisimple matrices, the int rows R = s P^{-1} read off one
 elimination, and the weight of every frame cell E_ij as an int label (L
-times the weight, one L per grading).  It grades by one matrix, then
-splits each block by the next (`_split`); `bigrade` splits an S-grading
-by h.  `Grading.frame` is P^{-1} M P = T / D in ints and `unframe` maps a
-frame matrix back by int outer products of P's columns and R's rows.
+times the weight, one L per grading); the weights as rationals are made
+when first read.  It grades by one matrix, then splits each block by the
+next (`_split`); `bigrade` splits an S-grading by h.  `Grading.frame` is
+P^{-1} M P = T / D in ints and `unframe` maps a frame matrix back by int
+outer products of P's columns and R's rows.
 An M homogeneous in the grading shifts weights by one fixed amount, so
 ad(M) splits into one small block per weight: `graded_kernel` and
 `graded_solve` eliminate those blocks, and refuse an M that is not
@@ -61,14 +64,12 @@ evaluations of the sequence.
 """
 
 from fractions import Fraction
-from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import chain, compress, groupby
 from math import gcd, lcm, prod
 from operator import add, itemgetter, mul, sub
 
 from .errors import (DimensionMismatch, InternalCheckFailure, NotCommuting,
-                     NotRationalSplit, ParseError)
+                     NotRationalSplit, ParseError, Record)
 
 _ZERO = Fraction(0)
 
@@ -107,7 +108,9 @@ def rat_str(x):
 
 def rat_parse(s):
     """A rational from its text: p/q, an integer or a decimal.  Exponent
-    notation is refused, as 1e1000000000 names a 10^9-digit integer."""
+    notation is refused, as 1e1000000000 names a 10^9-digit integer: a text
+    holding a digit (any `str.isdigit` one, which Fraction reads too) and
+    an e or E.  Fraction names the fault of any other text it refuses."""
     return Fraction(*_rat_ints(s))
 
 
@@ -129,7 +132,7 @@ def _rat_ints(s):
                 pass
     try:
         text = str(s).strip()
-        if "e" in text.lower():
+        if ("e" in text or "E" in text) and any(map(str.isdigit, text)):
             raise ValueError("exponent notation is not accepted")
         x = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -169,8 +172,11 @@ class QMatrix:
 
     def _set(self, rows, cols, D, ints, entries=None):
         """Fill the slots: the canonical (D, ints), the Fractions if known."""
-        for name, value in zip(self.__slots__, (rows, cols, (D, ints), entries, None)):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "_ints", (D, ints))
+        object.__setattr__(self, "_entries", entries)
+        object.__setattr__(self, "_hash", None)
 
     @classmethod
     def _of_ints(cls, rows, cols, D, ints):
@@ -583,13 +589,11 @@ def echelon_first(y, kernel):
     return D * K._den, K._reduce(y[::-1])[::-1]
 
 
-@dataclass(frozen=True)
-class RrefResult:
-    echelon: QMatrix
-    pivots: tuple
-    rank: int
-    solution: object      # tuple of Fractions | NO_SOLUTION | None (no b given)
-    kernel: tuple         # tuple of coordinate tuples, echelonized
+class RrefResult(Record):
+    """echelon (a QMatrix), pivots (a tuple), rank, solution (a tuple of
+    Fractions, NO_SOLUTION, or None when no b is given) and kernel (a tuple
+    of coordinate tuples, echelonized)."""
+    __slots__ = ("echelon", "pivots", "rank", "solution", "kernel")
 
 
 def rref_solve(A, b=None):
@@ -644,18 +648,24 @@ class Subspace:
         if within is not None:
             if within.ambient_dim != ambient_dim:
                 raise DimensionMismatch("ambient_dim mismatch")
-            piv, cols, ints, D = within._grown(vectors)
+            self._set(ambient_dim, *within._grown(vectors))
         else:
             vectors = list(vectors)
             if any(len(v) != ambient_dim for v in vectors):
                 raise DimensionMismatch("vector length != ambient_dim")
-            A, piv = _echelon(vectors)
-            D = lcm(*(row[c] for row, c in zip(A, piv)))
-            cols, ints = [], []
-            for row, c in zip(A, piv):
-                s = D // row[c]
-                cols.append(list(compress(range(ambient_dim), row)))
-                ints.append([x * s for x in compress(row, row)])
+            self._set_rows(ambient_dim, *_echelon(vectors))
+
+    def _set_rows(self, ambient_dim, rows, piv):
+        """Fill the slots from primitive dense int rows that are the reduced
+        echelon basis up to the scale of each row, one per pivot in piv (a
+        zero row after them is left out): D is the lcm of their pivot
+        entries and each row is kept times D over its pivot entry."""
+        D = lcm(*(row[c] for row, c in zip(rows, piv)))
+        cols, ints = [], []
+        for row, c in zip(rows, piv):
+            s = D // row[c]
+            cols.append(list(compress(range(ambient_dim), row)))
+            ints.append([x * s for x in compress(row, row)])
         self._set(ambient_dim, piv, cols, ints, D)
 
     def _set(self, ambient_dim, piv, cols, ints, D):
@@ -773,24 +783,45 @@ class Subspace:
 
     def span(self, coords):
         """The subspace spanned by the combinations sum c_i basis[i], one per
-        coordinate vector c, formed as int combinations of the int rows (a
-        nonzero multiple of each), touching only nonzero coefficients and
-        entries."""
-        vectors = []
-        for coeffs in coords:
-            out = [0] * self.ambient_dim
-            for c, idx, vals in zip(_integer_row(coeffs), self._cols, self._vals):
-                if c:
-                    for t, x in zip(idx, vals):
-                        out[t] += c * x
-            vectors.append(out)
-        return Subspace(self.ambient_dim, vectors)
+        coordinate vector c: `_combined` of the coordinates' RREF, an
+        elimination of width dim."""
+        coords = list(coords)
+        if any(len(c) != self.dim for c in coords):
+            raise DimensionMismatch("coordinate vector length != dim")
+        return self._combined(*_echelon(coords))
 
     def kernel_of(self, images):
         """{sum c_i basis[i] : sum c_i images[i] = 0}, images[i] that of
-        basis[i] (or all of them times one nonzero constant)."""
-        rows = [row for row in zip(*images) if any(row)]
-        return self.span(_kernel_rows(rows, self.dim))
+        basis[i] (or all of them times one nonzero constant): `_combined`
+        of the coordinate kernel, which `_kernel` gives in RREF."""
+        if len(images) != self.dim:
+            raise DimensionMismatch("one image per basis vector is needed")
+        K = Subspace._kernel(self.dim, [row for row in zip(*images) if any(row)])
+        return self._combined(K._dense(), K.pivots)
+
+    def _combined(self, coords, piv):
+        """The span of the combinations sum c_i basis[i] for the coordinate
+        rows c of a reduced echelon form, each up to scale, with pivots piv,
+        with no elimination: the basis is reduced echelon with pivots p_i,
+        so coordinate p_i of sum c_i basis[i] is c_i times the pivot entry.
+        A row c with pivot q is zero left of q, so its combination is zero
+        left of p_q and nonzero at p_q; and it is zero at the pivots p_q'
+        of the other rows, where those rows' c is 0.  So the combinations
+        are the span's RREF, each up to scale, with pivots the p_q.  They
+        are formed as int combinations of the int rows, touching only
+        nonzero coefficients and entries, and made primitive for
+        `_set_rows`."""
+        n, rows = self.ambient_dim, []
+        for coeffs in coords[:len(piv)]:
+            out = [0] * n
+            for c, idx, vals in zip(coeffs, self._cols, self._vals):
+                if c:
+                    for t, x in zip(idx, vals):
+                        out[t] += c * x
+            rows.append(_integer_row(out))
+        out = object.__new__(Subspace)
+        out._set_rows(n, rows, [self.pivots[q] for q in piv])
+        return out
 
     def orthogonal(self):
         """{x : b . x = 0 for every basis vector b}: the `_kernel` of the
@@ -1018,8 +1049,7 @@ def rational_eigenvalues(M):
 # operators that are homogeneous in them
 
 
-@dataclass(frozen=True)
-class Grading:
+class Grading(Record):
     """gl_n graded by commuting rational semisimple matrices M_1, ..., M_k,
     held as its int frame.  The columns of P are joint eigenvectors, kept as
     the primitive int lists `cols`, and labels[i] is L times the tuple of
@@ -1028,30 +1058,32 @@ class Grading:
     give weights as rationals.  The int rows R are s P^{-1}, so s P E_ij
     P^{-1} is the outer product of cols[i] and R[j].  In the frame of P a
     matrix M reads P^{-1} M P (`frame`), and a frame matrix X maps back to
-    P X P^{-1} (`unframe`)."""
-    labels: tuple
-    L: int
-    cols: tuple
-    R: tuple
-    s: int
-    # int weight -> the (i, j) whose P E_ij P^{-1} have that weight
-    _cells: dict = field(init=False, repr=False, compare=False)
-    # the int weights that occur, sorted
-    int_weights: tuple = field(init=False, repr=False, compare=False)
+    P X P^{-1} (`unframe`).  The fields are labels, L, cols, R and s; the
+    slots after them are derived and neither compared nor shown."""
+    # _cells: int weight -> the (i, j) whose P E_ij P^{-1} have that weight;
+    # int_weights: the int weights that occur, sorted; _rationals: the
+    # `_weight` map, None until first read
+    __slots__ = ("labels", "L", "cols", "R", "s", "_cells", "int_weights", "_rationals")
+    _fields = __slots__[:5]
 
-    def __post_init__(self):
+    def __init__(self, labels, L, cols, R, s):
+        Record.__init__(self, labels, L, cols, R, s)
         cells = {}
-        for i, a in enumerate(self.labels):
-            for j, b in enumerate(self.labels):
+        for i, a in enumerate(labels):
+            for j, b in enumerate(labels):
                 w = tuple(x - y for x, y in zip(a, b))
                 cells.setdefault(w, []).append((i, j))
         object.__setattr__(self, "_cells", cells)
         object.__setattr__(self, "int_weights", tuple(sorted(cells)))
+        object.__setattr__(self, "_rationals", None)
 
-    @cached_property
+    @property
     def _weight(self):
         """int weight -> the weight as rationals, made on first read."""
-        return {w: tuple(Fraction(x, self.L) for x in w) for w in self.int_weights}
+        if self._rationals is None:
+            object.__setattr__(self, "_rationals", {
+                w: tuple(Fraction(x, self.L) for x in w) for w in self.int_weights})
+        return self._rationals
 
     @property
     def weights(self):

@@ -22,11 +22,10 @@ import itertools
 import math
 from array import array
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (DimensionMismatch, InternalCheckFailure, NoSolutionError,
-                     NotNilpotent, NotRationalSplit, UnsupportedQuery,
+                     NotNilpotent, NotRationalSplit, Record, UnsupportedQuery,
                      WrongPartition)
 from . import exactq
 from .exactq import (NO_SOLUTION, QMatrix, Subspace, _bracket, _int_action,
@@ -56,11 +55,9 @@ def h_eta(eta):
     return QMatrix.diag([k - 1 - 2 * i for k in eta for i in range(k)])
 
 
-@dataclass(frozen=True)
-class StandardRep:
-    eta: tuple
-    J: QMatrix
-    h: QMatrix
+class StandardRep(Record):
+    """eta (a tuple) with J_eta and h_eta (QMatrix values)."""
+    __slots__ = ("eta", "J", "h")
 
     def to_json(self):
         return {"eta": list(self.eta), "J": self.J.to_json(), "h": self.h.to_json()}
@@ -614,11 +611,10 @@ def power_class(r, d):
     return Fraction(sign * m)
 
 
-@dataclass(frozen=True)
-class SlOrbitClass:
-    lam: tuple
-    d: int
-    a_class: Fraction
+class SlOrbitClass(Record):
+    """lam (a tuple), d (an int) and a_class (a Fraction), equal to another
+    class of the same lam and d whose a_class differs by a d-th power."""
+    __slots__ = ("lam", "d", "a_class")
 
     def to_json(self):
         return {"lambda": list(self.lam), "d": self.d, "a_class": rat_str(self.a_class)}

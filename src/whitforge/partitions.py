@@ -3,26 +3,24 @@ partition-level orbit classifiers (special / admissible / quasi-admissible /
 distinguished) for the classical groups.
 """
 
-from dataclasses import dataclass
 from itertools import zip_longest
 
 from .errors import (InternalCheckFailure, InvalidPartitionForType,
-                     NotDominated, SizeMismatch, UnsupportedQuery)
+                     NotDominated, Record, SizeMismatch, UnsupportedQuery)
 
 GROUP_TAGS = ("GL", "SL", "Sp", "O", "SO", "U", "SU")
 FIELD_FLAVORS = ("real", "padic")
 
 
-@dataclass(frozen=True)
-class GroupType:
-    tag: str
-    field_flavor: str = "padic"
+class GroupType(Record):
+    __slots__ = ("tag", "field_flavor")
 
-    def __post_init__(self):
-        if self.tag not in GROUP_TAGS:
-            raise ValueError(f"unknown group tag {self.tag!r}")
-        if self.field_flavor not in FIELD_FLAVORS:
-            raise ValueError(f"unknown field flavor {self.field_flavor!r}")
+    def __init__(self, tag, field_flavor="padic"):
+        Record.__init__(self, tag, field_flavor)
+        if tag not in GROUP_TAGS:
+            raise ValueError(f"unknown group tag {tag!r}")
+        if field_flavor not in FIELD_FLAVORS:
+            raise ValueError(f"unknown field flavor {field_flavor!r}")
 
     def to_json(self):
         return {"tag": self.tag, "field": self.field_flavor}
@@ -113,11 +111,10 @@ def oht_admissible(lam):
     return True
 
 
-@dataclass(frozen=True)
-class OrbitClassification:
-    special: bool
-    admissible: object       # bool, or None when the query is unsupported (SU)
-    quasi_admissible: bool
+class OrbitClassification(Record):
+    """special and quasi_admissible (bools) and admissible (a bool, or None
+    when the query is unsupported: SU)."""
+    __slots__ = ("special", "admissible", "quasi_admissible")
 
     def to_json(self):
         return {"special": self.special,

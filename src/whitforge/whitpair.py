@@ -34,12 +34,11 @@ matrix f with phi(X) = trace(f X); then ad*-weights of phi equal ad-weights of
 f, so every weight condition is a bracket condition on matrices.
 """
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from operator import add, mul
-from typing import NamedTuple
 
-from .errors import (DimensionMismatch, NotCommuting, ShapeViolation,
+from .errors import (DimensionMismatch, NotCommuting, Record, ShapeViolation,
                      VerificationError)
 # Grading, grading and rational_eigenvalues live in exactq, and stay names
 # of this module too
@@ -88,42 +87,39 @@ def graded_space(S, predicate):
 # domain types
 
 
-@dataclass(frozen=True)
-class WhittakerPair:
+class WhittakerPair(Record):
     """(S, phi) with S rational semisimple and [S, f] = -2f, f the trace-form
     matrix of phi.  f is then nilpotent, so the validation does not test
     it: grading(S) succeeds only for a rational semisimple S, and [S, f] =
     -2f makes f map the s-eigenspace into the (s - 2)-eigenspace, so f^k
     lowers every eigenvalue by 2k and is 0 once 2k exceeds the spread of
-    S's finitely many eigenvalues."""
-    n: int
-    S: QMatrix
-    f: QMatrix
-    # grading(S), built once by the validation
-    grading: Grading = field(init=False, repr=False, compare=False)
+    S's finitely many eigenvalues.  The fields are n, S and f; `grading`,
+    grading(S), is built once by the validation and neither compared nor
+    shown."""
+    __slots__ = ("n", "S", "f", "grading")
+    _fields = __slots__[:3]
 
-    def __post_init__(self):
-        if (self.S.rows, self.S.cols) != (self.n, self.n) or \
-           (self.f.rows, self.f.cols) != (self.n, self.n):
+    def __init__(self, n, S, f):
+        Record.__init__(self, n, S, f)
+        if (S.rows, S.cols) != (n, n) or (f.rows, f.cols) != (n, n):
             raise DimensionMismatch("S, f must be n x n")
-        if self.S.bracket(self.f) != self.f.scale(-2):
+        if S.bracket(f) != f.scale(-2):
             raise VerificationError("[S, f] != -2 f; not a Whittaker pair")
-        object.__setattr__(self, "grading", grading(self.S))
+        object.__setattr__(self, "grading", grading(S))
 
     def to_json(self):
         return {"n": self.n, "S": self.S.to_json(), "f": self.f.to_json()}
 
 
-@dataclass(frozen=True)
-class WhittakerTriple:
-    pair: WhittakerPair
-    f_prime: QMatrix
+class WhittakerTriple(Record):
+    __slots__ = ("pair", "f_prime")
 
-    def __post_init__(self):
-        n = self.pair.n
-        if (self.f_prime.rows, self.f_prime.cols) != (n, n):
+    def __init__(self, pair, f_prime):
+        Record.__init__(self, pair, f_prime)
+        n = pair.n
+        if (f_prime.rows, f_prime.cols) != (n, n):
             raise DimensionMismatch("f_prime must be n x n")
-        for (r,) in sorted(self.pair.grading.terms(self.f_prime)):
+        for (r,) in sorted(pair.grading.terms(f_prime)):
             if r <= -2:
                 raise VerificationError(
                     f"f_prime has an ad(S)-weight component at {rat_str(r)} <= -2")
@@ -132,15 +128,10 @@ class WhittakerTriple:
         return {"pair": self.pair.to_json(), "f_prime": self.f_prime.to_json()}
 
 
-@dataclass(frozen=True)
-class DeformationSnapshot:
-    t: Fraction
-    u: Subspace
-    v: Subspace
-    w: Subspace
-    rad: Subspace
-    l: Subspace
-    r: Subspace
+class DeformationSnapshot(Record):
+    """The filtration at t (a Fraction): the Subspaces u_t, v_t, w_t, the
+    radical and the maximal isotropic l_t and r_t."""
+    __slots__ = ("t", "u", "v", "w", "rad", "l", "r")
 
     def to_json(self):
         return {"t": rat_str(self.t),
@@ -150,19 +141,16 @@ class DeformationSnapshot:
                 "rad": self.rad.to_json(), "l": self.l.to_json(), "r": self.r.to_json()}
 
 
-@dataclass(frozen=True)
-class ChainCertificate:
-    pair: WhittakerPair
-    h: QMatrix
-    Z: QMatrix
-    e: QMatrix
-    criticals: tuple          # critical values in [0,1], 0 first
-    nodes: tuple              # criticals plus the endpoint 1
-    snapshots: tuple          # one DeformationSnapshot per node
-    inclusions: tuple         # dicts per consecutive node pair
-    obstructions: tuple       # dicts per consecutive node pair
-    # the (h, Z)-bigrading the filtrations are read off
-    grading: Grading = field(repr=False, compare=False)
+class ChainCertificate(Record):
+    """The chain of a pair: h, Z and e (QMatrix values), criticals (the
+    critical values in [0, 1], 0 first), nodes (the criticals plus the
+    endpoint 1), snapshots (one DeformationSnapshot per node), inclusions
+    and obstructions (dicts per consecutive node pair), and grading, the
+    (h, Z)-bigrading the filtrations are read off, neither compared nor
+    shown."""
+    __slots__ = ("pair", "h", "Z", "e", "criticals", "nodes", "snapshots",
+                 "inclusions", "obstructions", "grading")
+    _shown = __slots__[:-1]
 
     def to_json(self):
         return {
@@ -342,13 +330,11 @@ class _Spaces:
         return self._built[key]
 
 
-class _Form(NamedTuple):
+class _Form(namedtuple("_Form", "T weight index")):
     """omega_f(X, Y) = trace(f [X, Y]) in a frame where f' = P^{-1} f P is
     T / D, homogeneous of int weight `weight`, with T's `_ad_index`.  omega
     pairs weight w only with its partner -w - weight."""
-    T: list
-    weight: tuple
-    index: tuple
+    __slots__ = ()
 
 
 def _form(g, T, weight):
@@ -455,12 +441,9 @@ def _weight_test(g, A, holds, B=None):
 # snapshots and chains
 
 
-class _Node(NamedTuple):
-    """The frame pieces of a snapshot: w_t cap g^f, l_t, r_t and v_t."""
-    cap: dict
-    l: dict
-    r: dict
-    v: dict
+class _Node(namedtuple("_Node", "cap l r v")):
+    """The frame pieces of a snapshot, dicts: w_t cap g^f, l_t, r_t and v_t."""
+    __slots__ = ()
 
 
 def _lagrangian_m(bg, f):

@@ -242,6 +242,18 @@ def test_exponent_notation_is_a_parse_error(capsys, argv, value):
         f"bad rational {value}: exponent notation is not accepted"
 
 
+@pytest.mark.parametrize("matrix, message", [
+    ("[[true]]", "bad rational True: Invalid literal for Fraction: 'True'"),
+    ("[[null]]", "bad rational None: Invalid literal for Fraction: 'None'"),
+    ('[["one"]]', "bad rational 'one': Invalid literal for Fraction: 'one'"),
+], ids=["true", "null", "word"])
+def test_a_text_with_no_digit_is_refused_by_fraction(capsys, matrix, message):
+    # an e with no digit is no exponent notation: Fraction names the fault
+    code, out, err = run_cli(capsys, "orbit-classify", "--matrix", matrix)
+    _assert_parse_error(code, out, err)
+    assert json.loads(err)["message"] == message
+
+
 def test_a_document_n_above_the_bound_is_a_parse_error(tmp_path, capsys):
     doc = tmp_path / "pair.json"
     doc.write_text(json.dumps({"n": 100000, "S": "0", "f": "0"}))

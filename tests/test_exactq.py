@@ -13,7 +13,8 @@ from whitforge import exactq, orbits
 from whitforge.errors import (DimensionMismatch, InternalCheckFailure,
                               NotRationalSplit, ParseError)
 from whitforge.exactq import (NO_SOLUTION, QMatrix, Subspace, _bracket,
-                              _echelon, _kernel_of_rref, _kernel_rows, _lagrangian,
+                              _echelon, _integer_row, _kernel_of_rref, _kernel_rows,
+                              _lagrangian,
                               char_poly, echelon_first, rat_parse, rat_str,
                               rational_eigenvalues, rref_solve, skew_tools)
 from whitforge.orbits import jordan_chain_basis
@@ -40,7 +41,7 @@ def _fraction_rat_parse(s):
     `rat_parse`'s int path, value and ParseError message alike."""
     try:
         text = str(s).strip()
-        if "e" in text.lower():
+        if ("e" in text or "E" in text) and any(c.isdigit() for c in text):
             raise ValueError("exponent notation is not accepted")
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -736,6 +737,87 @@ def test_kernel_of_matches_sympy_nullspace():
         expected = (_from_sympy(_to_sympy(coords, k) * _basis_matrix(U))
                     if coords else [])
         assert U.kernel_of(images) == Subspace(n, expected)
+
+
+def _span_by_elimination(W, coords):
+    """The span as the constructor eliminates it, in ambient coordinates:
+    the int combinations of W's int rows, one per coordinate vector."""
+    vectors = []
+    for coeffs in coords:
+        out = [0] * W.ambient_dim
+        for c, idx, vals in zip(_integer_row(coeffs), W._cols, W._vals):
+            for t, x in zip(idx, vals):
+                out[t] += c * x
+        vectors.append(out)
+    return Subspace(W.ambient_dim, vectors)
+
+
+def _kernel_of_by_elimination(W, images):
+    """`_span_by_elimination` of the coordinate kernel `_kernel_rows` reads
+    off the images' rows."""
+    return _span_by_elimination(W, _kernel_rows([row for row in zip(*images) if any(row)],
+                                                W.dim))
+
+
+_ENTRIES = st.one_of(st.integers(-3, 3), st.integers(-2 ** 40, 2 ** 40),
+                     st.fractions(max_denominator=7).filter(lambda x: abs(x) < 50))
+
+
+@st.composite
+def _spaces_with_coordinates(draw):
+    """(W, coordinate vectors, images): W spanned by int rows in Q^n, n <= 7,
+    the coordinates and images of width W.dim, entries small, huge or
+    rational."""
+    n = draw(st.integers(1, 7))
+    rows = draw(st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n), max_size=6))
+    W = Subspace(n, rows)
+    coords = draw(st.lists(st.lists(_ENTRIES, min_size=W.dim, max_size=W.dim), max_size=5))
+    width = draw(st.integers(0, 4))
+    images = draw(st.lists(st.lists(_ENTRIES, min_size=width, max_size=width),
+                           min_size=W.dim, max_size=W.dim))
+    return W, coords, images
+
+
+@settings(max_examples=300, deadline=None)
+@given(_spaces_with_coordinates())
+def test_span_and_kernel_of_read_the_rref_off_the_coordinates(case):
+    # the combinations of the coordinates' RREF rows are the span's RREF:
+    # the same canonical subspace as eliminating the combinations again
+    W, coords, images = case
+    for got, expected in ((W.span(coords), _span_by_elimination(W, coords)),
+                          (W.kernel_of(images), _kernel_of_by_elimination(W, images))):
+        assert got == expected and got._den == expected._den
+        assert got.pivots == expected.pivots and got.to_json() == expected.to_json()
+    # a coordinate vector of another length, or an image too many, is refused
+    with pytest.raises(DimensionMismatch):
+        W.span([[0] * (W.dim + 1)])
+    with pytest.raises(DimensionMismatch):
+        W.kernel_of(images + [images[0] if images else []])
+
+
+def test_span_and_kernel_of_eliminate_only_coordinates(monkeypatch):
+    # no elimination inside span or kernel_of is wider than W.dim
+    rng = random.Random(34)
+    real, widths = exactq._echelon, []
+
+    def echelon(rows, det=False):
+        rows = list(rows)
+        widths.append(max(map(len, rows), default=0))
+        return real(rows, det)
+    cases = []
+    while len(cases) < 60:
+        n = rng.randint(2, 8)
+        W = Subspace(n, _random_rows(rng, rng.randint(1, n), n, 12))
+        if W.dim:
+            cases.append((W, _random_rows(rng, 3, W.dim, 12),
+                          _random_rows(rng, W.dim, rng.randint(1, 3), 12)))
+    monkeypatch.setattr(exactq, "_echelon", echelon)
+    for W, coords, images in cases:
+        widths.clear()
+        W.span(coords)
+        W.kernel_of(images)
+        W.intersect(W.span(coords[:1]))
+        assert widths and max(widths) <= W.dim
 
 
 def test_intersect_matches_sympy_nullspace():

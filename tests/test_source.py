@@ -1,6 +1,9 @@
 """Checks on the library source itself."""
 
 import ast
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "whitforge"
@@ -72,3 +75,19 @@ def test_whitpair_intersects_no_subspaces():
     found = [node.lineno for node in ast.walk(tree)
              if isinstance(node, ast.Attribute) and node.attr == "intersect"]
     assert not found, f"whitpair.py calls intersect at lines {found}"
+
+
+def test_start_up_loads_no_dataclasses_inspect_or_typing():
+    # the records are slotted classes over errors.Record and the private
+    # tuples collections.namedtuples: a fresh interpreter without site
+    # imports whitforge and its CLI and checks the fixtures, loading none of
+    # these modules
+    code = ("import io, json, sys; sys.path.insert(0, sys.argv[1]); "
+            "import whitforge, whitforge.cli; "
+            "failures = whitforge.cli.verify_fixtures(out=io.StringIO()); "
+            "print(json.dumps([failures, sorted({'dataclasses', 'inspect', 'typing'}"
+            " & set(sys.modules))]))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code, str(SRC.parent)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0, []]

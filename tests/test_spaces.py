@@ -126,14 +126,19 @@ def test_a_chain_solves_no_kernel_that_sl2_theory_makes_0(monkeypatch, workloads
 
 # -- what one call builds ---------------------------------------------------------
 
+def _slots(record):
+    """The values in a record's slots."""
+    return {name: getattr(record, name) for name in type(record).__slots__}
+
+
 def _state(pair):
-    """What a cache could hide in: the pair, its grading, and the
-    whitpair and exactq module dicts (each value's identity, and the size
-    of a container)."""
+    """What a cache could hide in: the pair's and its grading's slots, and
+    the whitpair and exactq module dicts (each value's identity, and the
+    size of a container)."""
     modules = {(m.__name__, name): (id(value), len(value) if isinstance(
         value, (dict, list, set)) else None)
         for m in (whitpair, exactq) for name, value in vars(m).items()}
-    return dict(vars(pair)), dict(vars(pair.grading)), modules
+    return _slots(pair), _slots(pair.grading), modules
 
 
 def test_a_chain_call_builds_each_space_once(monkeypatch, workloads):
