@@ -13,7 +13,6 @@ import os
 import re
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 from . import deform, orbits, partitions, whitpair
 from .errors import MathError, ParseError
@@ -91,18 +90,22 @@ def parse_matrix_spec(spec, n=None):
     if not size:
         raise ParseError(f"cannot infer size of {text!r}; pass n")
     _within_bound(size)
-    out = QMatrix.zeros(size)
+    cells = {}
     for kind, coef, payload in terms:
         if kind == "diag":
             if len(payload) != size:
                 raise ParseError(f"diag(...) length {len(payload)} != n = {size}")
-            out = out + QMatrix.diag(payload).scale(coef)
+            entries = zip(range(0, size * size, size + 1), payload)
         elif kind == "E":
             i, j = payload
             if not (1 <= i <= size and 1 <= j <= size):
                 raise ParseError(f"E{{{i},{j}}} is out of range for n = {size}")
-            out = out + QMatrix.elementary(size, i, j, coef)
-    return out
+            entries = [((i - 1) * size + j - 1, 1)]
+        else:
+            continue
+        for k, x in entries:
+            cells[k] = cells.get(k, 0) + coef * x
+    return QMatrix._of_cells(size, cells)
 
 
 def _within_bound(size):
@@ -134,8 +137,11 @@ def _read_input(args):
     if not src:
         return {}
     try:
-        doc = json.loads(sys.stdin.read() if src == "-"
-                         else Path(src).read_text("utf-8"))
+        if src == "-":
+            doc = json.loads(sys.stdin.read())
+        else:
+            with open(src, encoding="utf-8") as fh:
+                doc = json.loads(fh.read())
     except json.JSONDecodeError as exc:
         raise ParseError(f"input is not valid JSON: {exc}") from None
     except (OSError, UnicodeDecodeError) as exc:
@@ -270,7 +276,7 @@ class MathRejection:
 
 def fixture_dir():
     override = os.environ.get(FIXTURE_ENV)
-    return Path(override) if override else Path(__file__).parent / "fixtures"
+    return override or os.path.join(os.path.dirname(__file__), "fixtures")
 
 
 def canonical_json(obj):
@@ -340,13 +346,16 @@ def _run_fixture(fx):
 def verify_fixtures(name_filter=None, out=None):
     """Run every embedded fixture; returns the number of failures."""
     out = out if out is not None else sys.stdout
-    files = sorted(fixture_dir().glob("*.json"))
+    root = fixture_dir()
+    files = sorted(name for name in (os.listdir(root) if os.path.isdir(root) else ())
+                   if name.endswith(".json"))
     if not files:
         print("no fixtures found", file=out)
         return 1
     failures = 0
-    for path in files:
-        fx = json.loads(path.read_text())
+    for name in files:
+        with open(os.path.join(root, name), encoding="utf-8") as fh:
+            fx = json.load(fh)
         if name_filter and name_filter not in fx["name"]:
             continue
         try:

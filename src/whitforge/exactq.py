@@ -22,7 +22,9 @@ the solution's entries Fractions, and `rref_solve` and `graded_solve`
 read their solutions through it.  `_echelon` is the only elimination, of
 this module or any other: `QMatrix.inverse` reads the RREF of the int
 rows [D M | I], `QMatrix.det` is the determinant it keeps on request, of
-D M, and a kernel (`Subspace._kernel`, behind `orthogonal`, `kernel_of`,
+D M.  One reader, `_kernel_of_rref`, reads a kernel vector per free
+column off any `_echelon` output, for `rref_solve`, `_kernel_rows` and
+`Subspace._kernel`: a canonical kernel (behind `orthogonal`, `kernel_of`,
 the eigenspaces and the Jordan kernels) is one elimination of its rows with
 their columns reversed, off which its canonical basis is read.
 
@@ -31,10 +33,11 @@ frame: the primitive int columns of a joint eigenbasis P of commuting
 rational semisimple matrices, the int rows R = s P^{-1} read off one
 elimination, and the weight of every frame cell E_ij as an int label (L
 times the weight, one L per grading); the weights as rationals are made
-when first read.  It grades by one matrix, then splits each block by the
-next (`_split`); `bigrade` splits an S-grading by h.  `Grading.frame` is
-P^{-1} M P = T / D in ints and `unframe` maps a frame matrix back by int
-outer products of P's columns and R's rows.
+when first read.  It grades by one matrix, then splits each block, a
+Subspace built from rows already in RREF, by the next (`_split`), whose
+eigenspaces map back with no elimination; `bigrade` splits an S-grading
+by h.  `Grading.frame` is P^{-1} M P = T / D in ints and `unframe` maps a
+frame matrix back by int outer products of P's columns and R's rows.
 An M homogeneous in the grading shifts weights by one fixed amount, so
 ad(M) splits into one small block per weight: `graded_kernel` and
 `graded_solve` eliminate those blocks, and refuse an M that is not
@@ -50,9 +53,9 @@ and the eigenspace of p/q is eliminated from the int rows of q D M - p D I.
 The skew form omega_f(X, Y) = trace(f [X, Y]) on a subspace W is evaluated
 once, as
 the integer Gram matrix G of W's integer rows, a constant times the Gram
-matrix on its echelon basis: the radical is the kernel of G, and the
-Lagrangian is grown in coordinates over that basis, where omega(c, w_j) is
-that constant times (c G)_j.
+matrix on its echelon basis: the radical is `kernel_of` G (G is skew), and
+the Lagrangian is grown in coordinates over that basis, one vector at a time
+from the span before, where omega(c, w_j) is that constant times (c G)_j.
 
 Rational eigenvalues take bounded time.  `_char_ints` runs Faddeev-LeVerrier
 on the integer matrix D M (D the lcm of the denominators) in plain ints.
@@ -226,10 +229,17 @@ class QMatrix:
         """E_ij (1-based), optionally scaled."""
         if not (1 <= i <= n and 1 <= j <= n):
             raise DimensionMismatch(f"E_{i}{j} out of range for n={n}")
-        coeff = Fraction(coeff)
-        ints = [0] * (n * n)
-        ints[(i - 1) * n + (j - 1)] = coeff.numerator
-        return cls._of_ints(n, n, coeff.denominator, ints)
+        return cls._of_cells(n, {(i - 1) * n + j - 1: Fraction(coeff)})
+
+    @classmethod
+    def _of_cells(cls, n, cells):
+        """The n x n matrix with the rational entries {flat index: x} of
+        cells and 0 elsewhere, its ints allocated once."""
+        L, ints = _over_lcm([(x.numerator, x.denominator) for x in cells.values()])
+        flat = [0] * (n * n)
+        for k, x in zip(cells, ints):
+            flat[k] = x
+        return cls._of_ints(n, n, L, flat)
 
     # -- access
 
@@ -531,31 +541,27 @@ def _echelon(rows, det=False):
     return A, pivots
 
 
-def _kernel_of_rref(red, piv, n_cols, D):
-    """D times the echelonized basis of the right kernel, read off the int
-    rows `red` of D times an RREF with pivots `piv`, restricted to its
-    first n_cols columns."""
-    pivset = set(piv)
+def _kernel_of_rref(A, piv, n):
+    """One int kernel vector per free column f < n of the RREF whose rows,
+    each up to scale, are the `_echelon` rows A with pivots piv: 1 at f, 0
+    at every other free column and -b / a at the pivot of each row nonzero
+    (b) at f, a its pivot entry, all times the lcm of those a."""
     out = []
-    for fc in range(n_cols):
-        if fc in pivset:
-            continue
-        v = [0] * n_cols
-        v[fc] = D
-        for r, pc in enumerate(piv):
-            v[pc] = -red[r][fc]
+    for f in sorted(set(range(n)).difference(piv)):
+        terms = [(p, row[f], row[p]) for row, p in zip(A, piv) if row[f]]
+        L = lcm(*(a for _, _, a in terms))
+        v = [0] * n
+        v[f] = L
+        for p, b, a in terms:
+            v[p] = -b * (L // a)
         out.append(v)
     return out
 
 
 def _kernel_rows(rows, n_cols):
     """Basis of the right kernel of the matrix given by `rows` (int or
-    Fraction entries), as int vectors: D times the basis `_kernel_of_rref`
-    reads off the RREF, D the lcm of its denominators."""
-    A, piv = _echelon(rows)
-    D = lcm(*(row[c] for row, c in zip(A, piv)))
-    return _kernel_of_rref([[x * (D // row[c]) for x in row] for row, c in zip(A, piv)],
-                           piv, n_cols, D)
+    Fraction entries), as int vectors read off its echelon form."""
+    return _kernel_of_rref(*_echelon(rows), n_cols)
 
 
 def _solve(rows, n):
@@ -601,8 +607,8 @@ def rref_solve(A, b=None):
     solution of A x = b (free variables set to 0) or NO_SOLUTION, read by
     `_solve`.  One reduction serves both: the first n columns of the
     augmented echelon are the echelon of A.  It runs on the ints of D A and
-    D b, and reads the RREF and kernel off the echelon rows over the lcm L
-    of their pivot entries."""
+    D b, reads the RREF off the echelon rows over the lcm L of their pivot
+    entries, and divides each `_kernel_of_rref` vector by its free entry."""
     (D, flat), m, n = A._ints, A.rows, A.cols
     rows = [flat[i * n:(i + 1) * n] for i in range(m)]
     solution = None
@@ -619,8 +625,9 @@ def rref_solve(A, b=None):
     red = [[x * (L // row[c]) for x in row[:n]] for row, c in zip(E, piv)]
     ech = QMatrix._of_ints(m, n, L, [x for row in red for x in row]
                            + [0] * (n * (m - len(piv))))
-    kernel = tuple(tuple(Fraction(x, L) for x in v)
-                   for v in _kernel_of_rref(red, piv, n, L))
+    free = sorted(set(range(n)).difference(piv))
+    kernel = tuple(tuple(Fraction(x, v[f]) for x in v)
+                   for f, v in zip(free, _kernel_of_rref(E, piv, n)))
     return RrefResult(ech, tuple(piv), len(piv), solution, kernel)
 
 
@@ -653,20 +660,27 @@ class Subspace:
             vectors = list(vectors)
             if any(len(v) != ambient_dim for v in vectors):
                 raise DimensionMismatch("vector length != ambient_dim")
-            self._set_rows(ambient_dim, *_echelon(vectors))
+            A, piv = _echelon(vectors)
+            self._set_rows(ambient_dim, A[:len(piv)])
 
-    def _set_rows(self, ambient_dim, rows, piv):
-        """Fill the slots from primitive dense int rows that are the reduced
-        echelon basis up to the scale of each row, one per pivot in piv (a
-        zero row after them is left out): D is the lcm of their pivot
-        entries and each row is kept times D over its pivot entry."""
-        D = lcm(*(row[c] for row, c in zip(rows, piv)))
-        cols, ints = [], []
-        for row, c in zip(rows, piv):
-            s = D // row[c]
-            cols.append(list(compress(range(ambient_dim), row)))
-            ints.append([x * s for x in compress(row, row)])
-        self._set(ambient_dim, piv, cols, ints, D)
+    def _set_rows(self, ambient_dim, rows):
+        """Fill the slots from dense int rows that are the reduced echelon
+        basis up to the scale of each row, whose pivot entries (the first
+        nonzero ones) have as lcm D the least common denominator of that
+        basis, as primitive rows' do: each row is kept times D over its
+        pivot entry."""
+        cols = [list(compress(range(ambient_dim), row)) for row in rows]
+        D = lcm(*(row[c[0]] for row, c in zip(rows, cols)))
+        self._set(ambient_dim, [c[0] for c in cols], cols,
+                  [[x * (D // row[c[0]]) for x in compress(row, row)]
+                   for row, c in zip(rows, cols)], D)
+
+    @classmethod
+    def _of_rows(cls, ambient_dim, rows):
+        """The subspace of `_set_rows`' rows, with no elimination."""
+        self = object.__new__(cls)
+        self._set_rows(ambient_dim, rows)
+        return self
 
     def _set(self, ambient_dim, piv, cols, ints, D):
         """Fill the slots from the canonical int rows, their pivots and D."""
@@ -681,29 +695,16 @@ class Subspace:
     def _kernel(cls, ambient_dim, rows):
         """{x : r . x = 0 for every row r} for int rows of that length, from
         one elimination: of the rows with their columns reversed.  The
-        kernel vector of a free column f read off that RREF is, back in
-        order, 1 at f, 0 at every other free column, and elsewhere nonzero
-        only at pivots right of f (the matroid duality of `echelon_first`),
-        so the vectors are the kernel's RREF basis.  Vector f is kept times
-        the lcm L_f of the pivot entries a of the echelon rows nonzero at f:
-        each such row is primitive and nonzero only at its pivot and the
-        free columns, so the lcm of the L_f is the lcm of the basis's
-        denominators, the D the constructor would keep."""
+        `_kernel_of_rref` vector of a free column f of that RREF is, back in
+        order, nonzero at f, 0 at every other free column, and elsewhere
+        nonzero only at pivots right of f (the matroid duality of
+        `echelon_first`), so the vectors, last first, are the kernel's RREF
+        basis up to scale.  Each echelon row is primitive and nonzero only
+        at its pivot a and the free columns, so the lcm of the a the vectors
+        are scaled by is the lcm of that basis's denominators."""
         n = ambient_dim
         A, piv = _echelon([row[::-1] for row in rows])
-        # pivot column, back in order, with its echelon row and pivot entry,
-        # rightmost pivot last
-        pivots = [(n - 1 - c, row, row[c]) for row, c in zip(A, piv)][::-1]
-        free, cols, vals = sorted(set(range(n)).difference(p for p, _, _ in pivots)), [], []
-        for f in free:
-            terms = [(p, row[n - 1 - f], a) for p, row, a in pivots if row[n - 1 - f]]
-            L = lcm(*(a for _, _, a in terms))
-            cols.append([f] + [p for p, _, _ in terms])
-            vals.append([L] + [-b * (L // a) for _, b, a in terms])
-        D = lcm(*(v[0] for v in vals))
-        self = object.__new__(cls)
-        self._set(n, free, cols, [[x * (D // v[0]) for x in v] for v in vals], D)
-        return self
+        return cls._of_rows(n, [v[::-1] for v in reversed(_kernel_of_rref(A, piv, n))])
 
     def __setattr__(self, *a):
         raise AttributeError("Subspace is immutable")
@@ -788,7 +789,8 @@ class Subspace:
         coords = list(coords)
         if any(len(c) != self.dim for c in coords):
             raise DimensionMismatch("coordinate vector length != dim")
-        return self._combined(*_echelon(coords))
+        A, piv = _echelon(coords)
+        return self._combined(A[:len(piv)])
 
     def kernel_of(self, images):
         """{sum c_i basis[i] : sum c_i images[i] = 0}, images[i] that of
@@ -797,12 +799,12 @@ class Subspace:
         if len(images) != self.dim:
             raise DimensionMismatch("one image per basis vector is needed")
         K = Subspace._kernel(self.dim, [row for row in zip(*images) if any(row)])
-        return self._combined(K._dense(), K.pivots)
+        return self._combined(K._dense())
 
-    def _combined(self, coords, piv):
-        """The span of the combinations sum c_i basis[i] for the coordinate
-        rows c of a reduced echelon form, each up to scale, with pivots piv,
-        with no elimination: the basis is reduced echelon with pivots p_i,
+    def _combined(self, coords):
+        """The span of the combinations sum c_i basis[i] for the nonzero
+        coordinate rows c of a reduced echelon form, each up to scale, with
+        no elimination: the basis is reduced echelon with pivots p_i,
         so coordinate p_i of sum c_i basis[i] is c_i times the pivot entry.
         A row c with pivot q is zero left of q, so its combination is zero
         left of p_q and nonzero at p_q; and it is zero at the pivots p_q'
@@ -812,16 +814,14 @@ class Subspace:
         nonzero coefficients and entries, and made primitive for
         `_set_rows`."""
         n, rows = self.ambient_dim, []
-        for coeffs in coords[:len(piv)]:
+        for coeffs in coords:
             out = [0] * n
             for c, idx, vals in zip(coeffs, self._cols, self._vals):
                 if c:
                     for t, x in zip(idx, vals):
                         out[t] += c * x
             rows.append(_integer_row(out))
-        out = object.__new__(Subspace)
-        out._set_rows(n, rows, [self.pivots[q] for q in piv])
-        return out
+        return Subspace._of_rows(n, rows)
 
     def orthogonal(self):
         """{x : b . x = 0 for every basis vector b}: the `_kernel` of the
@@ -1155,7 +1155,8 @@ def grading(*Ms):
     semisimple n x n matrices: Q^n split by each in turn (`_split`)."""
     n = Ms[0].rows
     actions = _commuting_actions(Ms)
-    blocks = [((), tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))]
+    blocks = [((), Subspace._of_rows(n, [[int(i == j) for j in range(n)]
+                                         for i in range(n)]))]
     for action in actions:
         blocks = _split(blocks, action)
     return _graded(blocks, actions, n)
@@ -1163,12 +1164,14 @@ def grading(*Ms):
 
 def bigrade(g, h, Z):
     """`grading(h, Z)` for commuting rational semisimple h and Z, refined
-    from the grading g of S = h + Z: h preserves each S-eigenspace, so
-    `_split` splits g's blocks by h, and Z's eigenvalue is s - alpha."""
+    from the grading g of S = h + Z: h preserves each S-eigenspace, whose
+    columns in g are its primitive RREF rows, so `_split` splits g's blocks
+    by h, and Z's eigenvalue is s - alpha."""
     actions = _commuting_actions((h, Z))
-    blocks = [(tuple(Fraction(x, g.L) for x in label), tuple(c for _, c in group))
+    blocks = [(tuple(Fraction(x, g.L) for x in label),
+               Subspace._of_rows(h.rows, [c for _, c in group]))
               for label, group in groupby(zip(g.labels, g.cols), key=itemgetter(0))]
-    return _graded([((a, s - a), cols) for (s, a), cols in _split(blocks, actions[0])],
+    return _graded([((a, s - a), B) for (s, a), B in _split(blocks, actions[0])],
                    actions, h.rows)
 
 
@@ -1183,56 +1186,49 @@ def _commuting_actions(Ms):
 
 
 def _split(blocks, action):
-    """The blocks (label, columns), each the primitive RREF rows of a space
-    M preserves, split into (label + (lambda,), columns) by the eigenvalues
-    lambda of M, action = (D, v -> D M v).  One column is an eigenvector.
-    Over k columns, a coordinate is the entry at a column's pivot over the
-    pivot entry, so M's restriction is a matrix of ints over D m, m the lcm
-    of the pivot entries.  Its eigenspaces map back to combinations of the
-    columns, echelonized once, unless M is scalar on the block."""
+    """The blocks (label, B), B a Subspace M preserves, split into (label +
+    (lambda,), eigenspace) by the eigenvalues lambda of M, action = (D, v ->
+    D M v).  B of dimension 1 is an eigenspace.  Over B's RREF basis the
+    coordinate q of a vector is its entry at B's pivot q, so M's restriction
+    is the int matrix T of the images of B's int rows (D_B times that basis)
+    at B's pivots, over D D_B, and each of its eigenspaces maps back to B's
+    combinations with no elimination (`Subspace._combined`), unless M is
+    scalar on B."""
     D, act = action
     out = []
-    for label, cols in blocks:
-        if len(cols) == 1:
-            (v,) = cols
-            p = next(i for i, x in enumerate(v) if x)
-            out.append((label + (Fraction(act(v)[p], D * v[p]),), cols))
+    for label, B in blocks:
+        k, images = B.dim, [act(v) for v in B._dense()]
+        T = [im[p] for p in B.pivots for im in images]
+        if k == 1:
+            out.append((label + (Fraction(T[0], D * B._den),), B))
             continue
-        k, n = len(cols), len(cols[0])
-        piv = [next(i for i, x in enumerate(v) if x) for v in cols]
-        m = lcm(*(v[p] for v, p in zip(cols, piv)))
-        images = [act(v) for v in cols]
-        pieces = rational_eigenvalues(QMatrix._of_ints(k, k, D * m, [
-            im[p] * (m // v[p]) for v, p in zip(cols, piv) for im in images]))
+        pieces = rational_eigenvalues(QMatrix._of_ints(k, k, D * B._den, T))
         if len(pieces) == 1:
-            out.append((label + (pieces[0][0],), cols))
-            continue
-        for lam, sp in pieces:
-            vectors = [[sum([y * v[t] for y, v in zip(row, cols) if y]) for t in range(n)]
-                       for row in sp._dense()]
-            out.append((label + (lam,), tuple(tuple(_integer_row(r))
-                                              for r in Subspace(n, vectors)._dense())))
+            out.append((label + (pieces[0][0],), B))
+        else:
+            out += [(label + (lam,), B._combined(sp._dense())) for lam, sp in pieces]
     return out
 
 
 def _graded(blocks, actions, n):
-    """The Grading of the blocks (rational label, columns), sorted by label
-    descending, labels over their lcm denominator L, each column checked
-    against each action (D, v -> D M v) in ints, and R = s P^{-1} read off
-    one elimination of the int rows of [P | I]: row k of its RREF is a_k
-    [e_k | P^{-1}[k, :]], and s is the lcm of the pivot entries a_k."""
+    """The Grading of the blocks (rational label, Subspace), sorted by label
+    descending, labels over their lcm denominator L, the columns each
+    block's rows made primitive, each checked against each action (D, v ->
+    D M v) in ints, and R = s P^{-1} read off one elimination of the int
+    rows of [P | I]: row k of its RREF is a_k [e_k | P^{-1}[k, :]], and s
+    is the lcm of the pivot entries a_k."""
     L = lcm(*(x.denominator for label, _ in blocks for x in label))
-    blocks = sorted(((tuple(x.numerator * (L // x.denominator) for x in label), block)
-                     for label, block in blocks), key=itemgetter(0), reverse=True)
+    blocks = sorted(((tuple(x.numerator * (L // x.denominator) for x in label), B)
+                     for label, B in blocks), key=itemgetter(0), reverse=True)
     labels, cols = [], []
-    for label, block in blocks:
-        for v in block:
+    for label, B in blocks:
+        for v in map(_integer_row, B._dense()):
             for (D, act), a in zip(actions, label):
                 if [L * x for x in act(v)] != [D * a * x for x in v]:
                     raise InternalCheckFailure(
                         "grading: a basis vector is not a joint eigenvector")
             labels.append(label)
-            cols.append(v)
+            cols.append(tuple(v))
     A, piv = _echelon([[v[r] for v in cols] + [int(r == c) for c in range(n)]
                        for r in range(n)])
     if len(cols) != n or piv != list(range(n)):
@@ -1337,50 +1333,45 @@ def skew_tools(f, W, task):
     if task == "gram":
         return QMatrix._of_ints(len(gram), len(gram), scale,
                                 [x for row in gram for x in row])
-    kern = _kernel_rows(gram, len(gram))
-    if task == "radical":
-        return W.span(kern)
+    if task == "radical":       # G is skew: its row and column kernels agree
+        return W.kernel_of(gram)
     if task != "lagrangian":
         raise ValueError(f"unknown task {task!r}")
-    return _lagrangian(W, gram, kern)
+    return _lagrangian(W, gram, _kernel_rows(gram, len(gram)))
 
 
 def _lagrangian(W, gram, kern):
     """Maximal isotropic subspace of W containing the radical, in coordinates
     over W's echelon basis w_1, ..., w_k: omega(sum c_i w_i, w_j) = (c G)_j
-    for the Gram matrix G (any nonzero multiple serves), and the radical's coordinate vectors `kern` pair
-    to zero with all of W.  A greedy pass adjoins each w_j outside the span
-    that pairs to zero with the vectors adjoined so far; the completion then
-    adjoins the first vector of their omega-perp outside the span (always
-    isotropic).  The span is mapped back to gl_n once at the end."""
+    for the Gram matrix G (any nonzero multiple serves), and the radical's
+    coordinate vectors `kern` pair to zero with all of W.  A greedy pass
+    adjoins each w_j outside the span that pairs to zero with the vectors
+    adjoined so far; the completion then adjoins the first vector of their
+    omega-perp outside the span (always isotropic).  The span grows from
+    the one before, eliminating only the new vector, and maps back to gl_n
+    once at the end (`Subspace._combined`)."""
     k = len(gram)
     target = k + len(kern)
     if target % 2:
         raise InternalCheckFailure(
             "lagrangian: dim W + dim radical must be even")
     target //= 2
-    added = []              # coordinate vectors adjoined to the radical
-    rows = []               # their omega-rows c G
-
-    def add(c):
-        added.append(c)
-        rows.append(_times(c, gram, k))
-        return Subspace(k, kern + added)
-
-    span = Subspace(k, kern)
+    span, rows = Subspace(k, kern), []      # rows: the omega-rows c G adjoined
     for j in range(k):
         if span.dim >= target:
             break
         e_j = [int(i == j) for i in range(k)]
         if not span.member(e_j) and all(row[j] == 0 for row in rows):
-            span = add(e_j)
+            span = Subspace(k, [e_j], span)
+            rows.append(gram[j])
     while span.dim < target:
         c = next((c for c in _kernel_rows(rows, k) if not span.member(c)), None)
         if c is None:
             raise InternalCheckFailure(
                 f"lagrangian completion stalled at dim {span.dim} < {target}")
-        span = add(c)
+        span = Subspace(k, [c], span)
+        rows.append(_times(c, gram, k))
     if 2 * span.dim != k + len(kern):
         raise InternalCheckFailure(
             "lagrangian: 2 dim L != dim W + dim radical")
-    return W.span(kern + added)
+    return W._combined(span._dense())

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from whitforge import orbits
-from whitforge.cli import (MAX_MATRIX_SIZE, build_parser, main, parse_matrix_spec,
-                           verify_fixtures)
+from whitforge.cli import (MAX_MATRIX_SIZE, build_parser, fixture_dir, main,
+                           parse_matrix_spec, verify_fixtures)
 from whitforge.errors import ParseError
 from whitforge.exactq import QMatrix
 
@@ -50,6 +50,27 @@ def test_parse_e_notation_errors():
         parse_matrix_spec("E01")
     with pytest.raises(ParseError):
         parse_matrix_spec("E21", n=True)
+
+
+def test_e_notation_builds_its_matrix_once(monkeypatch):
+    # the terms sum into one sparse map and one int matrix, with no QMatrix
+    # addition (one n x n matrix per term made J_(n) cost n^3); repeated,
+    # cancelling and diag(...) terms sum as they did, and the first bad
+    # term is the one reported
+    mixed = (E(3, 1, 2, "1/2") + E(3, 1, 2, "1/2") + QMatrix.diag(["1/3", 1, -2])
+             - E(3, 3, 3))
+
+    def add(self, other):
+        raise AssertionError("E-notation added two matrices")
+    monkeypatch.setattr(QMatrix, "__add__", add)
+    monkeypatch.setattr(QMatrix, "__sub__", add)
+    j = "+".join(f"E{{{i + 1},{i}}}" for i in range(1, 1000))
+    assert parse_matrix_spec(j) == orbits.J_eta((1000,))
+    assert parse_matrix_spec("E21 - E21 + 1/2E12 + 1/2E12 + diag(1/3,1,-2) - E33") == mixed
+    with pytest.raises(ParseError, match=r"E\{3,1\} is out of range for n = 2"):
+        parse_matrix_spec("E{3,1} + diag(1,2,3)", n=2)
+    with pytest.raises(ParseError, match=r"diag\(...\) length 3 != n = 2"):
+        parse_matrix_spec("diag(1,2,3) + E{3,1}", n=2)
 
 
 # -- verbs -----------------------------------------------------------------------
@@ -263,15 +284,15 @@ def test_a_document_n_above_the_bound_is_a_parse_error(tmp_path, capsys):
 
 
 def test_sizes_up_to_the_bound_reach_the_matrix(monkeypatch):
-    # E{3000,1} is parsed: the size check lets it through to QMatrix.zeros
-    # (stopped here, so the test allocates nothing), as it does every size
-    # up to the bound
+    # E{3000,1} is parsed: the size check lets it through to the one
+    # allocation of its n^2 entries, QMatrix._of_cells (stopped here, so the
+    # test allocates nothing), as it does every size up to the bound
     class Reached(Exception):
         pass
 
-    def zeros(n, m=None):
+    def of_cells(n, cells):
         raise Reached(n)
-    monkeypatch.setattr(QMatrix, "zeros", staticmethod(zeros))
+    monkeypatch.setattr(QMatrix, "_of_cells", staticmethod(of_cells))
     for spec, n in (("E{3000,1}", None), ("0", MAX_MATRIX_SIZE),
                     (f"E{{{MAX_MATRIX_SIZE},1}}", None)):
         with pytest.raises(Reached) as reached:
@@ -660,6 +681,17 @@ def test_verify_fixtures_filter(capsys):
     assert code == 0
     lines = [l for l in out.splitlines() if l.startswith("PASS")]
     assert len(lines) == 2 and all("gl6" in l for l in lines)
+
+
+def test_verify_fixtures_without_fixtures(tmp_path, monkeypatch):
+    # a missing directory, and one holding no .json file, have no fixtures;
+    # the directory is named by a str
+    (tmp_path / "notes.txt").write_text("not a fixture")
+    for root in (str(tmp_path / "missing"), str(tmp_path)):
+        monkeypatch.setenv("WHITFORGE_FIXTURE_DIR", root)
+        out = io.StringIO()
+        assert fixture_dir() == root
+        assert verify_fixtures(out=out) == 1 and out.getvalue() == "no fixtures found\n"
 
 
 def test_verify_fixtures_detects_corruption(tmp_path, capsys, monkeypatch):

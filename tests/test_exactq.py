@@ -678,7 +678,7 @@ def _kernel_oracle(n, rows):
     """The kernel read off the rows' RREF by `_kernel_of_rref` and
     echelonized again by the constructor: two eliminations."""
     U = Subspace(n, rows)
-    return Subspace(n, _kernel_of_rref(U._dense(), U.pivots, n, U._den))
+    return Subspace(n, _kernel_of_rref(U._dense(), U.pivots, n))
 
 
 def test_kernel_is_the_two_elimination_kernel():

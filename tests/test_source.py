@@ -79,14 +79,15 @@ def test_whitpair_intersects_no_subspaces():
 
 def test_start_up_loads_no_dataclasses_inspect_or_typing():
     # the records are slotted classes over errors.Record and the private
-    # tuples collections.namedtuples: a fresh interpreter without site
+    # tuples collections.namedtuples, and the CLI reads its input and
+    # fixtures with open and os.path: a fresh interpreter without site
     # imports whitforge and its CLI and checks the fixtures, loading none of
     # these modules
     code = ("import io, json, sys; sys.path.insert(0, sys.argv[1]); "
             "import whitforge, whitforge.cli; "
             "failures = whitforge.cli.verify_fixtures(out=io.StringIO()); "
-            "print(json.dumps([failures, sorted({'dataclasses', 'inspect', 'typing'}"
-            " & set(sys.modules))]))")
+            "print(json.dumps([failures, sorted({'dataclasses', 'inspect', 'typing',"
+            " 'pathlib'} & set(sys.modules))]))")
     proc = subprocess.run([sys.executable, "-S", "-c", code, str(SRC.parent)],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
