@@ -4,15 +4,15 @@ with its gcd power-class gate, and the orbit-comparison hypothesis
 certificates.
 
 The builder is two loops, with no depth limit: a descent strips each pair's
-common parts and reduces the rest at its lemma index, and an ascent lays
-the levels down with one step, _merge (the common blocks, and the split
-block with its connector, in front of the certificate below).  Every level
+common parts and reduces the rest at its lemma index, and _lay reads eta
+off those levels, then writes each one's blocks, Z, connector psi and
+chain tops once, at their final places (nothing is shifted).  Every level
 and the two-block step go through it.  It returns (eta, Z, psi, tops): h
 and f are never free data but the standard h_eta and J_eta of the
 composition eta of block sizes it lays down (orbits builds both), Z is a
-diagonal list, psi the dict of its nonzero entries, and tops one designated
-chain-top vector per Jordan block of f + psi (no inter-level conjugation).
-The builder runs in ints: Z, psi and the tops hold ints only (_merge says
+diagonal list, psi the dict of its nonzero entries, and tops one chain top
+{position: entry} per Jordan block of f + psi (no inter-level conjugation).
+The builder runs in ints: Z, psi and the tops hold ints only (_lay says
 why they are integral), and it forms no matrix, reading the diagonal of
 h_eta and the action of J_eta off eta by index.  _matrices is the one place
 that turns (eta, Z, psi) into the matrices (h, f, Z, psi), each made from
@@ -51,15 +51,15 @@ def two_blocks(p, q, r):
     """The elementary raising move on two Jordan blocks:
     Z = diag((p+q-r) Id_p, 0_{q+r}), Y = E_{p+r+1, p}, X = J_{(p, q+r)} + Y,
     S = h_{(p, q+r)} + Z; X lands in the orbit of (p+q, r).  This is the
-    builder's lemma step _merge at index 1 on the composition (p, q+r)
-    (lam_1 = p+q > p > r = lam_2), laid down over the certificate of
-    (q+r,) and checked like every raising certificate."""
+    builder's lemma step at index 1 on the composition (p, q+r)
+    (lam_1 = p+q > p > r = lam_2), laid down by _lay in front of the
+    block q+r and checked like every raising certificate."""
     p, q, r = int(p), int(q), int(r)
     if not (p > r >= 0 and q > 0):
         raise PreconditionViolation(f"need p > r >= 0 and q > 0, got {(p, q, r)}")
     target = (p + q, r) if r else (p + q,)
     step = ((p, q + r), target, 1)
-    h, f, Z, Y = _matrices(*_merge([], step, _build((q + r,), (q + r,)))[:3])
+    h, f, Z, Y = _matrices(*_lay([([], step), ([q + r], None)])[:3])
     _check_raising(h, f, Z, Y, (max(p, q + r), min(p, q + r)), target)
     return Z, Y, f + Y, h + Z
 
@@ -94,10 +94,10 @@ def _build(mu, lam):
     """Returns (eta, Z, psi, tops): eta the composition of Jordan block
     sizes laid down (so h = h_eta, f = J_eta), Z a diagonal list, psi a dict
     {(row, col): entry} of its nonzero entries (0-based), tops a list of
-    (part, vector) with one designated chain top per Jordan block of
-    f + psi, each supported on a single (h + Z)-eigenvalue.  Every entry is
-    an int (see _merge).  The descent strips and reduces each pair; the
-    ascent lays its levels down, innermost first."""
+    (part, {position: entry}) with one designated chain top per Jordan
+    block of f + psi, each supported on a single (h + Z)-eigenvalue.  Every
+    entry is an int (see _lay).  The descent strips and reduces each pair
+    into its levels, outermost first; _lay lays them all down."""
     levels = []
     while True:
         common, mu, lam = _common_parts(mu, lam)
@@ -116,73 +116,66 @@ def _build(mu, lam):
         lam = tuple(sorted(lam[:i - 1] + lam[i + 1:] + (li + ln - mi,), reverse=True))
         if not _dominated(mu, lam):
             raise InternalCheckFailure("reduced pair lost dominance")
-    cert = _merge(common, None, ([], [], {}, []))
+    return _lay(levels + [(common, None)])
+
+
+def _lay(levels):
+    """Lay the levels (common, step), listed outermost first, down at their
+    final places, innermost first: a block per common part, then for a
+    lemma step (mu, lam, i) the split block mu_i, attached to the first
+    chain top of size p = lam_i + lam_{i+1} - mu_i of the levels after it.
+
+    Everything stays in ints.  z_1 = lam_i - lam_{i+1}; h = h_eta has the
+    int diagonal (k-1, k-3, ..., 1-k) on each block of size k, so the shift
+    c a step adds to the Z of the levels after it is an int; and the
+    connector w = (f + psi)^(lam_{i+1}) u is integral, as f = J_eta, psi
+    and the chain top u are.  f is never formed: it moves entry b of a
+    vector to b + 1 unless b + 1 starts a block.  Z holds each entry less
+    the sum acc of the shifts laid after it; acc goes on once, at the end."""
+    eta = [k for common, step in levels
+           for k in common + ([step[0][step[2] - 1]] if step else [])]
+    n = sum(eta)
+    hd = [x for k in eta for x in range(k - 1, -k, -2)]
+    cuts = set(accumulate(eta))         # the block starts after 0, and n
+    Z, psi, tops, acc, end = [0] * n, {}, [], 0, n
     for common, step in reversed(levels):
-        cert = _merge(common, step, cert)
-    return cert
-
-
-def _merge(common, step, below):
-    """Lay one level down in front of the certificate below of its reduced
-    pair, shifting that once: a block per common part, then for a lemma
-    step (mu, lam, i) the split block mu_i, attached to the first chain top
-    of size p = lam_i + lam_{i+1} - mu_i below.
-
-    Everything stays in ints.  z_1 = lam_i - lam_{i+1}; the diagonal S_c of
-    h_c + Z_c is an int list, h_c = h_eta_c having the int diagonal
-    (k-1, k-3, ..., 1-k) on each block of size k, so the shift c is an int;
-    and the connector w = (f_c + psi_c)^(lam_{i+1}) u is integral, as f_c =
-    J_eta_c and psi_c are and the chain top u is.  f_c is never formed: it
-    moves entry k of a vector to k + 1 within each block, so f_c w is w
-    shifted down by one with the first entry of each block cleared."""
-    eta_c, Z_c, psi_c, tops_c = below
-    # the level's own blocks: their sizes, chain-top sizes and Z
-    eta, heads, Z = list(common), list(common), [0] * sum(common)
-    links, tail = {}, []        # the connector's psi entries; the short chain top
-    if step:
-        mu, lam, i = step
-        li, mi, ln = lam[i - 1], mu[i - 1], (lam + (0,))[i]
-        p, z1 = li + ln - mi, li - ln
-        h_c = [x for k in eta_c for x in range(k - 1, -k, -2)]
-        S_c = [x + z for x, z in zip(h_c, Z_c)]
-        starts = list(accumulate(eta_c[:-1], initial=0))
-        top = next((k for k, (size, _) in enumerate(tops_c) if size == p), None)
-        if top is None:
-            raise InternalCheckFailure(f"no chain top of size {p} for {mu} -> {lam}")
-        u = tops_c.pop(top)[1]
-        # the connector w = (f_c + psi_c)^ln u
-        w = u
-        for _ in range(ln):
-            Xw = [0] + w[:-1]
-            for k in starts:
-                Xw[k] = 0
-            for (a, b), x in psi_c.items():
-                Xw[a] += x * w[b]
-            w = Xw
-        supp = [k for k, x in enumerate(w) if x]
-        if not supp:
-            raise InternalCheckFailure("connector vector vanished")
-        svals = {S_c[k] for k in supp}
-        if len(svals) != 1:
-            raise InternalCheckFailure("connector vector not S-homogeneous")
-        c = (1 - mi) + z1 - 2 - svals.pop()
-        for k in supp:
-            if Z_c[k] + c - z1 >= 0:
-                raise InternalCheckFailure("connector has nonnegative Z-weight")
-        eta, heads, Z = eta + [mi], heads + [li], Z + [z1] * mi
-        Z_c = [zc + c for zc in Z_c]
-        off = len(Z)
-        links = {(off + k, off - 1): w[k] for k in supp}
-        if ln:
-            tshort = [0] * off + u
-            tshort[off - ln] -= 1
-            tail.append((ln, tshort))
-    off, n = len(Z), len(Z) + len(Z_c)
-    psi = {(a + off, b + off): x for (a, b), x in psi_c.items()} | links
-    tops = [(k, [0] * s + [1] + [0] * (n - s - 1))
-            for k, s in zip(heads, accumulate(eta, initial=0))]
-    tops += tail + [(k, [0] * off + v) for k, v in tops_c]
-    return eta + eta_c, Z + Z_c, psi, tops
+        heads, own, mi, z = list(common), [], 0, 0
+        if step:
+            mu, lam, i = step
+            li, mi, ln = lam[i - 1], mu[i - 1], (lam + (0,))[i]
+            p, z = li + ln - mi, li - ln
+            heads.append(li)
+            top = next((k for k, (size, _) in enumerate(tops) if size == p), None)
+            if top is None:
+                raise InternalCheckFailure(f"no chain top of size {p} for {mu} -> {lam}")
+            u = tops.pop(top)[1]
+            # the connector w = (f + psi)^ln u
+            w = u
+            for _ in range(ln):
+                Xw = {b + 1: x for b, x in w.items() if b + 1 not in cuts}
+                for (a, b), x in psi.items():
+                    Xw[a] = Xw.get(a, 0) + x * w.get(b, 0)
+                w = Xw
+            supp = sorted(k for k, x in w.items() if x)
+            if not supp:
+                raise InternalCheckFailure("connector vector vanished")
+            svals = {hd[k] + Z[k] + acc for k in supp}
+            if len(svals) != 1:
+                raise InternalCheckFailure("connector vector not S-homogeneous")
+            c = (1 - mi) + z - 2 - svals.pop()
+            for k in supp:
+                if Z[k] + acc + c - z >= 0:
+                    raise InternalCheckFailure("connector has nonnegative Z-weight")
+            acc += c
+            psi.update({(k, end - 1): w[k] for k in supp})
+            if ln:
+                own.append((ln, {**u, end - ln: -1}))
+        start = end - mi - sum(common)
+        Z[start:end] = [-acc] * sum(common) + [z - acc] * mi
+        tops[:0] = [(k, {s: 1}) for k, s in
+                    zip(heads, accumulate(common, initial=start))] + own
+        end = start
+    return eta, [x + acc for x in Z], psi, tops
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +303,9 @@ def deform_sl(mu, lam, a, b):
         raise InternalCheckFailure(
             "normalized class c is not a d(lambda)-th power over a "
             "and a d(mu)-th power over b")
-    bases = (([(k, v, 1) for k, v in tops], dl, a, "target"),
-             ([(k, [int(i == j) for i in range(f.rows)], 1)
+    n = f.rows
+    bases = (([(k, [v.get(i, 0) for i in range(n)], 1) for k, v in tops], dl, a, "target"),
+             ([(k, [int(i == j) for i in range(n)], 1)
                for k, j in zip(eta, accumulate(eta, initial=0))], dm, b, "source"))
     s_lam, s_mu = (power_class(_chain_basis(N, t)[1], e)
                    for N, (t, e, *_) in zip((f + psi, f), bases))

@@ -421,6 +421,22 @@ def test_negative_twists_and_fractional_sums_are_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("argv, digest", [
+    (("deform-gl",), "2a0698af792222177294f30980af4bbaad219287d346b94691653fdf8857933d"),
+    (("compar",), "1d7c147a5939a1f195427f9fcf4ae9db24c487efef267d527650dbc19e562595"),
+    (("deform-sl", "--a", "3", "--b", "1"),
+     "0742b6a4d661848745e9750eec8a9bf3ec9443b3311ba7a2783f003778aa0e00"),
+])
+def test_many_levels_with_connectors_are_pinned(capsys, argv, digest):
+    # (2,) x 100 raised to (3,) x 50 + (1,) x 50: the builder lays 51
+    # levels, 50 of them with a connector (f + psi) u.  The digests are the
+    # stdout of the builder that shifted the levels below each new one
+    mu, lam = ",".join(["2"] * 100), ",".join(["3"] * 50 + ["1"] * 50)
+    code, out, _ = run_cli(capsys, *argv, "--mu", mu, "--lambda", lam)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_main_reuses_one_parser(capsys):
     # the parser is built once: after a valid call, usage errors are still
     # JSON ParseErrors, and a repeated valid call prints the same bytes

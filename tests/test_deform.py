@@ -7,7 +7,9 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import builder_oracle
 from whitforge import deform, exactq, orbits
 from whitforge.cli import canonical_json, main
 from whitforge.deform import (ConditionNotMet, compar_certificate, deform_gl,
@@ -70,28 +72,21 @@ def _two_part_step(mu, lam):
     raised to lam = (l1, l2) (l2 = 0 for one part) by Z = (l1 - l2) Id_{p1}
     (+) 0_{p2} and psi = E_{p1+l2+1, p1}, with chain tops e_1 of size l1 and
     e_{p1+1} - e_{p1-l2+1} of size l2.  Returns the builder's
-    (eta, Z, psi, tops): h and f are the standard h_eta and J_eta of
-    eta = mu."""
+    (eta, Z, psi, tops), each top a dict {position: entry}: h and f are the
+    standard h_eta and J_eta of eta = mu."""
     p1, p2 = mu
     l1, l2 = lam[0], (lam[1] if len(lam) > 1 else 0)
-    n = p1 + p2
-
-    def unit(*ks):
-        v = [Fraction(0)] * n
-        for k, c in ks:
-            v[k] += c
-        return v
     Z = [Fraction(l1 - l2)] * p1 + [Fraction(0)] * p2
-    tops = [(l1, unit((0, 1)))]
+    tops = [(l1, {0: 1})]
     if l2:
-        tops.append((l2, unit((p1, 1), (p1 - l2, -1))))
+        tops.append((l2, {p1: 1, p1 - l2: -1}))
     return list(mu), Z, {(p1 + l2, p1 - 1): 1}, tops
 
 
 def _step_at_index_one(mu, lam):
     # the builder's step for the lemma index 1 on mu = (p1, p2), laid down
-    # over the certificate of the reduced pair (p2,) -> (p2,)
-    return deform._merge([], (mu, lam, 1), deform._build(mu[1:], mu[1:]))
+    # in front of the level of the reduced pair (p2,) -> (p2,)
+    return deform._lay([([], (mu, lam, 1)), ([mu[1]], None)])
 
 
 def test_merge_at_index_one_is_the_two_part_step():
@@ -121,28 +116,83 @@ def test_the_builder_runs_in_ints():
         assert sorted(eta, reverse=True) == list(mu)
         assert all(type(x) is int for x in Z)
         assert all(type(x) is int for x in psi.values())
-        assert all(type(x) is int for _, v in tops for x in v)
+        assert all(type(x) is int for _, v in tops for x in v.values())
+
+
+def _dense(cert):
+    """The builder's (eta, Z, psi, tops) with each chain top a dense list."""
+    eta, Z, psi, tops = cert
+    return eta, Z, psi, [(k, [v.get(i, 0) for i in range(len(Z))]) for k, v in tops]
+
+
+def test_the_builder_is_the_shifting_builder():
+    # _lay writes each entry at its final place; the builder that shifted
+    # the levels below each new one gives the same eta, Z, psi and tops on
+    # every dominated pair n <= 12 and on 1000 one-parts
+    pairs = _dominated_pairs(12)
+    assert len(pairs) == 5763
+    for mu, lam in pairs + [((1,) * 1000, (1000,))]:
+        assert _dense(deform._build(mu, lam)) == builder_oracle._build(mu, lam)
+
+
+@st.composite
+def _merged_pairs(draw):
+    """mu of up to 60 parts <= 5, and lam made by merging random pairs of
+    mu's parts, which keeps mu <= lam."""
+    size = draw(st.integers(1, 60))
+    parts = draw(st.lists(st.integers(1, 5), min_size=size, max_size=size))
+    lam = list(parts)
+    for _ in range(draw(st.integers(0, len(lam) - 1))):
+        part = lam.pop(draw(st.integers(0, len(lam) - 1)))
+        lam[draw(st.integers(0, len(lam) - 1))] += part
+    return tuple(sorted(parts, reverse=True)), tuple(sorted(lam, reverse=True))
+
+
+@given(_merged_pairs())
+@settings(max_examples=100, deadline=None)
+def test_the_builder_is_the_shifting_builder_on_many_parts(pair):
+    mu, lam = pair
+    assert dominance_leq(mu, lam)
+    assert _dense(deform._build(mu, lam)) == builder_oracle._build(mu, lam)
+
+
+@pytest.mark.parametrize("levels, message", [
+    # (1,) -> (3,) needs a chain top of size 3 + 0 - 1 below; there is one
+    # of size 1
+    ([([], ((1,), (3,), 1)), ([1], None)], r"no chain top of size 2 for \(1,\) -> \(3,\)"),
+    # f moves the top of the 1-block below out of it
+    ([([], ((1,), (1, 1), 1)), ([1], None)], "connector vector vanished"),
+    # z_1 = 0 and the shift is 0: the connector's entry has Z-weight 0
+    ([([], ((1,), (2, 2), 1)), ([3], None)], "connector has nonnegative Z-weight"),
+    # (f + psi) u of the inner level's short top spans two S-eigenvalues
+    ([([3], ((1, 1), (3,), 1)), ([1, 1], ((1,), (3, 2), 1)), ([4, 1], None)],
+     "connector vector not S-homogeneous"),
+])
+def test_builder_checks_fail_on_hand_made_levels(levels, message):
+    with pytest.raises(InternalCheckFailure, match=f"^{message}$"):
+        deform._lay(levels)
 
 
 def test_no_builder_function_calls_itself_or_its_caller(monkeypatch):
-    # _build runs its levels in two loops and calls _merge once per level;
-    # _merge calls no builder function: on every dominated pair n <= 8 and
-    # every two_blocks triple p + q + r <= 8, no builder call starts while
-    # another is running, except _merge inside _build
+    # _build runs its descent in one loop and calls _lay once, which lays
+    # every level in one loop and calls no builder function: on every
+    # dominated pair n <= 8 and every two_blocks triple p + q + r <= 8, no
+    # builder call starts while another is running, except _lay inside
+    # _build (two_blocks calls _lay directly)
     running = []
 
     def tracked(name):
         real = getattr(deform, name)
 
         def wrapped(*args):
-            assert running in ([], ["_build"] if name == "_merge" else [])
+            assert running in ([], ["_build"] if name == "_lay" else [])
             running.append(name)
             try:
                 return real(*args)
             finally:
                 running.pop()
         return wrapped
-    for name in ("_build", "_merge"):
+    for name in ("_build", "_lay"):
         monkeypatch.setattr(deform, name, tracked(name))
     for mu, lam in _dominated_pairs(8):
         deform_gl(mu, lam)
@@ -282,11 +332,11 @@ def test_deform_sl_certificate_weights_independent():
         _assert_raising_weights(cert)
 
 
-def _faulty_psi(merge):
-    # the psi of a lemma step gains E_11, of ad(Z)-weight 0
-    def wrapped(common, step, below):
-        eta, Z, psi, tops = merge(common, step, below)
-        if step:
+def _faulty_psi(lay):
+    # the psi of levels with a lemma step gains E_11, of ad(Z)-weight 0
+    def wrapped(levels):
+        eta, Z, psi, tops = lay(levels)
+        if any(step for _, step in levels):
             psi[0, 0] = Fraction(1)
         return eta, Z, psi, tops
     return wrapped
@@ -319,7 +369,7 @@ RAISING_PATHS = [
 
 @pytest.mark.parametrize("path", RAISING_PATHS)
 @pytest.mark.parametrize("target, fault, clause", [
-    ("_merge", _faulty_psi, "psi_Z_negative"),
+    ("_lay", _faulty_psi, "psi_Z_negative"),
     ("_matrices", _faulty_h, "Z_commutes_h: h is not diagonal"),
     ("_matrices", _shifted_h, r"neutral_pair: \(h, f\) is not a neutral pair"),
 ])
@@ -594,7 +644,7 @@ def _tops_dependent(tops):
     lengths = [k for k, _ in tops]
     i = next(i for i, k in enumerate(lengths) if lengths.count(k) > 1)
     j = lengths.index(lengths[i], i + 1)
-    return [(k, [2 * x for x in tops[i][1]] if t == j else v)
+    return [(k, {s: 2 * x for s, x in tops[i][1].items()} if t == j else v)
             for t, (k, v) in enumerate(tops)]
 
 
@@ -625,12 +675,13 @@ def test_builder_tops_are_a_jordan_basis_of_sl_class_class():
     for mu, lam in pairs:
         eta, Z, psi, tops = deform._build(mu, lam)
         h, f, Z, psi = deform._matrices(eta, Z, psi)
-        cols, det = orbits._chain_basis(f + psi, [(k, v, 1) for k, v in tops])
+        n = f.rows
+        cols, det = orbits._chain_basis(
+            f + psi, [(k, [v.get(i, 0) for i in range(n)], 1) for k, v in tops])
         assert sorted((k for k, _ in tops), reverse=True) == list(lam)
         d = math.gcd(*lam)
         assert power_class(det, d) == sl_class(f + psi).a_class
         starts = [sum(eta[:i]) for i in range(len(eta))]
-        n = f.rows
         cols, det = orbits._chain_basis(
             f, [(k, [int(i == j) for i in range(n)], 1) for k, j in zip(eta, starts)])
         assert det == 1
