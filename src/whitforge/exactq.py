@@ -22,11 +22,14 @@ the solution's entries Fractions, and `rref_solve` and `graded_solve`
 read their solutions through it.  `_echelon` is the only elimination, of
 this module or any other: `QMatrix.inverse` reads the RREF of the int
 rows [D M | I], `QMatrix.det` is the determinant it keeps on request, of
-D M.  One reader, `_kernel_of_rref`, reads a kernel vector per free
-column off any `_echelon` output, for `rref_solve`, `_kernel_rows` and
-`Subspace._kernel`: a canonical kernel (behind `orthogonal`, `kernel_of`,
-the eigenspaces and the Jordan kernels) is one elimination of its rows with
-their columns reversed, off which its canonical basis is read.
+D M.  `_kernel_of_rref` reads a kernel vector per free column off any
+`_echelon` output, for `rref_solve` and `_kernel_rows`.  A canonical
+kernel (behind `orthogonal`, `kernel_of` and the eigenspaces) is one
+elimination of its rows with their columns reversed, off which
+`Subspace._reversed_kernel` builds its canonical sparse rows directly;
+the Jordan kernels hand it the power rows `orbits` has already
+eliminated in that form, so they are read with no elimination of their
+own.
 
 `grading` builds the one eigenbasis grading, a `Grading`, held as its int
 frame: the primitive int columns of a joint eigenbasis P of commuting
@@ -62,8 +65,10 @@ on the integer matrix D M (D the lcm of the denominators) in plain ints.
 `_rational_roots` turns the polynomial into a monic integer one by y = c_n x,
 so its rational roots are integers, and isolates its real roots by Sturm
 sign counts at half-integers, where no such root lies, bisecting from
-Fujiwara's bound B = 2^(b+1) on the roots to unit intervals: O(deg log B)
-evaluations of the sequence.
+Fujiwara's bound B = 2^(b+1) on the roots; an interval that holds one
+distinct root is bisected on to a unit interval by the sign of q g alone
+(g the sequence's last member): O(deg log B) evaluations of the sequence
+at most, and two polynomials per step once a root is isolated.
 """
 
 from fractions import Fraction
@@ -694,17 +699,38 @@ class Subspace:
     @classmethod
     def _kernel(cls, ambient_dim, rows):
         """{x : r . x = 0 for every row r} for int rows of that length, from
-        one elimination: of the rows with their columns reversed.  The
-        `_kernel_of_rref` vector of a free column f of that RREF is, back in
-        order, nonzero at f, 0 at every other free column, and elsewhere
-        nonzero only at pivots right of f (the matroid duality of
-        `echelon_first`), so the vectors, last first, are the kernel's RREF
-        basis up to scale.  Each echelon row is primitive and nonzero only
-        at its pivot a and the free columns, so the lcm of the a the vectors
-        are scaled by is the lcm of that basis's denominators."""
-        n = ambient_dim
-        A, piv = _echelon([row[::-1] for row in rows])
-        return cls._of_rows(n, [v[::-1] for v in reversed(_kernel_of_rref(A, piv, n))])
+        one elimination: of the rows with their columns reversed, read by
+        `_reversed_kernel`."""
+        return cls._reversed_kernel(ambient_dim, *_echelon([row[::-1] for row in rows]))
+
+    @classmethod
+    def _reversed_kernel(cls, ambient_dim, A, piv):
+        """The kernel of rows whose columns reversed have the primitive
+        `_echelon` rows A with pivots piv, built as canonical sparse rows
+        with no further elimination.  The kernel vector of a free column f
+        of that RREF (1 at f, -b / a at the pivot p of each row with b at
+        f, a its pivot entry) is, back in order, nonzero at n - 1 - f, 0 at
+        every other free column, and elsewhere nonzero only at the n - 1 - p
+        right of it (the matroid duality of `echelon_first`), so the
+        vectors, last f first, are the kernel's RREF basis.  A primitive
+        row is nonzero only at its pivot a and the free columns (a = +-1
+        when it has no other entry), so the lcm D of the a is the lcm of
+        that basis's denominators, and each row is kept times D."""
+        n, rows = ambient_dim, list(zip(A, piv))[::-1]
+        D = lcm(*(row[p] for row, p in rows))
+        free = sorted(set(range(n)).difference(piv), reverse=True)
+        cols, ints = [], []
+        for f in free:
+            idx, vals = [n - 1 - f], [D]
+            for row, p in rows:
+                if row[f]:
+                    idx.append(n - 1 - p)
+                    vals.append(-row[f] * (D // row[p]))
+            cols.append(idx)
+            ints.append(vals)
+        self = object.__new__(cls)
+        self._set(n, [n - 1 - f for f in free], cols, ints, D)
+        return self
 
     def __setattr__(self, *a):
         raise AttributeError("Subspace is immutable")
@@ -947,16 +973,23 @@ def _sturm_sequence(q):
     return seq
 
 
+def _at_half(p, u):
+    """2^d p(u / 2) in integers for the integer polynomial p of degree d (a
+    coefficient list, constant first): the sign of p at u / 2."""
+    acc, two = p[-1], 1             # sum c_i u^i 2^(d-i), Horner from the top
+    for c in reversed(p[:-1]):
+        two *= 2
+        acc = acc * u + c * two
+    return acc
+
+
 def _sign_changes_at_half(seq, m):
-    """Sign variations of the sequence at x = m + 1/2, each member p of degree
-    d evaluated as 2^d p((2m+1)/2) in integers."""
+    """Sign variations of the sequence at x = m + 1/2, each member p
+    evaluated by `_at_half`."""
     u = 2 * m + 1
     changes, last = 0, 0
     for p in seq:
-        acc, two = p[-1], 1         # sum c_i u^i 2^(d-i), Horner from the top
-        for c in reversed(p[:-1]):
-            two *= 2
-            acc = acc * u + c * two
+        acc = _at_half(p, u)
         if acc:
             if last and (acc > 0) != (last > 0):
                 changes += 1
@@ -978,7 +1011,20 @@ def _rational_roots(coeffs):
     coefficient of y^k written q_k), bounds them: by Fujiwara's
     bound every root y of the monic q has |y| <= 2 max |q_(d-i)|^(1/i) <
     2^(b+1).  It starts the search closer to the roots than c_n times the
-    Cauchy bound of c, |c_n| + max |c_i|."""
+    Cauchy bound of c, |c_n| + max |c_i|.
+
+    Once V(lo) - V(hi) = 1, the interval holds one distinct real root r,
+    and the bisection goes on by the sign of q g at half-integers, two
+    evaluations a step instead of the whole sequence.  That is exact: g,
+    the last member of the Sturm sequence, is gcd(q, q') up to a nonzero
+    constant, so q / g is square-free with the same real roots as q, and
+    changes sign at each of them and nowhere else; in the interval it
+    changes sign once, at r.  g divides q, so g is nonzero wherever q is,
+    and q, monic with integer coefficients, has no root at a half-integer
+    (its rational roots are integers), so at every half-integer m + 1/2
+    the sign of q g is that of q / g.  So the half of the interval whose
+    ends differ in that sign holds r, and the unit interval reached holds
+    a rational root exactly when q vanishes at its integer."""
     roots = []
     cs = list(coeffs)
     while cs and cs[0] == 0:
@@ -1000,6 +1046,12 @@ def _rational_roots(coeffs):
             acc = acc * y + x
         return acc
 
+    g = seq[-1]
+
+    def positive(m):                # q g > 0 at m + 1/2
+        u = 2 * m + 1
+        return (_at_half(q, u) > 0) == (_at_half(g, u) > 0)
+
     # the integers lo+1..hi lie in (lo + 1/2, hi + 1/2); V(lo) - V(hi) roots
     stack = [(-bound - 1, bound, _sign_changes_at_half(seq, -bound - 1),
               _sign_changes_at_half(seq, bound))]
@@ -1007,14 +1059,22 @@ def _rational_roots(coeffs):
         lo, hi, vlo, vhi = stack.pop()
         if vlo == vhi:
             continue
-        if hi - lo == 1:
-            if value(hi) == 0:
-                roots.append(Fraction(hi, lead))
+        if vlo - vhi == 1:          # one root: q g changes sign once, at it
+            side = positive(lo)
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                if positive(mid) == side:
+                    lo = mid
+                else:
+                    hi = mid
+        elif hi - lo > 1:
+            mid = (lo + hi) // 2
+            vmid = _sign_changes_at_half(seq, mid)
+            stack.append((lo, mid, vlo, vmid))
+            stack.append((mid, hi, vmid, vhi))
             continue
-        mid = (lo + hi) // 2
-        vmid = _sign_changes_at_half(seq, mid)
-        stack.append((lo, mid, vlo, vmid))
-        stack.append((mid, hi, vmid, vhi))
+        if value(hi) == 0:
+            roots.append(Fraction(hi, lead))
     return sorted(set(roots), reverse=True)
 
 

@@ -13,8 +13,13 @@ is one rank test, `_lefschetz`, on the powers of f graded by h.
 
 The ranks and row spaces of the powers come from `_graded_row_spaces`,
 one elimination per label class of two or more rows (a class of one row
-is its own echelon form), and the chain search's kernels ker N^k each
-from one elimination, `exactq.Subspace._kernel` of the rows of N^k.
+is its own echelon form).  The chain search runs it on N with its rows
+and columns reversed, whose power rows are the reversed-column echelon
+form of the rows of N^k, and reads each kernel ker N^k off them
+(`exactq.Subspace._reversed_kernel`), so no power is eliminated twice.
+The chains are kept in lowest terms: each column (w, s) of a Jordan basis
+is divided by gcd(s, *w) before the next is grown from it, so the det B
+elimination meets no content that the chain only carried along.
 """
 
 import functools
@@ -137,8 +142,10 @@ def _graded_row_spaces(M, labels, w):
         power, total = {}, 0
         for c, R in rows.items():
             if len(R) == 1:             # its own echelon form, made primitive
-                if any(R[0]):
-                    power[c], total = [exactq._integer_row(R[0])], total + 1
+                r, = R
+                g = math.gcd(*r)        # 0 for a zero row
+                if g:
+                    power[c], total = [[x // g for x in r] if g > 1 else r], total + 1
                 continue
             A, piv = exactq._echelon(R)
             if piv:
@@ -201,21 +208,31 @@ def jordan_chain_basis(N):
 
 def _int_chains(N):
     """The chain tops of `jordan_chain_basis` in ints, longest first, as
-    (length, w, s) for the top w / s.  The search runs on int rows: a top
-    is an int echelon row D_K v of its kernel (D_K the rows' common
-    denominator) and its chain D_K (D N)^k v, D the lcm of N's
-    denominators.  A row v of ker N^ell tops a chain of length ell when it
-    lies outside ker N^(ell-1), the tails of the longer chains and the rows
-    before it; the tail of its own chain lies in ker N^(ell-1), so the
-    chains of one length add only their tops, and all of them are read off
-    one elimination: the pivot columns of the matrix with those vectors as
-    columns, in that order.  The kernel dimensions give the number of
-    chains of each length ell, (dim K_ell - dim K_(ell-1)) - (dim K_(ell+1)
-    - dim K_ell), so a length no chain has is skipped, and an elimination
-    that finds another number of tops is an internal fault."""
+    (length, w, s) for the top w / s.  The kernels K_k = ker N^k are read
+    off the power eliminations with no second one: with P the reversal of
+    the coordinates, the flat ints of D N reversed are those of P (D N) P,
+    whose k-th power has the row space R(N^k) P, so `_graded_row_spaces`
+    of them gives each power's rows with their columns reversed in
+    echelon form, the form `Subspace._reversed_kernel` reads.  The
+    search runs on int rows: a top is an int echelon row D_K v of its
+    kernel (D_K the rows' common denominator).  A row v of ker N^ell tops
+    a chain of length ell when it lies outside ker N^(ell-1), the tails
+    of the longer chains and the rows before it; the tail of its own chain
+    lies in ker N^(ell-1), so the chains of one length add only their
+    tops, and all of them are read off one elimination: the pivot columns
+    of the matrix with those vectors as columns, in that order.  That
+    elimination reads only the span of the tails, so each tail vector, N
+    times the one before, is kept primitive.  The kernel dimensions give
+    the number of chains of each length ell, (dim K_ell - dim K_(ell-1)) -
+    (dim K_(ell+1) - dim K_ell), so a length no chain has is skipped, and
+    an elimination that finds another number of tops is an internal
+    fault."""
     n = N.rows
-    rows = _graded_row_spaces(_square_ints(N)[1], [0] * n, 0)
-    kernels = [Subspace(n)] + [Subspace._kernel(n, P.get(0, [])) for P in rows]
+    kernels = [Subspace(n)]
+    for P in _graded_row_spaces(_square_ints(N)[1][::-1], [0] * n, 0):
+        R = P.get(0, [])
+        piv = [next(i for i, x in enumerate(r) if x) for r in R]
+        kernels.append(Subspace._reversed_kernel(n, R, piv))
     dims = [K.dim for K in kernels] + [n]
     times_n = _int_action(N)[1]
     chains = []
@@ -236,7 +253,7 @@ def _int_chains(N):
             v = gens[i]
             chains.append((ell, v, K._den))
             for _ in range(ell - 1):
-                v = times_n(v)
+                v = exactq._integer_row(times_n(v))
                 tails.append(v)
     return chains
 
@@ -264,8 +281,13 @@ def _conjugator(N, eta=None):
 
 def _chain_basis(N, tops):
     """(cols, det B) for the Jordan basis B of N grown from chain tops
-    (length, v, s): chain column k is the pair ((D N)^k v, s D^k), D the
-    lcm of N's denominators.  The jordan_basis clause checks in ints that
+    (length, v, s): chain column k is N^k v / s as a pair (w, s) in lowest
+    terms, gcd(s, *w) = 1, and column k + 1 is ((D N) w, s D) divided by
+    its gcd in turn, D the lcm of N's denominators, so the det B
+    elimination gets no content that (D N)^k v carries (near D^(k-1) on
+    dense input).  Each column is the same vector as before the division,
+    so B, det B = det(int columns) / prod s and the classes do not change.
+    The jordan_basis clause checks in ints that
     each chain ends at its length and that det B != 0 (one `_echelon` of
     the n columns), so N B = B J_eta, eta the lengths.  det B modulo d-th
     powers, d the gcd of the lengths, is `sl_class`'s class for any such
@@ -276,9 +298,12 @@ def _chain_basis(N, tops):
     D, times_n = _int_action(N)
     cols = []
     for length, v, s in tops:
-        for k in range(length):
-            cols.append((v, s * D ** k))
-            v = times_n(v)
+        for _ in range(length):
+            g = math.gcd(s, *v)
+            if g > 1:
+                v, s = [x // g for x in v], s // g
+            cols.append((v, s))
+            v, s = times_n(v), s * D
         if any(v):
             raise InternalCheckFailure(
                 f"jordan_basis: a chain of length {length} does not end there")

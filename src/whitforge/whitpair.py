@@ -134,11 +134,26 @@ class DeformationSnapshot(Record):
     __slots__ = ("t", "u", "v", "w", "rad", "l", "r")
 
     def to_json(self):
+        return self._json({})
+
+    def _json(self, memo):
+        """`to_json`, each space's text through `_space_json`'s memo."""
         return {"t": rat_str(self.t),
                 "dims": {"u": self.u.dim, "v": self.v.dim, "w": self.w.dim,
                          "rad": self.rad.dim, "l": self.l.dim, "r": self.r.dim},
-                "u": self.u.to_json(), "v": self.v.to_json(), "w": self.w.to_json(),
-                "rad": self.rad.to_json(), "l": self.l.to_json(), "r": self.r.to_json()}
+                **{name: _space_json(getattr(self, name), memo)
+                   for name in ("u", "v", "w", "rad", "l", "r")}}
+
+
+def _space_json(space, memo):
+    """space.to_json(), written once per Subspace object into memo, a dict
+    that lives for one certificate's `to_json` call: the snapshots of one
+    chain share their spaces, 334 distinct ones in the 864 a seed-0 chain
+    pass prints."""
+    key = id(space)
+    if key not in memo:
+        memo[key] = space.to_json()
+    return memo[key]
 
 
 class ChainCertificate(Record):
@@ -153,17 +168,18 @@ class ChainCertificate(Record):
     _shown = __slots__[:-1]
 
     def to_json(self):
+        memo = {}
         return {
             "pair": self.pair.to_json(),
             "h": self.h.to_json(),
             "Z": self.Z.to_json(),
             "criticals": [rat_str(t) for t in self.criticals],
-            "snapshots": [s.to_json() for s in self.snapshots],
+            "snapshots": [s._json(memo) for s in self.snapshots],
             "inclusions": list(self.inclusions),
             "obstructions": [
                 {"t": rat_str(o["t"]),
-                 "space": o["space"].to_json(),
-                 "dual": o["dual"].to_json()} for o in self.obstructions],
+                 "space": _space_json(o["space"], memo),
+                 "dual": _space_json(o["dual"], memo)} for o in self.obstructions],
         }
 
 

@@ -1259,9 +1259,72 @@ def test_rational_roots_start_inside_a_root_bound(monkeypatch):
     assert exactq._rational_roots([Fraction(-7), Fraction(2)]) == [Fraction(7, 2)]
 
 
+def _full_sturm_rational_roots(coeffs):
+    """`_rational_roots` with a Sturm sign count at every bisection step,
+    from the same start 2^(b+1): the oracle of the refinement on the
+    square-free part."""
+    roots, cs = [], list(coeffs)
+    while cs and cs[0] == 0:
+        roots.append(Fraction(0))
+        cs = cs[1:]
+    if len(cs) <= 1:
+        return sorted(set(roots), reverse=True)
+    c = exactq._integer_row(cs)
+    d, lead = len(c) - 1, c[-1]
+    q = [x * lead ** (d - 1 - i) for i, x in enumerate(c[:-1])] + [1]
+    seq = exactq._sturm_sequence(q)
+    b = max(-(-abs(x).bit_length() // i) for i, x in enumerate(reversed(q[:-1]), 1))
+    bound = 1 << (b + 1)
+    stack = [(-bound - 1, bound, exactq._sign_changes_at_half(seq, -bound - 1),
+              exactq._sign_changes_at_half(seq, bound))]
+    while stack:
+        lo, hi, vlo, vhi = stack.pop()
+        if vlo == vhi:
+            continue
+        if hi - lo == 1:
+            if sum(x * hi ** i for i, x in enumerate(q)) == 0:
+                roots.append(Fraction(hi, lead))
+            continue
+        mid = (lo + hi) // 2
+        vmid = exactq._sign_changes_at_half(seq, mid)
+        stack += [(lo, mid, vlo, vmid), (mid, hi, vmid, vhi)]
+    return sorted(set(roots), reverse=True)
+
+
+# x^2 - 2, x^2 - 3, x^2 - x - 1, x^3 - 2 and 9 x^2 - 2 (irrational real
+# roots, one pair 1/sqrt(2) apart), x^2 + 1 and x^2 + 7 (none)
+_IRRATIONAL = [(-2, 0, 1), (-3, 0, 1), (-1, -1, 1), (-2, 0, 0, 1), (-2, 0, 9),
+               (1, 0, 1), (7, 0, 1)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.fractions(-40, 40, max_denominator=12).filter(bool),
+       st.lists(st.tuples(st.one_of(st.fractions(-30, 30, max_denominator=8),
+                                    st.integers(-2 ** 50, 2 ** 50).map(Fraction)),
+                          st.integers(1, 3)), max_size=5),
+       st.integers(0, 2),
+       st.lists(st.tuples(st.sampled_from(_IRRATIONAL), st.integers(1, 2)), max_size=2))
+def test_rational_roots_refine_as_the_full_sturm_bisection(lead, rational, zeros, irrational):
+    # repeated, zero, rational and irrational roots, and a lead other than 1:
+    # an interval that holds one distinct root is bisected by the sign of
+    # q g at half-integers, with the roots of the full Sturm bisection
+    poly = [lead]
+    for r, times in rational + [(Fraction(0), zeros)]:
+        for _ in range(times):
+            poly = _poly_mul(poly, [-r, Fraction(1)])
+    for factor, times in irrational:
+        for _ in range(times):
+            poly = _poly_mul(poly, [Fraction(x) for x in factor])
+    expected = sorted({r for r, _ in rational} | ({Fraction(0)} if zeros else set()),
+                      reverse=True)
+    assert exactq._rational_roots(poly) == _full_sturm_rational_roots(poly) == expected
+
+
 def test_model_data_spectra_take_few_sign_counts(monkeypatch):
     # the 72 S of the benchmark's seed-0 model-data items: 3,272 Sturm sign
-    # counts when the search started from the Cauchy bound, 2,085 from 2^(b+1)
+    # counts when the search started from the Cauchy bound, 2,085 from
+    # 2^(b+1), and 808 once an interval that holds one distinct root is
+    # refined by the sign of q g alone
     monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), "..", "perfbench"))
     import workloads
     specs = [s for s in workloads.generate("cli_orbits", 0) if s["kind"] == "model-data"]
@@ -1273,10 +1336,11 @@ def test_model_data_spectra_take_few_sign_counts(monkeypatch):
         return real(seq, m)
     monkeypatch.setattr(exactq, "_sign_changes_at_half", counting)
     spectra = [[lam for lam, _ in rational_eigenvalues(S)] for S in matrices]
-    assert len(specs) == 72 and len(counts) <= 2100
+    assert len(specs) == 72 and len(counts) == 808
     monkeypatch.setattr(exactq, "_sign_changes_at_half", real)
     for S, spectrum in zip(matrices, spectra):
-        assert spectrum == _cauchy_rational_roots(char_poly(S))
+        assert spectrum == _cauchy_rational_roots(char_poly(S)) \
+            == _full_sturm_rational_roots(char_poly(S))
 
 
 # -- skew tools ---------------------------------------------------------------

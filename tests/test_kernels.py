@@ -3,22 +3,25 @@ echelon forms exactq already holds instead of eliminating them again: the
 canonical kernel (`Subspace._kernel`), the blocks of a grading, omega's
 radical and the Lagrangian."""
 
+import hashlib
 import os
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import groupby
-from math import lcm
+from math import gcd, lcm
 from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from whitforge import cli, deform, exactq, whitpair
+from whitforge import cli, deform, exactq, orbits, whitpair
 from whitforge.errors import InternalCheckFailure
 from whitforge.exactq import (Grading, QMatrix, Subspace, _commuting_actions, _echelon,
                               _integer_row, _kernel_of_rref, bigrade, grading,
-                              rational_eigenvalues, skew_tools)
+                              rat_str, rational_eigenvalues, skew_tools)
 
 from conftest import random_invertible, random_unimodular
 
@@ -244,24 +247,150 @@ def test_radical_runs_one_elimination(monkeypatch):
 def test_seed0_passes_run_the_expected_eliminations(monkeypatch):
     # a kernel is read off the echelon form that holds it, and no grading
     # block or span is eliminated again: building the items (the chain
-    # pairs' S-gradings among them) and one call of each runs 1,188
-    # eliminations on cli_orbits (1,581 before), 1,528 on chain (1,720)
-    # and 2,628 on raise
+    # pairs' S-gradings among them) and one call of each runs 983
+    # eliminations on cli_orbits (1,188 while the Jordan kernels were
+    # eliminated again, 1,581 before), 1,528 on chain (1,720) and 2,628 on
+    # raise.  A root search counts Sturm signs in full only until an
+    # interval holds one root: 808 counts on cli_orbits (2,085 before) and
+    # 305 on chain (781).  A chain certificate prints each of its distinct
+    # spaces once: 334 Subspace.to_json calls on chain (864 before)
     monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), "..", "perfbench"))
     import workloads
     wf = {"exactq": exactq, "cli": cli, "deform": deform, "whitpair": whitpair}
-    calls = []
-    real = exactq._echelon
-
-    def echelon(rows, det=False):
-        calls.append(len(rows))
-        return real(rows, det)
-    monkeypatch.setattr(exactq, "_echelon", echelon)
+    calls = Counter()
+    for owner, name in ((exactq, "_echelon"), (exactq, "_sign_changes_at_half"),
+                        (Subspace, "to_json")):
+        def counted(*args, _real=getattr(owner, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
     counts = {}
     for name in ("cli_orbits", "chain", "raise"):
         calls.clear()
         items = workloads.build_items(workloads.generate(name, 0), wf)
         for item in items:
             item.call()
-        counts[name] = len(calls)
-    assert counts == {"cli_orbits": 1188, "chain": 1528, "raise": 2628}
+        counts[name] = dict(calls)
+    assert counts == {
+        "cli_orbits": {"_echelon": 983, "_sign_changes_at_half": 808, "to_json": 216},
+        "chain": {"_echelon": 1528, "_sign_changes_at_half": 305, "to_json": 334},
+        "raise": {"_echelon": 2628}}
+
+
+# -- the Jordan layer: kernels off the power eliminations, chains in lowest terms ---
+
+def _orbrej(ns, ks=range(4)):
+    """(mu, det g, N) for the dense conjugates N = g J_mu g^-1 of the
+    recipe `orbrej:{n}:{k}`: mu a partition of n with gcd(mu) >= 2 and g
+    a seeded invertible int matrix with entries in [-2, 2], both drawn by
+    the benchmark's generators, which know det g."""
+    sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "perfbench"))
+    try:
+        import oracle
+        import workloads
+    finally:
+        sys.path.pop(0)
+    for n in ns:
+        for k in ks:
+            rng = random.Random(f"orbrej:{n}:{k}")
+            mu = rng.choice([mu for mu in workloads.partitions_of(n) if gcd(*mu) >= 2])
+            g, det_g = workloads.random_invertible(n, rng)
+            yield mu, det_g, QMatrix.from_rows(workloads.conjugate(g, oracle.jordan(mu)))
+
+
+def test_jordan_kernels_are_read_off_the_power_eliminations(monkeypatch):
+    # each ker N^k of the chain search is read off the echelon rows of the
+    # power of N with its rows and columns reversed, and equals the kernel
+    # the constructor eliminates from the ints of N^k
+    read = []
+    real = Subspace._reversed_kernel
+
+    def reader(n, A, piv):
+        K = real(n, A, piv)
+        read.append(K)
+        return K
+    monkeypatch.setattr(Subspace, "_reversed_kernel", reader)
+    for mu, _, N in _orbrej(range(2, 11), range(2)):
+        read.clear()
+        orbits._int_chains(N)
+        n, P = N.rows, N
+        assert len(read) == max(mu)
+        for K in read:
+            D, ints = P._ints
+            rows = [ints[i * n:(i + 1) * n] for i in range(n)]
+            assert K == Subspace(n, _kernel_of_rref(*_echelon(rows), n))
+            P = P * N
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("unreversed", "jordan chain basis: 2 chain tops of length 1, not 1"),
+    ("dropped", "jordan_basis: a chain of length 1 does not end there")])
+def test_jordan_kernels_off_wrong_power_rows_fail_the_checks(monkeypatch, fault, message):
+    # power rows read in the wrong column order, or one row short, give
+    # wrong kernels, which the chain-top count or the jordan_basis clause
+    # rejects, with asserts stripped too
+    real = orbits._graded_row_spaces
+
+    def rows(M, labels, w):
+        return [{c: [r[::-1] for r in R] if fault == "unreversed" else R[:-1]
+                 for c, R in P.items()} for P in real(M, labels, w)]
+    monkeypatch.setattr(orbits, "_graded_row_spaces", rows)
+    with pytest.raises(InternalCheckFailure, match=message):
+        orbits.jordan_chain_basis(orbits.J_eta((2, 2, 1)))
+
+
+def test_orbrej_classes_and_bases_are_pinned():
+    # SL class, Jordan chain basis and conjugator to the reversed type of 60
+    # dense conjugates, n = 2..16: the SL class is the one the generator
+    # reads off det g, and the canonical JSON of all three is the one the
+    # chain search gave while it eliminated each kernel twice and grew its
+    # chains with their contents
+    sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "perfbench"))
+    try:
+        import oracle
+    finally:
+        sys.path.pop(0)
+    digest = hashlib.sha256()
+    for mu, det_g, N in _orbrej(range(2, 17)):
+        cls = orbits.sl_class(N)
+        assert rat_str(cls.a_class) == oracle.rat_str(oracle.power_class(det_g, gcd(*mu)))
+        doc = {"chains": [[[rat_str(x) for x in v] for v in ch]
+                          for ch in orbits.jordan_chain_basis(N)],
+               "conjugator": orbits.jordan_conjugator(N, cls.lam[::-1]).to_json(),
+               "sl_class": cls.to_json()}
+        digest.update(cli.canonical_json(doc).encode())
+    assert digest.hexdigest() == \
+        "e3b0a832a09e11d1ec2c720b6e3b95ea7ba4aad687e08e0dcbc6c484dfb986e3"
+
+
+def test_chain_basis_columns_are_in_lowest_terms(monkeypatch):
+    # every column (w, s) of a checked Jordan basis has gcd(s, *w) = 1, on
+    # the chain search's tops and on the raising builder's, and det B is
+    # unchanged: the generator's class
+    columns = []
+    real = orbits._chain_basis
+
+    def chain_basis(N, tops):
+        cols, det = real(N, tops)
+        columns.extend(cols)
+        return cols, det
+    monkeypatch.setattr(orbits, "_chain_basis", chain_basis)
+    monkeypatch.setattr(deform, "_chain_basis", chain_basis)
+    for mu, det_g, N in _orbrej(range(4, 13), range(2)):
+        orbits.sl_class(N)
+    deform.deform_sl((3, 3), (6,), Fraction(5, 2), 20)
+    deform.deform_sl((2, 2, 2, 2), (4, 4), 9, 4)
+    assert len(columns) > 100
+    assert all(gcd(s, *w) == 1 for w, s in columns)
+
+
+@pytest.mark.parametrize("tops, message", [
+    ([(2, [4, 0, 0], 2), (1, [0, 0, 6], 4)], "a chain of length 2 does not end there"),
+    ([(1, [0, 0, 6], 4), (1, [0, 0, 9], 3), (1, [0, 0, 2], 6)], "do not form a basis")])
+def test_chain_basis_in_lowest_terms_keeps_its_checks(tops, message):
+    # tops with a common content: divided out, a chain that does not end at
+    # its length, or chains that do not span, still fail jordan_basis, with
+    # asserts stripped too
+    N = QMatrix.from_rows([[0, 0, 0], [Fraction(1, 2), 0, 0], [0, 1, 0]])
+    with pytest.raises(InternalCheckFailure, match=f"jordan_basis: .*{message}"):
+        orbits._chain_basis(N, tops)

@@ -262,10 +262,13 @@ def _chain_top_eliminations(monkeypatch, drop=False):
 
 def test_int_chains_eliminates_each_kernel_once(monkeypatch):
     # the 28 orbit-classify inputs of the benchmark's seed-0 cli_orbits pass:
-    # each kernel ker N^k, k = 1..L, is one elimination (`Subspace._kernel`
-    # of the echelon rows of N^k), and the Subspace constructor eliminates
-    # nothing but the empty ker N^0 (it eliminated each kernel's vectors
-    # again when the kernels were orthogonal complements of row spaces)
+    # each kernel ker N^k, k = 1..L, is read off the one elimination of the
+    # rows of N^k that `_graded_row_spaces` runs on N with its rows and
+    # columns reversed (`Subspace._kernel` eliminated those rows a second
+    # time), and the Subspace constructor eliminates nothing but the empty
+    # ker N^0 (it eliminated each kernel's vectors again when the kernels
+    # were orthogonal complements of row spaces); a power of rank <= 1
+    # needs no elimination at all
     monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), "..", "perfbench"))
     import workloads
     specs = [s for s in workloads.generate("cli_orbits", 0) if s["kind"] == "orbit-classify"]
@@ -282,10 +285,13 @@ def test_int_chains_eliminates_each_kernel_once(monkeypatch):
         calls.clear()
         tops = orbits._int_chains(N)
         assert [k for k, _, _ in tops] == spec["mu"]
-        assert calls["_kernel"] == max(spec["mu"])
+        # one elimination per power N^k whose rows, those of the echelon
+        # form of N^(k-1) times N, are two or more (one row is its own)
+        ranks = [sum(max(p - k, 0) for p in spec["mu"]) for k in range(max(spec["mu"]))]
+        assert calls["_graded_row_spaces"] == sum(r >= 2 for r in ranks)
         assert calls["__init__"] == 1 and calls["__init__", "rows"] == 0
         assert set(c for c in calls if type(c) is str) == {
-            "_kernel", "__init__", "_int_chains", "_graded_row_spaces"}
+            "__init__", "_int_chains", "_graded_row_spaces"}
     assert len(specs) == 28
 
 

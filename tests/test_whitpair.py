@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from whitforge import exactq, whitpair
+from whitforge import exactq, orbits, whitpair
 from whitforge.cli import canonical_json
 from whitforge.errors import (InternalCheckFailure, NotCommuting,
                               NotRationalSplit, ShapeViolation,
@@ -237,7 +237,8 @@ def test_is_neutral_pair_eliminates_only_the_graded_power_blocks(monkeypatch, sh
     # f^(k-1) number two or more and with c + 2k a label, a row per Jordan
     # block through c and c + 2(k-1) (every label-c row at k = 1) and a
     # column per label-(c + 2k) cell, none of all n columns; a class of one
-    # row is its own echelon form and is not eliminated; a half-integer
+    # row is its own echelon form, made primitive by the gcd of its entries
+    # (no `_integer_row` copy), and is not eliminated; a half-integer
     # shift makes h not neutral, and nothing is eliminated
     eta = (4, 3, 1)
     f, h = J_eta(eta), h_eta(eta) + QMatrix.diag([shift] * 8)
@@ -253,22 +254,28 @@ def test_is_neutral_pair_eliminates_only_the_graded_power_blocks(monkeypatch, sh
             if rows >= 2 and dims[c + 2 * k]:
                 expected[rows, dims[c + 2 * k]] += 1
             single += rows == 1 and dims[c + 2 * k] > 0
-    calls, primitive = [], []
-    real, real_row = exactq._echelon, exactq._integer_row
+    calls, primitive, copies = [], [], []
+    real, real_row, real_gcd = exactq._echelon, exactq._integer_row, orbits.math.gcd
 
     def counting(rows):
         calls.append((len(rows), len(rows[0])))
         return real(rows)
 
-    def one_row(row):
+    def one_row(*row):
         if sys._getframe(1).f_code.co_name == "_graded_row_spaces":
             primitive.append(len(row))
+        return real_gcd(*row)
+
+    def copy(row):
+        copies.append(sys._getframe(1).f_code.co_name)
         return real_row(row)
     monkeypatch.setattr(exactq, "_echelon", counting)
-    monkeypatch.setattr(exactq, "_integer_row", one_row)
+    monkeypatch.setattr(orbits.math, "gcd", one_row)
+    monkeypatch.setattr(exactq, "_integer_row", copy)
     assert is_neutral_pair(h, f) is (shift == 0)
     assert Counter(calls) == (expected if shift == 0 else Counter())
     assert len(primitive) == (single if shift == 0 else 0)
+    assert "_graded_row_spaces" not in copies
     assert expected == Counter({(2, 1): 1}) and single == 8
 
 
