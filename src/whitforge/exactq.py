@@ -24,8 +24,8 @@ this module or any other: `QMatrix.inverse` reads the RREF of the int
 rows [D M | I], `QMatrix.det` is the determinant it keeps on request, of
 D M.  `_kernel_of_rref` reads a kernel vector per free column off any
 `_echelon` output, for `rref_solve` and `_kernel_rows`.  A canonical
-kernel (behind `orthogonal`, `kernel_of` and the eigenspaces) is one
-elimination of its rows with their columns reversed, off which
+kernel (behind `orthogonal` and `kernel_of`) is one elimination of its
+rows with their columns reversed, off which
 `Subspace._reversed_kernel` builds its canonical sparse rows directly;
 the Jordan kernels hand it the power rows `orbits` has already
 eliminated in that form, so they are read with no elimination of their
@@ -36,11 +36,12 @@ frame: the primitive int columns of a joint eigenbasis P of commuting
 rational semisimple matrices, the int rows R = s P^{-1} read off one
 elimination, and the weight of every frame cell E_ij as an int label (L
 times the weight, one L per grading); the weights as rationals are made
-when first read.  It grades by one matrix, then splits each block, a
-Subspace built from rows already in RREF, by the next (`_split`), whose
-eigenspaces map back with no elimination; `bigrade` splits an S-grading
-by h.  `Grading.frame` is P^{-1} M P = T / D in ints and `unframe` maps a
-frame matrix back by int outer products of P's columns and R's rows.
+when first read.  Its blocks are the eigenspaces of the first matrix,
+held as primitive int rows, each split by the next (`_split`), whose
+eigenspaces map back with no elimination; `bigrade` splits the columns of
+an S-grading by h.  `Grading.frame` is P^{-1} M P = T / D in ints and
+`unframe` maps a frame matrix back by int outer products of P's columns
+and R's rows.
 An M homogeneous in the grading shifts weights by one fixed amount, so
 ad(M) splits into one small block per weight: `graded_kernel` and
 `graded_solve` eliminate those blocks, and refuse an M that is not
@@ -51,8 +52,7 @@ blocks of ad(M)^2 are two of its blocks multiplied.
 
 `_bracket` is the one bracket, of int matrices only, and multiplies only
 nonzero entries, read off the same index; `QMatrix` products and brackets
-run `_int_action` and `_bracket` on their operands' ints and divide once,
-and the eigenspace of p/q is eliminated from the int rows of q D M - p D I.
+run `_int_action` and `_bracket` on their operands' ints and divide once.
 The skew form omega_f(X, Y) = trace(f [X, Y]) on a subspace W is evaluated
 once, as
 the integer Gram matrix G of W's integer rows, a constant times the Gram
@@ -68,12 +68,18 @@ sign counts at half-integers, where no such root lies, bisecting from
 Fujiwara's bound B = 2^(b+1) on the roots; an interval that holds one
 distinct root is bisected on to a unit interval by the sign of q g alone
 (g the sequence's last member): O(deg log B) evaluations of the sequence
-at most, and two polynomials per step once a root is isolated.
+at most, and two polynomials per step once a root is isolated.  The
+eigenspaces are read off the adjugate of xI - D M, whose coefficients the
+Faddeev-LeVerrier loop forms anyway: the eigenspace of a root of
+multiplicity m is spanned by the columns of the adjugate's Taylor
+coefficient of order m - 1 there, so a simple root's is one column and
+only a repeated root's columns are eliminated; each vector is checked
+against D M in ints.
 """
 
 from fractions import Fraction
-from itertools import chain, compress, groupby
-from math import gcd, lcm, prod
+from itertools import chain, compress, count, groupby
+from math import comb, gcd, lcm, prod
 from operator import add, itemgetter, mul, sub
 
 from .errors import (DimensionMismatch, InternalCheckFailure, NotCommuting,
@@ -927,26 +933,33 @@ def char_poly(M):
     if n != M.cols:
         raise DimensionMismatch("char_poly of non-square")
     D, flat = M._ints
-    coeffs = _char_ints(flat, n)
+    coeffs = _char_ints(flat, n)[0]
     return [Fraction(coeffs[k], D ** k) for k in range(n, -1, -1)]
 
 
 def _char_ints(flat, n):
-    """[c_0, ..., c_n] with det(xI - A) = sum c_k x^(n-k), A the n x n int
-    matrix of row-major entries flat: M_1 = I, c_k = -trace(A M_k) / k (an
-    exact division) and M_(k+1) = A M_k + c_k I."""
+    """([c_0, ..., c_n], adj) with det(xI - A) = sum c_k x^(n-k), A the n x n
+    int matrix of row-major entries flat, by Faddeev-LeVerrier: M_1 = I,
+    c_k = -trace(A M_k) / k (an exact division) and M_(k+1) = A M_k + c_k I.
+    The M_k are the coefficients of the adjugate: (xI - A) sum_k M_k x^(n-k)
+    telescopes to det(xI - A) I - M_(n+1), and M_(n+1) = 0 (Cayley-Hamilton),
+    so adj(xI - A) = sum_(k<n) B_k x^(n-1-k) with B_k = M_(k+1), and adj[k]
+    holds the columns of B_k.  Only the trace of A M_n is formed."""
     A = [flat[i * n:(i + 1) * n] for i in range(n)]
-    Mk = [[int(i == j) for j in range(n)] for i in range(n)]
-    coeffs = [1]
+    cols = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    coeffs, adj = [1], []
     for k in range(1, n + 1):
-        cols = list(zip(*Mk))
+        adj.append(cols)
+        if k == n:
+            coeffs.append(-sum(sum(map(mul, row, col)) for row, col in zip(A, cols)) // n)
+            break
         AM = [[sum(map(mul, row, col)) for col in cols] for row in A]
         ck = -sum(AM[i][i] for i in range(n)) // k
         coeffs.append(ck)
         for i in range(n):
             AM[i][i] += ck
-        Mk = AM
-    return coeffs
+        cols = list(zip(*AM))
+    return coeffs, adj
 
 
 def _sturm_sequence(q):
@@ -1084,24 +1097,90 @@ def rational_eigenvalues(M):
     NotRationalSplit unless the eigenspace dimensions sum to n (i.e. M is
     rational semisimple).  The roots are searched on D^n
     det(xI - M), coefficients c_k D^(n-k), not on det(xI - D M), whose
-    search costs far more; the eigenspace of p/q is the kernel of the int
-    rows q D M - p D I."""
+    search costs far more; each eigenspace is read off the adjugate of
+    xI - A, A = D M, whose coefficients B_k `_char_ints` has formed.
+
+    The eigenvalue p/q of M is mu = p D / q for A, an integer root of the
+    monic int polynomial chi(x) = det(xI - A), of multiplicity m found by
+    exact synthetic division (`_deflated`): chi(x) = (x - mu)^m r(x) with
+    r(mu) != 0.  If A is semisimple at mu, then over C, near mu,
+    (xI - A)^-1 = E / (x - mu) + H(x), E the projector on ker(A - mu)
+    along the other generalized eigenspaces and H analytic at mu, so
+    adj(xI - A) = chi(x) (xI - A)^-1 = (x - mu)^(m-1) r(x) E + (x - mu)^m r(x) H(x),
+    whose Taylor coefficient of order m - 1 at mu is G = r(mu) E: a nonzero
+    multiple of E, whose columns span ker(A - mu).  So G is read off the
+    B_k (`_adjugate_eigenvectors`) with no kernel elimination: for m = 1,
+    trace G = r(mu) trace E = r(mu) != 0, so the column of a nonzero
+    diagonal entry of G spans the eigenline, and only a repeated
+    eigenvalue's columns are eliminated.
+
+    Off semisimplicity G's columns can hold generalized eigenvectors, so
+    each basis vector v must pass A v = mu v in ints, and the dimensions
+    must sum to n: then A is rational semisimple and each space, inside
+    ker(A - mu), is all of it.  On a failed check the eigenspace dimensions
+    are counted, n - rank(A - mu) each; they sum to less than n unless A is
+    rational semisimple, when the read is at fault (InternalCheckFailure)."""
     n = M.rows
     if n != M.cols:
         raise DimensionMismatch("eigenvalues of non-square")
     D, flat = M._ints
-    c = _char_ints(flat, n)
-    out = []
+    c, adj = _char_ints(flat, n)
+    roots, rest = [], c
     for lam in _rational_roots([c[n - j] * D ** j for j in range(n + 1)]):
-        p, q = lam.numerator * D, lam.denominator
-        shifted = [[q * x - p * (i == j) for j, x in enumerate(flat[i * n:(i + 1) * n])]
+        mu, m = lam.numerator * (D // lam.denominator), 0
+        q, r = _deflated(rest, mu)
+        while not r:
+            rest, m = q, m + 1
+            q, r = _deflated(rest, mu)
+        roots.append((lam, mu, m))
+    act, out = _int_action(M)[1], []
+    if len(rest) == 1:                  # every root is rational
+        for lam, mu, m in roots:
+            rows = _adjugate_eigenvectors(adj, mu, m)
+            if any(act(v) != [mu * x for x in v] for v in rows):
+                break
+            out.append((lam, rows))
+    if sum(len(rows) for _, rows in out) == n:
+        return [(lam, Subspace._of_rows(n, rows)) for lam, rows in out]
+    total = 0
+    for _, mu, _ in roots:
+        shifted = [[x - mu * (i == j) for j, x in enumerate(flat[i * n:(i + 1) * n])]
                    for i in range(n)]
-        out.append((lam, Subspace._kernel(n, shifted)))   # exact roots: nonzero spaces
-    total = sum(space.dim for _, space in out)
-    if total != n:
-        raise NotRationalSplit(
-            f"eigenspace dimensions sum to {total} < {n}; not rational semisimple")
-    return out
+        total += n - len(_echelon(shifted)[1])
+    if total == n:
+        raise InternalCheckFailure(
+            "rational eigenvalues: a space read off the adjugate is not ker(A - mu)")
+    raise NotRationalSplit(
+        f"eigenspace dimensions sum to {total} < {n}; not rational semisimple")
+
+
+def _deflated(p, mu):
+    """(q, r) with p(x) = (x - mu) q(x) + r, for an int polynomial p given by
+    its coefficients, the leading one first: synthetic division."""
+    q = [p[0]]
+    for x in p[1:]:
+        q.append(x + mu * q[-1])
+    return q[:-1], q[-1]
+
+
+def _adjugate_eigenvectors(adj, mu, m):
+    """Primitive int rows, RREF up to the scale of each row, spanning the
+    columns of G = sum_k C(n-1-k, m-1) mu^(n-k-m) B_k, the Taylor
+    coefficient of order m - 1 at mu of adj(xI - A) = sum_k B_k x^(n-1-k),
+    adj[k] the columns of B_k: for m = 1 the column of G's first nonzero
+    diagonal entry (none when there is none), else the nonzero rows of one
+    `_echelon` of G's columns."""
+    n, t = len(adj), m - 1
+    w = [comb(n - 1 - k, t) * mu ** (n - 1 - k - t) for k in range(n - t)]
+    B = adj[:n - t]
+
+    def column(j):
+        return [sum(map(mul, w, entries)) for entries in zip(*(Bk[j] for Bk in B))]
+    if m == 1:
+        j = next((j for j in range(n) if sum(map(mul, w, (Bk[j][j] for Bk in B)))), None)
+        return [] if j is None else [_integer_row(column(j))]
+    A, piv = _echelon([col for col in map(column, range(n)) if any(col)])
+    return A[:len(piv)]
 
 
 # ---------------------------------------------------------------------------
@@ -1212,12 +1291,13 @@ class Grading(Record):
 
 def grading(*Ms):
     """The joint eigenspace grading of gl_n under commuting rational
-    semisimple n x n matrices: Q^n split by each in turn (`_split`)."""
+    semisimple n x n matrices: the eigenspaces of the first, each split by
+    the others in turn (`_split`)."""
     n = Ms[0].rows
     actions = _commuting_actions(Ms)
-    blocks = [((), Subspace._of_rows(n, [[int(i == j) for j in range(n)]
-                                         for i in range(n)]))]
-    for action in actions:
+    blocks = [((lam,), list(map(_integer_row, sp._dense())))
+              for lam, sp in rational_eigenvalues(Ms[0])]
+    for action in actions[1:]:
         blocks = _split(blocks, action)
     return _graded(blocks, actions, n)
 
@@ -1228,10 +1308,9 @@ def bigrade(g, h, Z):
     columns in g are its primitive RREF rows, so `_split` splits g's blocks
     by h, and Z's eigenvalue is s - alpha."""
     actions = _commuting_actions((h, Z))
-    blocks = [(tuple(Fraction(x, g.L) for x in label),
-               Subspace._of_rows(h.rows, [c for _, c in group]))
+    blocks = [(tuple(Fraction(x, g.L) for x in label), [c for _, c in group])
               for label, group in groupby(zip(g.labels, g.cols), key=itemgetter(0))]
-    return _graded([((a, s - a), B) for (s, a), B in _split(blocks, actions[0])],
+    return _graded([((a, s - a), rows) for (s, a), rows in _split(blocks, actions[0])],
                    actions, h.rows)
 
 
@@ -1246,43 +1325,54 @@ def _commuting_actions(Ms):
 
 
 def _split(blocks, action):
-    """The blocks (label, B), B a Subspace M preserves, split into (label +
-    (lambda,), eigenspace) by the eigenvalues lambda of M, action = (D, v ->
-    D M v).  B of dimension 1 is an eigenspace.  Over B's RREF basis the
-    coordinate q of a vector is its entry at B's pivot q, so M's restriction
-    is the int matrix T of the images of B's int rows (D_B times that basis)
-    at B's pivots, over D D_B, and each of its eigenspaces maps back to B's
-    combinations with no elimination (`Subspace._combined`), unless M is
-    scalar on B."""
+    """The blocks (label, rows), rows the primitive int rows of the RREF
+    basis of a space B that M preserves, each up to scale, split into
+    (label + (lambda,), the rows of the eigenspace) by the eigenvalues
+    lambda of M, action = (D, v -> D M v).  B of dimension 1 is an
+    eigenspace.  The rows times L over their pivot entries a (L the lcm of
+    the a) are L times B's RREF basis, over which the coordinate q of a
+    vector is its entry at B's pivot q; so M's restriction is the int
+    matrix T of those rows' images at B's pivots, over D L, and each of its
+    eigenspaces maps back to their combinations, which are its RREF up to
+    scale (the argument of `Subspace._combined`), with no elimination,
+    unless M is scalar on B."""
     D, act = action
     out = []
-    for label, B in blocks:
-        k, images = B.dim, [act(v) for v in B._dense()]
-        T = [im[p] for p in B.pivots for im in images]
-        if k == 1:
-            out.append((label + (Fraction(T[0], D * B._den),), B))
+    for label, rows in blocks:
+        piv = [next(compress(count(), v)) for v in rows]
+        a = [v[p] for v, p in zip(rows, piv)]
+        if len(rows) == 1:
+            out.append((label + (Fraction(act(rows[0])[piv[0]], D * a[0]),), rows))
             continue
-        pieces = rational_eigenvalues(QMatrix._of_ints(k, k, D * B._den, T))
+        L = lcm(*a)
+        scaled = [[x * (L // b) for x in v] for v, b in zip(rows, a)]
+        images = [act(v) for v in scaled]
+        pieces = rational_eigenvalues(QMatrix._of_ints(
+            len(rows), len(rows), D * L, [im[p] for p in piv for im in images]))
         if len(pieces) == 1:
-            out.append((label + (pieces[0][0],), B))
-        else:
-            out += [(label + (lam,), B._combined(sp._dense())) for lam, sp in pieces]
+            out.append((label + (pieces[0][0],), rows))
+            continue
+        entries = list(zip(*scaled))
+        for lam, sp in pieces:
+            combos = [[sum([c * x for c, x in zip(cs, xs) if c]) for xs in entries]
+                      for cs in sp._dense()]
+            out.append((label + (lam,), list(map(_integer_row, combos))))
     return out
 
 
 def _graded(blocks, actions, n):
-    """The Grading of the blocks (rational label, Subspace), sorted by label
-    descending, labels over their lcm denominator L, the columns each
-    block's rows made primitive, each checked against each action (D, v ->
-    D M v) in ints, and R = s P^{-1} read off one elimination of the int
-    rows of [P | I]: row k of its RREF is a_k [e_k | P^{-1}[k, :]], and s
-    is the lcm of the pivot entries a_k."""
+    """The Grading of the blocks (rational label, primitive int rows),
+    sorted by label descending, labels over their lcm denominator L, each
+    row checked against each action (D, v -> D M v) in ints, and
+    R = s P^{-1} read off one elimination of the int rows of [P | I]: row k
+    of its RREF is a_k [e_k | P^{-1}[k, :]], and s is the lcm of the pivot
+    entries a_k."""
     L = lcm(*(x.denominator for label, _ in blocks for x in label))
-    blocks = sorted(((tuple(x.numerator * (L // x.denominator) for x in label), B)
-                     for label, B in blocks), key=itemgetter(0), reverse=True)
+    blocks = sorted(((tuple(x.numerator * (L // x.denominator) for x in label), rows)
+                     for label, rows in blocks), key=itemgetter(0), reverse=True)
     labels, cols = [], []
-    for label, B in blocks:
-        for v in map(_integer_row, B._dense()):
+    for label, rows in blocks:
+        for v in rows:
             for (D, act), a in zip(actions, label):
                 if [L * x for x in act(v)] != [D * a * x for x in v]:
                     raise InternalCheckFailure(

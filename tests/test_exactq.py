@@ -5,6 +5,7 @@ import random
 import time
 from fractions import Fraction
 from math import gcd, isqrt, lcm
+from operator import add
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +22,7 @@ from whitforge.orbits import jordan_chain_basis
 from whitforge.whitpair import find_Z
 
 import clause_oracle
+import eigen_oracle
 from conftest import E, coordinates, random_unimodular, random_whittaker_pair
 from dense_ad import ad_matrix, int_ad
 
@@ -236,10 +238,12 @@ def test_qmatrix_arithmetic_matches_sympy():
 def test_qmatrix_arithmetic_runs_in_the_int_kernels(monkeypatch):
     # the product and matvec are the int action of D_A A, the bracket is
     # the int bracket of D_A A and D_B B, and the eigenspaces of a Fraction
-    # matrix are eliminated from int rows
+    # matrix are read off the int adjugate of D M, a repeated eigenvalue's
+    # columns eliminated as int rows
     assert "zero" not in inspect.signature(_bracket).parameters
-    seen = {"action": 0, "bracket": [], "echelon": []}
+    seen = {"action": 0, "bracket": [], "echelon": [], "adjugate": []}
     action, bracket, echelon = exactq._int_action, exactq._bracket, exactq._echelon
+    read = exactq._adjugate_eigenvectors
 
     def counting_action(M):
         seen["action"] += 1
@@ -253,9 +257,14 @@ def test_qmatrix_arithmetic_runs_in_the_int_kernels(monkeypatch):
     def recording_echelon(rows):
         seen["echelon"] += [x for row in rows for x in row]
         return echelon(rows)
+
+    def recording_read(adj, mu, m):
+        seen["adjugate"] += [mu] + [x for cols in adj for col in cols for x in col]
+        return read(adj, mu, m)
     monkeypatch.setattr(exactq, "_int_action", counting_action)
     monkeypatch.setattr(exactq, "_bracket", recording_bracket)
     monkeypatch.setattr(exactq, "_echelon", recording_echelon)
+    monkeypatch.setattr(exactq, "_adjugate_eigenvectors", recording_read)
     A = QMatrix.from_rows([[Fraction(1, 2), 3], [Fraction(-2, 3), Fraction(5, 7)]])
     B = QMatrix.from_rows([[Fraction(2, 5), 0], [1, Fraction(-1, 4)]])
     A * B
@@ -266,6 +275,10 @@ def test_qmatrix_arithmetic_runs_in_the_int_kernels(monkeypatch):
     assert seen["bracket"] and all(type(x) is int for x in seen["bracket"])
     M = QMatrix.from_rows([[Fraction(1, 2), Fraction(1, 3)], [0, Fraction(-5, 3)]])
     assert [lam for lam, _ in rational_eigenvalues(M)] == [Fraction(1, 2), Fraction(-5, 3)]
+    assert seen["adjugate"] and all(type(x) is int for x in seen["adjugate"])
+    M = QMatrix.from_rows([[Fraction(1, 2), 0, Fraction(1, 3)], [0, Fraction(1, 2), 0],
+                           [0, 0, Fraction(-5, 3)]])
+    assert [sp.dim for _, sp in rational_eigenvalues(M)] == [2, 1]
     assert seen["echelon"] and all(type(x) is int for x in seen["echelon"])
 
 
@@ -1341,6 +1354,122 @@ def test_model_data_spectra_take_few_sign_counts(monkeypatch):
     for S, spectrum in zip(matrices, spectra):
         assert spectrum == _cauchy_rational_roots(char_poly(S)) \
             == _full_sturm_rational_roots(char_poly(S))
+
+
+# -- eigenspaces off the adjugate, against one kernel elimination per eigenvalue
+
+def _jordan_sum(blocks):
+    """The rows of the direct sum of the blocks, each (size, eigenvalue) a
+    Jordan block or ("x^2-d", d) the companion matrix of x^2 - d."""
+    n = sum(2 if size == "x^2-d" else size for size, _ in blocks)
+    rows, at = [[Fraction(0)] * n for _ in range(n)], 0
+    for size, lam in blocks:
+        if size == "x^2-d":
+            rows[at][at + 1], rows[at + 1][at], at = lam, Fraction(1), at + 2
+            continue
+        for i in range(at, at + size):
+            rows[i][i] = lam
+            if i + 1 < at + size:
+                rows[i][i + 1] = Fraction(1)
+        at += size
+    return rows
+
+
+def _conjugate(rows, seed):
+    """g J g^-1 for the rows J and a seeded invertible g with Fraction entries."""
+    rng, n = random.Random(seed), len(rows)
+    while True:
+        g = QMatrix.from_rows([[Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+                                for _ in range(n)] for _ in range(n)])
+        if g.det():
+            return g * QMatrix.from_rows(rows) * g.inverse()
+
+
+_LAMBDA = st.fractions(-6, 6, max_denominator=4)
+
+
+@st.composite
+def _spectral_cases(draw):
+    """(kind, blocks) of n <= 8: "semisimple" (n = 1..8 eigenvalues from a
+    pool of at most n, so repeated), "scalar" (c I, c = 0 among the draws),
+    "jordan" (a block of size >= 2 beside others, some sharing its
+    eigenvalue: type (2, 1) at one eigenvalue among them) or "irrational"
+    (the companion block of x^2 - d, d not a square, beside a diagonal)."""
+    kind = draw(st.sampled_from(["semisimple", "scalar", "jordan", "irrational"]))
+    n = draw(st.integers(1 if kind in ("semisimple", "scalar") else 2, 8))
+    if kind == "scalar":
+        lam = draw(st.just(Fraction(0)) | _LAMBDA)
+        return kind, [(1, lam)] * n
+    pool = draw(st.lists(_LAMBDA, min_size=1, max_size=n))
+    if kind == "semisimple":
+        return kind, [(1, draw(st.sampled_from(pool))) for _ in range(n)]
+    if kind == "irrational":
+        d = draw(st.sampled_from([2, 3, 5, -1, -3, Fraction(1, 2)]))
+        return kind, [("x^2-d", Fraction(d))] + [(1, draw(st.sampled_from(pool)))
+                                                 for _ in range(n - 2)]
+    first = draw(st.integers(2, n))
+    blocks, left = [(first, pool[0])], n - first
+    while left:
+        size = draw(st.integers(1, left))
+        blocks.append((size, draw(st.sampled_from(pool))))
+        left -= size
+    return kind, blocks
+
+
+def _eigen_outcome(eigen, M):
+    """[(eigenvalue, its Subspace)], or the NotRationalSplit message."""
+    try:
+        return eigen(M)
+    except NotRationalSplit as exc:
+        return str(exc)
+
+
+@settings(max_examples=250, deadline=None)
+@given(_spectral_cases(), st.integers(0, 2 ** 32))
+def test_adjugate_eigenspaces_match_the_kernel_oracle(case, seed):
+    kind, blocks = case
+    M = _conjugate(_jordan_sum(blocks), seed)
+    ours = _eigen_outcome(rational_eigenvalues, M)
+    assert ours == _eigen_outcome(eigen_oracle.rational_eigenvalues, M)
+    assert isinstance(ours, str) == (kind in ("jordan", "irrational"))
+
+
+def test_a_derogatory_jordan_type_fails_the_eigenvector_check():
+    # Jordan type (2, 1) at one eigenvalue: G = I, whose columns hold a
+    # generalized eigenvector, so the eigenvector check fails, with asserts
+    # stripped too, and the count n - rank(A - mu) gives the oracle's
+    # message; so does E12
+    for rows, message in ((_jordan_sum([(2, Fraction(3, 2)), (1, Fraction(3, 2))]),
+                           "sum to 2 < 3"), ([[0, 1], [0, 0]], "sum to 1 < 2")):
+        M = _conjugate(rows, 7)
+        with pytest.raises(NotRationalSplit, match=message) as ours:
+            rational_eigenvalues(M)
+        with pytest.raises(NotRationalSplit) as theirs:
+            eigen_oracle.rational_eigenvalues(M)
+        assert str(ours.value) == str(theirs.value)
+
+
+@pytest.mark.parametrize("fault", ["order_one_too_low", "other_eigenvector_added"])
+def test_adjugate_faults_fail_the_eigenvector_check(monkeypatch, fault):
+    # g diag(2, 2, -1, -1, 1/2, 1/2) g^-1 repeats each eigenvalue: its
+    # adjugate vanishes at mu to order m - 1, so G read one order too low is
+    # 0, and a row of mu with an eigenvector of another eigenvalue added
+    # keeps the dimensions but fails A v = mu v; the count on the error
+    # path is n, so the read is at fault.  Each raises with asserts
+    # stripped too
+    M = _conjugate(_jordan_sum([(1, x) for x in (2, 2, -1, -1, Fraction(1, 2),
+                                                 Fraction(1, 2))]), 3)
+    mus = [int(lam * M._ints[0]) for lam in (2, -1, Fraction(1, 2))]
+    real = exactq._adjugate_eigenvectors
+
+    def faulty(adj, mu, m):
+        if fault == "order_one_too_low":
+            return real(adj, mu, m - 1)
+        rows, other = real(adj, mu, m), next(nu for nu in mus if nu != mu)
+        return rows[:-1] + [list(map(add, rows[-1], real(adj, other, 2)[0]))]
+    monkeypatch.setattr(exactq, "_adjugate_eigenvectors", faulty)
+    with pytest.raises(InternalCheckFailure, match="read off the adjugate"):
+        rational_eigenvalues(M)
 
 
 # -- skew tools ---------------------------------------------------------------

@@ -186,32 +186,60 @@ def test_grading_and_bigrade_match_the_eliminating_split():
 
 
 def test_grading_and_bigrade_eliminate_no_subspace(monkeypatch):
-    # the blocks are built from rows already in RREF and each eigenspace
-    # maps back with no elimination
-    calls = []
-    real = Subspace.__init__
+    # the eigenspaces of the first matrix are read off its adjugate, and the
+    # blocks split from their primitive rows, so no Subspace is eliminated:
+    # the only eliminations are one of each repeated eigenvalue's adjugate
+    # columns (of the first matrix or of a block's restriction) and the one
+    # of [P | I] that gives R
+    calls, repeated, echelons = [], [], []
+    real_init, real_read, real_echelon = (Subspace.__init__, exactq._adjugate_eigenvectors,
+                                          exactq._echelon)
 
     def init(self, *args):
         calls.append(args)
-        real(self, *args)
+        real_init(self, *args)
+
+    def read(adj, mu, m):
+        repeated.append(m > 1)
+        return real_read(adj, mu, m)
+
+    def echelon(rows, det=False):
+        echelons.append(len(rows))
+        return real_echelon(rows, det)
     cases = list(_commuting_cases())
     gradings = [grading(h + Z) for h, Z in cases]
     monkeypatch.setattr(Subspace, "__init__", init)
+    monkeypatch.setattr(exactq, "_adjugate_eigenvectors", read)
+    monkeypatch.setattr(exactq, "_echelon", echelon)
+    seen = set()
     for (h, Z), g in zip(cases, gradings):
-        grading(h + Z)
-        grading(h, Z)
-        bigrade(g, h, Z)
-    assert calls == []
+        for build in (lambda: grading(h + Z), lambda: grading(h, Z),
+                      lambda: bigrade(g, h, Z)):
+            repeated.clear()
+            echelons.clear()
+            build()
+            assert len(echelons) == 1 + sum(repeated)
+            seen.add(sum(repeated) > 0)
+    assert calls == [] and seen == {False, True}
 
 
 def test_a_wrong_eigenspace_map_back_is_not_a_joint_eigenvector(monkeypatch):
-    # each eigenspace mapped back as the whole block: the check against the
-    # grading matrices fails, with asserts stripped too
+    # Z splits each eigenspace of h: each eigenspace of Z's restriction to
+    # one given as the whole coordinate space maps back as the whole block,
+    # and the check against the grading matrices fails, with asserts
+    # stripped too
     g = random_unimodular(4, random.Random("kernels:fault"))
     h, Z = _conjugated(g, [1, -1, 1, -1], [1, 1, -1, -1])
-    monkeypatch.setattr(Subspace, "_combined", lambda self, coords: self)
+    real = exactq.rational_eigenvalues
+
+    def whole(M):
+        k = M.rows
+        return real(M) if k == 4 else [
+            (lam, Subspace(k, [[int(i == j) for j in range(k)] for i in range(k)]))
+            for lam, _ in real(M)]
+    monkeypatch.setattr(exactq, "rational_eigenvalues", whole)
     with pytest.raises(InternalCheckFailure, match="not a joint eigenvector"):
-        grading(h + Z)
+        grading(h, Z)
 
 
 # -- omega's radical, in one elimination -------------------------------------------
@@ -245,12 +273,14 @@ def test_radical_runs_one_elimination(monkeypatch):
 # -- the seed-0 passes ---------------------------------------------------------------
 
 def test_seed0_passes_run_the_expected_eliminations(monkeypatch):
-    # a kernel is read off the echelon form that holds it, and no grading
-    # block or span is eliminated again: building the items (the chain
-    # pairs' S-gradings among them) and one call of each runs 983
-    # eliminations on cli_orbits (1,188 while the Jordan kernels were
-    # eliminated again, 1,581 before), 1,528 on chain (1,720) and 2,628 on
-    # raise.  A root search counts Sturm signs in full only until an
+    # a kernel is read off the echelon form that holds it, no grading
+    # block or span is eliminated again, and an eigenspace is read off the
+    # adjugate, only a repeated eigenvalue's columns eliminated: building
+    # the items (the chain pairs' S-gradings among them) and one call of
+    # each runs 593 eliminations on cli_orbits (983 with one kernel
+    # elimination per eigenvalue, 1,188 while the Jordan kernels were
+    # eliminated again, 1,581 before), 1,360 on chain (1,528, 1,720 before)
+    # and 2,628 on raise.  A root search counts Sturm signs in full only until an
     # interval holds one root: 808 counts on cli_orbits (2,085 before) and
     # 305 on chain (781).  A chain certificate prints each of its distinct
     # spaces once: 334 Subspace.to_json calls on chain (864 before)
@@ -272,8 +302,8 @@ def test_seed0_passes_run_the_expected_eliminations(monkeypatch):
             item.call()
         counts[name] = dict(calls)
     assert counts == {
-        "cli_orbits": {"_echelon": 983, "_sign_changes_at_half": 808, "to_json": 216},
-        "chain": {"_echelon": 1528, "_sign_changes_at_half": 305, "to_json": 334},
+        "cli_orbits": {"_echelon": 593, "_sign_changes_at_half": 808, "to_json": 216},
+        "chain": {"_echelon": 1360, "_sign_changes_at_half": 305, "to_json": 334},
         "raise": {"_echelon": 2628}}
 
 
